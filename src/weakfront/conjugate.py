@@ -7,12 +7,19 @@ extended-epigraph elements (L, U), their ⊞-sum, the Ψ collapse back to
 ordinary epigraphs, and the searches that produce certificates for the
 three layered inequality conditions (index 1: a positive operator T; index
 2: split (L', T); index 3: split (L', L'', T)).
+
+One generator, :func:`certificates`, enumerates a budget for all three
+indices; the certificate search takes its first qualifying item and the
+dual values fold over all of them.  It memoises the conjugate blocks that
+certificates share for the length of one call only, so nothing is cached
+between calls.  :func:`beta_value_set` rebuilds one certificate's value set
+from scratch and is what verification and conversion use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cones import (
     Cone,
@@ -442,8 +449,90 @@ def beta_value_set(
     raise ValueError("index must be 1, 2 or 3")
 
 
-def _qualifies(W: GenSet, y, tol: Number) -> bool:
-    return W.classify(y, tol) is not RegionLabel.LOWER
+_END = object()
+
+
+class _Replay:
+    """One pass over a budget iterator, drawn lazily; later passes replay the
+    items already drawn before drawing more, so nested loops over the same
+    budget enumerate it once."""
+
+    __slots__ = ("_source", "_drawn")
+
+    def __init__(self, source: Iterable):
+        self._source = iter(source)
+        self._drawn: list = []
+
+    def __iter__(self):
+        k = 0
+        while True:
+            if k == len(self._drawn):
+                item = next(self._source, _END)
+                if item is _END:
+                    return
+                self._drawn.append(item)
+            yield self._drawn[k]
+            k += 1
+
+
+def certificates(
+    index: int, P, L: LinOp, cfg: SearchConfig, tol: Number = 0
+) -> Iterator[Certificate]:
+    """Every budget certificate of condition ``index`` at the perturbation L,
+    each carrying the value set :func:`beta_value_set` would rebuild for it.
+
+    Order: L' outer, L'' middle, T inner, each budget in its own order
+    (hints, zero, ascending grid).  Blocks shared between certificates are
+    computed once per call and dropped with the generator: T∘G per T, F*(L')
+    per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per (L', L''), and
+    (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items drawn by the first
+    pass are replayed by the later ones.
+    """
+    if index not in (1, 2, 3):
+        raise ValueError("condition index must be 1, 2 or 3")
+    K = P.K
+    Ts = _Replay(cfg.posop_budget(P.S, K))
+    if index == 1:
+        F_C = P.F.restrict(P.C)
+        for T in Ts:
+            core = F_C.add(compose(T, P.G).restrict(P.C))
+            yield Certificate(1, T, value_set=conjugate(core, L, K, tol))
+        return
+    if index == 2:
+        blocks = {}  # T -> (T∘G restricted to C)
+        for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
+            f_star = conjugate(P.F, Lp, K, tol)
+            rest = L - Lp
+            for T in Ts:
+                block = blocks.get(T.op.entries)
+                if block is None:
+                    block = blocks[T.op.entries] = compose(T, P.G).restrict(P.C)
+                W = ws_sum(f_star, conjugate(block, rest, K, tol), tol)
+                yield Certificate(2, T, Lp=Lp, value_set=W)
+        return
+    Ls = _Replay(cfg.linop_budget(K.dim, P.F.in_dim))
+    ind_c = SampledMap.indicator(P.C, K.dim)
+    composed = {}  # T -> T∘G
+    ind_stars = {}  # L'' -> I_C*(L'')
+    tg_stars = {}  # (T, L - L' - L'') -> (T∘G)*(L - L' - L'')
+    for Lp in Ls:
+        f_star = conjugate(P.F, Lp, K, tol)
+        for Lpp in Ls:
+            ind_star = ind_stars.get(Lpp.entries)
+            if ind_star is None:
+                ind_star = ind_stars[Lpp.entries] = conjugate(ind_c, Lpp, K, tol)
+            first = ws_sum(f_star, ind_star, tol)
+            rest = L - Lp - Lpp
+            for T in Ts:
+                key = (T.op.entries, rest.entries)
+                tg_star = tg_stars.get(key)
+                if tg_star is None:
+                    TG = composed.get(T.op.entries)
+                    if TG is None:
+                        TG = composed[T.op.entries] = compose(T, P.G)
+                    tg_star = tg_stars[key] = conjugate(TG, rest, K, tol)
+                W = ws_sum(first, tg_star, tol)
+                yield Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=W)
 
 
 def script_A_membership(
@@ -455,33 +544,15 @@ def script_A_membership(
     tol: Number = 0,
 ) -> Optional[Certificate]:
     """Search the budget for a certificate placing (L, y) in the i-th
-    representation set.  Returns the first certificate in deterministic
-    order (hints, zero, ascending grid) or None when the budget is
-    exhausted — a None is *not* a disproof.
+    representation set.  Returns the first qualifying certificate in the
+    order of :func:`certificates`, or None when the budget is exhausted —
+    a None is *not* a disproof.
     """
     y = tuple(y)
-    K, S = P.K, P.S
+    K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("script_A_membership: dimensions disagree")
-    if i == 1:
-        for T in cfg.posop_budget(S, K):
-            W = beta_value_set(1, P, L, T, tol=tol)
-            if _qualifies(W, y, tol):
-                return Certificate(1, T, value_set=W)
-        return None
-    if i == 2:
-        for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
-            for T in cfg.posop_budget(S, K):
-                W = beta_value_set(2, P, L, T, Lp=Lp, tol=tol)
-                if _qualifies(W, y, tol):
-                    return Certificate(2, T, Lp=Lp, value_set=W)
-        return None
-    if i == 3:
-        for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
-            for Lpp in cfg.linop_budget(K.dim, P.F.in_dim):
-                for T in cfg.posop_budget(S, K):
-                    W = beta_value_set(3, P, L, T, Lp=Lp, Lpp=Lpp, tol=tol)
-                    if _qualifies(W, y, tol):
-                        return Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=W)
-        return None
-    raise ValueError("representation index must be 1, 2 or 3")
+    for cert in certificates(i, P, L, cfg, tol):
+        if cert.value_set.classify(y, tol) is not RegionLabel.LOWER:
+            return cert
+    return None

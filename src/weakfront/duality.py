@@ -13,7 +13,9 @@ generators plus the cone) and the union's supremum is the boundary of the
 intersection of those regions, which for simplicial cones in dimension one
 or two is again a finite staircase obtained by componentwise joins in ray
 coordinates.  Every generator of the result therefore carries a concrete
-certificate that re-verifies.
+certificate that re-verifies.  A certificate whose region already contains
+every current generator cannot change the intersection, so the merge skips
+its joins (a maxima-of-vectors dominance test in ray coordinates).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .order_sets import (
     winf_finite,
 )
 from .staircase2d import RayBasis
-from .conjugate import Certificate, SampledMap, SearchConfig, beta_value_set
+from .conjugate import Certificate, SampledMap, SearchConfig, certificates
 from .farkas import (
     EmptyFeasibleSet,
     HardFailure,
@@ -216,23 +218,14 @@ class DualValue:
         )
 
 
-def _enumerate_certificates(index: int, P: ProblemInstance, L: LinOp, cfg, tol):
-    """All budget certificates for one dual problem, deterministic order."""
-    if index == 1:
-        for T in cfg.posop_budget(P.S, P.K):
-            W = beta_value_set(1, P, L, T, tol=tol)
-            yield Certificate(1, T, value_set=W)
-    elif index == 2:
-        for Lp in cfg.linop_budget(P.m, P.n):
-            for T in cfg.posop_budget(P.S, P.K):
-                W = beta_value_set(2, P, L, T, Lp=Lp, tol=tol)
-                yield Certificate(2, T, Lp=Lp, value_set=W)
-    else:
-        for Lp in cfg.linop_budget(P.m, P.n):
-            for Lpp in cfg.linop_budget(P.m, P.n):
-                for T in cfg.posop_budget(P.S, P.K):
-                    W = beta_value_set(3, P, L, T, Lp=Lp, Lpp=Lpp, tol=tol)
-                    yield Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=W)
+def _covers(piece_q, current_q) -> bool:
+    """Every current generator lies in piece + K (in ray coordinates: some
+    piece generator is componentwise below it), so joining the piece in
+    leaves the merged frontier unchanged."""
+    return all(
+        any(all(a <= b for a, b in zip(qv, qu)) for qv in piece_q)
+        for qu in current_q
+    )
 
 
 def dual_value(
@@ -248,8 +241,12 @@ def dual_value(
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
     intersection of the upward regions, merged generator-by-generator via
-    componentwise joins in ray coordinates.  Each generator of the result
-    lies on some contributing certificate's frontier and is stored with it.
+    componentwise joins in ray coordinates.  In exact mode a certificate
+    whose upward region already contains every current generator is not
+    joined in, since the joins would return the current generators.
+    Each generator of the result lies on some certificate's frontier and is
+    stored with the first such certificate in budget order, skipped ones
+    included.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
@@ -264,17 +261,19 @@ def dual_value(
     index = int(which[-1])
     pieces: List[Tuple[Certificate, GenSet]] = []
     current: Optional[tuple] = None
-    for cert in _enumerate_certificates(index, P, L, cfg, tol):
+    for cert in certificates(index, P, L, cfg, tol):
         piece = cert.value_set.negate()  # INF frontier of guaranteed values
         pieces.append((cert, piece))
         gens = piece.generators.points
         if current is None:
             current = gens
-        else:
-            joined = FiniteVecSet(
-                basis.join(u, v) for u in current for v in gens
-            )
-            current = winf_finite(joined, P.K, tol).generators.points
+            current_q = [basis.to_quad(u) for u in current]
+            continue
+        if tol == 0 and _covers([basis.to_quad(v) for v in gens], current_q):
+            continue
+        joined = FiniteVecSet(basis.join(u, v) for u in current for v in gens)
+        current = winf_finite(joined, P.K, tol).generators.points
+        current_q = [basis.to_quad(u) for u in current]
     if current is None:
         raise ValueError("empty certificate budget")
     attained = FiniteVecSet(current)

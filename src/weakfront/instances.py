@@ -113,6 +113,16 @@ def _decode_hints(raw) -> Tuple[Tuple[LinOp, ...], Tuple[LinOp, ...]]:
     return out[0], out[1]
 
 
+def _check_hint_shapes(hints, key: str, rows: int, cols: int, shape: str) -> None:
+    """Hints of the wrong shape would drop out of every budget unnoticed."""
+    for k, h in enumerate(hints):
+        if (h.rows, h.cols) != (rows, cols):
+            raise InstanceFormatError(
+                f"hints[{key!r}][{k}] is {h.rows}x{h.cols}, expected "
+                f"{rows}x{cols} ({shape})"
+            )
+
+
 def _decode_flags(raw) -> dict:
     if raw is None:
         return {}
@@ -169,6 +179,12 @@ def instance_from_json(doc) -> ProblemInstance:
             f"expected an 'instance' document, got kind {doc.get('kind')!r}"
         )
     dims = _require(doc, "dims")
+    if isinstance(dims, dict):
+        for k in "nmp":
+            if isinstance(dims.get(k), bool):
+                raise InstanceFormatError(
+                    f"dims.{k} is the boolean {json.dumps(dims[k])}, not an integer"
+                )
     if (
         not isinstance(dims, dict)
         or not all(isinstance(dims.get(k), int) and dims[k] > 0 for k in "nmp")
@@ -197,6 +213,10 @@ def instance_from_json(doc) -> ProblemInstance:
         raise InstanceFormatError("'C' must be a nonempty array of domain indices")
     C = []
     for i in raw_C:
+        if isinstance(i, bool):
+            raise InstanceFormatError(
+                f"C index {json.dumps(i)} is a boolean, not a domain index"
+            )
         if not isinstance(i, int) or not 0 <= i < len(domain):
             raise InstanceFormatError(f"C index {i!r} out of range")
         C.append(domain[i])
@@ -206,6 +226,13 @@ def instance_from_json(doc) -> ProblemInstance:
         raise InstanceFormatError("dims.n disagrees with domain points")
     if dims["m"] != len(fsamples[0][1]) or dims["p"] != len(gsamples[0][1]):
         raise InstanceFormatError("dims.m/dims.p disagree with value arrays")
+    _check_hint_shapes(hints_T, "T", dims["m"], dims["p"], "m x p")
+    _check_hint_shapes(hints_L, "L", dims["m"], dims["n"], "m x n")
+    slater = flags.get("slater_point")
+    if slater is not None and len(slater) != dims["n"]:
+        raise InstanceFormatError(
+            f"slater_point has {len(slater)} entries, expected n={dims['n']}"
+        )
     return ProblemInstance(
         SampledMap(fsamples),
         SampledMap(gsamples),
@@ -276,6 +303,7 @@ def pair_from_json(doc) -> MapPair:
     F1 = SampledMap((x, decode_vec(v)) for x, v in zip(domain, raw1))
     F2 = SampledMap((x, decode_vec(v)) for x, v in zip(domain, raw2))
     _, hints_L = _decode_hints(doc.get("hints"))
+    _check_hint_shapes(hints_L, "L", F1.out_dim, F1.in_dim, "m x n")
     return MapPair(F1, F2, K, hints_L, str(doc.get("name", "")))
 
 
@@ -586,10 +614,6 @@ def build_linear_pair(index: int) -> MapPair:
         (x, tuple(v + c for v, c in zip(op2.apply(x), b2))) for x in dom
     )
     return MapPair(F1, F2, K, hints_L=(op1,), name=f"pair{index:02d}")
-
-
-def shipped_pairs() -> tuple:
-    return tuple(build_linear_pair(i) for i in range(1, 11))
 
 
 def write_shipped_data(root=None) -> list:

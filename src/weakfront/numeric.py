@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Number = Union[int, Fraction, float]
 Vec = tuple
@@ -32,14 +32,6 @@ def to_exact(x: Number) -> Fraction:
             raise ValueError(f"non-finite number: {x!r}")
         return Fraction(str(x))
     raise TypeError(f"not a number: {x!r}")
-
-
-def exact_vec(v: Sequence[Number]) -> Vec:
-    return tuple(to_exact(c) for c in v)
-
-
-def exact_mat(rows: Sequence[Sequence[Number]]) -> Mat:
-    return tuple(exact_vec(r) for r in rows)
 
 
 def is_finite_number(x: Number) -> bool:
@@ -90,34 +82,6 @@ def zero_vec(n: int) -> Vec:
 
 def zero_mat(rows: int, cols: int) -> Mat:
     return tuple((Fraction(0),) * cols for _ in range(rows))
-
-
-def denominator_lcm(values: Iterable[Number]) -> int:
-    """lcm of denominators of a stream of exact numbers (1 for ints)."""
-    out = 1
-    for x in values:
-        if isinstance(x, Fraction):
-            out = out * x.denominator // math.gcd(out, x.denominator)
-        elif not isinstance(x, int):
-            raise TypeError(f"exact number expected, got {x!r}")
-    return out
-
-
-def scale_to_int_vec(v: Vec, scale: int) -> tuple:
-    """Multiply an exact vector by `scale` and return machine ints.
-
-    Raises if the result is not integral — callers pick `scale` with
-    `denominator_lcm` so this never triggers in correct use.
-    """
-    out = []
-    for x in v:
-        y = x * scale
-        if isinstance(y, Fraction):
-            if y.denominator != 1:
-                raise ValueError(f"scale {scale} does not clear {x}")
-            y = y.numerator
-        out.append(y)
-    return tuple(out)
 
 
 def mat_rank(rows: Sequence[Sequence[Number]]) -> int:

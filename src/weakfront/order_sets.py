@@ -27,7 +27,6 @@ from .cones import Cone, DimensionError, PointClass, classify_point, in_cone
 from .numeric import (
     Number,
     Vec,
-    encode_number,
     is_finite_number,
     mat_rank,
     vec_neg,
@@ -451,17 +450,6 @@ def set_preceq(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
     )
 
 
-def same_set(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
-    """Semantic equality of two frontiers (mutual set_preceq)."""
-    if U.cone != V.cone:
-        return False
-    if U.tag is not Tag.FINITE or V.tag is not Tag.FINITE:
-        return U.tag is V.tag
-    if U.orient is V.orient:
-        return U.generators == V.generators
-    return set_preceq(U, V, tol) and set_preceq(V, U, tol)
-
-
 # --- sums ----------------------------------------------------------------------
 
 
@@ -518,46 +506,3 @@ def check_partition_style(
         if (below + on + above) != 1:
             return False
     return True
-
-
-# --- CSV emitters -----------------------------------------------------------------
-
-
-def _fmt(x: Number) -> str:
-    enc = encode_number(x)
-    return str(enc)
-
-
-def region_table_csv(
-    M: FiniteVecSet, K: Cone, grid: Sequence[Sequence[Number]], tol: Number = 0
-) -> str:
-    """CSV of grid points and their region labels relative to wsup M."""
-    dim = K.dim
-    header = ",".join(f"c{i}" for i in range(dim)) + ",label"
-    labels = classify_many(M, K, [tuple(p) for p in grid], tol, sup=True)
-    lines = [header]
-    for p, lab in zip(grid, labels):
-        lines.append(",".join(_fmt(c) for c in p) + f",{lab.value}")
-    return "\n".join(lines) + "\n"
-
-
-def frontier_csv(U: GenSet) -> str:
-    """CSV polyline (x,y vertices) tracing a finite 2-d frontier.
-
-    Vertices are the generators plus the staircase corners between adjacent
-    generators, in sweep order; only exact 2-d simplicial cones are supported.
-    """
-    if not U.is_finite:
-        raise ValueError("infinite frontier has no polyline")
-    if U.cone.dim != 2:
-        raise ValueError("frontier polyline is 2-d only")
-    basis = RayBasis.for_cone(U.cone)
-    if basis is None:
-        raise ValueError("cone has no 2-d simplicial ray basis")
-    verts = staircase2d.staircase_vertices_2d(
-        basis, U.generators.points, sup=U.orient is Orient.SUP
-    )
-    lines = ["x,y"]
-    for v in verts:
-        lines.append(",".join(_fmt(c) for c in v))
-    return "\n".join(lines) + "\n"

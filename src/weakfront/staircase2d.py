@@ -224,30 +224,3 @@ def canonical_indices_2d(
     ]
     sky = skyline_max(ig) if sup else skyline_min(ig)
     return [t[2] for t in sky]
-
-
-def staircase_vertices_2d(
-    basis: RayBasis, gens: Sequence[Vec], sup: bool = True
-) -> list:
-    """Polyline vertices of the frontier in original coordinates.
-
-    Generators plus the inner corners between consecutive generators, ordered
-    along the staircase.  The unbounded arms are implicit (directions are the
-    negated extreme rays for wsup, the rays themselves for winf).
-    """
-    qg = [basis.to_quad(g) for g in gens]
-    scale = _int_scale(c for q in qg for c in q)
-    ig = [
-        (_as_int(q[0], scale), _as_int(q[1], scale), i) for i, q in enumerate(qg)
-    ]
-    sky = skyline_max(ig) if sup else skyline_min(ig)
-    path = []
-    for k, (u, v, _) in enumerate(sky):
-        path.append((u, v))
-        if k + 1 < len(sky):
-            nu, nv = sky[k + 1][0], sky[k + 1][1]
-            # corner between steps: below-left for wsup, above-right for winf
-            path.append((u, nv) if sup else (nu, v))
-    return [
-        basis.from_quad((Fraction(u, scale), Fraction(v, scale))) for u, v in path
-    ]

@@ -176,6 +176,39 @@ def test_error_paths_are_distinct_and_exit_two(capsys, tmp_path, e1):
     assert rc == 2
 
 
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and indices)
+    replaced by ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# E2 has n=1, m=2, p=1: T hints are 2x1, L hints 2x1.
+_E2_MUTATIONS = [
+    (("hints", "T", 0), [[1, 0], [0, 1]], "hints['T'][0] is 2x2, expected 2x1 (m x p)"),
+    (("hints", "L", 0), [[1]], "hints['L'][0] is 1x1, expected 2x1 (m x n)"),
+    (("C", 0), True, "C index true is a boolean, not a domain index"),
+    (("dims", "n"), True, "dims.n is the boolean true, not an integer"),
+    (("flags", "slater_point"), [1, 1], "slater_point has 2 entries, expected n=1"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,message", _E2_MUTATIONS, ids=[m[2].split()[0] for m in _E2_MUTATIONS]
+)
+def test_malformed_e2_is_refused_with_its_own_message(capsys, tmp_path, e2, path, value, message):
+    bad = tmp_path / "E2_bad.json"
+    bad.write_text(json.dumps(_with(json.loads(open(e2).read()), path, value)))
+    for argv in (["dual", str(bad)], ["farkas", str(bad), "--y", "[0,0]"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"input error: {message}\n"
+
 def test_console_entry_point_runs_in_a_subprocess():
     proc = subprocess.run(
         [

@@ -1,0 +1,82 @@
+"""Byte-for-byte CLI outputs on the shipped instances.
+
+Each case runs one ``weakfront`` subcommand in-process and compares its
+stdout with the file of the same name under ``tests/golden/``.  The files
+pin the behaviour of the certificate search and the dual merge: a refactor
+of either must reproduce them exactly.  Regenerate them (only when a change
+of output is intended) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from weakfront.cli import main
+from weakfront.instances import data_dir
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (instance, L, y, indices): one certified and one NOT_FOUND query where the
+# instance has both; gap_toy's L=[[1]], y=[0] certifies at index 1 only.
+_FARKAS = (
+    ("E1", "[[1]]", "[0]", (1, 2, 3)),
+    ("E1", "[[1]]", "[-2]", (1, 2, 3)),
+    ("E2", "[[1],[-1]]", "[1,-3]", (1, 2, 3)),
+    ("E3", "[[1,0],[0,1]]", "[0,0]", (1, 2, 3)),
+    ("E3", "[[1,0],[0,1]]", "[-1,-1]", (2,)),
+    ("E4", "[[1],[1]]", "[0,0]", (1, 2, 3)),
+    ("E4", "[[1],[1]]", "[-2,-2]", (1, 2, 3)),
+    ("E5", "[[1]]", "[0]", (1, 2, 3)),
+    ("gap_toy", "[[1]]", "[0]", (1, 2, 3)),
+)
+_DUAL_INSTANCES = ("E1", "E2", "E3", "E4", "E5", "gap_toy")
+
+
+def _slug(text: str) -> str:
+    return text.replace("[", "").replace("]", "").replace(",", "_")
+
+
+def cases() -> list:
+    """(golden file name, argv) for every pinned CLI call."""
+    out = []
+    for name, L, y, indices in _FARKAS:
+        path = str(data_dir() / f"{name}.json")
+        for i in indices:
+            out.append(
+                (
+                    f"farkas_{name}_i{i}_L{_slug(L)}_y{_slug(y)}.json",
+                    ["farkas", path, "--index", str(i), "--L", L, "--y", y],
+                )
+            )
+    for name in _DUAL_INSTANCES:
+        path = str(data_dir() / f"{name}.json")
+        for which in ("VD1", "VD2", "VD3"):
+            out.append(
+                (f"dual_{name}_{which}.json", ["dual", path, "--which", which, "--L", "zero"])
+            )
+    return out
+
+
+def run_cli(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, f"weakfront {' '.join(argv)} exited {code}"
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fname,argv", cases(), ids=[c[0][:-5] for c in cases()])
+def test_cli_output_matches_golden(fname, argv):
+    assert run_cli(argv) == (GOLDEN / fname).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for fname, argv in cases():
+        (GOLDEN / fname).write_text(run_cli(argv))
+        sys.stdout.write(f"wrote {fname}\n")

@@ -112,6 +112,12 @@ def test_schema_errors_have_distinct_messages():
         pair_from_json(good)
 
 
+def test_pair_hints_of_the_wrong_shape_are_refused():
+    doc = pair_to_json(build_linear_pair(1))
+    doc["hints"]["L"] = [[[1]]]
+    with pytest.raises(InstanceFormatError, match=r"hints\['L'\]\[0\] is 1x1, expected 2x1"):
+        pair_from_json(doc)
+
 def test_file_errors(tmp_path):
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance(tmp_path / "nope.json")
