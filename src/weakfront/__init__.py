@@ -4,10 +4,12 @@ The package computes weak suprema and infima of finite vector sets, conjugates
 of sampled vector-valued maps, WS-sums of frontier sets, Farkas-type
 certificates for vector inequalities over sampled feasible sets, and the
 Lagrange / Fenchel-Lagrange dual values of small vector optimization problems.
-Everything runs in exact rational arithmetic by default; every engine result
-can be cross-checked against an independent brute-force oracle
+Everything runs in exact rational arithmetic (ints and Fractions only); every
+engine result can be cross-checked against an independent brute-force oracle
 (`weakfront.oracle`) or through the verification suites (`weakfront suites` /
-the ``weakfront verify`` command).
+the ``weakfront verify`` command).  The conjugate itself is
+``weakfront.conjugate.conjugate``: the package attribute ``conjugate`` is the
+submodule.
 """
 
 from weakfront.cones import (
@@ -42,7 +44,6 @@ from weakfront.conjugate import (
     SampledMap,
     SearchConfig,
     boxplus,
-    conjugate,
     epi_membership,
     exepi_membership,
     psi_contains,
@@ -99,7 +100,6 @@ __all__ = [
     "SampledMap",
     "SearchConfig",
     "boxplus",
-    "conjugate",
     "epi_membership",
     "exepi_membership",
     "psi_contains",

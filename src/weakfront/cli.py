@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .cones import DimensionError, LinOp
 from .conjugate import conjugate, script_A_membership
 from .duality import dual_value
-from .farkas import EmptyFeasibleSet, HardFailure
+from .farkas import EmptyFeasibleSet, HardFailure, encode_certificate
 from .instances import (
     InstanceFormatError,
     dump_json,
@@ -80,14 +80,7 @@ def _encode_genset(W) -> dict:
 
 
 def _encode_certificate(c) -> dict:
-    doc = {"index": c.index, "T": encode_mat(c.T.op.entries)}
-    if c.Lp is not None:
-        doc["Lp"] = encode_mat(c.Lp.entries)
-    if c.Lpp is not None:
-        doc["Lpp"] = encode_mat(c.Lpp.entries)
-    if c.value_set is not None:
-        doc["value_set"] = _encode_genset(c.value_set)
-    return doc
+    return {**encode_certificate(c), "value_set": _encode_genset(c.value_set)}
 
 
 def _cmd_wsup(args) -> int:
@@ -101,8 +94,8 @@ def _cmd_wsup(args) -> int:
         raise DimensionError(
             f"query points have dimension {queries.dim}, set has {M.dim}"
         )
-    S = wsup_finite(M, K, args.tol)
-    labels = S.classify_many(queries.points, args.tol)
+    S = wsup_finite(M, K)
+    labels = S.classify_many(queries.points)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["format", "1"])
@@ -116,7 +109,7 @@ def _cmd_wsup(args) -> int:
 def _cmd_conjugate(args) -> int:
     P = load_instance(args.instance)
     L = _parse_operator(args.L, P.m, P.n, "--L")
-    W = conjugate(P.F, L, P.K, args.tol)
+    W = conjugate(P.F, L, P.K)
     doc = {
         "format": 1,
         "kind": "conjugate",
@@ -132,7 +125,7 @@ def _cmd_farkas(args) -> int:
     L = _parse_operator(args.L, P.m, P.n, "--L")
     y = _parse_point(args.y, P.m, "--y")
     cfg = _search_config(P, args)
-    cert = script_A_membership(args.index, P, L, y, cfg, args.tol)
+    cert = script_A_membership(args.index, P, L, y, cfg)
     doc = {
         "format": 1,
         "kind": "farkas",
@@ -153,7 +146,7 @@ def _cmd_dual(args) -> int:
     P = load_instance(args.instance)
     L = _parse_operator(args.L, P.m, P.n, "--L")
     cfg = _search_config(P, args)
-    d = dual_value(P, args.which, L, cfg, args.tol)
+    d = dual_value(P, args.which, L, cfg)
     doc = {
         "format": 1,
         "kind": "dual",
@@ -226,22 +219,12 @@ def _parser() -> argparse.ArgumentParser:
             help="spacing of the split-operator entry grid (default 1)",
         )
 
-    def add_tol(p):
-        p.add_argument(
-            "--tol",
-            type=_number,
-            default=0,
-            metavar="T",
-            help="comparison tolerance; 0 (default) is exact rational mode",
-        )
-
     p = sub.add_parser(
         "wsup",
         help="label query points against the weak supremum of a point set",
     )
     p.add_argument("set_file", help="JSON set document with a cone 'K'")
     p.add_argument("query_file", help="JSON set document of query points")
-    add_tol(p)
     p.set_defaults(func=_cmd_wsup)
 
     p = sub.add_parser(
@@ -251,7 +234,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--L", default="zero", help="perturbation: 'zero' or a JSON matrix"
     )
-    add_tol(p)
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser(
@@ -267,7 +249,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--y", required=True, help="query point: JSON vector")
     add_budget(p)
-    add_tol(p)
     p.set_defaults(func=_cmd_farkas)
 
     p = sub.add_parser("dual", help="exact dual frontier of an instance")
@@ -279,7 +260,6 @@ def _parser() -> argparse.ArgumentParser:
         "--L", default="zero", help="perturbation: 'zero' or a JSON matrix"
     )
     add_budget(p)
-    add_tol(p)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("verify", help="run one verification suite")

@@ -4,8 +4,8 @@ positive operators.
 A cone is given by facet normals (H-representation, ``K = {y : a_i.y >= 0}``)
 plus generators and a strict interior witness.  Cones must be solid (nonempty
 interior, certified by the witness) and proper (not the whole space).  All
-classification against a cone reduces to signs of normal products, with an
-optional tolerance for float mode; tolerance 0 is exact rational mode.
+data is exact (ints and Fractions), and all classification against a cone
+reduces to exact signs of normal products.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from weakfront.numeric import (
     Number,
     Vec,
     dot,
-    is_finite_number,
     mat_add,
     mat_neg,
     mat_sub,
     mat_vec,
+    require_exact,
     vec_sub,
     zero_mat,
 )
@@ -45,15 +45,10 @@ class PointClass(enum.Enum):
 
 
 def _unit_scale(v: Vec) -> Vec:
-    """Scale a nonzero vector so its largest absolute entry is 1.
-
-    Exact inputs (int/Fraction) stay exact; float vectors stay float.
-    """
+    """Scale a nonzero vector so its largest absolute entry is 1."""
     big = max(abs(c) for c in v)
     if big == 0:
         raise ValueError("zero vector cannot be scaled")
-    if any(isinstance(c, float) for c in v):
-        return tuple(c / big for c in v)
     return tuple(Fraction(c) / big for c in v)
 
 
@@ -72,7 +67,6 @@ class Cone:
         normals: Sequence[Vec],
         generators: Sequence[Vec] = (),
         interior_witness: Vec | None = None,
-        tol: Number = 0,
     ):
         if not normals:
             raise ValueError("cone needs at least one normal")
@@ -85,29 +79,28 @@ class Cone:
         if self.dim < 1:
             raise ValueError("cone dimension must be positive")
         for a in normals:
-            if not all(is_finite_number(c) for c in a):
-                raise ValueError("non-finite normal")
+            require_exact(a, "cone normal")
             if all(c == 0 for c in a):
                 raise ValueError("zero normal")
         self.normals = tuple(sorted(set(_unit_scale(tuple(a)) for a in normals)))
         if interior_witness is None:
             raise ValueError("cone needs an interior witness (solid cones only)")
         self.interior_witness = tuple(interior_witness)
+        require_exact(self.interior_witness, "interior witness")
         for a in self.normals:
-            if not dot(a, self.interior_witness) > tol:
+            if not dot(a, self.interior_witness) > 0:
                 raise ValueError(
                     "interior witness is not strictly inside the cone"
                 )
         gens = []
         for g in generators:
-            if not all(is_finite_number(c) for c in g):
-                raise ValueError("non-finite generator")
+            require_exact(g, "cone generator")
             if all(c == 0 for c in g):
                 continue
             gens.append(_unit_scale(tuple(g)))
         for g in gens:
             for a in self.normals:
-                if dot(a, g) < -tol:
+                if dot(a, g) < 0:
                     raise ValueError(
                         f"generator {g} violates normal {a} (H/V inconsistency)"
                     )
@@ -137,33 +130,31 @@ class Cone:
         return f"Cone(dim={self.dim}, normals={len(self.normals)})"
 
 
-def classify_point(K: Cone, y: Vec, tol: Number = 0) -> PointClass:
+def classify_point(K: Cone, y: Vec) -> PointClass:
     """Place y relative to K: strictly inside, on the boundary, or outside.
 
-    Exactly one label: INTERIOR iff every normal product exceeds tol,
-    OUTSIDE iff some normal product is below -tol, BOUNDARY otherwise.
+    Exactly one label: INTERIOR iff every normal product is positive,
+    OUTSIDE iff some normal product is negative, BOUNDARY otherwise.
     """
     if len(y) != K.dim:
         raise DimensionError(f"point of dim {len(y)} vs cone of dim {K.dim}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     all_strict = True
     for a in K.normals:
         d = dot(a, y)
-        if d < -tol:
+        if d < 0:
             return PointClass.OUTSIDE
-        if not d > tol:
+        if not d > 0:
             all_strict = False
     return PointClass.INTERIOR if all_strict else PointClass.BOUNDARY
 
 
-def in_cone(K: Cone, y: Vec, tol: Number = 0) -> bool:
-    return classify_point(K, y, tol) is not PointClass.OUTSIDE
+def in_cone(K: Cone, y: Vec) -> bool:
+    return classify_point(K, y) is not PointClass.OUTSIDE
 
 
-def weak_less(K: Cone, y1: Vec, y2: Vec, tol: Number = 0) -> bool:
+def weak_less(K: Cone, y1: Vec, y2: Vec) -> bool:
     """The weak order: y1 <_K y2 iff y1 - y2 lies in -int K."""
-    return classify_point(K, vec_sub(y2, y1), tol) is PointClass.INTERIOR
+    return classify_point(K, vec_sub(y2, y1)) is PointClass.INTERIOR
 
 
 class LinOp:
@@ -178,9 +169,7 @@ class LinOp:
         if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged matrix")
         for r in rows:
-            for c in r:
-                if not is_finite_number(c):
-                    raise ValueError("non-finite matrix entry")
+            require_exact(r, "matrix entry")
         self.entries = rows
         self.rows = len(rows)
         self.cols = len(rows[0])
@@ -234,7 +223,7 @@ class PosOp:
 
     __slots__ = ("op", "domain_cone", "range_cone")
 
-    def __init__(self, op: LinOp, domain_cone: Cone, range_cone: Cone, tol: Number = 0):
+    def __init__(self, op: LinOp, domain_cone: Cone, range_cone: Cone):
         if op.cols != domain_cone.dim or op.rows != range_cone.dim:
             raise DimensionError(
                 f"operator {op.rows}x{op.cols} does not map "
@@ -243,7 +232,7 @@ class PosOp:
         if not domain_cone.generators:
             raise PositivityError("domain cone has no generators to certify on")
         for g in domain_cone.generators:
-            if classify_point(range_cone, op.apply(g), tol) is PointClass.OUTSIDE:
+            if classify_point(range_cone, op.apply(g)) is PointClass.OUTSIDE:
                 raise PositivityError(
                     f"image of generator {g} falls outside the range cone"
                 )
@@ -272,7 +261,7 @@ class PosOp:
         return f"PosOp({self.op!r})"
 
 
-def is_positive_operator(T: LinOp, S: Cone, K: Cone, tol: Number = 0) -> bool:
+def is_positive_operator(T: LinOp, S: Cone, K: Cone) -> bool:
     """True iff T maps every generator of S into K."""
     if T.cols != S.dim or T.rows != K.dim:
         raise DimensionError(
@@ -281,7 +270,7 @@ def is_positive_operator(T: LinOp, S: Cone, K: Cone, tol: Number = 0) -> bool:
     if not S.generators:
         raise ValueError("cone S has no generators")
     return all(
-        classify_point(K, T.apply(g), tol) is not PointClass.OUTSIDE
+        classify_point(K, T.apply(g)) is not PointClass.OUTSIDE
         for g in S.generators
     )
 

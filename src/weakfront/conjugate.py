@@ -31,7 +31,7 @@ from .cones import (
     sample_linops,
     sample_positive_operators,
 )
-from .numeric import Number, Vec, dot, to_exact, vec_scale, vec_sub, vec_add
+from .numeric import Number, Vec, dot, vec_scale, vec_sub, vec_add
 from .order_sets import (
     FiniteVecSet,
     GenSet,
@@ -133,7 +133,7 @@ def compose(op, G: SampledMap) -> SampledMap:
 # --- conjugate and epigraphs ------------------------------------------------------
 
 
-def conjugate(F: SampledMap, L: LinOp, K: Cone, tol: Number = 0) -> GenSet:
+def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
     """The conjugate value F*(L) = wsup{L(x) - F(x) : x in dom F}.
 
     Always a FINITE SUP GenSet for sampled maps.
@@ -143,11 +143,11 @@ def conjugate(F: SampledMap, L: LinOp, K: Cone, tol: Number = 0) -> GenSet:
     cloud = FiniteVecSet(
         vec_sub(L.apply(x), v) for x, v in F.samples
     )
-    return wsup_finite(cloud, K, tol)
+    return wsup_finite(cloud, K)
 
 
 def epi_membership(
-    F: SampledMap, L: LinOp, y: Sequence[Number], K: Cone, tol: Number = 0
+    F: SampledMap, L: LinOp, y: Sequence[Number], K: Cone
 ) -> bool:
     """(L, y) lies in the epigraph of F*: no sample has L(x) - F(x) - y
     strictly inside K (the conjugate never exceeds y anywhere)."""
@@ -156,7 +156,7 @@ def epi_membership(
         raise DimensionError("epi_membership: dimensions disagree")
     for x, v in F.samples:
         d = vec_sub(vec_sub(L.apply(x), v), y)
-        if classify_point(K, d, tol) is PointClass.INTERIOR:
+        if classify_point(K, d) is PointClass.INTERIOR:
             return False
     return True
 
@@ -187,18 +187,16 @@ class ExtEpiElement:
         return f"ExtEpiElement({self.op!r}, {self.bound!r})"
 
 
-def exepi_membership(
-    F: SampledMap, e: ExtEpiElement, K: Cone, tol: Number = 0
-) -> bool:
+def exepi_membership(F: SampledMap, e: ExtEpiElement, K: Cone) -> bool:
     """Is (e.op, e.bound) really in the extended epigraph of F*?"""
     if e.bound.cone != K:
         raise ValueError("exepi_membership: bound lives under a different cone")
-    return set_preceq(conjugate(F, e.op, K, tol), e.bound, tol)
+    return set_preceq(conjugate(F, e.op, K), e.bound)
 
 
-def boxplus(e1: ExtEpiElement, e2: ExtEpiElement, tol: Number = 0) -> ExtEpiElement:
+def boxplus(e1: ExtEpiElement, e2: ExtEpiElement) -> ExtEpiElement:
     """The ⊞-sum (L1 + L2, U1 ⊎ U2) of two extended-epigraph elements."""
-    return ExtEpiElement(e1.op + e2.op, ws_sum(e1.bound, e2.bound, tol))
+    return ExtEpiElement(e1.op + e2.op, ws_sum(e1.bound, e2.bound))
 
 
 # --- the Ψ collapse ----------------------------------------------------------------
@@ -217,7 +215,7 @@ def witness_translate(U: GenSet, y: Sequence[Number]) -> Fraction:
     for g in U.generators.points:
         d = vec_sub(y, g)
         worst = max(
-            Fraction(to_exact(dot(a, d)), to_exact(dot(a, k0)))
+            Fraction(dot(a, d), dot(a, k0))
             for a in K.normals
         )
         if best is None or worst < best:
@@ -231,7 +229,6 @@ def psi_contains(
     y: Sequence[Number],
     K: Cone,
     candidates: Iterable[GenSet] = (),
-    tol: Number = 0,
 ) -> bool:
     """Does the collapsed set Ψ(family) = ⋃ {L}×U contain (L, y)?
 
@@ -246,7 +243,7 @@ def psi_contains(
     if len(y) != K.dim:
         raise DimensionError("psi_contains: point/cone dimensions disagree")
     for U in candidates:
-        if U.tag is Tag.FINITE and U.contains(y, tol) and family(L, U):
+        if U.tag is Tag.FINITE and U.contains(y) and family(L, U):
             return True
     point_witness = GenSet(Tag.FINITE, Orient.INF, FiniteVecSet([y]), K)
     return bool(family(L, point_witness))
@@ -417,7 +414,6 @@ def beta_value_set(
     T: PosOp,
     Lp: Optional[LinOp] = None,
     Lpp: Optional[LinOp] = None,
-    tol: Number = 0,
 ) -> GenSet:
     """The left-hand WS-sum W of the layered condition with the given
     operators, recomputed from the instance data:
@@ -430,22 +426,20 @@ def beta_value_set(
     TG = compose(T, P.G)
     if index == 1:
         core = P.F.restrict(P.C).add(TG.restrict(P.C))
-        return conjugate(core, L, K, tol)
+        return conjugate(core, L, K)
     if index == 2:
         block = TG.restrict(P.C)
         return ws_sum(
-            conjugate(P.F, Lp, K, tol),
-            conjugate(block, L - Lp, K, tol),
-            tol,
+            conjugate(P.F, Lp, K),
+            conjugate(block, L - Lp, K),
         )
     if index == 3:
         ind_c = SampledMap.indicator(P.C, K.dim)
         first = ws_sum(
-            conjugate(P.F, Lp, K, tol),
-            conjugate(ind_c, Lpp, K, tol),
-            tol,
+            conjugate(P.F, Lp, K),
+            conjugate(ind_c, Lpp, K),
         )
-        return ws_sum(first, conjugate(TG, L - Lp - Lpp, K, tol), tol)
+        return ws_sum(first, conjugate(TG, L - Lp - Lpp, K))
     raise ValueError("index must be 1, 2 or 3")
 
 
@@ -476,7 +470,7 @@ class _Replay:
 
 
 def certificates(
-    index: int, P, L: LinOp, cfg: SearchConfig, tol: Number = 0
+    index: int, P, L: LinOp, cfg: SearchConfig
 ) -> Iterator[Certificate]:
     """Every budget certificate of condition ``index`` at the perturbation L,
     each carrying the value set :func:`beta_value_set` would rebuild for it.
@@ -496,18 +490,18 @@ def certificates(
         F_C = P.F.restrict(P.C)
         for T in Ts:
             core = F_C.add(compose(T, P.G).restrict(P.C))
-            yield Certificate(1, T, value_set=conjugate(core, L, K, tol))
+            yield Certificate(1, T, value_set=conjugate(core, L, K))
         return
     if index == 2:
         blocks = {}  # T -> (T∘G restricted to C)
         for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
-            f_star = conjugate(P.F, Lp, K, tol)
+            f_star = conjugate(P.F, Lp, K)
             rest = L - Lp
             for T in Ts:
                 block = blocks.get(T.op.entries)
                 if block is None:
                     block = blocks[T.op.entries] = compose(T, P.G).restrict(P.C)
-                W = ws_sum(f_star, conjugate(block, rest, K, tol), tol)
+                W = ws_sum(f_star, conjugate(block, rest, K))
                 yield Certificate(2, T, Lp=Lp, value_set=W)
         return
     Ls = _Replay(cfg.linop_budget(K.dim, P.F.in_dim))
@@ -516,12 +510,12 @@ def certificates(
     ind_stars = {}  # L'' -> I_C*(L'')
     tg_stars = {}  # (T, L - L' - L'') -> (T∘G)*(L - L' - L'')
     for Lp in Ls:
-        f_star = conjugate(P.F, Lp, K, tol)
+        f_star = conjugate(P.F, Lp, K)
         for Lpp in Ls:
             ind_star = ind_stars.get(Lpp.entries)
             if ind_star is None:
-                ind_star = ind_stars[Lpp.entries] = conjugate(ind_c, Lpp, K, tol)
-            first = ws_sum(f_star, ind_star, tol)
+                ind_star = ind_stars[Lpp.entries] = conjugate(ind_c, Lpp, K)
+            first = ws_sum(f_star, ind_star)
             rest = L - Lp - Lpp
             for T in Ts:
                 key = (T.op.entries, rest.entries)
@@ -530,8 +524,8 @@ def certificates(
                     TG = composed.get(T.op.entries)
                     if TG is None:
                         TG = composed[T.op.entries] = compose(T, P.G)
-                    tg_star = tg_stars[key] = conjugate(TG, rest, K, tol)
-                W = ws_sum(first, tg_star, tol)
+                    tg_star = tg_stars[key] = conjugate(TG, rest, K)
+                W = ws_sum(first, tg_star)
                 yield Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=W)
 
 
@@ -541,7 +535,6 @@ def script_A_membership(
     L: LinOp,
     y: Sequence[Number],
     cfg: SearchConfig,
-    tol: Number = 0,
 ) -> Optional[Certificate]:
     """Search the budget for a certificate placing (L, y) in the i-th
     representation set.  Returns the first qualifying certificate in the
@@ -552,7 +545,7 @@ def script_A_membership(
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("script_A_membership: dimensions disagree")
-    for cert in certificates(i, P, L, cfg, tol):
-        if cert.value_set.classify(y, tol) is not RegionLabel.LOWER:
+    for cert in certificates(i, P, L, cfg):
+        if cert.value_set.classify(y) is not RegionLabel.LOWER:
             return cert
     return None

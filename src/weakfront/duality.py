@@ -159,26 +159,26 @@ class ProblemInstance:
         )
 
 
-def feasible_set(P: ProblemInstance, tol: Number = 0) -> FiniteVecSet:
+def feasible_set(P: ProblemInstance) -> FiniteVecSet:
     """The feasible sample A = {x in C : G(x) in -S} as a point set."""
-    pts = feasible_points(P, tol)
+    pts = feasible_points(P)
     if not pts:
         raise EmptyFeasibleSet("no feasible sample point")
     return FiniteVecSet(pts)
 
 
-def winf_vp(P: ProblemInstance, L: LinOp, tol: Number = 0) -> GenSet:
+def winf_vp(P: ProblemInstance, L: LinOp) -> GenSet:
     """The primal value frontier winf{F(x) - L(x) : x feasible}."""
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("winf_vp: perturbation shape disagrees")
     image = [
         vec_sub(P.F.value(x), L.apply(x))
-        for x in feasible_points(P, tol)
+        for x in feasible_points(P)
         if P.F.value(x) is not None
     ]
     if not image:
         raise EmptyFeasibleSet("no feasible sample point lies in dom F")
-    return winf_finite(FiniteVecSet(image), P.K, tol)
+    return winf_finite(FiniteVecSet(image), P.K)
 
 
 class DualValue:
@@ -233,7 +233,6 @@ def dual_value(
     which: str,
     L: LinOp,
     cfg: SearchConfig,
-    tol: Number = 0,
 ) -> DualValue:
     """Evaluate one dual problem over a certificate budget, exactly.
 
@@ -241,9 +240,9 @@ def dual_value(
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
     intersection of the upward regions, merged generator-by-generator via
-    componentwise joins in ray coordinates.  In exact mode a certificate
-    whose upward region already contains every current generator is not
-    joined in, since the joins would return the current generators.
+    componentwise joins in ray coordinates.  A certificate whose upward
+    region already contains every current generator is not joined in,
+    since the joins would return the current generators.
     Each generator of the result lies on some certificate's frontier and is
     stored with the first such certificate in budget order, skipped ones
     included.
@@ -256,12 +255,12 @@ def dual_value(
     if basis is None:
         raise ValueError(
             "exact dual merge needs a simplicial pointed cone of dimension "
-            "1 or 2 with exact data"
+            "1 or 2"
         )
     index = int(which[-1])
     pieces: List[Tuple[Certificate, GenSet]] = []
     current: Optional[tuple] = None
-    for cert in certificates(index, P, L, cfg, tol):
+    for cert in certificates(index, P, L, cfg):
         piece = cert.value_set.negate()  # INF frontier of guaranteed values
         pieces.append((cert, piece))
         gens = piece.generators.points
@@ -269,10 +268,10 @@ def dual_value(
             current = gens
             current_q = [basis.to_quad(u) for u in current]
             continue
-        if tol == 0 and _covers([basis.to_quad(v) for v in gens], current_q):
+        if _covers([basis.to_quad(v) for v in gens], current_q):
             continue
         joined = FiniteVecSet(basis.join(u, v) for u in current for v in gens)
-        current = winf_finite(joined, P.K, tol).generators.points
+        current = winf_finite(joined, P.K).generators.points
         current_q = [basis.to_quad(u) for u in current]
     if current is None:
         raise ValueError("empty certificate budget")
@@ -284,7 +283,7 @@ def dual_value(
             (
                 c
                 for c, piece in pieces
-                if piece.classify(h, tol) is RegionLabel.FRONTIER
+                if piece.classify(h) is RegionLabel.FRONTIER
             ),
             None,
         )
@@ -295,7 +294,7 @@ def dual_value(
 
 
 def weak_duality_check(
-    P: ProblemInstance, L: LinOp, cfg: SearchConfig, tol: Number = 0
+    P: ProblemInstance, L: LinOp, cfg: SearchConfig
 ) -> Tuple[bool, bool, bool]:
     """The three weak-duality relations, in order:
 
@@ -304,14 +303,14 @@ def weak_duality_check(
 
     All three hold for every budget built from shared operator grids.
     """
-    d1 = dual_value(P, "VD1", L, cfg, tol)
-    d2 = dual_value(P, "VD2", L, cfg, tol)
-    d3 = dual_value(P, "VD3", L, cfg, tol)
-    vp = winf_vp(P, L, tol)
+    d1 = dual_value(P, "VD1", L, cfg)
+    d2 = dual_value(P, "VD2", L, cfg)
+    d3 = dual_value(P, "VD3", L, cfg)
+    vp = winf_vp(P, L)
     return (
-        set_preceq(d3.frontier, d2.frontier, tol),
-        set_preceq(d2.frontier, d1.frontier, tol),
-        set_preceq(d1.frontier, vp, tol),
+        set_preceq(d3.frontier, d2.frontier),
+        set_preceq(d2.frontier, d1.frontier),
+        set_preceq(d1.frontier, vp),
     )
 
 
@@ -347,7 +346,6 @@ def strong_duality_check(
     L: LinOp,
     cfg: SearchConfig,
     which: str = "VD1",
-    tol: Number = 0,
 ) -> StrongDualityResult:
     """Compare winf(VP_L) with the budget dual value, exactly.
 
@@ -358,8 +356,8 @@ def strong_duality_check(
     to INCONCLUSIVE when the instance is convex-flagged but the budget
     carried no hints (the search, not the theorem, ran out).
     """
-    vp = winf_vp(P, L, tol)
-    dv = dual_value(P, which, L, cfg, tol)
+    vp = winf_vp(P, L)
+    dv = dual_value(P, which, L, cfg)
     if dv.frontier == vp:
         return StrongDualityResult("HOLDS", which, vp, dv)
     witness = next(
@@ -369,7 +367,7 @@ def strong_duality_check(
     y_w = vec_neg(witness)
     record = {
         "witness": encode_vec(witness),
-        "alpha": alpha_holds(P, L, y_w, tol),
+        "alpha": alpha_holds(P, L, y_w),
         "beta_status": "NOT_FOUND",
     }
     convex = bool(
@@ -387,7 +385,6 @@ def stable_strong_duality_sweep(
     L_grid: Sequence[LinOp],
     cfg: SearchConfig,
     which: str = "VD1",
-    tol: Number = 0,
 ) -> dict:
     """strong_duality_check across a grid of perturbations L.
 
@@ -399,7 +396,7 @@ def stable_strong_duality_sweep(
     counts = {"HOLDS": 0, "GAP": 0, "INCONCLUSIVE": 0}
     hinted = bool(cfg.hints_T or cfg.hints_L)
     for L in L_grid:
-        res = strong_duality_check(P, L, cfg, which, tol)
+        res = strong_duality_check(P, L, cfg, which)
         counts[res.status] += 1
         row = {"L": encode_mat(L.entries), "status": res.status}
         if res.witness is not None:

@@ -12,17 +12,16 @@ aborts with a reproducer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from .cones import (
-    Cone,
     DimensionError,
     LinOp,
     PointClass,
     PosOp,
     classify_point,
 )
-from .numeric import Number, Vec, encode_mat, encode_vec, vec_sub
+from .numeric import Number, encode_mat, encode_vec, vec_sub
 from .order_sets import RegionLabel, Tag
 from .conjugate import (
     Certificate,
@@ -38,6 +37,7 @@ __all__ = [
     "HardFailure",
     "alpha_holds",
     "convert_certificate",
+    "encode_certificate",
     "farkas_equivalence_report",
     "feasible_points",
     "verify_certificate",
@@ -76,7 +76,7 @@ class FarkasQuery:
         return f"FarkasQuery(index={self.index}, y={self.y!r})"
 
 
-def feasible_points(P, tol: Number = 0) -> tuple:
+def feasible_points(P) -> tuple:
     """The feasible sample A = {x in C : G(x) in -S}, as a sorted tuple."""
     S = P.S
     out = []
@@ -85,12 +85,12 @@ def feasible_points(P, tol: Number = 0) -> tuple:
         if gx is None:
             continue
         neg = tuple(-c for c in gx)
-        if classify_point(S, neg, tol) is not PointClass.OUTSIDE:
+        if classify_point(S, neg) is not PointClass.OUTSIDE:
             out.append(tuple(x))
     return tuple(sorted(out))
 
 
-def alpha_holds(P, L: LinOp, y: Sequence[Number], tol: Number = 0) -> bool:
+def alpha_holds(P, L: LinOp, y: Sequence[Number]) -> bool:
     """Exhaustively decide (alpha): no feasible x has F(x) - L(x) + y
     strictly inside -K.  Off-sample points of F are +inf and never violate.
     """
@@ -98,18 +98,18 @@ def alpha_holds(P, L: LinOp, y: Sequence[Number], tol: Number = 0) -> bool:
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("alpha_holds: dimensions disagree")
-    active = [x for x in feasible_points(P, tol) if P.F.value(x) is not None]
+    active = [x for x in feasible_points(P) if P.F.value(x) is not None]
     if not active:
         raise EmptyFeasibleSet("no feasible sample point lies in dom F")
     for x in active:
         fx = P.F.value(x)
         d = vec_sub(vec_sub(L.apply(x), fx), y)
-        if classify_point(K, d, tol) is PointClass.INTERIOR:
+        if classify_point(K, d) is PointClass.INTERIOR:
             return False
     return True
 
 
-def verify_certificate(P, q: FarkasQuery, c: Certificate, tol: Number = 0) -> bool:
+def verify_certificate(P, q: FarkasQuery, c: Certificate) -> bool:
     """Recompute the certificate's value set from the instance data and check
     both clauses: the set is FINITE and y is not strictly below it.
 
@@ -120,15 +120,15 @@ def verify_certificate(P, q: FarkasQuery, c: Certificate, tol: Number = 0) -> bo
         raise ValueError(
             f"certificate index {c.index} does not match query index {q.index}"
         )
-    T = PosOp(c.T.op, P.S, P.K, tol)  # re-validates positivity
-    W = beta_value_set(c.index, P, q.L, T, Lp=c.Lp, Lpp=c.Lpp, tol=tol)
+    T = PosOp(c.T.op, P.S, P.K)  # re-validates positivity
+    W = beta_value_set(c.index, P, q.L, T, Lp=c.Lp, Lpp=c.Lpp)
     if W.tag is not Tag.FINITE:
         return False
-    return W.classify(q.y, tol) is not RegionLabel.LOWER
+    return W.classify(q.y) is not RegionLabel.LOWER
 
 
 def convert_certificate(
-    P, L: LinOp, c: Certificate, target: int, tol: Number = 0
+    P, L: LinOp, c: Certificate, target: int
 ) -> Certificate:
     """Convert a certificate toward a smaller index (3 -> 2 -> 1): the split
     operators are merged back into the composite blocks.  The converted
@@ -146,27 +146,22 @@ def convert_certificate(
             2,
             c.T,
             Lp=c.Lp,
-            value_set=beta_value_set(2, P, L, c.T, Lp=c.Lp, tol=tol),
+            value_set=beta_value_set(2, P, L, c.T, Lp=c.Lp),
         )
-        return convert_certificate(P, L, merged, target, tol)
+        return convert_certificate(P, L, merged, target)
     # index 2 -> 1
-    return Certificate(
-        1, c.T, value_set=beta_value_set(1, P, L, c.T, tol=tol)
-    )
+    return Certificate(1, c.T, value_set=beta_value_set(1, P, L, c.T))
 
 
-def _query_reproducer(P, q: FarkasQuery, c: Certificate) -> dict:
-    rep = {
-        "index": q.index,
-        "L": encode_mat(q.L.entries),
-        "y": encode_vec(q.y),
-        "T": encode_mat(c.T.op.entries),
-    }
+def encode_certificate(c: Certificate) -> dict:
+    """A certificate's operators as a JSON object: ``index``, ``T``, and the
+    split operators ``Lp`` / ``Lpp`` where its index has them."""
+    doc = {"index": c.index, "T": encode_mat(c.T.op.entries)}
     if c.Lp is not None:
-        rep["Lp"] = encode_mat(c.Lp.entries)
+        doc["Lp"] = encode_mat(c.Lp.entries)
     if c.Lpp is not None:
-        rep["Lpp"] = encode_mat(c.Lpp.entries)
-    return rep
+        doc["Lpp"] = encode_mat(c.Lpp.entries)
+    return doc
 
 
 def farkas_equivalence_report(
@@ -174,7 +169,6 @@ def farkas_equivalence_report(
     i: int,
     queries: Sequence[FarkasQuery],
     cfg: SearchConfig,
-    tol: Number = 0,
 ) -> dict:
     """Evaluate (alpha) and search a condition-i certificate for every query;
     classify each row four ways.  The combination "alpha false but a
@@ -190,19 +184,20 @@ def farkas_equivalence_report(
             raise ValueError(
                 f"query index {q.index} does not match report index {i}"
             )
-        alpha = alpha_holds(P, q.L, q.y, tol)
-        cert = script_A_membership(i, P, q.L, q.y, cfg, tol)
+        alpha = alpha_holds(P, q.L, q.y)
+        cert = script_A_membership(i, P, q.L, q.y, cfg)
         found = cert is not None
-        if found and not verify_certificate(P, q, cert, tol):
-            raise HardFailure(
-                "certificate from search failed re-verification",
-                _query_reproducer(P, q, cert),
-            )
-        if found and not alpha:
-            raise HardFailure(
-                "certificate verified while (alpha) is false",
-                _query_reproducer(P, q, cert),
-            )
+        query = {"index": q.index, "L": encode_mat(q.L.entries), "y": encode_vec(q.y)}
+        if found:
+            reproducer = {**query, **encode_certificate(cert)}
+            if not verify_certificate(P, q, cert):
+                raise HardFailure(
+                    "certificate from search failed re-verification", reproducer
+                )
+            if not alpha:
+                raise HardFailure(
+                    "certificate verified while (alpha) is false", reproducer
+                )
         if alpha and found:
             outcome = "both_true"
         elif not alpha and not found:
@@ -211,12 +206,12 @@ def farkas_equivalence_report(
             outcome = "alpha_unmatched"  # alpha true, budget found nothing
         counts[outcome] += 1
         row = {
-            "query": {"index": q.index, "L": encode_mat(q.L.entries), "y": encode_vec(q.y)},
+            "query": query,
             "alpha": alpha,
             "beta_status": "CERTIFIED" if found else "NOT_FOUND",
             "outcome": outcome,
         }
         if found:
-            row["certificate"] = _query_reproducer(P, q, cert)
+            row["certificate"] = reproducer
         rows.append(row)
     return {"format": 1, "index": i, "rows": rows, "summary": counts}

@@ -9,10 +9,10 @@ Instance documents are versioned JSON ("format": 1).  Two kinds exist:
   hints; used by the conjugate-of-a-sum checks.
 
 Numbers serialize exactly: integers as JSON ints, non-integers as "p/q"
-strings; plain JSON floats are read through their decimal form.  The
-builders at the bottom construct the shipped instances from closed-form
-data, each with the operator hints that make its certificate searches
-complete; ``write_shipped_data`` regenerates the JSON files under
+strings; a plain JSON decimal such as 0.1 is read as the fraction it spells
+(1/10).  The builders at the bottom construct the shipped instances from
+closed-form data, each with the operator hints that make its certificate
+searches complete; ``write_shipped_data`` regenerates the JSON files under
 ``data/`` from the builders, so file and builder can be cross-checked.
 """
 
@@ -27,14 +27,7 @@ from typing import Optional, Sequence, Tuple
 from .cones import Cone, LinOp
 from .conjugate import SampledMap
 from .duality import ProblemInstance
-from .numeric import (
-    decode_mat,
-    decode_number,
-    decode_vec,
-    encode_mat,
-    encode_number,
-    encode_vec,
-)
+from .numeric import decode_mat, decode_vec, encode_mat, encode_vec
 from .order_sets import FiniteVecSet
 
 
@@ -84,9 +77,14 @@ def cone_from_literal(raw, what: str = "cone") -> Cone:
         raise InstanceFormatError(f"{what!r} has no 'normals'")
     if "interior_witness" not in raw:
         raise InstanceFormatError(f"{what!r} has no 'interior_witness'")
+    gens_raw = raw.get("generators", [])
+    if not isinstance(gens_raw, list):
+        raise InstanceFormatError(
+            f"{what!r} generators must be an array of vectors, got "
+            f"{json.dumps(gens_raw)}"
+        )
     try:
         normals = decode_mat(raw["normals"])
-        gens_raw = raw.get("generators") or []
         generators = tuple(decode_vec(g) for g in gens_raw)
         witness = decode_vec(raw["interior_witness"])
         return Cone(normals, generators, witness)

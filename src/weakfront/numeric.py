@@ -1,9 +1,9 @@
-"""Exact vector/matrix helpers on plain tuples of Fractions.
+"""Exact vector/matrix helpers on plain tuples of ints and Fractions.
 
-All engine data lives in immutable tuples.  Numbers are ``fractions.Fraction``
-in exact mode (the default everywhere that matters) or ``float`` when a
-positive tolerance is requested.  Mixed arithmetic works either way, so the
-helpers below are mode-agnostic.
+All engine data lives in immutable tuples of exact numbers.  The JSON codec
+at the bottom is the only place other number types are read: it decodes
+every document number to a ``Fraction``.  Past it, :func:`require_exact`
+guards the places where a caller's numbers enter the engine.
 """
 
 from __future__ import annotations
@@ -12,32 +12,19 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-Number = Union[int, Fraction, float]
+Number = Union[int, Fraction]
 Vec = tuple
 Mat = tuple  # tuple of row tuples
 
 
-def to_exact(x: Number) -> Fraction:
-    """Convert a number to an exact Fraction.
-
-    Floats go through their decimal string form, so a JSON ``0.1`` means
-    1/10 rather than the binary float it parses to.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite number: {x!r}")
-        return Fraction(str(x))
-    raise TypeError(f"not a number: {x!r}")
-
-
-def is_finite_number(x: Number) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return isinstance(x, (int, Fraction))
+def require_exact(v: Sequence, what: str) -> None:
+    """Refuse a vector with an entry that is not an int or a Fraction."""
+    for x in v:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(
+                f"{what} {tuple(v)!r} has the entry {x!r}, "
+                "which is not an int or a Fraction"
+            )
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -111,32 +98,36 @@ def mat_rank(rows: Sequence[Sequence[Number]]) -> int:
 
 # --- JSON number codec ------------------------------------------------------
 #
-# Exact numbers serialize as int (when integral) or "p/q" strings; floats stay
-# floats.  This keeps instance files readable and round-trip exact.
+# Numbers serialize as int (when integral) or "p/q" strings.  This keeps
+# instance files readable and round-trip exact.
 
 def encode_number(x: Number):
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, float)):
+    if isinstance(x, int):
         return x
     raise TypeError(f"cannot encode {x!r}")
 
 
-def decode_number(raw, exact: bool = True) -> Number:
+def decode_number(raw) -> Fraction:
+    """A document number as a Fraction: ints, "p/q" strings, and JSON floats
+    through their decimal form, so a JSON ``0.1`` means 1/10 rather than
+    the binary float it parses to."""
     if isinstance(raw, bool):
         raise ValueError(f"not a number: {raw!r}")
     if isinstance(raw, str):
         try:
-            val = Fraction(raw)
+            return Fraction(raw)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational literal {raw!r}") from e
-        return val if exact else float(val)
     if isinstance(raw, int):
-        return Fraction(raw) if exact else float(raw)
+        return Fraction(raw)
     if isinstance(raw, float):
-        return to_exact(raw) if exact else raw
+        if not math.isfinite(raw):
+            raise ValueError(f"non-finite number: {raw!r}")
+        return Fraction(str(raw))
     raise ValueError(f"not a number: {raw!r}")
 
 
@@ -144,20 +135,20 @@ def encode_vec(v: Vec) -> list:
     return [encode_number(x) for x in v]
 
 
-def decode_vec(raw, exact: bool = True) -> Vec:
+def decode_vec(raw) -> Vec:
     if not isinstance(raw, (list, tuple)):
         raise ValueError(f"vector expected, got {raw!r}")
-    return tuple(decode_number(x, exact) for x in raw)
+    return tuple(decode_number(x) for x in raw)
 
 
 def encode_mat(m: Mat) -> list:
     return [encode_vec(r) for r in m]
 
 
-def decode_mat(raw, exact: bool = True) -> Mat:
+def decode_mat(raw) -> Mat:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ValueError(f"matrix expected, got {raw!r}")
-    rows = tuple(decode_vec(r, exact) for r in raw)
+    rows = tuple(decode_vec(r) for r in raw)
     if len({len(r) for r in rows}) != 1:
         raise ValueError("ragged matrix")
     return rows

@@ -12,10 +12,10 @@ generator list plus an orientation (SUP for suprema, INF for infima) and the
 cone.  Set comparison (``set_preceq``), the sum ``ws_sum`` and the partition
 check are built on the same region tests.
 
-Everything is exact when inputs are ints/Fractions and ``tol`` is 0 (the
-default).  A positive ``tol`` switches the membership tests to tolerant float
-comparisons; canonical generator lists are only guaranteed unique in exact
-mode.
+Points are exact (ints and Fractions), so canonical generator lists are
+unique and every region test is an exact sign test.  On 2-d simplicial cones
+the bulk tests run on an integer staircase (:mod:`weakfront.staircase2d`);
+other cones use the generic pairwise cone tests.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .cones import Cone, DimensionError, PointClass, classify_point, in_cone
 from .numeric import (
     Number,
     Vec,
-    is_finite_number,
+    require_exact,
     mat_rank,
     vec_neg,
     vec_sub,
@@ -88,9 +88,7 @@ class FiniteVecSet:
                 raise DimensionError(
                     f"mixed point dimensions: {len(v)} vs {dim}"
                 )
-            for c in v:
-                if not is_finite_number(c):
-                    raise ValueError(f"non-finite coordinate in point {v!r}")
+            require_exact(v, "point")
             if v not in seen:
                 seen.add(v)
                 acc.append(v)
@@ -141,12 +139,12 @@ class FiniteVecSet:
 # --- region classification ---------------------------------------------------
 
 
-def _classify_one(points, K: Cone, y: Vec, tol: Number, sup: bool) -> RegionLabel:
+def _classify_one(points, K: Cone, y: Vec, sup: bool) -> RegionLabel:
     """Classify y against the weak sup (or weak inf) of ``points``."""
     hit_cone = False
     for m in points:
         d = vec_sub(m, y) if sup else vec_sub(y, m)
-        cls = classify_point(K, d, tol)
+        cls = classify_point(K, d)
         if cls is PointClass.INTERIOR:
             return RegionLabel.LOWER if sup else RegionLabel.UPPER
         if cls is PointClass.BOUNDARY:
@@ -157,7 +155,7 @@ def _classify_one(points, K: Cone, y: Vec, tol: Number, sup: bool) -> RegionLabe
 
 
 def classify_against(
-    M: FiniteVecSet, K: Cone, y: Sequence[Number], tol: Number = 0
+    M: FiniteVecSet, K: Cone, y: Sequence[Number]
 ) -> RegionLabel:
     """Region of ``y`` relative to the weak supremum of finite ``M``.
 
@@ -167,42 +165,39 @@ def classify_against(
     y = tuple(y)
     if len(y) != K.dim or M.dim != K.dim:
         raise DimensionError("point/set/cone dimensions disagree")
-    return _classify_one(M.points, K, y, tol, sup=True)
+    return _classify_one(M.points, K, y, sup=True)
 
 
 def classify_many(
     M: FiniteVecSet,
     K: Cone,
     points: Sequence[Sequence[Number]],
-    tol: Number = 0,
+    *,
     sup: bool = True,
 ) -> list:
     """Bulk version of :func:`classify_against` (used by the verify suites).
 
-    In exact mode on 2-d simplicial cones this runs on an integer staircase,
-    which is dramatically faster than the pairwise cone tests.
+    ``sup=False`` classifies against the weak infimum instead.  On 2-d
+    simplicial cones this runs on an integer staircase, which is
+    dramatically faster than the pairwise cone tests.
     """
     pts = [tuple(p) for p in points]
     for p in pts:
         if len(p) != K.dim:
             raise DimensionError("point/cone dimensions disagree")
-    if tol == 0 and K.dim == 2:
+        require_exact(p, "query point")
+    if K.dim == 2:
         basis = RayBasis.for_cone(K)
         if basis is not None:
-            try:
-                codes = staircase2d.classify_points_2d(
-                    basis, M.points, pts, sup=sup
-                )
-                return [_CODE_TO_LABEL[c] for c in codes]
-            except staircase2d.InexactData:
-                pass
-    return [_classify_one(M.points, K, p, tol, sup) for p in pts]
+            codes = staircase2d.classify_points_2d(basis, M.points, pts, sup=sup)
+            return [_CODE_TO_LABEL[c] for c in codes]
+    return [_classify_one(M.points, K, p, sup) for p in pts]
 
 
 # --- canonical generators / wsup / winf --------------------------------------
 
 
-def _canonical_sup_points(points, K: Cone, tol: Number):
+def _canonical_sup_points(points, K: Cone):
     """Drop every point weakly dominated by another; lex-min keeps ties.
 
     ``p`` is dropped when some other kept-or-not point ``q`` has
@@ -210,22 +205,19 @@ def _canonical_sup_points(points, K: Cone, tol: Number):
     or ``q`` precedes ``p`` lexicographically (equivalence classes under the
     cone's lineality keep exactly their lex-smallest member).
     """
-    if tol == 0 and K.dim == 2:
+    if K.dim == 2:
         basis = RayBasis.for_cone(K)
         if basis is not None:
-            try:
-                idx = staircase2d.canonical_indices_2d(basis, points, sup=True)
-                return tuple(points[i] for i in idx)
-            except staircase2d.InexactData:
-                pass
+            idx = staircase2d.canonical_indices_2d(basis, points, sup=True)
+            return tuple(points[i] for i in idx)
     kept = []
     for i, p in enumerate(points):
         drop = False
         for j, q in enumerate(points):
             if i == j:
                 continue
-            if in_cone(K, vec_sub(q, p), tol):
-                if not in_cone(K, vec_sub(p, q), tol) or q < p:
+            if in_cone(K, vec_sub(q, p)):
+                if not in_cone(K, vec_sub(p, q)) or q < p:
                     drop = True
                     break
         if not drop:
@@ -281,7 +273,7 @@ class GenSet:
     def is_finite(self) -> bool:
         return self.tag is Tag.FINITE
 
-    def classify(self, y: Sequence[Number], tol: Number = 0) -> RegionLabel:
+    def classify(self, y: Sequence[Number]) -> RegionLabel:
         """Region of ``y`` relative to this set (LOWER = strictly below it)."""
         if self.tag is Tag.PLUS_INF:
             return RegionLabel.LOWER
@@ -291,24 +283,22 @@ class GenSet:
         if len(y) != self.cone.dim:
             raise DimensionError("point/cone dimensions disagree")
         return _classify_one(
-            self.generators.points, self.cone, y, tol, self.orient is Orient.SUP
+            self.generators.points, self.cone, y, self.orient is Orient.SUP
         )
 
-    def classify_many(
-        self, points: Sequence[Sequence[Number]], tol: Number = 0
-    ) -> list:
+    def classify_many(self, points: Sequence[Sequence[Number]]) -> list:
         if self.tag is Tag.PLUS_INF:
             return [RegionLabel.LOWER] * len(points)
         if self.tag is Tag.MINUS_INF:
             return [RegionLabel.UPPER] * len(points)
         return classify_many(
-            self.generators, self.cone, points, tol, self.orient is Orient.SUP
+            self.generators, self.cone, points, sup=self.orient is Orient.SUP
         )
 
-    def contains(self, y: Sequence[Number], tol: Number = 0) -> bool:
+    def contains(self, y: Sequence[Number]) -> bool:
         if not self.is_finite:
             return False
-        return self.classify(y, tol) is RegionLabel.FRONTIER
+        return self.classify(y) is RegionLabel.FRONTIER
 
     # algebra -------------------------------------------------------------------
 
@@ -349,7 +339,7 @@ class GenSet:
         )
 
 
-def wsup_finite(M: FiniteVecSet, K: Cone, tol: Number = 0) -> GenSet:
+def wsup_finite(M: FiniteVecSet, K: Cone) -> GenSet:
     """Weak supremum of a finite set as a canonical SUP GenSet.
 
     The frontier equals the boundary of ``gens - int K``; generators are the
@@ -357,29 +347,29 @@ def wsup_finite(M: FiniteVecSet, K: Cone, tol: Number = 0) -> GenSet:
     """
     if M.dim != K.dim:
         raise DimensionError("set/cone dimensions disagree")
-    gens = _canonical_sup_points(M.points, K, tol)
+    gens = _canonical_sup_points(M.points, K)
     return GenSet(Tag.FINITE, Orient.SUP, FiniteVecSet(gens), K)
 
 
-def winf_finite(M: FiniteVecSet, K: Cone, tol: Number = 0) -> GenSet:
+def winf_finite(M: FiniteVecSet, K: Cone) -> GenSet:
     """Weak infimum of a finite set; mirror image of :func:`wsup_finite`."""
-    return wsup_finite(M.negate(), K, tol).negate()
+    return wsup_finite(M.negate(), K).negate()
 
 
-def wmax_finite(M: FiniteVecSet, K: Cone, tol: Number = 0) -> FiniteVecSet:
+def wmax_finite(M: FiniteVecSet, K: Cone) -> FiniteVecSet:
     """Weakly maximal elements of M: the subset lying on its own frontier.
 
     Finite nonempty sets always have at least one weakly maximal point.
     """
-    labels = classify_many(M, K, M.points, tol, sup=True)
+    labels = classify_many(M, K, M.points, sup=True)
     picked = [
         p for p, lab in zip(M.points, labels) if lab is RegionLabel.FRONTIER
     ]
     return FiniteVecSet(picked)
 
 
-def wmin_finite(M: FiniteVecSet, K: Cone, tol: Number = 0) -> FiniteVecSet:
-    labels = classify_many(M, K, M.points, tol, sup=False)
+def wmin_finite(M: FiniteVecSet, K: Cone) -> FiniteVecSet:
+    labels = classify_many(M, K, M.points, sup=False)
     picked = [
         p for p, lab in zip(M.points, labels) if lab is RegionLabel.FRONTIER
     ]
@@ -393,7 +383,7 @@ def _is_pointed(K: Cone) -> bool:
     return mat_rank(K.normals) == K.dim
 
 
-def set_preceq(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
+def set_preceq(U: GenSet, V: GenSet) -> bool:
     """Set order on frontiers: U precedes V iff V has no point strictly
     below U, i.e. ``V`` misses ``U - int K``.
 
@@ -414,19 +404,19 @@ def set_preceq(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
     if U.orient is Orient.SUP and V.orient is Orient.SUP:
         # frontier(U) subset of gv - K
         return all(
-            any(in_cone(K, vec_sub(v, u), tol) for v in gv) for u in gu
+            any(in_cone(K, vec_sub(v, u)) for v in gv) for u in gu
         )
     if U.orient is Orient.SUP and V.orient is Orient.INF:
         # no v strictly below any u
         return all(
-            classify_point(K, vec_sub(u, v), tol) is not PointClass.INTERIOR
+            classify_point(K, vec_sub(u, v)) is not PointClass.INTERIOR
             for u in gu
             for v in gv
         )
     if U.orient is Orient.INF and V.orient is Orient.INF:
         # frontier(V) subset of gu + K
         return all(
-            any(in_cone(K, vec_sub(v, u), tol) for u in gu) for v in gv
+            any(in_cone(K, vec_sub(v, u)) for u in gu) for v in gv
         )
     # INF preceding SUP: both frontiers are unbounded staircases bending in
     # opposite directions, so in a pointed cone of dimension >= 2 the SUP
@@ -435,7 +425,7 @@ def set_preceq(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
         u0 = gu[0]
         v0 = gv[0]
         return (
-            classify_point(K, vec_sub(u0, v0), tol) is not PointClass.INTERIOR
+            classify_point(K, vec_sub(u0, v0)) is not PointClass.INTERIOR
         )
     if _is_pointed(K):
         return False
@@ -443,7 +433,7 @@ def set_preceq(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
         # half-plane order: both frontiers are lines parallel to the
         # boundary; compare their offsets
         return all(
-            any(in_cone(K, vec_sub(v, u), tol) for u in gu) for v in gv
+            any(in_cone(K, vec_sub(v, u)) for u in gu) for v in gv
         )
     raise NotImplementedError(
         "INF-vs-SUP comparison undecided for non-pointed cones in dim >= 3"
@@ -453,7 +443,7 @@ def set_preceq(U: GenSet, V: GenSet, tol: Number = 0) -> bool:
 # --- sums ----------------------------------------------------------------------
 
 
-def ws_sum(U: GenSet, V: GenSet, tol: Number = 0) -> GenSet:
+def ws_sum(U: GenSet, V: GenSet) -> GenSet:
     """Sum of two weak-supremum sets: ``wsup(U + V)`` with infinity absorption.
 
     Defined for SUP-oriented operands; {+inf} and {-inf} absorb, and adding
@@ -472,7 +462,7 @@ def ws_sum(U: GenSet, V: GenSet, tol: Number = 0) -> GenSet:
         return GenSet.minus_inf(U.cone)
     if U.orient is not Orient.SUP or V.orient is not Orient.SUP:
         raise ValueError("ws_sum is defined for SUP-oriented operands")
-    return wsup_finite(U.generators.minkowski(V.generators), U.cone, tol)
+    return wsup_finite(U.generators.minkowski(V.generators), U.cone)
 
 
 def neutral_sup(K: Cone) -> GenSet:
@@ -489,7 +479,6 @@ def check_partition_style(
     member: Callable[[Vec], bool],
     K: Cone,
     grid: Sequence[Sequence[Number]],
-    tol: Number = 0,
 ) -> bool:
     """Check the three-way partition property of a frontier on a point grid.
 
@@ -498,7 +487,7 @@ def check_partition_style(
     in exactly one of: ``U - int K``, U itself, ``U + int K``.
     """
     pts = [tuple(p) for p in grid]
-    labels = classify_many(core, K, pts, tol, sup=True)
+    labels = classify_many(core, K, pts, sup=True)
     for y, lab in zip(pts, labels):
         below = lab is RegionLabel.LOWER
         on = bool(member(y))

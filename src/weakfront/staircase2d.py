@@ -12,9 +12,6 @@ with no division anywhere: integer inputs stay integers.  In these quadrant
 coordinates the frontier of wsup(M) is the classic staircase of the maximal
 points of M, and region tests become two binary searches on a sorted
 antichain.
-
-Everything here requires exact numbers (int/Fraction); float-mode callers use
-the generic normal-product formulas instead.
 """
 
 from __future__ import annotations
@@ -29,15 +26,6 @@ from weakfront.numeric import Vec, dot
 # Region codes (kept as plain ints so this module has no enum dependencies;
 # order_sets maps them onto RegionLabel).
 LOWER, FRONTIER, UPPER = 0, 1, 2
-
-
-class InexactData(ValueError):
-    """Raised when data that cannot be cleared to integers reaches the
-    staircase (callers fall back to the generic formulas)."""
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 def _primitive(v: Sequence) -> tuple:
@@ -55,13 +43,10 @@ def _primitive(v: Sequence) -> tuple:
 
 def extreme_rays_2d(K) -> tuple | None:
     """The two extreme rays of a pointed solid 2-D cone, oriented so that
-    cross(r1, r2) > 0.  None when K is not 2-D, not exact, or not pointed
-    (halfplane: the candidate rays are antiparallel)."""
+    cross(r1, r2) > 0.  None when K is not 2-D or not pointed (halfplane:
+    the candidate rays are antiparallel)."""
     if K.dim != 2:
         return None
-    for a in K.normals:
-        if not all(_is_exact(c) for c in a):
-            return None
     cands = set()
     for a in K.normals:
         for p in ((-a[1], a[0]), (a[1], -a[0])):
@@ -93,10 +78,7 @@ class RayBasis:
     @classmethod
     def for_cone(cls, K) -> "RayBasis | None":
         if K.dim == 1:
-            a = K.normals[0]
-            if not _is_exact(a[0]):
-                return None
-            sign = 1 if a[0] > 0 else -1
+            sign = 1 if K.normals[0][0] > 0 else -1
             return cls(1, ((sign,),), ((sign,),), 1)
         if K.dim == 2:
             rays = extreme_rays_2d(K)
@@ -138,11 +120,9 @@ def _int_scale(values) -> int:
 
 
 def _as_int(x, scale: int) -> int:
-    y = x * scale
-    n = int(y)
-    if n != y:
-        raise InexactData(f"non-integer value after scaling: {x!r}")
-    return n
+    """x * scale as an int; ``scale`` clears every denominator in the data,
+    so nothing is rounded."""
+    return int(x * scale)
 
 
 def skyline_max(pts: list) -> list:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .cones import LinOp
 from .conjugate import (
@@ -172,7 +172,7 @@ def _u_decomposition(seed: int, idx: int) -> dict:
     grid = _decomp_grid()
     for _ in range(3):
         K = rand_cone_2d(rng)
-        engine = classify_many(M, K, grid, 0, sup=True)
+        engine = classify_many(M, K, grid, sup=True)
         oracle = brute_region_bulk(M.points, K.normals, grid)
         col.checks += len(grid)
         bad = [

@@ -1,13 +1,18 @@
 """End-to-end checks of the command-line interface: frozen outputs, exit
 codes, and byte-identical reports across worker counts."""
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weakfront.cli import main
-from weakfront.instances import data_dir, dump_json
+from weakfront.instances import data_dir, dump_json, load_instance
 
 
 def run(capsys, argv):
@@ -209,6 +214,22 @@ def test_malformed_e2_is_refused_with_its_own_message(capsys, tmp_path, e2, path
         assert (rc, out) == (2, "")
         assert err == f"input error: {message}\n"
 
+@pytest.mark.parametrize("name", ["E1", "E2", "gap_toy"])
+@pytest.mark.parametrize(
+    "value", [-1, True, 1e308, False, 0, "", None], ids=lambda v: json.dumps(v)
+)
+def test_cone_generators_of_the_wrong_type_are_refused(capsys, tmp_path, name, value):
+    doc = json.loads((data_dir() / f"{name}.json").read_text())
+    bad = tmp_path / f"{name}_bad.json"
+    bad.write_text(json.dumps(_with(doc, ("S", "generators"), value)))
+    rc, out, err = run(capsys, ["conjugate", str(bad)])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "input error: 'S' generators must be an array of vectors, "
+        f"got {json.dumps(value)}\n"
+    )
+
+
 def test_console_entry_point_runs_in_a_subprocess():
     proc = subprocess.run(
         [
@@ -225,3 +246,85 @@ def test_console_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["frontier"]["generators"] == [[1]]
+
+
+def test_json_decimals_are_the_fractions_they_spell(capsys, tmp_path, e1):
+    doc = json.loads(open(e1).read())
+    doc["F"][0] = [0.1]
+    path = tmp_path / "E1_decimal.json"
+    path.write_text(json.dumps(doc))
+    P = load_instance(path)
+    assert P.F.value(P.F.domain()[0]) == (Fraction(1, 10),)
+    rc, out, err = run(capsys, ["farkas", e1, "--L", "[[1]]", "--y", "[0.1]"])
+    assert rc == 0, err
+    assert json.loads(out)["y"] == ["1/10"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_numbers_exit_two(capsys, tmp_path, e1, literal):
+    doc = json.loads(open(e1).read())
+    doc["F"][0] = [float(literal)]
+    path = tmp_path / "E1_nonfinite.json"
+    path.write_text(json.dumps(doc))
+    assert literal in path.read_text()
+    for argv in (["conjugate", str(path)], ["farkas", e1, "--y", f"[{literal}]"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "non-finite number" in err
+
+
+def test_tol_option_is_gone(capsys, e1):
+    rc, out, err = run(capsys, ["conjugate", e1, "--tol", "0"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --tol 0" in err
+
+
+# --- mutation fuzz of the shipped documents -----------------------------------
+
+_REPLACEMENTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(math.nan),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(-2, 2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(node, prefix):
+    """Every value position below ``node`` as a key/index path."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "gap_toy"])
+@given(data=st.data())
+def test_mutated_shipped_documents_exit_0_or_2(tmp_path_factory, name, data):
+    """Replace one value of a shipped document (a leaf or a whole subtree,
+    drawn field by field so the small fields such as the cones are hit as
+    often as the long sample arrays) with a value of the wrong kind: the
+    CLI answers (exit 0) or refuses with a message (exit 2), never with a
+    traceback."""
+    doc = json.loads((data_dir() / f"{name}.json").read_text())
+    field = data.draw(st.sampled_from(sorted(doc)), label="field")
+    path = data.draw(
+        st.sampled_from([(field,)] + list(_paths(doc[field], (field,))))
+        if isinstance(doc[field], (dict, list))
+        else st.just((field,)),
+        label="path",
+    )
+    bad = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+    bad.write_text(json.dumps(_with(doc, path, data.draw(_REPLACEMENTS, label="value"))))
+    y = json.dumps([0] * doc["dims"]["m"])
+    for argv in (["conjugate", str(bad)], ["farkas", str(bad), "--index", "1", "--y", y]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert out.getvalue() == "" and err.getvalue().strip()

@@ -72,6 +72,20 @@ def test_generator_outside_cone_rejected():
         Cone(((1, 0), (0, 1)), ((-1, 0),), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "normals,generators,witness",
+    [
+        (((1, 0), (0.5, 1)), (), (1, 1)),
+        (((1, 0), (0, 1)), ((1, 0), (0.5, 1)), (1, 1)),
+        (((1, 0), (0, 1)), (), (1, 0.5)),
+    ],
+    ids=["normal", "generator", "interior_witness"],
+)
+def test_cone_data_must_be_exact(normals, generators, witness):
+    with pytest.raises(ValueError, match=r"0\.5"):
+        Cone(normals, generators, witness)
+
+
 def test_classify_point_orthant():
     K = Cone.orthant(2)
     assert classify_point(K, (1, 1)) is PointClass.INTERIOR
@@ -112,6 +126,8 @@ def test_linop_rejects_bad_matrices():
         LinOp(((1, 2), (3,)))
     with pytest.raises(ValueError):
         LinOp(((float("nan"),),))
+    with pytest.raises(ValueError, match=r"0\.25"):
+        LinOp(((1, 0.25),))
 
 
 def test_posop_validates_positivity():

@@ -221,3 +221,15 @@ def test_split_witness_on_a_linear_pair():
     # strictly below the frontier no split can exist
     below = tuple(a - b for a, b in zip(y, K.interior_witness))
     assert split_witness(pair.F1, pair.F2, L, below, K, cfg) is None
+
+
+def test_weakfront_conjugate_names_the_submodule():
+    import types
+
+    import weakfront
+    import weakfront.conjugate as mod
+
+    assert isinstance(mod, types.ModuleType)
+    assert weakfront.conjugate is mod
+    assert mod.conjugate is conjugate
+    assert "conjugate" not in weakfront.__all__

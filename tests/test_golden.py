@@ -2,9 +2,13 @@
 
 Each case runs one ``weakfront`` subcommand in-process and compares its
 stdout with the file of the same name under ``tests/golden/``.  The files
-pin the behaviour of the certificate search and the dual merge: a refactor
-of either must reproduce them exactly.  Regenerate them (only when a change
-of output is intended) with ``PYTHONPATH=src python tests/test_golden.py``.
+pin the behaviour of the certificate search, the dual merge, the conjugate
+and the weak-supremum labeller: a refactor of any of them must reproduce
+them exactly.  The ``wsup`` cases read their set and query documents from
+``tests/golden/inputs/``: a skewed planar cone (the staircase path) and a
+four-facet cone in R^3 (the generic path).  Regenerate them (only when a
+change of output is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ _FARKAS = (
     ("gap_toy", "[[1]]", "[0]", (1, 2, 3)),
 )
 _DUAL_INSTANCES = ("E1", "E2", "E3", "E4", "E5", "gap_toy")
+# (instance, nonzero L); each instance also runs at --L zero.  E5's L is a
+# JSON float, read through its decimal form.
+_CONJUGATE = (
+    ("E1", "[[1]]"),
+    ("E2", "[[1],[-1]]"),
+    ("E3", "[[1,2],[0,-1]]"),
+    ("E4", "[[1],[2]]"),
+    ("E5", "[[0.5]]"),
+    ("gap_toy", "[[2]]"),
+)
+_WSUP = ("skew2d", "pyramid3d")
 
 
 def _slug(text: str) -> str:
@@ -59,6 +74,23 @@ def cases() -> list:
             out.append(
                 (f"dual_{name}_{which}.json", ["dual", path, "--which", which, "--L", "zero"])
             )
+    for name, L in _CONJUGATE:
+        path = str(data_dir() / f"{name}.json")
+        for op in ("zero", L):
+            out.append(
+                (f"conjugate_{name}_L{_slug(op)}.json", ["conjugate", path, "--L", op])
+            )
+    for name in _WSUP:
+        out.append(
+            (
+                f"wsup_{name}.csv",
+                [
+                    "wsup",
+                    str(GOLDEN / "inputs" / f"wsup_{name}_set.json"),
+                    str(GOLDEN / "inputs" / f"wsup_{name}_queries.json"),
+                ],
+            )
+        )
     return out
 
 
@@ -70,7 +102,9 @@ def run_cli(argv) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("fname,argv", cases(), ids=[c[0][:-5] for c in cases()])
+@pytest.mark.parametrize(
+    "fname,argv", cases(), ids=[c[0].rsplit(".", 1)[0] for c in cases()]
+)
 def test_cli_output_matches_golden(fname, argv):
     assert run_cli(argv) == (GOLDEN / fname).read_text()
 

@@ -14,6 +14,7 @@ from weakfront.order_sets import (
     Tag,
     check_partition_style,
     classify_against,
+    classify_many,
     neutral_sup,
     set_preceq,
     winf_finite,
@@ -40,6 +41,17 @@ def test_finite_vec_set_rejects_empty_and_ragged():
         FiniteVecSet([])
     with pytest.raises(DimensionError):
         FiniteVecSet([(1, 0), (1,)])
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["staircase", "generic"])
+def test_floats_are_refused_where_points_enter(dim):
+    K = Cone.orthant(dim)
+    zero = (0,) * dim
+    with pytest.raises(ValueError, match=r"0\.5"):
+        FiniteVecSet([zero, (0.5,) + zero[1:]])
+    S = FiniteVecSet([zero, (1,) * dim])
+    with pytest.raises(ValueError, match=r"0\.5"):
+        classify_many(S, K, [zero, (0.5,) + zero[1:]])
 
 
 def test_wsup_keeps_the_undominated_points():
