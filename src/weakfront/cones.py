@@ -28,6 +28,7 @@ from weakfront.numeric import (
     vec_sub,
     zero_mat,
 )
+from weakfront.staircase2d import RayBasis
 
 
 class DimensionError(ValueError):
@@ -60,7 +61,7 @@ class Cone:
     serialize identically.
     """
 
-    __slots__ = ("dim", "normals", "generators", "interior_witness")
+    __slots__ = ("dim", "normals", "generators", "interior_witness", "_basis")
 
     def __init__(
         self,
@@ -114,6 +115,16 @@ class Cone:
             for i in range(dim)
         ]
         return cls(eye, eye, (Fraction(1),) * dim)
+
+    @property
+    def basis(self) -> "RayBasis | None":
+        """The orthant coordinates of a simplicial cone (None for other
+        cones), derived on first use and kept."""
+        try:
+            return self._basis
+        except AttributeError:
+            self._basis = RayBasis.for_cone(self)
+            return self._basis
 
     def __eq__(self, other) -> bool:
         return (

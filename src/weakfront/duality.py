@@ -10,12 +10,13 @@ a lower frontier of guaranteed values; the dual value of a search budget is
 the weak supremum of the union of those frontiers.  That supremum is
 computed exactly: each certificate contributes an upward region (its
 generators plus the cone) and the union's supremum is the boundary of the
-intersection of those regions, which for simplicial cones in dimension one
-or two is again a finite staircase obtained by componentwise joins in ray
-coordinates.  Every generator of the result therefore carries a concrete
-certificate that re-verifies.  A certificate whose region already contains
-every current generator cannot change the intersection, so the merge skips
-its joins (a maxima-of-vectors dominance test in ray coordinates).
+intersection of those regions.  For a simplicial cone of any dimension that
+intersection is again finitely generated: in orthant coordinates (see
+:mod:`weakfront.staircase2d`) its generators are the minima of the
+componentwise maxima of pairs.  Every generator of the result therefore
+carries a concrete certificate that re-verifies.  A certificate whose region
+already contains every current generator cannot change the intersection,
+so the merge skips it (a dominance test in orthant coordinates).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .order_sets import (
     set_preceq,
     winf_finite,
 )
-from .staircase2d import RayBasis
+from .staircase2d import maxima
 from .conjugate import Certificate, SampledMap, SearchConfig, certificates
 from .farkas import (
     EmptyFeasibleSet,
@@ -219,9 +220,9 @@ class DualValue:
 
 
 def _covers(piece_q, current_q) -> bool:
-    """Every current generator lies in piece + K (in ray coordinates: some
-    piece generator is componentwise below it), so joining the piece in
-    leaves the merged frontier unchanged."""
+    """Every current generator lies in piece + K (in orthant coordinates:
+    some piece generator is componentwise below it), so merging the piece
+    in leaves the frontier unchanged."""
     return all(
         any(all(a <= b for a, b in zip(qv, qu)) for qv in piece_q)
         for qu in current_q
@@ -239,43 +240,41 @@ def dual_value(
     Each certificate guarantees every value on (and weakly below) the
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
-    intersection of the upward regions, merged generator-by-generator via
-    componentwise joins in ray coordinates.  A certificate whose upward
-    region already contains every current generator is not joined in,
-    since the joins would return the current generators.
-    Each generator of the result lies on some certificate's frontier and is
-    stored with the first such certificate in budget order, skipped ones
-    included.
+    intersection of the upward regions.  The merge runs in orthant
+    coordinates: the componentwise maxima of pairs of current and piece
+    generators, then their minima; the result is mapped back once.  A
+    certificate whose upward region already contains every current
+    generator is skipped, since the merge would return the current
+    generators.  Each generator of the result lies on some certificate's
+    frontier and is stored with the first such certificate in budget order,
+    skipped ones included.  K must be simplicial (exactly ``dim`` linearly
+    independent normals), of any dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("dual_value: perturbation shape disagrees")
-    basis = RayBasis.for_cone(P.K)
+    basis = P.K.basis
     if basis is None:
         raise ValueError(
-            "exact dual merge needs a simplicial pointed cone of dimension "
-            "1 or 2"
+            "exact dual merge needs a simplicial cone K (exactly dim linearly "
+            "independent normals)"
         )
     index = int(which[-1])
     pieces: List[Tuple[Certificate, GenSet]] = []
-    current: Optional[tuple] = None
+    current: Optional[list] = None
     for cert in certificates(index, P, L, cfg):
         piece = cert.value_set.negate()  # INF frontier of guaranteed values
         pieces.append((cert, piece))
-        gens = piece.generators.points
+        piece_q = [basis.to_quad(v) for v in piece.generators.points]
         if current is None:
-            current = gens
-            current_q = [basis.to_quad(u) for u in current]
-            continue
-        if _covers([basis.to_quad(v) for v in gens], current_q):
-            continue
-        joined = FiniteVecSet(basis.join(u, v) for u in current for v in gens)
-        current = winf_finite(joined, P.K).generators.points
-        current_q = [basis.to_quad(u) for u in current]
+            current = piece_q
+        elif not _covers(piece_q, current):
+            joined = [tuple(map(max, u, v)) for u in current for v in piece_q]
+            current = [joined[i] for i in maxima([vec_neg(q) for q in joined])]
     if current is None:
         raise ValueError("empty certificate budget")
-    attained = FiniteVecSet(current)
+    attained = FiniteVecSet(basis.from_quad(q) for q in current)
     frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
     stored = []
     for h in attained.points:

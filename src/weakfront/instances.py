@@ -48,6 +48,10 @@ def _check_format(doc) -> dict:
     if not isinstance(doc, dict):
         raise InstanceFormatError("document must be a JSON object")
     fmt = _require(doc, "format")
+    if isinstance(fmt, (bool, float)):  # true == 1.0 == 1 in Python
+        raise InstanceFormatError(
+            f"'format' must be the integer 1, got {json.dumps(fmt)}"
+        )
     if fmt != 1:
         raise InstanceFormatError(f"unsupported format {fmt!r} (expected 1)")
     return doc
@@ -127,6 +131,12 @@ def _decode_flags(raw) -> dict:
     if not isinstance(raw, dict):
         raise InstanceFormatError("'flags' must be an object")
     flags = dict(raw)
+    for name in ("is_linear_F", "is_linear_G", "is_convex_C"):
+        if name in flags and not isinstance(flags[name], bool):
+            raise InstanceFormatError(
+                f"flag {name!r} must be true or false, got "
+                f"{json.dumps(flags[name])}"
+            )
     if flags.get("slater_point") is not None:
         try:
             flags["slater_point"] = decode_vec(flags["slater_point"])

@@ -63,10 +63,6 @@ def mat_neg(a: Mat) -> Mat:
     return tuple(vec_neg(r) for r in a)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def zero_mat(rows: int, cols: int) -> Mat:
     return tuple((Fraction(0),) * cols for _ in range(rows))
 

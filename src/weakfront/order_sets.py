@@ -13,9 +13,10 @@ cone.  Set comparison (``set_preceq``), the sum ``ws_sum`` and the partition
 check are built on the same region tests.
 
 Points are exact (ints and Fractions), so canonical generator lists are
-unique and every region test is an exact sign test.  On 2-d simplicial cones
-the bulk tests run on an integer staircase (:mod:`weakfront.staircase2d`);
-other cones use the generic pairwise cone tests.
+unique and every region test is an exact sign test.  On simplicial cones of
+any dimension the bulk tests and the canonical generators run on integer
+orthant coordinates (:mod:`weakfront.staircase2d`); other cones use the
+generic pairwise cone tests.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .numeric import (
     vec_add,
 )
 from . import staircase2d
-from .staircase2d import RayBasis
 
 
 class RegionLabel(enum.Enum):
@@ -177,20 +177,19 @@ def classify_many(
 ) -> list:
     """Bulk version of :func:`classify_against` (used by the verify suites).
 
-    ``sup=False`` classifies against the weak infimum instead.  On 2-d
-    simplicial cones this runs on an integer staircase, which is
-    dramatically faster than the pairwise cone tests.
+    ``sup=False`` classifies against the weak infimum instead.  On
+    simplicial cones this runs as dominance queries on integer orthant
+    coordinates, which is much faster than the pairwise cone tests.
     """
     pts = [tuple(p) for p in points]
     for p in pts:
         if len(p) != K.dim:
             raise DimensionError("point/cone dimensions disagree")
         require_exact(p, "query point")
-    if K.dim == 2:
-        basis = RayBasis.for_cone(K)
-        if basis is not None:
-            codes = staircase2d.classify_points_2d(basis, M.points, pts, sup=sup)
-            return [_CODE_TO_LABEL[c] for c in codes]
+    basis = K.basis
+    if basis is not None:
+        codes = staircase2d.classify_points_2d(basis, M.points, pts, sup=sup)
+        return [_CODE_TO_LABEL[c] for c in codes]
     return [_classify_one(M.points, K, p, sup) for p in pts]
 
 
@@ -205,11 +204,10 @@ def _canonical_sup_points(points, K: Cone):
     or ``q`` precedes ``p`` lexicographically (equivalence classes under the
     cone's lineality keep exactly their lex-smallest member).
     """
-    if K.dim == 2:
-        basis = RayBasis.for_cone(K)
-        if basis is not None:
-            idx = staircase2d.canonical_indices_2d(basis, points, sup=True)
-            return tuple(points[i] for i in idx)
+    basis = K.basis
+    if basis is not None:
+        idx = staircase2d.canonical_indices_2d(basis, points)
+        return tuple(points[i] for i in idx)
     kept = []
     for i, p in enumerate(points):
         drop = False
@@ -413,30 +411,23 @@ def set_preceq(U: GenSet, V: GenSet) -> bool:
             for u in gu
             for v in gv
         )
-    if U.orient is Orient.INF and V.orient is Orient.INF:
-        # frontier(V) subset of gu + K
+    if U.orient is Orient.INF and (
+        V.orient is Orient.INF or mat_rank(K.normals) == 1
+    ):
+        # frontier(V) subset of gu + K.  Under a half-space (a half-line in
+        # dim 1) an INF and a SUP frontier are hyperplanes parallel to its
+        # boundary, ordered by their offsets in the same way.
         return all(
             any(in_cone(K, vec_sub(v, u)) for u in gu) for v in gv
         )
-    # INF preceding SUP: both frontiers are unbounded staircases bending in
-    # opposite directions, so in a pointed cone of dimension >= 2 the SUP
-    # frontier always dips below the INF one along a recession ray.
-    if K.dim == 1:
-        u0 = gu[0]
-        v0 = gv[0]
-        return (
-            classify_point(K, vec_sub(u0, v0)) is not PointClass.INTERIOR
-        )
+    # INF preceding SUP under any other cone: both frontiers are unbounded
+    # and bend in opposite directions, so in a pointed cone the SUP frontier
+    # always dips below the INF one along a recession ray.
     if _is_pointed(K):
         return False
-    if K.dim == 2:
-        # half-plane order: both frontiers are lines parallel to the
-        # boundary; compare their offsets
-        return all(
-            any(in_cone(K, vec_sub(v, u)) for u in gu) for v in gv
-        )
     raise NotImplementedError(
-        "INF-vs-SUP comparison undecided for non-pointed cones in dim >= 3"
+        "INF-vs-SUP comparison undecided for non-pointed cones that are "
+        "not half-spaces"
     )
 
 

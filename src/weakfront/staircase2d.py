@@ -1,24 +1,26 @@
-"""Exact staircase engine for pointed cones in the plane.
+"""Exact facet-coordinate core for simplicial cones of any dimension.
 
-A pointed solid 2-D cone K has exactly two extreme rays, recoverable from the
-facet normals (each feasible perpendicular of a normal is an extreme ray).
-The adjugate of the ray basis B = [r1 r2] is an integer matrix with
-adj(B)·B = det(B)·I and det(B) > 0 after orientation, so
+A cone K whose facet normals are exactly ``dim`` linearly independent
+vectors is simplicial and pointed.  The matrix N of its primitive-integer
+normals maps K onto the nonnegative orthant:
 
-    y in K      <=>  adj(B)·y >= 0 componentwise,
-    y in int K  <=>  adj(B)·y >  0 componentwise,
+    y in K      <=>  N·y >= 0 componentwise,
+    y in int K  <=>  N·y >  0 componentwise.
 
-with no division anywhere: integer inputs stay integers.  In these quadrant
-coordinates the frontier of wsup(M) is the classic staircase of the maximal
-points of M, and region tests become two binary searches on a sorted
-antichain.
+In these orthant coordinates the K-order is the componentwise order, so the
+generators of wsup(M) are the maximal vectors of M (Kung, Luccio &
+Preparata, J. ACM 22(4), 1975) and every region test is a dominance query
+against them.  Each batch of points is scaled once by the lcm of its
+denominators, so the comparisons run on plain integers.  Infima are suprema
+of the negated data.  The module and function names date from the planar
+staircase this core replaced; perfbench's tracer binds them by name.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import ge, gt
 from typing import Sequence
 
 from weakfront.numeric import Vec, dot
@@ -30,177 +32,120 @@ LOWER, FRONTIER, UPPER = 0, 1, 2
 
 def _primitive(v: Sequence) -> tuple:
     """Canonical primitive-integer direction of a nonzero rational vector."""
-    den = 1
-    for c in v:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in v))
     ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     return tuple(c // g for c in ints)
 
 
-def extreme_rays_2d(K) -> tuple | None:
-    """The two extreme rays of a pointed solid 2-D cone, oriented so that
-    cross(r1, r2) > 0.  None when K is not 2-D or not pointed (halfplane:
-    the candidate rays are antiparallel)."""
-    if K.dim != 2:
-        return None
-    cands = set()
-    for a in K.normals:
-        for p in ((-a[1], a[0]), (a[1], -a[0])):
-            if all(dot(b, p) >= 0 for b in K.normals):
-                cands.add(_primitive(p))
-    if len(cands) != 2:
-        return None
-    r1, r2 = sorted(cands)
-    cr = r1[0] * r2[1] - r1[1] * r2[0]
-    if cr == 0:
-        return None
-    if cr < 0:
-        r1, r2 = r2, r1
-    return r1, r2
+def _inverse(rows: Sequence[Sequence]) -> tuple | None:
+    """Exact inverse of a square matrix by Gauss-Jordan elimination, or None
+    when the matrix is singular."""
+    n = len(rows)
+    work = [
+        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        prow = [c / work[col][col] for c in work[col]]
+        work[col] = prow
+        for r in range(n):
+            f = work[r][col]
+            if r != col and f != 0:
+                work[r] = [a - f * b for a, b in zip(work[r], prow)]
+    return tuple(tuple(row[n:]) for row in work)
 
 
 class RayBasis:
-    """Invertible coordinate change sending K onto the nonnegative quadrant
-    (dim 2) or half-line (dim 1)."""
+    """Orthant coordinates of a simplicial cone: ``normals`` is the integer
+    matrix N, ``inverse`` its exact inverse."""
 
-    __slots__ = ("dim", "rays", "adj", "det")
+    __slots__ = ("normals", "inverse")
 
-    def __init__(self, dim: int, rays: tuple, adj: tuple, det: int):
-        self.dim = dim
-        self.rays = rays
-        self.adj = adj
-        self.det = det
+    def __init__(self, normals: tuple, inverse: tuple):
+        self.normals = normals
+        self.inverse = inverse
 
     @classmethod
     def for_cone(cls, K) -> "RayBasis | None":
-        if K.dim == 1:
-            sign = 1 if K.normals[0][0] > 0 else -1
-            return cls(1, ((sign,),), ((sign,),), 1)
-        if K.dim == 2:
-            rays = extreme_rays_2d(K)
-            if rays is None:
-                return None
-            r1, r2 = rays
-            adj = ((r2[1], -r2[0]), (-r1[1], r1[0]))
-            det = r1[0] * r2[1] - r1[1] * r2[0]
-            return cls(2, rays, adj, det)
-        return None
+        """The basis of K, or None unless K's normals are exactly ``dim``
+        linearly independent vectors."""
+        if len(K.normals) != K.dim:
+            return None
+        normals = tuple(_primitive(a) for a in K.normals)
+        inverse = _inverse(normals)
+        return None if inverse is None else cls(normals, inverse)
 
-    def to_quad(self, y: Vec) -> tuple:
-        """Quadrant coordinates det·B^{-1}·y (integer matrix product)."""
-        return tuple(dot(row, y) for row in self.adj)
+    def to_quad(self, y: Sequence) -> tuple:
+        """Orthant coordinates N·y."""
+        return tuple(dot(row, y) for row in self.normals)
 
     def from_quad(self, q: Sequence) -> Vec:
-        """Inverse map: original coordinates of a quadrant point."""
-        return tuple(
-            sum(self.rays[j][i] * Fraction(q[j]) for j in range(self.dim))
-            / self.det
-            for i in range(self.dim)
-        )
+        """Original coordinates N^{-1}·q of orthant coordinates q."""
+        return tuple(dot(row, q) for row in self.inverse)
 
-    def join(self, y1: Vec, y2: Vec) -> Vec:
-        """The least point K-above both arguments (componentwise max in
-        quadrant coordinates); exists because the ray basis is a lattice
-        basis for the K-order."""
-        q = tuple(map(max, self.to_quad(y1), self.to_quad(y2)))
-        return self.from_quad(q)
-
-
-def _int_scale(values) -> int:
-    """lcm of denominators across an iterable of exact numbers."""
-    den = 1
-    for x in values:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    return den
+    def int_coords(self, vecs: Sequence[Vec]) -> list:
+        """Orthant coordinates of ``vecs`` scaled by the lcm of all their
+        denominators: integers, in the order of ``vecs``.  One scale serves
+        the whole batch, so the componentwise order is preserved."""
+        den = math.lcm(*{c.denominator for v in vecs for c in v})
+        return [
+            self.to_quad([c.numerator * (den // c.denominator) for c in v])
+            for v in vecs
+        ]
 
 
-def _as_int(x, scale: int) -> int:
-    """x * scale as an int; ``scale`` clears every denominator in the data,
-    so nothing is rounded."""
-    return int(x * scale)
+def maxima(coords: Sequence[tuple]) -> list:
+    """Indices of the maximal vectors of ``coords`` under the componentwise
+    order, in descending lexicographic order of their vectors.
+
+    Sorted in descending order, a vector can only be dominated by one before
+    it, and a dominated one is dominated by a kept one; so each vector is
+    tested against the kept vectors only.  Of equal vectors the first is
+    kept."""
+    kept = []
+    for i in sorted(range(len(coords)), key=coords.__getitem__, reverse=True):
+        q = coords[i]
+        if not any(all(map(ge, coords[k], q)) for k in kept):
+            kept.append(i)
+    return kept
 
 
-def skyline_max(pts: list) -> list:
-    """Maximal elements of integer pairs under componentwise <=, as
-    (u, v, payload) tuples sorted by u ascending (v descending).  Weakly
-    dominated points are dropped; of equal points the smallest payload wins."""
-    best = None
-    out = []
-    for u, v, i in sorted(pts, key=lambda t: (-t[0], -t[1], t[2])):
-        if best is None or v > best:
-            out.append((u, v, i))
-            best = v
-    out.reverse()
-    return out
-
-
-def skyline_min(pts: list) -> list:
-    """Minimal elements (mirror of skyline_max), sorted by u ascending."""
-    best = None
-    out = []
-    for u, v, i in sorted(pts, key=lambda t: (t[0], t[1], t[2])):
-        if best is None or v < best:
-            out.append((u, v, i))
-            best = v
-    return out
-
-
-def classify_quad_sup(us: list, vs: list, u, v) -> int:
-    """Region of (u,v) relative to wsup of the antichain (us asc, vs desc)."""
-    i = bisect_right(us, u)
-    if i < len(us) and vs[i] > v:
-        return LOWER
-    j = bisect_left(us, u)
-    if j < len(us) and vs[j] >= v:
-        return FRONTIER
-    return UPPER
-
-
-def classify_quad_inf(us: list, vs: list, u, v) -> int:
-    """Region of (u,v) relative to winf of the antichain (us asc, vs desc)."""
-    i = bisect_left(us, u)
-    if i > 0 and vs[i - 1] < v:
-        return UPPER
-    j = bisect_right(us, u)
-    if j > 0 and vs[j - 1] <= v:
-        return FRONTIER
-    return LOWER
+def _region_sup(front: list, q: tuple) -> int:
+    """Region code of q against the weak supremum generated by the maximal
+    vectors ``front`` (descending): LOWER when one lies strictly above q,
+    FRONTIER when one lies weakly above it, UPPER otherwise."""
+    code = UPPER
+    for g in front:
+        if g[0] < q[0]:
+            break  # no later vector reaches q in the first coordinate
+        if all(map(ge, g, q)):
+            if all(map(gt, g, q)):
+                return LOWER
+            code = FRONTIER
+    return code
 
 
 def classify_points_2d(
     basis: RayBasis, gens: Sequence[Vec], points: Sequence[Vec], sup: bool = True
 ) -> list:
-    """Bulk region labels of `points` against wsup(gens) (or winf when
-    sup=False).  Exact: all coordinates are cleared to machine integers by a
-    common denominator before the staircase comparisons."""
-    qg = [basis.to_quad(g) for g in gens]
-    qp = [basis.to_quad(p) for p in points]
-    scale = _int_scale(c for q in qg for c in q)
-    scale_p = _int_scale(c for q in qp for c in q)
-    scale = scale * scale_p // math.gcd(scale, scale_p)
-    ig = [
-        (_as_int(q[0], scale), _as_int(q[1], scale), i) for i, q in enumerate(qg)
-    ]
-    sky = skyline_max(ig) if sup else skyline_min(ig)
-    us = [t[0] for t in sky]
-    vs = [t[1] for t in sky]
-    fn = classify_quad_sup if sup else classify_quad_inf
-    return [fn(us, vs, _as_int(q[0], scale), _as_int(q[1], scale)) for q in qp]
+    """Region codes of ``points`` against wsup(gens), or against winf(gens)
+    when sup=False: the infimum is minus the supremum of the negated data,
+    with LOWER and UPPER swapped.  Gens and points share one scale."""
+    coords = basis.int_coords([*gens, *points])
+    if not sup:
+        coords = [tuple(-c for c in q) for q in coords]
+    qg, qp = coords[: len(gens)], coords[len(gens) :]
+    front = [qg[i] for i in maxima(qg)]
+    codes = [_region_sup(front, q) for q in qp]
+    return codes if sup else [UPPER - c for c in codes]
 
 
-def canonical_indices_2d(
-    basis: RayBasis, vecs: Sequence[Vec], sup: bool = True
-) -> list:
-    """Indices of the canonical (maximal / minimal) points of `vecs`."""
-    qg = [basis.to_quad(g) for g in vecs]
-    scale = _int_scale(c for q in qg for c in q)
-    ig = [
-        (_as_int(q[0], scale), _as_int(q[1], scale), i) for i, q in enumerate(qg)
-    ]
-    sky = skyline_max(ig) if sup else skyline_min(ig)
-    return [t[2] for t in sky]
+def canonical_indices_2d(basis: RayBasis, vecs: Sequence[Vec]) -> list:
+    """Indices of the maximal points of ``vecs`` (the generators of their
+    weak supremum)."""
+    return maxima(basis.int_coords(vecs))

@@ -7,9 +7,14 @@ from fractions import Fraction
 import pytest
 
 from weakfront import duality
-from weakfront.cones import LinOp
-from weakfront.conjugate import beta_value_set, certificates, script_A_membership
-from weakfront.duality import dual_value
+from weakfront.cones import Cone, LinOp
+from weakfront.conjugate import (
+    SampledMap,
+    beta_value_set,
+    certificates,
+    script_A_membership,
+)
+from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
 from weakfront.instances import shipped_instance
 from weakfront.order_sets import FiniteVecSet, RegionLabel, winf_finite
 from weakfront.staircase2d import RayBasis
@@ -57,13 +62,19 @@ def _reference(index, P, L, cfg):
 
 def _unpruned_dual(P, L, reference):
     """The dual merge with every piece joined in, and the first owner of
-    each attained point in budget order."""
+    each attained point in budget order.  The join of u and v is the least
+    point K-above both: the componentwise max of their orthant coordinates,
+    mapped back."""
     basis = RayBasis.for_cone(P.K)
+
+    def join(u, v):
+        return basis.from_quad(tuple(map(max, basis.to_quad(u), basis.to_quad(v))))
+
     pieces = [W.negate() for _, W in reference]
     current = pieces[0].generators.points
     for piece in pieces[1:]:
         joined = FiniteVecSet(
-            basis.join(u, v) for u in current for v in piece.generators.points
+            join(u, v) for u in current for v in piece.generators.points
         )
         current = winf_finite(joined, P.K).generators.points
     owners = [
@@ -113,13 +124,13 @@ def test_search_returns_the_first_qualifying_certificate(name, budget, index):
 
 def test_dual_value_equals_the_unpruned_fold(monkeypatch):
     merges = []
-    real_winf = duality.winf_finite
+    real_maxima = duality.maxima
 
-    def counting_winf(*args, **kwargs):
+    def counting_maxima(*args, **kwargs):
         merges.append(1)
-        return real_winf(*args, **kwargs)
+        return real_maxima(*args, **kwargs)
 
-    monkeypatch.setattr(duality, "winf_finite", counting_winf)
+    monkeypatch.setattr(duality, "maxima", counting_maxima)
     folded = 0
     for name, budget, index in CASES:
         P = INSTANCES[name]
@@ -135,3 +146,44 @@ def test_dual_value_equals_the_unpruned_fold(monkeypatch):
             folded += len(reference) - 1
     # the skip rule fires: most pieces leave the merged frontier unchanged
     assert len(merges) < folded / 2
+
+
+def _orthant3_instance():
+    """A problem whose values are ordered by the orthant of R^3: four
+    sample points, three of them feasible, with values no two of which
+    are comparable."""
+    dom = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),), (Fraction(2),)]
+    values = [(2, 0, 1), (1, 1, Fraction(1, 2)), (0, 2, 1), (0, 0, 0)]
+    F = SampledMap([(x, tuple(map(Fraction, v))) for x, v in zip(dom, values)])
+    G = SampledMap([(x, (x[0] - 1,)) for x in dom])
+    return ProblemInstance(F=F, G=G, C=dom, K=Cone.orthant(3), S=Cone.orthant(1))
+
+
+ORTHANT3 = _orthant3_instance()
+ORTHANT3_CASES = [
+    ("default", 1),
+    ("default", 2),
+    ("default", 3),
+    ("l_box=1", 1),
+    ("l_box=1", 2),
+]
+
+
+@pytest.mark.parametrize("budget,index", ORTHANT3_CASES)
+def test_dual_value_on_a_3d_orthant_equals_the_unpruned_fold(budget, index):
+    P = ORTHANT3
+    cfg = P.search_config(**BUDGETS[budget])
+    for L in _perturbations(P):
+        reference = _reference(index, P, L, cfg)
+        points, owners = _unpruned_dual(P, L, reference)
+        d = dual_value(P, f"VD{index}", L, cfg)
+        assert d.attained.points == points
+        assert [(c.T.op, c.Lp, c.Lpp) for _, c in d.certificates] == [
+            (T.op, Lp, Lpp) for T, Lp, Lpp in owners
+        ]
+
+
+def test_weak_duality_chain_on_a_3d_orthant():
+    cfg = ORTHANT3.search_config()
+    for L in _perturbations(ORTHANT3):
+        assert weak_duality_check(ORTHANT3, L, cfg) == (True, True, True)

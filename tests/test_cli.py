@@ -214,6 +214,31 @@ def test_malformed_e2_is_refused_with_its_own_message(capsys, tmp_path, e2, path
         assert (rc, out) == (2, "")
         assert err == f"input error: {message}\n"
 
+# Values that compare equal to the expected ones in Python but are the
+# wrong JSON type.
+_E1_MUTATIONS = [
+    (("format",), True, "'format' must be the integer 1, got true"),
+    (("format",), 1.0, "'format' must be the integer 1, got 1.0"),
+    (("flags", "is_convex_C"), "no", "flag 'is_convex_C' must be true or false, got \"no\""),
+    (("flags", "is_linear_F"), 0, "flag 'is_linear_F' must be true or false, got 0"),
+    (("flags", "is_linear_G"), None, "flag 'is_linear_G' must be true or false, got null"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    _E1_MUTATIONS,
+    ids=[f"{m[0][-1]}={json.dumps(m[1])}" for m in _E1_MUTATIONS],
+)
+def test_malformed_e1_is_refused_with_its_own_message(capsys, tmp_path, e1, path, value, message):
+    bad = tmp_path / "E1_bad.json"
+    bad.write_text(json.dumps(_with(json.loads(open(e1).read()), path, value)))
+    for argv in (["conjugate", str(bad)], ["dual", str(bad)]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["E1", "E2", "gap_toy"])
 @pytest.mark.parametrize(
     "value", [-1, True, 1e308, False, 0, "", None], ids=lambda v: json.dumps(v)

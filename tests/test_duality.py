@@ -79,6 +79,13 @@ def test_dual_values_attain_the_primal_optimum_on_e1():
         dv.certificate_for((Fraction(5),))
 
 
+PYRAMID = Cone(
+    normals=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+    generators=((1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)),
+    interior_witness=(0, 0, 1),
+)
+
+
 def test_dual_value_rejects_unknown_problem_and_big_cones():
     with pytest.raises(ValueError):
         dual_value(E1, "VD4", L_ZERO, E1.search_config())
@@ -86,9 +93,14 @@ def test_dual_value_rejects_unknown_problem_and_big_cones():
     dom = [(Fraction(0),)]
     F = SampledMap([(dom[0], (Fraction(0),) * 3)])
     G = SampledMap([(dom[0], (Fraction(-1),))])
+    # a four-facet cone in R^3 is not simplicial: no exact merge
+    P4 = ProblemInstance(F=F, G=G, C=dom, K=PYRAMID, S=O1)
+    with pytest.raises(ValueError, match="simplicial"):
+        dual_value(P4, "VD1", LinOp.zero(3, 1), P4.search_config())
+    # a simplicial cone of dimension 3 is merged exactly
     P3 = ProblemInstance(F=F, G=G, C=dom, K=O3, S=O1)
-    with pytest.raises(ValueError, match="dimension"):
-        dual_value(P3, "VD1", LinOp.zero(3, 1), P3.search_config())
+    dv = dual_value(P3, "VD1", LinOp.zero(3, 1), P3.search_config())
+    assert dv.attained.points == ((0, 0, 0),)
 
 
 def test_weak_duality_chain_on_shipped_instances():

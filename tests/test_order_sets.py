@@ -43,13 +43,21 @@ def test_finite_vec_set_rejects_empty_and_ragged():
         FiniteVecSet([(1, 0), (1,)])
 
 
-@pytest.mark.parametrize("dim", [2, 3], ids=["staircase", "generic"])
-def test_floats_are_refused_where_points_enter(dim):
-    K = Cone.orthant(dim)
-    zero = (0,) * dim
+PYRAMID = Cone(
+    normals=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+    interior_witness=(0, 0, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "K", [Cone.orthant(2), PYRAMID], ids=["staircase", "generic"]
+)
+def test_floats_are_refused_where_points_enter(K):
+    assert (K.basis is None) == (K is PYRAMID)
+    zero = (0,) * K.dim
     with pytest.raises(ValueError, match=r"0\.5"):
         FiniteVecSet([zero, (0.5,) + zero[1:]])
-    S = FiniteVecSet([zero, (1,) * dim])
+    S = FiniteVecSet([zero, (1,) * K.dim])
     with pytest.raises(ValueError, match=r"0\.5"):
         classify_many(S, K, [zero, (0.5,) + zero[1:]])
 
@@ -185,3 +193,30 @@ def test_wsup_generators_cover_the_input(pts):
         assert S.classify(p) is not RegionLabel.UPPER
     for g in S.generators.points:
         assert S.classify(g) is RegionLabel.FRONTIER
+
+
+HALF_LINE_DOWN = Cone(((-1,),), interior_witness=(-1,))
+HALF_PLANE = Cone(((0, 1),), ((0, 1), (1, 0), (-1, 0)), (0, 1))
+HALF_SPACE_3D = Cone(((0, 0, 1),), interior_witness=(0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "K,low,high,expected",
+    [
+        (Cone.orthant(1), [(2,), (3,)], [(1,), (5,)], True),
+        (Cone.orthant(1), [(2,), (3,)], [(1,)], False),
+        (HALF_LINE_DOWN, [(2,), (3,)], [(1,)], True),
+        (HALF_LINE_DOWN, [(2,), (3,)], [(4,)], False),
+        (HALF_PLANE, [(5, 1), (0, 2)], [(-3, 1)], True),
+        (HALF_PLANE, [(5, 1), (0, 2)], [(-3, 0)], False),
+        (HALF_SPACE_3D, [(5, 0, 1), (0, 9, 2)], [(0, 0, 3)], True),
+        (HALF_SPACE_3D, [(5, 0, 1), (0, 9, 2)], [(7, 7, 0)], False),
+        (O2, [(0, 0)], [(9, 9)], False),
+    ],
+)
+def test_set_preceq_of_an_infimum_and_a_supremum(K, low, high, expected):
+    # under a half-space both frontiers are parallel hyperplanes, ordered by
+    # their offsets; under a pointed cone of dimension >= 2 never
+    U = winf_finite(FiniteVecSet(low), K)
+    V = wsup_finite(FiniteVecSet(high), K)
+    assert set_preceq(U, V) is expected
