@@ -117,9 +117,9 @@ class Cone:
         return cls(eye, eye, (Fraction(1),) * dim)
 
     @property
-    def basis(self) -> "RayBasis | None":
-        """The orthant coordinates of a simplicial cone (None for other
-        cones), derived on first use and kept."""
+    def basis(self) -> RayBasis:
+        """The facet coordinates of the cone, derived on first use and kept;
+        they carry an inverse only when the cone is simplicial."""
         try:
             return self._basis
         except AttributeError:

@@ -109,10 +109,6 @@ class SampledMap:
             raise ValueError("maps have disjoint domains")
         return SampledMap(merged)
 
-    def sub_linop(self, L: LinOp) -> "SampledMap":
-        """The perturbed map x -> F(x) - L(x)."""
-        return SampledMap((x, vec_sub(v, L.apply(x))) for x, v in self.samples)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledMap):
             return NotImplemented

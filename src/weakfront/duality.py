@@ -10,13 +10,14 @@ a lower frontier of guaranteed values; the dual value of a search budget is
 the weak supremum of the union of those frontiers.  That supremum is
 computed exactly: each certificate contributes an upward region (its
 generators plus the cone) and the union's supremum is the boundary of the
-intersection of those regions.  For a simplicial cone of any dimension that
-intersection is again finitely generated: in orthant coordinates (see
-:mod:`weakfront.staircase2d`) its generators are the minima of the
-componentwise maxima of pairs.  Every generator of the result therefore
-carries a concrete certificate that re-verifies.  A certificate whose region
-already contains every current generator cannot change the intersection,
-so the merge skips it (a dominance test in orthant coordinates).
+intersection of those regions.  In facet coordinates (see
+:mod:`weakfront.staircase2d`) the generators of that intersection are the
+minima of the componentwise maxima of pairs; mapping them back needs the
+inverse of the normal matrix, so K must be simplicial, of any dimension.
+Every generator of the result therefore carries a concrete certificate that
+re-verifies.  A certificate whose region already contains every current
+generator cannot change the intersection, so the merge skips it (a
+dominance test in facet coordinates).
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class DualValue:
 
 
 def _covers(piece_q, current_q) -> bool:
-    """Every current generator lies in piece + K (in orthant coordinates:
+    """Every current generator lies in piece + K (in facet coordinates:
     some piece generator is componentwise below it), so merging the piece
     in leaves the frontier unchanged."""
     return all(
@@ -240,7 +241,7 @@ def dual_value(
     Each certificate guarantees every value on (and weakly below) the
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
-    intersection of the upward regions.  The merge runs in orthant
+    intersection of the upward regions.  The merge runs in facet
     coordinates: the componentwise maxima of pairs of current and piece
     generators, then their minima; the result is mapped back once.  A
     certificate whose upward region already contains every current
@@ -248,14 +249,15 @@ def dual_value(
     generators.  Each generator of the result lies on some certificate's
     frontier and is stored with the first such certificate in budget order,
     skipped ones included.  K must be simplicial (exactly ``dim`` linearly
-    independent normals), of any dimension.
+    independent normals, so that its basis has an inverse), of any
+    dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("dual_value: perturbation shape disagrees")
     basis = P.K.basis
-    if basis is None:
+    if basis.inverse is None:
         raise ValueError(
             "exact dual merge needs a simplicial cone K (exactly dim linearly "
             "independent normals)"

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .cones import Cone, LinOp
+from .cones import Cone, LinOp, _unit_scale
 from .conjugate import SampledMap
 from .duality import ProblemInstance
 from .numeric import decode_mat, decode_vec, encode_mat, encode_vec
@@ -91,11 +91,29 @@ def cone_from_literal(raw, what: str = "cone") -> Cone:
         normals = decode_mat(raw["normals"])
         generators = tuple(decode_vec(g) for g in gens_raw)
         witness = decode_vec(raw["interior_witness"])
-        return Cone(normals, generators, witness)
+        K = Cone(normals, generators, witness)
     except InstanceFormatError:
         raise
     except ValueError as e:
         raise InstanceFormatError(f"bad cone literal for {what!r}: {e}") from e
+    _check_extreme_rays(K, what)
+    return K
+
+
+def _check_extreme_rays(K: Cone, what: str) -> None:
+    """Positive operators are certified on the listed generators only, so
+    the generators of a simplicial cone must include each extreme ray (the
+    columns of N^{-1}).  Other generator lists are trusted as given."""
+    basis = K.basis
+    if not K.generators or basis.inverse is None:
+        return
+    for i in range(K.dim):
+        ray = _unit_scale(basis.from_quad([int(i == j) for j in range(K.dim)]))
+        if ray not in K.generators:
+            raise InstanceFormatError(
+                f"{what!r} generators miss the extreme ray "
+                f"{json.dumps(encode_vec(ray))}"
+            )
 
 
 def _decode_hints(raw) -> Tuple[Tuple[LinOp, ...], Tuple[LinOp, ...]]:
@@ -378,11 +396,6 @@ def save_pair(pair: MapPair, path) -> None:
 def data_dir() -> Path:
     """Directory of the shipped instance files."""
     return Path(__file__).resolve().parent / "data"
-
-
-def shipped_path(name: str) -> Path:
-    """Path of a shipped document: E1..E5, gap_toy, or pairs/pairNN."""
-    return data_dir() / f"{name}.json"
 
 
 # --- shipped builders ----------------------------------------------------------------

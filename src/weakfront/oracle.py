@@ -137,23 +137,6 @@ def brute_wsum(
     return brute_region_bulk(cloud, K.normals, grid)
 
 
-def brute_conjugate(
-    samples: Sequence[Tuple[Sequence, Sequence]],
-    L: Sequence[Sequence],
-    K,
-    grid: Sequence[Sequence],
-) -> List[RegionLabel]:
-    """Region labels of the conjugate value wsup{L(x) - F(x)} on a grid.
-
-    ``samples`` is the raw graph of F as (x, F(x)) pairs; L is a raw matrix.
-    """
-    cloud = []
-    for x, fx in samples:
-        lx = tuple(_dot(row, x) for row in L)
-        cloud.append(_sub(lx, fx))
-    return brute_region_bulk(cloud, K.normals, grid)
-
-
 def brute_beta(
     clouds: Sequence[Sequence[Sequence]], K, y: Sequence
 ) -> bool:

@@ -13,10 +13,9 @@ cone.  Set comparison (``set_preceq``), the sum ``ws_sum`` and the partition
 check are built on the same region tests.
 
 Points are exact (ints and Fractions), so canonical generator lists are
-unique and every region test is an exact sign test.  On simplicial cones of
-any dimension the bulk tests and the canonical generators run on integer
-orthant coordinates (:mod:`weakfront.staircase2d`); other cones use the
-generic pairwise cone tests.
+unique and every region test is an exact sign test.  On every polyhedral
+cone the region tests and the canonical generators run on the integer facet
+coordinates N·y (:mod:`weakfront.staircase2d`).
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cones import Cone, DimensionError, PointClass, classify_point, in_cone
+from .cones import Cone, DimensionError
 from .numeric import (
     Number,
     Vec,
     require_exact,
     mat_rank,
     vec_neg,
-    vec_sub,
     vec_add,
 )
 from . import staircase2d
@@ -139,21 +137,6 @@ class FiniteVecSet:
 # --- region classification ---------------------------------------------------
 
 
-def _classify_one(points, K: Cone, y: Vec, sup: bool) -> RegionLabel:
-    """Classify y against the weak sup (or weak inf) of ``points``."""
-    hit_cone = False
-    for m in points:
-        d = vec_sub(m, y) if sup else vec_sub(y, m)
-        cls = classify_point(K, d)
-        if cls is PointClass.INTERIOR:
-            return RegionLabel.LOWER if sup else RegionLabel.UPPER
-        if cls is PointClass.BOUNDARY:
-            hit_cone = True
-    if hit_cone:
-        return RegionLabel.FRONTIER
-    return RegionLabel.UPPER if sup else RegionLabel.LOWER
-
-
 def classify_against(
     M: FiniteVecSet, K: Cone, y: Sequence[Number]
 ) -> RegionLabel:
@@ -165,7 +148,7 @@ def classify_against(
     y = tuple(y)
     if len(y) != K.dim or M.dim != K.dim:
         raise DimensionError("point/set/cone dimensions disagree")
-    return _classify_one(M.points, K, y, sup=True)
+    return classify_many(M, K, [y])[0]
 
 
 def classify_many(
@@ -177,20 +160,16 @@ def classify_many(
 ) -> list:
     """Bulk version of :func:`classify_against` (used by the verify suites).
 
-    ``sup=False`` classifies against the weak infimum instead.  On
-    simplicial cones this runs as dominance queries on integer orthant
-    coordinates, which is much faster than the pairwise cone tests.
+    ``sup=False`` classifies against the weak infimum instead.  The
+    queries run as dominance tests on integer facet coordinates.
     """
     pts = [tuple(p) for p in points]
     for p in pts:
         if len(p) != K.dim:
             raise DimensionError("point/cone dimensions disagree")
         require_exact(p, "query point")
-    basis = K.basis
-    if basis is not None:
-        codes = staircase2d.classify_points_2d(basis, M.points, pts, sup=sup)
-        return [_CODE_TO_LABEL[c] for c in codes]
-    return [_classify_one(M.points, K, p, sup) for p in pts]
+    codes = staircase2d.classify_points_2d(K.basis, M.points, pts, sup=sup)
+    return [_CODE_TO_LABEL[c] for c in codes]
 
 
 # --- canonical generators / wsup / winf --------------------------------------
@@ -199,28 +178,15 @@ def classify_many(
 def _canonical_sup_points(points, K: Cone):
     """Drop every point weakly dominated by another; lex-min keeps ties.
 
-    ``p`` is dropped when some other kept-or-not point ``q`` has
-    ``q - p in K`` and either the dominance is strict (``p - q not in K``)
-    or ``q`` precedes ``p`` lexicographically (equivalence classes under the
-    cone's lineality keep exactly their lex-smallest member).
+    ``p`` is dropped when some other point ``q`` has ``q - p in K`` and
+    either the dominance is strict (``p - q not in K``) or ``q`` precedes
+    ``p`` lexicographically.  Points equivalent under the cone's lineality
+    share facet coordinates, and :func:`staircase2d.maxima` keeps the first
+    of equal coordinates, so ``points`` in lexicographic order keep exactly
+    the lex-smallest member of each class.
     """
-    basis = K.basis
-    if basis is not None:
-        idx = staircase2d.canonical_indices_2d(basis, points)
-        return tuple(points[i] for i in idx)
-    kept = []
-    for i, p in enumerate(points):
-        drop = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
-            if in_cone(K, vec_sub(q, p)):
-                if not in_cone(K, vec_sub(p, q)) or q < p:
-                    drop = True
-                    break
-        if not drop:
-            kept.append(p)
-    return tuple(kept)
+    idx = staircase2d.canonical_indices_2d(K.basis, points)
+    return tuple(points[i] for i in idx)
 
 
 class GenSet:
@@ -277,12 +243,9 @@ class GenSet:
             return RegionLabel.LOWER
         if self.tag is Tag.MINUS_INF:
             return RegionLabel.UPPER
-        y = tuple(y)
-        if len(y) != self.cone.dim:
-            raise DimensionError("point/cone dimensions disagree")
-        return _classify_one(
-            self.generators.points, self.cone, y, self.orient is Orient.SUP
-        )
+        return classify_many(
+            self.generators, self.cone, [y], sup=self.orient is Orient.SUP
+        )[0]
 
     def classify_many(self, points: Sequence[Sequence[Number]]) -> list:
         if self.tag is Tag.PLUS_INF:
@@ -400,25 +363,20 @@ def set_preceq(U: GenSet, V: GenSet) -> bool:
     gu = U.generators.points
     gv = V.generators.points
     if U.orient is Orient.SUP and V.orient is Orient.SUP:
-        # frontier(U) subset of gv - K
-        return all(
-            any(in_cone(K, vec_sub(v, u)) for v in gv) for u in gu
-        )
+        # frontier(U) subset of gv - K: no u above wsup(gv)
+        return RegionLabel.UPPER not in classify_many(V.generators, K, gu)
     if U.orient is Orient.SUP and V.orient is Orient.INF:
         # no v strictly below any u
-        return all(
-            classify_point(K, vec_sub(u, v)) is not PointClass.INTERIOR
-            for u in gu
-            for v in gv
-        )
+        return RegionLabel.LOWER not in classify_many(U.generators, K, gv)
     if U.orient is Orient.INF and (
         V.orient is Orient.INF or mat_rank(K.normals) == 1
     ):
-        # frontier(V) subset of gu + K.  Under a half-space (a half-line in
-        # dim 1) an INF and a SUP frontier are hyperplanes parallel to its
-        # boundary, ordered by their offsets in the same way.
-        return all(
-            any(in_cone(K, vec_sub(v, u)) for u in gu) for v in gv
+        # frontier(V) subset of gu + K: no v below winf(gu).  Under a
+        # half-space (a half-line in dim 1) an INF and a SUP frontier are
+        # hyperplanes parallel to its boundary, ordered by their offsets in
+        # the same way.
+        return RegionLabel.LOWER not in classify_many(
+            U.generators, K, gv, sup=False
         )
     # INF preceding SUP under any other cone: both frontiers are unbounded
     # and bend in opposite directions, so in a pointed cone the SUP frontier

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .cones import Cone, LinOp
 from .conjugate import SampledMap
@@ -168,9 +168,3 @@ def rand_instance(
             return ProblemInstance(F, SampledMap(gsamples), domain, K, S)
         except EmptyFeasibleSet:  # pragma: no cover - anchor prevents this
             continue
-
-
-def rand_scalar_instance(rng: random.Random) -> ProblemInstance:
-    """A random instance with scalar objective (m = 1), for the classical
-    Lagrange cross-checks."""
-    return rand_instance(rng, m=1)

@@ -1,19 +1,20 @@
-"""Exact facet-coordinate core for simplicial cones of any dimension.
+"""Exact facet-coordinate core for every polyhedral cone.
 
-A cone K whose facet normals are exactly ``dim`` linearly independent
-vectors is simplicial and pointed.  The matrix N of its primitive-integer
-normals maps K onto the nonnegative orthant:
+A solid polyhedral cone K = {y : N·y >= 0} is given by the matrix N of its
+primitive-integer facet normals, with any number of rows:
 
     y in K      <=>  N·y >= 0 componentwise,
     y in int K  <=>  N·y >  0 componentwise.
 
-In these orthant coordinates the K-order is the componentwise order, so the
-generators of wsup(M) are the maximal vectors of M (Kung, Luccio &
+In these facet coordinates the K-order is the componentwise order, so the
+generators of wsup(M) are the maximal vectors of N·M (Kung, Luccio &
 Preparata, J. ACM 22(4), 1975) and every region test is a dominance query
 against them.  Each batch of points is scaled once by the lcm of its
 denominators, so the comparisons run on plain integers.  Infima are suprema
-of the negated data.  The module and function names date from the planar
-staircase this core replaced; perfbench's tracer binds them by name.
+of the negated data.  Only mapping new coordinates back to points needs
+N^{-1}, which exists exactly for simplicial K (``dim`` linearly independent
+normals).  The module and function names date from the planar staircase
+this core replaced; perfbench's tracer binds them by name.
 """
 
 from __future__ import annotations
@@ -61,35 +62,35 @@ def _inverse(rows: Sequence[Sequence]) -> tuple | None:
 
 
 class RayBasis:
-    """Orthant coordinates of a simplicial cone: ``normals`` is the integer
-    matrix N, ``inverse`` its exact inverse."""
+    """Facet coordinates of a polyhedral cone: ``normals`` is the integer
+    matrix N, ``inverse`` its exact inverse when N is square and invertible
+    (K simplicial), None otherwise."""
 
     __slots__ = ("normals", "inverse")
 
-    def __init__(self, normals: tuple, inverse: tuple):
+    def __init__(self, normals: tuple, inverse: tuple | None):
         self.normals = normals
         self.inverse = inverse
 
     @classmethod
-    def for_cone(cls, K) -> "RayBasis | None":
-        """The basis of K, or None unless K's normals are exactly ``dim``
-        linearly independent vectors."""
-        if len(K.normals) != K.dim:
-            return None
+    def for_cone(cls, K) -> "RayBasis":
+        """The basis of K, with an inverse only when K's normals are exactly
+        ``dim`` linearly independent vectors."""
         normals = tuple(_primitive(a) for a in K.normals)
-        inverse = _inverse(normals)
-        return None if inverse is None else cls(normals, inverse)
+        inverse = _inverse(normals) if len(normals) == K.dim else None
+        return cls(normals, inverse)
 
     def to_quad(self, y: Sequence) -> tuple:
-        """Orthant coordinates N·y."""
+        """Facet coordinates N·y."""
         return tuple(dot(row, y) for row in self.normals)
 
     def from_quad(self, q: Sequence) -> Vec:
-        """Original coordinates N^{-1}·q of orthant coordinates q."""
+        """Original coordinates N^{-1}·q of facet coordinates q (simplicial
+        K only)."""
         return tuple(dot(row, q) for row in self.inverse)
 
     def int_coords(self, vecs: Sequence[Vec]) -> list:
-        """Orthant coordinates of ``vecs`` scaled by the lcm of all their
+        """Facet coordinates of ``vecs`` scaled by the lcm of all their
         denominators: integers, in the order of ``vecs``.  One scale serves
         the whole batch, so the componentwise order is preserved."""
         den = math.lcm(*{c.denominator for v in vecs for c in v})
@@ -106,7 +107,10 @@ def maxima(coords: Sequence[tuple]) -> list:
     Sorted in descending order, a vector can only be dominated by one before
     it, and a dominated one is dominated by a kept one; so each vector is
     tested against the kept vectors only.  Of equal vectors the first is
-    kept."""
+    kept: the reverse sort is stable.  Under a cone that is not pointed,
+    distinct points share coordinates along its lineality space, so a
+    caller passing lexicographically sorted points keeps the lex-smallest
+    of each such class."""
     kept = []
     for i in sorted(range(len(coords)), key=coords.__getitem__, reverse=True):
         q = coords[i]

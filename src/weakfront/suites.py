@@ -825,6 +825,10 @@ def run_suite(
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r} (choose from {SUITE_NAMES})")
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if trials is None:
         trials = DEFAULT_TRIALS[name]
     units = _unit_list(name, seed, trials)

@@ -149,6 +149,21 @@ def test_verify_reports_identically_across_workers(capsys):
     assert rc3 == 0 and out3 != out  # the seed is part of the work
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--trials", "-3"], "trials must be nonnegative, got -3"),
+        (["--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["--jobs", "-4"], "jobs must be at least 1, got -4"),
+    ],
+    ids=["trials-3", "jobs0", "jobs-4"],
+)
+def test_verify_refuses_negative_trials_and_fewer_than_one_job(capsys, flags, message):
+    rc, out, err = run(capsys, ["verify", "wsum", *flags])
+    assert (rc, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_error_paths_are_distinct_and_exit_two(capsys, tmp_path, e1):
     rc, _, err = run(capsys, ["dual", str(tmp_path / "missing.json")])
     assert rc == 2 and "input error" in err and "cannot read" in err
@@ -213,6 +228,21 @@ def test_malformed_e2_is_refused_with_its_own_message(capsys, tmp_path, e2, path
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
         assert err == f"input error: {message}\n"
+
+def test_simplicial_cone_missing_an_extreme_ray_is_refused(capsys, tmp_path):
+    # S is the quadrant; listing only (0, 1) would certify T = [[-1, 0]] as
+    # positive and put the dual frontier above the primal one.
+    doc = json.loads((data_dir() / "E5.json").read_text())
+    bad = tmp_path / "E5_bad.json"
+    bad.write_text(json.dumps(_with(doc, ("S", "generators"), [[0, 1]])))
+    for argv in (
+        ["farkas", str(bad), "--L", '[["3/2"]]', "--y", "[1]"],
+        ["dual", str(bad), "--L", '[["3/2"]]'],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == "input error: 'S' generators miss the extreme ray [1, 0]\n"
+
 
 # Values that compare equal to the expected ones in Python but are the
 # wrong JSON type.

@@ -5,8 +5,8 @@ stdout with the file of the same name under ``tests/golden/``.  The files
 pin the behaviour of the certificate search, the dual merge, the conjugate
 and the weak-supremum labeller: a refactor of any of them must reproduce
 them exactly.  The ``wsup`` cases read their set and query documents from
-``tests/golden/inputs/``: a skewed planar cone (the staircase path) and a
-four-facet cone in R^3 (the generic path).  Regenerate them (only when a
+``tests/golden/inputs/``: a skewed planar cone (a simplicial cone) and a
+four-facet cone in R^3 (a non-simplicial cone).  Regenerate them (only when a
 change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """

@@ -1,5 +1,5 @@
 """The facet-coordinate core, checked against the brute-force oracle, which
-shares no geometry with it."""
+shares no geometry with it, on simplicial and non-simplicial cones."""
 
 import random
 from fractions import Fraction
@@ -7,14 +7,19 @@ from fractions import Fraction
 import pytest
 
 from weakfront.cones import Cone, in_cone
+from weakfront.numeric import mat_rank
 from weakfront.oracle import brute_region_bulk, region_of_point
 from weakfront.order_sets import (
     FiniteVecSet,
+    Orient,
     RegionLabel,
+    classify_against,
     classify_many,
+    set_preceq,
     winf_finite,
     wsup_finite,
 )
+from weakfront.randgen import rand_halfplane
 from weakfront.staircase2d import RayBasis, canonical_indices_2d, maxima
 
 
@@ -26,19 +31,20 @@ def skew_cone():
     )
 
 
-def test_for_cone_accepts_pointed_planar_cones():
-    assert RayBasis.for_cone(Cone.orthant(2)) is not None
-    assert RayBasis.for_cone(Cone.orthant(1)) is not None
-    assert RayBasis.for_cone(skew_cone()) is not None
+def test_for_cone_inverts_pointed_planar_cones():
+    assert RayBasis.for_cone(Cone.orthant(2)).inverse is not None
+    assert RayBasis.for_cone(Cone.orthant(1)).inverse is not None
+    assert RayBasis.for_cone(skew_cone()).inverse is not None
 
 
-def test_for_cone_rejects_halfplanes():
+def test_halfplane_basis_has_no_inverse():
     half = Cone(
         ((Fraction(1), Fraction(0)),),
         ((0, 1), (0, -1), (1, 0)),
         (Fraction(1), Fraction(0)),
     )
-    assert RayBasis.for_cone(half) is None
+    basis = RayBasis.for_cone(half)
+    assert basis.normals == ((1, 0),) and basis.inverse is None
 
 
 def sheared_cone_3d():
@@ -48,14 +54,18 @@ def sheared_cone_3d():
     )
 
 
-def test_for_cone_accepts_simplicial_cones_of_any_dimension():
-    assert RayBasis.for_cone(Cone.orthant(3)) is not None
-    assert RayBasis.for_cone(sheared_cone_3d()) is not None
-    pyramid = Cone(
+def pyramid_3d():
+    return Cone(
         normals=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
         interior_witness=(0, 0, 1),
     )
-    assert RayBasis.for_cone(pyramid) is None
+
+
+def test_for_cone_inverts_simplicial_cones_of_any_dimension():
+    assert RayBasis.for_cone(Cone.orthant(3)).inverse is not None
+    assert RayBasis.for_cone(sheared_cone_3d()).inverse is not None
+    pyramid = RayBasis.for_cone(pyramid_3d())
+    assert len(pyramid.normals) == 4 and pyramid.inverse is None
 
 
 def test_cone_derives_its_basis_once():
@@ -106,6 +116,16 @@ CORE_CONES = {
     "orthant1": Cone.orthant(1),
     "orthant3": Cone.orthant(3),
     "sheared3": sheared_cone_3d(),
+    # not simplicial: fewer or more normals than the dimension
+    "halfplane": rand_halfplane(random.Random(1)),  # normal (-2, 1)
+    "halfspace3": Cone(normals=((1, -1, 2),), interior_witness=(1, 0, 0)),
+    "wedge3": Cone(normals=((1, 0, 0), (-1, 2, 1)), interior_witness=(1, 1, 0)),
+    "pyramid3": pyramid_3d(),
+    "redundant2": Cone(
+        normals=((1, 0), (0, 1), (1, 1)),
+        generators=((1, 0), (0, 1)),
+        interior_witness=(1, 1),
+    ),
 }
 _SWAP = {
     RegionLabel.LOWER: RegionLabel.UPPER,
@@ -150,9 +170,8 @@ def _grid(dim, M):
 
 @pytest.mark.parametrize("name", sorted(CORE_CONES))
 @pytest.mark.parametrize("sup", [True, False], ids=["sup", "inf"])
-def test_classify_many_on_simplicial_cones_matches_the_oracle(name, sup):
+def test_classify_many_on_every_cone_matches_the_oracle(name, sup):
     K = CORE_CONES[name]
-    assert K.basis is not None
     for M in _random_sets(K.dim, 6, seed=name):
         grid = _grid(K.dim, M)
         assert classify_many(M, K, grid, sup=sup) == _oracle_labels(
@@ -160,18 +179,26 @@ def test_classify_many_on_simplicial_cones_matches_the_oracle(name, sup):
         )
 
 
+def _weakly_above(q, p, K):
+    """q - p in K, by the oracle."""
+    return region_of_point([q], K.normals, p) is not RegionLabel.UPPER
+
+
 @pytest.mark.parametrize("name", sorted(CORE_CONES))
-def test_wsup_finite_on_simplicial_cones_matches_the_oracle(name):
+def test_wsup_finite_on_every_cone_matches_the_oracle(name):
     K = CORE_CONES[name]
     for M in _random_sets(K.dim, 6, seed=7):
         S = wsup_finite(M, K)
         # the generators are the points of M with no other point of M
-        # weakly above them ...
+        # weakly above them, save a lex-larger point it is equivalent to ...
         maximal = [
             p
             for p in M.points
-            if region_of_point([q for q in M.points if q != p], K.normals, p)
-            is RegionLabel.UPPER
+            if not any(
+                _weakly_above(q, p, K) and (not _weakly_above(p, q, K) or q < p)
+                for q in M.points
+                if q != p
+            )
         ]
         assert S.generators.points == tuple(maximal)
         # ... and span the same regions as M itself
@@ -181,14 +208,9 @@ def test_wsup_finite_on_simplicial_cones_matches_the_oracle(name):
         assert inf.classify_many(grid) == _oracle_labels(M.points, K, grid, False)
 
 
-def test_redundant_normal_takes_the_generic_path_with_the_same_labels():
+def test_redundant_normal_gives_the_orthant_labels():
     twin = Cone.orthant(2)
-    redundant = Cone(
-        normals=((1, 0), (0, 1), (1, 1)),
-        generators=((1, 0), (0, 1)),
-        interior_witness=(1, 1),
-    )
-    assert redundant.basis is None and twin.basis is not None
+    redundant = CORE_CONES["redundant2"]
     for M in _random_sets(2, 6, seed=3):
         grid = _grid(2, M)
         for sup in (True, False):
@@ -196,3 +218,59 @@ def test_redundant_normal_takes_the_generic_path_with_the_same_labels():
             assert classify_many(M, redundant, grid, sup=sup) == labels
             assert labels == _oracle_labels(M.points, twin, grid, sup)
         assert wsup_finite(M, redundant).generators == wsup_finite(M, twin).generators
+
+
+def test_halfplane_ties_keep_the_lex_smallest_point():
+    # (1, 2) and (1, -1) lie on one line parallel to the boundary of
+    # {y : y_1 >= 0}; (0, 5) lies strictly below that line.
+    half = Cone(normals=((1, 0),), interior_witness=(1, 0))
+    M = FiniteVecSet([(1, 2), (0, 5), (1, -1)])
+    assert wsup_finite(M, half).generators.points == ((1, -1),)
+    assert winf_finite(M, half).generators.points == ((0, 5),)
+
+
+def _preceq_reference(U, V, K):
+    """The set order from pairwise cone tests on the raw normals; None where
+    INF-vs-SUP is undecided (a cone neither pointed nor a half-space)."""
+
+    def inside(d, strict=False):
+        prods = [sum(a * c for a, c in zip(n, d)) for n in K.normals]
+        return all(p > 0 if strict else p >= 0 for p in prods)
+
+    def minus(p, q):
+        return tuple(a - b for a, b in zip(p, q))
+
+    gu, gv = U.generators.points, V.generators.points
+    if U.orient is Orient.SUP and V.orient is Orient.SUP:
+        return all(any(inside(minus(v, u)) for v in gv) for u in gu)
+    if U.orient is Orient.SUP:
+        return not any(inside(minus(u, v), strict=True) for u in gu for v in gv)
+    rank = mat_rank(K.normals)
+    if V.orient is Orient.INF or rank == 1:
+        return all(any(inside(minus(v, u)) for u in gu) for v in gv)
+    return False if rank == K.dim else None
+
+
+@pytest.mark.parametrize("name", sorted(CORE_CONES))
+def test_set_preceq_matches_the_pairwise_reference(name):
+    K = CORE_CONES[name]
+    sets = _random_sets(K.dim, 6, seed=11)
+    fronts = [wsup_finite(M, K) for M in sets] + [winf_finite(M, K) for M in sets]
+    for U in fronts:
+        for V in fronts:
+            expected = _preceq_reference(U, V, K)
+            if expected is None:
+                with pytest.raises(NotImplementedError):
+                    set_preceq(U, V)
+            else:
+                assert set_preceq(U, V) is expected, (U, V)
+
+
+@pytest.mark.parametrize("name", sorted(CORE_CONES))
+def test_single_point_queries_agree_with_the_bulk_labels(name):
+    K = CORE_CONES[name]
+    for M in _random_sets(K.dim, 3, seed=5):
+        grid = _grid(K.dim, M)[::7]
+        assert [classify_against(M, K, y) for y in grid] == classify_many(M, K, grid)
+        for S in (wsup_finite(M, K), winf_finite(M, K)):
+            assert [S.classify(y) for y in grid] == S.classify_many(grid)
