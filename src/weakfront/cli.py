@@ -34,7 +34,20 @@ from .instances import (
 )
 from .numeric import decode_mat, decode_number, decode_vec, encode_mat, encode_vec
 from .order_sets import Tag, wsup_finite
-from .suites import SUITE_NAMES, report_text, run_suite
+
+# The verify suites, named here so that parsing the command line does not
+# import weakfront.suites, which loads numpy.
+SUITE_NAMES = (
+    "decomposition",
+    "wsum",
+    "psi",
+    "basic-lemmas",
+    "representation",
+    "farkas",
+    "weak-duality",
+    "strong-duality",
+    "scalar-regression",
+)
 
 
 def _parse_operator(text: str, rows: int, cols: int, what: str) -> LinOp:
@@ -166,6 +179,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import report_text, run_suite  # loads numpy: verify only
+
     report = run_suite(
         args.suite, seed=args.seed, trials=args.trials, jobs=args.jobs
     )
@@ -176,8 +191,20 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _number(text: str):
-    return decode_number(text)
+def _box(text: str):
+    """A grid half-width flag: a nonnegative number."""
+    box = decode_number(text)
+    if box < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return box
+
+
+def _step(text: str):
+    """A grid spacing flag: a positive number."""
+    step = decode_number(text)
+    if step <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return step
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -191,21 +218,21 @@ def _parser() -> argparse.ArgumentParser:
     def add_budget(p):
         p.add_argument(
             "--box",
-            type=_number,
+            type=_box,
             default=1,
             metavar="B",
             help="half-width of the positive-operator entry grid (default 1)",
         )
         p.add_argument(
             "--step",
-            type=_number,
+            type=_step,
             default=1,
             metavar="S",
             help="spacing of the positive-operator entry grid (default 1)",
         )
         p.add_argument(
             "--l-box",
-            type=_number,
+            type=_box,
             default=0,
             metavar="B",
             help="half-width of the split-operator entry grid "
@@ -213,7 +240,7 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--l-step",
-            type=_number,
+            type=_step,
             default=1,
             metavar="S",
             help="spacing of the split-operator entry grid (default 1)",

@@ -10,15 +10,23 @@ three layered inequality conditions (index 1: a positive operator T; index
 
 One generator, :func:`certificates`, enumerates a budget for all three
 indices; the certificate search takes its first qualifying item and the
-dual values fold over all of them.  It memoises the conjugate blocks that
-certificates share for the length of one call only, so nothing is cached
-between calls.  :func:`beta_value_set` rebuilds one certificate's value set
-from scratch and is what verification and conversion use.
+dual values fold over all of them.  It runs every block on the instance's
+integer tables (:class:`FacetTables`, derived once per instance): a block's
+cloud is an integer product in facet coordinates, its maxima are the
+generators, and ``Fraction`` points are built for those survivors alone.
+The blocks that certificates share are memoised for the length of one call
+only, so nothing but the instance's own tables is kept between calls.
+:func:`beta_value_set` is the independent rebuild: it recomputes one
+certificate's value set from the ``Fraction`` data with :func:`conjugate`
+and ``ws_sum``, without the tables, and is what verification and
+conversion use.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cones import (
@@ -31,7 +39,7 @@ from .cones import (
     sample_linops,
     sample_positive_operators,
 )
-from .numeric import Number, Vec, dot, vec_scale, vec_sub, vec_add
+from .numeric import Number, Vec, dot, mat_rank, mat_vec, vec_scale, vec_sub, vec_add
 from .order_sets import (
     FiniteVecSet,
     GenSet,
@@ -42,6 +50,7 @@ from .order_sets import (
     ws_sum,
     wsup_finite,
 )
+from .staircase2d import maxima
 
 
 class SampledMap:
@@ -286,7 +295,8 @@ class SearchConfig:
     operator, then full grids (box 0 means "zero only").
 
     ``t_box``/``t_step`` control the positive-operator grid, ``l_box``/
-    ``l_step`` the splitting-operator grids.
+    ``l_step`` the splitting-operator grids.  A negative box or a step that
+    is not positive is refused here, before any hint is tried.
     """
 
     __slots__ = ("t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L")
@@ -300,6 +310,12 @@ class SearchConfig:
         hints_T: Sequence[LinOp] = (),
         hints_L: Sequence[LinOp] = (),
     ):
+        for name, box in (("t_box", t_box), ("l_box", l_box)):
+            if box < 0:
+                raise ValueError(f"{name} must be nonnegative, got {box}")
+        for name, step in (("t_step", t_step), ("l_step", l_step)):
+            if step <= 0:
+                raise ValueError(f"{name} must be positive, got {step}")
         object.__setattr__(self, "t_box", t_box)
         object.__setattr__(self, "t_step", t_step)
         object.__setattr__(self, "l_box", l_box)
@@ -439,6 +455,134 @@ def beta_value_set(
     raise ValueError("index must be 1, 2 or 3")
 
 
+def _scaled(v: Sequence[Number], den: int) -> tuple:
+    """The integer vector den·v (den a multiple of every denominator)."""
+    return tuple(c.numerator * (den // c.denominator) for c in v)
+
+
+def rescale(coords: list, f: int) -> list:
+    """Integer coordinates multiplied by f, to bring them to a larger scale."""
+    return coords if f == 1 else [tuple(f * c for c in q) for q in coords]
+
+
+class FacetTables:
+    """An instance's data in the integer facet coordinates of K, for
+    :func:`certificates`.
+
+    Rows are the samples X = dom F ∪ dom G in ascending order.  With N the
+    integer normal matrix of K and D one common denominator of all the
+    data, ``xs`` holds D·x, ``nf`` N·(D·F(x)) and ``gs`` D·G(x) (None off
+    dom F, dom G); ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
+    dom F, dom G, C and C ∩ dom F.  A frontier is a triple (scale, coords,
+    points): the maximal facet coordinates, all scaled by ``scale`` and so
+    integers, and the ``Fraction`` generators they belong to, computed from
+    the original data for the survivors alone.
+    """
+
+    __slots__ = (
+        "K", "pointed", "x", "fv", "gv", "xs", "nf", "gs",
+        "den", "dom_f", "dom_g", "c", "c_f",
+    )
+
+    def __init__(self, P):
+        N = P.K.basis.normals
+        self.K = P.K
+        self.pointed = mat_rank(N) == P.K.dim  # equal coordinates, equal points
+        self.x = sorted(set(P.F.domain()) | set(P.G.domain()))
+        self.fv = [P.F.value(x) for x in self.x]
+        self.gv = [P.G.value(x) for x in self.x]
+        den = self.den = math.lcm(
+            *(
+                c.denominator
+                for col in (self.x, self.fv, self.gv)
+                for v in col
+                if v is not None
+                for c in v
+            )
+        )
+        self.xs = [_scaled(x, den) for x in self.x]
+        self.nf = [
+            None if v is None else mat_vec(N, _scaled(v, den)) for v in self.fv
+        ]
+        self.gs = [None if v is None else _scaled(v, den) for v in self.gv]
+        in_c = set(P.C)
+        rows = range(len(self.x))
+        self.dom_f = [i for i in rows if self.fv[i] is not None]
+        self.dom_g = [i for i in rows if self.gv[i] is not None]
+        self.c = [i for i in rows if self.x[i] in in_c]
+        self.c_f = [i for i in self.c if self.fv[i] is not None]
+
+    def _facet_op(self, op: LinOp, d: int) -> tuple:
+        """The integer matrix N·(d·op)."""
+        cols = list(zip(*(_scaled(row, d) for row in op.entries)))
+        return tuple(
+            tuple(sum(map(mul, a, col)) for col in cols)
+            for a in self.K.basis.normals
+        )
+
+    def _front(self, scale: int, coords: list, point) -> tuple:
+        """The frontier of the cloud ``coords``; ``point(j)`` builds the j-th
+        cloud point, for the survivors only.  Under a cone with lineality,
+        points with equal coordinates differ, and each such class keeps its
+        lex-smallest point."""
+        kept = maxima(coords)
+        if self.pointed:
+            return scale, [coords[i] for i in kept], [point(i) for i in kept]
+        classes = {coords[i]: [] for i in kept}
+        for j, q in enumerate(coords):
+            if q in classes:
+                classes[q].append(j)
+        points = [min(map(point, js)) for js in classes.values()]
+        return scale, list(classes), points
+
+    def conjugate(
+        self, rows: list, R: LinOp, T: Optional[PosOp] = None, f: bool = False
+    ) -> tuple:
+        """The frontier of {R(x) - F(x) - T(G(x)) : x in rows}, with the F
+        term only when ``f`` and the T term only when T is given: its cloud
+        is (N·R)·X - N·F - (N·T)·G at the scale D·d, d the operators'
+        common denominator."""
+        ops = R.entries + (T.op.entries if T is not None else ())
+        d = math.lcm(*(c.denominator for row in ops for c in row))
+        NR = self._facet_op(R, d)
+        NT = self._facet_op(T.op, d) if T is not None else None
+        xs, nf, gs = self.xs, self.nf, self.gs
+        coords = []
+        for i in rows:
+            q = [sum(map(mul, a, xs[i])) for a in NR]
+            if f:
+                q = [c - d * b for c, b in zip(q, nf[i])]
+            if NT is not None:
+                g = gs[i]
+                q = [c - sum(map(mul, a, g)) for c, a in zip(q, NT)]
+            coords.append(tuple(q))
+
+        def point(j):
+            i = rows[j]
+            v = R.apply(self.x[i])
+            if f:
+                v = vec_sub(v, self.fv[i])
+            if T is not None:
+                v = vec_sub(v, T.apply(self.gv[i]))
+            return v
+
+        return self._front(self.den * d, coords, point)
+
+    def sum(self, A: tuple, B: tuple) -> tuple:
+        """The frontier of the WS-sum of frontiers A and B: the maxima of the
+        pairwise sums of their coordinates, at the lcm of their scales."""
+        (sa, qa, pa), (sb, qb, pb) = A, B
+        s = math.lcm(sa, sb)
+        qa, qb = rescale(qa, s // sa), rescale(qb, s // sb)
+        coords = [tuple(map(add, u, v)) for u in qa for v in qb]
+        n = len(qb)
+        return self._front(s, coords, lambda j: vec_add(pa[j // n], pb[j % n]))
+
+    def genset(self, front: tuple) -> GenSet:
+        """A frontier as a SUP GenSet."""
+        return GenSet(Tag.FINITE, Orient.SUP, FiniteVecSet(front[2]), self.K)
+
+
 _END = object()
 
 
@@ -472,57 +616,65 @@ def certificates(
     each carrying the value set :func:`beta_value_set` would rebuild for it.
 
     Order: L' outer, L'' middle, T inner, each budget in its own order
-    (hints, zero, ascending grid).  Blocks shared between certificates are
-    computed once per call and dropped with the generator: T∘G per T, F*(L')
-    per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per (L', L''), and
+    (hints, zero, ascending grid).  The value sets come from the instance's
+    integer tables, with ``Fraction`` points built only for the surviving
+    generators (see :func:`certificate_fronts`); :func:`beta_value_set` is
+    the independent ``Fraction`` rebuild that checks them.
+    """
+    for cert, _ in certificate_fronts(index, P, L, cfg):
+        yield cert
+
+
+def certificate_fronts(
+    index: int, P, L: LinOp, cfg: SearchConfig
+) -> Iterator[Tuple[Certificate, tuple]]:
+    """The certificates of :func:`certificates`, each with its value set as
+    a :class:`FacetTables` frontier (scale, coords, points).
+
+    Every block runs on the instance's integer tables; ``Fraction`` points
+    are built only for the generators that survive.  Blocks shared between
+    certificates are computed once per call and dropped with the generator:
+    F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per (L', L''), and
     (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items drawn by the first
     pass are replayed by the later ones.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
     K = P.K
+    tab = P.tables
     Ts = _Replay(cfg.posop_budget(P.S, K))
     if index == 1:
-        F_C = P.F.restrict(P.C)
         for T in Ts:
-            core = F_C.add(compose(T, P.G).restrict(P.C))
-            yield Certificate(1, T, value_set=conjugate(core, L, K))
+            W = tab.conjugate(tab.c_f, L, T, f=True)
+            yield Certificate(1, T, value_set=tab.genset(W)), W
         return
     if index == 2:
-        blocks = {}  # T -> (T∘G restricted to C)
         for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
-            f_star = conjugate(P.F, Lp, K)
+            f_star = tab.conjugate(tab.dom_f, Lp, f=True)
             rest = L - Lp
             for T in Ts:
-                block = blocks.get(T.op.entries)
-                if block is None:
-                    block = blocks[T.op.entries] = compose(T, P.G).restrict(P.C)
-                W = ws_sum(f_star, conjugate(block, rest, K))
-                yield Certificate(2, T, Lp=Lp, value_set=W)
+                W = tab.sum(f_star, tab.conjugate(tab.c, rest, T))
+                yield Certificate(2, T, Lp=Lp, value_set=tab.genset(W)), W
         return
     Ls = _Replay(cfg.linop_budget(K.dim, P.F.in_dim))
-    ind_c = SampledMap.indicator(P.C, K.dim)
-    composed = {}  # T -> T∘G
     ind_stars = {}  # L'' -> I_C*(L'')
     tg_stars = {}  # (T, L - L' - L'') -> (T∘G)*(L - L' - L'')
     for Lp in Ls:
-        f_star = conjugate(P.F, Lp, K)
+        f_star = tab.conjugate(tab.dom_f, Lp, f=True)
         for Lpp in Ls:
             ind_star = ind_stars.get(Lpp.entries)
             if ind_star is None:
-                ind_star = ind_stars[Lpp.entries] = conjugate(ind_c, Lpp, K)
-            first = ws_sum(f_star, ind_star)
+                ind_star = ind_stars[Lpp.entries] = tab.conjugate(tab.c, Lpp)
+            first = tab.sum(f_star, ind_star)
             rest = L - Lp - Lpp
             for T in Ts:
                 key = (T.op.entries, rest.entries)
                 tg_star = tg_stars.get(key)
                 if tg_star is None:
-                    TG = composed.get(T.op.entries)
-                    if TG is None:
-                        TG = composed[T.op.entries] = compose(T, P.G)
-                    tg_star = tg_stars[key] = conjugate(TG, rest, K)
-                W = ws_sum(first, tg_star)
-                yield Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=W)
+                    tg_star = tg_stars[key] = tab.conjugate(tab.dom_g, rest, T)
+                W = tab.sum(first, tg_star)
+                cert = Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=tab.genset(W))
+                yield cert, W
 
 
 def script_A_membership(

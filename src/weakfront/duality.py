@@ -22,6 +22,7 @@ dominance test in facet coordinates).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
@@ -36,7 +37,14 @@ from .order_sets import (
     winf_finite,
 )
 from .staircase2d import maxima
-from .conjugate import Certificate, SampledMap, SearchConfig, certificates
+from .conjugate import (
+    Certificate,
+    FacetTables,
+    SampledMap,
+    SearchConfig,
+    certificate_fronts,
+    rescale,
+)
 from .farkas import (
     EmptyFeasibleSet,
     HardFailure,
@@ -56,7 +64,7 @@ class ProblemInstance:
     interior-feasible Slater point); they gate how dual gaps are reported.
     """
 
-    __slots__ = ("F", "G", "C", "K", "S", "hints_T", "hints_L", "flags")
+    __slots__ = ("F", "G", "C", "K", "S", "hints_T", "hints_L", "flags", "_tables")
 
     def __init__(
         self,
@@ -102,6 +110,16 @@ class ProblemInstance:
 
     def __setattr__(self, name, value):
         raise AttributeError("ProblemInstance is immutable")
+
+    @property
+    def tables(self) -> FacetTables:
+        """The data in integer facet coordinates, derived on first use and
+        kept."""
+        try:
+            return self._tables
+        except AttributeError:
+            object.__setattr__(self, "_tables", FacetTables(self))
+            return self._tables
 
     @property
     def n(self) -> int:
@@ -241,9 +259,10 @@ def dual_value(
     Each certificate guarantees every value on (and weakly below) the
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
-    intersection of the upward regions.  The merge runs in facet
-    coordinates: the componentwise maxima of pairs of current and piece
-    generators, then their minima; the result is mapped back once.  A
+    intersection of the upward regions.  The merge runs on the integer
+    facet coordinates the enumerator computed, brought to one common scale:
+    the componentwise maxima of pairs of current and piece generators, then
+    their minima; the result is mapped back once.  A
     certificate whose upward region already contains every current
     generator is skipped, since the merge would return the current
     generators.  Each generator of the result lies on some certificate's
@@ -263,28 +282,34 @@ def dual_value(
             "independent normals)"
         )
     index = int(which[-1])
-    pieces: List[Tuple[Certificate, GenSet]] = []
-    current: Optional[list] = None
-    for cert in certificates(index, P, L, cfg):
-        piece = cert.value_set.negate()  # INF frontier of guaranteed values
-        pieces.append((cert, piece))
-        piece_q = [basis.to_quad(v) for v in piece.generators.points]
+    certs: List[Certificate] = []
+    scale, current = 1, None
+    for cert, (s, coords, _) in certificate_fronts(index, P, L, cfg):
+        certs.append(cert)
+        piece_q = [vec_neg(q) for q in coords]  # the INF frontier -W
         if current is None:
-            current = piece_q
-        elif not _covers(piece_q, current):
+            scale, current = s, piece_q
+            continue
+        common = math.lcm(scale, s)
+        current, scale = rescale(current, common // scale), common
+        piece_q = rescale(piece_q, common // s)
+        if not _covers(piece_q, current):
             joined = [tuple(map(max, u, v)) for u in current for v in piece_q]
             current = [joined[i] for i in maxima([vec_neg(q) for q in joined])]
     if current is None:
         raise ValueError("empty certificate budget")
-    attained = FiniteVecSet(basis.from_quad(q) for q in current)
+    attained = FiniteVecSet(
+        tuple(c / scale for c in basis.from_quad(q)) for q in current
+    )
     frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
     stored = []
     for h in attained.points:
+        # h is on the frontier of -W exactly when -h is on that of W
         owner = next(
             (
                 c
-                for c, piece in pieces
-                if piece.classify(h) is RegionLabel.FRONTIER
+                for c in certs
+                if c.value_set.classify(vec_neg(h)) is RegionLabel.FRONTIER
             ),
             None,
         )

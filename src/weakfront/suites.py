@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import traceback
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Optional
 
+from .cli import SUITE_NAMES
 from .cones import LinOp
 from .conjugate import (
     ExtEpiElement,
@@ -76,18 +79,6 @@ from .randgen import (
     rand_linop,
     rand_sampled_map,
     trial_rng,
-)
-
-SUITE_NAMES = (
-    "decomposition",
-    "wsum",
-    "psi",
-    "basic-lemmas",
-    "representation",
-    "farkas",
-    "weak-duality",
-    "strong-duality",
-    "scalar-regression",
 )
 
 # Random-unit counts; suites made of fixed shipped units ignore --trials.
@@ -782,6 +773,9 @@ def _unit_list(suite: str, seed: int, trials: int) -> list:
     raise ValueError(f"unknown suite {suite!r}")
 
 
+_CRASH_FRAMES = 3  # innermost traceback frames a crash row names
+
+
 def _run_unit(args) -> dict:
     kind, seed, idx = args
     try:
@@ -797,7 +791,13 @@ def _run_unit(args) -> dict:
             "checks": 1,
             "failures": [{"unit": kind, "index": idx, "detail": detail}],
         }
-    except Exception as e:  # pragma: no cover - diagnostics for broken units
+    except Exception as e:
+        # file names without their directories, so reports are the same on
+        # every machine and for every worker count
+        where = " > ".join(
+            f"{Path(f.filename).stem}:{f.lineno} {f.name}"
+            for f in traceback.extract_tb(e.__traceback__)[-_CRASH_FRAMES:]
+        )
         return {
             "unit": kind,
             "index": idx,
@@ -806,7 +806,7 @@ def _run_unit(args) -> dict:
                 {
                     "unit": kind,
                     "index": idx,
-                    "detail": f"unit crashed: {type(e).__name__}: {e}",
+                    "detail": f"unit crashed: {type(e).__name__}: {e} at {where}",
                 }
             ],
         }

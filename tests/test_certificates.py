@@ -2,6 +2,7 @@
 checked against a written-out reference: the budget's three nested loops,
 the from-scratch ``beta_value_set``, and a join fold that prunes nothing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from weakfront import duality
 from weakfront.cones import Cone, LinOp
 from weakfront.conjugate import (
     SampledMap,
+    SearchConfig,
     beta_value_set,
     certificates,
     script_A_membership,
@@ -17,14 +19,58 @@ from weakfront.conjugate import (
 from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
 from weakfront.instances import shipped_instance
 from weakfront.order_sets import FiniteVecSet, RegionLabel, winf_finite
+from weakfront.randgen import rand_halfplane, rand_instance, rand_linop
 from weakfront.staircase2d import RayBasis
 
-INSTANCES = {name: shipped_instance(name) for name in ("E1", "E2", "gap_toy")}
+
+def _orthant3_instance():
+    """A problem whose values are ordered by the orthant of R^3: four
+    sample points, three of them feasible, with values no two of which
+    are comparable."""
+    dom = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),), (Fraction(2),)]
+    values = [(2, 0, 1), (1, 1, Fraction(1, 2)), (0, 2, 1), (0, 0, 0)]
+    F = SampledMap([(x, tuple(map(Fraction, v))) for x, v in zip(dom, values)])
+    G = SampledMap([(x, (x[0] - 1,)) for x in dom])
+    return ProblemInstance(F=F, G=G, C=dom, K=Cone.orthant(3), S=Cone.orthant(1))
+
+
+HALFPLANE = rand_halfplane(random.Random(1))  # normal (-2, 1), lineality (1, 2)
+
+
+def _halfplane_instance():
+    """A problem ordered by a half-plane.  The first two samples have equal
+    G values and F values that differ by the lineality direction (1, 2), so
+    their conjugate cloud points at L = 0 share facet coordinates, and the
+    lex-smaller one comes from the later sample.  F and G have different
+    domains, so C ∩ dom F is smaller than C."""
+    xs = [(Fraction(v),) for v in range(6)]
+    values = [(0, 0), (1, 2), (0, 1), None, None, (-5, -5)]
+    F = SampledMap(
+        [(x, tuple(map(Fraction, v))) for x, v in zip(xs, values) if v is not None]
+    )
+    dom_g = xs[:4]
+    G = SampledMap([(x, (Fraction(-1),)) for x in dom_g])
+    return ProblemInstance(F=F, G=G, C=dom_g, K=HALFPLANE, S=Cone.orthant(1))
+
+
+INSTANCES = {
+    **{
+        name: shipped_instance(name)
+        for name in ("E1", "E2", "E3", "E4", "E5", "gap_toy")
+    },
+    "orthant3": _orthant3_instance(),
+    "halfplane": _halfplane_instance(),
+}
 BUDGETS = {"default": {}, "l_box=1": {"l_box": 1}}
 CASES = [
     (name, budget, index)
-    for name in INSTANCES
+    for name in ("E1", "E2", "gap_toy")
     for budget in BUDGETS
+    for index in (1, 2, 3)
+]
+ENUMERATOR_CASES = CASES + [
+    (name, "default", index)
+    for name in ("E3", "E4", "E5", "orthant3", "halfplane")
     for index in (1, 2, 3)
 ]
 
@@ -88,18 +134,51 @@ def _unpruned_dual(P, L, reference):
     return current, owners
 
 
-@pytest.mark.parametrize("name,budget,index", CASES)
+def _check_enumerator(index, P, L, cfg):
+    reference = _reference(index, P, L, cfg)
+    got = list(certificates(index, P, L, cfg))
+    assert [(c.T.op, c.Lp, c.Lpp) for c in got] == [
+        (T.op, Lp, Lpp) for (T, Lp, Lpp), _ in reference
+    ]
+    assert all(c.index == index for c in got)
+    assert [c.value_set for c in got] == [W for _, W in reference]
+
+
+@pytest.mark.parametrize("name,budget,index", ENUMERATOR_CASES)
 def test_enumerator_matches_the_nested_loops_and_beta_value_set(name, budget, index):
     P = INSTANCES[name]
     cfg = P.search_config(**BUDGETS[budget])
     for L in _perturbations(P):
-        reference = _reference(index, P, L, cfg)
-        got = list(certificates(index, P, L, cfg))
-        assert [(c.T.op, c.Lp, c.Lpp) for c in got] == [
-            (T.op, Lp, Lpp) for (T, Lp, Lpp), _ in reference
-        ]
-        assert all(c.index == index for c in got)
-        assert [c.value_set for c in got] == [W for _, W in reference]
+        _check_enumerator(index, P, L, cfg)
+
+
+def test_halfplane_ties_keep_the_lex_smallest_point():
+    P = INSTANCES["halfplane"]
+    cloud = [tuple(-c for c in v) for _, v in P.F.samples]  # F*(0)'s cloud
+    quads = [P.K.basis.to_quad(v) for v in cloud]
+    assert quads[0] == quads[1] and cloud[1] < cloud[0]
+    cert = next(certificates(2, P, LinOp.zero(P.m, P.n), P.search_config()))
+    assert cert.Lp == LinOp.zero(P.m, P.n) and cert.T.op == LinOp.zero(2, 1)
+    assert cert.value_set.generators.points == (cloud[1],)
+
+
+def _rand_fraction_linop(rng, rows, cols, den):
+    entries = rand_linop(rng, rows, cols).entries
+    return LinOp(tuple(tuple(c / den for c in row) for row in entries))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_enumerator_on_random_instances(seed):
+    """Random instances with a perturbation in halves and split hints H and
+    -H in thirds, so blocks of different scales are summed, in either
+    order: at (L', L'') = (H, -H) the T∘G block has the smaller scale."""
+    rng = random.Random(seed)
+    P = rand_instance(rng)
+    H = _rand_fraction_linop(rng, P.m, P.n, 3)
+    cfg = SearchConfig(hints_L=(H, -H))
+    L = _rand_fraction_linop(rng, P.m, P.n, 2)
+    for index in (1, 2, 3):
+        _check_enumerator(index, P, L, cfg)
 
 
 @pytest.mark.parametrize("name,budget,index", CASES)
@@ -148,18 +227,7 @@ def test_dual_value_equals_the_unpruned_fold(monkeypatch):
     assert len(merges) < folded / 2
 
 
-def _orthant3_instance():
-    """A problem whose values are ordered by the orthant of R^3: four
-    sample points, three of them feasible, with values no two of which
-    are comparable."""
-    dom = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),), (Fraction(2),)]
-    values = [(2, 0, 1), (1, 1, Fraction(1, 2)), (0, 2, 1), (0, 0, 0)]
-    F = SampledMap([(x, tuple(map(Fraction, v))) for x, v in zip(dom, values)])
-    G = SampledMap([(x, (x[0] - 1,)) for x in dom])
-    return ProblemInstance(F=F, G=G, C=dom, K=Cone.orthant(3), S=Cone.orthant(1))
-
-
-ORTHANT3 = _orthant3_instance()
+ORTHANT3 = INSTANCES["orthant3"]
 ORTHANT3_CASES = [
     ("default", 1),
     ("default", 2),

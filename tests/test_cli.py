@@ -164,6 +164,57 @@ def test_verify_refuses_negative_trials_and_fewer_than_one_job(capsys, flags, me
     assert err == f"input error: {message}\n"
 
 
+BAD_BUDGETS = [
+    (["--box", "-1"], "argument --box: must be nonnegative, got -1"),
+    (["--step", "0"], "argument --step: must be positive, got 0"),
+    (["--l-box", "-1"], "argument --l-box: must be nonnegative, got -1"),
+    (["--l-box", "1", "--l-step", "0"], "argument --l-step: must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,message", BAD_BUDGETS, ids=["box-1", "step0", "l-box-1", "l-step0"]
+)
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["farkas", "--index", "3", "--y", "[100]"],  # found: a hint qualifies
+        ["farkas", "--index", "3", "--y", "[-100]"],  # not found
+        ["dual"],
+    ],
+    ids=["farkas-found", "farkas-not-found", "dual"],
+)
+def test_malformed_budgets_are_refused_naming_the_flag(
+    capsys, e1, query, flags, message
+):
+    rc, out, err = run(capsys, [query[0], e1, *query[1:], *flags])
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    code = "import sys, weakfront.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_verify_keeps_its_suite_choices(capsys):
+    from weakfront.cli import SUITE_NAMES
+    from weakfront.suites import DEFAULT_TRIALS
+
+    assert set(SUITE_NAMES) == set(DEFAULT_TRIALS)
+    rc, out, err = run(capsys, ["verify", "nope"])
+    assert (rc, out) == (2, "")
+    assert err.endswith(
+        "error: argument suite: invalid choice: 'nope' (choose from "
+        + ", ".join(repr(n) for n in SUITE_NAMES)
+        + ")\n"
+    )
+
+
 def test_error_paths_are_distinct_and_exit_two(capsys, tmp_path, e1):
     rc, _, err = run(capsys, ["dual", str(tmp_path / "missing.json")])
     assert rc == 2 and "input error" in err and "cannot read" in err

@@ -198,6 +198,20 @@ def test_search_config_puts_hints_before_the_grid():
     assert [T.op for T in lean.posop_budget(O1, O1)] == [hint, LinOp.zero(1, 1)]
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("t_box", -1, "t_box must be nonnegative, got -1"),
+        ("l_box", Fraction(-1, 2), "l_box must be nonnegative, got -1/2"),
+        ("t_step", 0, "t_step must be positive, got 0"),
+        ("l_step", -1, "l_step must be positive, got -1"),
+    ],
+)
+def test_search_config_refuses_malformed_budgets(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**{field: value})
+
+
 def test_linop_budget_dedups_hints():
     hint = LinOp.zero(1, 1)
     cfg = SearchConfig(l_box=0, hints_L=(hint, hint))
