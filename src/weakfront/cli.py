@@ -191,9 +191,16 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _budget_number(text: str):
+    try:
+        return decode_number(text)
+    except ValueError as e:  # argparse would name the type function instead
+        raise argparse.ArgumentTypeError(str(e)) from e
+
+
 def _box(text: str):
     """A grid half-width flag: a nonnegative number."""
-    box = decode_number(text)
+    box = _budget_number(text)
     if box < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return box
@@ -201,10 +208,29 @@ def _box(text: str):
 
 def _step(text: str):
     """A grid spacing flag: a positive number."""
-    step = decode_number(text)
+    step = _budget_number(text)
     if step <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return step
+
+
+_BUDGET_FLAGS = ("--box", "--step", "--l-box", "--l-step")
+
+
+def _attach_negative_budgets(argv: Sequence[str]) -> list:
+    """argparse reads a token such as ``-1/2`` as an option rather than a
+    value, so a budget flag (or an abbreviation of one) followed by a token
+    with one leading dash is passed on as ``--step=-1/2``, which reaches
+    the flag's own check."""
+    out: list = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        budget = len(flag) > 2 and any(f.startswith(flag) for f in _BUDGET_FLAGS)
+        if budget and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -305,7 +331,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_attach_negative_budgets(argv))
     try:
         return args.func(args)
     except HardFailure as e:

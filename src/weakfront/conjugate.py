@@ -611,28 +611,16 @@ class _Replay:
 
 def certificates(
     index: int, P, L: LinOp, cfg: SearchConfig
-) -> Iterator[Certificate]:
+) -> Iterator[Tuple[Certificate, tuple]]:
     """Every budget certificate of condition ``index`` at the perturbation L,
-    each carrying the value set :func:`beta_value_set` would rebuild for it.
+    each with its value set as a :class:`FacetTables` frontier (scale,
+    coords, points).  The certificate's ``value_set`` holds the same points.
 
     Order: L' outer, L'' middle, T inner, each budget in its own order
-    (hints, zero, ascending grid).  The value sets come from the instance's
-    integer tables, with ``Fraction`` points built only for the surviving
-    generators (see :func:`certificate_fronts`); :func:`beta_value_set` is
-    the independent ``Fraction`` rebuild that checks them.
-    """
-    for cert, _ in certificate_fronts(index, P, L, cfg):
-        yield cert
-
-
-def certificate_fronts(
-    index: int, P, L: LinOp, cfg: SearchConfig
-) -> Iterator[Tuple[Certificate, tuple]]:
-    """The certificates of :func:`certificates`, each with its value set as
-    a :class:`FacetTables` frontier (scale, coords, points).
-
-    Every block runs on the instance's integer tables; ``Fraction`` points
-    are built only for the generators that survive.  Blocks shared between
+    (hints, zero, ascending grid).  Every block runs on the instance's
+    integer tables; ``Fraction`` points are built only for the generators
+    that survive, and :func:`beta_value_set` is the independent
+    ``Fraction`` rebuild that checks them.  Blocks shared between
     certificates are computed once per call and dropped with the generator:
     F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per (L', L''), and
     (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items drawn by the first
@@ -693,7 +681,7 @@ def script_A_membership(
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("script_A_membership: dimensions disagree")
-    for cert in certificates(i, P, L, cfg):
+    for cert, _ in certificates(i, P, L, cfg):
         if cert.value_set.classify(y) is not RegionLabel.LOWER:
             return cert
     return None

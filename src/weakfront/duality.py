@@ -42,7 +42,7 @@ from .conjugate import (
     FacetTables,
     SampledMap,
     SearchConfig,
-    certificate_fronts,
+    certificates,
     rescale,
 )
 from .farkas import (
@@ -284,7 +284,7 @@ def dual_value(
     index = int(which[-1])
     certs: List[Certificate] = []
     scale, current = 1, None
-    for cert, (s, coords, _) in certificate_fronts(index, P, L, cfg):
+    for cert, (s, coords, _) in certificates(index, P, L, cfg):
         certs.append(cert)
         piece_q = [vec_neg(q) for q in coords]  # the INF frontier -W
         if current is None:

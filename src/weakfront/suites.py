@@ -49,7 +49,7 @@ from .farkas import (
     convert_certificate,
     verify_certificate,
 )
-from .instances import CONVEX_SHIPPED, build_linear_pair, shipped_instance
+from .instances import CONVEX_SHIPPED, shipped_instance, shipped_pair
 from .numeric import encode_mat, encode_number, encode_vec, vec_add, vec_sub
 from .oracle import (
     brute_beta,
@@ -305,7 +305,7 @@ def _u_basic_rand(seed: int, idx: int) -> dict:
 
 def _u_basic_pair(seed: int, idx: int) -> dict:
     col = _Collector("basic-lemmas-pair", idx)
-    pair = build_linear_pair(idx)
+    pair = shipped_pair(idx)
     K = pair.K
     Fsum = pair.summed()
     A1 = pair.hints_L[0]

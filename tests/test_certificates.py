@@ -137,11 +137,16 @@ def _unpruned_dual(P, L, reference):
 def _check_enumerator(index, P, L, cfg):
     reference = _reference(index, P, L, cfg)
     got = list(certificates(index, P, L, cfg))
-    assert [(c.T.op, c.Lp, c.Lpp) for c in got] == [
+    assert [(c.T.op, c.Lp, c.Lpp) for c, _ in got] == [
         (T.op, Lp, Lpp) for (T, Lp, Lpp), _ in reference
     ]
-    assert all(c.index == index for c in got)
-    assert [c.value_set for c in got] == [W for _, W in reference]
+    assert all(c.index == index for c, _ in got)
+    assert [c.value_set for c, _ in got] == [W for _, W in reference]
+    # the front lists the same generators, in maxima order, each once
+    assert all(
+        sorted(points) == list(c.value_set.generators.points)
+        for c, (_, _, points) in got
+    )
 
 
 @pytest.mark.parametrize("name,budget,index", ENUMERATOR_CASES)
@@ -157,7 +162,7 @@ def test_halfplane_ties_keep_the_lex_smallest_point():
     cloud = [tuple(-c for c in v) for _, v in P.F.samples]  # F*(0)'s cloud
     quads = [P.K.basis.to_quad(v) for v in cloud]
     assert quads[0] == quads[1] and cloud[1] < cloud[0]
-    cert = next(certificates(2, P, LinOp.zero(P.m, P.n), P.search_config()))
+    cert, _ = next(certificates(2, P, LinOp.zero(P.m, P.n), P.search_config()))
     assert cert.Lp == LinOp.zero(P.m, P.n) and cert.T.op == LinOp.zero(2, 1)
     assert cert.value_set.generators.points == (cloud[1],)
 

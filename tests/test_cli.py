@@ -169,12 +169,24 @@ BAD_BUDGETS = [
     (["--step", "0"], "argument --step: must be positive, got 0"),
     (["--l-box", "-1"], "argument --l-box: must be nonnegative, got -1"),
     (["--l-box", "1", "--l-step", "0"], "argument --l-step: must be positive, got 0"),
+    # a negative fraction is a value, not an option
+    (["--step", "-1/2"], "argument --step: must be positive, got -1/2"),
+    (["--step=-1/2"], "argument --step: must be positive, got -1/2"),
+    (["--l-box", "-3/4"], "argument --l-box: must be nonnegative, got -3/4"),
+    # decode_number's own message, under the flag's name
+    (["--box", "abc"], "argument --box: bad rational literal 'abc'"),
+    (["--l-step", "1/0"], "argument --l-step: bad rational literal '1/0'"),
+    (["--box", "nan"], "argument --box: bad rational literal 'nan'"),
+    (["--step", "-inf"], "argument --step: bad rational literal '-inf'"),
+    (["--l-s", "-1/2"], "argument --l-step: must be positive, got -1/2"),
+]
+BAD_BUDGET_IDS = [
+    "box-1", "step0", "l-box-1", "l-step0", "step-1/2", "step=-1/2",
+    "l-box-3/4", "box-abc", "l-step-1/0", "box-nan", "step-inf", "l-s-1/2",
 ]
 
 
-@pytest.mark.parametrize(
-    "flags,message", BAD_BUDGETS, ids=["box-1", "step0", "l-box-1", "l-step0"]
-)
+@pytest.mark.parametrize("flags,message", BAD_BUDGETS, ids=BAD_BUDGET_IDS)
 @pytest.mark.parametrize(
     "query",
     [
@@ -190,6 +202,19 @@ def test_malformed_budgets_are_refused_naming_the_flag(
     rc, out, err = run(capsys, [query[0], e1, *query[1:], *flags])
     assert (rc, out) == (2, "")
     assert err.endswith(f"error: {message}\n")
+
+
+def test_the_command_line_reads_a_negative_fraction_as_a_value(e1):
+    argv = ["farkas", e1, "--y", "[1]", "--step", "-1/2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakfront.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "error: argument --step: must be positive, got -1/2\n"
+    )
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -16,7 +16,7 @@ from weakfront.conjugate import (
     split_witness,
     witness_translate,
 )
-from weakfront.instances import build_linear_pair
+from weakfront.instances import shipped_pair
 from weakfront.order_sets import (
     GenSet,
     Orient,
@@ -219,7 +219,7 @@ def test_linop_budget_dedups_hints():
 
 
 def test_split_witness_on_a_linear_pair():
-    pair = build_linear_pair(1)
+    pair = shipped_pair(1)
     K = pair.K
     cfg = SearchConfig(l_box=0, hints_L=pair.hints_L)
     L = pair.hints_L[0]  # the first summand's own matrix: always splittable
