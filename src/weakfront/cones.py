@@ -235,18 +235,11 @@ class PosOp:
     __slots__ = ("op", "domain_cone", "range_cone")
 
     def __init__(self, op: LinOp, domain_cone: Cone, range_cone: Cone):
-        if op.cols != domain_cone.dim or op.rows != range_cone.dim:
-            raise DimensionError(
-                f"operator {op.rows}x{op.cols} does not map "
-                f"dim {domain_cone.dim} to dim {range_cone.dim}"
+        if not is_positive_operator(op, domain_cone, range_cone):
+            raise PositivityError(
+                "operator maps a generator of the domain cone outside the "
+                "range cone"
             )
-        if not domain_cone.generators:
-            raise PositivityError("domain cone has no generators to certify on")
-        for g in domain_cone.generators:
-            if classify_point(range_cone, op.apply(g)) is PointClass.OUTSIDE:
-                raise PositivityError(
-                    f"image of generator {g} falls outside the range cone"
-                )
         self.op = op
         self.domain_cone = domain_cone
         self.range_cone = range_cone
@@ -273,13 +266,14 @@ class PosOp:
 
 
 def is_positive_operator(T: LinOp, S: Cone, K: Cone) -> bool:
-    """True iff T maps every generator of S into K."""
+    """True iff T maps every generator of S into K; a cone S without
+    generators has nothing to certify on and raises PositivityError."""
     if T.cols != S.dim or T.rows != K.dim:
         raise DimensionError(
             f"operator {T.rows}x{T.cols} does not map dim {S.dim} to dim {K.dim}"
         )
     if not S.generators:
-        raise ValueError("cone S has no generators")
+        raise PositivityError("domain cone has no generators to certify on")
     return all(
         classify_point(K, T.apply(g)) is not PointClass.OUTSIDE
         for g in S.generators
@@ -311,13 +305,17 @@ def sample_positive_operators(
     """
     vals = grid_values(box, step)
     shape = (K.dim, S.dim)
+    if not S.generators:
+        raise PositivityError("domain cone has no generators to certify on")
     for flat in itertools.product(vals, repeat=shape[0] * shape[1]):
         entries = tuple(
             flat[i * shape[1] : (i + 1) * shape[1]] for i in range(shape[0])
         )
-        T = LinOp(entries)
-        if is_positive_operator(T, S, K):
-            yield PosOp(T, S, K)
+        try:
+            T = PosOp(LinOp(entries), S, K)
+        except PositivityError:
+            continue
+        yield T
 
 
 def sample_linops(rows: int, cols: int, box: Number, step: Number) -> Iterator[LinOp]:

@@ -12,14 +12,14 @@ One generator, :func:`certificates`, enumerates a budget for all three
 indices; the certificate search takes its first qualifying item and the
 dual values fold over all of them.  It runs every block on the instance's
 integer tables (:class:`FacetTables`, derived once per instance): a block's
-cloud is an integer product in facet coordinates, its maxima are the
-generators, and ``Fraction`` points are built for those survivors alone.
-The blocks that certificates share are memoised for the length of one call
-only, so nothing but the instance's own tables is kept between calls.
-:func:`beta_value_set` is the independent rebuild: it recomputes one
-certificate's value set from the ``Fraction`` data with :func:`conjugate`
-and ``ws_sum``, without the tables, and is what verification and
-conversion use.
+cloud is an integer product in facet coordinates and its maxima are the
+frontier, so the search builds no ``Fraction`` point.  The blocks that
+items share are memoised for the length of one call only, so nothing but
+the instance's own tables is kept between calls.  :func:`beta_value_set`
+recomputes one certificate's value set from the ``Fraction`` data with
+:func:`conjugate` and ``ws_sum``, without the tables; the search calls it
+once, for the certificate it returns, and verification and conversion
+use it too.
 """
 
 from __future__ import annotations
@@ -39,18 +39,19 @@ from .cones import (
     sample_linops,
     sample_positive_operators,
 )
-from .numeric import Number, Vec, dot, mat_rank, mat_vec, vec_scale, vec_sub, vec_add
+from .numeric import (
+    Number, Vec, dot, mat_vec, require_exact, vec_add, vec_scale, vec_sub,
+)
 from .order_sets import (
     FiniteVecSet,
     GenSet,
     Orient,
-    RegionLabel,
     Tag,
     set_preceq,
     ws_sum,
     wsup_finite,
 )
-from .staircase2d import maxima
+from .staircase2d import LOWER, maxima, region_sup
 
 
 class SampledMap:
@@ -455,6 +456,19 @@ def beta_value_set(
     raise ValueError("index must be 1, 2 or 3")
 
 
+def rebuilt_certificate(
+    index: int,
+    P,
+    L: LinOp,
+    T: PosOp,
+    Lp: Optional[LinOp] = None,
+    Lpp: Optional[LinOp] = None,
+) -> Certificate:
+    """The certificate with the given operators, its value set rebuilt from
+    the instance data by :func:`beta_value_set`."""
+    return Certificate(index, T, Lp, Lpp, beta_value_set(index, P, L, T, Lp, Lpp))
+
+
 def _scaled(v: Sequence[Number], den: int) -> tuple:
     """The integer vector den·v (den a multiple of every denominator)."""
     return tuple(c.numerator * (den // c.denominator) for c in v)
@@ -469,71 +483,45 @@ class FacetTables:
     """An instance's data in the integer facet coordinates of K, for
     :func:`certificates`.
 
-    Rows are the samples X = dom F ∪ dom G in ascending order.  With N the
-    integer normal matrix of K and D one common denominator of all the
+    Rows are the samples X = dom F ∪ dom G in ascending order.  With ``N``
+    the integer normal matrix of K and D one common denominator of all the
     data, ``xs`` holds D·x, ``nf`` N·(D·F(x)) and ``gs`` D·G(x) (None off
     dom F, dom G); ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
-    dom F, dom G, C and C ∩ dom F.  A frontier is a triple (scale, coords,
-    points): the maximal facet coordinates, all scaled by ``scale`` and so
-    integers, and the ``Fraction`` generators they belong to, computed from
-    the original data for the survivors alone.
+    dom F, dom G, C and C ∩ dom F.  A frontier is a pair (scale, coords):
+    the maximal facet coordinates of a cloud, all scaled by ``scale`` and so
+    integers, in descending lexicographic order.
     """
 
-    __slots__ = (
-        "K", "pointed", "x", "fv", "gv", "xs", "nf", "gs",
-        "den", "dom_f", "dom_g", "c", "c_f",
-    )
+    __slots__ = ("N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f")
 
     def __init__(self, P):
-        N = P.K.basis.normals
-        self.K = P.K
-        self.pointed = mat_rank(N) == P.K.dim  # equal coordinates, equal points
-        self.x = sorted(set(P.F.domain()) | set(P.G.domain()))
-        self.fv = [P.F.value(x) for x in self.x]
-        self.gv = [P.G.value(x) for x in self.x]
+        N = self.N = P.K.basis.normals
+        x = sorted(set(P.F.domain()) | set(P.G.domain()))
+        fv = [P.F.value(v) for v in x]
+        gv = [P.G.value(v) for v in x]
         den = self.den = math.lcm(
             *(
                 c.denominator
-                for col in (self.x, self.fv, self.gv)
+                for col in (x, fv, gv)
                 for v in col
                 if v is not None
                 for c in v
             )
         )
-        self.xs = [_scaled(x, den) for x in self.x]
-        self.nf = [
-            None if v is None else mat_vec(N, _scaled(v, den)) for v in self.fv
-        ]
-        self.gs = [None if v is None else _scaled(v, den) for v in self.gv]
+        self.xs = [_scaled(v, den) for v in x]
+        self.nf = [None if v is None else mat_vec(N, _scaled(v, den)) for v in fv]
+        self.gs = [None if v is None else _scaled(v, den) for v in gv]
         in_c = set(P.C)
-        rows = range(len(self.x))
-        self.dom_f = [i for i in rows if self.fv[i] is not None]
-        self.dom_g = [i for i in rows if self.gv[i] is not None]
-        self.c = [i for i in rows if self.x[i] in in_c]
-        self.c_f = [i for i in self.c if self.fv[i] is not None]
+        rows = range(len(x))
+        self.dom_f = [i for i in rows if fv[i] is not None]
+        self.dom_g = [i for i in rows if gv[i] is not None]
+        self.c = [i for i in rows if x[i] in in_c]
+        self.c_f = [i for i in self.c if fv[i] is not None]
 
     def _facet_op(self, op: LinOp, d: int) -> tuple:
         """The integer matrix N·(d·op)."""
         cols = list(zip(*(_scaled(row, d) for row in op.entries)))
-        return tuple(
-            tuple(sum(map(mul, a, col)) for col in cols)
-            for a in self.K.basis.normals
-        )
-
-    def _front(self, scale: int, coords: list, point) -> tuple:
-        """The frontier of the cloud ``coords``; ``point(j)`` builds the j-th
-        cloud point, for the survivors only.  Under a cone with lineality,
-        points with equal coordinates differ, and each such class keeps its
-        lex-smallest point."""
-        kept = maxima(coords)
-        if self.pointed:
-            return scale, [coords[i] for i in kept], [point(i) for i in kept]
-        classes = {coords[i]: [] for i in kept}
-        for j, q in enumerate(coords):
-            if q in classes:
-                classes[q].append(j)
-        points = [min(map(point, js)) for js in classes.values()]
-        return scale, list(classes), points
+        return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in self.N)
 
     def conjugate(
         self, rows: list, R: LinOp, T: Optional[PosOp] = None, f: bool = False
@@ -556,31 +544,22 @@ class FacetTables:
                 g = gs[i]
                 q = [c - sum(map(mul, a, g)) for c, a in zip(q, NT)]
             coords.append(tuple(q))
-
-        def point(j):
-            i = rows[j]
-            v = R.apply(self.x[i])
-            if f:
-                v = vec_sub(v, self.fv[i])
-            if T is not None:
-                v = vec_sub(v, T.apply(self.gv[i]))
-            return v
-
-        return self._front(self.den * d, coords, point)
+        return _front(self.den * d, coords)
 
     def sum(self, A: tuple, B: tuple) -> tuple:
         """The frontier of the WS-sum of frontiers A and B: the maxima of the
         pairwise sums of their coordinates, at the lcm of their scales."""
-        (sa, qa, pa), (sb, qb, pb) = A, B
+        (sa, qa), (sb, qb) = A, B
         s = math.lcm(sa, sb)
         qa, qb = rescale(qa, s // sa), rescale(qb, s // sb)
-        coords = [tuple(map(add, u, v)) for u in qa for v in qb]
-        n = len(qb)
-        return self._front(s, coords, lambda j: vec_add(pa[j // n], pb[j % n]))
+        return _front(s, [tuple(map(add, u, v)) for u in qa for v in qb])
 
-    def genset(self, front: tuple) -> GenSet:
-        """A frontier as a SUP GenSet."""
-        return GenSet(Tag.FINITE, Orient.SUP, FiniteVecSet(front[2]), self.K)
+
+def _front(scale: int, coords: list) -> tuple:
+    """The frontier (scale, maximal coords) of a cloud at ``scale``.  Under a
+    cone with lineality distinct points share coordinates; the frontier
+    keeps each coordinate vector once."""
+    return scale, [coords[i] for i in maxima(coords)]
 
 
 _END = object()
@@ -609,22 +588,20 @@ class _Replay:
             k += 1
 
 
-def certificates(
-    index: int, P, L: LinOp, cfg: SearchConfig
-) -> Iterator[Tuple[Certificate, tuple]]:
-    """Every budget certificate of condition ``index`` at the perturbation L,
-    each with its value set as a :class:`FacetTables` frontier (scale,
-    coords, points).  The certificate's ``value_set`` holds the same points.
+def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
+    """Every budget item of condition ``index`` at the perturbation L, as
+    ((T, L', L''), frontier): the operators (None where the index has no
+    split) and the item's value set W as a :class:`FacetTables` frontier
+    (scale, coords).
 
     Order: L' outer, L'' middle, T inner, each budget in its own order
     (hints, zero, ascending grid).  Every block runs on the instance's
-    integer tables; ``Fraction`` points are built only for the generators
-    that survive, and :func:`beta_value_set` is the independent
-    ``Fraction`` rebuild that checks them.  Blocks shared between
-    certificates are computed once per call and dropped with the generator:
-    F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per (L', L''), and
-    (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items drawn by the first
-    pass are replayed by the later ones.
+    integer tables and no ``Fraction`` point is built; a caller that keeps
+    an item rebuilds its value set with :func:`beta_value_set`.  Blocks
+    shared between items are computed once per call and dropped with the
+    generator: F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per
+    (L', L''), and (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items
+    drawn by the first pass are replayed by the later ones.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -633,16 +610,14 @@ def certificates(
     Ts = _Replay(cfg.posop_budget(P.S, K))
     if index == 1:
         for T in Ts:
-            W = tab.conjugate(tab.c_f, L, T, f=True)
-            yield Certificate(1, T, value_set=tab.genset(W)), W
+            yield (T, None, None), tab.conjugate(tab.c_f, L, T, f=True)
         return
     if index == 2:
         for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
             f_star = tab.conjugate(tab.dom_f, Lp, f=True)
             rest = L - Lp
             for T in Ts:
-                W = tab.sum(f_star, tab.conjugate(tab.c, rest, T))
-                yield Certificate(2, T, Lp=Lp, value_set=tab.genset(W)), W
+                yield (T, Lp, None), tab.sum(f_star, tab.conjugate(tab.c, rest, T))
         return
     Ls = _Replay(cfg.linop_budget(K.dim, P.F.in_dim))
     ind_stars = {}  # L'' -> I_C*(L'')
@@ -660,9 +635,7 @@ def certificates(
                 tg_star = tg_stars.get(key)
                 if tg_star is None:
                     tg_star = tg_stars[key] = tab.conjugate(tab.dom_g, rest, T)
-                W = tab.sum(first, tg_star)
-                cert = Certificate(3, T, Lp=Lp, Lpp=Lpp, value_set=tab.genset(W))
-                yield cert, W
+                yield (T, Lp, Lpp), tab.sum(first, tg_star)
 
 
 def script_A_membership(
@@ -676,12 +649,21 @@ def script_A_membership(
     representation set.  Returns the first qualifying certificate in the
     order of :func:`certificates`, or None when the budget is exhausted —
     a None is *not* a disproof.
+
+    y qualifies when it is not strictly below the item's frontier; the test
+    compares N·y with the frontier's coordinates at one integer scale.  Only
+    the certificate returned gets a ``Fraction`` value set.
     """
     y = tuple(y)
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("script_A_membership: dimensions disagree")
-    for cert, _ in certificates(i, P, L, cfg):
-        if cert.value_set.classify(y) is not RegionLabel.LOWER:
-            return cert
+    require_exact(y, "query point")
+    ny = K.basis.to_quad(y)
+    dy = math.lcm(*(c.denominator for c in ny))
+    qy = _scaled(ny, dy)  # dy·N·y
+    for ops, (scale, coords) in certificates(i, P, L, cfg):
+        q = tuple(scale * c for c in qy)
+        if region_sup(rescale(coords, dy), q) != LOWER:
+            return rebuilt_certificate(i, P, L, *ops)
     return None

@@ -17,13 +17,15 @@ inverse of the normal matrix, so K must be simplicial, of any dimension.
 Every generator of the result therefore carries a concrete certificate that
 re-verifies.  A certificate whose region already contains every current
 generator cannot change the intersection, so the merge skips it (a
-dominance test in facet coordinates).
+dominance test in facet coordinates).  The merge and the search for each
+generator's certificate run on the enumerator's integer frontiers; only
+the generators and the frontiers of their certificates are mapped back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
 from .numeric import Number, Vec, encode_mat, encode_vec, vec_neg, vec_sub
@@ -31,12 +33,11 @@ from .order_sets import (
     FiniteVecSet,
     GenSet,
     Orient,
-    RegionLabel,
     Tag,
     set_preceq,
     winf_finite,
 )
-from .staircase2d import maxima
+from .staircase2d import FRONTIER, maxima, region_sup
 from .conjugate import (
     Certificate,
     FacetTables,
@@ -267,9 +268,10 @@ def dual_value(
     generator is skipped, since the merge would return the current
     generators.  Each generator of the result lies on some certificate's
     frontier and is stored with the first such certificate in budget order,
-    skipped ones included.  K must be simplicial (exactly ``dim`` linearly
-    independent normals, so that its basis has an inverse), of any
-    dimension.
+    skipped ones included; the owner is found on the integer frontiers, and
+    its value set is its frontier mapped back.  K must be simplicial
+    (exactly ``dim`` linearly independent normals, so that its basis has an
+    inverse), of any dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
@@ -282,10 +284,10 @@ def dual_value(
             "independent normals)"
         )
     index = int(which[-1])
-    certs: List[Certificate] = []
+    pieces = []  # (operators, scale, coords of W's frontier), in budget order
     scale, current = 1, None
-    for cert, (s, coords, _) in certificates(index, P, L, cfg):
-        certs.append(cert)
+    for ops, (s, coords) in certificates(index, P, L, cfg):
+        pieces.append((ops, s, coords))
         piece_q = [vec_neg(q) for q in coords]  # the INF frontier -W
         if current is None:
             scale, current = s, piece_q
@@ -298,24 +300,34 @@ def dual_value(
             current = [joined[i] for i in maxima([vec_neg(q) for q in joined])]
     if current is None:
         raise ValueError("empty certificate budget")
-    attained = FiniteVecSet(
-        tuple(c / scale for c in basis.from_quad(q)) for q in current
-    )
-    frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
+
+    def point(q, s):
+        return tuple(c / s for c in basis.from_quad(q))
+
+    owners = {}  # piece index -> its certificate
     stored = []
-    for h in attained.points:
-        # h is on the frontier of -W exactly when -h is on that of W
-        owner = next(
+    for h, q in sorted((point(q, scale), q) for q in current):
+        # h is on the frontier of -W exactly when -h is on that of W; every
+        # piece's scale divides the final one
+        neg = vec_neg(q)
+        k = next(
             (
-                c
-                for c in certs
-                if c.value_set.classify(vec_neg(h)) is RegionLabel.FRONTIER
+                k
+                for k, (_, s, coords) in enumerate(pieces)
+                if region_sup(rescale(coords, scale // s), neg) == FRONTIER
             ),
             None,
         )
-        if owner is None:  # cannot happen: h is on the region boundary
+        if k is None:  # cannot happen: h is on the region boundary
             raise RuntimeError(f"no certificate owns attained point {h!r}")
-        stored.append((h, owner))
+        if k not in owners:
+            ops, s, coords = pieces[k]
+            gens = FiniteVecSet(point(g, s) for g in coords)
+            value_set = GenSet(Tag.FINITE, Orient.SUP, gens, P.K)
+            owners[k] = Certificate(index, *ops, value_set)
+        stored.append((h, owners[k]))
+    attained = FiniteVecSet(h for h, _ in stored)
+    frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
     return DualValue(which, L, attained, frontier, tuple(stored))
 
 

@@ -27,6 +27,7 @@ from .conjugate import (
     Certificate,
     SearchConfig,
     beta_value_set,
+    rebuilt_certificate,
     script_A_membership,
 )
 
@@ -142,15 +143,10 @@ def convert_certificate(
     if target == c.index:
         return c
     if c.index == 3:
-        merged = Certificate(
-            2,
-            c.T,
-            Lp=c.Lp,
-            value_set=beta_value_set(2, P, L, c.T, Lp=c.Lp),
-        )
+        merged = rebuilt_certificate(2, P, L, c.T, Lp=c.Lp)
         return convert_certificate(P, L, merged, target)
     # index 2 -> 1
-    return Certificate(1, c.T, value_set=beta_value_set(1, P, L, c.T))
+    return rebuilt_certificate(1, P, L, c.T)
 
 
 def encode_certificate(c: Certificate) -> dict:

@@ -21,10 +21,10 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .cones import Cone, LinOp, _unit_scale
+from .cones import Cone, LinOp, _unit_scale, is_positive_operator
 from .conjugate import SampledMap
 from .duality import ProblemInstance
-from .numeric import decode_mat, decode_vec, encode_vec
+from .numeric import decode_mat, decode_vec, encode_mat, encode_vec
 from .order_sets import FiniteVecSet
 
 
@@ -216,6 +216,13 @@ def instance_from_json(doc) -> ProblemInstance:
         raise InstanceFormatError("dims.m/dims.p disagree with value arrays")
     _check_hint_shapes(hints_T, "T", dims["m"], dims["p"], "m x p")
     _check_hint_shapes(hints_L, "L", dims["m"], dims["n"], "m x n")
+    for k, h in enumerate(hints_T):
+        # a T hint outside L+(S, K) would fail every certificate search
+        if not is_positive_operator(h, S, K):
+            raise InstanceFormatError(
+                f"hints['T'][{k}] = {json.dumps(encode_mat(h.entries))} maps "
+                "a generator of S outside K"
+            )
     slater = flags.get("slater_point")
     if slater is not None and len(slater) != dims["n"]:
         raise InstanceFormatError(

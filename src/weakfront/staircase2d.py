@@ -119,7 +119,7 @@ def maxima(coords: Sequence[tuple]) -> list:
     return kept
 
 
-def _region_sup(front: list, q: tuple) -> int:
+def region_sup(front: list, q: tuple) -> int:
     """Region code of q against the weak supremum generated by the maximal
     vectors ``front`` (descending): LOWER when one lies strictly above q,
     FRONTIER when one lies weakly above it, UPPER otherwise."""
@@ -145,7 +145,7 @@ def classify_points_2d(
         coords = [tuple(-c for c in q) for q in coords]
     qg, qp = coords[: len(gens)], coords[len(gens) :]
     front = [qg[i] for i in maxima(qg)]
-    codes = [_region_sup(front, q) for q in qp]
+    codes = [region_sup(front, q) for q in qp]
     return codes if sup else [UPPER - c for c in codes]
 
 

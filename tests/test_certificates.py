@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakfront import duality
+from weakfront import conjugate, duality
 from weakfront.cones import Cone, LinOp
 from weakfront.conjugate import (
     SampledMap,
@@ -137,16 +137,18 @@ def _unpruned_dual(P, L, reference):
 def _check_enumerator(index, P, L, cfg):
     reference = _reference(index, P, L, cfg)
     got = list(certificates(index, P, L, cfg))
-    assert [(c.T.op, c.Lp, c.Lpp) for c, _ in got] == [
+    assert [(T.op, Lp, Lpp) for (T, Lp, Lpp), _ in got] == [
         (T.op, Lp, Lpp) for (T, Lp, Lpp), _ in reference
     ]
-    assert all(c.index == index for c, _ in got)
-    assert [c.value_set for c, _ in got] == [W for _, W in reference]
-    # the front lists the same generators, in maxima order, each once
-    assert all(
-        sorted(points) == list(c.value_set.generators.points)
-        for c, (_, _, points) in got
-    )
+    # each front lists scale·N·g for the rebuilt generators g, as integers,
+    # each once, in descending order
+    for (_, (scale, coords)), (_, W) in zip(got, reference):
+        assert all(type(c) is int for q in coords for c in q)
+        want = {
+            tuple(scale * c for c in P.K.basis.to_quad(g))
+            for g in W.generators.points
+        }
+        assert coords == sorted(want, reverse=True)
 
 
 @pytest.mark.parametrize("name,budget,index", ENUMERATOR_CASES)
@@ -162,9 +164,35 @@ def test_halfplane_ties_keep_the_lex_smallest_point():
     cloud = [tuple(-c for c in v) for _, v in P.F.samples]  # F*(0)'s cloud
     quads = [P.K.basis.to_quad(v) for v in cloud]
     assert quads[0] == quads[1] and cloud[1] < cloud[0]
-    cert, _ = next(certificates(2, P, LinOp.zero(P.m, P.n), P.search_config()))
-    assert cert.Lp == LinOp.zero(P.m, P.n) and cert.T.op == LinOp.zero(2, 1)
+    zero = LinOp.zero(P.m, P.n)
+    cert = script_A_membership(2, P, zero, cloud[0], P.search_config())
+    assert cert.Lp == zero and cert.T.op == LinOp.zero(2, 1)
     assert cert.value_set.generators.points == (cloud[1],)
+
+
+def test_only_the_returned_certificate_rebuilds_its_value_set(monkeypatch):
+    """The search and the dual merge run on integer fronts: the search
+    rebuilds the value set of the one certificate it returns, and the dual
+    merge rebuilds none."""
+    calls = []
+    real = conjugate.beta_value_set
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conjugate, "beta_value_set", counting)
+    P = INSTANCES["E2"]
+    L = LinOp.zero(P.m, P.n)
+    cfg = P.search_config()
+    cert = script_A_membership(3, P, L, (Fraction(1, 3), Fraction(-1, 2)), cfg)
+    assert cert is not None and calls == [3]
+    assert cert.value_set == real(3, P, L, cert.T, Lp=cert.Lp, Lpp=cert.Lpp)
+    calls.clear()
+    assert script_A_membership(3, P, L, (-5, -5), cfg) is None
+    assert calls == []
+    dual_value(P, "VD3", L, P.search_config(l_box=1))
+    assert calls == []
 
 
 def _rand_fraction_linop(rng, rows, cols, den):
@@ -206,6 +234,13 @@ def test_search_returns_the_first_qualifying_certificate(name, budget, index):
             assert (cert.T.op, cert.Lp, cert.Lpp) == (want[0].op, want[1], want[2])
 
 
+def _check_owner_value_sets(d, index, P, L):
+    """Each stored certificate's value set, mapped back from its frontier,
+    is the from-scratch rebuild."""
+    for _, c in d.certificates:
+        assert c.value_set == beta_value_set(index, P, L, c.T, Lp=c.Lp, Lpp=c.Lpp)
+
+
 def test_dual_value_equals_the_unpruned_fold(monkeypatch):
     merges = []
     real_maxima = duality.maxima
@@ -227,6 +262,7 @@ def test_dual_value_equals_the_unpruned_fold(monkeypatch):
             assert [(c.T.op, c.Lp, c.Lpp) for _, c in d.certificates] == [
                 (T.op, Lp, Lpp) for T, Lp, Lpp in owners
             ]
+            _check_owner_value_sets(d, index, P, L)
             folded += len(reference) - 1
     # the skip rule fires: most pieces leave the merged frontier unchanged
     assert len(merges) < folded / 2
@@ -254,6 +290,7 @@ def test_dual_value_on_a_3d_orthant_equals_the_unpruned_fold(budget, index):
         assert [(c.T.op, c.Lp, c.Lpp) for _, c in d.certificates] == [
             (T.op, Lp, Lpp) for T, Lp, Lpp in owners
         ]
+        _check_owner_value_sets(d, index, P, L)
 
 
 def test_weak_duality_chain_on_a_3d_orthant():

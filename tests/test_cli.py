@@ -328,6 +328,7 @@ _E1_MUTATIONS = [
     (("flags", "is_convex_C"), "no", "flag 'is_convex_C' must be true or false, got \"no\""),
     (("flags", "is_linear_F"), 0, "flag 'is_linear_F' must be true or false, got 0"),
     (("flags", "is_linear_G"), None, "flag 'is_linear_G' must be true or false, got null"),
+    (("hints",), {"T": [[[-1]]]}, "hints['T'][0] = [[-1]] maps a generator of S outside K"),
 ]
 
 
@@ -339,7 +340,11 @@ _E1_MUTATIONS = [
 def test_malformed_e1_is_refused_with_its_own_message(capsys, tmp_path, e1, path, value, message):
     bad = tmp_path / "E1_bad.json"
     bad.write_text(json.dumps(_with(json.loads(open(e1).read()), path, value)))
-    for argv in (["conjugate", str(bad)], ["dual", str(bad)]):
+    for argv in (
+        ["conjugate", str(bad)],
+        ["farkas", str(bad), "--y", "[0]"],
+        ["dual", str(bad)],
+    ):
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
         assert err == f"input error: {message}\n"

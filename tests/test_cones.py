@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weakfront import cones
 from weakfront.cones import (
     Cone,
     DimensionError,
@@ -139,8 +140,10 @@ def test_posop_validates_positivity():
 
 def test_posop_needs_domain_generators():
     no_gens = Cone(((1,),), (), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(PositivityError, match="no generators"):
         PosOp(LinOp(((1,),)), no_gens, Cone.orthant(1))
+    with pytest.raises(PositivityError, match="no generators"):
+        list(sample_positive_operators(no_gens, Cone.orthant(1), 1, 1))
 
 
 def test_is_positive_operator_checks_all_generators():
@@ -155,6 +158,24 @@ def test_sample_positive_operators_scalar_grid():
     ops = [T.op.entries for T in sample_positive_operators(o1, o1, 1, 1)]
     # grid {-1, 0, 1} filtered to nonnegative multipliers
     assert ops == [((0,),), ((1,),)]
+
+
+def test_sample_positive_operators_tests_each_matrix_once(monkeypatch):
+    """One positivity test per grid matrix: one point classification per
+    generator of S, and none again when the PosOp is built."""
+    calls = []
+    real = cones.classify_point
+
+    def counting(K, y):
+        calls.append(y)
+        return real(K, y)
+
+    monkeypatch.setattr(cones, "classify_point", counting)
+    ops = list(sample_positive_operators(Cone.orthant(2), Cone.orthant(1), 1, 1))
+    assert len(ops) == 4  # both entries in {0, 1}
+    # each of the 9 grid matrices maps the generator (0, 1) and, when its
+    # image (the second entry) is in K, also (1, 0)
+    assert len(calls) == 9 + 6
 
 
 def test_sample_positive_operators_rejects_bad_grid():
