@@ -21,7 +21,6 @@ from weakfront.cones import (
     classify_point,
     is_positive_operator,
     sample_positive_operators,
-    weak_less,
 )
 from weakfront.order_sets import (
     FiniteVecSet,
@@ -30,12 +29,8 @@ from weakfront.order_sets import (
     Orient,
     RegionLabel,
     Tag,
-    classify_against,
-    check_partition_style,
     set_preceq,
     winf_finite,
-    wmax_finite,
-    wmin_finite,
     ws_sum,
     wsup_finite,
 )
@@ -63,7 +58,6 @@ from weakfront.duality import (
     DualValue,
     ProblemInstance,
     dual_value,
-    feasible_set,
     stable_strong_duality_sweep,
     strong_duality_check,
     weak_duality_check,
@@ -81,19 +75,14 @@ __all__ = [
     "classify_point",
     "is_positive_operator",
     "sample_positive_operators",
-    "weak_less",
     "FiniteVecSet",
     "GenSet",
     "IllegalInfinitySum",
     "Orient",
     "RegionLabel",
     "Tag",
-    "classify_against",
-    "check_partition_style",
     "set_preceq",
     "winf_finite",
-    "wmax_finite",
-    "wmin_finite",
     "ws_sum",
     "wsup_finite",
     "ExtEpiElement",
@@ -115,7 +104,6 @@ __all__ = [
     "DualValue",
     "ProblemInstance",
     "dual_value",
-    "feasible_set",
     "stable_strong_duality_sweep",
     "strong_duality_check",
     "weak_duality_check",

@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cones import DimensionError, LinOp
-from .conjugate import conjugate, script_A_membership
+from .conjugate import beta_value_set, conjugate, script_A_membership
 from .duality import dual_value
 from .farkas import EmptyFeasibleSet, HardFailure, encode_certificate
 from .instances import (
@@ -92,8 +92,11 @@ def _encode_genset(W) -> dict:
     return doc
 
 
-def _encode_certificate(c) -> dict:
-    return {**encode_certificate(c), "value_set": _encode_genset(c.value_set)}
+def _encode_certificate(P, L, c) -> dict:
+    """A certificate's operators and its value set W, rebuilt from P and the
+    perturbation L."""
+    W = beta_value_set(c.index, P, L, c.T, c.Lp, c.Lpp)
+    return {**encode_certificate(c), "value_set": _encode_genset(W)}
 
 
 def _cmd_wsup(args) -> int:
@@ -148,7 +151,7 @@ def _cmd_farkas(args) -> int:
         "found": cert is not None,
     }
     if cert is not None:
-        doc["certificate"] = _encode_certificate(cert)
+        doc["certificate"] = _encode_certificate(P, L, cert)
     else:
         doc["status"] = "NOT_FOUND"
     sys.stdout.write(dump_json(doc))
@@ -169,7 +172,7 @@ def _cmd_dual(args) -> int:
         "attained": [
             {
                 "point": encode_vec(p),
-                "certificate": _encode_certificate(d.certificate_for(p)),
+                "certificate": _encode_certificate(P, L, d.certificate_for(p)),
             }
             for p in d.attained.points
         ],

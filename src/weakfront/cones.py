@@ -25,7 +25,6 @@ from weakfront.numeric import (
     mat_sub,
     mat_vec,
     require_exact,
-    vec_sub,
     zero_mat,
 )
 from weakfront.staircase2d import RayBasis
@@ -157,15 +156,6 @@ def classify_point(K: Cone, y: Vec) -> PointClass:
         if not d > 0:
             all_strict = False
     return PointClass.INTERIOR if all_strict else PointClass.BOUNDARY
-
-
-def in_cone(K: Cone, y: Vec) -> bool:
-    return classify_point(K, y) is not PointClass.OUTSIDE
-
-
-def weak_less(K: Cone, y1: Vec, y2: Vec) -> bool:
-    """The weak order: y1 <_K y2 iff y1 - y2 lies in -int K."""
-    return classify_point(K, vec_sub(y2, y1)) is PointClass.INTERIOR
 
 
 class LinOp:

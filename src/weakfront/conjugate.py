@@ -15,11 +15,10 @@ integer tables (:class:`FacetTables`, derived once per instance): a block's
 cloud is an integer product in facet coordinates and its maxima are the
 frontier, so the search builds no ``Fraction`` point.  The blocks that
 items share are memoised for the length of one call only, so nothing but
-the instance's own tables is kept between calls.  :func:`beta_value_set`
-recomputes one certificate's value set from the ``Fraction`` data with
-:func:`conjugate` and ``ws_sum``, without the tables; the search calls it
-once, for the certificate it returns, and verification and conversion
-use it too.
+the instance's own tables is kept between calls.  A :class:`Certificate`
+is its operators alone; :func:`beta_value_set` rebuilds its value set from
+the ``Fraction`` data with :func:`conjugate` and ``ws_sum``, without the
+tables, wherever that set is read: in verification and in output.
 """
 
 from __future__ import annotations
@@ -365,13 +364,15 @@ class SearchConfig:
 
 
 class Certificate:
-    """A verified witness for one of the layered inequality conditions.
+    """The operators (T, L', L'') of one of the layered inequality
+    conditions; L' is present iff ``index`` >= 2 and L'' iff ``index`` == 3.
 
-    ``value_set`` is the condition's left-hand WS-sum W; the certificate
+    The condition's left-hand WS-sum W is a function of these operators and
+    the instance data, rebuilt by :func:`beta_value_set`; the certificate
     qualifies a point y exactly when y is not strictly below W.
     """
 
-    __slots__ = ("index", "T", "Lp", "Lpp", "value_set")
+    __slots__ = ("index", "T", "Lp", "Lpp")
 
     def __init__(
         self,
@@ -379,7 +380,6 @@ class Certificate:
         T: PosOp,
         Lp: Optional[LinOp] = None,
         Lpp: Optional[LinOp] = None,
-        value_set: Optional[GenSet] = None,
     ):
         if index not in (1, 2, 3):
             raise ValueError("certificate index must be 1, 2 or 3")
@@ -387,13 +387,10 @@ class Certificate:
             raise ValueError("split operator L' is present iff index >= 2")
         if (Lpp is None) != (index != 3):
             raise ValueError("second split operator L'' is present iff index == 3")
-        if value_set is None or value_set.tag is not Tag.FINITE:
-            raise ValueError("certificate value set must be a FINITE GenSet")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "Lp", Lp)
         object.__setattr__(self, "Lpp", Lpp)
-        object.__setattr__(self, "value_set", value_set)
 
     def __setattr__(self, name, value):
         raise AttributeError("Certificate is immutable")
@@ -454,19 +451,6 @@ def beta_value_set(
         )
         return ws_sum(first, conjugate(TG, L - Lp - Lpp, K))
     raise ValueError("index must be 1, 2 or 3")
-
-
-def rebuilt_certificate(
-    index: int,
-    P,
-    L: LinOp,
-    T: PosOp,
-    Lp: Optional[LinOp] = None,
-    Lpp: Optional[LinOp] = None,
-) -> Certificate:
-    """The certificate with the given operators, its value set rebuilt from
-    the instance data by :func:`beta_value_set`."""
-    return Certificate(index, T, Lp, Lpp, beta_value_set(index, P, L, T, Lp, Lpp))
 
 
 def _scaled(v: Sequence[Number], den: int) -> tuple:
@@ -596,8 +580,7 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
 
     Order: L' outer, L'' middle, T inner, each budget in its own order
     (hints, zero, ascending grid).  Every block runs on the instance's
-    integer tables and no ``Fraction`` point is built; a caller that keeps
-    an item rebuilds its value set with :func:`beta_value_set`.  Blocks
+    integer tables and no ``Fraction`` point is built.  Blocks
     shared between items are computed once per call and dropped with the
     generator: F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per
     (L', L''), and (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items
@@ -651,8 +634,7 @@ def script_A_membership(
     a None is *not* a disproof.
 
     y qualifies when it is not strictly below the item's frontier; the test
-    compares N·y with the frontier's coordinates at one integer scale.  Only
-    the certificate returned gets a ``Fraction`` value set.
+    compares N·y with the frontier's coordinates at one integer scale.
     """
     y = tuple(y)
     K = P.K
@@ -665,5 +647,5 @@ def script_A_membership(
     for ops, (scale, coords) in certificates(i, P, L, cfg):
         q = tuple(scale * c for c in qy)
         if region_sup(rescale(coords, dy), q) != LOWER:
-            return rebuilt_certificate(i, P, L, *ops)
+            return Certificate(i, *ops)
     return None

@@ -19,7 +19,8 @@ re-verifies.  A certificate whose region already contains every current
 generator cannot change the intersection, so the merge skips it (a
 dominance test in facet coordinates).  The merge and the search for each
 generator's certificate run on the enumerator's integer frontiers; only
-the generators and the frontiers of their certificates are mapped back.
+the generators are mapped back, and a certificate is stored as its
+operators.
 """
 
 from __future__ import annotations
@@ -180,14 +181,6 @@ class ProblemInstance:
         )
 
 
-def feasible_set(P: ProblemInstance) -> FiniteVecSet:
-    """The feasible sample A = {x in C : G(x) in -S} as a point set."""
-    pts = feasible_points(P)
-    if not pts:
-        raise EmptyFeasibleSet("no feasible sample point")
-    return FiniteVecSet(pts)
-
-
 def winf_vp(P: ProblemInstance, L: LinOp) -> GenSet:
     """The primal value frontier winf{F(x) - L(x) : x feasible}."""
     if L.rows != P.m or L.cols != P.n:
@@ -268,8 +261,8 @@ def dual_value(
     generator is skipped, since the merge would return the current
     generators.  Each generator of the result lies on some certificate's
     frontier and is stored with the first such certificate in budget order,
-    skipped ones included; the owner is found on the integer frontiers, and
-    its value set is its frontier mapped back.  K must be simplicial
+    skipped ones included; the owner is found on the integer frontiers and
+    stored as its operators.  K must be simplicial
     (exactly ``dim`` linearly independent normals, so that its basis has an
     inverse), of any dimension.
     """
@@ -301,12 +294,9 @@ def dual_value(
     if current is None:
         raise ValueError("empty certificate budget")
 
-    def point(q, s):
-        return tuple(c / s for c in basis.from_quad(q))
-
-    owners = {}  # piece index -> its certificate
     stored = []
-    for h, q in sorted((point(q, scale), q) for q in current):
+    points = (tuple(c / scale for c in basis.from_quad(q)) for q in current)
+    for h, q in sorted(zip(points, current)):
         # h is on the frontier of -W exactly when -h is on that of W; every
         # piece's scale divides the final one
         neg = vec_neg(q)
@@ -320,12 +310,7 @@ def dual_value(
         )
         if k is None:  # cannot happen: h is on the region boundary
             raise RuntimeError(f"no certificate owns attained point {h!r}")
-        if k not in owners:
-            ops, s, coords = pieces[k]
-            gens = FiniteVecSet(point(g, s) for g in coords)
-            value_set = GenSet(Tag.FINITE, Orient.SUP, gens, P.K)
-            owners[k] = Certificate(index, *ops, value_set)
-        stored.append((h, owners[k]))
+        stored.append((h, Certificate(index, *pieces[k][0])))
     attained = FiniteVecSet(h for h, _ in stored)
     frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
     return DualValue(which, L, attained, frontier, tuple(stored))

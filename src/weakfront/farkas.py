@@ -27,7 +27,6 @@ from .conjugate import (
     Certificate,
     SearchConfig,
     beta_value_set,
-    rebuilt_certificate,
     script_A_membership,
 )
 
@@ -131,10 +130,12 @@ def verify_certificate(P, q: FarkasQuery, c: Certificate) -> bool:
 def convert_certificate(
     P, L: LinOp, c: Certificate, target: int
 ) -> Certificate:
-    """Convert a certificate toward a smaller index (3 -> 2 -> 1): the split
-    operators are merged back into the composite blocks.  The converted
-    certificate qualifies every point the original did, because merging
-    splits tightens the value set.
+    """Convert a certificate toward a smaller index (3 -> 2 -> 1) by dropping
+    split operators: 3 -> 2 drops L'', merging I_C into the T∘G block, and
+    2 -> 1 drops L', merging F in as well.  The converted certificate
+    qualifies every point the original did, because merging splits tightens
+    the value set.  Conversion needs neither P nor L; they are kept for the
+    callers, which pass the whole query.
     """
     if target not in (1, 2, 3):
         raise ValueError("target index must be 1, 2 or 3")
@@ -142,11 +143,7 @@ def convert_certificate(
         raise ValueError("certificates only convert toward smaller indices")
     if target == c.index:
         return c
-    if c.index == 3:
-        merged = rebuilt_certificate(2, P, L, c.T, Lp=c.Lp)
-        return convert_certificate(P, L, merged, target)
-    # index 2 -> 1
-    return rebuilt_certificate(1, P, L, c.T)
+    return Certificate(target, c.T, c.Lp if target >= 2 else None)
 
 
 def encode_certificate(c: Certificate) -> dict:

@@ -112,7 +112,7 @@ def _decode_hints(raw) -> Tuple[Tuple[LinOp, ...], Tuple[LinOp, ...]]:
         raise InstanceFormatError("'hints' must be an object")
     out = []
     for key in ("T", "L"):
-        mats = raw.get(key) or []
+        mats = raw.get(key, [])
         if not isinstance(mats, list):
             raise InstanceFormatError(f"hints[{key!r}] must be an array of matrices")
         try:

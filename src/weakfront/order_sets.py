@@ -21,12 +21,11 @@ coordinates N·y (:mod:`weakfront.staircase2d`).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cones import Cone, DimensionError
 from .numeric import (
     Number,
-    Vec,
     require_exact,
     mat_rank,
     vec_neg,
@@ -137,20 +136,6 @@ class FiniteVecSet:
 # --- region classification ---------------------------------------------------
 
 
-def classify_against(
-    M: FiniteVecSet, K: Cone, y: Sequence[Number]
-) -> RegionLabel:
-    """Region of ``y`` relative to the weak supremum of finite ``M``.
-
-    LOWER means ``y`` lies in ``M - int K``, FRONTIER means ``y`` is in the
-    weak supremum itself, UPPER covers the rest of the space.
-    """
-    y = tuple(y)
-    if len(y) != K.dim or M.dim != K.dim:
-        raise DimensionError("point/set/cone dimensions disagree")
-    return classify_many(M, K, [y])[0]
-
-
 def classify_many(
     M: FiniteVecSet,
     K: Cone,
@@ -158,9 +143,9 @@ def classify_many(
     *,
     sup: bool = True,
 ) -> list:
-    """Bulk version of :func:`classify_against` (used by the verify suites).
-
-    ``sup=False`` classifies against the weak infimum instead.  The
+    """Region of each point relative to the weak supremum of finite ``M``:
+    LOWER in ``M - int K``, FRONTIER on the weak supremum itself, UPPER
+    elsewhere.  ``sup=False`` classifies against the weak infimum instead.  The
     queries run as dominance tests on integer facet coordinates.
     """
     pts = [tuple(p) for p in points]
@@ -317,26 +302,6 @@ def winf_finite(M: FiniteVecSet, K: Cone) -> GenSet:
     return wsup_finite(M.negate(), K).negate()
 
 
-def wmax_finite(M: FiniteVecSet, K: Cone) -> FiniteVecSet:
-    """Weakly maximal elements of M: the subset lying on its own frontier.
-
-    Finite nonempty sets always have at least one weakly maximal point.
-    """
-    labels = classify_many(M, K, M.points, sup=True)
-    picked = [
-        p for p, lab in zip(M.points, labels) if lab is RegionLabel.FRONTIER
-    ]
-    return FiniteVecSet(picked)
-
-
-def wmin_finite(M: FiniteVecSet, K: Cone) -> FiniteVecSet:
-    labels = classify_many(M, K, M.points, sup=False)
-    picked = [
-        p for p, lab in zip(M.points, labels) if lab is RegionLabel.FRONTIER
-    ]
-    return FiniteVecSet(picked)
-
-
 # --- the set order ------------------------------------------------------------
 
 
@@ -418,29 +383,3 @@ def neutral_sup(K: Cone) -> GenSet:
     """The neutral element for ws_sum: the frontier of ``-int K`` (gens {0})."""
     zero = (0,) * K.dim
     return GenSet(Tag.FINITE, Orient.SUP, FiniteVecSet([zero]), K)
-
-
-# --- partition check ------------------------------------------------------------
-
-
-def check_partition_style(
-    core: FiniteVecSet,
-    member: Callable[[Vec], bool],
-    K: Cone,
-    grid: Sequence[Sequence[Number]],
-) -> bool:
-    """Check the three-way partition property of a frontier on a point grid.
-
-    ``core`` generates the candidate frontier U (SUP-oriented), ``member``
-    is an independent membership predicate for U.  Every grid point must fall
-    in exactly one of: ``U - int K``, U itself, ``U + int K``.
-    """
-    pts = [tuple(p) for p in grid]
-    labels = classify_many(core, K, pts, sup=True)
-    for y, lab in zip(pts, labels):
-        below = lab is RegionLabel.LOWER
-        on = bool(member(y))
-        above = lab is RegionLabel.UPPER
-        if (below + on + above) != 1:
-            return False
-    return True

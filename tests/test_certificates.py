@@ -167,13 +167,14 @@ def test_halfplane_ties_keep_the_lex_smallest_point():
     zero = LinOp.zero(P.m, P.n)
     cert = script_A_membership(2, P, zero, cloud[0], P.search_config())
     assert cert.Lp == zero and cert.T.op == LinOp.zero(2, 1)
-    assert cert.value_set.generators.points == (cloud[1],)
+    W = beta_value_set(2, P, zero, cert.T, Lp=cert.Lp)
+    assert W.generators.points == (cloud[1],)
 
 
-def test_only_the_returned_certificate_rebuilds_its_value_set(monkeypatch):
-    """The search and the dual merge run on integer fronts: the search
-    rebuilds the value set of the one certificate it returns, and the dual
-    merge rebuilds none."""
+def test_searches_and_dual_values_rebuild_no_value_set(monkeypatch):
+    """The search and the dual merge run on integer fronts and return
+    certificates as operators: neither a found nor an exhausted search, nor
+    a dual value, rebuilds a value set."""
     calls = []
     real = conjugate.beta_value_set
 
@@ -186,9 +187,7 @@ def test_only_the_returned_certificate_rebuilds_its_value_set(monkeypatch):
     L = LinOp.zero(P.m, P.n)
     cfg = P.search_config()
     cert = script_A_membership(3, P, L, (Fraction(1, 3), Fraction(-1, 2)), cfg)
-    assert cert is not None and calls == [3]
-    assert cert.value_set == real(3, P, L, cert.T, Lp=cert.Lp, Lpp=cert.Lpp)
-    calls.clear()
+    assert cert is not None and calls == []
     assert script_A_membership(3, P, L, (-5, -5), cfg) is None
     assert calls == []
     dual_value(P, "VD3", L, P.search_config(l_box=1))
@@ -234,11 +233,12 @@ def test_search_returns_the_first_qualifying_certificate(name, budget, index):
             assert (cert.T.op, cert.Lp, cert.Lpp) == (want[0].op, want[1], want[2])
 
 
-def _check_owner_value_sets(d, index, P, L):
-    """Each stored certificate's value set, mapped back from its frontier,
-    is the from-scratch rebuild."""
-    for _, c in d.certificates:
-        assert c.value_set == beta_value_set(index, P, L, c.T, Lp=c.Lp, Lpp=c.Lpp)
+def _check_owners(d, index, P, L):
+    """Each attained point h is owned by its stored certificate: -h lies on
+    the frontier of the certificate's rebuilt value set."""
+    for h, c in d.certificates:
+        W = beta_value_set(index, P, L, c.T, Lp=c.Lp, Lpp=c.Lpp)
+        assert W.classify(tuple(-v for v in h)) is RegionLabel.FRONTIER
 
 
 def test_dual_value_equals_the_unpruned_fold(monkeypatch):
@@ -262,7 +262,7 @@ def test_dual_value_equals_the_unpruned_fold(monkeypatch):
             assert [(c.T.op, c.Lp, c.Lpp) for _, c in d.certificates] == [
                 (T.op, Lp, Lpp) for T, Lp, Lpp in owners
             ]
-            _check_owner_value_sets(d, index, P, L)
+            _check_owners(d, index, P, L)
             folded += len(reference) - 1
     # the skip rule fires: most pieces leave the merged frontier unchanged
     assert len(merges) < folded / 2
@@ -290,7 +290,7 @@ def test_dual_value_on_a_3d_orthant_equals_the_unpruned_fold(budget, index):
         assert [(c.T.op, c.Lp, c.Lpp) for _, c in d.certificates] == [
             (T.op, Lp, Lpp) for T, Lp, Lpp in owners
         ]
-        _check_owner_value_sets(d, index, P, L)
+        _check_owners(d, index, P, L)
 
 
 def test_weak_duality_chain_on_a_3d_orthant():

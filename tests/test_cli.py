@@ -329,6 +329,10 @@ _E1_MUTATIONS = [
     (("flags", "is_linear_F"), 0, "flag 'is_linear_F' must be true or false, got 0"),
     (("flags", "is_linear_G"), None, "flag 'is_linear_G' must be true or false, got null"),
     (("hints",), {"T": [[[-1]]]}, "hints['T'][0] = [[-1]] maps a generator of S outside K"),
+    *(
+        (("hints",), {"T": value}, "hints['T'] must be an array of matrices")
+        for value in (False, 0, "", {}, None)
+    ),
 ]
 
 

@@ -11,10 +11,8 @@ from weakfront.cones import (
     PosOp,
     PositivityError,
     classify_point,
-    in_cone,
     is_positive_operator,
     sample_positive_operators,
-    weak_less,
 )
 
 
@@ -93,7 +91,6 @@ def test_classify_point_orthant():
     assert classify_point(K, (0, 1)) is PointClass.BOUNDARY
     assert classify_point(K, (0, 0)) is PointClass.BOUNDARY
     assert classify_point(K, (-1, 0)) is PointClass.OUTSIDE
-    assert in_cone(K, (0, 1)) and not in_cone(K, (-1, 0))
 
 
 def test_classify_point_skew():
@@ -101,14 +98,6 @@ def test_classify_point_skew():
     assert classify_point(K, (1, 1)) is PointClass.INTERIOR
     assert classify_point(K, (2, 1)) is PointClass.BOUNDARY
     assert classify_point(K, (3, 1)) is PointClass.OUTSIDE
-
-
-def test_weak_less_is_strict_interior_order():
-    K = Cone.orthant(2)
-    assert weak_less(K, (0, 0), (1, 1))
-    assert not weak_less(K, (0, 0), (1, 0))  # boundary difference
-    assert not weak_less(K, (1, 1), (0, 0))
-    assert not weak_less(K, (0, 0), (0, 0))
 
 
 def test_linop_apply_and_arithmetic():

@@ -7,13 +7,17 @@ from weakfront.conjugate import SampledMap, SearchConfig
 from weakfront.duality import (
     ProblemInstance,
     dual_value,
-    feasible_set,
     stable_strong_duality_sweep,
     strong_duality_check,
     weak_duality_check,
     winf_vp,
 )
-from weakfront.farkas import FarkasQuery, HardFailure, verify_certificate
+from weakfront.farkas import (
+    FarkasQuery,
+    HardFailure,
+    feasible_points,
+    verify_certificate,
+)
 from weakfront.instances import shipped_instance
 from weakfront.numeric import vec_neg
 
@@ -54,7 +58,7 @@ def test_declared_structure_of_the_shipped_instances():
 
 
 def test_feasible_set_and_primal_frontier():
-    assert feasible_set(E1).points == (
+    assert feasible_points(E1) == (
         (Fraction(1),),
         (Fraction(3, 2),),
         (Fraction(2),),

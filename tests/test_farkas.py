@@ -96,12 +96,13 @@ def test_convert_certificate_downward_chain():
 def test_certificate_constructor_guards():
     cfg = E1.search_config()
     c = script_A_membership(2, E1, L1, (Fraction(0),), cfg)
-    with pytest.raises(ValueError):
-        Certificate(1, c.T, Lp=c.Lp, value_set=c.value_set)
-    with pytest.raises(ValueError):
-        Certificate(3, c.T, Lp=c.Lp, value_set=c.value_set)
-    with pytest.raises(ValueError):
-        Certificate(2, c.T, Lp=c.Lp, value_set=None)
+    assert Certificate(2, c.T, Lp=c.Lp) == c
+    with pytest.raises(ValueError, match="index must be 1, 2 or 3"):
+        Certificate(4, c.T, Lp=c.Lp)
+    with pytest.raises(ValueError, match="L' is present"):
+        Certificate(1, c.T, Lp=c.Lp)
+    with pytest.raises(ValueError, match="L'' is present"):
+        Certificate(3, c.T, Lp=c.Lp)
 
 
 def test_infeasible_instance_is_rejected_at_construction():

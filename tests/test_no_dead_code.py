@@ -2,9 +2,12 @@
 ``src/weakfront`` is named somewhere else in ``src/``, ``tests/`` or
 ``perfbench/``.  A name that occurs only at its own definition has no caller,
 no test and no benchmark binding.  Dunders and ``main`` (the console entry
-point, named in ``pyproject.toml``) are exempt.  No leftover imports either:
-every name a module-level import binds is used in its module or listed in
-its ``__all__``."""
+point, named in ``pyproject.toml``) are exempt.  Tests alone do not keep a
+definition alive: outside the oracle and the generators, which are reference
+and generator code for the tests, every definition is also named in the
+program (``src/`` without ``__init__.py``, whose ``__all__`` only re-exports)
+or in ``perfbench/``.  No leftover imports either: every name a module-level
+import binds is used in its module or listed in its ``__all__``."""
 
 import ast
 import re
@@ -27,25 +30,42 @@ def _definitions(tree):
                     yield item.name
 
 
-def _word_counts():
+PROGRAM = ("src", "perfbench")
+TEST_SUPPORT = ("oracle.py", "randgen.py")
+
+
+def _word_counts(tops, skip=()):
     counts = Counter()
-    for top in SEARCHED:
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            counts.update(re.findall(r"\w+", path.read_text()))
+            if path not in skip:
+                counts.update(re.findall(r"\w+", path.read_text()))
     return counts
 
 
-def test_every_definition_is_named_elsewhere():
-    counts = _word_counts()
-    dead = sorted(
+def _unnamed(counts, modules):
+    """Definitions in ``modules`` that ``counts`` holds no more than once,
+    i.e. only at their own definition."""
+    return sorted(
         f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in modules
         for name in _definitions(ast.parse(path.read_text()))
         if not (name.startswith("__") and name.endswith("__"))
         and name != "main"
         and counts[name] <= 1
     )
-    assert dead == []
+
+
+def test_every_definition_is_named_elsewhere():
+    assert _unnamed(_word_counts(SEARCHED), sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_definition_is_named_by_the_program():
+    counts = _word_counts(PROGRAM, skip={PACKAGE / "__init__.py"})
+    modules = [
+        path for path in sorted(PACKAGE.glob("*.py")) if path.name not in TEST_SUPPORT
+    ]
+    assert _unnamed(counts, modules) == []
 
 
 def _unused_imports(tree):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weakfront.cones import Cone
+from weakfront.oracle import region_of_point
 from weakfront.order_sets import (
     DimensionError,
     FiniteVecSet,
@@ -12,14 +13,10 @@ from weakfront.order_sets import (
     Orient,
     RegionLabel,
     Tag,
-    check_partition_style,
-    classify_against,
     classify_many,
     neutral_sup,
     set_preceq,
     winf_finite,
-    wmax_finite,
-    wmin_finite,
     ws_sum,
     wsup_finite,
 )
@@ -85,30 +82,18 @@ def test_winf_mirrors_wsup():
     assert S.classify((0, 5)) is RegionLabel.FRONTIER
 
 
-def test_wmax_wmin_pick_frontier_members():
-    # (1,1) is weakly maximal too: neither corner strictly dominates it
-    assert wmax_finite(M, O2).points == ((1, 1), (1, 2), (2, 1))
-    assert wmin_finite(M, O2).points == ((0, 0),)
-
-
-def test_classify_against_matches_genset_classify():
-    S = wsup_finite(M, O2)
-    for y in [(0, 0), (2, 1), (3, 3), (Fraction(3, 2), Fraction(3, 2))]:
-        assert classify_against(M, O2, y) is S.classify(y)
-
-
 def test_partition_is_exclusive_and_exhaustive():
     grid = [
         (Fraction(a, 2), Fraction(b, 2))
         for a in range(-6, 10)
         for b in range(-6, 10)
     ]
-    S = wsup_finite(M, O2)
-
-    def member(y):
-        return S.classify(y) is RegionLabel.FRONTIER
-
-    assert check_partition_style(M, member, O2, grid)
+    # every grid point is in exactly one of M - int K, the frontier and the
+    # rest, with frontier membership decided from the definition
+    labels = classify_many(M, O2, grid)
+    for y, lab in zip(grid, labels):
+        on = region_of_point(M.points, O2.normals, y) is RegionLabel.FRONTIER
+        assert (lab is RegionLabel.LOWER) + on + (lab is RegionLabel.UPPER) == 1
 
 
 def test_genset_is_immutable_and_comparable():

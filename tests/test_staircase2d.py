@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from weakfront.cones import Cone, in_cone
+from weakfront.cones import Cone, PointClass, classify_point
 from weakfront.numeric import mat_rank
 from weakfront.oracle import brute_region_bulk, region_of_point
 from weakfront.order_sets import (
     FiniteVecSet,
     Orient,
     RegionLabel,
-    classify_against,
     classify_many,
     set_preceq,
     winf_finite,
@@ -93,7 +92,8 @@ def test_orthant_coordinates_are_the_cone_order():
     basis = RayBasis.for_cone(K)
     for y in [(1, 1, 1), (1, 0, 0), (0, 0, 1), (-1, 1, 1), (2, 1, -1)]:
         q = basis.to_quad(y)
-        assert in_cone(K, y) == all(c >= 0 for c in q)
+        inside = classify_point(K, y) is not PointClass.OUTSIDE
+        assert inside == all(c >= 0 for c in q)
 
 
 def test_canonical_indices_drop_dominated_points():
@@ -271,6 +271,7 @@ def test_single_point_queries_agree_with_the_bulk_labels(name):
     K = CORE_CONES[name]
     for M in _random_sets(K.dim, 3, seed=5):
         grid = _grid(K.dim, M)[::7]
-        assert [classify_against(M, K, y) for y in grid] == classify_many(M, K, grid)
+        single = [classify_many(M, K, [y])[0] for y in grid]
+        assert single == classify_many(M, K, grid)
         for S in (wsup_finite(M, K), winf_finite(M, K)):
             assert [S.classify(y) for y in grid] == S.classify_many(grid)
