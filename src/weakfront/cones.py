@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from weakfront.numeric import (
@@ -27,7 +29,7 @@ from weakfront.numeric import (
     require_exact,
     zero_mat,
 )
-from weakfront.staircase2d import RayBasis
+from weakfront.staircase2d import RayBasis, _primitive
 
 
 class DimensionError(ValueError):
@@ -60,7 +62,7 @@ class Cone:
     serialize identically.
     """
 
-    __slots__ = ("dim", "normals", "generators", "interior_witness", "_basis")
+    __slots__ = ("dim", "normals", "generators", "interior_witness", "_basis", "_rays")
 
     def __init__(
         self,
@@ -124,6 +126,15 @@ class Cone:
         except AttributeError:
             self._basis = RayBasis.for_cone(self)
             return self._basis
+
+    @property
+    def rays(self) -> tuple:
+        """The generators as primitive integers, derived on first use and kept."""
+        try:
+            return self._rays
+        except AttributeError:
+            self._rays = tuple(_primitive(g) for g in self.generators)
+            return self._rays
 
     def __eq__(self, other) -> bool:
         return (
@@ -256,18 +267,26 @@ class PosOp:
 
 
 def is_positive_operator(T: LinOp, S: Cone, K: Cone) -> bool:
-    """True iff T maps every generator of S into K; a cone S without
-    generators has nothing to certify on and raises PositivityError."""
+    """True iff T maps every generator of S into K, tested in integers as
+    N_K·(d·T)·R_S >= 0 entrywise: N_K is ``K.basis.normals``, d the lcm of
+    T's denominators and R_S is ``S.rays``.  A cone S without generators
+    has nothing to certify on and raises PositivityError."""
     if T.cols != S.dim or T.rows != K.dim:
         raise DimensionError(
             f"operator {T.rows}x{T.cols} does not map dim {S.dim} to dim {K.dim}"
         )
     if not S.generators:
         raise PositivityError("domain cone has no generators to certify on")
-    return all(
-        classify_point(K, T.apply(g)) is not PointClass.OUTSIDE
-        for g in S.generators
-    )
+    d = math.lcm(*(c.denominator for row in T.entries for c in row))
+    NT = facet_matrix(K.basis.normals, T, d)
+    return all(sum(map(mul, row, r)) >= 0 for r in S.rays for row in NT)
+
+
+def facet_matrix(N: Sequence[tuple], T: LinOp, d: int) -> tuple:
+    """The integer matrix N·(d·T), d a multiple of T's denominators."""
+    dT = [[c.numerator * (d // c.denominator) for c in row] for row in T.entries]
+    cols = list(zip(*dT))
+    return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in N)
 
 
 def grid_values(box: Number, step: Number) -> tuple:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -35,6 +36,7 @@ from .cones import (
     PointClass,
     PosOp,
     classify_point,
+    facet_matrix,
     sample_linops,
     sample_positive_operators,
 )
@@ -296,10 +298,11 @@ class SearchConfig:
 
     ``t_box``/``t_step`` control the positive-operator grid, ``l_box``/
     ``l_step`` the splitting-operator grids.  A negative box or a step that
-    is not positive is refused here, before any hint is tried.
+    is not positive is refused here, before any hint is tried.  Each (S, K)
+    gets one positive-operator budget, kept as long as the config.
     """
 
-    __slots__ = ("t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L")
+    __slots__ = ("t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "_posops")
 
     def __init__(
         self,
@@ -322,27 +325,29 @@ class SearchConfig:
         object.__setattr__(self, "l_step", l_step)
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
+        object.__setattr__(self, "_posops", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SearchConfig is immutable")
 
     def posop_budget(self, S: Cone, K: Cone) -> Iterable[PosOp]:
-        """Hints, then zero, then the ascending positive-operator grid."""
-        seen = set()
-        for hint in self.hints_T:
-            if hint.rows == K.dim and hint.cols == S.dim:
-                if hint.entries not in seen:
-                    seen.add(hint.entries)
-                    yield PosOp(hint, S, K)
-        zero = LinOp.zero(K.dim, S.dim)
-        if zero.entries not in seen:
-            seen.add(zero.entries)
-            yield PosOp(zero, S, K)
-        if self.t_box != 0:
-            for T in sample_positive_operators(S, K, self.t_box, self.t_step):
-                if T.op.entries not in seen:
-                    seen.add(T.op.entries)
-                    yield T
+        """Hints, then zero, then the ascending grid of L+(S, K), each tested
+        once per config.  The first call tests the hints and zero (raising
+        when S has no generators or a hint is not positive), and only then
+        keeps a :class:`_Replay` of the budget, its grid drawn lazily; later
+        calls return it, and a call that raised raises again."""
+        budget = self._posops.get((S, K))
+        if budget is None:
+            head = {}  # entries -> PosOp, hints then zero, without repeats
+            for op in (*self.hints_T, LinOp.zero(K.dim, S.dim)):
+                if (op.rows, op.cols) == (K.dim, S.dim) and op.entries not in head:
+                    head[op.entries] = PosOp(op, S, K)
+            grid = ()
+            if self.t_box != 0:
+                grid = sample_positive_operators(S, K, self.t_box, self.t_step)
+            rest = (T for T in grid if T.op.entries not in head)
+            budget = self._posops[(S, K)] = _Replay(chain(head.values(), rest))
+        return budget
 
     def linop_budget(self, rows: int, cols: int) -> Iterable[LinOp]:
         """Hints, then zero, then the ascending full grid."""
@@ -502,11 +507,6 @@ class FacetTables:
         self.c = [i for i in rows if x[i] in in_c]
         self.c_f = [i for i in self.c if fv[i] is not None]
 
-    def _facet_op(self, op: LinOp, d: int) -> tuple:
-        """The integer matrix N·(d·op)."""
-        cols = list(zip(*(_scaled(row, d) for row in op.entries)))
-        return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in self.N)
-
     def conjugate(
         self, rows: list, R: LinOp, T: Optional[PosOp] = None, f: bool = False
     ) -> tuple:
@@ -516,8 +516,8 @@ class FacetTables:
         common denominator."""
         ops = R.entries + (T.op.entries if T is not None else ())
         d = math.lcm(*(c.denominator for row in ops for c in row))
-        NR = self._facet_op(R, d)
-        NT = self._facet_op(T.op, d) if T is not None else None
+        NR = facet_matrix(self.N, R, d)
+        NT = facet_matrix(self.N, T.op, d) if T is not None else None
         xs, nf, gs = self.xs, self.nf, self.gs
         coords = []
         for i in rows:
@@ -584,13 +584,14 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     shared between items are computed once per call and dropped with the
     generator: F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per
     (L', L''), and (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items
-    drawn by the first pass are replayed by the later ones.
+    drawn by the first pass are replayed by the later ones; the T budget is
+    the config's own, drawn once per config (:meth:`SearchConfig.posop_budget`).
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
     K = P.K
     tab = P.tables
-    Ts = _Replay(cfg.posop_budget(P.S, K))
+    Ts = cfg.posop_budget(P.S, K)
     if index == 1:
         for T in Ts:
             yield (T, None, None), tab.conjugate(tab.c_f, L, T, f=True)

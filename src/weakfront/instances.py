@@ -283,6 +283,8 @@ def pair_from_json(doc) -> MapPair:
     F1 = SampledMap((x, decode_vec(v)) for x, v in zip(domain, raw1))
     F2 = SampledMap((x, decode_vec(v)) for x, v in zip(domain, raw2))
     _, hints_L = _decode_hints(doc.get("hints"))
+    if "T" in (doc.get("hints") or {}):
+        raise InstanceFormatError("pair documents take no hints['T']")
     _check_hint_shapes(hints_L, "L", F1.out_dim, F1.in_dim, "m x n")
     return MapPair(F1, F2, K, hints_L, str(doc.get("name", "")))
 

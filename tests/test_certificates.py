@@ -2,6 +2,7 @@
 checked against a written-out reference: the budget's three nested loops,
 the from-scratch ``beta_value_set``, and a join fold that prunes nothing."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -231,6 +232,21 @@ def test_search_returns_the_first_qualifying_certificate(name, budget, index):
             assert cert is None
         else:
             assert (cert.T.op, cert.Lp, cert.Lpp) == (want[0].op, want[1], want[2])
+
+
+def test_searches_sharing_a_config_match_searches_on_fresh_configs():
+    """The T budget one config keeps for E3 serves indices 1-3 in any order
+    and gives each search the certificate a fresh config gives."""
+    P = INSTANCES["E3"]
+    shared = P.search_config()
+    found = []
+    for index in (1, 2, 3):
+        for L in _perturbations(P):
+            for y in itertools.product(range(-3, 4, 2), repeat=P.m):
+                cert = script_A_membership(index, P, L, y, shared)
+                assert cert == script_A_membership(index, P, L, y, P.search_config())
+                found.append(cert is not None)
+    assert any(found) and not all(found)
 
 
 def _check_owners(d, index, P, L):

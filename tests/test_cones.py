@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weakfront import cones
 from weakfront.cones import (
@@ -12,8 +14,10 @@ from weakfront.cones import (
     PositivityError,
     classify_point,
     is_positive_operator,
+    sample_linops,
     sample_positive_operators,
 )
+from weakfront.randgen import rand_cone_2d, rand_halfplane
 
 
 def skew_cone():
@@ -150,21 +154,68 @@ def test_sample_positive_operators_scalar_grid():
 
 
 def test_sample_positive_operators_tests_each_matrix_once(monkeypatch):
-    """One positivity test per grid matrix: one point classification per
-    generator of S, and none again when the PosOp is built."""
+    """One positivity test per grid matrix, and none again when the PosOp is
+    built."""
     calls = []
-    real = cones.classify_point
+    real = cones.is_positive_operator
 
-    def counting(K, y):
-        calls.append(y)
-        return real(K, y)
+    def counting(T, S, K):
+        calls.append(T.entries)
+        return real(T, S, K)
 
-    monkeypatch.setattr(cones, "classify_point", counting)
+    monkeypatch.setattr(cones, "is_positive_operator", counting)
     ops = list(sample_positive_operators(Cone.orthant(2), Cone.orthant(1), 1, 1))
     assert len(ops) == 4  # both entries in {0, 1}
-    # each of the 9 grid matrices maps the generator (0, 1) and, when its
-    # image (the second entry) is in K, also (1, 0)
-    assert len(calls) == 9 + 6
+    assert len(calls) == 9  # the 3 x 3 grid matrices, each once
+    assert len(set(calls)) == 9
+
+
+def _fraction_positivity(T, S, K):
+    """The reference test: every generator of S lands in K, in Fractions."""
+    return all(
+        classify_point(K, T.apply(g)) is not PointClass.OUTSIDE
+        for g in S.generators
+    )
+
+
+PLANAR = [rand_cone_2d(random.Random(s)) for s in range(3)] + [
+    rand_halfplane(random.Random(s)) for s in range(2)
+]
+POSITIVITY_CONES = [Cone.orthant(1), Cone.orthant(2), skew_cone(), *PLANAR]
+
+
+def test_the_positivity_cones_have_rational_normals():
+    assert any(c.denominator > 1 for K in PLANAR for a in K.normals for c in a)
+
+
+@pytest.mark.parametrize("step", [1, Fraction(1, 2)])
+@pytest.mark.parametrize("S", POSITIVITY_CONES)
+@pytest.mark.parametrize("K", POSITIVITY_CONES)
+def test_integer_positivity_matches_fractions_on_grids(S, K, step):
+    for T in sample_linops(K.dim, S.dim, 1, step):
+        assert is_positive_operator(T, S, K) == _fraction_positivity(T, S, K)
+
+
+def _cone(kind, seed):
+    """An orthant of dimension ``kind``, or a random planar cone."""
+    if kind == "planar":
+        return rand_cone_2d(random.Random(seed))
+    if kind == "halfplane":
+        return rand_halfplane(random.Random(seed))
+    return Cone.orthant(kind)
+
+
+CONE_KINDS = st.builds(
+    _cone, st.sampled_from([1, 2, "planar", "halfplane"]), st.integers(0, 10**6)
+)
+ENTRY = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@given(S=CONE_KINDS, K=CONE_KINDS, data=st.data())
+def test_integer_positivity_matches_fractions_on_mixed_denominators(S, K, data):
+    rows = st.lists(ENTRY, min_size=S.dim, max_size=S.dim).map(tuple)
+    T = LinOp(data.draw(st.lists(rows, min_size=K.dim, max_size=K.dim)))
+    assert is_positive_operator(T, S, K) == _fraction_positivity(T, S, K)
 
 
 def test_sample_positive_operators_rejects_bad_grid():

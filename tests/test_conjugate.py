@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from weakfront.cones import Cone, LinOp, PosOp
+from weakfront import cones
+from weakfront.cones import Cone, LinOp, PosOp, PositivityError
 from weakfront.conjugate import (
     ExtEpiElement,
     SampledMap,
@@ -196,6 +197,57 @@ def test_search_config_puts_hints_before_the_grid():
     # box 0 keeps only hints and zero
     lean = SearchConfig(t_box=0, hints_T=(hint,))
     assert [T.op for T in lean.posop_budget(O1, O1)] == [hint, LinOp.zero(1, 1)]
+
+
+def test_a_config_draws_its_posop_budget_once(monkeypatch):
+    calls = []
+    real = cones.is_positive_operator
+
+    def counting(T, S, K):
+        calls.append(T.entries)
+        return real(T, S, K)
+
+    monkeypatch.setattr(cones, "is_positive_operator", counting)
+    hint = LinOp(((Fraction(7),), (Fraction(1, 2),)))
+    cfg = SearchConfig(t_box=1, t_step=Fraction(1, 2), hints_T=(hint, hint))
+    first = [T.op for T in cfg.posop_budget(O1, O2)]
+    # the hint once, zero once and each of the 5 x 5 grid matrices once
+    # (zero among them)
+    assert len(calls) == 1 + 1 + 25
+    assert first[:2] == [hint, LinOp.zero(2, 1)] and len(first) == 1 + 9
+    calls.clear()
+    # a later call and a pass nested in another replay the kept budget
+    budget = cfg.posop_budget(O1, O2)
+    assert [T.op for T in budget] == first
+    assert [(T.op, U.op) for T in budget for U in budget] == [
+        (a, b) for a in first for b in first
+    ]
+    assert calls == []
+
+
+def test_each_cone_pair_has_its_own_posop_budget():
+    cfg = SearchConfig(t_box=1)
+    skew = Cone(((1, 0), (-1, 2)), ((0, 1), (2, 1)), (1, 1))
+    on_orthant = [T.op for T in cfg.posop_budget(O2, O2)]
+    on_skew = [T.op for T in cfg.posop_budget(O2, skew)]
+    assert len(on_orthant) == 16 and len(on_skew) == 9
+    assert on_orthant == [T.op for T in SearchConfig(t_box=1).posop_budget(O2, O2)]
+    assert on_skew == [T.op for T in SearchConfig(t_box=1).posop_budget(O2, skew)]
+    assert [T.op for T in cfg.posop_budget(O1, O1)] == [
+        LinOp.zero(1, 1), LinOp(((1,),))
+    ]
+    assert cfg.posop_budget(O2, O2) is cfg.posop_budget(O2, O2)
+
+
+def test_a_posop_budget_that_raised_raises_again():
+    cfg = SearchConfig(hints_T=(LinOp(((-1,),)),))
+    for _ in range(2):
+        with pytest.raises(PositivityError):
+            list(cfg.posop_budget(O1, O1))
+    no_gens = Cone(((1,),), (), (1,))
+    for _ in range(2):
+        with pytest.raises(PositivityError, match="no generators"):
+            list(SearchConfig().posop_budget(no_gens, O1))
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,18 @@ def test_pair_hints_of_the_wrong_shape_are_refused():
         pair_from_json(doc)
 
 
+def test_pair_documents_with_t_hints_are_refused():
+    """A pair has no positive operator, so T hints would have no effect."""
+    doc = json.loads((data_dir() / "pairs" / "pair01.json").read_text())
+    assert "T" not in doc["hints"]
+    for hints_T in ([[[5, 7]]], []):
+        doc["hints"]["T"] = hints_T
+        with pytest.raises(InstanceFormatError, match=r"pair documents take no hints\['T'\]"):
+            pair_from_json(doc)
+    del doc["hints"]["T"]
+    assert pair_from_json(doc).hints_L == shipped_pair(1).hints_L
+
+
 def test_file_errors(tmp_path):
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance(tmp_path / "nope.json")
