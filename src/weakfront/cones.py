@@ -3,16 +3,15 @@ positive operators.
 
 A cone is given by facet normals (H-representation, ``K = {y : a_i.y >= 0}``)
 plus generators and a strict interior witness.  Cones must be solid (nonempty
-interior, certified by the witness) and proper (not the whole space).  All
-data is exact (ints and Fractions), and all classification against a cone
-reduces to exact signs of normal products.
+interior, certified by the witness) and proper (not the whole space).  Both
+lists are stored once, as primitive integer vectors, so every test against a
+cone is an exact sign of an integer product, and equal cones compare equal.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
@@ -21,15 +20,18 @@ from weakfront.numeric import (
     Mat,
     Number,
     Vec,
+    common_denominator,
     dot,
     mat_add,
     mat_neg,
     mat_sub,
     mat_vec,
+    primitive,
     require_exact,
+    scaled,
     zero_mat,
 )
-from weakfront.staircase2d import RayBasis, _primitive
+from weakfront.staircase2d import RayBasis
 
 
 class DimensionError(ValueError):
@@ -46,23 +48,15 @@ class PointClass(enum.Enum):
     OUTSIDE = "OUTSIDE"
 
 
-def _unit_scale(v: Vec) -> Vec:
-    """Scale a nonzero vector so its largest absolute entry is 1."""
-    big = max(abs(c) for c in v)
-    if big == 0:
-        raise ValueError("zero vector cannot be scaled")
-    return tuple(Fraction(c) / big for c in v)
-
-
 class Cone:
     """Solid closed convex polyhedral cone in R^dim.
 
-    Normals and generators are canonicalized at construction (scaled to unit
-    max-entry, sorted, deduplicated) so that equal cones compare equal and
-    serialize identically.
+    Normals and generators are canonicalized at construction to their
+    primitive integer multiples, sorted and deduplicated, so that equal
+    cones compare equal and every sign test against them runs on integers.
     """
 
-    __slots__ = ("dim", "normals", "generators", "interior_witness", "_basis", "_rays")
+    __slots__ = ("dim", "normals", "generators", "interior_witness", "_basis")
 
     def __init__(
         self,
@@ -84,7 +78,7 @@ class Cone:
             require_exact(a, "cone normal")
             if all(c == 0 for c in a):
                 raise ValueError("zero normal")
-        self.normals = tuple(sorted(set(_unit_scale(tuple(a)) for a in normals)))
+        self.normals = tuple(sorted(set(primitive(a) for a in normals)))
         if interior_witness is None:
             raise ValueError("cone needs an interior witness (solid cones only)")
         self.interior_witness = tuple(interior_witness)
@@ -99,7 +93,7 @@ class Cone:
             require_exact(g, "cone generator")
             if all(c == 0 for c in g):
                 continue
-            gens.append(_unit_scale(tuple(g)))
+            gens.append(primitive(g))
         for g in gens:
             for a in self.normals:
                 if dot(a, g) < 0:
@@ -111,10 +105,7 @@ class Cone:
     @classmethod
     def orthant(cls, dim: int) -> "Cone":
         """The nonnegative orthant of R^dim."""
-        eye = [
-            tuple(Fraction(1 if i == j else 0) for j in range(dim))
-            for i in range(dim)
-        ]
+        eye = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         return cls(eye, eye, (Fraction(1),) * dim)
 
     @property
@@ -126,15 +117,6 @@ class Cone:
         except AttributeError:
             self._basis = RayBasis.for_cone(self)
             return self._basis
-
-    @property
-    def rays(self) -> tuple:
-        """The generators as primitive integers, derived on first use and kept."""
-        try:
-            return self._rays
-        except AttributeError:
-            self._rays = tuple(_primitive(g) for g in self.generators)
-            return self._rays
 
     def __eq__(self, other) -> bool:
         return (
@@ -268,24 +250,22 @@ class PosOp:
 
 def is_positive_operator(T: LinOp, S: Cone, K: Cone) -> bool:
     """True iff T maps every generator of S into K, tested in integers as
-    N_K·(d·T)·R_S >= 0 entrywise: N_K is ``K.basis.normals``, d the lcm of
-    T's denominators and R_S is ``S.rays``.  A cone S without generators
-    has nothing to certify on and raises PositivityError."""
+    N_K·(d·T)·R_S >= 0 entrywise: N_K is ``K.normals``, d the common
+    denominator of T and R_S is ``S.generators``.  A cone S without
+    generators has nothing to certify on and raises PositivityError."""
     if T.cols != S.dim or T.rows != K.dim:
         raise DimensionError(
             f"operator {T.rows}x{T.cols} does not map dim {S.dim} to dim {K.dim}"
         )
     if not S.generators:
         raise PositivityError("domain cone has no generators to certify on")
-    d = math.lcm(*(c.denominator for row in T.entries for c in row))
-    NT = facet_matrix(K.basis.normals, T, d)
-    return all(sum(map(mul, row, r)) >= 0 for r in S.rays for row in NT)
+    NT = facet_matrix(K.normals, T, common_denominator(T.entries))
+    return all(sum(map(mul, row, r)) >= 0 for r in S.generators for row in NT)
 
 
 def facet_matrix(N: Sequence[tuple], T: LinOp, d: int) -> tuple:
     """The integer matrix N·(d·T), d a multiple of T's denominators."""
-    dT = [[c.numerator * (d // c.denominator) for c in row] for row in T.entries]
-    cols = list(zip(*dT))
+    cols = list(zip(*(scaled(row, d) for row in T.entries)))
     return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in N)
 
 

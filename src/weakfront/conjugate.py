@@ -41,7 +41,8 @@ from .cones import (
     sample_positive_operators,
 )
 from .numeric import (
-    Number, Vec, dot, mat_vec, require_exact, vec_add, vec_scale, vec_sub,
+    Number, Vec, common_denominator, dot, mat_vec, require_exact, scaled,
+    vec_add, vec_scale, vec_sub,
 )
 from .order_sets import (
     FiniteVecSet,
@@ -458,11 +459,6 @@ def beta_value_set(
     raise ValueError("index must be 1, 2 or 3")
 
 
-def _scaled(v: Sequence[Number], den: int) -> tuple:
-    """The integer vector den·v (den a multiple of every denominator)."""
-    return tuple(c.numerator * (den // c.denominator) for c in v)
-
-
 def rescale(coords: list, f: int) -> list:
     """Integer coordinates multiplied by f, to bring them to a larger scale."""
     return coords if f == 1 else [tuple(f * c for c in q) for q in coords]
@@ -473,7 +469,7 @@ class FacetTables:
     :func:`certificates`.
 
     Rows are the samples X = dom F ∪ dom G in ascending order.  With ``N``
-    the integer normal matrix of K and D one common denominator of all the
+    the primitive integer normals of K and D one common denominator of all the
     data, ``xs`` holds D·x, ``nf`` N·(D·F(x)) and ``gs`` D·G(x) (None off
     dom F, dom G); ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
     dom F, dom G, C and C ∩ dom F.  A frontier is a pair (scale, coords):
@@ -484,22 +480,16 @@ class FacetTables:
     __slots__ = ("N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f")
 
     def __init__(self, P):
-        N = self.N = P.K.basis.normals
+        N = self.N = P.K.normals
         x = sorted(set(P.F.domain()) | set(P.G.domain()))
         fv = [P.F.value(v) for v in x]
         gv = [P.G.value(v) for v in x]
-        den = self.den = math.lcm(
-            *(
-                c.denominator
-                for col in (x, fv, gv)
-                for v in col
-                if v is not None
-                for c in v
-            )
+        den = self.den = common_denominator(
+            v for col in (x, fv, gv) for v in col if v is not None
         )
-        self.xs = [_scaled(v, den) for v in x]
-        self.nf = [None if v is None else mat_vec(N, _scaled(v, den)) for v in fv]
-        self.gs = [None if v is None else _scaled(v, den) for v in gv]
+        self.xs = [scaled(v, den) for v in x]
+        self.nf = [None if v is None else mat_vec(N, scaled(v, den)) for v in fv]
+        self.gs = [None if v is None else scaled(v, den) for v in gv]
         in_c = set(P.C)
         rows = range(len(x))
         self.dom_f = [i for i in rows if fv[i] is not None]
@@ -515,7 +505,7 @@ class FacetTables:
         is (N·R)·X - N·F - (N·T)·G at the scale D·d, d the operators'
         common denominator."""
         ops = R.entries + (T.op.entries if T is not None else ())
-        d = math.lcm(*(c.denominator for row in ops for c in row))
+        d = common_denominator(ops)
         NR = facet_matrix(self.N, R, d)
         NT = facet_matrix(self.N, T.op, d) if T is not None else None
         xs, nf, gs = self.xs, self.nf, self.gs
@@ -643,8 +633,8 @@ def script_A_membership(
         raise DimensionError("script_A_membership: dimensions disagree")
     require_exact(y, "query point")
     ny = K.basis.to_quad(y)
-    dy = math.lcm(*(c.denominator for c in ny))
-    qy = _scaled(ny, dy)  # dy·N·y
+    dy = common_denominator([ny])
+    qy = scaled(ny, dy)  # dy·N·y
     for ops, (scale, coords) in certificates(i, P, L, cfg):
         q = tuple(scale * c for c in qy)
         if region_sup(rescale(coords, dy), q) != LOWER:

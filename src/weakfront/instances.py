@@ -21,10 +21,10 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .cones import Cone, LinOp, _unit_scale, is_positive_operator
+from .cones import Cone, LinOp, is_positive_operator
 from .conjugate import SampledMap
 from .duality import ProblemInstance
-from .numeric import decode_mat, decode_vec, encode_mat, encode_vec
+from .numeric import decode_mat, decode_vec, encode_mat, encode_vec, primitive
 from .order_sets import FiniteVecSet
 
 
@@ -97,7 +97,7 @@ def _check_extreme_rays(K: Cone, what: str) -> None:
     if not K.generators or basis.inverse is None:
         return
     for i in range(K.dim):
-        ray = _unit_scale(basis.from_quad([int(i == j) for j in range(K.dim)]))
+        ray = primitive(basis.from_quad([int(i == j) for j in range(K.dim)]))
         if ray not in K.generators:
             raise InstanceFormatError(
                 f"{what!r} generators miss the extreme ray "

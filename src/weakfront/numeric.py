@@ -3,14 +3,16 @@
 All engine data lives in immutable tuples of exact numbers.  The JSON codec
 at the bottom is the only place other number types are read: it decodes
 every document number to a ``Fraction``.  Past it, :func:`require_exact`
-guards the places where a caller's numbers enter the engine.
+guards the places where a caller's numbers enter the engine.  The engine's
+integer paths clear denominators only through :func:`common_denominator`,
+:func:`scaled` and :func:`primitive`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Number = Union[int, Fraction]
 Vec = tuple
@@ -65,6 +67,26 @@ def mat_neg(a: Mat) -> Mat:
 
 def zero_mat(rows: int, cols: int) -> Mat:
     return tuple((Fraction(0),) * cols for _ in range(rows))
+
+
+# --- clearing denominators --------------------------------------------------
+
+def common_denominator(vecs: Iterable[Sequence[Number]]) -> int:
+    """The lcm of the denominators of every entry of ``vecs``."""
+    return math.lcm(*{c.denominator for v in vecs for c in v})
+
+
+def scaled(v: Sequence[Number], den: int) -> tuple:
+    """The integer vector den·v (den a multiple of every denominator)."""
+    return tuple(c.numerator * (den // c.denominator) for c in v)
+
+
+def primitive(v: Sequence[Number]) -> tuple:
+    """The primitive integer multiple of a nonzero exact vector: its
+    positive multiple with integer entries of gcd 1."""
+    ints = scaled(v, common_denominator([v]))
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def mat_rank(rows: Sequence[Sequence[Number]]) -> int:

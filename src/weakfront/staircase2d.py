@@ -19,24 +19,15 @@ this core replaced; perfbench's tracer binds them by name.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import ge, gt
 from typing import Sequence
 
-from weakfront.numeric import Vec, dot
+from weakfront.numeric import Vec, common_denominator, dot, scaled
 
 # Region codes (kept as plain ints so this module has no enum dependencies;
 # order_sets maps them onto RegionLabel).
 LOWER, FRONTIER, UPPER = 0, 1, 2
-
-
-def _primitive(v: Sequence) -> tuple:
-    """Canonical primitive-integer direction of a nonzero rational vector."""
-    den = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * den) for c in v]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
 
 
 def _inverse(rows: Sequence[Sequence]) -> tuple | None:
@@ -63,8 +54,8 @@ def _inverse(rows: Sequence[Sequence]) -> tuple | None:
 
 class RayBasis:
     """Facet coordinates of a polyhedral cone: ``normals`` is the integer
-    matrix N, ``inverse`` its exact inverse when N is square and invertible
-    (K simplicial), None otherwise."""
+    matrix N (the cone's own primitive normals), ``inverse`` its exact
+    inverse when N is square and invertible (K simplicial), None otherwise."""
 
     __slots__ = ("normals", "inverse")
 
@@ -76,9 +67,8 @@ class RayBasis:
     def for_cone(cls, K) -> "RayBasis":
         """The basis of K, with an inverse only when K's normals are exactly
         ``dim`` linearly independent vectors."""
-        normals = tuple(_primitive(a) for a in K.normals)
-        inverse = _inverse(normals) if len(normals) == K.dim else None
-        return cls(normals, inverse)
+        N = K.normals
+        return cls(N, _inverse(N) if len(N) == K.dim else None)
 
     def to_quad(self, y: Sequence) -> tuple:
         """Facet coordinates N·y."""
@@ -90,14 +80,11 @@ class RayBasis:
         return tuple(dot(row, q) for row in self.inverse)
 
     def int_coords(self, vecs: Sequence[Vec]) -> list:
-        """Facet coordinates of ``vecs`` scaled by the lcm of all their
-        denominators: integers, in the order of ``vecs``.  One scale serves
-        the whole batch, so the componentwise order is preserved."""
-        den = math.lcm(*{c.denominator for v in vecs for c in v})
-        return [
-            self.to_quad([c.numerator * (den // c.denominator) for c in v])
-            for v in vecs
-        ]
+        """Facet coordinates of ``vecs`` scaled by their common denominator:
+        integers, in the order of ``vecs``.  One scale serves the whole
+        batch, so the componentwise order is preserved."""
+        den = common_denominator(vecs)
+        return [self.to_quad(scaled(v, den)) for v in vecs]
 
 
 def maxima(coords: Sequence[tuple]) -> list:

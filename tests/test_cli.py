@@ -305,19 +305,27 @@ def test_malformed_e2_is_refused_with_its_own_message(capsys, tmp_path, e2, path
         assert (rc, out) == (2, "")
         assert err == f"input error: {message}\n"
 
-def test_simplicial_cone_missing_an_extreme_ray_is_refused(capsys, tmp_path):
-    # S is the quadrant; listing only (0, 1) would certify T = [[-1, 0]] as
-    # positive and put the dual frontier above the primal one.
+_QUADRANT = {"normals": [[1, 0], [0, 1]], "interior_witness": [1, 1]}
+_SKEWED = {"normals": [[1, 0], [-1, 2]], "interior_witness": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "S, ray", [(_QUADRANT, "[1, 0]"), (_SKEWED, "[2, 1]")], ids=["quadrant", "skewed"]
+)
+def test_simplicial_cone_missing_an_extreme_ray_is_refused(capsys, tmp_path, S, ray):
+    # Listing only (0, 1) for the quadrant would certify T = [[-1, 0]] as
+    # positive and put the dual frontier above the primal one.  The missing
+    # ray is printed as the primitive integer vector the cone stores.
     doc = json.loads((data_dir() / "E5.json").read_text())
     bad = tmp_path / "E5_bad.json"
-    bad.write_text(json.dumps(_with(doc, ("S", "generators"), [[0, 1]])))
+    bad.write_text(json.dumps(_with(doc, ("S",), dict(S, generators=[[0, 1]]))))
     for argv in (
         ["farkas", str(bad), "--L", '[["3/2"]]', "--y", "[1]"],
         ["dual", str(bad), "--L", '[["3/2"]]'],
     ):
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
-        assert err == "input error: 'S' generators miss the extreme ray [1, 0]\n"
+        assert err == f"input error: 'S' generators miss the extreme ray {ray}\n"
 
 
 # Values that compare equal to the expected ones in Python but are the

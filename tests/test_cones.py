@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from weakfront.cones import (
     sample_linops,
     sample_positive_operators,
 )
+from weakfront.numeric import vec_scale
 from weakfront.randgen import rand_cone_2d, rand_halfplane
 
 
@@ -36,18 +38,59 @@ def test_orthant_data():
     assert K.interior_witness == (Fraction(1), Fraction(1))
 
 
-def test_normals_canonicalized_to_unit_max_entry():
+def test_normals_canonicalized_to_primitive_integers():
     K = Cone(((2, 0), (0, 3)), ((5, 0), (0, 7)), (1, 1))
     assert K == Cone.orthant(2)
 
 
 def test_canonicalization_stays_exact_for_integer_input():
-    # scaling (-2, 3) by 1/3 must give rationals, not floats
-    K = Cone(((-2, 3), (1, 0)), interior_witness=(1, 1))
-    for a in K.normals:
-        for c in a:
-            assert isinstance(c, Fraction)
-    assert (Fraction(-2, 3), Fraction(1)) in K.normals
+    as_ints = Cone(((-2, 3), (1, 0)), interior_witness=(1, 1))
+    as_fractions = Cone(
+        ((Fraction(-2, 3), Fraction(1)), (Fraction(5, 2), Fraction(0))),
+        interior_witness=(1, 1),
+    )
+    for K in (as_ints, as_fractions):
+        assert K.normals == ((-2, 3), (1, 0))
+        assert all(type(c) is int for a in K.normals for c in a)
+
+
+def pyramid_3d():
+    """The four-facet pyramid {|y1| <= y3, |y2| <= y3}: not simplicial."""
+    return Cone(
+        normals=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+        generators=((1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)),
+        interior_witness=(0, 0, 1),
+    )
+
+
+CANONICAL_CONES = st.one_of(
+    st.sampled_from([Cone.orthant(1), Cone.orthant(2), Cone.orthant(3), pyramid_3d()]),
+    st.integers(0, 10**6).map(lambda s: rand_cone_2d(random.Random(s))),
+    st.integers(0, 10**6).map(lambda s: rand_halfplane(random.Random(s))),
+)
+POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+
+
+@given(K=CANONICAL_CONES, data=st.data())
+def test_rescaled_data_rebuild_the_same_primitive_cone(K, data):
+    """Rescaling each normal and generator by a positive rational and
+    repeating one of them changes nothing that is stored."""
+
+    def rescaled(vecs):
+        return [vec_scale(data.draw(POSITIVE), v) for v in vecs]
+
+    normals, gens = rescaled(K.normals), rescaled(K.generators)
+    twice = data.draw(st.integers(0, len(normals) + len(gens) - 1))
+    if twice < len(normals):
+        normals += rescaled([normals[twice]])
+    else:
+        gens += rescaled([gens[twice - len(normals)]])
+    again = Cone(normals, gens, K.interior_witness)
+    assert again == K and hash(again) == hash(K)
+    assert again.normals == K.normals and again.generators == K.generators
+    for v in again.normals + again.generators:
+        assert all(type(c) is int for c in v) and math.gcd(*v) == 1
+    assert again.basis.normals == again.normals
 
 
 def test_cone_requires_witness():
@@ -184,8 +227,10 @@ PLANAR = [rand_cone_2d(random.Random(s)) for s in range(3)] + [
 POSITIVITY_CONES = [Cone.orthant(1), Cone.orthant(2), skew_cone(), *PLANAR]
 
 
-def test_the_positivity_cones_have_rational_normals():
-    assert any(c.denominator > 1 for K in PLANAR for a in K.normals for c in a)
+def test_some_positivity_cone_has_a_normal_entry_beyond_one():
+    # so N_K in the integer positivity test is not trivially made of ±1;
+    # rand_cone_2d(Random(0)) has the normal (-3, -1)
+    assert any(abs(c) > 1 for K in POSITIVITY_CONES for a in K.normals for c in a)
 
 
 @pytest.mark.parametrize("step", [1, Fraction(1, 2)])

@@ -21,6 +21,7 @@ from weakfront.instances import (
     shipped_instance,
     shipped_pair,
 )
+from weakfront.numeric import encode_mat
 from weakfront.order_sets import FiniteVecSet
 
 LOADERS = {"instance": load_instance, "pair": load_pair}
@@ -135,9 +136,14 @@ def test_shipped_document_integrity(rel):
     path = data_dir() / rel
     text = path.read_text()
     doc = json.loads(text)
-    LOADERS[doc["kind"]](path)
+    loaded = LOADERS[doc["kind"]](path)
     assert dump_json(doc) == text  # canonical text form
     assert rel in _readme_sections()
+    for key in ("K", "S"):
+        if key in doc:  # each cone literal is stored as the cone keeps it
+            cone = getattr(loaded, key)
+            assert doc[key]["normals"] == encode_mat(cone.normals)
+            assert doc[key]["generators"] == encode_mat(cone.generators)
 
 
 def test_readme_sections_name_shipped_documents():

@@ -96,3 +96,26 @@ def test_every_module_level_import_is_used():
         for name in _unused_imports(ast.parse(path.read_text()))
     )
     assert unused == []
+
+
+def _private_imports(tree):
+    """``module.name`` for each ``_``-prefixed name the module imports from
+    a weakfront module, at any depth of the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "weakfront"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A private helper that another module needs belongs in a shared
+    module under a public name."""
+    private = sorted(
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_imports(ast.parse(path.read_text()))
+    )
+    assert private == []
