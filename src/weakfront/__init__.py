@@ -51,7 +51,6 @@ from weakfront.farkas import (
     HardFailure,
     alpha_holds,
     convert_certificate,
-    farkas_equivalence_report,
     verify_certificate,
 )
 from weakfront.duality import (
@@ -99,7 +98,6 @@ __all__ = [
     "HardFailure",
     "alpha_holds",
     "convert_certificate",
-    "farkas_equivalence_report",
     "verify_certificate",
     "DualValue",
     "ProblemInstance",

@@ -13,7 +13,10 @@ indices; the certificate search takes its first qualifying item and the
 dual values fold over all of them.  It runs every block on the instance's
 integer tables (:class:`FacetTables`, derived once per instance): a block's
 cloud is an integer product in facet coordinates and its maxima are the
-frontier, so the search builds no ``Fraction`` point.  The blocks that
+frontier, so the search builds no ``Fraction`` point.  The operators'
+denominators are cleared once per call, at the one scale of
+:func:`frontier_scale`, so every frontier of a call is a plain list of
+integer coordinates at that scale.  The blocks that
 items share are memoised for the length of one call only, so nothing but
 the instance's own tables is kept between calls.  A :class:`Certificate`
 is its operators alone; :func:`beta_value_set` rebuilds its value set from
@@ -90,10 +93,6 @@ class SampledMap:
         """The indicator map of a point set: 0 on the set, +inf elsewhere."""
         zero = (0,) * out_dim
         return cls((tuple(p), zero) for p in points)
-
-    @classmethod
-    def linear(cls, op: LinOp, points: Iterable[Sequence[Number]]) -> "SampledMap":
-        return cls((tuple(p), op.apply(p)) for p in points)
 
     def domain(self) -> tuple:
         return tuple(x for x, _ in self.samples)
@@ -298,12 +297,17 @@ class SearchConfig:
     operator, then full grids (box 0 means "zero only").
 
     ``t_box``/``t_step`` control the positive-operator grid, ``l_box``/
-    ``l_step`` the splitting-operator grids.  A negative box or a step that
-    is not positive is refused here, before any hint is tried.  Each (S, K)
-    gets one positive-operator budget, kept as long as the config.
+    ``l_step`` the splitting-operator grids.  A box or step that is not an
+    int or a Fraction, a negative box and a step that is not positive are
+    refused here, before any hint is tried.  Every budget operator's
+    entries are multiples of 1/``den``, the lcm of the denominators of the
+    steps and of the hints' entries.  Each (S, K) gets one
+    positive-operator budget, kept as long as the config.
     """
 
-    __slots__ = ("t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "_posops")
+    __slots__ = (
+        "t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "den", "_posops",
+    )
 
     def __init__(
         self,
@@ -314,6 +318,10 @@ class SearchConfig:
         hints_T: Sequence[LinOp] = (),
         hints_L: Sequence[LinOp] = (),
     ):
+        for name, v in (
+            ("t_box", t_box), ("t_step", t_step), ("l_box", l_box), ("l_step", l_step)
+        ):
+            require_exact((v,), name)
         for name, box in (("t_box", t_box), ("l_box", l_box)):
             if box < 0:
                 raise ValueError(f"{name} must be nonnegative, got {box}")
@@ -326,6 +334,9 @@ class SearchConfig:
         object.__setattr__(self, "l_step", l_step)
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
+        hint_rows = chain(*(h.entries for h in (*self.hints_T, *self.hints_L)))
+        den = common_denominator(chain([(t_step, l_step)], hint_rows))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_posops", {})
 
     def __setattr__(self, name, value):
@@ -459,11 +470,6 @@ def beta_value_set(
     raise ValueError("index must be 1, 2 or 3")
 
 
-def rescale(coords: list, f: int) -> list:
-    """Integer coordinates multiplied by f, to bring them to a larger scale."""
-    return coords if f == 1 else [tuple(f * c for c in q) for q in coords]
-
-
 class FacetTables:
     """An instance's data in the integer facet coordinates of K, for
     :func:`certificates`.
@@ -472,9 +478,9 @@ class FacetTables:
     the primitive integer normals of K and D one common denominator of all the
     data, ``xs`` holds D·x, ``nf`` N·(D·F(x)) and ``gs`` D·G(x) (None off
     dom F, dom G); ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
-    dom F, dom G, C and C ∩ dom F.  A frontier is a pair (scale, coords):
-    the maximal facet coordinates of a cloud, all scaled by ``scale`` and so
-    integers, in descending lexicographic order.
+    dom F, dom G, C and C ∩ dom F.  A frontier is the list of the maximal
+    facet coordinates of a cloud, in descending lexicographic order, all at
+    the one integer scale of their search (:func:`frontier_scale`).
     """
 
     __slots__ = ("N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f")
@@ -498,14 +504,12 @@ class FacetTables:
         self.c_f = [i for i in self.c if fv[i] is not None]
 
     def conjugate(
-        self, rows: list, R: LinOp, T: Optional[PosOp] = None, f: bool = False
-    ) -> tuple:
+        self, rows: list, R: LinOp, d: int, T: Optional[PosOp] = None, f: bool = False
+    ) -> list:
         """The frontier of {R(x) - F(x) - T(G(x)) : x in rows}, with the F
         term only when ``f`` and the T term only when T is given: its cloud
-        is (N·R)·X - N·F - (N·T)·G at the scale D·d, d the operators'
-        common denominator."""
-        ops = R.entries + (T.op.entries if T is not None else ())
-        d = common_denominator(ops)
+        is (N·R)·X - N·F - (N·T)·G at the scale D·d, d a multiple of the
+        operators' denominators."""
         NR = facet_matrix(self.N, R, d)
         NT = facet_matrix(self.N, T.op, d) if T is not None else None
         xs, nf, gs = self.xs, self.nf, self.gs
@@ -518,22 +522,27 @@ class FacetTables:
                 g = gs[i]
                 q = [c - sum(map(mul, a, g)) for c, a in zip(q, NT)]
             coords.append(tuple(q))
-        return _front(self.den * d, coords)
+        return _front(coords)
 
-    def sum(self, A: tuple, B: tuple) -> tuple:
-        """The frontier of the WS-sum of frontiers A and B: the maxima of the
-        pairwise sums of their coordinates, at the lcm of their scales."""
-        (sa, qa), (sb, qb) = A, B
-        s = math.lcm(sa, sb)
-        qa, qb = rescale(qa, s // sa), rescale(qb, s // sb)
-        return _front(s, [tuple(map(add, u, v)) for u in qa for v in qb])
+    def sum(self, A: list, B: list) -> list:
+        """The frontier of the WS-sum of frontiers A and B, at their one
+        scale: the maxima of the pairwise sums of their coordinates."""
+        return _front([tuple(map(add, u, v)) for u in A for v in B])
 
 
-def _front(scale: int, coords: list) -> tuple:
-    """The frontier (scale, maximal coords) of a cloud at ``scale``.  Under a
-    cone with lineality distinct points share coordinates; the frontier
-    keeps each coordinate vector once."""
-    return scale, [coords[i] for i in maxima(coords)]
+def _front(coords: list) -> list:
+    """The maximal coords of a cloud.  Under a cone with lineality distinct
+    points share coordinates; the frontier keeps each coordinate vector
+    once."""
+    return [coords[i] for i in maxima(coords)]
+
+
+def frontier_scale(P, L: LinOp, cfg: SearchConfig) -> int:
+    """The one integer scale of every frontier that :func:`certificates`
+    yields at the perturbation L: D·lcm(``cfg.den``, L's denominators), with
+    D the instance tables' denominator.  Each block's operator is a sum of
+    L and budget operators, so its entries are multiples of 1/lcm(...)."""
+    return P.tables.den * math.lcm(cfg.den, common_denominator(L.entries))
 
 
 _END = object()
@@ -565,12 +574,13 @@ class _Replay:
 def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     """Every budget item of condition ``index`` at the perturbation L, as
     ((T, L', L''), frontier): the operators (None where the index has no
-    split) and the item's value set W as a :class:`FacetTables` frontier
-    (scale, coords).
+    split) and the item's value set W as a :class:`FacetTables` frontier,
+    a list of integer coordinates at ``frontier_scale(P, L, cfg)``.
 
     Order: L' outer, L'' middle, T inner, each budget in its own order
     (hints, zero, ascending grid).  Every block runs on the instance's
-    integer tables and no ``Fraction`` point is built.  Blocks
+    integer tables at that one scale, cleared once per call, and no
+    ``Fraction`` point is built.  Blocks
     shared between items are computed once per call and dropped with the
     generator: F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per
     (L', L''), and (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items
@@ -581,34 +591,35 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         raise ValueError("condition index must be 1, 2 or 3")
     K = P.K
     tab = P.tables
+    d = frontier_scale(P, L, cfg) // tab.den
     Ts = cfg.posop_budget(P.S, K)
     if index == 1:
         for T in Ts:
-            yield (T, None, None), tab.conjugate(tab.c_f, L, T, f=True)
+            yield (T, None, None), tab.conjugate(tab.c_f, L, d, T, f=True)
         return
     if index == 2:
         for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
-            f_star = tab.conjugate(tab.dom_f, Lp, f=True)
+            f_star = tab.conjugate(tab.dom_f, Lp, d, f=True)
             rest = L - Lp
             for T in Ts:
-                yield (T, Lp, None), tab.sum(f_star, tab.conjugate(tab.c, rest, T))
+                yield (T, Lp, None), tab.sum(f_star, tab.conjugate(tab.c, rest, d, T))
         return
     Ls = _Replay(cfg.linop_budget(K.dim, P.F.in_dim))
     ind_stars = {}  # L'' -> I_C*(L'')
     tg_stars = {}  # (T, L - L' - L'') -> (T∘G)*(L - L' - L'')
     for Lp in Ls:
-        f_star = tab.conjugate(tab.dom_f, Lp, f=True)
+        f_star = tab.conjugate(tab.dom_f, Lp, d, f=True)
         for Lpp in Ls:
             ind_star = ind_stars.get(Lpp.entries)
             if ind_star is None:
-                ind_star = ind_stars[Lpp.entries] = tab.conjugate(tab.c, Lpp)
+                ind_star = ind_stars[Lpp.entries] = tab.conjugate(tab.c, Lpp, d)
             first = tab.sum(f_star, ind_star)
             rest = L - Lp - Lpp
             for T in Ts:
                 key = (T.op.entries, rest.entries)
                 tg_star = tg_stars.get(key)
                 if tg_star is None:
-                    tg_star = tg_stars[key] = tab.conjugate(tab.dom_g, rest, T)
+                    tg_star = tg_stars[key] = tab.conjugate(tab.dom_g, rest, d, T)
                 yield (T, Lp, Lpp), tab.sum(first, tg_star)
 
 
@@ -624,19 +635,19 @@ def script_A_membership(
     order of :func:`certificates`, or None when the budget is exhausted —
     a None is *not* a disproof.
 
-    y qualifies when it is not strictly below the item's frontier; the test
-    compares N·y with the frontier's coordinates at one integer scale.
+    y qualifies when it is not strictly below the item's frontier.  The
+    test compares the frontier's integer coordinates with q = ⌊s·N·y⌋, s
+    the frontier scale: an integer g exceeds s·N·y exactly where it
+    exceeds q.
     """
     y = tuple(y)
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("script_A_membership: dimensions disagree")
     require_exact(y, "query point")
-    ny = K.basis.to_quad(y)
-    dy = common_denominator([ny])
-    qy = scaled(ny, dy)  # dy·N·y
-    for ops, (scale, coords) in certificates(i, P, L, cfg):
-        q = tuple(scale * c for c in qy)
-        if region_sup(rescale(coords, dy), q) != LOWER:
+    s = frontier_scale(P, L, cfg)
+    q = tuple(math.floor(s * c) for c in K.basis.to_quad(y))
+    for ops, coords in certificates(i, P, L, cfg):
+        if region_sup(coords, q) != LOWER:
             return Certificate(i, *ops)
     return None

@@ -18,14 +18,13 @@ Every generator of the result therefore carries a concrete certificate that
 re-verifies.  A certificate whose region already contains every current
 generator cannot change the intersection, so the merge skips it (a
 dominance test in facet coordinates).  The merge and the search for each
-generator's certificate run on the enumerator's integer frontiers; only
-the generators are mapped back, and a certificate is stored as its
-operators.
+generator's certificate run on the enumerator's integer frontiers, which
+share one scale; only the generators are mapped back, once, through that
+scale, and a certificate is stored as its operators.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
@@ -45,7 +44,7 @@ from .conjugate import (
     SampledMap,
     SearchConfig,
     certificates,
-    rescale,
+    frontier_scale,
 )
 from .farkas import (
     EmptyFeasibleSet,
@@ -254,9 +253,9 @@ def dual_value(
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
     intersection of the upward regions.  The merge runs on the integer
-    facet coordinates the enumerator computed, brought to one common scale:
-    the componentwise maxima of pairs of current and piece generators, then
-    their minima; the result is mapped back once.  A
+    facet coordinates the enumerator computed, all at the search's one
+    scale: the componentwise maxima of pairs of current and piece
+    generators, then their minima; the result is mapped back once.  A
     certificate whose upward region already contains every current
     generator is skipped, since the merge would return the current
     generators.  Each generator of the result lies on some certificate's
@@ -277,34 +276,30 @@ def dual_value(
             "independent normals)"
         )
     index = int(which[-1])
-    pieces = []  # (operators, scale, coords of W's frontier), in budget order
-    scale, current = 1, None
-    for ops, (s, coords) in certificates(index, P, L, cfg):
-        pieces.append((ops, s, coords))
+    pieces = []  # (operators, coords of W's frontier), in budget order
+    current = None
+    for ops, coords in certificates(index, P, L, cfg):
+        pieces.append((ops, coords))
         piece_q = [vec_neg(q) for q in coords]  # the INF frontier -W
         if current is None:
-            scale, current = s, piece_q
-            continue
-        common = math.lcm(scale, s)
-        current, scale = rescale(current, common // scale), common
-        piece_q = rescale(piece_q, common // s)
-        if not _covers(piece_q, current):
+            current = piece_q
+        elif not _covers(piece_q, current):
             joined = [tuple(map(max, u, v)) for u in current for v in piece_q]
             current = [joined[i] for i in maxima([vec_neg(q) for q in joined])]
     if current is None:
         raise ValueError("empty certificate budget")
 
+    scale = frontier_scale(P, L, cfg)
     stored = []
     points = (tuple(c / scale for c in basis.from_quad(q)) for q in current)
     for h, q in sorted(zip(points, current)):
-        # h is on the frontier of -W exactly when -h is on that of W; every
-        # piece's scale divides the final one
+        # h is on the frontier of -W exactly when -h is on that of W
         neg = vec_neg(q)
         k = next(
             (
                 k
-                for k, (_, s, coords) in enumerate(pieces)
-                if region_sup(rescale(coords, scale // s), neg) == FRONTIER
+                for k, (_, coords) in enumerate(pieces)
+                if region_sup(coords, neg) == FRONTIER
             ),
             None,
         )

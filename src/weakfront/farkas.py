@@ -1,6 +1,5 @@
-"""The vector inequality (alpha), certificate verification, and the
-equivalence report between the inequality and its three layered
-certificate conditions.
+"""The vector inequality (alpha) and the verification and conversion of
+certificates for its three layered certificate conditions.
 
 (alpha) says: every feasible sample point x (x in C with G(x) in -S) has
 F(x) - L(x) + y outside -int K.  A certificate for condition i is a set of
@@ -12,7 +11,7 @@ aborts with a reproducer.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from .cones import (
     DimensionError,
@@ -21,14 +20,9 @@ from .cones import (
     PosOp,
     classify_point,
 )
-from .numeric import Number, encode_mat, encode_vec, vec_sub
+from .numeric import Number, encode_mat, vec_sub
 from .order_sets import RegionLabel, Tag
-from .conjugate import (
-    Certificate,
-    SearchConfig,
-    beta_value_set,
-    script_A_membership,
-)
+from .conjugate import Certificate, beta_value_set
 
 __all__ = [
     "Certificate",
@@ -38,7 +32,6 @@ __all__ = [
     "alpha_holds",
     "convert_certificate",
     "encode_certificate",
-    "farkas_equivalence_report",
     "feasible_points",
     "verify_certificate",
 ]
@@ -155,56 +148,3 @@ def encode_certificate(c: Certificate) -> dict:
     if c.Lpp is not None:
         doc["Lpp"] = encode_mat(c.Lpp.entries)
     return doc
-
-
-def farkas_equivalence_report(
-    P,
-    i: int,
-    queries: Sequence[FarkasQuery],
-    cfg: SearchConfig,
-) -> dict:
-    """Evaluate (alpha) and search a condition-i certificate for every query;
-    classify each row four ways.  The combination "alpha false but a
-    certificate verified" contradicts weak duality and raises HardFailure
-    with a reproducer (it can only mean a bug here, not in the data).
-    """
-    if not queries:
-        raise ValueError("farkas_equivalence_report: no queries")
-    rows: List[dict] = []
-    counts = {"both_true": 0, "both_false": 0, "alpha_unmatched": 0}
-    for q in queries:
-        if q.index != i:
-            raise ValueError(
-                f"query index {q.index} does not match report index {i}"
-            )
-        alpha = alpha_holds(P, q.L, q.y)
-        cert = script_A_membership(i, P, q.L, q.y, cfg)
-        found = cert is not None
-        query = {"index": q.index, "L": encode_mat(q.L.entries), "y": encode_vec(q.y)}
-        if found:
-            reproducer = {**query, **encode_certificate(cert)}
-            if not verify_certificate(P, q, cert):
-                raise HardFailure(
-                    "certificate from search failed re-verification", reproducer
-                )
-            if not alpha:
-                raise HardFailure(
-                    "certificate verified while (alpha) is false", reproducer
-                )
-        if alpha and found:
-            outcome = "both_true"
-        elif not alpha and not found:
-            outcome = "both_false"
-        else:
-            outcome = "alpha_unmatched"  # alpha true, budget found nothing
-        counts[outcome] += 1
-        row = {
-            "query": query,
-            "alpha": alpha,
-            "beta_status": "CERTIFIED" if found else "NOT_FOUND",
-            "outcome": outcome,
-        }
-        if found:
-            row["certificate"] = reproducer
-        rows.append(row)
-    return {"format": 1, "index": i, "rows": rows, "summary": counts}

@@ -15,6 +15,7 @@ from weakfront.conjugate import (
     SearchConfig,
     beta_value_set,
     certificates,
+    frontier_scale,
     script_A_membership,
 )
 from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
@@ -62,11 +63,20 @@ INSTANCES = {
     "orthant3": _orthant3_instance(),
     "halfplane": _halfplane_instance(),
 }
-BUDGETS = {"default": {}, "l_box=1": {"l_box": 1}}
+BUDGETS = {
+    "default": {},
+    "l_box=1": {"l_box": 1},
+    # grid operators in fifths and thirds set the scale: no hint has either
+    "fractional": {"t_step": Fraction(1, 5), "l_box": 1, "l_step": Fraction(1, 3)},
+}
 CASES = [
     (name, budget, index)
     for name in ("E1", "E2", "gap_toy")
-    for budget in BUDGETS
+    for budget in ("default", "l_box=1")
+    for index in (1, 2, 3)
+] + [
+    (name, "fractional", index)
+    for name in ("E1", "gap_toy")
     for index in (1, 2, 3)
 ]
 ENUMERATOR_CASES = CASES + [
@@ -141,9 +151,10 @@ def _check_enumerator(index, P, L, cfg):
     assert [(T.op, Lp, Lpp) for (T, Lp, Lpp), _ in got] == [
         (T.op, Lp, Lpp) for (T, Lp, Lpp), _ in reference
     ]
-    # each front lists scale·N·g for the rebuilt generators g, as integers,
-    # each once, in descending order
-    for (_, (scale, coords)), (_, W) in zip(got, reference):
+    # each front lists scale·N·g for the rebuilt generators g, at the one
+    # scale of the search, as integers, each once, in descending order
+    scale = frontier_scale(P, L, cfg)
+    for (_, coords), (_, W) in zip(got, reference):
         assert all(type(c) is int for q in coords for c in q)
         want = {
             tuple(scale * c for c in P.K.basis.to_quad(g))
@@ -203,8 +214,9 @@ def _rand_fraction_linop(rng, rows, cols, den):
 @pytest.mark.parametrize("seed", range(8))
 def test_enumerator_on_random_instances(seed):
     """Random instances with a perturbation in halves and split hints H and
-    -H in thirds, so blocks of different scales are summed, in either
-    order: at (L', L'') = (H, -H) the T∘G block has the smaller scale."""
+    -H in thirds, so the search's one scale holds denominators that some
+    blocks' operators lack: at (L', L'') = (H, -H) the T∘G block's operator
+    has no third."""
     rng = random.Random(seed)
     P = rand_instance(rng)
     H = _rand_fraction_linop(rng, P.m, P.n, 3)
@@ -220,8 +232,10 @@ def test_search_returns_the_first_qualifying_certificate(name, budget, index):
     cfg = P.search_config(**BUDGETS[budget])
     L = _perturbations(P)[1]
     reference = _reference(index, P, L, cfg)
-    ys = {g for _, W in reference for g in W.generators.points}
-    ys |= {tuple(c - 1 for c in g) for g in list(ys)}
+    gens = {g for _, W in reference for g in W.generators.points}
+    # shifts in thirds and sevenths give query points off the search's scale
+    shifts = (-1, Fraction(-1, 7), Fraction(1, 7), Fraction(1, 3))
+    ys = gens | {tuple(c + t for c in g) for g in gens for t in shifts}
     for y in sorted(ys):
         want = next(
             (ops for ops, W in reference if W.classify(y) is not RegionLabel.LOWER),

@@ -56,7 +56,8 @@ def test_sampled_map_rejects_conflicting_samples():
 def test_indicator_and_linear_constructors():
     ind = SampledMap.indicator([(0,), (1,)], 1)
     assert ind.value((0,)) == (0,) and ind.value((2,)) is None
-    lin = SampledMap.linear(LinOp(((2,),)), [(0,), (3,)])
+    op = LinOp(((2,),))
+    lin = SampledMap((x, op.apply(x)) for x in [(0,), (3,)])
     assert lin.value((3,)) == (6,)
 
 
@@ -257,6 +258,10 @@ def test_a_posop_budget_that_raised_raises_again():
         ("l_box", Fraction(-1, 2), "l_box must be nonnegative, got -1/2"),
         ("t_step", 0, "t_step must be positive, got 0"),
         ("l_step", -1, "l_step must be positive, got -1"),
+        ("t_box", 1.0, r"t_box \(1.0,\) has the entry 1.0, which is not an int"),
+        ("t_step", 0.5, r"t_step \(0.5,\) has the entry 0.5, which is not an int"),
+        ("l_box", 1.5, r"l_box \(1.5,\) has the entry 1.5, which is not an int"),
+        ("l_step", -1.0, r"l_step \(-1.0,\) has the entry -1.0, which is not an int"),
     ],
 )
 def test_search_config_refuses_malformed_budgets(field, value, message):

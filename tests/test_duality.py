@@ -32,7 +32,7 @@ L_ID = LinOp(((Fraction(1),),))
 def test_instance_validation():
     O1 = Cone.orthant(1)
     dom = [(Fraction(0),), (Fraction(1),)]
-    F = SampledMap.linear(LinOp(((Fraction(1),),)), dom)
+    F = SampledMap((x, L_ID.apply(x)) for x in dom)
     G = SampledMap([(x, (Fraction(-1),)) for x in dom])
     ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)  # fine
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from weakfront.farkas import (
     HardFailure,
     alpha_holds,
     convert_certificate,
-    farkas_equivalence_report,
     feasible_points,
     verify_certificate,
 )
@@ -108,7 +107,7 @@ def test_certificate_constructor_guards():
 def test_infeasible_instance_is_rejected_at_construction():
     O1 = Cone.orthant(1)
     dom = [(Fraction(0),), (Fraction(1),)]
-    F = SampledMap.linear(LinOp(((Fraction(1),),)), dom)
+    F = SampledMap((x, L1.apply(x)) for x in dom)
     G = SampledMap([(x, (Fraction(1),)) for x in dom])  # G > 0 everywhere
     with pytest.raises(EmptyFeasibleSet):
         ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)
@@ -117,36 +116,6 @@ def test_infeasible_instance_is_rejected_at_construction():
 def test_hard_failure_carries_a_reproducer():
     e = HardFailure("boom", {"y": ["0"]})
     assert e.reproducer == {"y": ["0"]}
-
-
-def test_equivalence_report_schema_and_counts():
-    cfg = E1.search_config()
-    queries = (
-        FarkasQuery(L1, (Fraction(0),), 1),
-        FarkasQuery(L1, (Fraction(-1),), 1),
-    )
-    rep = farkas_equivalence_report(E1, 1, queries, cfg)
-    assert rep["format"] == 1 and rep["index"] == 1
-    assert rep["summary"] == {
-        "alpha_unmatched": 0,
-        "both_false": 1,
-        "both_true": 1,
-    }
-    first, second = rep["rows"]
-    assert first["alpha"] is True and first["beta_status"] == "CERTIFIED"
-    assert first["outcome"] == "both_true"
-    assert first["query"] == {"index": 1, "L": [[1]], "y": [0]}
-    assert set(first["certificate"]) >= {"index", "L", "y", "T"}
-    assert second["alpha"] is False and second["beta_status"] == "NOT_FOUND"
-    assert second["outcome"] == "both_false" and "certificate" not in second
-
-
-def test_equivalence_report_rejects_index_mismatch():
-    cfg = E1.search_config()
-    with pytest.raises(ValueError):
-        farkas_equivalence_report(
-            E1, 2, (FarkasQuery(L1, (Fraction(0),), 1),), cfg
-        )
 
 
 def test_beta_value_set_vd3_operators_for_e1():

@@ -1,16 +1,18 @@
 """No dead exports: every module-level function, class and method defined in
-``src/weakfront`` is named somewhere else in ``src/``, ``tests/`` or
-``perfbench/``.  A name that occurs only at its own definition has no caller,
-no test and no benchmark binding.  Dunders and ``main`` (the console entry
-point, named in ``pyproject.toml``) are exempt.  Tests alone do not keep a
-definition alive: outside the oracle and the generators, which are reference
-and generator code for the tests, every definition is also named in the
-program (``src/`` without ``__init__.py``, whose ``__all__`` only re-exports)
-or in ``perfbench/``.  No leftover imports either: every name a module-level
+``src/weakfront`` is referenced somewhere in ``src/``, ``tests/`` or
+``perfbench/``.  A reference is code that reads the name: a ``Name``, the
+attribute of an ``Attribute``, or an imported name.  A name that is only
+defined, or only mentioned in a docstring, a comment or a string (an
+``__all__`` entry among them), has no caller, no test and no benchmark
+binding.  Dunders and ``main`` (the console entry point, named in
+``pyproject.toml``) are exempt.  Tests alone do not keep a definition alive:
+outside the oracle and the generators, which are reference and generator
+code for the tests, every definition is also referenced by the program
+(``src/`` without ``__init__.py``, which only re-exports) or by
+``perfbench/``.  No leftover imports either: every name a module-level
 import binds is used in its module or listed in its ``__all__``."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -34,38 +36,47 @@ PROGRAM = ("src", "perfbench")
 TEST_SUPPORT = ("oracle.py", "randgen.py")
 
 
-def _word_counts(tops, skip=()):
+def _reference_counts(tops, skip=()):
+    """How often each name is read in the files under ``tops``: as a
+    ``Name``, as an attribute, or as a part of an imported name."""
     counts = Counter()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            if path not in skip:
-                counts.update(re.findall(r"\w+", path.read_text()))
+            if path in skip:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    counts[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    counts[node.attr] += 1
+                elif isinstance(node, ast.alias):
+                    counts.update(node.name.split("."))
     return counts
 
 
-def _unnamed(counts, modules):
-    """Definitions in ``modules`` that ``counts`` holds no more than once,
-    i.e. only at their own definition."""
+def _unreferenced(counts, modules):
+    """Definitions in ``modules`` that ``counts`` never references."""
     return sorted(
         f"{path.stem}.{name}"
         for path in modules
         for name in _definitions(ast.parse(path.read_text()))
         if not (name.startswith("__") and name.endswith("__"))
         and name != "main"
-        and counts[name] <= 1
+        and counts[name] == 0
     )
 
 
 def test_every_definition_is_named_elsewhere():
-    assert _unnamed(_word_counts(SEARCHED), sorted(PACKAGE.glob("*.py"))) == []
+    counts = _reference_counts(SEARCHED)
+    assert _unreferenced(counts, sorted(PACKAGE.glob("*.py"))) == []
 
 
 def test_every_definition_is_named_by_the_program():
-    counts = _word_counts(PROGRAM, skip={PACKAGE / "__init__.py"})
+    counts = _reference_counts(PROGRAM, skip={PACKAGE / "__init__.py"})
     modules = [
         path for path in sorted(PACKAGE.glob("*.py")) if path.name not in TEST_SUPPORT
     ]
-    assert _unnamed(counts, modules) == []
+    assert _unreferenced(counts, modules) == []
 
 
 def _unused_imports(tree):
