@@ -287,21 +287,15 @@ def grid_values(box: Number, step: Number) -> tuple:
 def sample_positive_operators(
     S: Cone, K: Cone, box: Number, step: Number
 ) -> Iterator[PosOp]:
-    """All grid matrices in L+(S,K) with entries in the symmetric grid.
-
-    Deterministic ascending (lexicographic over flattened entries); the zero
-    operator always appears.
-    """
-    vals = grid_values(box, step)
-    shape = (K.dim, S.dim)
+    """The grid matrices of :func:`sample_linops` that lie in L+(S,K), in
+    its ascending order, each tested once; the zero operator always
+    appears.  A cone S without generators raises at once, rather than
+    failing every matrix's test."""
     if not S.generators:
         raise PositivityError("domain cone has no generators to certify on")
-    for flat in itertools.product(vals, repeat=shape[0] * shape[1]):
-        entries = tuple(
-            flat[i * shape[1] : (i + 1) * shape[1]] for i in range(shape[0])
-        )
+    for op in sample_linops(K.dim, S.dim, box, step):
         try:
-            T = PosOp(LinOp(entries), S, K)
+            T = PosOp(op, S, K)
         except PositivityError:
             continue
         yield T

@@ -9,19 +9,20 @@ three layered inequality conditions (index 1: a positive operator T; index
 2: split (L', T); index 3: split (L', L'', T)).
 
 One generator, :func:`certificates`, enumerates a budget for all three
-indices; the certificate search takes its first qualifying item and the
-dual values fold over all of them.  It runs every block on the instance's
-integer tables (:class:`FacetTables`, derived once per instance): a block's
-cloud is an integer product in facet coordinates and its maxima are the
-frontier, so the search builds no ``Fraction`` point.  The operators'
-denominators are cleared once per call, at the one scale of
-:func:`frontier_scale`, so every frontier of a call is a plain list of
-integer coordinates at that scale.  The blocks that
-items share are memoised for the length of one call only, so nothing but
-the instance's own tables is kept between calls.  A :class:`Certificate`
-is its operators alone; :func:`beta_value_set` rebuilds its value set from
-the ``Fraction`` data with :func:`conjugate` and ``ws_sum``, without the
-tables, wherever that set is read: in verification and in output.
+indices in one loop nest; the certificate search takes its first
+qualifying item and the dual values fold over all of them.  It runs every
+block on the instance's integer tables (:class:`FacetTables`, derived once
+per instance): a block's cloud is an integer product in facet coordinates
+and its maxima are the frontier, so the search builds no ``Fraction``
+point.  The operators' denominators are cleared once per call, at the one
+scale of :func:`frontier_scale`, so every frontier of a call is a plain
+list of integer coordinates at that scale.  The blocks that items share are
+memoised for the length of one call only; between calls the instance keeps
+its tables and the :class:`SearchConfig` its operator budgets, nothing
+more.  A :class:`Certificate` is its operators alone; :func:`beta_value_set`
+rebuilds its value set from the ``Fraction`` data with :func:`conjugate`
+and ``ws_sum``, without the tables, wherever that set is read: in
+verification and in output.
 """
 
 from __future__ import annotations
@@ -302,11 +303,12 @@ class SearchConfig:
     refused here, before any hint is tried.  Every budget operator's
     entries are multiples of 1/``den``, the lcm of the denominators of the
     steps and of the hints' entries.  Each (S, K) gets one
-    positive-operator budget, kept as long as the config.
+    positive-operator budget and each shape one splitting-operator budget,
+    both built by one rule and kept as long as the config.
     """
 
     __slots__ = (
-        "t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "den", "_posops",
+        "t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "den", "_budgets",
     )
 
     def __init__(
@@ -337,47 +339,49 @@ class SearchConfig:
         hint_rows = chain(*(h.entries for h in (*self.hints_T, *self.hints_L)))
         den = common_denominator(chain([(t_step, l_step)], hint_rows))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_posops", {})
+        object.__setattr__(self, "_budgets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SearchConfig is immutable")
 
     def posop_budget(self, S: Cone, K: Cone) -> Iterable[PosOp]:
-        """Hints, then zero, then the ascending grid of L+(S, K), each tested
-        once per config.  The first call tests the hints and zero (raising
-        when S has no generators or a hint is not positive), and only then
-        keeps a :class:`_Replay` of the budget, its grid drawn lazily; later
-        calls return it, and a call that raised raises again."""
-        budget = self._posops.get((S, K))
-        if budget is None:
-            head = {}  # entries -> PosOp, hints then zero, without repeats
-            for op in (*self.hints_T, LinOp.zero(K.dim, S.dim)):
-                if (op.rows, op.cols) == (K.dim, S.dim) and op.entries not in head:
-                    head[op.entries] = PosOp(op, S, K)
-            grid = ()
-            if self.t_box != 0:
-                grid = sample_positive_operators(S, K, self.t_box, self.t_step)
-            rest = (T for T in grid if T.op.entries not in head)
-            budget = self._posops[(S, K)] = _Replay(chain(head.values(), rest))
-        return budget
+        """The kept budget of L+(S, K): the ``hints_T``, zero and the
+        ascending grid of :func:`sample_positive_operators`, each tested
+        once per config (:meth:`_budget`).  The first call tests the hints
+        and zero, raising when S has no generators or a hint is not
+        positive; a call after one that raised raises again."""
+        return self._budget(
+            (S, K), self.hints_T, K.dim, S.dim, lambda op: PosOp(op, S, K),
+            lambda: sample_positive_operators(S, K, self.t_box, self.t_step)
+            if self.t_box else (),
+        )
 
     def linop_budget(self, rows: int, cols: int) -> Iterable[LinOp]:
-        """Hints, then zero, then the ascending full grid."""
-        seen = set()
-        for hint in self.hints_L:
-            if hint.rows == rows and hint.cols == cols:
-                if hint.entries not in seen:
-                    seen.add(hint.entries)
-                    yield hint
-        zero = LinOp.zero(rows, cols)
-        if zero.entries not in seen:
-            seen.add(zero.entries)
-            yield zero
-        if self.l_box != 0:
-            for L in sample_linops(rows, cols, self.l_box, self.l_step):
-                if L.entries not in seen:
-                    seen.add(L.entries)
-                    yield L
+        """The kept budget of rows x cols operators: the ``hints_L``, zero
+        and the ascending grid of :func:`sample_linops` (:meth:`_budget`)."""
+        return self._budget(
+            (rows, cols), self.hints_L, rows, cols, lambda op: op,
+            lambda: sample_linops(rows, cols, self.l_box, self.l_step)
+            if self.l_box else (),
+        )
+
+    def _budget(self, key, hints, rows: int, cols: int, make, grid) -> "_Replay":
+        """The budget kept under ``key``, built on its first call: ``make``
+        of each hint of shape rows x cols and of zero, without repeats, then
+        the items of ``grid()`` not among them, drawn lazily.  The budget is
+        kept as a :class:`_Replay` only once its head is built, so a call
+        whose ``make`` raised keeps nothing."""
+        budget = self._budgets.get(key)
+        if budget is None:
+            ops = dict.fromkeys(
+                op for op in (*hints, LinOp.zero(rows, cols))
+                if (op.rows, op.cols) == (rows, cols)
+            )
+            head = [make(op) for op in ops]
+            kept = set(head)
+            rest = (item for item in grid() if item not in kept)
+            budget = self._budgets[key] = _Replay(chain(head, rest))
+        return budget
 
 
 class Certificate:
@@ -577,50 +581,49 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     split) and the item's value set W as a :class:`FacetTables` frontier,
     a list of integer coordinates at ``frontier_scale(P, L, cfg)``.
 
-    Order: L' outer, L'' middle, T inner, each budget in its own order
-    (hints, zero, ascending grid).  Every block runs on the instance's
-    integer tables at that one scale, cleared once per call, and no
-    ``Fraction`` point is built.  Blocks
-    shared between items are computed once per call and dropped with the
-    generator: F*(L') per L', I_C*(L'') per L'', F*(L') ⊎ I_C*(L'') per
-    (L', L''), and (T∘G)*(L - L' - L'') per (T, L' + L'').  Budget items
-    drawn by the first pass are replayed by the later ones; the T budget is
-    the config's own, drawn once per config (:meth:`SearchConfig.posop_budget`).
+    One loop nest serves all three indices: L' outer, L'' middle, T inner,
+    each over its budget as the config keeps it (hints, zero, ascending
+    grid).  The index decides three things only: whether the L' and L''
+    loops run over the splitting budget or over the single item None; the
+    rows of the T-block, the conjugate at L - L' - L'' of T∘G on C ∩ dom F
+    plus F (index 1), on C (index 2) or on dom G (index 3); and the split
+    blocks ⊎-summed in front of it, F*(L') from index 2 on and I_C*(L'')
+    at index 3.  Every block runs on the instance's integer tables at that
+    one scale, cleared once per call, and no ``Fraction`` point is built.
+    Blocks shared between items are computed once per call and dropped
+    with the generator: F*(L') per L', I_C*(L'') per L'', and the T-block
+    per L - L' - L'' and position of T in its budget.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
     K = P.K
     tab = P.tables
     d = frontier_scale(P, L, cfg) // tab.den
+    Ls = cfg.linop_budget(K.dim, P.F.in_dim)
     Ts = cfg.posop_budget(P.S, K)
-    if index == 1:
-        for T in Ts:
-            yield (T, None, None), tab.conjugate(tab.c_f, L, d, T, f=True)
-        return
-    if index == 2:
-        for Lp in cfg.linop_budget(K.dim, P.F.in_dim):
-            f_star = tab.conjugate(tab.dom_f, Lp, d, f=True)
-            rest = L - Lp
-            for T in Ts:
-                yield (T, Lp, None), tab.sum(f_star, tab.conjugate(tab.c, rest, d, T))
-        return
-    Ls = _Replay(cfg.linop_budget(K.dim, P.F.in_dim))
+    Lps, Lpps, rows, f = {
+        1: ((None,), (None,), tab.c_f, True),
+        2: (Ls, (None,), tab.c, False),
+        3: (Ls, Ls, tab.dom_g, False),
+    }[index]
     ind_stars = {}  # L'' -> I_C*(L'')
-    tg_stars = {}  # (T, L - L' - L'') -> (T∘G)*(L - L' - L'')
-    for Lp in Ls:
-        f_star = tab.conjugate(tab.dom_f, Lp, d, f=True)
-        for Lpp in Ls:
-            ind_star = ind_stars.get(Lpp.entries)
-            if ind_star is None:
-                ind_star = ind_stars[Lpp.entries] = tab.conjugate(tab.c, Lpp, d)
-            first = tab.sum(f_star, ind_star)
-            rest = L - Lp - Lpp
-            for T in Ts:
-                key = (T.op.entries, rest.entries)
-                tg_star = tg_stars.get(key)
-                if tg_star is None:
-                    tg_star = tg_stars[key] = tab.conjugate(tab.dom_g, rest, d, T)
-                yield (T, Lp, Lpp), tab.sum(first, tg_star)
+    t_blocks = {}  # L - L' - L'' -> its T-blocks, by position of T in Ts
+    for Lp in Lps:
+        f_star = None if Lp is None else tab.conjugate(tab.dom_f, Lp, d, f=True)
+        rest_p = L if Lp is None else L - Lp
+        for Lpp in Lpps:
+            front, rest = f_star, rest_p
+            if Lpp is not None:
+                ind_star = ind_stars.get(Lpp.entries)
+                if ind_star is None:
+                    ind_star = ind_stars[Lpp.entries] = tab.conjugate(tab.c, Lpp, d)
+                front, rest = tab.sum(f_star, ind_star), rest_p - Lpp
+            blocks = t_blocks.setdefault(rest.entries, [])
+            for k, T in enumerate(Ts):
+                if k == len(blocks):
+                    blocks.append(tab.conjugate(rows, rest, d, T, f=f))
+                W = blocks[k] if front is None else tab.sum(front, blocks[k])
+                yield (T, Lp, Lpp), W
 
 
 def script_A_membership(

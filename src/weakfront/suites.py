@@ -821,7 +821,7 @@ def run_suite(
     """Run one verification suite; the report is a stable JSON-ready dict.
 
     Reports depend only on (name, seed, trials): worker count changes
-    nothing but wall time.
+    nothing but wall time.  No more workers start than there are units.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r} (choose from {SUITE_NAMES})")
@@ -833,7 +833,7 @@ def run_suite(
         trials = DEFAULT_TRIALS[name]
     units = _unit_list(name, seed, trials)
     if jobs > 1 and len(units) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=min(jobs, len(units))) as pool:
             results = pool.map(_run_unit, units, chunksize=1)
     else:
         results = [_run_unit(u) for u in units]

@@ -171,6 +171,39 @@ def test_enumerator_matches_the_nested_loops_and_beta_value_set(name, budget, in
         _check_enumerator(index, P, L, cfg)
 
 
+# FacetTables.conjugate calls in one pass at l_box=1 and L = 0, indices 1-3
+BLOCK_COUNTS = {"E1": (7, 24, 41), "E2": (4, 45, 118), "gap_toy": (5, 18, 31)}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_COUNTS))
+def test_a_pass_computes_each_shared_block_once(name, monkeypatch):
+    """Index 1 computes one T-block per T; index 2 one F*(L') and one
+    T-block per T for each L'; index 3 F*(L') per L', I_C*(L'') per L'' and
+    one T-block per T and distinct L - L' - L''."""
+    calls = []
+    real = conjugate.FacetTables.conjugate
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(conjugate.FacetTables, "conjugate", counting)
+    P = INSTANCES[name]
+    cfg = P.search_config(l_box=1)
+    L = LinOp.zero(P.m, P.n)
+    Ls = list(cfg.linop_budget(P.m, P.n))
+    n_T = len(list(cfg.posop_budget(P.S, P.K)))
+    rests = {L - Lp - Lpp for Lp in Ls for Lpp in Ls}
+    want = (n_T, len(Ls) * (1 + n_T), 2 * len(Ls) + n_T * len(rests))
+    counts = []
+    for index in (1, 2, 3):
+        calls.clear()
+        for _ in certificates(index, P, L, cfg):
+            pass
+        counts.append(len(calls))
+    assert tuple(counts) == want == BLOCK_COUNTS[name]
+
+
 def test_halfplane_ties_keep_the_lex_smallest_point():
     P = INSTANCES["halfplane"]
     cloud = [tuple(-c for c in v) for _, v in P.F.samples]  # F*(0)'s cloud

@@ -239,6 +239,10 @@ def test_some_positivity_cone_has_a_normal_entry_beyond_one():
 def test_integer_positivity_matches_fractions_on_grids(S, K, step):
     for T in sample_linops(K.dim, S.dim, 1, step):
         assert is_positive_operator(T, S, K) == _fraction_positivity(T, S, K)
+    # the positive grid is the grid filtered by the reference test, in order
+    assert [T.op for T in sample_positive_operators(S, K, 1, step)] == [
+        T for T in sample_linops(K.dim, S.dim, 1, step) if _fraction_positivity(T, S, K)
+    ]
 
 
 def _cone(kind, seed):

@@ -14,10 +14,11 @@ from weakfront.conjugate import (
     epi_membership,
     exepi_membership,
     psi_contains,
+    script_A_membership,
     split_witness,
     witness_translate,
 )
-from weakfront.instances import shipped_pair
+from weakfront.instances import shipped_instance, shipped_pair
 from weakfront.order_sets import (
     GenSet,
     Orient,
@@ -273,6 +274,39 @@ def test_linop_budget_dedups_hints():
     hint = LinOp.zero(1, 1)
     cfg = SearchConfig(l_box=0, hints_L=(hint, hint))
     assert list(cfg.linop_budget(1, 1)) == [hint]
+
+
+def test_a_config_draws_its_linop_budget_once(monkeypatch):
+    import weakfront.conjugate as mod
+
+    calls = []
+    real = mod.sample_linops
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mod, "sample_linops", counting)
+    hint = LinOp(((Fraction(1, 2),),))
+    wide = LinOp(((1, 2),))  # of another shape: left out of the 1 x 1 budget
+    cfg = SearchConfig(l_box=1, hints_L=(wide, hint, hint))
+    budget = cfg.linop_budget(1, 1)
+    assert cfg.linop_budget(1, 1) is budget
+    first = list(budget)
+    assert first == [hint, LinOp.zero(1, 1), LinOp(((-1,),)), LinOp(((1,),))]
+    # a nested pass replays the kept budget
+    assert [(a, b) for a in budget for b in budget] == [
+        (a, b) for a in first for b in first
+    ]
+    assert calls == [(1, 1, 1, 1)]
+    # two index-3 searches on one config draw the splitting grid once
+    calls.clear()
+    P = shipped_instance("E1")
+    shared = P.search_config(l_box=1)
+    L = LinOp.zero(P.m, P.n)
+    for _ in range(2):
+        script_A_membership(3, P, L, (-5,) * P.m, shared)
+    assert calls == [(P.m, P.n, 1, 1)]
 
 
 def test_split_witness_on_a_linear_pair():

@@ -26,3 +26,35 @@ def test_a_crashed_unit_reports_its_last_frames(monkeypatch):
     assert len(frames) == 3
     assert frames[1].startswith("test_suites:") and frames[1].endswith(" _crashing_unit")
     assert frames[2].startswith("order_sets:") and frames[2].endswith(" wsup_finite")
+
+
+class _SerialPool:
+    """A stand-in for ``multiprocessing.Pool`` that starts no process: it
+    records the worker count it was asked for and maps in this process."""
+
+    def __init__(self, processes, started):
+        started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items, chunksize=1):
+        return [func(item) for item in items]
+
+
+def test_no_more_workers_start_than_there_are_units(monkeypatch):
+    started = []
+    monkeypatch.setattr(
+        suites.multiprocessing,
+        "Pool",
+        lambda processes: _SerialPool(processes, started),
+    )
+    few = suites.run_suite("wsum", trials=3, jobs=8)
+    many = suites.run_suite("wsum", trials=5, jobs=2)
+    assert started == [3, 2]
+    assert few == suites.run_suite("wsum", trials=3, jobs=1)
+    assert many == suites.run_suite("wsum", trials=5, jobs=1)
+    assert few["units"] == 3 and few["passed"]
