@@ -14,7 +14,7 @@ import enum
 import itertools
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from weakfront.numeric import (
     Mat,
@@ -285,15 +285,18 @@ def grid_values(box: Number, step: Number) -> tuple:
 
 
 def sample_positive_operators(
-    S: Cone, K: Cone, box: Number, step: Number
+    S: Cone, K: Cone, box: Number, step: Number, skip: Container = ()
 ) -> Iterator[PosOp]:
     """The grid matrices of :func:`sample_linops` that lie in L+(S,K), in
-    its ascending order, each tested once; the zero operator always
-    appears.  A cone S without generators raises at once, rather than
-    failing every matrix's test."""
+    its ascending order, each tested once; the matrices in ``skip`` are
+    passed over untested, and the zero operator appears unless skipped.
+    A cone S without generators raises at once, rather than failing every
+    matrix's test."""
     if not S.generators:
         raise PositivityError("domain cone has no generators to certify on")
     for op in sample_linops(K.dim, S.dim, box, step):
+        if op in skip:
+            continue
         try:
             T = PosOp(op, S, K)
         except PositivityError:

@@ -352,8 +352,9 @@ class SearchConfig:
         positive; a call after one that raised raises again."""
         return self._budget(
             (S, K), self.hints_T, K.dim, S.dim, lambda op: PosOp(op, S, K),
-            lambda: sample_positive_operators(S, K, self.t_box, self.t_step)
-            if self.t_box else (),
+            lambda skip: sample_positive_operators(
+                S, K, self.t_box, self.t_step, skip
+            ) if self.t_box else (),
         )
 
     def linop_budget(self, rows: int, cols: int) -> Iterable[LinOp]:
@@ -361,14 +362,17 @@ class SearchConfig:
         and the ascending grid of :func:`sample_linops` (:meth:`_budget`)."""
         return self._budget(
             (rows, cols), self.hints_L, rows, cols, lambda op: op,
-            lambda: sample_linops(rows, cols, self.l_box, self.l_step)
-            if self.l_box else (),
+            lambda skip: (
+                op for op in sample_linops(rows, cols, self.l_box, self.l_step)
+                if op not in skip
+            ) if self.l_box else (),
         )
 
     def _budget(self, key, hints, rows: int, cols: int, make, grid) -> "_Replay":
         """The budget kept under ``key``, built on its first call: ``make``
         of each hint of shape rows x cols and of zero, without repeats, then
-        the items of ``grid()`` not among them, drawn lazily.  The budget is
+        the items of ``grid(skip)``, drawn lazily, which passes over the
+        operators in ``skip``, those of the head.  The budget is
         kept as a :class:`_Replay` only once its head is built, so a call
         whose ``make`` raised keeps nothing."""
         budget = self._budgets.get(key)
@@ -378,9 +382,7 @@ class SearchConfig:
                 if (op.rows, op.cols) == (rows, cols)
             )
             head = [make(op) for op in ops]
-            kept = set(head)
-            rest = (item for item in grid() if item not in kept)
-            budget = self._budgets[key] = _Replay(chain(head, rest))
+            budget = self._budgets[key] = _Replay(chain(head, grid(ops)))
         return budget
 
 

@@ -6,9 +6,11 @@ deduplication or canonicalization for the set operations.  Nothing is shared
 with the engine's geometry (no Cone.classify_point, no staircases) so an
 agreement between the two is meaningful evidence.
 
-The bulk entry point clears everything to integers and evaluates the same
-sign tests as numpy tensor comparisons; it falls back to the naive loops if
-the integers could overflow int64.
+The bulk labeller and the scalar duals clear their inputs to integers once
+per call (with the oracle's own helpers) and evaluate the same sign tests and
+max/min formulas as numpy array expressions: the labeller in int64 when the
+cleared integers cannot overflow it, and on exact Python ints otherwise; the
+duals always on exact Python ints.
 """
 
 from __future__ import annotations
@@ -60,30 +62,44 @@ def brute_region(M: FiniteVecSet, K, grid: FiniteVecSet) -> Dict[tuple, RegionLa
     }
 
 
-# --- bulk integer path ---------------------------------------------------------
+# --- exact integer arrays --------------------------------------------------------
 
 
 def _lcm_of_denominators(vectors: Iterable[Sequence]) -> int:
-    den = 1
-    for v in vectors:
-        for c in v:
-            f = Fraction(c) if not isinstance(c, Fraction) else c
-            den = math.lcm(den, f.denominator)
-    return den
+    return math.lcm(*{c.denominator for v in vectors for c in v})
 
 
 def _int_matrix(vectors: Sequence[Sequence], scale: int) -> "np.ndarray":
-    rows = []
-    for v in vectors:
-        row = []
-        for c in v:
-            x = c * scale
-            n = int(x)
-            if n != x:
-                raise ValueError(f"non-integer after scaling: {c!r}")
-            row.append(n)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    """The integers scale·c, one row per vector, as Python ints in an object
+    array (exact at any size); ``scale`` is a multiple of every denominator."""
+    return np.array(
+        [[c.numerator * (scale // c.denominator) for c in v] for v in vectors],
+        dtype=object,
+    )
+
+
+def _cleared(vectors: Sequence[Sequence]) -> Tuple["np.ndarray", int]:
+    """(V, d) with V = d·vectors in integers, d the lcm of the denominators."""
+    den = _lcm_of_denominators(vectors)
+    return _int_matrix(vectors, den), den
+
+
+def _product(a, b) -> Tuple["np.ndarray", int]:
+    """The exact products of the rows of two cleared matrices: A @ Bᵀ over
+    the product of their denominators."""
+    return a[0] @ b[0].T, a[1] * b[1]
+
+
+def _one_scale(*terms) -> Tuple[list, int]:
+    """The integer arrays of exact terms (array, denominator) brought to
+    one scale s, the lcm of their denominators, and s."""
+    s = math.lcm(*(d for _, d in terms))
+    return [t * (s // d) for t, d in terms], s
+
+
+def _nonempty(*seqs) -> None:
+    if not all(len(s) for s in seqs):
+        raise ValueError("empty sample set or budget")
 
 
 _CODES = (RegionLabel.LOWER, RegionLabel.FRONTIER, RegionLabel.UPPER)
@@ -96,31 +112,24 @@ def brute_region_bulk(
 ) -> List[RegionLabel]:
     """Vectorized version of :func:`brute_region` over a raw point list.
 
-    Same sign tests, evaluated as integer tensor comparisons.  Falls back to
-    the naive loops when the cleared integers might overflow int64.
+    Same sign tests, evaluated as integer tensor comparisons: in int64 when
+    the cleared integers keep every normal product below 2**62, on Python
+    ints otherwise.
     """
-    scale = _lcm_of_denominators(points)
-    scale = math.lcm(scale, _lcm_of_denominators(grid))
-    nscale = _lcm_of_denominators(normals)
-    try:
-        M = _int_matrix(points, scale)
-        G = _int_matrix(grid, scale)
-        A = _int_matrix(normals, nscale)
-    except ValueError:
-        M = None
-    if M is not None:
-        bound = (
-            int(np.abs(A).sum(axis=1).max())
-            * (int(np.abs(M).max(initial=0)) + int(np.abs(G).max(initial=0)))
-        )
-        if bound < 2**62:
-            diff = M[None, :, :] - G[:, None, :]  # (grid, m, dim)
-            prods = diff @ A.T  # (grid, m, normals)
-            lower = (prods > 0).all(axis=2).any(axis=1)
-            closed = (prods >= 0).all(axis=2).any(axis=1)
-            codes = np.where(lower, 0, np.where(closed, 1, 2))
-            return [_CODES[c] for c in codes]
-    return [region_of_point(points, normals, y) for y in grid]
+    scale = math.lcm(_lcm_of_denominators(points), _lcm_of_denominators(grid))
+    M = _int_matrix(points, scale)
+    G = _int_matrix(grid, scale)
+    A, _ = _cleared(normals)
+    bound = np.abs(A).sum(axis=1).max() * (
+        np.abs(M).max(initial=0) + np.abs(G).max(initial=0)
+    )
+    if bound < 2**62:
+        M, G, A = (X.astype(np.int64) for X in (M, G, A))
+    prods = (M[None, :, :] - G[:, None, :]) @ A.T  # (grid, m, normals)
+    lower = (prods > 0).all(axis=2).any(axis=1)
+    closed = (prods >= 0).all(axis=2).any(axis=1)
+    codes = np.where(lower, 0, np.where(closed, 1, 2))
+    return [_CODES[c] for c in codes]
 
 
 # --- direct-definition set operations -------------------------------------------
@@ -154,6 +163,24 @@ def brute_beta(
 
 
 # --- scalar duality ---------------------------------------------------------------
+#
+# Each dual clears its inputs to integer arrays, brings every product term
+# to one scale s and evaluates its defining max/min formula as one exact
+# array expression over (u, w, lambda, x); the value is Fraction(best, s).
+
+
+def _values(samples: Sequence[Tuple[Sequence, Fraction]]) -> Tuple["np.ndarray", int]:
+    """The cleared values f(x) of (x, f(x)) samples, as one row."""
+    F, df = _cleared([[fx for _, fx in samples]])
+    return F[0], df
+
+
+def _conjugate_values(U, fsamples) -> Tuple["np.ndarray", int]:
+    """f*(u) = max over dom f of (u·x - f(x)), one entry per row of the
+    cleared U, exact."""
+    X = _cleared([x for x, _ in fsamples])
+    (UX, fx), s = _one_scale(_product(U, X), _values(fsamples))
+    return (UX - fx).max(axis=1), s
 
 
 def scalar_lagrange_dual(
@@ -169,18 +196,11 @@ def scalar_lagrange_dual(
     ``gvals`` lists the constraint vector g(x) in the same order, ``lambdas``
     the nonnegative multiplier vectors to try.  Returns the best bound.
     """
-    best = None
-    for lam in lambdas:
-        worst = None
-        for (x, fx), gx in zip(samples, gvals):
-            v = fx + _dot(lam, gx)
-            if worst is None or v < worst:
-                worst = v
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    if best is None:
-        raise ValueError("empty sample set or multiplier budget")
-    return best
+    _nonempty(samples, gvals, lambdas)
+    (fx, LG), s = _one_scale(
+        _values(samples), _product(_cleared(lambdas), _cleared(gvals))
+    )
+    return Fraction((fx + LG).min(axis=1).max(), s)  # (lambda, x)
 
 
 def scalar_primal_value(
@@ -198,10 +218,6 @@ def scalar_primal_value(
     return best
 
 
-def _support(points: Sequence[Sequence], u: Sequence) -> Fraction:
-    return max(_dot(u, x) for x in points)
-
-
 def scalar_fenchel_lagrange_dual2(
     fsamples: Sequence[Tuple[Sequence, Fraction]],
     csamples: Sequence[Sequence],
@@ -215,23 +231,18 @@ def scalar_fenchel_lagrange_dual2(
         max over (u, lambda) of  -f*(u) - max over x in C of
                                           ((L - u)·x - <lambda, g(x)>)
 
-    with f*(u) = max over dom f of (u·x - f(x)).  Plain loops, no set
-    machinery.
+    with f*(u) = max over dom f of (u·x - f(x)).  No set machinery.
     """
-    best = None
-    for u in us:
-        fstar = max(_dot(u, x) - fx for x, fx in fsamples)
-        for lam in lambdas:
-            block = max(
-                _dot(_sub(L, u), x) - _dot(lam, gx)
-                for x, gx in zip(csamples, gvals_on_c)
-            )
-            v = -fstar - block
-            if best is None or v > best:
-                best = v
-    if best is None:
-        raise ValueError("empty budget")
-    return best
+    _nonempty(fsamples, csamples, gvals_on_c, us, lambdas)
+    U, X = _cleared(us), _cleared(csamples)
+    (fstar, LX, UX, LG), s = _one_scale(
+        _conjugate_values(U, fsamples),
+        _product(_cleared([L]), X),
+        _product(U, X),
+        _product(_cleared(lambdas), _cleared(gvals_on_c)),
+    )
+    block = (LX - UX[:, None, :] - LG).max(axis=2)  # (u, lambda, x)
+    return Fraction((-fstar[:, None] - block).max(), s)
 
 
 def scalar_fenchel_lagrange_dual3(
@@ -250,19 +261,21 @@ def scalar_fenchel_lagrange_dual3(
                                     - max over dom g of
                                       ((L - u - w)·x - <lambda, g(x)>)
     """
-    best = None
-    for u in us:
-        fstar = max(_dot(u, x) - fx for x, fx in fsamples)
-        for w in ws:
-            sup_c = _support(csamples, w)
-            rest = _sub(_sub(L, u), w)
-            for lam in lambdas:
-                block = max(
-                    _dot(rest, x) - _dot(lam, gx) for x, gx in gsamples
-                )
-                v = -fstar - sup_c - block
-                if best is None or v > best:
-                    best = v
-    if best is None:
-        raise ValueError("empty budget")
-    return best
+    _nonempty(fsamples, csamples, gsamples, us, ws, lambdas)
+    U, W = _cleared(us), _cleared(ws)
+    X = _cleared([x for x, _ in gsamples])
+    (fstar, WC, LX, UX, WX, LG), s = _one_scale(
+        _conjugate_values(U, fsamples),
+        _product(W, _cleared(csamples)),
+        _product(_cleared([L]), X),
+        _product(U, X),
+        _product(W, X),
+        _product(_cleared(lambdas), _cleared([gx for _, gx in gsamples])),
+    )
+    sup_c = WC.max(axis=1)
+    block = (
+        LX - UX[:, None, None, :] - WX[None, :, None, :] - LG
+    ).max(axis=3)  # (u, w, lambda, x)
+    return Fraction(
+        (-fstar[:, None, None] - sup_c[None, :, None] - block).max(), s
+    )

@@ -213,9 +213,9 @@ def test_a_config_draws_its_posop_budget_once(monkeypatch):
     hint = LinOp(((Fraction(7),), (Fraction(1, 2),)))
     cfg = SearchConfig(t_box=1, t_step=Fraction(1, 2), hints_T=(hint, hint))
     first = [T.op for T in cfg.posop_budget(O1, O2)]
-    # the hint once, zero once and each of the 5 x 5 grid matrices once
-    # (zero among them)
-    assert len(calls) == 1 + 1 + 25
+    # the hint once, zero once and each of the other 24 of the 5 x 5 grid
+    # matrices once
+    assert len(calls) == 1 + 1 + 24
     assert first[:2] == [hint, LinOp.zero(2, 1)] and len(first) == 1 + 9
     calls.clear()
     # a later call and a pass nested in another replay the kept budget

@@ -1,11 +1,17 @@
 """The brute-force reference implementations get their own sanity tests, so
 that suite agreements are evidence about the engine rather than about two
-copies of the same bug."""
+copies of the same bug.  The oracle's array code is in turn checked against
+plain loops over the defining formulas, kept here as the reference."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from weakfront import oracle
 from weakfront.cones import Cone
 from weakfront.oracle import (
     brute_beta,
@@ -42,18 +48,40 @@ def test_brute_region_bulk_matches_naive_loop():
         assert region_of_point(POINTS, O2.normals, y) is lab
 
 
-def test_brute_region_bulk_overflow_falls_back():
-    # coordinates around 2^40 push the cleared integers past int64
-    big = 2**40
+def test_brute_region_bulk_mixes_ints_and_denominators():
+    pts = [(0, Fraction(1, 3)), (Fraction(5, 4), -1), (Fraction(-2, 7), 2)]
+    normals = [(1, Fraction(1, 2)), (Fraction(-1, 5), Fraction(3, 2))]
+    grid = pts + [
+        (Fraction(a, 6) if a % 2 else a // 2, Fraction(b, 10) if b % 3 else b)
+        for a in range(-9, 10)
+        for b in range(-12, 13)
+    ]
+    bulk = brute_region_bulk(pts, normals, grid)
+    assert bulk == [region_of_point(pts, normals, y) for y in grid]
+    assert set(bulk) == set(RegionLabel)
+
+
+def test_brute_region_bulk_overflow_falls_back(monkeypatch):
+    # coordinates of 2^62 push the normal products past int64 (the old
+    # 2^40 case stayed within it); the same tensor expression then runs on
+    # Python ints, never the per-point loop
+    def no_loop(*args):
+        raise AssertionError("region_of_point called")
+
+    monkeypatch.setattr(oracle, "region_of_point", no_loop)
+    big = 2**62
     pts = [(big, 0), (0, big)]
-    grid = [(big, big), (0, 0), (-big, big)]
+    grid = [(big, big), (0, 0), (-big, big), (-big, -big - 1)]
     normals = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     out = brute_region_bulk(pts, normals, grid)
-    # (0,0) touches each cloud point's lower boundary, so FRONTIER not LOWER
+    # (0,0) touches each cloud point's lower boundary, so FRONTIER not LOWER;
+    # below both points, but (big, 0) - y = (2^63, 2^62 + 1) and
+    # (0, big) - y = (2^62, 2^63 + 1) each wrap to a negative int64
     assert out == [
         RegionLabel.UPPER,
         RegionLabel.FRONTIER,
         RegionLabel.FRONTIER,
+        RegionLabel.LOWER,
     ]
 
 
@@ -110,8 +138,31 @@ def test_scalar_duals_raise_on_empty_budgets():
     xs, samples, gvals = _scalar_instance()
     with pytest.raises(ValueError):
         scalar_lagrange_dual(samples, gvals, [])
+    cs = [(x,) for x in xs]
+    gs = samples_g(xs)
+    lams = [(Fraction(1),)]
+    us = [(Fraction(0),)]
     with pytest.raises(ValueError):
-        scalar_fenchel_lagrange_dual2(samples, [(x,) for x in xs], gvals, (0,), [], [])
+        scalar_fenchel_lagrange_dual2(samples, cs, gvals, (0,), [], [])
+    for args in (
+        ([], cs, gvals, (0,), us, lams),
+        (samples, [], [], (0,), us, lams),
+        (samples, cs, gvals, (0,), us, []),
+    ):
+        with pytest.raises(ValueError):
+            scalar_fenchel_lagrange_dual2(*args)
+    for args in (
+        (samples, cs, gs, (0,), [], us, lams),
+        (samples, cs, gs, (0,), us, [], lams),
+        (samples, cs, gs, (0,), us, us, []),
+        ([], cs, gs, (0,), us, us, lams),
+        (samples, [], gs, (0,), us, us, lams),
+        (samples, cs, [], (0,), us, us, lams),
+    ):
+        with pytest.raises(ValueError):
+            scalar_fenchel_lagrange_dual3(*args)
+    with pytest.raises(ValueError):
+        scalar_lagrange_dual([], [], lams)
 
 
 def test_scalar_fenchel_chain_matches_lagrange_here():
@@ -128,3 +179,136 @@ def test_scalar_fenchel_chain_matches_lagrange_here():
 
 def samples_g(xs):
     return [((x,), (1 - x,)) for x in xs]
+
+
+# --- plain-loop references for the scalar duals ----------------------------------
+
+
+def _dot(a, y):
+    return sum(ai * yi for ai, yi in zip(a, y))
+
+
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def loop_lagrange_dual(samples, gvals, lambdas):
+    best = None
+    for lam in lambdas:
+        worst = None
+        for (x, fx), gx in zip(samples, gvals):
+            v = fx + _dot(lam, gx)
+            if worst is None or v < worst:
+                worst = v
+        if worst is not None and (best is None or worst > best):
+            best = worst
+    return best
+
+
+def loop_fenchel_lagrange_dual2(fsamples, csamples, gvals_on_c, L, us, lambdas):
+    best = None
+    for u in us:
+        fstar = max(_dot(u, x) - fx for x, fx in fsamples)
+        for lam in lambdas:
+            block = max(
+                _dot(_sub(L, u), x) - _dot(lam, gx)
+                for x, gx in zip(csamples, gvals_on_c)
+            )
+            v = -fstar - block
+            if best is None or v > best:
+                best = v
+    return best
+
+
+def loop_fenchel_lagrange_dual3(fsamples, csamples, gsamples, L, us, ws, lambdas):
+    best = None
+    for u in us:
+        fstar = max(_dot(u, x) - fx for x, fx in fsamples)
+        for w in ws:
+            sup_c = max(_dot(w, x) for x in csamples)
+            rest = _sub(_sub(L, u), w)
+            for lam in lambdas:
+                block = max(_dot(rest, x) - _dot(lam, gx) for x, gx in gsamples)
+                v = -fstar - sup_c - block
+                if best is None or v > best:
+                    best = v
+    return best
+
+
+# entries: small fractions with denominators 1-12, and integers past 2**63
+number = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@st.composite
+def scalar_budgets(draw):
+    n = draw(st.integers(1, 2))  # dim of x
+    k = draw(st.integers(1, 2))  # dim of g(x)
+    vec = lambda d: st.tuples(*[number] * d)  # noqa: E731
+    many = lambda s: st.lists(s, min_size=1, max_size=4)  # noqa: E731
+    xs = draw(many(vec(n)))
+    fsamples = [(x, draw(number)) for x in xs]
+    csamples = draw(many(vec(n)))
+    fvals_on_c = [draw(number) for _ in csamples]
+    gvals_on_c = [draw(vec(k)) for _ in csamples]
+    gsamples = [(x, draw(vec(k))) for x in draw(many(vec(n)))]
+    return {
+        "fsamples": fsamples,
+        "csamples": csamples,
+        "fvals_on_c": fvals_on_c,
+        "gvals_on_c": gvals_on_c,
+        "gsamples": gsamples,
+        "L": draw(vec(n)),
+        "us": draw(many(vec(n))),
+        "ws": draw(many(vec(n))),
+        "lams": draw(many(vec(k))),
+    }
+
+
+# no shrink phase: shrinking these budgets took minutes, so a failure reports
+# its first falsifying example instead
+@settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(scalar_budgets())
+def test_scalar_duals_equal_their_plain_loops(b):
+    shifted = [
+        (x, fx - _dot(b["L"], x)) for x, fx in zip(b["csamples"], b["fvals_on_c"])
+    ]
+    args1 = (shifted, b["gvals_on_c"], b["lams"])
+    got = scalar_lagrange_dual(*args1)
+    assert got == loop_lagrange_dual(*args1)
+    assert type(got) is Fraction
+    args2 = (b["fsamples"], b["csamples"], b["gvals_on_c"], b["L"], b["us"], b["lams"])
+    got = scalar_fenchel_lagrange_dual2(*args2)
+    assert got == loop_fenchel_lagrange_dual2(*args2)
+    assert type(got) is Fraction
+    args3 = (
+        b["fsamples"], b["csamples"], b["gsamples"], b["L"], b["us"], b["ws"], b["lams"]
+    )
+    got = scalar_fenchel_lagrange_dual3(*args3)
+    assert got == loop_fenchel_lagrange_dual3(*args3)
+    assert type(got) is Fraction
+
+
+# --- the oracle shares no engine code --------------------------------------------
+
+ORACLE = Path(oracle.__file__)
+ALLOWED = {("order_sets", "FiniteVecSet"), ("order_sets", "RegionLabel")}
+ENGINE = {"numeric", "cones", "staircase2d", "conjugate", "farkas"}
+
+
+def test_the_oracle_imports_only_two_names_from_the_package():
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLE.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] != "weakfront", alias.name
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "weakfront":
+                continue
+            module = ".".join(parts[1:] if node.level == 0 else parts)
+            imported |= {(module, alias.name) for alias in node.names}
+    assert imported <= ALLOWED
+    assert not {m.split(".")[0] for m, _ in imported} & ENGINE
