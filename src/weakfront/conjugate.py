@@ -12,17 +12,19 @@ One generator, :func:`certificates`, enumerates a budget for all three
 indices in one loop nest; the certificate search takes its first
 qualifying item and the dual values fold over all of them.  It runs every
 block on the instance's integer tables (:class:`FacetTables`, derived once
-per instance): a block's cloud is an integer product in facet coordinates
-and its maxima are the frontier, so the search builds no ``Fraction``
-point.  The operators' denominators are cleared once per call, at the one
-scale of :func:`frontier_scale`, so every frontier of a call is a plain
-list of integer coordinates at that scale.  The blocks that items share are
-memoised for the length of one call only; between calls the instance keeps
-its tables and the :class:`SearchConfig` its operator budgets, nothing
-more.  A :class:`Certificate` is its operators alone; :func:`beta_value_set`
-rebuilds its value set from the ``Fraction`` data with :func:`conjugate`
-and ``ws_sum``, without the tables, wherever that set is read: in
-verification and in output.
+per instance): a block's cloud is linear in its operators, so each call
+clears every operator it meets into an integer image in facet coordinates
+once, builds each block's cloud from those images by integer subtraction,
+and takes the cloud's maxima as its frontier; the search builds no
+``Fraction`` point.  The operators' denominators are cleared once per
+call, at the one scale of :func:`frontier_scale`, so every frontier of a
+call is a plain list of integer coordinates at that scale.  The images and
+the blocks that items share are kept for the length of one call only;
+between calls the instance keeps its tables and the :class:`SearchConfig`
+its operator budgets, nothing more.  A :class:`Certificate` is its
+operators alone; :func:`beta_value_set` rebuilds its value set from the
+``Fraction`` data with :func:`conjugate` and ``ws_sum``, without the
+tables, wherever that set is read: in verification and in output.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cones import (
@@ -486,7 +488,10 @@ class FacetTables:
     dom F, dom G); ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
     dom F, dom G, C and C ∩ dom F.  A frontier is the list of the maximal
     facet coordinates of a cloud, in descending lexicographic order, all at
-    the one integer scale of their search (:func:`frontier_scale`).
+    the one integer scale of their search (:func:`frontier_scale`).  A
+    search clears each of its operators into an integer image of the rows
+    once (:meth:`image`) and builds every block's frontier from those
+    images by rowwise subtraction (:meth:`block`).
     """
 
     __slots__ = ("N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f")
@@ -509,26 +514,19 @@ class FacetTables:
         self.c = [i for i in rows if x[i] in in_c]
         self.c_f = [i for i in self.c if fv[i] is not None]
 
-    def conjugate(
-        self, rows: list, R: LinOp, d: int, T: Optional[PosOp] = None, f: bool = False
-    ) -> list:
-        """The frontier of {R(x) - F(x) - T(G(x)) : x in rows}, with the F
-        term only when ``f`` and the T term only when T is given: its cloud
-        is (N·R)·X - N·F - (N·T)·G at the scale D·d, d a multiple of the
-        operators' denominators."""
-        NR = facet_matrix(self.N, R, d)
-        NT = facet_matrix(self.N, T.op, d) if T is not None else None
-        xs, nf, gs = self.xs, self.nf, self.gs
-        coords = []
-        for i in rows:
-            q = [sum(map(mul, a, xs[i])) for a in NR]
-            if f:
-                q = [c - d * b for c, b in zip(q, nf[i])]
-            if NT is not None:
-                g = gs[i]
-                q = [c - sum(map(mul, a, g)) for c, a in zip(q, NT)]
-            coords.append(tuple(q))
-        return _front(coords)
+    def image(self, M: LinOp, d: int, vs: list) -> list:
+        """The integer images (N·(d·M))·v of the vectors ``vs``, rows of
+        ``xs`` or ``gs``: one operator's term of a block's cloud, at the
+        scale D·d, d a multiple of M's denominators."""
+        NM = facet_matrix(self.N, M, d)
+        return [tuple([sum(map(mul, a, v)) for a in NM]) for v in vs]
+
+    def block(self, A: list, B: Optional[list] = None) -> list:
+        """The frontier of one conjugate block, whose cloud is the rowwise
+        difference A - B of two lists of images (A alone without B)."""
+        if B is not None:
+            A = [tuple(map(sub, a, b)) for a, b in zip(A, B)]
+        return _front(A)
 
     def sum(self, A: list, B: list) -> list:
         """The frontier of the WS-sum of frontiers A and B, at their one
@@ -592,9 +590,18 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     blocks ⊎-summed in front of it, F*(L') from index 2 on and I_C*(L'')
     at index 3.  Every block runs on the instance's integer tables at that
     one scale, cleared once per call, and no ``Fraction`` point is built.
-    Blocks shared between items are computed once per call and dropped
-    with the generator: F*(L') per L', I_C*(L'') per L'', and the T-block
-    per L - L' - L'' and position of T in its budget.
+
+    A block's cloud is linear in its operators, so each call computes every
+    operator's integer image once (:meth:`FacetTables.image`): (N·d·L)·x on
+    the rows, less d·N·F(x) at index 1; (N·d·M)·x for each splitting
+    operator M; and (N·d·T)·G(x) for each T, when the inner loop first
+    reaches it.  Each block is the frontier of a rowwise difference of
+    images: F*(L') of (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'') of
+    (N·d·L'')·x on C, and a T-block of the rest's image (L's less the split
+    operators') minus T's.  Blocks shared between items are computed once
+    per call and dropped with the generator: F*(L') per L', I_C*(L'') per
+    L'', and the T-block per T and image of L - L' - L''; equal images give
+    equal clouds, even for distinct rests.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -603,28 +610,49 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     d = frontier_scale(P, L, cfg) // tab.den
     Ls = cfg.linop_budget(K.dim, P.F.in_dim)
     Ts = cfg.posop_budget(P.S, K)
-    Lps, Lpps, rows, f = {
-        1: ((None,), (None,), tab.c_f, True),
-        2: (Ls, (None,), tab.c, False),
-        3: (Ls, Ls, tab.dom_g, False),
+    Lps, Lpps, rows = {
+        1: ((None,), (None,), tab.c_f),
+        2: (Ls, (None,), tab.c),
+        3: (Ls, Ls, tab.dom_g),
     }[index]
-    ind_stars = {}  # L'' -> I_C*(L'')
-    t_blocks = {}  # L - L' - L'' -> its T-blocks, by position of T in Ts
-    for Lp in Lps:
-        f_star = None if Lp is None else tab.conjugate(tab.dom_f, Lp, d, f=True)
-        rest_p = L if Lp is None else L - Lp
-        for Lpp in Lpps:
+    xs, gs = tab.xs, [tab.gs[i] for i in rows]
+    dnf = [tuple(d * c for c in tab.nf[i]) for i in tab.dom_f]  # d·N·F(x) on dom F
+    base = tab.image(L, d, [xs[i] for i in rows])
+    if index == 1:
+        base = [
+            tuple(b - d * c for b, c in zip(q, tab.nf[i])) for q, i in zip(base, rows)
+        ]
+    images = []  # (N·d·M)·x on every sample, by position of M in Ls
+    ind_stars = []  # I_C*(L''), by position of L'' in Ls
+    t_images = []  # (N·d·T)·G(x) on the rows, by position of T in Ts
+    t_blocks = {}  # the image of L - L' - L'' -> its T-blocks, by position of T
+
+    def split_image(k: int, M: LinOp) -> list:
+        if k == len(images):
+            images.append(tab.image(M, d, xs))
+        return images[k]
+
+    for j, Lp in enumerate(Lps):
+        f_star, rest_p = None, base
+        if Lp is not None:
+            XLp = split_image(j, Lp)
+            f_star = tab.block([XLp[i] for i in tab.dom_f], dnf)
+            rest_p = [tuple(map(sub, b, XLp[i])) for b, i in zip(base, rows)]
+        for k, Lpp in enumerate(Lpps):
             front, rest = f_star, rest_p
             if Lpp is not None:
-                ind_star = ind_stars.get(Lpp.entries)
-                if ind_star is None:
-                    ind_star = ind_stars[Lpp.entries] = tab.conjugate(tab.c, Lpp, d)
-                front, rest = tab.sum(f_star, ind_star), rest_p - Lpp
-            blocks = t_blocks.setdefault(rest.entries, [])
-            for k, T in enumerate(Ts):
-                if k == len(blocks):
-                    blocks.append(tab.conjugate(rows, rest, d, T, f=f))
-                W = blocks[k] if front is None else tab.sum(front, blocks[k])
+                XLpp = split_image(k, Lpp)
+                if k == len(ind_stars):
+                    ind_stars.append(tab.block([XLpp[i] for i in tab.c]))
+                front = tab.sum(f_star, ind_stars[k])
+                rest = [tuple(map(sub, b, XLpp[i])) for b, i in zip(rest_p, rows)]
+            blocks = t_blocks.setdefault(tuple(rest), [])
+            for t, T in enumerate(Ts):
+                if t == len(blocks):
+                    if t == len(t_images):
+                        t_images.append(tab.image(T.op, d, gs))
+                    blocks.append(tab.block(rest, t_images[t]))
+                W = blocks[t] if front is None else tab.sum(front, blocks[t])
                 yield (T, Lp, Lpp), W
 
 

@@ -69,19 +69,21 @@ def _lcm_of_denominators(vectors: Iterable[Sequence]) -> int:
     return math.lcm(*{c.denominator for v in vectors for c in v})
 
 
-def _int_matrix(vectors: Sequence[Sequence], scale: int) -> "np.ndarray":
-    """The integers scale·c, one row per vector, as Python ints in an object
-    array (exact at any size); ``scale`` is a multiple of every denominator."""
+def _int_matrix(vectors: Sequence[Sequence], scale: int, dim: int) -> "np.ndarray":
+    """The integers scale·c, one row of ``dim`` per vector (shape (0, dim)
+    for no vectors), as Python ints in an object array (exact at any size);
+    ``scale`` is a multiple of every denominator."""
     return np.array(
         [[c.numerator * (scale // c.denominator) for c in v] for v in vectors],
         dtype=object,
-    )
+    ).reshape(len(vectors), dim)
 
 
 def _cleared(vectors: Sequence[Sequence]) -> Tuple["np.ndarray", int]:
-    """(V, d) with V = d·vectors in integers, d the lcm of the denominators."""
+    """(V, d) with V = d·vectors in integers, d the lcm of the denominators;
+    ``vectors`` is not empty."""
     den = _lcm_of_denominators(vectors)
-    return _int_matrix(vectors, den), den
+    return _int_matrix(vectors, den, len(vectors[0])), den
 
 
 def _product(a, b) -> Tuple["np.ndarray", int]:
@@ -114,12 +116,13 @@ def brute_region_bulk(
 
     Same sign tests, evaluated as integer tensor comparisons: in int64 when
     the cleared integers keep every normal product below 2**62, on Python
-    ints otherwise.
+    ints otherwise.  An empty cloud labels every grid point UPPER, as
+    :func:`region_of_point` does.
     """
     scale = math.lcm(_lcm_of_denominators(points), _lcm_of_denominators(grid))
-    M = _int_matrix(points, scale)
-    G = _int_matrix(grid, scale)
     A, _ = _cleared(normals)
+    M = _int_matrix(points, scale, A.shape[1])
+    G = _int_matrix(grid, scale, A.shape[1])
     bound = np.abs(A).sum(axis=1).max() * (
         np.abs(M).max(initial=0) + np.abs(G).max(initial=0)
     )

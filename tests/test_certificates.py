@@ -83,6 +83,11 @@ ENUMERATOR_CASES = CASES + [
     (name, "default", index)
     for name in ("E3", "E4", "E5", "orthant3", "halfplane")
     for index in (1, 2, 3)
+] + [
+    # under a cone with lineality distinct rests L - L' - L'' can share an
+    # image, and so their T-blocks
+    ("halfplane", "l_box=1", index)
+    for index in (1, 2, 3)
 ]
 
 
@@ -171,7 +176,33 @@ def test_enumerator_matches_the_nested_loops_and_beta_value_set(name, budget, in
         _check_enumerator(index, P, L, cfg)
 
 
-# FacetTables.conjugate calls in one pass at l_box=1 and L = 0, indices 1-3
+def _count_pass(name, monkeypatch, owner, attr):
+    """The calls of ``owner.attr`` in one pass of each index at l_box=1 and
+    L = 0, with the budget sizes: (counts, |Ls|, n_T, distinct rests)."""
+    P = INSTANCES[name]
+    cfg = P.search_config(l_box=1)
+    L = LinOp.zero(P.m, P.n)
+    Ls = list(cfg.linop_budget(P.m, P.n))
+    n_T = len(list(cfg.posop_budget(P.S, P.K)))
+    calls = []
+    real = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    counts = []
+    for index in (1, 2, 3):
+        calls.clear()
+        for _ in certificates(index, P, L, cfg):
+            pass
+        counts.append(len(calls))
+    rests = {L - Lp - Lpp for Lp in Ls for Lpp in Ls}
+    return tuple(counts), len(Ls), n_T, len(rests)
+
+
+# FacetTables.block calls in one pass at l_box=1 and L = 0, indices 1-3
 BLOCK_COUNTS = {"E1": (7, 24, 41), "E2": (4, 45, 118), "gap_toy": (5, 18, 31)}
 
 
@@ -179,29 +210,24 @@ BLOCK_COUNTS = {"E1": (7, 24, 41), "E2": (4, 45, 118), "gap_toy": (5, 18, 31)}
 def test_a_pass_computes_each_shared_block_once(name, monkeypatch):
     """Index 1 computes one T-block per T; index 2 one F*(L') and one
     T-block per T for each L'; index 3 F*(L') per L', I_C*(L'') per L'' and
-    one T-block per T and distinct L - L' - L''."""
-    calls = []
-    real = conjugate.FacetTables.conjugate
+    one T-block per T and distinct image of L - L' - L'' (on these
+    instances distinct rests have distinct images)."""
+    counts, n_L, n_T, n_rests = _count_pass(
+        name, monkeypatch, conjugate.FacetTables, "block"
+    )
+    want = (n_T, n_L * (1 + n_T), 2 * n_L + n_T * n_rests)
+    assert counts == want == BLOCK_COUNTS[name]
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(conjugate.FacetTables, "conjugate", counting)
-    P = INSTANCES[name]
-    cfg = P.search_config(l_box=1)
-    L = LinOp.zero(P.m, P.n)
-    Ls = list(cfg.linop_budget(P.m, P.n))
-    n_T = len(list(cfg.posop_budget(P.S, P.K)))
-    rests = {L - Lp - Lpp for Lp in Ls for Lpp in Ls}
-    want = (n_T, len(Ls) * (1 + n_T), 2 * len(Ls) + n_T * len(rests))
-    counts = []
-    for index in (1, 2, 3):
-        calls.clear()
-        for _ in certificates(index, P, L, cfg):
-            pass
-        counts.append(len(calls))
-    assert tuple(counts) == want == BLOCK_COUNTS[name]
+@pytest.mark.parametrize("name", sorted(BLOCK_COUNTS))
+def test_a_pass_builds_each_operator_image_once(name, monkeypatch):
+    """One pass clears each operator into facet coordinates once: L, then
+    each splitting operator and each T of the budget, however many blocks
+    they enter."""
+    counts, n_L, n_T, _ = _count_pass(name, monkeypatch, conjugate, "facet_matrix")
+    assert counts == (1 + n_T, 1 + n_L + n_T, 1 + n_L + n_T)
+    if name == "E2":
+        assert counts[2] == 14  # one facet matrix per block item made 218
 
 
 def test_halfplane_ties_keep_the_lex_smallest_point():

@@ -61,6 +61,16 @@ def test_brute_region_bulk_mixes_ints_and_denominators():
     assert set(bulk) == set(RegionLabel)
 
 
+def test_brute_region_bulk_takes_an_empty_cloud_or_grid():
+    grid = [(0, 0), (Fraction(1, 2), -3)]
+    assert brute_region_bulk([], O2.normals, grid) == [RegionLabel.UPPER] * 2
+    assert brute_region_bulk([], O2.normals, grid) == [
+        region_of_point([], O2.normals, y) for y in grid
+    ]
+    assert brute_region_bulk(POINTS, O2.normals, []) == []
+    assert brute_region_bulk([], O2.normals, []) == []
+
+
 def test_brute_region_bulk_overflow_falls_back(monkeypatch):
     # coordinates of 2^62 push the normal products past int64 (the old
     # 2^40 case stayed within it); the same tensor expression then runs on
