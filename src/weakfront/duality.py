@@ -10,17 +10,21 @@ a lower frontier of guaranteed values; the dual value of a search budget is
 the weak supremum of the union of those frontiers.  That supremum is
 computed exactly: each certificate contributes an upward region (its
 generators plus the cone) and the union's supremum is the boundary of the
-intersection of those regions.  In facet coordinates (see
-:mod:`weakfront.staircase2d`) the generators of that intersection are the
-minima of the componentwise maxima of pairs; mapping them back needs the
-inverse of the normal matrix, so K must be simplicial, of any dimension.
-Every generator of the result therefore carries a concrete certificate that
-re-verifies.  A certificate whose region already contains every current
-generator cannot change the intersection, so the merge skips it (a
-dominance test in facet coordinates).  The merge and the search for each
-generator's certificate run on the enumerator's integer frontiers, which
-share one scale; only the generators are mapped back, once, through that
-scale, and a certificate is stored as its operators.
+intersection of those regions.  The merge works on the negated picture,
+in the orientation of the value sets W themselves: there each region is
+the set below W's frontier, and in facet coordinates (see
+:mod:`weakfront.staircase2d`) the generators of the regions' intersection
+are the maxima of the componentwise minima (the meets) of pairs.  Mapping
+them back needs the inverse of the normal matrix, so K must be simplicial,
+of any dimension.  Every generator of the result therefore carries a
+concrete certificate that re-verifies.  A certificate whose region already
+contains every current generator cannot change the intersection, so the
+merge skips it: no current generator is UPPER against its frontier
+(:func:`weakfront.staircase2d.region_sup`).  The merge and the search for
+each generator's certificate run on the enumerator's integer frontiers,
+which share one scale, with no per-piece negation; only the generators are
+negated and mapped back, once, through that scale, and a certificate is
+stored as its operators.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .order_sets import (
     set_preceq,
     winf_finite,
 )
-from .staircase2d import FRONTIER, maxima, region_sup
+from .staircase2d import FRONTIER, UPPER, maxima, region_sup
 from .conjugate import (
     Certificate,
     FacetTables,
@@ -231,16 +235,6 @@ class DualValue:
         )
 
 
-def _covers(piece_q, current_q) -> bool:
-    """Every current generator lies in piece + K (in facet coordinates:
-    some piece generator is componentwise below it), so merging the piece
-    in leaves the frontier unchanged."""
-    return all(
-        any(all(a <= b for a, b in zip(qv, qu)) for qv in piece_q)
-        for qu in current_q
-    )
-
-
 def dual_value(
     P: ProblemInstance,
     which: str,
@@ -253,17 +247,18 @@ def dual_value(
     frontier of its negated value set; the budget's dual value is the weak
     supremum of the union of those frontiers, i.e. the boundary of the
     intersection of the upward regions.  The merge runs on the integer
-    facet coordinates the enumerator computed, all at the search's one
-    scale: the componentwise maxima of pairs of current and piece
-    generators, then their minima; the result is mapped back once.  A
-    certificate whose upward region already contains every current
-    generator is skipped, since the merge would return the current
-    generators.  Each generator of the result lies on some certificate's
-    frontier and is stored with the first such certificate in budget order,
-    skipped ones included; the owner is found on the integer frontiers and
-    stored as its operators.  K must be simplicial
-    (exactly ``dim`` linearly independent normals, so that its basis has an
-    inverse), of any dimension.
+    facet coordinates of W's frontiers that the enumerator computed, all at
+    the search's one scale, and keeps the running generators negated, in
+    W's orientation: the componentwise minima of pairs of current and piece
+    generators, then their maxima; the result is negated and mapped back
+    once.  A certificate is skipped when every current generator is LOWER
+    or FRONTIER against its frontier (``region_sup``), since its region
+    then contains them all and the merge would return them unchanged.
+    Each generator of the result lies on some certificate's frontier and is
+    stored with the first such certificate in budget order, skipped ones
+    included; the owner is found on the integer frontiers and stored as its
+    operators.  K must be simplicial (exactly ``dim`` linearly independent
+    normals, so that its basis has an inverse), of any dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
@@ -277,29 +272,29 @@ def dual_value(
         )
     index = int(which[-1])
     pieces = []  # (operators, coords of W's frontier), in budget order
-    current = None
+    low = None  # the merged generators, negated: in W's orientation
     for ops, coords in certificates(index, P, L, cfg):
         pieces.append((ops, coords))
-        piece_q = [vec_neg(q) for q in coords]  # the INF frontier -W
-        if current is None:
-            current = piece_q
-        elif not _covers(piece_q, current):
-            joined = [tuple(map(max, u, v)) for u in current for v in piece_q]
-            current = [joined[i] for i in maxima([vec_neg(q) for q in joined])]
-    if current is None:
+        if low is None:
+            low = coords
+        elif any(region_sup(coords, u) == UPPER for u in low):
+            joined = [tuple(map(min, u, v)) for u in low for v in coords]
+            low = [joined[i] for i in maxima(joined)]
+    if low is None:
         raise ValueError("empty certificate budget")
 
     scale = frontier_scale(P, L, cfg)
     stored = []
-    points = (tuple(c / scale for c in basis.from_quad(q)) for q in current)
-    for h, q in sorted(zip(points, current)):
-        # h is on the frontier of -W exactly when -h is on that of W
-        neg = vec_neg(q)
+    points = (
+        tuple(c / scale for c in basis.from_quad(vec_neg(u))) for u in low
+    )
+    for h, u in sorted(zip(points, low)):
+        # h is on the frontier of -W exactly when u = -h is on that of W
         k = next(
             (
                 k
                 for k, (_, coords) in enumerate(pieces)
-                if region_sup(coords, neg) == FRONTIER
+                if region_sup(coords, u) == FRONTIER
             ),
             None,
         )

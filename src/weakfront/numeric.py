@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Number = Union[int, Fraction]
@@ -46,7 +47,9 @@ def vec_scale(t: Number, a: Vec) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Number:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

@@ -9,12 +9,15 @@ primitive-integer facet normals, with any number of rows:
 In these facet coordinates the K-order is the componentwise order, so the
 generators of wsup(M) are the maximal vectors of N·M (Kung, Luccio &
 Preparata, J. ACM 22(4), 1975) and every region test is a dominance query
-against them.  Each batch of points is scaled once by the lcm of its
-denominators, so the comparisons run on plain integers.  Infima are suprema
-of the negated data.  Only mapping new coordinates back to points needs
-N^{-1}, which exists exactly for simplicial K (``dim`` linearly independent
-normals).  The module and function names date from the planar staircase
-this core replaced; perfbench's tracer binds them by name.
+against them.  With one or two facets the maxima come from one sort and a
+sweep, O(n log n); with more, each vector is tested against the maxima kept
+so far, O(n·h) for h maxima.  Each batch of points is scaled once by the
+lcm of its denominators, so the comparisons run on plain integers.  Infima
+are suprema of the negated data.  Only mapping new coordinates back to
+points needs N^{-1}, which exists exactly for simplicial K (``dim``
+linearly independent normals).  The module and function names date from
+the planar staircase this core replaced; perfbench's tracer binds them by
+name.
 """
 
 from __future__ import annotations
@@ -92,14 +95,25 @@ def maxima(coords: Sequence[tuple]) -> list:
     order, in descending lexicographic order of their vectors.
 
     Sorted in descending order, a vector can only be dominated by one before
-    it, and a dominated one is dominated by a kept one; so each vector is
-    tested against the kept vectors only.  Of equal vectors the first is
-    kept: the reverse sort is stable.  Under a cone that is not pointed,
-    distinct points share coordinates along its lineality space, so a
-    caller passing lexicographically sorted points keeps the lex-smallest
-    of each such class."""
+    it, and a dominated one is dominated by a kept one.  With one or two
+    coordinates the kept vectors ascend strictly in the last coordinate, so
+    a vector is kept exactly when its last coordinate exceeds the last kept
+    one's: one sort and a sweep, O(n log n) (Kung, Luccio & Preparata).
+    With more coordinates each vector is tested against the kept vectors,
+    O(n·h) for h maxima.  Of equal vectors the first is kept: the reverse
+    sort is stable.  Under a cone that is not pointed, distinct points share
+    coordinates along its lineality space, so a caller passing
+    lexicographically sorted points keeps the lex-smallest of each such
+    class."""
+    order = sorted(range(len(coords)), key=coords.__getitem__, reverse=True)
+    if coords and len(coords[0]) in (1, 2):
+        kept = order[:1]
+        for i in order[1:]:
+            if coords[i][-1] > coords[kept[-1]][-1]:
+                kept.append(i)
+        return kept
     kept = []
-    for i in sorted(range(len(coords)), key=coords.__getitem__, reverse=True):
+    for i in order:
         q = coords[i]
         if not any(all(map(ge, coords[k], q)) for k in kept):
             kept.append(i)

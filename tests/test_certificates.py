@@ -357,6 +357,27 @@ def test_dual_value_equals_the_unpruned_fold(monkeypatch):
     assert len(merges) < folded / 2
 
 
+def test_dual_merge_negates_only_the_result(monkeypatch):
+    """The merge runs in W's own orientation: on E2's VD2 at l_box=1, whose
+    merge joins, vec_neg is called at most twice per attained point and
+    never once per piece or per joined pair."""
+    calls = []
+    real_neg = duality.vec_neg
+
+    def counting_neg(a):
+        calls.append(1)
+        return real_neg(a)
+
+    P = INSTANCES["E2"]
+    cfg = P.search_config(**BUDGETS["l_box=1"])
+    L = LinOp.zero(P.m, P.n)
+    pieces = len(_reference(2, P, L, cfg))
+    monkeypatch.setattr(duality, "vec_neg", counting_neg)
+    d = dual_value(P, "VD2", L, cfg)
+    assert pieces > len(d.attained.points)
+    assert 0 < len(calls) <= 2 * len(d.attained.points)
+
+
 ORTHANT3 = INSTANCES["orthant3"]
 ORTHANT3_CASES = [
     ("default", 1),

@@ -18,7 +18,7 @@ from weakfront.cones import (
     sample_linops,
     sample_positive_operators,
 )
-from weakfront.numeric import vec_scale
+from weakfront.numeric import dot, vec_scale
 from weakfront.randgen import rand_cone_2d, rand_halfplane
 
 
@@ -145,6 +145,15 @@ def test_classify_point_skew():
     assert classify_point(K, (1, 1)) is PointClass.INTERIOR
     assert classify_point(K, (2, 1)) is PointClass.BOUNDARY
     assert classify_point(K, (3, 1)) is PointClass.OUTSIDE
+
+
+def test_dot_is_exact_and_rejects_vectors_of_different_lengths():
+    assert dot((Fraction(1, 2), 3), (4, Fraction(-1, 3))) == 1
+    assert dot((), ()) == 0
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        dot((1, 2, 3), (1,))
 
 
 def test_linop_apply_and_arithmetic():

@@ -2,9 +2,9 @@
 
 Each case runs one ``weakfront`` subcommand in-process and compares its
 stdout with the file of the same name under ``tests/golden/``.  The files
-pin the behaviour of the certificate search, the dual merge, the conjugate
-and the weak-supremum labeller: a refactor of any of them must reproduce
-them exactly.  The ``wsup`` cases read their set and query documents from
+pin the behaviour of the certificate search, the dual merge (also on the
+split-operator grid ``--l-box 1``), the conjugate and the weak-supremum
+labeller: a refactor of any of them must reproduce them exactly.  The ``wsup`` cases read their set and query documents from
 ``tests/golden/inputs/``: a skewed planar cone (a simplicial cone) and a
 four-facet cone in R^3 (a non-simplicial cone).  Regenerate them (only when a
 change of output is intended) with
@@ -39,6 +39,9 @@ _FARKAS = (
     ("gap_toy", "[[1]]", "[0]", (1, 2, 3)),
 )
 _DUAL_INSTANCES = ("E1", "E2", "E3", "E4", "E5", "gap_toy")
+# (instance, dual) run on the split-operator grid --l-box 1, where the merge
+# joins many certificates' frontiers.
+_DUAL_SPLIT = (("E4", "VD3"), ("E3", "VD2"))
 # (instance, nonzero L); each instance also runs at --L zero.  E5's L is a
 # JSON float, read through its decimal form.
 _CONJUGATE = (
@@ -74,6 +77,14 @@ def cases() -> list:
             out.append(
                 (f"dual_{name}_{which}.json", ["dual", path, "--which", which, "--L", "zero"])
             )
+    for name, which in _DUAL_SPLIT:
+        path = str(data_dir() / f"{name}.json")
+        out.append(
+            (
+                f"dual_{name}_{which}_lbox1.json",
+                ["dual", path, "--which", which, "--l-box", "1", "--L", "zero"],
+            )
+        )
     for name, L in _CONJUGATE:
         path = str(data_dir() / f"{name}.json")
         for op in ("zero", L):

@@ -110,6 +110,35 @@ def test_maxima_in_three_dimensions():
     assert sorted(pts[i] for i in maxima(pts)) == [(0, 0, 3), (1, 1, 1), (2, 0, 0)]
 
 
+def _pairwise_maxima(coords):
+    """The reference: each vector, in descending order, is tested against
+    every vector kept before it."""
+    kept = []
+    for i in sorted(range(len(coords)), key=coords.__getitem__, reverse=True):
+        q = coords[i]
+        if not any(all(a >= b for a, b in zip(coords[k], q)) for k in kept):
+            kept.append(i)
+    return kept
+
+
+def test_maxima_matches_the_pairwise_loop():
+    """Same indices in the same order, on the empty list and on seeded
+    integer vectors of 1-4 coordinates drawn from small ranges, so that
+    repeats and ties in single coordinates are common."""
+    assert maxima([]) == [] == _pairwise_maxima([])
+    rng = random.Random(16)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        hi = rng.choice((1, 3, 10))
+        pts = [
+            tuple(rng.randint(-hi, hi) for _ in range(d))
+            for _ in range(rng.randint(1, 30))
+        ]
+        pts += rng.choices(pts, k=rng.randint(0, 5))
+        rng.shuffle(pts)
+        assert maxima(pts) == _pairwise_maxima(pts), pts
+
+
 # --- the core against the oracle ---------------------------------------------
 
 CORE_CONES = {
