@@ -227,12 +227,6 @@ class PosOp:
         self.domain_cone = domain_cone
         self.range_cone = range_cone
 
-    def apply(self, z: Vec) -> Vec:
-        return self.op.apply(z)
-
-    def __call__(self, z: Vec) -> Vec:
-        return self.op.apply(z)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PosOp)

@@ -22,9 +22,11 @@ call is a plain list of integer coordinates at that scale.  The images and
 the blocks that items share are kept for the length of one call only;
 between calls the instance keeps its tables and the :class:`SearchConfig`
 its operator budgets, nothing more.  A :class:`Certificate` is its
-operators alone; :func:`beta_value_set` rebuilds its value set from the
-``Fraction`` data with :func:`conjugate` and ``ws_sum``, without the
-tables, wherever that set is read: in verification and in output.
+operators alone; :func:`beta_value_set` rebuilds its value set with
+:func:`compose`, :func:`conjugate` and ``ws_sum``, without the tables,
+wherever that set is read: in verification and in output.  Those run on
+each map's integers, cleared once per map (:meth:`SampledMap.cleared`), and
+build ``Fraction`` points only for the generators of each weak supremum.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .cones import (
 )
 from .numeric import (
     Number, Vec, common_denominator, dot, mat_vec, require_exact, scaled,
-    vec_add, vec_scale, vec_sub,
+    vec_scale, vec_sub,
 )
 from .order_sets import (
     FiniteVecSet,
@@ -57,7 +59,7 @@ from .order_sets import (
     Tag,
     set_preceq,
     ws_sum,
-    wsup_finite,
+    wsup_scaled,
 )
 from .staircase2d import LOWER, maxima, region_sup
 
@@ -65,10 +67,13 @@ from .staircase2d import LOWER, maxima, region_sup
 class SampledMap:
     """Finite-sample vector map; +inf off the sample (so always proper).
 
-    Samples are stored sorted by x and must not repeat x values.
+    Samples are stored sorted by x and must not repeat x values.  The map
+    is cleared once, on first use (:meth:`cleared`); :func:`compose`,
+    :meth:`restrict` and :meth:`add` build their maps from cleared forms,
+    with no ``Fraction`` product or sum.
     """
 
-    __slots__ = ("in_dim", "out_dim", "samples", "_table")
+    __slots__ = ("in_dim", "out_dim", "samples", "_rows", "_cleared")
 
     def __init__(self, samples: Iterable[Tuple[Sequence[Number], Sequence[Number]]]):
         pairs = [(tuple(x), tuple(v)) for x, v in samples]
@@ -83,10 +88,23 @@ class SampledMap:
             if x in table:
                 raise ValueError(f"duplicate sample point {x!r}")
             table[x] = v
-        object.__setattr__(self, "in_dim", in_dim)
-        object.__setattr__(self, "out_dim", out_dim)
-        object.__setattr__(self, "samples", tuple(sorted(table.items())))
-        object.__setattr__(self, "_table", table)
+        self._fill(tuple(sorted(table.items())), None)
+
+    def _fill(self, samples: tuple, cleared: Optional[tuple]) -> None:
+        object.__setattr__(self, "in_dim", len(samples[0][0]))
+        object.__setattr__(self, "out_dim", len(samples[0][1]))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_rows", {x: i for i, (x, _) in enumerate(samples)})
+        object.__setattr__(self, "_cleared", cleared)
+
+    @classmethod
+    def _from_cleared(cls, xs: Sequence[Vec], cleared: tuple) -> "SampledMap":
+        """The map on the sorted points ``xs`` cleared as ``cleared``."""
+        D, _, V = cleared
+        F = object.__new__(cls)
+        values = [tuple([Fraction(c, D) for c in v]) for v in V]
+        F._fill(tuple(zip(xs, values)), cleared)
+        return F
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledMap is immutable")
@@ -97,31 +115,46 @@ class SampledMap:
         zero = (0,) * out_dim
         return cls((tuple(p), zero) for p in points)
 
+    def cleared(self) -> tuple:
+        """(D, [D·x], [D·F(x)]) in sample order, D a common denominator of
+        every sample; derived on first use and kept."""
+        if self._cleared is None:
+            D = common_denominator(chain(*self.samples))
+            cols = ([scaled(u, D) for u in col] for col in zip(*self.samples))
+            object.__setattr__(self, "_cleared", (D, *cols))
+        return self._cleared
+
     def domain(self) -> tuple:
         return tuple(x for x, _ in self.samples)
 
     def value(self, x: Sequence[Number]) -> Optional[Vec]:
-        return self._table.get(tuple(x))
+        i = self._rows.get(tuple(x))
+        return None if i is None else self.samples[i][1]
 
     def restrict(self, points: Iterable[Sequence[Number]]) -> "SampledMap":
         keep = {tuple(p) for p in points}
-        kept = [(x, v) for x, v in self.samples if x in keep]
-        if not kept:
+        rows = [i for i, (x, _) in enumerate(self.samples) if x in keep]
+        if not rows:
             raise ValueError("restriction has empty domain")
-        return SampledMap(kept)
+        D, X, V = self.cleared()
+        xs = [self.samples[i][0] for i in rows]
+        X, V = [X[i] for i in rows], [V[i] for i in rows]
+        return SampledMap._from_cleared(xs, (D, X, V))
 
     def add(self, other: "SampledMap") -> "SampledMap":
         """Pointwise sum on the intersection of the two domains."""
         if self.out_dim != other.out_dim:
             raise DimensionError("sum of maps with different value dimensions")
-        merged = [
-            (x, vec_add(v, other._table[x]))
-            for x, v in self.samples
-            if x in other._table
-        ]
-        if not merged:
+        rows = [(i, other._rows[x]) for x, i in self._rows.items() if x in other._rows]
+        if not rows:
             raise ValueError("maps have disjoint domains")
-        return SampledMap(merged)
+        (D1, X, V1), (D2, _, V2) = self.cleared(), other.cleared()
+        D = math.lcm(D1, D2)
+        a, b = D // D1, D // D2
+        return SampledMap._from_cleared([self.samples[i][0] for i, _ in rows], (
+            D, [vec_scale(a, X[i]) for i, _ in rows],
+            [tuple([a * p + b * q for p, q in zip(V1[i], V2[j])]) for i, j in rows],
+        ))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledMap):
@@ -135,9 +168,22 @@ class SampledMap:
         return f"SampledMap({len(self.samples)} samples, {self.in_dim}->{self.out_dim})"
 
 
+def _int_images(rows: Sequence[tuple], vs: Iterable[tuple]) -> list:
+    """The products rows·v of integer vectors v, as integer vectors."""
+    return [tuple([sum(map(mul, a, v)) for a in rows]) for v in vs]
+
+
 def compose(op, G: SampledMap) -> SampledMap:
-    """The map x -> op(G(x)) on G's domain (op is a LinOp or PosOp)."""
-    return SampledMap((x, op.apply(v)) for x, v in G.samples)
+    """The map x -> op(G(x)) on G's domain (op is a LinOp or PosOp): with d
+    the denominator of op, the values (d·op)·(D·G(x)) at the scale d·D."""
+    M = op.op if isinstance(op, PosOp) else op
+    if M.cols != G.out_dim:
+        raise DimensionError(f"compose: a {M.rows}x{M.cols} operator after {G!r}")
+    D, X, V = G.cleared()
+    d = common_denominator(M.entries)
+    dM = [scaled(r, d) for r in M.entries]
+    X = [vec_scale(d, x) for x in X]
+    return SampledMap._from_cleared(G.domain(), (d * D, X, _int_images(dM, V)))
 
 
 # --- conjugate and epigraphs ------------------------------------------------------
@@ -146,14 +192,16 @@ def compose(op, G: SampledMap) -> SampledMap:
 def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
     """The conjugate value F*(L) = wsup{L(x) - F(x) : x in dom F}.
 
-    Always a FINITE SUP GenSet for sampled maps.
+    Always a FINITE SUP GenSet for sampled maps.  Its cloud is the integer
+    vectors (d·L)·(D·x) - d·(D·F(x)) at the scale d·D, d L's denominator.
     """
     if L.cols != F.in_dim or L.rows != F.out_dim or K.dim != F.out_dim:
         raise DimensionError("conjugate: map/operator/cone dimensions disagree")
-    cloud = FiniteVecSet(
-        vec_sub(L.apply(x), v) for x, v in F.samples
-    )
-    return wsup_finite(cloud, K)
+    D, X, V = F.cleared()
+    d = common_denominator(L.entries)
+    LX = _int_images([scaled(r, d) for r in L.entries], X)
+    cloud = [tuple([p - d * c for p, c in zip(lx, v)]) for lx, v in zip(LX, V)]
+    return wsup_scaled(cloud, d * D, K)
 
 
 def epi_membership(
@@ -393,8 +441,9 @@ class Certificate:
     conditions; L' is present iff ``index`` >= 2 and L'' iff ``index`` == 3.
 
     The condition's left-hand WS-sum W is a function of these operators and
-    the instance data, rebuilt by :func:`beta_value_set`; the certificate
-    qualifies a point y exactly when y is not strictly below W.
+    the instance data, rebuilt from the maps' cleared integers by
+    :func:`beta_value_set`; the certificate qualifies a point y exactly
+    when y is not strictly below W.
     """
 
     __slots__ = ("index", "T", "Lp", "Lpp")
@@ -518,8 +567,7 @@ class FacetTables:
         """The integer images (N·(d·M))·v of the vectors ``vs``, rows of
         ``xs`` or ``gs``: one operator's term of a block's cloud, at the
         scale D·d, d a multiple of M's denominators."""
-        NM = facet_matrix(self.N, M, d)
-        return [tuple([sum(map(mul, a, v)) for a in NM]) for v in vs]
+        return _int_images(facet_matrix(self.N, M, d), vs)
 
     def block(self, A: list, B: Optional[list] = None) -> list:
         """The frontier of one conjugate block, whose cloud is the rowwise

@@ -21,13 +21,16 @@ coordinates N·y (:mod:`weakfront.staircase2d`).
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .cones import Cone, DimensionError
 from .numeric import (
     Number,
+    common_denominator,
     require_exact,
     mat_rank,
+    scaled,
     vec_neg,
     vec_add,
 )
@@ -160,20 +163,6 @@ def classify_many(
 # --- canonical generators / wsup / winf --------------------------------------
 
 
-def _canonical_sup_points(points, K: Cone):
-    """Drop every point weakly dominated by another; lex-min keeps ties.
-
-    ``p`` is dropped when some other point ``q`` has ``q - p in K`` and
-    either the dominance is strict (``p - q not in K``) or ``q`` precedes
-    ``p`` lexicographically.  Points equivalent under the cone's lineality
-    share facet coordinates, and :func:`staircase2d.maxima` keeps the first
-    of equal coordinates, so ``points`` in lexicographic order keep exactly
-    the lex-smallest member of each class.
-    """
-    idx = staircase2d.canonical_indices_2d(K.basis, points)
-    return tuple(points[i] for i in idx)
-
-
 class GenSet:
     """A weak supremum or infimum: canonical generators + orientation + cone.
 
@@ -293,8 +282,21 @@ def wsup_finite(M: FiniteVecSet, K: Cone) -> GenSet:
     """
     if M.dim != K.dim:
         raise DimensionError("set/cone dimensions disagree")
-    gens = _canonical_sup_points(M.points, K)
-    return GenSet(Tag.FINITE, Orient.SUP, FiniteVecSet(gens), K)
+    den = common_denominator(M.points)
+    return wsup_scaled([scaled(p, den) for p in M.points], den, K)
+
+
+def wsup_scaled(vecs: Iterable[tuple], den: int, K: Cone) -> GenSet:
+    """Weak supremum of the points v/den of integer vectors v (den > 0): the
+    maxima of their facet coordinates, as a canonical SUP GenSet.  At one
+    positive scale the vectors sort in their points' lexicographic order and
+    ``maxima`` keeps the first of equal coordinates, so under lineality the
+    lex-smallest point is kept.  Only generators become ``Fraction`` points.
+    """
+    vecs = sorted(set(vecs))
+    idx = staircase2d.canonical_indices_2d(K.basis, vecs)
+    gens = FiniteVecSet(tuple(Fraction(c, den) for c in vecs[i]) for i in idx)
+    return GenSet(Tag.FINITE, Orient.SUP, gens, K)
 
 
 def winf_finite(M: FiniteVecSet, K: Cone) -> GenSet:

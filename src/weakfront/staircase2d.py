@@ -82,13 +82,6 @@ class RayBasis:
         K only)."""
         return tuple(dot(row, q) for row in self.inverse)
 
-    def int_coords(self, vecs: Sequence[Vec]) -> list:
-        """Facet coordinates of ``vecs`` scaled by their common denominator:
-        integers, in the order of ``vecs``.  One scale serves the whole
-        batch, so the componentwise order is preserved."""
-        den = common_denominator(vecs)
-        return [self.to_quad(scaled(v, den)) for v in vecs]
-
 
 def maxima(coords: Sequence[tuple]) -> list:
     """Indices of the maximal vectors of ``coords`` under the componentwise
@@ -140,8 +133,11 @@ def classify_points_2d(
 ) -> list:
     """Region codes of ``points`` against wsup(gens), or against winf(gens)
     when sup=False: the infimum is minus the supremum of the negated data,
-    with LOWER and UPPER swapped.  Gens and points share one scale."""
-    coords = basis.int_coords([*gens, *points])
+    with LOWER and UPPER swapped.  Gens and points are cleared to one
+    integer scale, which keeps the componentwise order."""
+    vecs = [*gens, *points]
+    den = common_denominator(vecs)
+    coords = [basis.to_quad(scaled(v, den)) for v in vecs]
     if not sup:
         coords = [tuple(-c for c in q) for q in coords]
     qg, qp = coords[: len(gens)], coords[len(gens) :]
@@ -150,7 +146,7 @@ def classify_points_2d(
     return codes if sup else [UPPER - c for c in codes]
 
 
-def canonical_indices_2d(basis: RayBasis, vecs: Sequence[Vec]) -> list:
-    """Indices of the maximal points of ``vecs`` (the generators of their
-    weak supremum)."""
-    return maxima(basis.int_coords(vecs))
+def canonical_indices_2d(basis: RayBasis, vecs: Sequence[tuple]) -> list:
+    """Indices of the maximal vectors of ``vecs``, integer vectors at one
+    scale (the generators of their weak supremum)."""
+    return maxima([basis.to_quad(v) for v in vecs])

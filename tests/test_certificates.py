@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from weakfront import conjugate, duality
-from weakfront.cones import Cone, LinOp
+from weakfront.cones import Cone, LinOp, PosOp
 from weakfront.conjugate import (
     SampledMap,
     SearchConfig,
@@ -20,8 +20,11 @@ from weakfront.conjugate import (
 )
 from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
 from weakfront.instances import shipped_instance
-from weakfront.order_sets import FiniteVecSet, RegionLabel, winf_finite
-from weakfront.randgen import rand_halfplane, rand_instance, rand_linop
+from weakfront.numeric import vec_add, vec_sub
+from weakfront.order_sets import (
+    FiniteVecSet, RegionLabel, winf_finite, ws_sum, wsup_finite,
+)
+from weakfront.randgen import rand_cone_2d, rand_halfplane, rand_instance, rand_linop
 from weakfront.staircase2d import RayBasis
 
 
@@ -240,6 +243,105 @@ def test_halfplane_ties_keep_the_lex_smallest_point():
     assert cert.Lp == zero and cert.T.op == LinOp.zero(2, 1)
     W = beta_value_set(2, P, zero, cert.T, Lp=cert.Lp)
     assert W.generators.points == (cloud[1],)
+
+
+def test_frontier_sums_can_keep_every_pairwise_sum():
+    """Two staircases of two points each have four maximal sums, so the
+    frontier of a WS-sum can have |A|·|B| points: no merge of the two
+    staircases in linear time can list it."""
+    A, B = [(10, 0), (0, 10)], [(1, 0), (0, 1)]
+    got = INSTANCES["E2"].tables.sum(A, B)
+    assert got == [(11, 0), (10, 1), (1, 10), (0, 11)]
+
+
+def _fraction_beta(index, P, L, T, Lp, Lpp):
+    """W written out in ``Fraction`` arithmetic: the weak suprema of the
+    clouds L(x) - F(x) - T(G(x)) on C ∩ dom F (index 1), L'(x) - F(x) and
+    (L - L')(x) - T(G(x)) on C (index 2), and L'(x) - F(x), L''(x) on C and
+    (L - L' - L'')(x) - T(G(x)) on dom G (index 3), ⊎-summed."""
+    TG = {x: T.op.apply(v) for x, v in P.G.samples}
+
+    def wsup(cloud):
+        return wsup_finite(FiniteVecSet(cloud), P.K)
+
+    if index == 1:
+        return wsup(
+            vec_sub(L.apply(x), vec_add(P.F.value(x), TG[x]))
+            for x in P.C if P.F.value(x) is not None
+        )
+    f_star = wsup(vec_sub(Lp.apply(x), v) for x, v in P.F.samples)
+    if index == 2:
+        return ws_sum(f_star, wsup(vec_sub((L - Lp).apply(x), TG[x]) for x in P.C))
+    ind_star = wsup(Lpp.apply(x) for x in P.C)
+    rest = L - Lp - Lpp
+    t_star = wsup(vec_sub(rest.apply(x), v) for x, v in TG.items())
+    return ws_sum(ws_sum(f_star, ind_star), t_star)
+
+
+def _fraction_instance(rng, K):
+    """A problem ordered by K whose data have denominators 1 to 12; dom F,
+    C and dom G differ, and x1 is feasible."""
+    def vec(dim):
+        return tuple(
+            Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(dim)
+        )
+
+    n, p = rng.randint(1, 2), rng.randint(1, 2)
+    xs = sorted({vec(n) for _ in range(6)})
+    F = SampledMap((x, vec(K.dim)) for x in xs[1:])
+    G = SampledMap((x, (-1,) * p if x == xs[1] else vec(p)) for x in xs)
+    return ProblemInstance(F=F, G=G, C=xs[:-1], K=K, S=Cone.orthant(p))
+
+
+BETA_INSTANCES = [
+    (name, None) for name in ("E2", "E5", "orthant3", "halfplane")
+] + [(cone, seed) for cone in ("orthant", "pointed", "halfplane") for seed in range(3)]
+
+
+@pytest.mark.parametrize("name,seed", BETA_INSTANCES)
+def test_beta_value_set_matches_the_fraction_formulas(name, seed):
+    """beta_value_set, on cleared integers, equals its ``Fraction``
+    formulas at every index, for operators in halves and thirds and a
+    perturbation with denominators up to 12."""
+    rng = random.Random(f"{name}:{seed}")
+    if seed is None:
+        P = INSTANCES[name]
+    else:
+        cones = {
+            "orthant": Cone.orthant(2), "pointed": rand_cone_2d(rng), "halfplane": HALFPLANE,
+        }
+        P = _fraction_instance(rng, cones[name])
+    cfg = SearchConfig(t_step=Fraction(1, 2), l_box=1, l_step=Fraction(1, 3))
+    Ts = rng.sample(list(cfg.posop_budget(P.S, P.K)), 3)
+    Ls = rng.sample(list(cfg.linop_budget(P.m, P.n)), 3)
+    L = _rand_fraction_linop(rng, P.m, P.n, rng.randint(1, 12))
+    for T in Ts:
+        items = [(1, None, None)] + [(2, Lp, None) for Lp in Ls]
+        items += [(3, Lp, Lpp) for Lp in Ls for Lpp in Ls]
+        for index, Lp, Lpp in items:
+            got = beta_value_set(index, P, L, T, Lp=Lp, Lpp=Lpp)
+            assert got == _fraction_beta(index, P, L, T, Lp, Lpp)
+
+
+def test_beta_value_set_applies_no_operator_to_a_sample(monkeypatch):
+    """The value set is built from the maps' cleared integers: no
+    ``LinOp.apply`` per sample, at any index."""
+    calls = []
+    real = LinOp.apply
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(LinOp, "apply", counting)
+    P = INSTANCES["E2"]
+    L = LinOp(tuple((Fraction(1, 2),) * P.n for _ in range(P.m)))
+    T = PosOp(LinOp(((Fraction(1),), (Fraction(2),))), P.S, P.K)
+    Lp = LinOp(tuple((Fraction(-1, 3),) * P.n for _ in range(P.m)))
+    for index in (1, 2, 3):
+        beta_value_set(index, P, L, T, Lp=Lp if index > 1 else None,
+                       Lpp=-Lp if index == 3 else None)
+    assert calls == []
 
 
 def test_searches_and_dual_values_rebuild_no_value_set(monkeypatch):

@@ -4,15 +4,25 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import weakfront
 from weakfront.cli import main
 from weakfront.instances import data_dir, dump_json, load_instance
+
+# A child interpreter imports the package under test, installed or not.
+_SRC = str(Path(weakfront.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run(capsys, argv):
@@ -210,6 +220,7 @@ def test_the_command_line_reads_a_negative_fraction_as_a_value(e1):
         [sys.executable, "-m", "weakfront.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith(
@@ -220,7 +231,7 @@ def test_the_command_line_reads_a_negative_fraction_as_a_value(e1):
 def test_importing_the_cli_does_not_load_numpy():
     code = "import sys, weakfront.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -391,6 +402,7 @@ def test_console_entry_point_runs_in_a_subprocess():
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["frontier"]["generators"] == [[1]]

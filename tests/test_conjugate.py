@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from weakfront import cones
-from weakfront.cones import Cone, LinOp, PosOp, PositivityError
+from weakfront.cones import Cone, DimensionError, LinOp, PosOp, PositivityError
 from weakfront.conjugate import (
     ExtEpiElement,
     SampledMap,
@@ -29,6 +30,8 @@ from weakfront.order_sets import (
     wsup_finite,
     FiniteVecSet,
 )
+from weakfront.numeric import vec_add, vec_scale, vec_sub
+from weakfront.randgen import rand_cone_2d, rand_halfplane
 
 O1 = Cone.orthant(1)
 O2 = Cone.orthant(2)
@@ -78,6 +81,101 @@ def test_compose_applies_the_operator_pointwise():
     tg = compose(T, g)
     assert tg.value((0,)) == (2,)
     assert tg.value((2,)) == (-2,)
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_compose_and_conjugate_refuse_mismatched_shapes(cols):
+    """An operator whose width is not the map's dimension is refused up
+    front: the integer products would silently drop the extra entries."""
+    G = SampledMap([((Fraction(0),), (Fraction(1), Fraction(2)))])
+    op = LinOp(((Fraction(1),) * cols,) * 2)
+    with pytest.raises(DimensionError):
+        compose(op, G)
+    with pytest.raises(DimensionError):
+        compose(PosOp(op, Cone.orthant(cols), O2), G)
+    F = SampledMap([((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))])
+    with pytest.raises(DimensionError):
+        conjugate(F, op, O2)
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-24, 24), rng.randint(1, 12))
+
+
+def _rand_vec(rng, dim):
+    return tuple(_rand_fraction(rng) for _ in range(dim))
+
+
+def _rand_op(rng, rows, cols):
+    return LinOp(tuple(_rand_vec(rng, cols) for _ in range(rows)))
+
+
+HALFPLANE = rand_halfplane(random.Random(1))  # normal (-2, 1), lineality (1, 2)
+CLEARED_CONES = {
+    "orthant": O2,
+    "pointed": rand_cone_2d(random.Random(3)),
+    "halfplane": HALFPLANE,
+}
+
+
+def _tied_map(rng, L, count):
+    """A map with entries of denominators 1 to 12 whose conjugate cloud at
+    L pairs each point p with p - t·(1, 2), t in {0, ±1/7, ±5/3}: equal
+    points, or points tied along the half-plane's lineality, on either
+    side of p in lexicographic order."""
+    n = L.cols
+    samples = {}
+    for k in range(count):
+        x, v = _rand_vec(rng, n), _rand_vec(rng, 2)
+        shift = (Fraction(100 + k),) + _rand_vec(rng, n - 1)
+        t = rng.choice((0, Fraction(1, 7), -Fraction(1, 7), Fraction(5, 3), -Fraction(5, 3)))
+        samples[x] = v
+        samples[vec_add(x, shift)] = vec_add(vec_add(v, L.apply(shift)), (t, 2 * t))
+    return SampledMap(samples.items())
+
+
+@pytest.mark.parametrize("cone", sorted(CLEARED_CONES))
+@pytest.mark.parametrize("seed", range(6))
+def test_cleared_maps_match_the_fraction_formulas(cone, seed):
+    """compose, restrict, add and conjugate on cleared integers equal the
+    ``Fraction`` formulas x -> T(G(x)), the filtered and summed samples and
+    wsup{L(x) - F(x)}, on data with denominators 1 to 12.  Half of each
+    cloud is tied to the other half (:func:`_tied_map`), so under the
+    half-plane the lex-smallest point of each lineality class must win."""
+    rng = random.Random(seed)
+    K = CLEARED_CONES[cone]
+    n, p = rng.randint(1, 2), rng.randint(1, 2)
+    L, T = _rand_op(rng, 2, n), _rand_op(rng, 2, p)
+    F = _tied_map(rng, L, 6)
+    xs = F.domain()
+    G = SampledMap((x, _rand_vec(rng, p)) for x in xs[::2] + (_rand_vec(rng, n),))
+
+    def wsup(F, L):
+        return wsup_finite(FiniteVecSet(vec_sub(L.apply(x), v) for x, v in F.samples), K)
+
+    TG = compose(T, G)
+    assert TG == SampledMap((x, T.apply(v)) for x, v in G.samples)
+    keep = xs[1::2]
+    FC = F.restrict(keep)
+    assert FC == SampledMap((x, v) for x, v in F.samples if x in keep)
+    FG = F.add(TG)
+    assert FG == SampledMap(
+        (x, vec_add(v, TG.value(x))) for x, v in F.samples if TG.value(x) is not None
+    )
+    for M in (F, FC, FG):
+        for op in (L, LinOp.zero(2, n), _rand_op(rng, 2, n)):
+            assert conjugate(M, op, K) == wsup(M, op)
+    # each generator is the lex-smallest cloud point of its facet coordinates
+    cloud = [vec_sub(L.apply(x), v) for x, v in F.samples]
+    quad = K.basis.to_quad
+    for g in conjugate(F, L, K).generators:
+        assert g == min(q for q in cloud if quad(q) == quad(g))
+    # the cleared form is the samples over one denominator
+    for M in (F, TG, FC, FG):
+        D, X, V = M.cleared()
+        assert all(type(c) is int for u in (*X, *V) for c in u)
+        assert [(vec_scale(Fraction(1, D), x), vec_scale(Fraction(1, D), v))
+                for x, v in zip(X, V)] == list(M.samples)
 
 
 def test_conjugate_of_the_identity_map():
