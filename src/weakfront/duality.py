@@ -67,9 +67,13 @@ class ProblemInstance:
     ``flags`` records structural facts that finite samples cannot express
     (linearity of the underlying data, convexity of the underlying C, an
     interior-feasible Slater point); they gate how dual gaps are reported.
+    ``feasible_F`` is F on A ∩ dom F, A = C ∩ G⁻¹(-S) the feasible sample:
+    the set (alpha) and (VP_L) range over, derived once and never empty.
     """
 
-    __slots__ = ("F", "G", "C", "K", "S", "hints_T", "hints_L", "flags", "_tables")
+    __slots__ = (
+        "F", "G", "C", "K", "S", "hints_T", "hints_L", "flags", "feasible_F", "_tables",
+    )
 
     def __init__(
         self,
@@ -104,14 +108,13 @@ class ProblemInstance:
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
         object.__setattr__(self, "flags", dict(flags or {}))
-        active = [
-            x for x in feasible_points(self) if F.value(x) is not None
-        ]
+        active = [x for x in feasible_points(self) if F.value(x) is not None]
         if not active:
             raise EmptyFeasibleSet(
                 "instance violates the standing assumption: no feasible "
                 "sample point lies in dom F"
             )
+        object.__setattr__(self, "feasible_F", F.restrict(active))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProblemInstance is immutable")
@@ -185,16 +188,11 @@ class ProblemInstance:
 
 
 def winf_vp(P: ProblemInstance, L: LinOp) -> GenSet:
-    """The primal value frontier winf{F(x) - L(x) : x feasible}."""
+    """The primal value frontier of (VP_L): winf{F(x) - L(x) : x in A ∩ dom F},
+    read from ``P.feasible_F``."""
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("winf_vp: perturbation shape disagrees")
-    image = [
-        vec_sub(P.F.value(x), L.apply(x))
-        for x in feasible_points(P)
-        if P.F.value(x) is not None
-    ]
-    if not image:
-        raise EmptyFeasibleSet("no feasible sample point lies in dom F")
+    image = (vec_sub(v, L.apply(x)) for x, v in P.feasible_F.samples)
     return winf_finite(FiniteVecSet(image), P.K)
 
 

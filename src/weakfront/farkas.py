@@ -20,9 +20,9 @@ from .cones import (
     PosOp,
     classify_point,
 )
-from .numeric import Number, encode_mat, vec_sub
+from .numeric import Number, encode_mat, vec_neg
 from .order_sets import RegionLabel, Tag
-from .conjugate import Certificate, beta_value_set
+from .conjugate import Certificate, beta_value_set, epi_membership
 
 __all__ = [
     "Certificate",
@@ -70,36 +70,27 @@ class FarkasQuery:
 
 
 def feasible_points(P) -> tuple:
-    """The feasible sample A = {x in C : G(x) in -S}, as a sorted tuple."""
-    S = P.S
-    out = []
-    for x in P.C:
-        gx = P.G.value(x)
-        if gx is None:
-            continue
-        neg = tuple(-c for c in gx)
-        if classify_point(S, neg) is not PointClass.OUTSIDE:
-            out.append(tuple(x))
-    return tuple(sorted(out))
+    """The feasible sample A = {x in C : G(x) in -S}, as a sorted tuple.
+    The instance has checked that C lies in dom G."""
+    S, G = P.S, P.G
+    return tuple(
+        x
+        for x in P.C
+        if classify_point(S, vec_neg(G.value(x))) is not PointClass.OUTSIDE
+    )
 
 
 def alpha_holds(P, L: LinOp, y: Sequence[Number]) -> bool:
-    """Exhaustively decide (alpha): no feasible x has F(x) - L(x) + y
-    strictly inside -K.  Off-sample points of F are +inf and never violate.
+    """Exhaustively decide (alpha), i.e. (L, y) in epi (F + I_A)*: no x in
+    A ∩ dom F has F(x) - L(x) + y strictly inside -K.  Off-sample points of
+    F are +inf and never violate, so this is the epigraph test on
+    ``P.feasible_F``.
     """
     y = tuple(y)
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("alpha_holds: dimensions disagree")
-    active = [x for x in feasible_points(P) if P.F.value(x) is not None]
-    if not active:
-        raise EmptyFeasibleSet("no feasible sample point lies in dom F")
-    for x in active:
-        fx = P.F.value(x)
-        d = vec_sub(vec_sub(L.apply(x), fx), y)
-        if classify_point(K, d) is PointClass.INTERIOR:
-            return False
-    return True
+    return epi_membership(P.feasible_F, L, y, K)
 
 
 def verify_certificate(P, q: FarkasQuery, c: Certificate) -> bool:

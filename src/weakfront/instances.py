@@ -110,6 +110,9 @@ def _decode_hints(raw) -> Tuple[Tuple[LinOp, ...], Tuple[LinOp, ...]]:
         return (), ()
     if not isinstance(raw, dict):
         raise InstanceFormatError("'hints' must be an object")
+    for key in raw:
+        if key not in ("T", "L"):
+            raise InstanceFormatError(f"unknown hints key {key!r} (expected 'T' or 'L')")
     out = []
     for key in ("T", "L"):
         mats = raw.get(key, [])
@@ -132,13 +135,22 @@ def _check_hint_shapes(hints, key: str, rows: int, cols: int, shape: str) -> Non
             )
 
 
+# Every flag an instance may declare; all but slater_point are booleans.
+_FLAGS = ("is_linear_F", "is_linear_G", "is_convex_C", "slater_point")
+
+
 def _decode_flags(raw) -> dict:
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise InstanceFormatError("'flags' must be an object")
     flags = dict(raw)
-    for name in ("is_linear_F", "is_linear_G", "is_convex_C"):
+    for name in flags:
+        if name not in _FLAGS:
+            raise InstanceFormatError(
+                f"unknown flag {name!r} (expected one of {', '.join(_FLAGS)})"
+            )
+    for name in _FLAGS[:-1]:
         if name in flags and not isinstance(flags[name], bool):
             raise InstanceFormatError(
                 f"flag {name!r} must be true or false, got "

@@ -307,10 +307,6 @@ def winf_finite(M: FiniteVecSet, K: Cone) -> GenSet:
 # --- the set order ------------------------------------------------------------
 
 
-def _is_pointed(K: Cone) -> bool:
-    return mat_rank(K.normals) == K.dim
-
-
 def set_preceq(U: GenSet, V: GenSet) -> bool:
     """Set order on frontiers: U precedes V iff V has no point strictly
     below U, i.e. ``V`` misses ``U - int K``.
@@ -345,15 +341,11 @@ def set_preceq(U: GenSet, V: GenSet) -> bool:
         return RegionLabel.LOWER not in classify_many(
             U.generators, K, gv, sup=False
         )
-    # INF preceding SUP under any other cone: both frontiers are unbounded
-    # and bend in opposite directions, so in a pointed cone the SUP frontier
-    # always dips below the INF one along a recession ray.
-    if _is_pointed(K):
-        return False
-    raise NotImplementedError(
-        "INF-vs-SUP comparison undecided for non-pointed cones that are "
-        "not half-spaces"
-    )
+    # INF preceding SUP when rank(N) >= 2: for a facet normal a, g in gv with
+    # a·g maximal and k in K with a·k = 0 < b·k for another normal b (the
+    # facet is not lin K), each g - t·k is on V's frontier, and it leaves
+    # gu + K once b·(g - t·k - u) < 0 for every u in gu.
+    return False
 
 
 # --- sums ----------------------------------------------------------------------

@@ -347,6 +347,13 @@ _E1_MUTATIONS = [
     (("flags", "is_convex_C"), "no", "flag 'is_convex_C' must be true or false, got \"no\""),
     (("flags", "is_linear_F"), 0, "flag 'is_linear_F' must be true or false, got 0"),
     (("flags", "is_linear_G"), None, "flag 'is_linear_G' must be true or false, got null"),
+    (
+        ("flags", "is_convex_c"),
+        True,
+        "unknown flag 'is_convex_c' (expected one of is_linear_F, is_linear_G, "
+        "is_convex_C, slater_point)",
+    ),
+    (("hints",), {"t": [[[1]]]}, "unknown hints key 't' (expected 'T' or 'L')"),
     (("hints",), {"T": [[[-1]]]}, "hints['T'][0] = [[-1]] maps a generator of S outside K"),
     *(
         (("hints",), {"T": value}, "hints['T'] must be an array of matrices")

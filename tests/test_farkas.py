@@ -1,15 +1,18 @@
 """Certificate layer: exhaustive (alpha), searched/verified (beta)."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from weakfront.cones import Cone, LinOp, PosOp
+from weakfront import duality, farkas
+from weakfront.cones import Cone, LinOp, PointClass, PosOp, classify_point
 from weakfront.conjugate import (
     Certificate,
     SearchConfig,
     beta_value_set,
     script_A_membership,
 )
+from weakfront.duality import winf_vp
 from weakfront.farkas import (
     EmptyFeasibleSet,
     FarkasQuery,
@@ -21,6 +24,9 @@ from weakfront.farkas import (
 )
 from weakfront.instances import ProblemInstance, shipped_instance
 from weakfront.conjugate import SampledMap
+from weakfront.numeric import vec_neg, vec_sub
+from weakfront.order_sets import FiniteVecSet, winf_finite
+from weakfront.randgen import rand_instance, rand_linop
 
 E1 = shipped_instance("E1")
 E2 = shipped_instance("E2")
@@ -111,6 +117,117 @@ def test_infeasible_instance_is_rejected_at_construction():
     G = SampledMap([(x, (Fraction(1),)) for x in dom])  # G > 0 everywhere
     with pytest.raises(EmptyFeasibleSet):
         ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)
+
+
+def test_feasible_sample_outside_dom_f_is_rejected_at_construction():
+    O1 = Cone.orthant(1)
+    dom = [(Fraction(0),), (Fraction(1),)]
+    F = SampledMap([(dom[1], (Fraction(0),))])
+    G = SampledMap([(dom[0], (Fraction(-1),)), (dom[1], (Fraction(1),))])
+    with pytest.raises(EmptyFeasibleSet, match="no feasible sample point lies in dom F"):
+        ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)
+
+
+def test_feasible_f_is_f_on_the_feasible_sample():
+    assert E1.feasible_F == E1.F.restrict(feasible_points(E1))
+    assert E1.feasible_F.domain() == feasible_points(E1)
+
+
+# --- (alpha) and (VP_L) against the per-query feasible sample they replaced ---
+
+
+def _reference_feasible_points(P):
+    out = []
+    for x in P.C:
+        gx = P.G.value(x)
+        if gx is None:
+            continue
+        if classify_point(P.S, vec_neg(gx)) is not PointClass.OUTSIDE:
+            out.append(tuple(x))
+    return tuple(sorted(out))
+
+
+def _reference_active(P):
+    return [x for x in _reference_feasible_points(P) if P.F.value(x) is not None]
+
+
+def _reference_alpha_holds(P, L, y):
+    for x in _reference_active(P):
+        d = vec_sub(vec_sub(L.apply(x), P.F.value(x)), y)
+        if classify_point(P.K, d) is PointClass.INTERIOR:
+            return False
+    return True
+
+
+def _reference_winf_vp(P, L):
+    image = [vec_sub(P.F.value(x), L.apply(x)) for x in _reference_active(P)]
+    return winf_finite(FiniteVecSet(image), P.K)
+
+
+def _partial_instances(count, seed):
+    """Random instances whose C holds infeasible points and points outside
+    dom F: F loses one point of C, a feasible one when there are two."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        P = rand_instance(rng, domain_points=8)
+        feasible = _reference_feasible_points(P)
+        if len(feasible) == len(P.C):
+            continue
+        drop = feasible[-1] if len(feasible) > 1 else next(
+            x for x in P.C if x not in feasible
+        )
+        dom_f = [x for x in P.F.domain() if x != drop]
+        out.append(ProblemInstance(P.F.restrict(dom_f), P.G, P.C, P.K, P.S))
+    return out
+
+
+_INSTANCES = {
+    name: shipped_instance(name) for name in ("E1", "E2", "E3", "E4", "E5", "gap_toy")
+}
+_INSTANCES.update(
+    (f"partial{k}", P) for k, P in enumerate(_partial_instances(8, seed=18))
+)
+
+
+def test_partial_instances_filter_on_feasibility_and_dom_f():
+    for k in range(8):
+        P = _INSTANCES[f"partial{k}"]
+        assert len(_reference_feasible_points(P)) < len(P.C)
+        assert any(P.F.value(x) is None for x in P.C)
+
+
+@pytest.mark.parametrize("name", sorted(_INSTANCES))
+def test_alpha_and_vp_match_the_per_query_feasible_sample(name):
+    P = _INSTANCES[name]
+    rng = random.Random(name)
+    w = P.K.interior_witness
+    answers = set()
+    for _ in range(4):
+        L = rand_linop(rng, P.m, P.n)
+        assert winf_vp(P, L) == _reference_winf_vp(P, L), L
+        for t in (-100, -1, 0, Fraction(1, 2), 100):
+            y = tuple(t * c for c in w)
+            answer = alpha_holds(P, L, y)
+            assert answer is _reference_alpha_holds(P, L, y), (L, y)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_alpha_and_vp_do_not_rebuild_the_feasible_sample(monkeypatch):
+    instances = [E1, rand_instance(random.Random(3))]
+    queries = [(P, LinOp.zero(P.m, P.n), (0,) * P.m) for P in instances]
+    expected = [
+        (_reference_alpha_holds(P, L, y), _reference_winf_vp(P, L))
+        for P, L, y in queries
+    ]
+
+    def refuse(P):
+        raise AssertionError("the feasible sample is derived at construction")
+
+    monkeypatch.setattr(farkas, "feasible_points", refuse)
+    monkeypatch.setattr(duality, "feasible_points", refuse)
+    assert [(alpha_holds(P, L, y), winf_vp(P, L)) for P, L, y in queries] == expected
 
 
 def test_hard_failure_carries_a_reproducer():

@@ -107,6 +107,13 @@ def test_pair_documents_with_t_hints_are_refused():
     assert pair_from_json(doc).hints_L == shipped_pair(1).hints_L
 
 
+def test_pair_documents_with_unknown_hints_keys_are_refused():
+    doc = json.loads((data_dir() / "pairs" / "pair01.json").read_text())
+    doc["hints"]["l"] = []
+    with pytest.raises(InstanceFormatError, match="unknown hints key 'l'"):
+        pair_from_json(doc)
+
+
 def test_file_errors(tmp_path):
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance(tmp_path / "nope.json")
