@@ -24,14 +24,16 @@ between calls the instance keeps its tables and the :class:`SearchConfig`
 its operator budgets, nothing more.  A :class:`Certificate` is its
 operators alone; :func:`beta_value_set` rebuilds its value set with
 :func:`compose`, :func:`conjugate` and ``ws_sum``, without the tables,
-wherever that set is read: in verification and in output.  Those run on
-each map's integers, cleared once per map (:meth:`SampledMap.cleared`), and
-build ``Fraction`` points only for the generators of each weak supremum.
+wherever that set is read: in verification and in output.  Those, the
+tables and :func:`epi_membership` run on each map's one stored form, its
+integers cleared when it is built (:meth:`SampledMap.cleared`), and build
+``Fraction`` points only for the generators of each weak supremum.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul, sub
@@ -67,15 +69,17 @@ from .staircase2d import LOWER, maxima, region_sup
 class SampledMap:
     """Finite-sample vector map; +inf off the sample (so always proper).
 
-    Samples are stored sorted by x and must not repeat x values.  The map
-    is cleared once, on first use (:meth:`cleared`); :func:`compose`,
-    :meth:`restrict` and :meth:`add` build their maps from cleared forms,
-    with no ``Fraction`` product or sum.
+    Samples are exact, with no repeated x.  A map stores its sorted points
+    ``xs`` and its cleared form (:meth:`cleared`) only; :func:`compose`,
+    :meth:`restrict` and :meth:`add` build maps from integers alone, and
+    :attr:`samples` and :meth:`value` read exact values back on demand.
+    Equality and hashing follow the exact samples, not the cleared form: a
+    restriction keeps its parent's D.
     """
 
-    __slots__ = ("in_dim", "out_dim", "samples", "_rows", "_cleared")
+    __slots__ = ("in_dim", "out_dim", "xs", "_cleared")
 
-    def __init__(self, samples: Iterable[Tuple[Sequence[Number], Sequence[Number]]]):
+    def __new__(cls, samples: Iterable[Tuple[Sequence[Number], Sequence[Number]]]):
         pairs = [(tuple(x), tuple(v)) for x, v in samples]
         if not pairs:
             raise ValueError("empty sample list")
@@ -85,25 +89,24 @@ class SampledMap:
         for x, v in pairs:
             if len(x) != in_dim or len(v) != out_dim:
                 raise DimensionError("inconsistent sample dimensions")
+            require_exact(x, "sample point")
+            require_exact(v, "sample value")
             if x in table:
                 raise ValueError(f"duplicate sample point {x!r}")
             table[x] = v
-        self._fill(tuple(sorted(table.items())), None)
-
-    def _fill(self, samples: tuple, cleared: Optional[tuple]) -> None:
-        object.__setattr__(self, "in_dim", len(samples[0][0]))
-        object.__setattr__(self, "out_dim", len(samples[0][1]))
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_rows", {x: i for i, (x, _) in enumerate(samples)})
-        object.__setattr__(self, "_cleared", cleared)
+        xs, vs = zip(*sorted(table.items()))
+        D = common_denominator(chain(xs, vs))
+        X, V = [scaled(x, D) for x in xs], [scaled(v, D) for v in vs]
+        return cls._from_ints(xs, D, X, V)
 
     @classmethod
-    def _from_cleared(cls, xs: Sequence[Vec], cleared: tuple) -> "SampledMap":
-        """The map on the sorted points ``xs`` cleared as ``cleared``."""
-        D, _, V = cleared
+    def _from_ints(cls, xs: Sequence[Vec], D: int, X: list, V: list) -> "SampledMap":
+        """The map on the sorted points ``xs`` cleared as (D, X, V)."""
         F = object.__new__(cls)
-        values = [tuple([Fraction(c, D) for c in v]) for v in V]
-        F._fill(tuple(zip(xs, values)), cleared)
+        object.__setattr__(F, "in_dim", len(xs[0]))
+        object.__setattr__(F, "out_dim", len(V[0]))
+        object.__setattr__(F, "xs", tuple(xs))
+        object.__setattr__(F, "_cleared", (D, X, V))
         return F
 
     def __setattr__(self, name, value):
@@ -117,44 +120,54 @@ class SampledMap:
 
     def cleared(self) -> tuple:
         """(D, [D·x], [D·F(x)]) in sample order, D a common denominator of
-        every sample; derived on first use and kept."""
-        if self._cleared is None:
-            D = common_denominator(chain(*self.samples))
-            cols = ([scaled(u, D) for u in col] for col in zip(*self.samples))
-            object.__setattr__(self, "_cleared", (D, *cols))
+        every sample."""
         return self._cleared
 
+    @property
+    def samples(self) -> tuple:
+        """The exact samples (x, F(x)), sorted by x."""
+        D, _, V = self._cleared
+        return tuple(zip(self.xs, (tuple([Fraction(c, D) for c in v]) for v in V)))
+
     def domain(self) -> tuple:
-        return tuple(x for x, _ in self.samples)
+        return self.xs
 
     def value(self, x: Sequence[Number]) -> Optional[Vec]:
-        i = self._rows.get(tuple(x))
-        return None if i is None else self.samples[i][1]
+        x = tuple(x)
+        i = bisect_left(self.xs, x)
+        if i == len(self.xs) or self.xs[i] != x:
+            return None
+        D, _, V = self._cleared
+        return tuple([Fraction(c, D) for c in V[i]])
 
     def restrict(self, points: Iterable[Sequence[Number]]) -> "SampledMap":
         keep = {tuple(p) for p in points}
-        rows = [i for i, (x, _) in enumerate(self.samples) if x in keep]
+        rows = [i for i, x in enumerate(self.xs) if x in keep]
         if not rows:
             raise ValueError("restriction has empty domain")
-        D, X, V = self.cleared()
-        xs = [self.samples[i][0] for i in rows]
-        X, V = [X[i] for i in rows], [V[i] for i in rows]
-        return SampledMap._from_cleared(xs, (D, X, V))
+        D, X, V = self._cleared
+        return SampledMap._from_ints(
+            [self.xs[i] for i in rows], D, [X[i] for i in rows], [V[i] for i in rows]
+        )
 
     def add(self, other: "SampledMap") -> "SampledMap":
         """Pointwise sum on the intersection of the two domains."""
         if self.out_dim != other.out_dim:
             raise DimensionError("sum of maps with different value dimensions")
-        rows = [(i, other._rows[x]) for x, i in self._rows.items() if x in other._rows]
+        rows, j = [], 0
+        for i, x in enumerate(self.xs):
+            j = bisect_left(other.xs, x, j)
+            if j < len(other.xs) and other.xs[j] == x:
+                rows.append((i, j))
         if not rows:
             raise ValueError("maps have disjoint domains")
-        (D1, X, V1), (D2, _, V2) = self.cleared(), other.cleared()
+        (D1, X, V1), (D2, _, V2) = self._cleared, other._cleared
         D = math.lcm(D1, D2)
         a, b = D // D1, D // D2
-        return SampledMap._from_cleared([self.samples[i][0] for i, _ in rows], (
-            D, [vec_scale(a, X[i]) for i, _ in rows],
+        return SampledMap._from_ints(
+            [self.xs[i] for i, _ in rows], D, [vec_scale(a, X[i]) for i, _ in rows],
             [tuple([a * p + b * q for p, q in zip(V1[i], V2[j])]) for i, j in rows],
-        ))
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledMap):
@@ -165,7 +178,7 @@ class SampledMap:
         return hash(self.samples)
 
     def __repr__(self) -> str:
-        return f"SampledMap({len(self.samples)} samples, {self.in_dim}->{self.out_dim})"
+        return f"SampledMap({len(self.xs)} samples, {self.in_dim}->{self.out_dim})"
 
 
 def _int_images(rows: Sequence[tuple], vs: Iterable[tuple]) -> list:
@@ -182,8 +195,9 @@ def compose(op, G: SampledMap) -> SampledMap:
     D, X, V = G.cleared()
     d = common_denominator(M.entries)
     dM = [scaled(r, d) for r in M.entries]
-    X = [vec_scale(d, x) for x in X]
-    return SampledMap._from_cleared(G.domain(), (d * D, X, _int_images(dM, V)))
+    return SampledMap._from_ints(
+        G.xs, d * D, [vec_scale(d, x) for x in X], _int_images(dM, V)
+    )
 
 
 # --- conjugate and epigraphs ------------------------------------------------------
@@ -208,13 +222,19 @@ def epi_membership(
     F: SampledMap, L: LinOp, y: Sequence[Number], K: Cone
 ) -> bool:
     """(L, y) lies in the epigraph of F*: no sample has L(x) - F(x) - y
-    strictly inside K (the conjugate never exceeds y anywhere)."""
+    strictly inside K (the conjugate never exceeds y anywhere), tested at
+    the scale d·D as (d·L)·(D·x) - d·(D·F(x)) - d·D·y, d L's and y's
+    denominator."""
     y = tuple(y)
     if L.cols != F.in_dim or L.rows != F.out_dim or len(y) != K.dim:
         raise DimensionError("epi_membership: dimensions disagree")
-    for x, v in F.samples:
-        d = vec_sub(vec_sub(L.apply(x), v), y)
-        if classify_point(K, d) is PointClass.INTERIOR:
+    require_exact(y, "query point")
+    D, X, V = F.cleared()
+    d = common_denominator(chain(L.entries, [y]))
+    dDy = vec_scale(D, scaled(y, d))
+    for lx, v in zip(_int_images([scaled(r, d) for r in L.entries], X), V):
+        w = tuple([p - d * c - q for p, c, q in zip(lx, v, dDy)])
+        if classify_point(K, w) is PointClass.INTERIOR:
             return False
     return True
 
@@ -532,9 +552,10 @@ class FacetTables:
     :func:`certificates`.
 
     Rows are the samples X = dom F ∪ dom G in ascending order.  With ``N``
-    the primitive integer normals of K and D one common denominator of all the
-    data, ``xs`` holds D·x, ``nf`` N·(D·F(x)) and ``gs`` D·G(x) (None off
-    dom F, dom G); ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
+    the primitive integer normals of K and D = ``den`` the lcm of the
+    denominators of F's and G's cleared forms, ``xs`` holds D·x, ``nf``
+    N·(D·F(x)) and ``gs`` D·G(x) (None off dom F, dom G), rescaled from those
+    integers; ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
     dom F, dom G, C and C ∩ dom F.  A frontier is the list of the maximal
     facet coordinates of a cloud, in descending lexicographic order, all at
     the one integer scale of their search (:func:`frontier_scale`).  A
@@ -547,21 +568,23 @@ class FacetTables:
 
     def __init__(self, P):
         N = self.N = P.K.normals
-        x = sorted(set(P.F.domain()) | set(P.G.domain()))
-        fv = [P.F.value(v) for v in x]
-        gv = [P.G.value(v) for v in x]
-        den = self.den = common_denominator(
-            v for col in (x, fv, gv) for v in col if v is not None
-        )
-        self.xs = [scaled(v, den) for v in x]
-        self.nf = [None if v is None else mat_vec(N, scaled(v, den)) for v in fv]
-        self.gs = [None if v is None else scaled(v, den) for v in gv]
+        den = self.den = math.lcm(P.F.cleared()[0], P.G.cleared()[0])
+        fs, gs = {}, {}  # x -> (den·x, den·F(x)), and the same for G
+        for M, table in ((P.F, fs), (P.G, gs)):
+            D, X, V = M.cleared()
+            s = den // D
+            for x, u, v in zip(M.xs, X, V):
+                table[x] = (vec_scale(s, u), vec_scale(s, v))
+        x = sorted(fs.keys() | gs.keys())
+        self.xs = [(fs[v] if v in fs else gs[v])[0] for v in x]
+        self.nf = [mat_vec(N, fs[v][1]) if v in fs else None for v in x]
+        self.gs = [gs[v][1] if v in gs else None for v in x]
         in_c = set(P.C)
         rows = range(len(x))
-        self.dom_f = [i for i in rows if fv[i] is not None]
-        self.dom_g = [i for i in rows if gv[i] is not None]
+        self.dom_f = [i for i in rows if self.nf[i] is not None]
+        self.dom_g = [i for i in rows if self.gs[i] is not None]
         self.c = [i for i in rows if x[i] in in_c]
-        self.c_f = [i for i in self.c if fv[i] is not None]
+        self.c_f = [i for i in self.c if self.nf[i] is not None]
 
     def image(self, M: LinOp, d: int, vs: list) -> list:
         """The integer images (N·(d·M))·v of the vectors ``vs``, rows of

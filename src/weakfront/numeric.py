@@ -92,31 +92,6 @@ def primitive(v: Sequence[Number]) -> tuple:
     return tuple(c // g for c in ints)
 
 
-def mat_rank(rows: Sequence[Sequence[Number]]) -> int:
-    """Rank of a small exact matrix by fraction-free Gaussian elimination."""
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(work)) if work[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / prow[col]
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 # --- JSON number codec ------------------------------------------------------
 #
 # Numbers serialize as int (when integral) or "p/q" strings.  This keeps

@@ -29,7 +29,6 @@ from .numeric import (
     Number,
     common_denominator,
     require_exact,
-    mat_rank,
     scaled,
     vec_neg,
     vec_add,
@@ -331,9 +330,9 @@ def set_preceq(U: GenSet, V: GenSet) -> bool:
     if U.orient is Orient.SUP and V.orient is Orient.INF:
         # no v strictly below any u
         return RegionLabel.LOWER not in classify_many(U.generators, K, gv)
-    if U.orient is Orient.INF and (
-        V.orient is Orient.INF or mat_rank(K.normals) == 1
-    ):
+    # rank(N) == 1 is one normal: normals are primitive, deduplicated and
+    # positive on the interior witness, so no two are parallel.
+    if U.orient is Orient.INF and (V.orient is Orient.INF or len(K.normals) == 1):
         # frontier(V) subset of gu + K: no v below winf(gu).  Under a
         # half-space (a half-line in dim 1) an INF and a SUP frontier are
         # hyperplanes parallel to its boundary, ordered by their offsets in

@@ -20,7 +20,7 @@ from weakfront.conjugate import (
 )
 from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
 from weakfront.instances import shipped_instance
-from weakfront.numeric import vec_add, vec_sub
+from weakfront.numeric import common_denominator, mat_vec, scaled, vec_add, vec_sub
 from weakfront.order_sets import (
     FiniteVecSet, RegionLabel, winf_finite, ws_sum, wsup_finite,
 )
@@ -231,6 +231,50 @@ def test_a_pass_builds_each_operator_image_once(name, monkeypatch):
     assert counts == (1 + n_T, 1 + n_L + n_T, 1 + n_L + n_T)
     if name == "E2":
         assert counts[2] == 14  # one facet matrix per block item made 218
+
+
+def _reference_tables(P):
+    """The fields of ``FacetTables(P)`` as they were built from the maps'
+    ``Fraction`` values: looked up point by point and cleared over one
+    common denominator of every point and value."""
+    N = P.K.normals
+    x = sorted(set(P.F.domain()) | set(P.G.domain()))
+    fv = [P.F.value(v) for v in x]
+    gv = [P.G.value(v) for v in x]
+    den = common_denominator(v for col in (x, fv, gv) for v in col if v is not None)
+    rows = range(len(x))
+    in_c = set(P.C)
+    c = [i for i in rows if x[i] in in_c]
+    return {
+        "N": N,
+        "xs": [scaled(v, den) for v in x],
+        "nf": [None if v is None else mat_vec(N, scaled(v, den)) for v in fv],
+        "gs": [None if v is None else scaled(v, den) for v in gv],
+        "den": den,
+        "dom_f": [i for i in rows if fv[i] is not None],
+        "dom_g": [i for i in rows if gv[i] is not None],
+        "c": c,
+        "c_f": [i for i in c if fv[i] is not None],
+    }
+
+
+TABLE_INSTANCES = {
+    **INSTANCES,
+    **{f"rand{k}": rand_instance(random.Random(k)) for k in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_INSTANCES))
+def test_tables_are_the_maps_cleared_integers(name):
+    """The tables rescale the maps' cleared integers to the lcm of their two
+    denominators, which is the one common denominator of all the data, and
+    match the construction from ``Fraction`` values field by field."""
+    P = TABLE_INSTANCES[name]
+    tab = conjugate.FacetTables(P)
+    want = _reference_tables(P)
+    assert list(want) == list(conjugate.FacetTables.__slots__)
+    for field, value in want.items():
+        assert getattr(tab, field) == value, field
 
 
 def test_halfplane_ties_keep_the_lex_smallest_point():

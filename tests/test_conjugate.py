@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weakfront import cones
-from weakfront.cones import Cone, DimensionError, LinOp, PosOp, PositivityError
+from weakfront import cones, conjugate as conjugate_module
+from weakfront.cones import (
+    Cone, DimensionError, LinOp, PointClass, PosOp, PositivityError, classify_point,
+)
 from weakfront.conjugate import (
     ExtEpiElement,
     SampledMap,
@@ -31,7 +33,7 @@ from weakfront.order_sets import (
     FiniteVecSet,
 )
 from weakfront.numeric import vec_add, vec_scale, vec_sub
-from weakfront.randgen import rand_cone_2d, rand_halfplane
+from weakfront.randgen import rand_cone, rand_cone_2d, rand_halfplane, rand_sampled_map
 
 O1 = Cone.orthant(1)
 O2 = Cone.orthant(2)
@@ -55,6 +57,27 @@ def test_sampled_map_basics():
 def test_sampled_map_rejects_conflicting_samples():
     with pytest.raises(ValueError):
         SampledMap([((0,), (1,)), ((0,), (2,))])
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([((0.5,), (1,)), ((Fraction(1),), (2,))], r"sample point \(0.5,\) has the entry 0.5"),
+        ([((0,), (1.0,)), ((Fraction(1),), (2,))], r"sample value \(1.0,\) has the entry 1.0"),
+        ([((0, Fraction(1, 2)), (1, "1"))], r"sample value \(1, '1'\) has the entry '1'"),
+    ],
+)
+def test_sampled_map_refuses_inexact_samples(samples, message):
+    """A float sample would leave the exact path: it is refused when the
+    map is built, not at its first conjugate."""
+    with pytest.raises(ValueError, match=message):
+        SampledMap(samples)
+
+
+def test_epi_membership_refuses_an_inexact_query_point():
+    f = scalar_map([0, 1, 2])
+    with pytest.raises(ValueError, match=r"query point \(0.5,\) has the entry 0.5"):
+        epi_membership(f, LinOp.zero(1, 1), (0.5,), O1)
 
 
 def test_indicator_and_linear_constructors():
@@ -139,7 +162,8 @@ def _tied_map(rng, L, count):
 def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     """compose, restrict, add and conjugate on cleared integers equal the
     ``Fraction`` formulas x -> T(G(x)), the filtered and summed samples and
-    wsup{L(x) - F(x)}, on data with denominators 1 to 12.  Half of each
+    wsup{L(x) - F(x)}, on data with denominators 1 to 12, and equality
+    ignores the denominator a map is cleared with.  Half of each
     cloud is tied to the other half (:func:`_tied_map`), so under the
     half-plane the lex-smallest point of each lineality class must win."""
     rng = random.Random(seed)
@@ -162,6 +186,12 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     assert FG == SampledMap(
         (x, vec_add(v, TG.value(x))) for x, v in F.samples if TG.value(x) is not None
     )
+    # a restriction keeps its parent's denominator, so it can equal (and
+    # hash as) a map built from the same samples at another one
+    GC = TG.restrict(TG.domain()[:1])
+    fresh = SampledMap(GC.samples)
+    assert GC.cleared()[0] == TG.cleared()[0] != fresh.cleared()[0]
+    assert (GC, hash(GC)) == (fresh, hash(fresh))
     for M in (F, FC, FG):
         for op in (L, LinOp.zero(2, n), _rand_op(rng, 2, n)):
             assert conjugate(M, op, K) == wsup(M, op)
@@ -171,7 +201,7 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     for g in conjugate(F, L, K).generators:
         assert g == min(q for q in cloud if quad(q) == quad(g))
     # the cleared form is the samples over one denominator
-    for M in (F, TG, FC, FG):
+    for M in (F, TG, FC, FG, GC):
         D, X, V = M.cleared()
         assert all(type(c) is int for u in (*X, *V) for c in u)
         assert [(vec_scale(Fraction(1, D), x), vec_scale(Fraction(1, D), v))
@@ -210,6 +240,126 @@ def test_epi_membership_is_the_conjugate_region_test():
     assert not epi_membership(f, L0, (Fraction(-1),), O1)
     assert epi_membership(f, L0, (Fraction(0),), O1)
     assert epi_membership(f, L0, (Fraction(1),), O1)
+
+
+SHIPPED = ("E1", "E2", "E3", "E4", "E5", "gap_toy")
+
+
+def _reference_epi_membership(F, L, y, K):
+    """The per-sample ``Fraction`` test that :func:`epi_membership` ran
+    before it ran on F's cleared integers."""
+    for x, v in F.samples:
+        if classify_point(K, vec_sub(vec_sub(L.apply(x), v), y)) is PointClass.INTERIOR:
+            return False
+    return True
+
+
+def _epi_queries(F, L, K, rng):
+    """Points y on the cloud {L(x) - F(x)} (each ties its sample), the same
+    points slid up and down the interior witness by thirds and sevenths,
+    and random points with denominators 1 to 12."""
+    k0 = K.interior_witness
+    for x, v in F.samples:
+        c = vec_sub(L.apply(x), v)
+        yield c
+        for t in (Fraction(1, 7), Fraction(-1, 7), Fraction(-4, 3)):
+            yield vec_add(c, vec_scale(t, k0))
+    for _ in range(4):
+        yield _rand_vec(rng, K.dim)
+
+
+def _check_epi_membership(F, K, rng):
+    """epi_membership against the reference at L = 0 and two random L; the
+    answers must include both outcomes."""
+    seen = set()
+    for L in (LinOp.zero(F.out_dim, F.in_dim),
+              *(_rand_op(rng, F.out_dim, F.in_dim) for _ in range(2))):
+        for y in _epi_queries(F, L, K, rng):
+            want = _reference_epi_membership(F, L, y, K)
+            assert epi_membership(F, L, y, K) is want, (F.samples, L, y)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_epi_membership_matches_the_fraction_loop_on_shipped_instances(name):
+    P = shipped_instance(name)
+    _check_epi_membership(P.feasible_F, P.K, random.Random(name))
+
+
+@pytest.mark.parametrize("cone", sorted(CLEARED_CONES))
+@pytest.mark.parametrize("seed", range(4))
+def test_epi_membership_matches_the_fraction_loop_on_random_maps(cone, seed):
+    rng = random.Random(seed)
+    K = CLEARED_CONES[cone]
+    n = rng.randint(1, 2)
+    F = SampledMap({_rand_vec(rng, n): _rand_vec(rng, 2) for _ in range(8)}.items())
+    _check_epi_membership(F, K, rng)
+    _check_epi_membership(F.restrict(F.domain()[1::2]), K, rng)
+
+
+def _maps_under_test():
+    """E1-E5's and gap_toy's F and G, and random maps."""
+    for name in SHIPPED:
+        P = shipped_instance(name)
+        yield P.F
+        yield P.G
+    rng = random.Random(9)
+    for _ in range(12):
+        yield rand_sampled_map(rng, rng.randint(1, 2), rng.randint(1, 2))
+
+
+def test_derived_maps_and_conjugates_build_no_fraction(monkeypatch):
+    """compose, restrict, add and conjugate run on the maps' integers: none
+    of them builds a ``Fraction`` in this module (the generators of a weak
+    supremum are built in ``order_sets``)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    maps = list(_maps_under_test())
+    monkeypatch.setattr(conjugate_module, "Fraction", counted)
+    rng = random.Random(2)
+    for G in maps:
+        n, p = G.in_dim, G.out_dim
+        K = Cone.orthant(p)
+        TG = compose(_rand_op(rng, p, p), G)
+        eye = LinOp(tuple(tuple(int(i == j) for j in range(p)) for i in range(p)))
+        PT = compose(PosOp(eye, K, K), G)
+        half = G.restrict(G.domain()[::2])
+        summed = TG.add(half).add(PT)
+        for M in (G, TG, PT, half, summed):
+            conjugate(M, _rand_op(rng, p, n), K)
+    assert calls == []
+    samples = summed.samples  # reading the exact values back builds them
+    assert len(calls) == len(samples) * summed.out_dim
+
+
+def test_value_reads_the_samples():
+    """value(x) is the samples' value at x on every sample point, None
+    below the first point, above the last, between two points and at a
+    point of another dimension, and finds int keys equal to ``Fraction``
+    points and ``Fraction`` keys equal to int points."""
+    rng = random.Random(5)
+    ints = SampledMap([((1, 0), (2,)), ((3, -1), (4,)), ((3, 2), (Fraction(1, 3),))])
+    maps = [scalar_map([0, 1, 4]), ints, *_maps_under_test()]
+    maps += [rand_sampled_map(rng, n, 2) for n in (1, 2) for _ in range(6)]
+    for F in maps:
+        table = dict(F.samples)
+        xs = F.domain()
+        one = (1,) * F.in_dim
+        probes = [*xs, vec_sub(xs[0], one), vec_add(xs[-1], one), xs[0] + (0,)]
+        probes += [vec_scale(Fraction(1, 2), vec_add(u, w)) for u, w in zip(xs, xs[1:])]
+        for x in probes:
+            assert F.value(x) == table.get(x), (F.samples, x)
+        for x in xs:
+            if all(c == int(c) for c in x):
+                assert F.value(tuple(map(int, x))) == table[x]
+            assert F.value(tuple(map(Fraction, x))) == table[x]
+    assert ints.value((Fraction(3), Fraction(-1))) == (4,)
+    assert ints.value((2, 0)) is None
 
 
 def test_ext_epi_elements_need_finite_bounds():

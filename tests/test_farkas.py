@@ -50,6 +50,18 @@ def test_alpha_holds_frozen_queries():
     assert not alpha_holds(E1, LinOp.zero(1, 1), (Fraction(-2),))
 
 
+@pytest.mark.parametrize("y", [(0.5,), (-2.0,)])
+def test_alpha_holds_refuses_an_inexact_query_point_as_the_search_does(y):
+    """(alpha) and the certificate search refuse the same y with the same
+    words, rather than one deciding it in float arithmetic."""
+    L = LinOp.zero(1, 1)
+    message = rf"query point \({y[0]},\) has the entry {y[0]}"
+    with pytest.raises(ValueError, match=message):
+        alpha_holds(E1, L, y)
+    with pytest.raises(ValueError, match=message):
+        script_A_membership(1, E1, L, y, E1.search_config())
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         FarkasQuery(L1, (0,), 4)

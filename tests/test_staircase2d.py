@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from weakfront.cones import Cone, PointClass, classify_point
-from weakfront.numeric import mat_rank
 from weakfront.oracle import brute_region_bulk, region_of_point
 from weakfront.order_sets import (
     FiniteVecSet,
@@ -18,7 +17,7 @@ from weakfront.order_sets import (
     winf_finite,
     wsup_finite,
 )
-from weakfront.randgen import rand_halfplane
+from weakfront.randgen import rand_cone, rand_halfplane
 from weakfront.staircase2d import RayBasis, canonical_indices_2d, maxima
 
 
@@ -288,6 +287,37 @@ def _frontier_escape(U, V, K):
     return None
 
 
+def _rank(rows):
+    """The rank of a small exact matrix by Gaussian elimination."""
+    work = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                f = work[r][col] / prow[col]
+                work[r] = [a - f * b for a, b in zip(work[r], prow)]
+        rank += 1
+    return rank
+
+
+def test_a_cone_has_normals_of_rank_one_exactly_when_it_has_one_normal():
+    """``set_preceq`` reads rank(N) == 1 as one normal: a cone's normals are
+    primitive, deduplicated and positive on its interior witness, so no two
+    are parallel."""
+    rng = random.Random(4)
+    cones = [*CORE_CONES.values(), skew_cone()]
+    cones += [rand_cone(rng, dim) for dim in (1, 2) for _ in range(20)]
+    cones += [rand_halfplane(rng) for _ in range(10)]
+    cones.append(Cone(normals=((1, 2), (2, 4), (3, 6)), interior_witness=(0, 1)))
+    for K in cones:
+        assert (_rank(K.normals) == 1) is (len(K.normals) == 1), K.normals
+
+
 def _preceq_reference(U, V, K):
     """The set order from pairwise cone tests on the raw normals.  INF-vs-SUP
     under a cone of rank(N) >= 2 is False only with an oracle-checked point
@@ -305,7 +335,7 @@ def _preceq_reference(U, V, K):
         return all(any(inside(minus(v, u)) for v in gv) for u in gu)
     if U.orient is Orient.SUP:
         return not any(inside(minus(u, v), strict=True) for u in gu for v in gv)
-    rank = mat_rank(K.normals)
+    rank = _rank(K.normals)
     if V.orient is Orient.INF or rank == 1:
         return all(any(inside(minus(v, u)) for u in gu) for v in gv)
     return False if _frontier_escape(U, V, K) is not None else None
