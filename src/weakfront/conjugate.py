@@ -12,19 +12,19 @@ One generator, :func:`certificates`, enumerates a budget for all three
 indices in one loop nest; the certificate search takes its first
 qualifying item and the dual values fold over all of them.  It runs every
 block on the instance's integer tables (:class:`FacetTables`, derived once
-per instance): a block's cloud is linear in its operators, so each call
-clears every operator it meets into an integer image in facet coordinates
-once, builds each block's cloud from those images by integer subtraction,
-and takes the cloud's maxima as its frontier; the search builds no
-``Fraction`` point.  The operators' denominators are cleared once per
-call, at the one scale of :func:`frontier_scale`, so every frontier of a
-call is a plain list of integer coordinates at that scale.  The images and
-the blocks that items share are kept for the length of one call only;
-between calls the instance keeps its tables and the :class:`SearchConfig`
-its operator budgets, nothing more.  A :class:`Certificate` is its
-operators alone; :func:`beta_value_set` rebuilds its value set with
-:func:`compose`, :func:`conjugate` and ``ws_sum``, without the tables,
-wherever that set is read: in verification and in output.  Those, the
+per instance): a block's cloud is linear in its operators, so each
+operator is cleared into an integer image in facet coordinates once, each
+block's cloud is built from those images by integer subtraction, and the
+cloud's maxima are its frontier; the search builds no ``Fraction`` point.
+A call clears its operators' denominators at the one scale of
+:func:`frontier_scale`, so its frontiers are plain lists of integer
+coordinates at that scale.  The :class:`SearchConfig` keeps its operator
+budgets and, per instance tables and scale, the budget operators' images
+and the split blocks F*(L') and I_C*(L''); L's image, the T-blocks and
+their sums are kept for the length of one call.  A :class:`Certificate`
+is its operators alone; :func:`beta_value_set` rebuilds its value set
+with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
+tables, wherever that set is read: in verification and in output.  Those, the
 tables and :func:`epi_membership` run on each map's one stored form, its
 integers cleared when it is built (:meth:`SampledMap.cleared`), and build
 ``Fraction`` points only for the generators of each weak supremum.
@@ -374,11 +374,14 @@ class SearchConfig:
     entries are multiples of 1/``den``, the lcm of the denominators of the
     steps and of the hints' entries.  Each (S, K) gets one
     positive-operator budget and each shape one splitting-operator budget,
-    both built by one rule and kept as long as the config.
+    both built by one rule and kept as long as the config; so are the
+    operator images and split blocks that :func:`certificates` derives from
+    them alone, per instance tables and scale, in budget order.
     """
 
     __slots__ = (
         "t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "den", "_budgets",
+        "_images",
     )
 
     def __init__(
@@ -410,6 +413,7 @@ class SearchConfig:
         den = common_denominator(chain([(t_step, l_step)], hint_rows))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_budgets", {})
+        object.__setattr__(self, "_images", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SearchConfig is immutable")
@@ -660,19 +664,19 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     plus F (index 1), on C (index 2) or on dom G (index 3); and the split
     blocks ⊎-summed in front of it, F*(L') from index 2 on and I_C*(L'')
     at index 3.  Every block runs on the instance's integer tables at that
-    one scale, cleared once per call, and no ``Fraction`` point is built.
+    one scale, and no ``Fraction`` point is built.
 
-    A block's cloud is linear in its operators, so each call computes every
-    operator's integer image once (:meth:`FacetTables.image`): (N·d·L)·x on
-    the rows, less d·N·F(x) at index 1; (N·d·M)·x for each splitting
-    operator M; and (N·d·T)·G(x) for each T, when the inner loop first
-    reaches it.  Each block is the frontier of a rowwise difference of
-    images: F*(L') of (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'') of
-    (N·d·L'')·x on C, and a T-block of the rest's image (L's less the split
-    operators') minus T's.  Blocks shared between items are computed once
-    per call and dropped with the generator: F*(L') per L', I_C*(L'') per
-    L'', and the T-block per T and image of L - L' - L''; equal images give
-    equal clouds, even for distinct rests.
+    A block's cloud is linear in its operators, so each operator's integer
+    image is computed once (:meth:`FacetTables.image`): per call, (N·d·L)·x
+    on the rows, less d·N·F(x) at index 1; per config, tables and d, for
+    each splitting operator M (N·d·M)·x and for each T (N·d·T)·G(x) on each
+    index's rows, when a loop first reaches it.  Each block is the frontier
+    of a rowwise difference of images: F*(L') of (N·d·L')·x - d·N·F(x) on
+    dom F, I_C*(L'') of (N·d·L'')·x on C, and a T-block of the rest's image
+    (L's less the split operators') minus T's.  F*(L') and I_C*(L'') are
+    kept with the images; the T-block per T and image of L - L' - L'' is
+    computed once per call and dropped with the generator; equal images
+    give equal clouds, even for distinct rests.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -687,15 +691,16 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         3: (Ls, Ls, tab.dom_g),
     }[index]
     xs, gs = tab.xs, [tab.gs[i] for i in rows]
-    dnf = [tuple(d * c for c in tab.nf[i]) for i in tab.dom_f]  # d·N·F(x) on dom F
     base = tab.image(L, d, [xs[i] for i in rows])
     if index == 1:
         base = [
             tuple(b - d * c for b, c in zip(q, tab.nf[i])) for q, i in zip(base, rows)
         ]
-    images = []  # (N·d·M)·x on every sample, by position of M in Ls
-    ind_stars = []  # I_C*(L''), by position of L'' in Ls
-    t_images = []  # (N·d·T)·G(x) on the rows, by position of T in Ts
+    # kept, by budget position: (N·d·M)·x, F*(L'), I_C*(L''), (N·d·T)·G(x) per index
+    images, f_stars, ind_stars, *t_kept = cfg._images.setdefault(
+        (tab, d), tuple([] for _ in range(6))
+    )
+    t_images, dnf = t_kept[index - 1], None
     t_blocks = {}  # the image of L - L' - L'' -> its T-blocks, by position of T
 
     def split_image(k: int, M: LinOp) -> list:
@@ -707,7 +712,10 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         f_star, rest_p = None, base
         if Lp is not None:
             XLp = split_image(j, Lp)
-            f_star = tab.block([XLp[i] for i in tab.dom_f], dnf)
+            if j == len(f_stars):
+                dnf = dnf or [tuple(d * c for c in tab.nf[i]) for i in tab.dom_f]
+                f_stars.append(tab.block([XLp[i] for i in tab.dom_f], dnf))
+            f_star = f_stars[j]
             rest_p = [tuple(map(sub, b, XLp[i])) for b, i in zip(base, rows)]
         for k, Lpp in enumerate(Lpps):
             front, rest = f_star, rest_p

@@ -179,14 +179,8 @@ def test_enumerator_matches_the_nested_loops_and_beta_value_set(name, budget, in
         _check_enumerator(index, P, L, cfg)
 
 
-def _count_pass(name, monkeypatch, owner, attr):
-    """The calls of ``owner.attr`` in one pass of each index at l_box=1 and
-    L = 0, with the budget sizes: (counts, |Ls|, n_T, distinct rests)."""
-    P = INSTANCES[name]
-    cfg = P.search_config(l_box=1)
-    L = LinOp.zero(P.m, P.n)
-    Ls = list(cfg.linop_budget(P.m, P.n))
-    n_T = len(list(cfg.posop_budget(P.S, P.K)))
+def _counter(monkeypatch, owner, attr) -> list:
+    """The list that each later call of ``owner.attr`` appends to."""
     calls = []
     real = getattr(owner, attr)
 
@@ -195,14 +189,32 @@ def _count_pass(name, monkeypatch, owner, attr):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, counting)
-    counts = []
-    for index in (1, 2, 3):
-        calls.clear()
-        for _ in certificates(index, P, L, cfg):
-            pass
-        counts.append(len(calls))
+    return calls
+
+
+def _pass_calls(calls, index, P, L, cfg) -> int:
+    """The calls counted in one pass of ``certificates``."""
+    calls.clear()
+    for _ in certificates(index, P, L, cfg):
+        pass
+    return len(calls)
+
+
+def _count_pass(name, monkeypatch, owner, attr):
+    """The calls of ``owner.attr`` in one pass of each index at l_box=1 and
+    L = 0, each on a fresh config, with the budget sizes: (counts, |Ls|,
+    n_T, distinct rests)."""
+    P = INSTANCES[name]
+    cfg = P.search_config(l_box=1)
+    L = LinOp.zero(P.m, P.n)
+    Ls = list(cfg.linop_budget(P.m, P.n))
+    n_T = len(list(cfg.posop_budget(P.S, P.K)))
+    calls = _counter(monkeypatch, owner, attr)
+    counts = tuple(
+        _pass_calls(calls, index, P, L, P.search_config(l_box=1)) for index in (1, 2, 3)
+    )
     rests = {L - Lp - Lpp for Lp in Ls for Lpp in Ls}
-    return tuple(counts), len(Ls), n_T, len(rests)
+    return counts, len(Ls), n_T, len(rests)
 
 
 # FacetTables.block calls in one pass at l_box=1 and L = 0, indices 1-3
@@ -224,13 +236,25 @@ def test_a_pass_computes_each_shared_block_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(BLOCK_COUNTS))
 def test_a_pass_builds_each_operator_image_once(name, monkeypatch):
-    """One pass clears each operator into facet coordinates once: L, then
-    each splitting operator and each T of the budget, however many blocks
-    they enter."""
+    """The first pass of each index on a fresh config clears each operator
+    into facet coordinates once: L, then each splitting operator and each T
+    of the budget, however many blocks they enter.  The config keeps the
+    budget operators' images: a later pass at another L of the same scale
+    clears L alone, and a pass at a new scale clears them all again."""
     counts, n_L, n_T, _ = _count_pass(name, monkeypatch, conjugate, "facet_matrix")
     assert counts == (1 + n_T, 1 + n_L + n_T, 1 + n_L + n_T)
     if name == "E2":
         assert counts[2] == 14  # one facet matrix per block item made 218
+    P = INSTANCES[name]
+    cfg = P.search_config(l_box=1)
+    calls = _counter(monkeypatch, conjugate, "facet_matrix")
+    zero, one = _perturbations(P)
+    third = LinOp(((Fraction(1, 3),) * P.n,) + one.entries[1:])
+    assert frontier_scale(P, one, cfg) == frontier_scale(P, zero, cfg)
+    assert frontier_scale(P, third, cfg) != frontier_scale(P, zero, cfg)
+    assert _pass_calls(calls, 3, P, zero, cfg) == 1 + n_L + n_T
+    assert _pass_calls(calls, 3, P, one, cfg) == 1
+    assert _pass_calls(calls, 3, P, third, cfg) == 1 + n_L + n_T
 
 
 def _reference_tables(P):
@@ -466,6 +490,112 @@ def test_searches_sharing_a_config_match_searches_on_fresh_configs():
                 assert cert == script_A_membership(index, P, L, y, P.search_config())
                 found.append(cert is not None)
     assert any(found) and not all(found)
+
+
+def _twin(P):
+    """P with G doubled: the same (S, K), C, feasible sample and hints, and
+    other tables."""
+    G = SampledMap((x, tuple(2 * c for c in v)) for x, v in P.G.samples)
+    return ProblemInstance(P.F, G, P.C, P.K, P.S, P.hints_T, P.hints_L)
+
+
+def _mixed_perturbations(P):
+    """L's whose denominators run 1, 2, 3, 1, 2, 3, so that each scale of
+    a search is left and met again."""
+    return [
+        LinOp(tuple(
+            tuple(
+                Fraction(sign, den) if (r, c) == (0, 0) else Fraction((r + c + k) % 3 - 1)
+                for c in range(P.n)
+            )
+            for r in range(P.m)
+        ))
+        for k, (sign, den) in enumerate(
+            [(1, 1), (1, 2), (1, 3), (-1, 1), (-1, 2), (-1, 3)]
+        )
+    ]
+
+
+def _answers(index, P, L, cfg, ys):
+    """The certificates the searches find for ``ys`` at index ``index`` and
+    the attained points of VD``index``, each with its certificate."""
+    searches = [script_A_membership(index, P, L, y, cfg) for y in ys]
+    return searches, dual_value(P, f"VD{index}", L, cfg).certificates
+
+
+REUSE_CASES = {
+    name: [TABLE_INSTANCES[name]]
+    for name in ("E1", "E2", "E3", "E4", "E5", "gap_toy", *(f"rand{k}" for k in range(8)))
+}
+REUSE_CASES["E1+twin"] = [INSTANCES["E1"], _twin(INSTANCES["E1"])]
+# dom F, C and dom G differ, so each index has its own rows of T-images
+REUSE_CASES["fraction"] = [_fraction_instance(random.Random(0), Cone.orthant(2))]
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_CASES))
+def test_a_reused_config_changes_no_answer(name):
+    """Searches at indices 1-3 and the dual values VD1-VD3, run through one
+    config at perturbations whose scales come and go, with the indices in
+    either order, give what each gives on a fresh config; so do two
+    instances with equal (S, K) but different G that share the config.
+    The queries y lie on, below and above the fresh dual value's frontier,
+    negated."""
+    Ps = REUSE_CASES[name]
+    # the 81 splitting operators of a 2 x 2 grid make index 3 too long here
+    budget = {"l_box": 1} if Ps[0].m * Ps[0].n < 4 else {}
+    fresh = {}
+    for order in ((1, 2, 3), (3, 2, 1)):
+        shared = Ps[0].search_config(**budget)
+        for k, L in enumerate(_mixed_perturbations(Ps[0])):
+            for p, P in enumerate(Ps):
+                for index in order:
+                    if (k, p, index) not in fresh:
+                        d = dual_value(P, f"VD{index}", L, P.search_config(**budget))
+                        k0 = P.K.interior_witness
+                        ys = sorted({
+                            tuple(t * w - c for c, w in zip(h, k0))
+                            for h, _ in d.certificates[:3]
+                            for t in (-16, -1, 0, Fraction(1, 2))
+                        })
+                        cfg = P.search_config(**budget)
+                        fresh[k, p, index] = ys, _answers(index, P, L, cfg, ys)
+                    ys, want = fresh[k, p, index]
+                    assert _answers(index, P, L, shared, ys) == want
+    found = [c is not None for _, (certs, _) in fresh.values() for c in certs]
+    assert any(found) and not all(found)
+
+
+def test_the_kept_images_are_bounded_by_the_drawn_budget():
+    """After fifty calls at one scale, searches that stop early and whole
+    passes, no list a config keeps is longer than the part of its budget
+    drawn so far; each new scale adds one set of lists per instance."""
+    P, Q = INSTANCES["E1"], _twin(INSTANCES["E1"])
+    cfg = P.search_config(l_box=1)
+    zero, one = _perturbations(P)
+    calls = 0
+    for L, y, index in itertools.product(
+        (zero, one, -one), ((-3,), (0,), (3,)), (1, 2, 3)
+    ):
+        for R in (P, Q):
+            script_A_membership(index, R, L, y, cfg)
+            calls += 1
+    for index in (3, 1):
+        for R in (P, Q):
+            for _ in certificates(index, R, zero, cfg):
+                break
+            calls += 1
+    assert calls >= 50 and len(cfg._images) == 2
+    n_L = len(cfg._budgets[P.m, P.n]._drawn)
+    n_T = len(cfg._budgets[P.S, P.K]._drawn)
+    for images, f_stars, ind_stars, *t_kept in cfg._images.values():
+        assert max(map(len, (images, f_stars, ind_stars))) <= n_L
+        assert max(map(len, t_kept)) <= n_T
+    third = LinOp(((Fraction(1, 3),),))
+    assert frontier_scale(P, third, cfg) != frontier_scale(P, zero, cfg)
+    for R in (P, Q):
+        for index in (1, 2, 3):
+            script_A_membership(index, R, third, (0,), cfg)
+    assert len(cfg._images) == 4
 
 
 def _check_owners(d, index, P, L):

@@ -228,6 +228,17 @@ def test_the_command_line_reads_a_negative_fraction_as_a_value(e1):
     )
 
 
+def test_the_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakfront", "--help"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
+
+
 def test_importing_the_cli_does_not_load_numpy():
     code = "import sys, weakfront.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
