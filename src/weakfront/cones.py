@@ -6,12 +6,14 @@ plus generators and a strict interior witness.  Cones must be solid (nonempty
 interior, certified by the witness) and proper (not the whole space).  Both
 lists are stored once, as primitive integer vectors, so every test against a
 cone is an exact sign of an integer product, and equal cones compare equal.
+An operator is stored once too, cleared as (d, d·M) (:class:`LinOp`).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Container, Iterator, Sequence
@@ -22,14 +24,10 @@ from weakfront.numeric import (
     Vec,
     common_denominator,
     dot,
-    mat_add,
-    mat_neg,
-    mat_sub,
     mat_vec,
     primitive,
     require_exact,
     scaled,
-    zero_mat,
 )
 from weakfront.staircase2d import RayBasis
 
@@ -152,9 +150,15 @@ def classify_point(K: Cone, y: Vec) -> PointClass:
 
 
 class LinOp:
-    """Dense linear map R^cols -> R^rows as an immutable exact matrix."""
+    """Dense linear map R^cols -> R^rows, stored once as its cleared form.
 
-    __slots__ = ("rows", "cols", "entries")
+    The form is (d, d·M): d the lcm of the denominators of the entries of
+    the exact matrix M, and d·M an integer matrix.  It is unique for each
+    matrix, so equality and hashing follow it; ``+``, ``-`` and unary ``-``
+    combine forms in integers, and :attr:`entries` reads M back on demand.
+    """
+
+    __slots__ = ("rows", "cols", "_cleared")
 
     def __init__(self, entries: Mat):
         rows = tuple(tuple(r) for r in entries)
@@ -164,44 +168,61 @@ class LinOp:
             raise ValueError("ragged matrix")
         for r in rows:
             require_exact(r, "matrix entry")
-        self.entries = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0])
+        d = common_denominator(rows)
+        self.rows, self.cols = len(rows), len(rows[0])
+        self._cleared = (d, tuple(scaled(r, d) for r in rows))
+
+    @classmethod
+    def _from_ints(cls, d: int, M: list) -> "LinOp":
+        """M/d for an integer matrix M, reduced by one gcd to its cleared form."""
+        g = math.gcd(d, *itertools.chain(*M))
+        op = object.__new__(cls)
+        op.rows, op.cols = len(M), len(M[0])
+        op._cleared = (d // g, tuple(tuple([c // g for c in r]) for r in M))
+        return op
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "LinOp":
-        return cls(zero_mat(rows, cols))
+        return cls._from_ints(1, [[0] * cols] * rows)
+
+    def cleared(self) -> tuple:
+        """(d, d·M), d the lcm of the denominators of M's entries."""
+        return self._cleared
+
+    @property
+    def entries(self) -> Mat:
+        """The exact matrix M, as ``Fraction`` rows."""
+        d, M = self._cleared
+        return tuple(tuple([Fraction(c, d) for c in r]) for r in M)
 
     def apply(self, x: Vec) -> Vec:
         if len(x) != self.cols:
-            raise DimensionError(
-                f"operator expects dim {self.cols}, got {len(x)}"
-            )
-        return mat_vec(self.entries, x)
-
-    def __call__(self, x: Vec) -> Vec:
-        return self.apply(x)
-
-    def _same_shape(self, other: "LinOp") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("operator shapes differ")
+            raise DimensionError(f"operator expects dim {self.cols}, got {len(x)}")
+        d, M = self._cleared
+        y = mat_vec(M, x)
+        return y if d == 1 else tuple([Fraction(c, d) for c in y])
 
     def __add__(self, other: "LinOp") -> "LinOp":
-        self._same_shape(other)
-        return LinOp(mat_add(self.entries, other.entries))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError("operator shapes differ")
+        (d1, A), (d2, B) = self._cleared, other._cleared
+        d = math.lcm(d1, d2)
+        a, b = d // d1, d // d2
+        M = [[a * p + b * q for p, q in zip(r, s)] for r, s in zip(A, B)]
+        return LinOp._from_ints(d, M)
 
     def __sub__(self, other: "LinOp") -> "LinOp":
-        self._same_shape(other)
-        return LinOp(mat_sub(self.entries, other.entries))
+        return self + -other
 
     def __neg__(self) -> "LinOp":
-        return LinOp(mat_neg(self.entries))
+        d, M = self._cleared
+        return LinOp._from_ints(d, [[-c for c in r] for r in M])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinOp) and self.entries == other.entries
+        return isinstance(other, LinOp) and self._cleared == other._cleared
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self._cleared)
 
     def __repr__(self) -> str:
         return f"LinOp({[list(r) for r in self.entries]})"
@@ -253,14 +274,15 @@ def is_positive_operator(T: LinOp, S: Cone, K: Cone) -> bool:
         )
     if not S.generators:
         raise PositivityError("domain cone has no generators to certify on")
-    NT = facet_matrix(K.normals, T, common_denominator(T.entries))
+    NT = facet_matrix(K.normals, T, T.cleared()[0])
     return all(sum(map(mul, row, r)) >= 0 for r in S.generators for row in NT)
 
 
 def facet_matrix(N: Sequence[tuple], T: LinOp, d: int) -> tuple:
-    """The integer matrix N·(d·T), d a multiple of T's denominators."""
-    cols = list(zip(*(scaled(row, d) for row in T.entries)))
-    return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in N)
+    """The integer matrix N·(d·T) = (d/e)·N·(e·T), T cleared as (e, e·T), e | d."""
+    e, M = T.cleared()
+    s, cols = d // e, list(zip(*M))
+    return tuple(tuple(s * sum(map(mul, a, col)) for col in cols) for a in N)
 
 
 def grid_values(box: Number, step: Number) -> tuple:

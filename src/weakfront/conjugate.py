@@ -13,10 +13,10 @@ indices in one loop nest; the certificate search takes its first
 qualifying item and the dual values fold over all of them.  It runs every
 block on the instance's integer tables (:class:`FacetTables`, derived once
 per instance): a block's cloud is linear in its operators, so each
-operator is cleared into an integer image in facet coordinates once, each
+operator's integer image in facet coordinates is derived once, each
 block's cloud is built from those images by integer subtraction, and the
 cloud's maxima are its frontier; the search builds no ``Fraction`` point.
-A call clears its operators' denominators at the one scale of
+A call brings its operators' cleared forms to the one scale of
 :func:`frontier_scale`, so its frontiers are plain lists of integer
 coordinates at that scale.  The :class:`SearchConfig` keeps its operator
 budgets and, per instance tables and scale, the budget operators' images
@@ -25,9 +25,9 @@ their sums are kept for the length of one call.  A :class:`Certificate`
 is its operators alone; :func:`beta_value_set` rebuilds its value set
 with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
 tables, wherever that set is read: in verification and in output.  Those, the
-tables and :func:`epi_membership` run on each map's one stored form, its
-integers cleared when it is built (:meth:`SampledMap.cleared`), and build
-``Fraction`` points only for the generators of each weak supremum.
+tables and :func:`epi_membership` run on each map's and operator's one
+stored form, cleared when it is built (:meth:`SampledMap.cleared`,
+:meth:`LinOp.cleared`); only weak suprema's generators become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -186,15 +186,13 @@ def _int_images(rows: Sequence[tuple], vs: Iterable[tuple]) -> list:
     return [tuple([sum(map(mul, a, v)) for a in rows]) for v in vs]
 
 
-def compose(op, G: SampledMap) -> SampledMap:
-    """The map x -> op(G(x)) on G's domain (op is a LinOp or PosOp): with d
-    the denominator of op, the values (d·op)·(D·G(x)) at the scale d·D."""
-    M = op.op if isinstance(op, PosOp) else op
+def compose(M: LinOp, G: SampledMap) -> SampledMap:
+    """The map x -> M(G(x)) on G's domain: with M cleared as (d, d·M), the
+    values (d·M)·(D·G(x)) at the scale d·D."""
     if M.cols != G.out_dim:
         raise DimensionError(f"compose: a {M.rows}x{M.cols} operator after {G!r}")
     D, X, V = G.cleared()
-    d = common_denominator(M.entries)
-    dM = [scaled(r, d) for r in M.entries]
+    d, dM = M.cleared()
     return SampledMap._from_ints(
         G.xs, d * D, [vec_scale(d, x) for x in X], _int_images(dM, V)
     )
@@ -207,13 +205,13 @@ def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
     """The conjugate value F*(L) = wsup{L(x) - F(x) : x in dom F}.
 
     Always a FINITE SUP GenSet for sampled maps.  Its cloud is the integer
-    vectors (d·L)·(D·x) - d·(D·F(x)) at the scale d·D, d L's denominator.
+    vectors (d·L)·(D·x) - d·(D·F(x)) at the scale d·D, L cleared as (d, d·L).
     """
     if L.cols != F.in_dim or L.rows != F.out_dim or K.dim != F.out_dim:
         raise DimensionError("conjugate: map/operator/cone dimensions disagree")
     D, X, V = F.cleared()
-    d = common_denominator(L.entries)
-    LX = _int_images([scaled(r, d) for r in L.entries], X)
+    d, dL = L.cleared()
+    LX = _int_images(dL, X)
     cloud = [tuple([p - d * c for p, c in zip(lx, v)]) for lx, v in zip(LX, V)]
     return wsup_scaled(cloud, d * D, K)
 
@@ -223,17 +221,18 @@ def epi_membership(
 ) -> bool:
     """(L, y) lies in the epigraph of F*: no sample has L(x) - F(x) - y
     strictly inside K (the conjugate never exceeds y anywhere), tested at
-    the scale d·D as (d·L)·(D·x) - d·(D·F(x)) - d·D·y, d L's and y's
-    denominator."""
+    the scale d·D as (d·L)·(D·x) - d·(D·F(x)) - d·D·y, d the lcm of L's
+    cleared denominator e and y's, with (d·L) = (d/e)·(e·L)."""
     y = tuple(y)
     if L.cols != F.in_dim or L.rows != F.out_dim or len(y) != K.dim:
         raise DimensionError("epi_membership: dimensions disagree")
     require_exact(y, "query point")
     D, X, V = F.cleared()
-    d = common_denominator(chain(L.entries, [y]))
-    dDy = vec_scale(D, scaled(y, d))
-    for lx, v in zip(_int_images([scaled(r, d) for r in L.entries], X), V):
-        w = tuple([p - d * c - q for p, c, q in zip(lx, v, dDy)])
+    e, eL = L.cleared()
+    d = math.lcm(e, common_denominator([y]))
+    s, dDy = d // e, vec_scale(D, scaled(y, d))
+    for lx, v in zip(_int_images(eL, X), V):
+        w = tuple([s * p - d * c - q for p, c, q in zip(lx, v, dDy)])
         if classify_point(K, w) is PointClass.INTERIOR:
             return False
     return True
@@ -371,8 +370,8 @@ class SearchConfig:
     ``l_step`` the splitting-operator grids.  A box or step that is not an
     int or a Fraction, a negative box and a step that is not positive are
     refused here, before any hint is tried.  Every budget operator's
-    entries are multiples of 1/``den``, the lcm of the denominators of the
-    steps and of the hints' entries.  Each (S, K) gets one
+    entries are multiples of 1/``den``, the lcm of the steps' denominators
+    and of the hints' cleared denominators.  Each (S, K) gets one
     positive-operator budget and each shape one splitting-operator budget,
     both built by one rule and kept as long as the config; so are the
     operator images and split blocks that :func:`certificates` derives from
@@ -409,8 +408,8 @@ class SearchConfig:
         object.__setattr__(self, "l_step", l_step)
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
-        hint_rows = chain(*(h.entries for h in (*self.hints_T, *self.hints_L)))
-        den = common_denominator(chain([(t_step, l_step)], hint_rows))
+        steps = common_denominator([(t_step, l_step)])
+        den = math.lcm(steps, *(h.cleared()[0] for h in (*self.hints_T, *self.hints_L)))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_budgets", {})
         object.__setattr__(self, "_images", {})
@@ -531,7 +530,7 @@ def beta_value_set(
     * index 3:  F*(L') ⊎ I_C*(L'') ⊎ (T∘G on dom G)*(L - L' - L'')
     """
     K = P.K
-    TG = compose(T, P.G)
+    TG = compose(T.op, P.G)
     if index == 1:
         core = P.F.restrict(P.C).add(TG.restrict(P.C))
         return conjugate(core, L, K)
@@ -618,10 +617,10 @@ def _front(coords: list) -> list:
 
 def frontier_scale(P, L: LinOp, cfg: SearchConfig) -> int:
     """The one integer scale of every frontier that :func:`certificates`
-    yields at the perturbation L: D·lcm(``cfg.den``, L's denominators), with
-    D the instance tables' denominator.  Each block's operator is a sum of
-    L and budget operators, so its entries are multiples of 1/lcm(...)."""
-    return P.tables.den * math.lcm(cfg.den, common_denominator(L.entries))
+    yields at the perturbation L: D·lcm(``cfg.den``, d), D the instance
+    tables' denominator and d L's.  Each block's operator is a sum of L and
+    budget operators, so its entries are multiples of 1/lcm(...)."""
+    return P.tables.den * math.lcm(cfg.den, L.cleared()[0])
 
 
 _END = object()

@@ -5,7 +5,8 @@ at the bottom is the only place other number types are read: it decodes
 every document number to a ``Fraction``.  Past it, :func:`require_exact`
 guards the places where a caller's numbers enter the engine.  The engine's
 integer paths clear denominators only through :func:`common_denominator`,
-:func:`scaled` and :func:`primitive`.
+:func:`scaled` and :func:`primitive`; cones, sampled maps and operators are
+cleared through them once, when they are built, and keep that form.
 """
 
 from __future__ import annotations
@@ -54,22 +55,6 @@ def dot(a: Vec, b: Vec) -> Number:
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def mat_neg(a: Mat) -> Mat:
-    return tuple(vec_neg(r) for r in a)
-
-
-def zero_mat(rows: int, cols: int) -> Mat:
-    return tuple((Fraction(0),) * cols for _ in range(rows))
 
 
 # --- clearing denominators --------------------------------------------------

@@ -197,12 +197,12 @@ class GenSet:
     # construction helpers ----------------------------------------------------
 
     @classmethod
-    def plus_inf(cls, cone: Cone, orient: Orient = Orient.SUP) -> "GenSet":
-        return cls(Tag.PLUS_INF, orient, None, cone)
+    def plus_inf(cls, cone: Cone) -> "GenSet":
+        return cls(Tag.PLUS_INF, Orient.SUP, None, cone)
 
     @classmethod
-    def minus_inf(cls, cone: Cone, orient: Orient = Orient.SUP) -> "GenSet":
-        return cls(Tag.MINUS_INF, orient, None, cone)
+    def minus_inf(cls, cone: Cone) -> "GenSet":
+        return cls(Tag.MINUS_INF, Orient.SUP, None, cone)
 
     # queries ------------------------------------------------------------------
 
@@ -212,13 +212,7 @@ class GenSet:
 
     def classify(self, y: Sequence[Number]) -> RegionLabel:
         """Region of ``y`` relative to this set (LOWER = strictly below it)."""
-        if self.tag is Tag.PLUS_INF:
-            return RegionLabel.LOWER
-        if self.tag is Tag.MINUS_INF:
-            return RegionLabel.UPPER
-        return classify_many(
-            self.generators, self.cone, [y], sup=self.orient is Orient.SUP
-        )[0]
+        return self.classify_many([y])[0]
 
     def classify_many(self, points: Sequence[Sequence[Number]]) -> list:
         if self.tag is Tag.PLUS_INF:

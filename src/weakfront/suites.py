@@ -476,7 +476,7 @@ def _u_representation(seed: int, idx: int) -> dict:
 
 def _beta_clouds(i: int, P, L, T, Lp, Lpp) -> list:
     """Raw value clouds of the condition-i blocks, straight from the data."""
-    TG = compose(T, P.G)
+    TG = compose(T.op, P.G)
     if i == 1:
         dom = [
             x

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +164,49 @@ def test_linop_apply_and_arithmetic():
     assert (A + B).entries == ((1, 3), (1, 1))
     assert (A - B).entries == ((1, 1), (-1, 1))
     assert LinOp.zero(2, 3).entries == ((0, 0, 0), (0, 0, 0))
+
+
+# ints and Fractions with denominators 1 to 12, the latter given through
+# non-reduced numerator/denominator pairs
+MATRIX_ENTRY = st.one_of(
+    st.integers(-12, 12),
+    st.builds(
+        lambda n, d, k: Fraction(k * n, k * d),
+        st.integers(-12, 12), st.integers(1, 12), st.integers(1, 3),
+    ),
+)
+
+
+def _matrix(rows, cols):
+    row = st.lists(MATRIX_ENTRY, min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+def _cleared_form(M):
+    """(d, d·M) with d the lcm of the reduced denominators of M's entries."""
+    d = math.lcm(*(Fraction(c).denominator for r in M for c in r))
+    return d, tuple(tuple(int(c * d) for c in r) for r in M)
+
+
+def _entrywise(f, *Ms):
+    return tuple(tuple(map(f, *rows)) for rows in zip(*Ms))
+
+
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3)), data=st.data())
+def test_a_linop_stores_the_cleared_form_of_its_matrix(shape, data):
+    M, N = data.draw(_matrix(*shape)), data.draw(_matrix(*shape))
+    A, B = LinOp(M), LinOp(N)
+    assert A.entries == M
+    assert all(type(c) is Fraction for r in A.entries for c in r)
+    assert A.cleared() == _cleared_form(M)
+    F, G = _entrywise(Fraction, M), _entrywise(Fraction, N)
+    assert (A + B).cleared() == _cleared_form(_entrywise(add, F, G))
+    assert (A - B).cleared() == _cleared_form(_entrywise(sub, F, G))
+    assert (-A).cleared() == _cleared_form(_entrywise(neg, F))
+    same = LinOp(F)
+    assert same == A and hash(same) == hash(A)
+    assert (A + B) - B == A and hash((A + B) - B) == hash(A)
+    assert (A == B) == (M == N)
 
 
 def test_linop_rejects_bad_matrices():

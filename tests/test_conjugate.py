@@ -5,7 +5,7 @@ import pytest
 
 from weakfront import cones, conjugate as conjugate_module
 from weakfront.cones import (
-    Cone, DimensionError, LinOp, PointClass, PosOp, PositivityError, classify_point,
+    Cone, DimensionError, LinOp, PointClass, PositivityError, classify_point,
 )
 from weakfront.conjugate import (
     ExtEpiElement,
@@ -100,8 +100,7 @@ def test_restrict_and_add_intersect_domains():
 
 def test_compose_applies_the_operator_pointwise():
     g = scalar_map([1, 0, -1])  # g(x) = 1 - x
-    T = PosOp(LinOp(((Fraction(2),),)), O1, O1)
-    tg = compose(T, g)
+    tg = compose(LinOp(((Fraction(2),),)), g)
     assert tg.value((0,)) == (2,)
     assert tg.value((2,)) == (-2,)
 
@@ -114,8 +113,6 @@ def test_compose_and_conjugate_refuse_mismatched_shapes(cols):
     op = LinOp(((Fraction(1),) * cols,) * 2)
     with pytest.raises(DimensionError):
         compose(op, G)
-    with pytest.raises(DimensionError):
-        compose(PosOp(op, Cone.orthant(cols), O2), G)
     F = SampledMap([((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))])
     with pytest.raises(DimensionError):
         conjugate(F, op, O2)
@@ -327,7 +324,7 @@ def test_derived_maps_and_conjugates_build_no_fraction(monkeypatch):
         K = Cone.orthant(p)
         TG = compose(_rand_op(rng, p, p), G)
         eye = LinOp(tuple(tuple(int(i == j) for j in range(p)) for i in range(p)))
-        PT = compose(PosOp(eye, K, K), G)
+        PT = compose(eye, G)
         half = G.restrict(G.domain()[::2])
         summed = TG.add(half).add(PT)
         for M in (G, TG, PT, half, summed):

@@ -3,11 +3,12 @@
 Each case runs one ``weakfront`` subcommand in-process and compares its
 stdout with the file of the same name under ``tests/golden/``.  The files
 pin the behaviour of the certificate search, the dual merge (also on the
-split-operator grid ``--l-box 1``), the conjugate and the weak-supremum
-labeller: a refactor of any of them must reproduce them exactly.  The ``wsup`` cases read their set and query documents from
-``tests/golden/inputs/``: a skewed planar cone (a simplicial cone) and a
-four-facet cone in R^3 (a non-simplicial cone).  Regenerate them (only when a
-change of output is intended) with
+split-operator grid ``--l-box 1``, and with a fractional perturbation on
+half-step grids), the conjugate and the weak-supremum labeller: a refactor
+of any of them must reproduce them exactly.  The ``wsup`` cases read their
+set and query documents from ``tests/golden/inputs/``: a skewed planar cone
+(a simplicial cone) and a four-facet cone in R^3 (a non-simplicial cone).
+Regenerate them (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -53,6 +54,18 @@ _CONJUGATE = (
     ("gap_toy", "[[2]]"),
 )
 _WSUP = ("skew2d", "pyramid3d")
+# (golden file stem, command, instance, flags) run with a fractional --L on
+# half-step grids for T and the split operators: they pin L - L' - L''
+# across mixed denominators, the frontier scale and the printing of
+# fractional certificate entries.
+_HALF_STEP = ("--step", "1/2", "--l-box", "1", "--l-step", "1/2")
+_FRACTIONAL_L = '[["1/2"],["-1/3"]]'
+_FRACTIONAL = (
+    ("farkas_E2_i3_frac", "farkas", "E2", ("--index", "3", "--y", "[1,-3]")),
+    ("farkas_E4_i3_frac", "farkas", "E4", ("--index", "3", "--y", '[-4,"1/2"]')),
+    ("dual_E2_VD3_frac", "dual", "E2", ("--which", "VD3")),
+    ("dual_E4_VD3_frac", "dual", "E4", ("--which", "VD3")),
+)
 
 
 def _slug(text: str) -> str:
@@ -91,6 +104,14 @@ def cases() -> list:
             out.append(
                 (f"conjugate_{name}_L{_slug(op)}.json", ["conjugate", path, "--L", op])
             )
+    for stem, command, name, flags in _FRACTIONAL:
+        path = str(data_dir() / f"{name}.json")
+        out.append(
+            (
+                f"{stem}.json",
+                [command, path, *flags, "--L", _FRACTIONAL_L, *_HALF_STEP],
+            )
+        )
     for name in _WSUP:
         out.append(
             (
