@@ -321,7 +321,9 @@ def sample_positive_operators(
 
 
 def sample_linops(rows: int, cols: int, box: Number, step: Number) -> Iterator[LinOp]:
-    """All grid matrices of the given shape, ascending; includes zero."""
+    """All grid matrices of the given shape, ascending; includes zero.  The
+    grid is cleared once, and each matrix is built from its integers."""
     vals = grid_values(box, step)
-    for flat in itertools.product(vals, repeat=rows * cols):
-        yield LinOp(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)))
+    d = common_denominator([vals])
+    for flat in itertools.product(scaled(vals, d), repeat=rows * cols):
+        yield LinOp._from_ints(d, [flat[i * cols : (i + 1) * cols] for i in range(rows)])

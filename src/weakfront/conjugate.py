@@ -27,7 +27,7 @@ with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
 tables, wherever that set is read: in verification and in output.  Those, the
 tables and :func:`epi_membership` run on each map's and operator's one
 stored form, cleared when it is built (:meth:`SampledMap.cleared`,
-:meth:`LinOp.cleared`); only weak suprema's generators become ``Fraction``s.
+:meth:`LinOp.cleared`), and each conjugate's cloud is a cleared point set.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .order_sets import (
     Tag,
     set_preceq,
     ws_sum,
-    wsup_scaled,
+    wsup_finite,
 )
 from .staircase2d import LOWER, maxima, region_sup
 
@@ -213,7 +213,7 @@ def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
     d, dL = L.cleared()
     LX = _int_images(dL, X)
     cloud = [tuple([p - d * c for p, c in zip(lx, v)]) for lx, v in zip(LX, V)]
-    return wsup_scaled(cloud, d * D, K)
+    return wsup_finite(FiniteVecSet.from_ints(d * D, cloud), K)
 
 
 def epi_membership(

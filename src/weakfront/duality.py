@@ -32,7 +32,9 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
-from .numeric import Number, Vec, encode_mat, encode_vec, vec_neg, vec_sub
+from .numeric import (
+    Number, Vec, encode_mat, encode_vec, mat_vec, vec_neg, vec_scale, vec_sub,
+)
 from .order_sets import (
     FiniteVecSet,
     GenSet,
@@ -189,11 +191,14 @@ class ProblemInstance:
 
 def winf_vp(P: ProblemInstance, L: LinOp) -> GenSet:
     """The primal value frontier of (VP_L): winf{F(x) - L(x) : x in A ∩ dom F},
-    read from ``P.feasible_F``."""
+    of the integer cloud d·(D·F(x)) - (d·L)·(D·x) at the scale d·D, read from
+    ``P.feasible_F`` cleared as (D, D·x, D·F(x)) and L as (d, d·L)."""
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("winf_vp: perturbation shape disagrees")
-    image = (vec_sub(v, L.apply(x)) for x, v in P.feasible_F.samples)
-    return winf_finite(FiniteVecSet(image), P.K)
+    D, X, V = P.feasible_F.cleared()
+    d, dL = L.cleared()
+    cloud = (vec_sub(vec_scale(d, v), mat_vec(dL, x)) for x, v in zip(X, V))
+    return winf_finite(FiniteVecSet.from_ints(d * D, cloud), P.K)
 
 
 class DualValue:

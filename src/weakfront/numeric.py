@@ -5,8 +5,8 @@ at the bottom is the only place other number types are read: it decodes
 every document number to a ``Fraction``.  Past it, :func:`require_exact`
 guards the places where a caller's numbers enter the engine.  The engine's
 integer paths clear denominators only through :func:`common_denominator`,
-:func:`scaled` and :func:`primitive`; cones, sampled maps and operators are
-cleared through them once, when they are built, and keep that form.
+:func:`scaled` and :func:`primitive`; cones, sampled maps, operators and
+point sets are cleared through them once, when built, and keep that form.
 """
 
 from __future__ import annotations

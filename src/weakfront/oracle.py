@@ -57,9 +57,8 @@ def brute_region(M: FiniteVecSet, K, grid: FiniteVecSet) -> Dict[tuple, RegionLa
     ``M - int K`` minus its interior, realized as ``(M - K)`` minus
     ``(M - int K)`` for finite M.
     """
-    return {
-        y: region_of_point(M.points, K.normals, y) for y in grid.points
-    }
+    points = M.points
+    return {y: region_of_point(points, K.normals, y) for y in grid.points}
 
 
 # --- exact integer arrays --------------------------------------------------------

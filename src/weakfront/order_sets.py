@@ -12,27 +12,22 @@ generator list plus an orientation (SUP for suprema, INF for infima) and the
 cone.  Set comparison (``set_preceq``), the sum ``ws_sum`` and the partition
 check are built on the same region tests.
 
-Points are exact (ints and Fractions), so canonical generator lists are
-unique and every region test is an exact sign test.  On every polyhedral
-cone the region tests and the canonical generators run on the integer facet
-coordinates N·y (:mod:`weakfront.staircase2d`).
+Each set is stored once as its cleared integers (:class:`FiniteVecSet`), so
+canonical generator lists are unique and every region test is an exact sign
+test; on every polyhedral cone the region tests and the canonical generators
+run on the integer facet coordinates N·y (:mod:`weakfront.staircase2d`).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cones import Cone, DimensionError
-from .numeric import (
-    Number,
-    common_denominator,
-    require_exact,
-    scaled,
-    vec_neg,
-    vec_add,
-)
+from .numeric import Number, common_denominator, require_exact, scaled, vec_neg
 from . import staircase2d
 
 
@@ -67,71 +62,79 @@ class IllegalInfinitySum(ArithmeticError):
 
 
 class FiniteVecSet:
-    """Immutable nonempty finite set of same-dimension vectors.
+    """Immutable nonempty finite set of same-dimension exact vectors, stored
+    once as its cleared form (den, vecs): den the lcm of the points' reduced
+    denominators, vecs the distinct integer vectors den·p in ascending (so
+    lexicographic) order.  The form is unique, so equality and hashing
+    follow it; :attr:`points` reads the points back as ``Fraction``s."""
 
-    Points are deduplicated and kept lexicographically sorted, so two sets
-    with the same elements compare equal and iterate in the same order.
-    """
+    __slots__ = ("dim", "_cleared")
 
-    __slots__ = ("points", "dim")
-
-    def __init__(self, points: Iterable[Sequence[Number]]):
-        seen = set()
-        acc = []
-        dim = None
-        for p in points:
-            v = tuple(p)
-            if dim is None:
-                dim = len(v)
-            elif len(v) != dim:
-                raise DimensionError(
-                    f"mixed point dimensions: {len(v)} vs {dim}"
-                )
+    def __new__(cls, points: Iterable[Sequence[Number]]):
+        vs = [tuple(p) for p in points]
+        for v in vs:
+            if len(v) != len(vs[0]):
+                raise DimensionError(f"mixed point dimensions: {len(v)} vs {len(vs[0])}")
             require_exact(v, "point")
-            if v not in seen:
-                seen.add(v)
-                acc.append(v)
-        if not acc:
+        den = common_denominator(vs)
+        return cls.from_ints(den, [scaled(v, den) for v in vs])
+
+    @classmethod
+    def from_ints(cls, den: int, vecs: Iterable[Sequence[int]]) -> "FiniteVecSet":
+        """The points v/den of integer vectors v of one dimension (den > 0),
+        deduplicated, reduced by one gcd to the cleared form and sorted."""
+        uniq = set(map(tuple, vecs))
+        if not uniq:
             raise ValueError("empty point set")
-        acc.sort()
-        object.__setattr__(self, "points", tuple(acc))
-        object.__setattr__(self, "dim", dim)
+        g = math.gcd(den, *chain.from_iterable(uniq))
+        if g > 1:
+            den, uniq = den // g, {tuple([c // g for c in v]) for v in uniq}
+        S = object.__new__(cls)
+        object.__setattr__(S, "_cleared", (den, tuple(sorted(uniq))))
+        object.__setattr__(S, "dim", len(S._cleared[1][0]))
+        return S
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteVecSet is immutable")
 
+    def cleared(self) -> tuple:
+        """(den, vecs), the integer vectors den·p in ascending order."""
+        return self._cleared
+
+    @property
+    def points(self) -> tuple:
+        """The exact points, as ``Fraction`` vectors in lexicographic order."""
+        den, vecs = self._cleared
+        return tuple(tuple([Fraction(c, den) for c in v]) for v in vecs)
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._cleared[1])
 
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self.points
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVecSet):
             return NotImplemented
-        return self.points == other.points
+        return self._cleared == other._cleared
 
     def __hash__(self) -> int:
-        return hash(self.points)
+        return hash(self._cleared)
 
     def __repr__(self) -> str:
         return f"FiniteVecSet({list(self.points)!r})"
 
     def negate(self) -> "FiniteVecSet":
-        return FiniteVecSet(vec_neg(p) for p in self.points)
-
-    def translate(self, v: Sequence[Number]) -> "FiniteVecSet":
-        v = tuple(v)
-        return FiniteVecSet(vec_add(p, v) for p in self.points)
+        return FiniteVecSet.from_ints(self._cleared[0], map(vec_neg, self._cleared[1]))
 
     def minkowski(self, other: "FiniteVecSet") -> "FiniteVecSet":
         if self.dim != other.dim:
             raise DimensionError("Minkowski sum of mismatched dimensions")
-        return FiniteVecSet(
-            vec_add(p, q) for p in self.points for q in other.points
+        (d1, A), (d2, B) = self._cleared, other._cleared
+        d = math.lcm(d1, d2)
+        a, b = d // d1, d // d2
+        return FiniteVecSet.from_ints(
+            d, [tuple([a * p + b * q for p, q in zip(u, v)]) for u in A for v in B]
         )
 
 
@@ -155,7 +158,7 @@ def classify_many(
         if len(p) != K.dim:
             raise DimensionError("point/cone dimensions disagree")
         require_exact(p, "query point")
-    codes = staircase2d.classify_points_2d(K.basis, M.points, pts, sup=sup)
+    codes = staircase2d.classify_points_2d(K.basis, M.cleared(), pts, sup=sup)
     return [_CODE_TO_LABEL[c] for c in codes]
 
 
@@ -241,9 +244,8 @@ class GenSet:
     def translate(self, v: Sequence[Number]) -> "GenSet":
         if not self.is_finite:
             return self
-        return GenSet(
-            Tag.FINITE, self.orient, self.generators.translate(v), self.cone
-        )
+        shifted = self.generators.minkowski(FiniteVecSet([v]))
+        return GenSet(Tag.FINITE, self.orient, shifted, self.cone)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenSet):
@@ -271,24 +273,14 @@ def wsup_finite(M: FiniteVecSet, K: Cone) -> GenSet:
     """Weak supremum of a finite set as a canonical SUP GenSet.
 
     The frontier equals the boundary of ``gens - int K``; generators are the
-    weakly-maximal elements of M (one representative per lineality class).
+    maxima of the facet coordinates of M's ascending cleared vectors, and of
+    equal coordinates the first: under lineality, the lex-smallest point.
     """
     if M.dim != K.dim:
         raise DimensionError("set/cone dimensions disagree")
-    den = common_denominator(M.points)
-    return wsup_scaled([scaled(p, den) for p in M.points], den, K)
-
-
-def wsup_scaled(vecs: Iterable[tuple], den: int, K: Cone) -> GenSet:
-    """Weak supremum of the points v/den of integer vectors v (den > 0): the
-    maxima of their facet coordinates, as a canonical SUP GenSet.  At one
-    positive scale the vectors sort in their points' lexicographic order and
-    ``maxima`` keeps the first of equal coordinates, so under lineality the
-    lex-smallest point is kept.  Only generators become ``Fraction`` points.
-    """
-    vecs = sorted(set(vecs))
+    den, vecs = M.cleared()
     idx = staircase2d.canonical_indices_2d(K.basis, vecs)
-    gens = FiniteVecSet(tuple(Fraction(c, den) for c in vecs[i]) for i in idx)
+    gens = FiniteVecSet.from_ints(den, [vecs[i] for i in idx])
     return GenSet(Tag.FINITE, Orient.SUP, gens, K)
 
 
@@ -368,5 +360,5 @@ def ws_sum(U: GenSet, V: GenSet) -> GenSet:
 
 def neutral_sup(K: Cone) -> GenSet:
     """The neutral element for ws_sum: the frontier of ``-int K`` (gens {0})."""
-    zero = (0,) * K.dim
-    return GenSet(Tag.FINITE, Orient.SUP, FiniteVecSet([zero]), K)
+    zero = FiniteVecSet.from_ints(1, [(0,) * K.dim])
+    return GenSet(Tag.FINITE, Orient.SUP, zero, K)

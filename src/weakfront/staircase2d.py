@@ -11,17 +11,18 @@ generators of wsup(M) are the maximal vectors of N·M (Kung, Luccio &
 Preparata, J. ACM 22(4), 1975) and every region test is a dominance query
 against them.  With one or two facets the maxima come from one sort and a
 sweep, O(n log n); with more, each vector is tested against the maxima kept
-so far, O(n·h) for h maxima.  Each batch of points is scaled once by the
-lcm of its denominators, so the comparisons run on plain integers.  Infima
-are suprema of the negated data.  Only mapping new coordinates back to
-points needs N^{-1}, which exists exactly for simplicial K (``dim``
-linearly independent normals).  The module and function names date from
-the planar staircase this core replaced; perfbench's tracer binds them by
-name.
+so far, O(n·h) for h maxima.  A point set arrives cleared, and each batch
+of query points is scaled once to the set's scale and theirs, so the
+comparisons run on plain integers.  Infima are suprema of the negated data.
+Only mapping new coordinates back to points needs N^{-1}, which exists
+exactly for simplicial K (``dim`` linearly independent normals).  The module
+and function names date from the planar staircase this core replaced;
+perfbench's tracer binds them by name.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import ge, gt
 from typing import Sequence
@@ -129,19 +130,19 @@ def region_sup(front: list, q: tuple) -> int:
 
 
 def classify_points_2d(
-    basis: RayBasis, gens: Sequence[Vec], points: Sequence[Vec], sup: bool = True
+    basis: RayBasis, gens: tuple, points: Sequence[Vec], sup: bool = True
 ) -> list:
     """Region codes of ``points`` against wsup(gens), or against winf(gens)
     when sup=False: the infimum is minus the supremum of the negated data,
-    with LOWER and UPPER swapped.  Gens and points are cleared to one
-    integer scale, which keeps the componentwise order."""
-    vecs = [*gens, *points]
-    den = common_denominator(vecs)
-    coords = [basis.to_quad(scaled(v, den)) for v in vecs]
-    if not sup:
-        coords = [tuple(-c for c in q) for q in coords]
-    qg, qp = coords[: len(gens)], coords[len(gens) :]
-    front = [qg[i] for i in maxima(qg)]
+    with LOWER and UPPER swapped.  ``gens`` is a cleared point set (den,
+    vecs); the points are cleared at d = lcm(den, their denominators), at
+    -d for the infimum, and the generators' maxima rescaled by d/den."""
+    den, vecs = gens
+    d = math.lcm(den, common_denominator(points))
+    t = 1 if sup else -1
+    qg = [tuple([t * c for c in basis.to_quad(v)]) for v in vecs]
+    front = [tuple([d // den * c for c in qg[i]]) for i in maxima(qg)]
+    qp = [basis.to_quad(scaled(p, t * d)) for p in points]
     codes = [region_sup(front, q) for q in qp]
     return codes if sup else [UPPER - c for c in codes]
 

@@ -683,3 +683,24 @@ def test_weak_duality_chain_on_a_3d_orthant():
     cfg = ORTHANT3.search_config()
     for L in _perturbations(ORTHANT3):
         assert weak_duality_check(ORTHANT3, L, cfg) == (True, True, True)
+
+
+def _winf_vp_in_fractions(P, L):
+    """winf(VP_L) from its definition, in ``Fraction`` arithmetic."""
+    image = (vec_sub(v, L.apply(x)) for x, v in P.feasible_F.samples)
+    return winf_finite(FiniteVecSet(image), P.K)
+
+
+@pytest.mark.parametrize(
+    "name", ["E1", "E2", "E3", "E4", "E5", "gap_toy", "halfplane"]
+)
+def test_winf_vp_matches_the_fraction_formula(name):
+    P = INSTANCES[name]
+    fractional = LinOp(
+        tuple(
+            tuple(Fraction((-1) ** (i + j), 2 + i + j) for j in range(P.n))
+            for i in range(P.m)
+        )
+    )
+    for L in (LinOp.zero(P.m, P.n), fractional):
+        assert duality.winf_vp(P, L) == _winf_vp_in_fractions(P, L)

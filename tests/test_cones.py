@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from weakfront.cones import (
     PosOp,
     PositivityError,
     classify_point,
+    grid_values,
     is_positive_operator,
     sample_linops,
     sample_positive_operators,
@@ -324,3 +326,13 @@ def test_sample_positive_operators_rejects_bad_grid():
     o1 = Cone.orthant(1)
     with pytest.raises(ValueError):
         list(sample_positive_operators(o1, o1, -1, 1))
+
+
+@pytest.mark.parametrize("step", [1, Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 1), (2, 2)])
+def test_sample_linops_yields_the_checked_grid_matrices_in_order(rows, cols, step):
+    want = [
+        LinOp(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)))
+        for flat in itertools.product(grid_values(1, step), repeat=rows * cols)
+    ]
+    assert list(sample_linops(rows, cols, 1, step)) == want

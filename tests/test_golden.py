@@ -7,7 +7,9 @@ split-operator grid ``--l-box 1``, and with a fractional perturbation on
 half-step grids), the conjugate and the weak-supremum labeller: a refactor
 of any of them must reproduce them exactly.  The ``wsup`` cases read their
 set and query documents from ``tests/golden/inputs/``: a skewed planar cone
-(a simplicial cone) and a four-facet cone in R^3 (a non-simplicial cone).
+(a simplicial cone), a four-facet cone in R^3 (a non-simplicial cone), and a
+half-plane, whose set in thirds has lineality ties and whose queries in
+halves include points on the frontier.
 Regenerate them (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -53,7 +55,7 @@ _CONJUGATE = (
     ("E5", "[[0.5]]"),
     ("gap_toy", "[[2]]"),
 )
-_WSUP = ("skew2d", "pyramid3d")
+_WSUP = ("skew2d", "pyramid3d", "halfplane")
 # (golden file stem, command, instance, flags) run with a fractional --L on
 # half-step grids for T and the split operators: they pin L - L' - L''
 # across mixed denominators, the frontier scale and the printing of

@@ -8,7 +8,11 @@ code with the engine, no module under ``src/weakfront`` reads the
 Operators are cleared in one place too: a ``LinOp`` is stored as its
 cleared form, and outside ``cones.py`` no function both reads an
 ``.entries`` attribute and calls ``common_denominator`` or ``scaled``, which
-would clear an operator again instead of reading ``cleared()``."""
+would clear an operator again instead of reading ``cleared()``.  So are
+point sets: a ``FiniteVecSet`` is cleared by its constructor, a map by its
+own, and outside ``numeric.py`` and ``oracle.py`` no function both reads a
+``.points`` or ``.samples`` attribute and clears, which would clear a set
+or a map again instead of reading its ``cleared()``."""
 
 import ast
 from pathlib import Path
@@ -17,6 +21,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakfront"
 CLEARING = ("numeric.py", "oracle.py")
 PARTS = ("numerator", "denominator")
 CLEARS = ("common_denominator", "scaled")
+POINT_SETS = ("points", "samples")
 
 
 def _part_reads(tree):
@@ -55,15 +60,21 @@ def _called(func):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _operator_clearings(tree):
-    """The functions of ``tree`` that read an ``.entries`` attribute and
-    call a clearing helper."""
+def _clearings(tree, attrs):
+    """The functions of ``tree`` that read one of the attributes ``attrs``
+    and call a clearing helper."""
     for name, fn in _functions(tree.body):
         nodes = list(ast.walk(fn))
-        reads = any(isinstance(n, ast.Attribute) and n.attr == "entries" for n in nodes)
+        reads = any(isinstance(n, ast.Attribute) and n.attr in attrs for n in nodes)
         clears = any(isinstance(n, ast.Call) and _called(n.func) in CLEARS for n in nodes)
         if reads and clears:
             yield name
+
+
+def _operator_clearings(tree):
+    """The functions of ``tree`` that read an ``.entries`` attribute and
+    call a clearing helper."""
+    return _clearings(tree, ("entries",))
 
 
 def test_only_cones_clears_an_operator():
@@ -86,3 +97,25 @@ def test_the_rule_sees_an_operator_cleared():
         "def k(v, entries):\n    return scaled(v, 2), entries\n"
     )
     assert list(_operator_clearings(tree)) == ["f", "C.g"]
+
+
+def test_only_the_constructor_of_a_point_set_clears_it():
+    clearings = sorted(
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in CLEARING
+        for name in _clearings(ast.parse(path.read_text()), POINT_SETS)
+    )
+    assert clearings == []
+
+
+def test_the_rule_sees_a_point_set_cleared():
+    tree = ast.parse(
+        "def f(M):\n    return common_denominator(M.points)\n"
+        "class C:\n"
+        "    def g(self, F, d):\n"
+        "        return [numeric.scaled(v, d) for _, v in F.samples]\n"
+        "def h(M):\n    return M.cleared()\n"
+        "def k(points):\n    return scaled(points[0], 2)\n"
+    )
+    assert list(_clearings(tree, POINT_SETS)) == ["f", "C.g"]

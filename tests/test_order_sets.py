@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,48 @@ def test_set_preceq_of_an_infimum_and_a_supremum(K, low, high, expected):
     U = winf_finite(FiniteVecSet(low), K)
     V = wsup_finite(FiniteVecSet(high), K)
     assert set_preceq(U, V) is expected
+
+
+# ints and Fractions whose numerators need not be prime to their
+# denominators (1-12), so the reduced denominators are often smaller
+entry = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12)),
+)
+
+
+def _point_lists(dim):
+    return st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=8)
+
+
+two_point_lists = st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(_point_lists(dim), _point_lists(dim))
+)
+
+
+def _exact(pts):
+    """The distinct exact points of ``pts``, as sorted ``Fraction`` vectors."""
+    return tuple(sorted({tuple(map(Fraction, p)) for p in pts}))
+
+
+def _sums(A, B):
+    return [tuple(a + b for a, b in zip(p, q)) for p in A for q in B]
+
+
+@given(two_point_lists, st.integers(1, 6))
+def test_a_set_is_stored_once_as_its_cleared_integers(lists, k):
+    pts, other = lists
+    S, T = FiniteVecSet(pts), FiniteVecSet(other)
+    assert S.points == _exact(pts)
+    assert all(type(c) is Fraction for p in S.points for c in p)
+    assert len(S) == len(_exact(pts))
+    den, vecs = S.cleared()
+    assert den == math.lcm(*(Fraction(c).denominator for p in pts for c in p))
+    assert vecs == tuple(tuple(c * den for c in p) for p in S.points)
+    assert S.negate().points == _exact([tuple(-c for c in p) for p in pts])
+    assert S.minkowski(T).points == _exact(_sums(pts, other))
+    U = GenSet(Tag.FINITE, Orient.SUP, S, Cone.orthant(S.dim))
+    assert U.translate(other[0]).generators.points == _exact(_sums(pts, other[:1]))
+    assert FiniteVecSet.from_ints(k * den, [[k * c for c in v] for v in vecs * 2]) == S
+    same = FiniteVecSet([*_exact(pts)[::-1], *pts])
+    assert same == S and hash(same) == hash(S)
