@@ -20,8 +20,10 @@ A call brings its operators' cleared forms to the one scale of
 :func:`frontier_scale`, so its frontiers are plain lists of integer
 coordinates at that scale.  The :class:`SearchConfig` keeps its operator
 budgets and, per instance tables and scale, the budget operators' images
-and the split blocks F*(L') and I_C*(L''); L's image, the T-blocks and
-their sums are kept for the length of one call.  A :class:`Certificate`
+and the split blocks F*(L') and I_C*(L''); L's image and the T-blocks are
+kept for the length of one call.  An item's value set is the ⊎-sum of two
+frontiers, which the search asks for one point's region without building
+it (:func:`weakfront.staircase2d.region_sum`).  A :class:`Certificate`
 is its operators alone; :func:`beta_value_set` rebuilds its value set
 with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
 tables, wherever that set is read: in verification and in output.  Those, the
@@ -63,7 +65,7 @@ from .order_sets import (
     ws_sum,
     wsup_finite,
 )
-from .staircase2d import LOWER, maxima, region_sup
+from .staircase2d import LOWER, maxima, region_sum
 
 
 class SampledMap:
@@ -651,9 +653,14 @@ class _Replay:
 
 def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     """Every budget item of condition ``index`` at the perturbation L, as
-    ((T, L', L''), frontier): the operators (None where the index has no
-    split) and the item's value set W as a :class:`FacetTables` frontier,
-    a list of integer coordinates at ``frontier_scale(P, L, cfg)``.
+    ((T, L', L''), front, block): the operators (None where the index has
+    no split) and two :class:`FacetTables` frontiers, lists of integer
+    coordinates at ``frontier_scale(P, L, cfg)``, whose ⊎-sum is the item's
+    value set W.  ``front`` is the split blocks' sum, the single zero
+    vector (the identity of ⊎) at index 1, and ``block`` the T-block.
+    Consumers ask for one point's region against W with
+    :func:`weakfront.staircase2d.region_sum`, and build W with
+    :meth:`FacetTables.sum` only where they need its generators.
 
     One loop nest serves all three indices: L' outer, L'' middle, T inner,
     each over its budget as the config keeps it (hints, zero, ascending
@@ -662,8 +669,9 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     rows of the T-block, the conjugate at L - L' - L'' of T∘G on C ∩ dom F
     plus F (index 1), on C (index 2) or on dom G (index 3); and the split
     blocks ⊎-summed in front of it, F*(L') from index 2 on and I_C*(L'')
-    at index 3.  Every block runs on the instance's integer tables at that
-    one scale, and no ``Fraction`` point is built.
+    at index 3, summed once per (L', L'') pair.  Every block runs on the
+    instance's integer tables at that one scale, and no ``Fraction`` point
+    is built.
 
     A block's cloud is linear in its operators, so each operator's integer
     image is computed once (:meth:`FacetTables.image`): per call, (N·d·L)·x
@@ -708,7 +716,7 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         return images[k]
 
     for j, Lp in enumerate(Lps):
-        f_star, rest_p = None, base
+        f_star, rest_p = [(0,) * len(tab.N)], base  # the identity of ⊎
         if Lp is not None:
             XLp = split_image(j, Lp)
             if j == len(f_stars):
@@ -730,8 +738,7 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
                     if t == len(t_images):
                         t_images.append(tab.image(T.op, d, gs))
                     blocks.append(tab.block(rest, t_images[t]))
-                W = blocks[t] if front is None else tab.sum(front, blocks[t])
-                yield (T, Lp, Lpp), W
+                yield (T, Lp, Lpp), front, blocks[t]
 
 
 def script_A_membership(
@@ -746,10 +753,10 @@ def script_A_membership(
     order of :func:`certificates`, or None when the budget is exhausted —
     a None is *not* a disproof.
 
-    y qualifies when it is not strictly below the item's frontier.  The
-    test compares the frontier's integer coordinates with q = ⌊s·N·y⌋, s
-    the frontier scale: an integer g exceeds s·N·y exactly where it
-    exceeds q.
+    y qualifies when it is not strictly below the item's value set W.  The
+    test asks :func:`weakfront.staircase2d.region_sum` for the region of
+    q = ⌊s·N·y⌋ against the item's two frontiers, s the frontier scale (an
+    integer g exceeds s·N·y exactly where it exceeds q), so no W is built.
     """
     y = tuple(y)
     K = P.K
@@ -758,7 +765,7 @@ def script_A_membership(
     require_exact(y, "query point")
     s = frontier_scale(P, L, cfg)
     q = tuple(math.floor(s * c) for c in K.basis.to_quad(y))
-    for ops, coords in certificates(i, P, L, cfg):
-        if region_sup(coords, q) != LOWER:
+    for ops, front, block in certificates(i, P, L, cfg):
+        if region_sum(front, block, q) != LOWER:
             return Certificate(i, *ops)
     return None

@@ -20,7 +20,9 @@ of any dimension.  Every generator of the result therefore carries a
 concrete certificate that re-verifies.  A certificate whose region already
 contains every current generator cannot change the intersection, so the
 merge skips it: no current generator is UPPER against its frontier
-(:func:`weakfront.staircase2d.region_sup`).  The merge and the search for
+(:func:`weakfront.staircase2d.region_sum`, asked of the enumerator's two
+frontiers without building their ⊎-sum), and it builds a frontier only for
+the few certificates that change the merge.  The merge and the search for
 each generator's certificate run on the enumerator's integer frontiers,
 which share one scale, with no per-piece negation; only the generators are
 negated and mapped back, once, through that scale, and a certificate is
@@ -43,7 +45,7 @@ from .order_sets import (
     set_preceq,
     winf_finite,
 )
-from .staircase2d import FRONTIER, UPPER, maxima, region_sup
+from .staircase2d import FRONTIER, UPPER, maxima, region_sum
 from .conjugate import (
     Certificate,
     FacetTables,
@@ -255,13 +257,16 @@ def dual_value(
     W's orientation: the componentwise minima of pairs of current and piece
     generators, then their maxima; the result is negated and mapped back
     once.  A certificate is skipped when every current generator is LOWER
-    or FRONTIER against its frontier (``region_sup``), since its region
-    then contains them all and the merge would return them unchanged.
-    Each generator of the result lies on some certificate's frontier and is
-    stored with the first such certificate in budget order, skipped ones
-    included; the owner is found on the integer frontiers and stored as its
-    operators.  K must be simplicial (exactly ``dim`` linearly independent
-    normals, so that its basis has an inverse), of any dimension.
+    or FRONTIER against its frontier (``region_sum``, on the enumerator's
+    two frontiers), since its region then contains them all and the merge
+    would return them unchanged; W's frontier is built
+    (:meth:`FacetTables.sum`) only for the first certificate and for those
+    not skipped.  Each generator of the result lies on some certificate's
+    frontier and is stored with the first such certificate in budget order,
+    skipped ones included; the owner is found with ``region_sum`` too and
+    stored as its operators.  K must be simplicial (exactly ``dim``
+    linearly independent normals, so that its basis has an inverse), of any
+    dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
@@ -274,14 +279,15 @@ def dual_value(
             "independent normals)"
         )
     index = int(which[-1])
-    pieces = []  # (operators, coords of W's frontier), in budget order
+    pieces = []  # (operators, front, block), W = front ⊎ block, in budget order
     low = None  # the merged generators, negated: in W's orientation
-    for ops, coords in certificates(index, P, L, cfg):
-        pieces.append((ops, coords))
+    for ops, front, block in certificates(index, P, L, cfg):
+        pieces.append((ops, front, block))
         if low is None:
-            low = coords
-        elif any(region_sup(coords, u) == UPPER for u in low):
-            joined = [tuple(map(min, u, v)) for u in low for v in coords]
+            low = P.tables.sum(front, block)
+        elif any(region_sum(front, block, u) == UPPER for u in low):
+            W = P.tables.sum(front, block)
+            joined = [tuple(map(min, u, v)) for u in low for v in W]
             low = [joined[i] for i in maxima(joined)]
     if low is None:
         raise ValueError("empty certificate budget")
@@ -296,8 +302,8 @@ def dual_value(
         k = next(
             (
                 k
-                for k, (_, coords) in enumerate(pieces)
-                if region_sup(coords, u) == FRONTIER
+                for k, (_, front, block) in enumerate(pieces)
+                if region_sum(front, block, u) == FRONTIER
             ),
             None,
         )

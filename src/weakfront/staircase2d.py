@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import ge, gt
+from operator import ge, gt, sub
 from typing import Sequence
 
 from weakfront.numeric import Vec, common_denominator, dot, scaled
@@ -126,6 +126,26 @@ def region_sup(front: list, q: tuple) -> int:
             if all(map(gt, g, q)):
                 return LOWER
             code = FRONTIER
+    return code
+
+
+def region_sum(front: list, block: list, q: tuple) -> int:
+    """Region code of q against the weak supremum of the ⊎-sum of the
+    frontiers ``front`` and ``block`` (both descending), without forming
+    the sum: LOWER when q - f is LOWER against ``block`` for some f in
+    ``front``, else FRONTIER when some q - f is FRONTIER, else UPPER.  The
+    region against a cloud is the region against its maxima, so this is
+    ``region_sup`` of their sum's frontier."""
+    if not block:
+        return UPPER
+    code, top = UPPER, block[0][0]
+    for f in front:
+        if f[0] + top < q[0]:
+            break  # no sum with this or a later f reaches q's first coordinate
+        c = region_sup(block, tuple(map(sub, q, f)))
+        if c == LOWER:
+            return LOWER
+        code = min(code, c)
     return code
 
 

@@ -5,8 +5,10 @@ the from-scratch ``beta_value_set``, and a join fold that prunes nothing."""
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weakfront import conjugate, duality
 from weakfront.cones import Cone, LinOp, PosOp
@@ -25,7 +27,7 @@ from weakfront.order_sets import (
     FiniteVecSet, RegionLabel, winf_finite, ws_sum, wsup_finite,
 )
 from weakfront.randgen import rand_cone_2d, rand_halfplane, rand_instance, rand_linop
-from weakfront.staircase2d import RayBasis
+from weakfront.staircase2d import UPPER, RayBasis, maxima, region_sum, region_sup
 
 
 def _orthant3_instance():
@@ -156,13 +158,15 @@ def _unpruned_dual(P, L, reference):
 def _check_enumerator(index, P, L, cfg):
     reference = _reference(index, P, L, cfg)
     got = list(certificates(index, P, L, cfg))
-    assert [(T.op, Lp, Lpp) for (T, Lp, Lpp), _ in got] == [
+    assert [(T.op, Lp, Lpp) for (T, Lp, Lpp), _, _ in got] == [
         (T.op, Lp, Lpp) for (T, Lp, Lpp), _ in reference
     ]
-    # each front lists scale·N·g for the rebuilt generators g, at the one
-    # scale of the search, as integers, each once, in descending order
+    # the ⊎-sum of each item's front and block lists scale·N·g for the
+    # rebuilt generators g, at the one scale of the search, as integers,
+    # each once, in descending order
     scale = frontier_scale(P, L, cfg)
-    for (_, coords), (_, W) in zip(got, reference):
+    for (_, front, block), (_, W) in zip(got, reference):
+        coords = P.tables.sum(front, block)
         assert all(type(c) is int for q in coords for c in q)
         want = {
             tuple(scale * c for c in P.K.basis.to_quad(g))
@@ -257,6 +261,53 @@ def test_a_pass_builds_each_operator_image_once(name, monkeypatch):
     assert _pass_calls(calls, 3, P, third, cfg) == 1 + n_L + n_T
 
 
+@pytest.mark.parametrize("name", ["E1", "E2", "gap_toy"])
+def test_searches_form_a_sum_only_per_split_pair(name, monkeypatch):
+    """A search tests each item's ⊎-sum at one point without building it:
+    at index 2 it forms no sum, and at index 3 at most one, F*(L') ⊎
+    I_C*(L''), per (L', L'') pair it reaches."""
+    P = INSTANCES[name]
+    cfg = P.search_config(l_box=1)
+    Ls = list(cfg.linop_budget(P.m, P.n))
+    calls = _counter(monkeypatch, conjugate.FacetTables, "sum")
+    exhausted = []
+    for L in _perturbations(P):
+        for y in itertools.product((-5, -1, 0, Fraction(1, 3)), repeat=P.m):
+            calls.clear()
+            script_A_membership(2, P, L, y, cfg)
+            assert calls == []
+            cert = script_A_membership(3, P, L, y, cfg)
+            pairs = len(Ls) ** 2
+            if cert is not None:
+                pairs = Ls.index(cert.Lp) * len(Ls) + Ls.index(cert.Lpp) + 1
+            assert 0 < len(calls) <= pairs
+            exhausted.append(cert is None)
+    assert any(exhausted) and not all(exhausted)
+
+
+def test_the_dual_merge_sums_only_the_items_that_change_it(monkeypatch):
+    """On E3's VD2 at l_box=1 and L = 0 the merge builds W = F*(L') ⊎ block
+    for the first item and for each item that changes the merged
+    generators, and for no other: the changes come from a fold that
+    builds every W and joins every item in."""
+    P = INSTANCES["E3"]
+    L = LinOp.zero(P.m, P.n)
+    items = list(certificates(2, P, L, P.search_config(l_box=1)))
+    low, changes = None, 0
+    for _, front, block in items:
+        W = P.tables.sum(front, block)
+        if low is None:
+            low = W
+            continue
+        joined = [tuple(map(min, u, v)) for u in low for v in W]
+        new = [joined[i] for i in maxima(joined)]
+        changes += new != low
+        low = new
+    calls = _counter(monkeypatch, conjugate.FacetTables, "sum")
+    dual_value(P, "VD2", L, P.search_config(l_box=1))
+    assert 0 < len(calls) <= 1 + changes < len(items) / 100
+
+
 def _reference_tables(P):
     """The fields of ``FacetTables(P)`` as they were built from the maps'
     ``Fraction`` values: looked up point by point and cleared over one
@@ -320,6 +371,42 @@ def test_frontier_sums_can_keep_every_pairwise_sum():
     A, B = [(10, 0), (0, 10)], [(1, 0), (0, 1)]
     got = INSTANCES["E2"].tables.sum(A, B)
     assert got == [(11, 0), (10, 1), (1, 10), (0, 11)]
+
+
+small = st.integers(-4, 4)
+
+
+def _frontiers_and_queries(dim):
+    cloud = st.lists(st.tuples(*[small] * dim), max_size=6)
+    return st.tuples(cloud, cloud, st.lists(st.tuples(*[small] * dim), max_size=4))
+
+
+@given(st.integers(1, 4).flatmap(_frontiers_and_queries))
+def test_region_sum_is_the_region_against_the_built_sum(data):
+    """region_sum of q against two frontiers equals region_sup against the
+    frontier of their ⊎-sum, on integer clouds with ties in 1-4
+    coordinates, at queries on each pairwise sum, one step off it along
+    each axis and on the diagonal, and elsewhere.  An empty frontier makes
+    an empty sum, and every query is UPPER against it."""
+    A, B, queries = data
+    front, block = ([c[i] for i in maxima(c)] for c in (A, B))
+    W = INSTANCES["E2"].tables.sum(front, block)
+    for f in front:
+        for b in block:
+            g = tuple(map(add, f, b))
+            queries += [g, tuple(c - 1 for c in g), tuple(c + 1 for c in g)]
+            queries += [
+                g[:i] + (g[i] + t,) + g[i + 1:] for i in range(len(g)) for t in (-1, 1)
+            ]
+    for q in queries:
+        assert region_sum(front, block, q) == region_sup(W, q)
+        if not W:
+            assert region_sum(front, block, q) == UPPER
+
+
+def test_region_sum_against_an_empty_frontier_is_upper():
+    for front, block in (([(0, 0)], []), ([], [(0, 0)]), ([], [])):
+        assert region_sum(front, block, (-9, -9)) == UPPER
 
 
 def _fraction_beta(index, P, L, T, Lp, Lpp):

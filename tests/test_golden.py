@@ -43,8 +43,9 @@ _FARKAS = (
 )
 _DUAL_INSTANCES = ("E1", "E2", "E3", "E4", "E5", "gap_toy")
 # (instance, dual) run on the split-operator grid --l-box 1, where the merge
-# joins many certificates' frontiers.
-_DUAL_SPLIT = (("E4", "VD3"), ("E3", "VD2"))
+# joins many certificates' frontiers; E3's VD3 is the heaviest budget
+# (400,221 items).
+_DUAL_SPLIT = (("E4", "VD3"), ("E3", "VD2"), ("E3", "VD3"))
 # (instance, nonzero L); each instance also runs at --L zero.  E5's L is a
 # JSON float, read through its decimal form.
 _CONJUGATE = (
