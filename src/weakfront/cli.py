@@ -111,12 +111,13 @@ def _cmd_wsup(args) -> int:
             f"query points have dimension {queries.dim}, set has {M.dim}"
         )
     S = wsup_finite(M, K)
-    labels = S.classify_many(queries.points)
+    ys = queries.points
+    labels = S.classify_many(ys)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["format", "1"])
     writer.writerow([f"y{i + 1}" for i in range(M.dim)] + ["label"])
-    for y, lab in zip(queries.points, labels):
+    for y, lab in zip(ys, labels):
         writer.writerow(encode_vec(y) + [lab.name])
     sys.stdout.write(out.getvalue())
     return 0

@@ -66,7 +66,7 @@ def common_denominator(vecs: Iterable[Sequence[Number]]) -> int:
 
 def scaled(v: Sequence[Number], den: int) -> tuple:
     """The integer vector den·v (den a multiple of every denominator)."""
-    return tuple(c.numerator * (den // c.denominator) for c in v)
+    return tuple([c.numerator * (den // c.denominator) for c in v])
 
 
 def primitive(v: Sequence[Number]) -> tuple:

@@ -73,7 +73,7 @@ def _int_matrix(vectors: Sequence[Sequence], scale: int, dim: int) -> "np.ndarra
     for no vectors), as Python ints in an object array (exact at any size);
     ``scale`` is a multiple of every denominator."""
     return np.array(
-        [[c.numerator * (scale // c.denominator) for c in v] for v in vectors],
+        [c.numerator * (scale // c.denominator) for v in vectors for c in v],
         dtype=object,
     ).reshape(len(vectors), dim)
 

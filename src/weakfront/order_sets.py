@@ -140,6 +140,8 @@ class FiniteVecSet:
 
 # --- region classification ---------------------------------------------------
 
+_EXACT_TYPES = {int, Fraction}
+
 
 def classify_many(
     M: FiniteVecSet,
@@ -153,11 +155,17 @@ def classify_many(
     elsewhere.  ``sup=False`` classifies against the weak infimum instead.  The
     queries run as dominance tests on integer facet coordinates.
     """
-    pts = [tuple(p) for p in points]
-    for p in pts:
-        if len(p) != K.dim:
-            raise DimensionError("point/cone dimensions disagree")
-        require_exact(p, "query point")
+    pts = list(map(tuple, points))
+    if not (
+        {K.dim}.issuperset(map(len, pts))
+        and _EXACT_TYPES.issuperset(map(type, chain.from_iterable(pts)))
+    ):
+        # a bad point, or an entry of a subclass: check point by point, so
+        # the first bad point decides the error, its dimension first
+        for p in pts:
+            if len(p) != K.dim:
+                raise DimensionError("point/cone dimensions disagree")
+            require_exact(p, "query point")
     codes = staircase2d.classify_points_2d(K.basis, M.cleared(), pts, sup=sup)
     return [_CODE_TO_LABEL[c] for c in codes]
 

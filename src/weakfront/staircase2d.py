@@ -10,20 +10,25 @@ In these facet coordinates the K-order is the componentwise order, so the
 generators of wsup(M) are the maximal vectors of N·M (Kung, Luccio &
 Preparata, J. ACM 22(4), 1975) and every region test is a dominance query
 against them.  With one or two facets the maxima come from one sort and a
-sweep, O(n log n); with more, each vector is tested against the maxima kept
-so far, O(n·h) for h maxima.  A point set arrives cleared, and each batch
-of query points is scaled once to the set's scale and theirs, so the
-comparisons run on plain integers.  Infima are suprema of the negated data.
-Only mapping new coordinates back to points needs N^{-1}, which exists
-exactly for simplicial K (``dim`` linearly independent normals).  The module
-and function names date from the planar staircase this core replaced;
-perfbench's tracer binds them by name.
+sweep, O(n log n), and each query is labelled by two bisections of that
+staircase; with more, each vector is tested against the maxima kept so far,
+O(n·h) for h maxima.  A point set arrives cleared.  A batch of query points
+is cleared once, as a whole, at the set's scale and theirs, and its facet
+coordinates are summed one normal row at a time over its coordinate
+columns: the comparisons run on plain integers, with no call per point.
+Infima are suprema of the negated data.  Only mapping new coordinates back
+to points needs N^{-1}, which exists exactly for simplicial K (``dim``
+linearly independent normals).  The module and function names date from
+the planar staircase this core replaced; perfbench's tracer binds them by
+name.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from operator import ge, gt, sub
 from typing import Sequence
 
@@ -76,7 +81,7 @@ class RayBasis:
 
     def to_quad(self, y: Sequence) -> tuple:
         """Facet coordinates N·y."""
-        return tuple(dot(row, y) for row in self.normals)
+        return tuple([dot(row, y) for row in self.normals])
 
     def from_quad(self, q: Sequence) -> Vec:
         """Original coordinates N^{-1}·q of facet coordinates q (simplicial
@@ -156,15 +161,47 @@ def classify_points_2d(
     when sup=False: the infimum is minus the supremum of the negated data,
     with LOWER and UPPER swapped.  ``gens`` is a cleared point set (den,
     vecs); the points are cleared at d = lcm(den, their denominators), at
-    -d for the infimum, and the generators' maxima rescaled by d/den."""
+    -d for the infimum, and the generators' maxima rescaled by d/den.
+
+    The batch is handled in whole columns, with no call per point: it is
+    cleared once, and each facet coordinate is summed, one normal row at a
+    time, over the batch's coordinate columns.  With one or two facets the
+    maxima form a staircase along which the first coordinate strictly falls
+    and the last strictly rises, so those with g0 > q0 (or g0 >= q0) are a
+    prefix whose last one has the largest last coordinate: two bisections
+    label q.  With more facets each query runs ``region_sup``."""
     den, vecs = gens
     d = math.lcm(den, common_denominator(points))
-    t = 1 if sup else -1
-    qg = [tuple([t * c for c in basis.to_quad(v)]) for v in vecs]
-    front = [tuple([d // den * c for c in qg[i]]) for i in maxima(qg)]
-    qp = [basis.to_quad(scaled(p, t * d)) for p in points]
-    codes = [region_sup(front, q) for q in qp]
-    return codes if sup else [UPPER - c for c in codes]
+    qg = [basis.to_quad(v) for v in vecs]
+    if not sup:
+        qg = [[-c for c in q] for q in qg]
+    kept = maxima(qg)
+    s = d // den
+    flat = scaled(chain.from_iterable(points), d if sup else -d)
+    dim = len(basis.normals[0])
+    rows = []  # row j: facet coordinate j of every query
+    for normal in basis.normals:
+        row = [0] * len(points)
+        for k, a in enumerate(normal):
+            if a:  # flat[k::dim]: coordinate k of every query
+                row = [u + a * x for u, x in zip(row, flat[k::dim])]
+        rows.append(row)
+    if len(rows) > 2:
+        front = [tuple([s * c for c in qg[i]]) for i in kept]
+        codes = [region_sup(front, q) for q in zip(*rows)]
+        return codes if sup else [UPPER - c for c in codes]
+    lower, upper = (LOWER, UPPER) if sup else (UPPER, LOWER)
+    drop = [-s * qg[i][0] for i in kept]  # ascending, as is the last coordinate
+    rise = [s * qg[i][-1] for i in kept]
+    codes = []
+    for a, b in zip(rows[0], rows[-1]):
+        i = bisect_left(drop, -a)  # the maxima with g0 > a
+        if i and rise[i - 1] > b:
+            codes.append(lower)
+        else:
+            j = bisect_right(drop, -a, i)  # the maxima with g0 >= a
+            codes.append(FRONTIER if j and rise[j - 1] >= b else upper)
+    return codes
 
 
 def canonical_indices_2d(basis: RayBasis, vecs: Sequence[tuple]) -> list:

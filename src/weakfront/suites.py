@@ -160,11 +160,12 @@ def _u_decomposition(seed: int, idx: int) -> dict:
     col = _Collector("decomposition", idx)
     rng = trial_rng(seed, idx)
     M = rand_finite_set(rng, 2, 20)
+    points = M.points
     grid = _decomp_grid()
     for _ in range(3):
         K = rand_cone_2d(rng)
         engine = classify_many(M, K, grid, sup=True)
-        oracle = brute_region_bulk(M.points, K.normals, grid)
+        oracle = brute_region_bulk(points, K.normals, grid)
         col.checks += len(grid)
         bad = [
             (y, a, b) for y, a, b in zip(grid, engine, oracle) if a is not b
@@ -172,7 +173,7 @@ def _u_decomposition(seed: int, idx: int) -> dict:
         for y, a, b in bad[:3]:
             col.fail(
                 f"label mismatch at {encode_vec(y)} under cone normals "
-                f"{encode_mat(K.normals)} over M={[encode_vec(p) for p in M.points]}: "
+                f"{encode_mat(K.normals)} over M={[encode_vec(p) for p in points]}: "
                 f"engine {a.name}, oracle {b.name}"
             )
         if len(bad) > 3:

@@ -2,11 +2,13 @@
 shares no geometry with it, on simplicial and non-simplicial cones."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from weakfront.cones import Cone, PointClass, classify_point
+from weakfront import numeric, staircase2d
+from weakfront.cones import Cone, DimensionError, PointClass, classify_point
 from weakfront.oracle import brute_region_bulk, region_of_point
 from weakfront.order_sets import (
     FiniteVecSet,
@@ -17,7 +19,7 @@ from weakfront.order_sets import (
     winf_finite,
     wsup_finite,
 )
-from weakfront.randgen import rand_cone, rand_halfplane
+from weakfront.randgen import rand_cone, rand_cone_2d, rand_finite_set, rand_halfplane
 from weakfront.staircase2d import RayBasis, canonical_indices_2d, maxima
 
 
@@ -143,6 +145,7 @@ def test_maxima_matches_the_pairwise_loop():
 CORE_CONES = {
     "orthant1": Cone.orthant(1),
     "orthant3": Cone.orthant(3),
+    "skew2": skew_cone(),
     "sheared3": sheared_cone_3d(),
     # not simplicial: fewer or more normals than the dimension
     "halfplane": rand_halfplane(random.Random(1)),  # normal (-2, 1)
@@ -351,12 +354,114 @@ def test_set_preceq_matches_the_pairwise_reference(name):
             assert set_preceq(U, V) is _preceq_reference(U, V, K), (U, V)
 
 
+def _staircase_queries(M, K, rng):
+    """Queries on the facet coordinates of wsup(M)'s and winf(M)'s
+    generators and one step (1/den at the generators' scale den) off them:
+    each generator moved by -1, 0 or +1 step in each coordinate (in facet
+    coordinates, through N^-1, when K is simplicial), and, under a
+    simplicial K, facet coordinates drawn from different generators (the
+    staircase's inner corners); then points with mixed int and Fraction
+    entries of denominators 1-12."""
+    basis = RayBasis.for_cone(K)
+    m = len(basis.normals) if basis.inverse is not None else K.dim
+    offsets = [()]
+    for _ in range(m):
+        offsets = [e + (t,) for e in offsets for t in (-1, 0, 1)]
+    queries, corners = [], [set() for _ in range(m)]
+    for G in (wsup_finite(M, K).generators, winf_finite(M, K).generators):
+        step = Fraction(1, G.cleared()[0])
+        for g in G.points:
+            q = basis.to_quad(g) if basis.inverse is not None else g
+            for e in offsets:
+                shifted = tuple(c + t * step for c, t in zip(q, e))
+                for j, c in enumerate(shifted):
+                    corners[j].add(c)
+                queries.append(shifted)
+    if basis.inverse is not None:
+        corners = [sorted(c) for c in corners]
+        queries += [tuple(rng.choice(c) for c in corners) for _ in range(100)]
+        queries = [basis.from_quad(q) for q in queries]
+    for _ in range(20):
+        queries.append(
+            tuple(
+                rng.randint(-6, 6)
+                if rng.random() < 0.5
+                else Fraction(rng.randint(-72, 72), rng.randint(1, 12))
+                for _ in range(K.dim)
+            )
+        )
+    return queries
+
+
 @pytest.mark.parametrize("name", sorted(CORE_CONES))
 def test_single_point_queries_agree_with_the_bulk_labels(name):
     K = CORE_CONES[name]
+    rng = random.Random(name)
     for M in _random_sets(K.dim, 3, seed=5):
-        grid = _grid(K.dim, M)[::7]
+        grid = _grid(K.dim, M)[::7] + _staircase_queries(M, K, rng)
         single = [classify_many(M, K, [y])[0] for y in grid]
         assert single == classify_many(M, K, grid)
+        assert single == _oracle_labels(M.points, K, grid, True)
         for S in (wsup_finite(M, K), winf_finite(M, K)):
-            assert [S.classify(y) for y in grid] == S.classify_many(grid)
+            bulk = S.classify_many(grid)
+            assert [S.classify(y) for y in grid] == bulk
+            assert bulk == _oracle_labels(M.points, K, grid, S.orient is Orient.SUP)
+
+
+@pytest.mark.parametrize("name", sorted(CORE_CONES))
+def test_an_empty_batch_has_no_labels(name):
+    K = CORE_CONES[name]
+    M = _random_sets(K.dim, 1, seed=2)[0]
+    assert classify_many(M, K, [], sup=True) == []
+    assert classify_many(M, K, [], sup=False) == []
+    assert wsup_finite(M, K).classify_many([]) == []
+    assert winf_finite(M, K).classify_many([]) == []
+
+
+def test_the_first_bad_point_decides_the_error():
+    """A batch is refused as its points are, one by one: the first bad
+    point decides the error, and within a point its dimension is checked
+    before its entries."""
+    K = Cone.orthant(2)
+    M = FiniteVecSet([(0, 0), (1, -1)])
+    for sup in (True, False):
+        with pytest.raises(ValueError) as err:
+            classify_many(M, K, [(0.5, 1), (1, 2, 3)], sup=sup)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith("query point (0.5, 1) has the entry 0.5")
+        for batch in ([(1, 2, 3), (0.5, 1)], [(0, 0), (0.5, 1, 2)]):
+            with pytest.raises(DimensionError):
+                classify_many(M, K, batch, sup=sup)
+    # a subclass of int is an int, as it is to the point-by-point check
+    assert classify_many(M, K, [(True, False)]) == classify_many(M, K, [(1, 0)])
+
+
+@pytest.mark.parametrize("sup", [True, False], ids=["sup", "inf"])
+def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
+    """On a 41 x 41 grid, ``dot`` runs only on the set's points (at most
+    |M|·|normals| times, and at least once, which the benchmark's traced
+    run requires) and ``scaled`` at most once per coordinate column.  Both
+    are wrapped wherever ``staircase2d`` binds them."""
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for fn in (numeric.dot, numeric.scaled):
+        for attr, val in list(vars(staircase2d).items()):
+            if val is fn:
+                monkeypatch.setattr(staircase2d, attr, counting(fn))
+    rng = random.Random(41)
+    ticks = [Fraction(k, 2) for k in range(-20, 21)]
+    grid = [(a, b) for a in ticks for b in ticks]
+    for K in [rand_cone_2d(rng) for _ in range(3)] + [CORE_CONES["redundant2"]]:
+        M = rand_finite_set(rng, 2, 20)
+        calls.clear()
+        labels = classify_many(M, K, grid, sup=sup)
+        assert 1 <= calls["dot"] <= len(M) * len(K.normals)
+        assert calls["scaled"] <= K.dim
+        assert labels == _oracle_labels(M.points, K, grid, sup)
