@@ -24,7 +24,6 @@ from weakfront.numeric import (
     Vec,
     common_denominator,
     dot,
-    mat_vec,
     primitive,
     require_exact,
     scaled,
@@ -194,13 +193,6 @@ class LinOp:
         """The exact matrix M, as ``Fraction`` rows."""
         d, M = self._cleared
         return tuple(tuple([Fraction(c, d) for c in r]) for r in M)
-
-    def apply(self, x: Vec) -> Vec:
-        if len(x) != self.cols:
-            raise DimensionError(f"operator expects dim {self.cols}, got {len(x)}")
-        d, M = self._cleared
-        y = mat_vec(M, x)
-        return y if d == 1 else tuple([Fraction(c, d) for c in y])
 
     def __add__(self, other: "LinOp") -> "LinOp":
         if (self.rows, self.cols) != (other.rows, other.cols):

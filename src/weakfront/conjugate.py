@@ -364,14 +364,19 @@ def split_witness(
 # --- certificate search -------------------------------------------------------------
 
 
+MAX_GRID_VALUES = 10_001  # the most values a budget grid may offer each entry
+
+
 class SearchConfig:
     """Budgets for certificate searches: hint operators first, then the zero
     operator, then full grids (box 0 means "zero only").
 
     ``t_box``/``t_step`` control the positive-operator grid, ``l_box``/
     ``l_step`` the splitting-operator grids.  A box or step that is not an
-    int or a Fraction, a negative box and a step that is not positive are
-    refused here, before any hint is tried.  Every budget operator's
+    int or a Fraction, a negative box, a step that is not positive and a
+    grid of more than ``MAX_GRID_VALUES`` values per entry (2·⌊box/step⌋ + 1,
+    counted without building it) are refused here, before any hint is
+    tried.  Every budget operator's
     entries are multiples of 1/``den``, the lcm of the steps' denominators
     and of the hints' cleared denominators.  Each (S, K) gets one
     positive-operator budget and each shape one splitting-operator budget,
@@ -398,12 +403,16 @@ class SearchConfig:
             ("t_box", t_box), ("t_step", t_step), ("l_box", l_box), ("l_step", l_step)
         ):
             require_exact((v,), name)
-        for name, box in (("t_box", t_box), ("l_box", l_box)):
+        for k, box, step in (("t", t_box, t_step), ("l", l_box, l_step)):
             if box < 0:
-                raise ValueError(f"{name} must be nonnegative, got {box}")
-        for name, step in (("t_step", t_step), ("l_step", l_step)):
+                raise ValueError(f"{k}_box must be nonnegative, got {box}")
             if step <= 0:
-                raise ValueError(f"{name} must be positive, got {step}")
+                raise ValueError(f"{k}_step must be positive, got {step}")
+            if 2 * (box // step) + 1 > MAX_GRID_VALUES:
+                raise ValueError(
+                    f"{k}_box {box} with {k}_step {step} makes a grid of more "
+                    f"than {MAX_GRID_VALUES} values per entry"
+                )
         object.__setattr__(self, "t_box", t_box)
         object.__setattr__(self, "t_step", t_step)
         object.__setattr__(self, "l_box", l_box)

@@ -6,11 +6,12 @@ deduplication or canonicalization for the set operations.  Nothing is shared
 with the engine's geometry (no Cone.classify_point, no staircases) so an
 agreement between the two is meaningful evidence.
 
-The bulk labeller and the scalar duals clear their inputs to integers once
-per call (with the oracle's own helpers) and evaluate the same sign tests and
-max/min formulas as numpy array expressions: the labeller in int64 when the
-cleared integers cannot overflow it, and on exact Python ints otherwise; the
-duals always on exact Python ints.
+The bulk labeller, the Farkas cloud test (on clouds it builds itself from the
+raw samples and operator matrices) and the scalar duals clear their inputs to
+integers once per call (with the oracle's own helpers) and evaluate the same
+sign tests and max/min formulas as numpy array expressions: the labeller in
+int64 when the cleared integers cannot overflow it, and on exact Python ints
+otherwise; the cloud test and the duals always on exact Python ints.
 """
 
 from __future__ import annotations
@@ -149,19 +150,51 @@ def brute_wsum(
 
 
 def brute_beta(
-    clouds: Sequence[Sequence[Sequence]], K, y: Sequence
+    i: int, fsamples, gsamples, csamples, L, T, Lp, Lpp, normals, y
 ) -> bool:
     """Directly decide whether y avoids the open lower region of the sum of
-    several value clouds: no sum s (one addend per cloud) may satisfy
-    ``s - y`` strictly inside K.  This is the raw certificate test behind the
-    Farkas-style implications, with no weak-supremum shortcut."""
-    normals = K.normals
-    sums = [tuple(0 for _ in y)]
-    for cloud in clouds:
-        sums = [
-            tuple(a + b for a, b in zip(s, c)) for s in sums for c in cloud
-        ]
-    return not any(_strictly_inside(_sub(s, y), normals) for s in sums)
+    the condition-i value clouds: no sum s (one addend per cloud) may
+    satisfy ``s - y`` strictly inside K = {v : N·v >= 0}.  This is the raw
+    certificate test behind the Farkas-style implications, with no
+    weak-supremum shortcut.
+
+    The clouds come from the raw samples (x, F(x)), (x, G(x)), the points
+    of C (which lies in dom G) and the operator matrices (L' read at i >= 2,
+    L'' at i = 3), for each x:
+
+    * i = 1: L(x) - F(x) - T(G(x)) on C ∩ dom F;
+    * i = 2: L'(x) - F(x) on dom F, and (L - L')(x) - T(G(x)) on C;
+    * i = 3: L'(x) - F(x) on dom F, L''(x) on C, and
+      (L - L' - L'')(x) - T(G(x)) on dom G.
+    """
+    f, g = dict(fsamples), dict(gsamples)
+    eye = [[int(r == c) for c in range(len(y))] for r in range(len(y))]
+
+    def minus(M):
+        return [[-c for c in r] for r in M]
+
+    def cloud(rows, *blocks):  # [B1 B2 ...]·row, a row stacking what each B acts on
+        M = [[c for r in parts for c in r] for parts in zip(*blocks)]
+        return _product(_cleared(rows), _cleared(M))
+
+    if i == 1:
+        rows = [(*x, *f[x], *g[x]) for x in csamples if x in f]
+        clouds = [cloud(rows, L, minus(eye), minus(T))]
+    else:
+        first = cloud([(*x, *v) for x, v in f.items()], Lp, minus(eye))
+        if i == 2:
+            rows = [(*x, *x, *g[x]) for x in csamples]
+            clouds = [first, cloud(rows, L, minus(Lp), minus(T))]
+        else:
+            rows = [(*x, *x, *x, *v) for x, v in g.items()]
+            rest = cloud(rows, L, minus(Lp), minus(Lpp), minus(T))
+            clouds = [first, cloud(csamples, Lpp), rest]
+    (Y, *clouds), _ = _one_scale(_cleared([y]), *clouds)
+    sums = -Y  # every sum less y, one row each
+    for c in clouds:
+        sums = (sums[:, None, :] + c[None, :, :]).reshape(-1, len(y))
+    N, _ = _cleared(normals)
+    return not bool((sums @ N.T > 0).all(axis=1).any())
 
 
 # --- scalar duality ---------------------------------------------------------------

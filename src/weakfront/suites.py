@@ -27,7 +27,6 @@ from .conjugate import (
     SearchConfig,
     beta_value_set,
     boxplus,
-    compose,
     conjugate,
     epi_membership,
     exepi_membership,
@@ -50,12 +49,11 @@ from .farkas import (
     verify_certificate,
 )
 from .instances import CONVEX_SHIPPED, shipped_instance, shipped_pair
-from .numeric import encode_mat, encode_number, encode_vec, vec_add, vec_sub
+from .numeric import encode_mat, encode_number, encode_vec, vec_sub
 from .oracle import (
     brute_beta,
     brute_region_bulk,
     brute_wsum,
-    region_of_point,
     scalar_fenchel_lagrange_dual2,
     scalar_fenchel_lagrange_dual3,
     scalar_lagrange_dual,
@@ -220,14 +218,10 @@ def _u_wsum(seed: int, idx: int) -> dict:
             f"ws_sum label mismatch at {encode_vec(y)}: engine {a.name}, "
             f"oracle {b.name} (unit {idx})"
         )
-    cloud = [
-        tuple(a + b for a, b in zip(u, v))
-        for u in raw[0].points
-        for v in raw[1].points
-    ]
-    for g in S.generators.points:
+    gens = S.generators.points
+    for g, label in zip(gens, brute_wsum(raw[0].points, raw[1].points, K, gens)):
         col.ok(
-            region_of_point(cloud, K.normals, g) is RegionLabel.FRONTIER,
+            label is RegionLabel.FRONTIER,
             f"kept generator {encode_vec(g)} is off the raw-cloud frontier "
             f"(unit {idx})",
         )
@@ -475,33 +469,6 @@ def _u_representation(seed: int, idx: int) -> dict:
 # --- farkas: soundness on random data, completeness on hinted instances -------------
 
 
-def _beta_clouds(i: int, P, L, T, Lp, Lpp) -> list:
-    """Raw value clouds of the condition-i blocks, straight from the data."""
-    TG = compose(T.op, P.G)
-    if i == 1:
-        dom = [
-            x
-            for x in P.C
-            if P.F.value(x) is not None and TG.value(x) is not None
-        ]
-        return [
-            [
-                vec_sub(L.apply(x), vec_add(P.F.value(x), TG.value(x)))
-                for x in dom
-            ]
-        ]
-    first = [vec_sub(Lp.apply(x), v) for x, v in P.F.samples]
-    if i == 2:
-        rest = L - Lp
-        return [first, [vec_sub(rest.apply(x), TG.value(x)) for x in P.C]]
-    rest = L - Lp - Lpp
-    return [
-        first,
-        [Lpp.apply(x) for x in P.C],
-        [vec_sub(rest.apply(x), v) for x, v in TG.samples],
-    ]
-
-
 def _u_farkas_rand(seed: int, idx: int) -> dict:
     col = _Collector("farkas", idx)
     rng = trial_rng(seed, idx)
@@ -531,15 +498,13 @@ def _u_farkas_rand(seed: int, idx: int) -> dict:
         for Lp in Lp_list[:2]:
             Lpp = Lp_list[0]
             W = beta_value_set(
-                i,
-                P,
-                L,
-                T,
-                Lp=Lp if i >= 2 else None,
-                Lpp=Lpp if i == 3 else None,
+                i, P, L, T, Lp=Lp if i >= 2 else None, Lpp=Lpp if i == 3 else None
             )
             engine = W.classify(y) is not RegionLabel.LOWER
-            oracle = brute_beta(_beta_clouds(i, P, L, T, Lp, Lpp), P.K, y)
+            oracle = brute_beta(
+                i, P.F.samples, P.G.samples, P.C, L.entries, T.op.entries,
+                Lp.entries, Lpp.entries, P.K.normals, y,
+            )
             col.ok(
                 engine == oracle,
                 f"value-set qualification differs from brute sum test "

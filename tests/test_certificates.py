@@ -22,7 +22,7 @@ from weakfront.conjugate import (
 )
 from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
 from weakfront.instances import shipped_instance
-from weakfront.numeric import common_denominator, mat_vec, scaled, vec_add, vec_sub
+from weakfront.numeric import common_denominator, mat_vec, scaled, vec_sub
 from weakfront.order_sets import (
     FiniteVecSet, RegionLabel, winf_finite, ws_sum, wsup_finite,
 )
@@ -39,6 +39,10 @@ def _orthant3_instance():
     F = SampledMap([(x, tuple(map(Fraction, v))) for x, v in zip(dom, values)])
     G = SampledMap([(x, (x[0] - 1,)) for x in dom])
     return ProblemInstance(F=F, G=G, C=dom, K=Cone.orthant(3), S=Cone.orthant(1))
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 HALFPLANE = rand_halfplane(random.Random(1))  # normal (-2, 1), lineality (1, 2)
@@ -414,22 +418,23 @@ def _fraction_beta(index, P, L, T, Lp, Lpp):
     clouds L(x) - F(x) - T(G(x)) on C ∩ dom F (index 1), L'(x) - F(x) and
     (L - L')(x) - T(G(x)) on C (index 2), and L'(x) - F(x), L''(x) on C and
     (L - L' - L'')(x) - T(G(x)) on dom G (index 3), ⊎-summed."""
-    TG = {x: T.op.apply(v) for x, v in P.G.samples}
+    TG = {x: mat_vec(T.op.entries, v) for x, v in P.G.samples}
 
     def wsup(cloud):
         return wsup_finite(FiniteVecSet(cloud), P.K)
 
     if index == 1:
         return wsup(
-            vec_sub(L.apply(x), vec_add(P.F.value(x), TG[x]))
+            vec_sub(mat_vec(L.entries, x), vec_add(P.F.value(x), TG[x]))
             for x in P.C if P.F.value(x) is not None
         )
-    f_star = wsup(vec_sub(Lp.apply(x), v) for x, v in P.F.samples)
+    f_star = wsup(vec_sub(mat_vec(Lp.entries, x), v) for x, v in P.F.samples)
     if index == 2:
-        return ws_sum(f_star, wsup(vec_sub((L - Lp).apply(x), TG[x]) for x in P.C))
-    ind_star = wsup(Lpp.apply(x) for x in P.C)
+        rest = L - Lp
+        return ws_sum(f_star, wsup(vec_sub(mat_vec(rest.entries, x), TG[x]) for x in P.C))
+    ind_star = wsup(mat_vec(Lpp.entries, x) for x in P.C)
     rest = L - Lp - Lpp
-    t_star = wsup(vec_sub(rest.apply(x), v) for x, v in TG.items())
+    t_star = wsup(vec_sub(mat_vec(rest.entries, x), v) for x, v in TG.items())
     return ws_sum(ws_sum(f_star, ind_star), t_star)
 
 
@@ -479,16 +484,16 @@ def test_beta_value_set_matches_the_fraction_formulas(name, seed):
 
 
 def test_beta_value_set_applies_no_operator_to_a_sample(monkeypatch):
-    """The value set is built from the maps' cleared integers: no
-    ``LinOp.apply`` per sample, at any index."""
+    """The value set is built from the maps' cleared integers: no operator
+    is read back as ``Fraction`` entries to be applied, at any index."""
     calls = []
-    real = LinOp.apply
+    real = LinOp.entries
 
-    def counting(self, x):
-        calls.append(x)
-        return real(self, x)
+    def counting(self):
+        calls.append(self)
+        return real.fget(self)
 
-    monkeypatch.setattr(LinOp, "apply", counting)
+    monkeypatch.setattr(LinOp, "entries", property(counting))
     P = INSTANCES["E2"]
     L = LinOp(tuple((Fraction(1, 2),) * P.n for _ in range(P.m)))
     T = PosOp(LinOp(((Fraction(1),), (Fraction(2),))), P.S, P.K)
@@ -774,7 +779,7 @@ def test_weak_duality_chain_on_a_3d_orthant():
 
 def _winf_vp_in_fractions(P, L):
     """winf(VP_L) from its definition, in ``Fraction`` arithmetic."""
-    image = (vec_sub(v, L.apply(x)) for x, v in P.feasible_F.samples)
+    image = (vec_sub(v, mat_vec(L.entries, x)) for x, v in P.feasible_F.samples)
     return winf_finite(FiniteVecSet(image), P.K)
 
 

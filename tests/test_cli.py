@@ -214,6 +214,21 @@ def test_malformed_budgets_are_refused_naming_the_flag(
     assert err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "flags,box,step",
+    [(["--box", "5001"], "t_box 5001", "t_step 1"),
+     (["--l-box", "1", "--l-step", "1/20000"], "l_box 1", "l_step 1/20000")],
+    ids=["box5001", "l-step-1/20000"],
+)
+def test_a_runaway_budget_grid_is_refused_before_it_is_built(capsys, e1, flags, box, step):
+    rc, out, err = run(capsys, ["dual", e1, *flags])
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"input error: {box} with {step} makes a grid of more than 10001 "
+        "values per entry\n"
+    )
+
+
 def test_the_command_line_reads_a_negative_fraction_as_a_value(e1):
     argv = ["farkas", e1, "--y", "[1]", "--step", "-1/2"]
     proc = subprocess.run(

@@ -8,6 +8,7 @@ from weakfront.cones import (
     Cone, DimensionError, LinOp, PointClass, PositivityError, classify_point,
 )
 from weakfront.conjugate import (
+    MAX_GRID_VALUES,
     ExtEpiElement,
     SampledMap,
     SearchConfig,
@@ -32,11 +33,15 @@ from weakfront.order_sets import (
     wsup_finite,
     FiniteVecSet,
 )
-from weakfront.numeric import vec_add, vec_scale, vec_sub
+from weakfront.numeric import mat_vec, vec_scale, vec_sub
 from weakfront.randgen import rand_cone, rand_cone_2d, rand_halfplane, rand_sampled_map
 
 O1 = Cone.orthant(1)
 O2 = Cone.orthant(2)
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def scalar_map(values):
@@ -84,7 +89,7 @@ def test_indicator_and_linear_constructors():
     ind = SampledMap.indicator([(0,), (1,)], 1)
     assert ind.value((0,)) == (0,) and ind.value((2,)) is None
     op = LinOp(((2,),))
-    lin = SampledMap((x, op.apply(x)) for x in [(0,), (3,)])
+    lin = SampledMap((x, mat_vec(op.entries, x)) for x in [(0,), (3,)])
     assert lin.value((3,)) == (6,)
 
 
@@ -150,7 +155,7 @@ def _tied_map(rng, L, count):
         shift = (Fraction(100 + k),) + _rand_vec(rng, n - 1)
         t = rng.choice((0, Fraction(1, 7), -Fraction(1, 7), Fraction(5, 3), -Fraction(5, 3)))
         samples[x] = v
-        samples[vec_add(x, shift)] = vec_add(vec_add(v, L.apply(shift)), (t, 2 * t))
+        samples[vec_add(x, shift)] = vec_add(vec_add(v, mat_vec(L.entries, shift)), (t, 2 * t))
     return SampledMap(samples.items())
 
 
@@ -172,10 +177,11 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     G = SampledMap((x, _rand_vec(rng, p)) for x in xs[::2] + (_rand_vec(rng, n),))
 
     def wsup(F, L):
-        return wsup_finite(FiniteVecSet(vec_sub(L.apply(x), v) for x, v in F.samples), K)
+        cloud = (vec_sub(mat_vec(L.entries, x), v) for x, v in F.samples)
+        return wsup_finite(FiniteVecSet(cloud), K)
 
     TG = compose(T, G)
-    assert TG == SampledMap((x, T.apply(v)) for x, v in G.samples)
+    assert TG == SampledMap((x, mat_vec(T.entries, v)) for x, v in G.samples)
     keep = xs[1::2]
     FC = F.restrict(keep)
     assert FC == SampledMap((x, v) for x, v in F.samples if x in keep)
@@ -193,7 +199,7 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
         for op in (L, LinOp.zero(2, n), _rand_op(rng, 2, n)):
             assert conjugate(M, op, K) == wsup(M, op)
     # each generator is the lex-smallest cloud point of its facet coordinates
-    cloud = [vec_sub(L.apply(x), v) for x, v in F.samples]
+    cloud = [vec_sub(mat_vec(L.entries, x), v) for x, v in F.samples]
     quad = K.basis.to_quad
     for g in conjugate(F, L, K).generators:
         assert g == min(q for q in cloud if quad(q) == quad(g))
@@ -246,7 +252,8 @@ def _reference_epi_membership(F, L, y, K):
     """The per-sample ``Fraction`` test that :func:`epi_membership` ran
     before it ran on F's cleared integers."""
     for x, v in F.samples:
-        if classify_point(K, vec_sub(vec_sub(L.apply(x), v), y)) is PointClass.INTERIOR:
+        d = vec_sub(vec_sub(mat_vec(L.entries, x), v), y)
+        if classify_point(K, d) is PointClass.INTERIOR:
             return False
     return True
 
@@ -257,7 +264,7 @@ def _epi_queries(F, L, K, rng):
     and random points with denominators 1 to 12."""
     k0 = K.interior_witness
     for x, v in F.samples:
-        c = vec_sub(L.apply(x), v)
+        c = vec_sub(mat_vec(L.entries, x), v)
         yield c
         for t in (Fraction(1, 7), Fraction(-1, 7), Fraction(-4, 3)):
             yield vec_add(c, vec_scale(t, k0))
@@ -513,6 +520,24 @@ def test_a_posop_budget_that_raised_raises_again():
 def test_search_config_refuses_malformed_budgets(field, value, message):
     with pytest.raises(ValueError, match=message):
         SearchConfig(**{field: value})
+
+
+def test_search_config_refuses_a_runaway_grid_before_building_it():
+    """A budget grid offers each entry 2·⌊box/step⌋ + 1 values; the count
+    is taken exactly, without the grid, and more than MAX_GRID_VALUES is
+    refused with the box and step named."""
+    assert MAX_GRID_VALUES == 10_001
+    with pytest.raises(ValueError, match=r"^t_box 10{400} with t_step 1 makes a grid"):
+        SearchConfig(t_box=10**400)
+    with pytest.raises(ValueError, match=r"^l_box 1 with l_step 1/10{400} makes a grid"):
+        SearchConfig(l_box=1, l_step=Fraction(1, 10**400))
+    # 10,001 values are allowed, 10,003 are not; a zero box has one value
+    SearchConfig(t_box=5000, l_box=Fraction(5000, 3), l_step=Fraction(1, 3))
+    SearchConfig(t_box=0, t_step=Fraction(1, 10**400))
+    with pytest.raises(ValueError, match="t_box 5001 with t_step 1 makes"):
+        SearchConfig(t_box=5001)
+    with pytest.raises(ValueError, match="l_box 2 with l_step 1/2501 makes"):
+        SearchConfig(l_box=2, l_step=Fraction(1, 2501))
 
 
 def test_linop_budget_dedups_hints():

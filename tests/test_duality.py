@@ -19,7 +19,7 @@ from weakfront.farkas import (
     verify_certificate,
 )
 from weakfront.instances import shipped_instance
-from weakfront.numeric import vec_neg
+from weakfront.numeric import mat_vec, vec_neg
 
 E1 = shipped_instance("E1")
 E2 = shipped_instance("E2")
@@ -32,7 +32,7 @@ L_ID = LinOp(((Fraction(1),),))
 def test_instance_validation():
     O1 = Cone.orthant(1)
     dom = [(Fraction(0),), (Fraction(1),)]
-    F = SampledMap((x, L_ID.apply(x)) for x in dom)
+    F = SampledMap((x, mat_vec(L_ID.entries, x)) for x in dom)
     G = SampledMap([(x, (Fraction(-1),)) for x in dom])
     ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)  # fine
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from weakfront.farkas import (
 )
 from weakfront.instances import ProblemInstance, shipped_instance
 from weakfront.conjugate import SampledMap
-from weakfront.numeric import vec_neg, vec_sub
+from weakfront.numeric import mat_vec, vec_neg, vec_sub
 from weakfront.order_sets import FiniteVecSet, winf_finite
 from weakfront.randgen import rand_instance, rand_linop
 
@@ -125,7 +125,7 @@ def test_certificate_constructor_guards():
 def test_infeasible_instance_is_rejected_at_construction():
     O1 = Cone.orthant(1)
     dom = [(Fraction(0),), (Fraction(1),)]
-    F = SampledMap((x, L1.apply(x)) for x in dom)
+    F = SampledMap((x, mat_vec(L1.entries, x)) for x in dom)
     G = SampledMap([(x, (Fraction(1),)) for x in dom])  # G > 0 everywhere
     with pytest.raises(EmptyFeasibleSet):
         ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)
@@ -165,14 +165,14 @@ def _reference_active(P):
 
 def _reference_alpha_holds(P, L, y):
     for x in _reference_active(P):
-        d = vec_sub(vec_sub(L.apply(x), P.F.value(x)), y)
+        d = vec_sub(vec_sub(mat_vec(L.entries, x), P.F.value(x)), y)
         if classify_point(P.K, d) is PointClass.INTERIOR:
             return False
     return True
 
 
 def _reference_winf_vp(P, L):
-    image = [vec_sub(P.F.value(x), L.apply(x)) for x in _reference_active(P)]
+    image = [vec_sub(P.F.value(x), mat_vec(L.entries, x)) for x in _reference_active(P)]
     return winf_finite(FiniteVecSet(image), P.K)
 
 

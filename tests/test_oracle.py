@@ -4,7 +4,9 @@ copies of the same bug.  The oracle's array code is in turn checked against
 plain loops over the defining formulas, kept here as the reference."""
 
 import ast
+import random
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,9 @@ from hypothesis import strategies as st
 
 from weakfront import oracle
 from weakfront.cones import Cone
+from weakfront.conjugate import SampledMap, SearchConfig
+from weakfront.duality import ProblemInstance
+from weakfront.numeric import mat_vec
 from weakfront.oracle import (
     brute_beta,
     brute_region,
@@ -25,6 +30,7 @@ from weakfront.oracle import (
     scalar_primal_value,
 )
 from weakfront.order_sets import FiniteVecSet, RegionLabel
+from weakfront.randgen import rand_instance, rand_linop
 
 O2 = Cone.orthant(2)
 POINTS = [(0, 0), (2, 1), (1, 2)]
@@ -117,14 +123,17 @@ def test_brute_wsum_uses_the_raw_minkowski_cloud():
 
 
 def test_brute_beta_strict_domination_only():
-    o1 = Cone.orthant(1)
-    # single cloud {1}: y qualifies iff 1 - y is not strictly positive
-    assert brute_beta([[(Fraction(1),)]], o1, (Fraction(1),)) is True
-    assert brute_beta([[(Fraction(1),)]], o1, (Fraction(0),)) is False
-    # two clouds sum to {3}
-    clouds = [[(Fraction(1),)], [(Fraction(2),)]]
-    assert brute_beta(clouds, o1, (Fraction(3),)) is True
-    assert brute_beta(clouds, o1, (Fraction(5, 2),)) is False
+    o1 = Cone.orthant(1).normals
+    x, zero, one = (Fraction(1),), ((0,),), ((1,),)
+    F, G = [(x, (Fraction(0),))], [(x, (Fraction(-2),))]
+    # i = 1, L = 1, T = 0: the one cloud {L(x) - F(x) - T(G(x))} = {1};
+    # y qualifies iff 1 - y is not strictly positive
+    assert brute_beta(1, F, G, [x], one, zero, None, None, o1, (Fraction(1),)) is True
+    assert brute_beta(1, F, G, [x], one, zero, None, None, o1, (Fraction(0),)) is False
+    # i = 2, L = T = 1, L' = 0: the clouds {L'(x) - F(x)} = {0} and
+    # {(L - L')(x) - T(G(x))} = {3} sum to {3}
+    assert brute_beta(2, F, G, [x], one, one, zero, None, o1, (Fraction(3),)) is True
+    assert brute_beta(2, F, G, [x], one, one, zero, None, o1, (Fraction(5, 2),)) is False
 
 
 def _scalar_instance():
@@ -301,6 +310,86 @@ def test_scalar_duals_equal_their_plain_loops(b):
     assert type(got) is Fraction
 
 
+# --- plain-loop reference for the Farkas clouds ----------------------------------
+
+
+def loop_beta_clouds(i, P, L, T, Lp, Lpp):
+    """The raw condition-i value clouds, applied in ``Fraction``s with
+    ``mat_vec``; C lies in dom G."""
+    F = dict(P.F.samples)
+    TG = {x: mat_vec(T.entries, v) for x, v in P.G.samples}
+    if i == 1:
+        return [
+            [
+                _sub(mat_vec(L.entries, x), tuple(map(add, F[x], TG[x])))
+                for x in P.C
+                if x in F
+            ]
+        ]
+    first = [_sub(mat_vec(Lp.entries, x), v) for x, v in F.items()]
+    if i == 2:
+        rest = L - Lp
+        return [first, [_sub(mat_vec(rest.entries, x), TG[x]) for x in P.C]]
+    rest = L - Lp - Lpp
+    return [
+        first,
+        [mat_vec(Lpp.entries, x) for x in P.C],
+        [_sub(mat_vec(rest.entries, x), v) for x, v in TG.items()],
+    ]
+
+
+def loop_beta(clouds, normals, y):
+    """No sum s (one addend per cloud) has s - y strictly inside K."""
+    sums = [tuple(0 for _ in y)]
+    for cloud in clouds:
+        sums = [tuple(map(add, s, c)) for s in sums for c in cloud]
+    return not any(all(_dot(a, _sub(s, y)) > 0 for a in normals) for s in sums)
+
+
+def _partial_instance():
+    """dom F, C and dom G all differ: C ∩ dom F is smaller than C, and C
+    is smaller than dom G."""
+    xs = [(Fraction(k, 2),) for k in range(-2, 4)]
+    F = SampledMap((x, (x[0], 1 - x[0])) for x in xs[1:5])
+    G = SampledMap((x, (x[0] - 1,)) for x in xs)
+    return ProblemInstance(F, G, xs[:3], Cone.orthant(2), Cone.orthant(1))
+
+
+def _rand_entry(rng, k):
+    return Fraction(rng.randint(-k, k), rng.randint(1, 3))
+
+
+def test_brute_beta_equals_its_plain_loops():
+    """brute_beta on random instances (every fifth one with partial maps),
+    at every index, several positive T and splitting operators on a
+    half-step grid, and y random with denominators 1 to 3 or a sum of the
+    clouds moved by such a y of entries at most 1, agrees with the loops,
+    both ways."""
+    answers = {i: set() for i in (1, 2, 3)}
+    for seed in range(30):
+        rng = random.Random(seed)
+        P = _partial_instance() if seed % 5 == 0 else rand_instance(rng)
+        cfg = SearchConfig(l_box=Fraction(1, 2), l_step=Fraction(1, 2))
+        Ts = [T.op for T in cfg.posop_budget(P.S, P.K)]
+        Ls = list(cfg.linop_budget(P.m, P.n))
+        L = rand_linop(rng, P.m, P.n, 1)
+        for _ in range(4):
+            T, Lp, Lpp = rng.choice(Ts), rng.choice(Ls), rng.choice(Ls)
+            for i in (1, 2, 3):
+                clouds = loop_beta_clouds(i, P, L, T, Lp, Lpp)
+                near = [_rand_entry(rng, 1) for _ in range(P.m)]
+                for c in clouds:
+                    near = map(add, near, rng.choice(c))
+                for y in (tuple(_rand_entry(rng, 9) for _ in range(P.m)), tuple(near)):
+                    got = brute_beta(
+                        i, P.F.samples, P.G.samples, P.C, L.entries, T.entries,
+                        Lp.entries, Lpp.entries, P.K.normals, y,
+                    )
+                    assert got is loop_beta(clouds, P.K.normals, y)
+                    answers[i].add(got)
+    assert all(seen == {True, False} for seen in answers.values())
+
+
 # --- the oracle shares no engine code --------------------------------------------
 
 ORACLE = Path(oracle.__file__)
@@ -322,3 +411,70 @@ def test_the_oracle_imports_only_two_names_from_the_package():
             imported |= {(module, alias.name) for alias in node.names}
     assert imported <= ALLOWED
     assert not {m.split(".")[0] for m, _ in imported} & ENGINE
+
+
+# --- the oracle sees no value the engine built -----------------------------------
+
+SUITES = ORACLE.with_name("suites.py")
+PLAIN = (ast.Name, ast.Constant, ast.Attribute, ast.Subscript)
+
+
+def _oracle_names(tree):
+    """The names a module binds by importing from ``.oracle``."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] == "oracle"
+        for alias in node.names
+    }
+
+
+def _oracle_calls_fed_a_value(tree):
+    """``line: name`` of each call to an oracle name with an argument that
+    is not a plain name, constant, attribute or subscript, or that holds a
+    call."""
+    names = _oracle_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id not in names:
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if not all(
+                isinstance(a, PLAIN)
+                and not any(isinstance(n, ast.Call) for n in ast.walk(a))
+                for a in args
+            ):
+                yield f"{node.lineno}: {node.func.id}"
+
+
+def _imported(tree):
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_the_suites_hand_the_oracle_raw_data_only():
+    tree = ast.parse(SUITES.read_text())
+    assert {"brute_beta", "brute_wsum"} <= _oracle_names(tree)
+    assert list(_oracle_calls_fed_a_value(tree)) == []
+    assert "compose" not in _imported(tree)
+
+
+def test_the_rule_sees_an_engine_value_handed_to_the_oracle():
+    tree = ast.parse(
+        "from .oracle import brute_beta, brute_wsum as bw\n"
+        "from .conjugate import compose\n"
+        "brute_beta(i, P.F.samples, Ls[0], 3, y)\n"
+        "bw(compose(T, G).samples, V, K, grid)\n"
+        "brute_beta(i, [v for v in vs])\n"
+        "other(compose(T, G))\n"
+        "brute_beta(i, clouds=clouds(P))\n"
+    )
+    assert list(_oracle_calls_fed_a_value(tree)) == [
+        "4: bw", "5: brute_beta", "7: brute_beta"
+    ]
+    assert "compose" in _imported(tree)
