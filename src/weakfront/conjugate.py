@@ -13,9 +13,11 @@ indices in one loop nest; the certificate search takes its first
 qualifying item and the dual values fold over all of them.  It runs every
 block on the instance's integer tables (:class:`FacetTables`, derived once
 per instance): a block's cloud is linear in its operators, so each
-operator's integer image in facet coordinates is derived once, each
-block's cloud is built from those images by integer subtraction, and the
-cloud's maxima are its frontier; the search builds no ``Fraction`` point.
+operator's integer image in facet coordinates is derived once, as one
+column of integers per facet normal; each block's cloud is built from
+those columns by one integer subtraction per facet, and the maxima of its
+rows, found by one sort of the row tuples, are its frontier; the search
+builds no ``Fraction`` point.
 A call brings its operators' cleared forms to the one scale of
 :func:`frontier_scale`, so its frontiers are plain lists of integer
 coordinates at that scale.  The :class:`SearchConfig` keeps its operator
@@ -26,10 +28,12 @@ frontiers, which the search asks for one point's region without building
 it (:func:`weakfront.staircase2d.region_sum`).  A :class:`Certificate`
 is its operators alone; :func:`beta_value_set` rebuilds its value set
 with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
-tables, wherever that set is read: in verification and in output.  Those, the
-tables and :func:`epi_membership` run on each map's and operator's one
-stored form, cleared when it is built (:meth:`SampledMap.cleared`,
-:meth:`LinOp.cleared`), and each conjugate's cloud is a cleared point set.
+tables' images or frontiers, wherever that set is read: in verification
+and in output.  Those, the tables and :func:`epi_membership` run on each
+map's and operator's one stored form, cleared when it is built
+(:meth:`SampledMap.cleared`, :meth:`LinOp.cleared`), C's indicator on C's
+cleared points in the tables, and each conjugate's cloud is a cleared
+point set.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .order_sets import (
     ws_sum,
     wsup_finite,
 )
-from .staircase2d import LOWER, maxima, region_sum
+from .staircase2d import LOWER, maximal, region_sum
 
 
 class SampledMap:
@@ -115,10 +119,10 @@ class SampledMap:
         raise AttributeError("SampledMap is immutable")
 
     @classmethod
-    def indicator(cls, points: Iterable[Sequence[Number]], out_dim: int) -> "SampledMap":
-        """The indicator map of a point set: 0 on the set, +inf elsewhere."""
-        zero = (0,) * out_dim
-        return cls((tuple(p), zero) for p in points)
+    def indicator(cls, xs: Sequence[Vec], D: int, X: list, out_dim: int) -> "SampledMap":
+        """The indicator map of the sorted distinct points ``xs``, cleared
+        as (D, X = [D·x]): 0 on them, +inf elsewhere."""
+        return cls._from_ints(xs, D, X, [(0,) * out_dim] * len(X))
 
     def cleared(self) -> tuple:
         """(D, [D·x], [D·F(x)]) in sample order, D a common denominator of
@@ -552,7 +556,8 @@ def beta_value_set(
             conjugate(block, L - Lp, K),
         )
     if index == 3:
-        ind_c = SampledMap.indicator(P.C, K.dim)
+        tab = P.tables  # C's cleared points: its rows of xs, in P.C's order
+        ind_c = SampledMap.indicator(P.C, tab.den, [tab.xs[i] for i in tab.c], K.dim)
         first = ws_sum(
             conjugate(P.F, Lp, K),
             conjugate(ind_c, Lpp, K),
@@ -574,8 +579,9 @@ class FacetTables:
     facet coordinates of a cloud, in descending lexicographic order, all at
     the one integer scale of their search (:func:`frontier_scale`).  A
     search clears each of its operators into an integer image of the rows
-    once (:meth:`image`) and builds every block's frontier from those
-    images by rowwise subtraction (:meth:`block`).
+    once (:meth:`image`), in column form: one tuple per facet normal, its
+    entries by row.  Every block's frontier is built from those columns,
+    one subtraction per facet column (:meth:`block`).
     """
 
     __slots__ = ("N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f")
@@ -600,30 +606,34 @@ class FacetTables:
         self.c = [i for i in rows if x[i] in in_c]
         self.c_f = [i for i in self.c if self.nf[i] is not None]
 
-    def image(self, M: LinOp, d: int, vs: list) -> list:
+    def image(self, M: LinOp, d: int, vs: list) -> tuple:
         """The integer images (N·(d·M))·v of the vectors ``vs``, rows of
-        ``xs`` or ``gs``: one operator's term of a block's cloud, at the
-        scale D·d, d a multiple of M's denominators."""
-        return _int_images(facet_matrix(self.N, M, d), vs)
+        ``xs`` or ``gs``, in column form: one tuple per facet normal a, of
+        the products a·(d·M)·v in the order of ``vs``.  One operator's term
+        of a block's cloud, at the scale D·d, d a multiple of M's
+        denominators."""
+        return tuple(
+            tuple([sum(map(mul, a, v)) for v in vs])
+            for a in facet_matrix(self.N, M, d)
+        )
 
-    def block(self, A: list, B: Optional[list] = None) -> list:
-        """The frontier of one conjugate block, whose cloud is the rowwise
-        difference A - B of two lists of images (A alone without B)."""
+    def block(self, A: Sequence, B: Optional[Sequence] = None) -> list:
+        """The frontier of one conjugate block, whose cloud is the difference
+        A - B of two images in column form (A alone without B): one
+        subtraction per facet column, then the maxima of the cloud's rows."""
         if B is not None:
-            A = [tuple(map(sub, a, b)) for a, b in zip(A, B)]
-        return _front(A)
+            A = [map(sub, a, b) for a, b in zip(A, B)]
+        return maximal(zip(*A))
 
     def sum(self, A: list, B: list) -> list:
         """The frontier of the WS-sum of frontiers A and B, at their one
         scale: the maxima of the pairwise sums of their coordinates."""
-        return _front([tuple(map(add, u, v)) for u in A for v in B])
+        return maximal([tuple(map(add, u, v)) for u in A for v in B])
 
 
-def _front(coords: list) -> list:
-    """The maximal coords of a cloud.  Under a cone with lineality distinct
-    points share coordinates; the frontier keeps each coordinate vector
-    once."""
-    return [coords[i] for i in maxima(coords)]
+def _take(cols: tuple, rows: list) -> list:
+    """The columns ``cols`` at the rows ``rows``, each as a lazy map."""
+    return [map(col.__getitem__, rows) for col in cols]
 
 
 def frontier_scale(P, L: LinOp, cfg: SearchConfig) -> int:
@@ -683,16 +693,18 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     is built.
 
     A block's cloud is linear in its operators, so each operator's integer
-    image is computed once (:meth:`FacetTables.image`): per call, (N·d·L)·x
-    on the rows, less d·N·F(x) at index 1; per config, tables and d, for
-    each splitting operator M (N·d·M)·x and for each T (N·d·T)·G(x) on each
-    index's rows, when a loop first reaches it.  Each block is the frontier
-    of a rowwise difference of images: F*(L') of (N·d·L')·x - d·N·F(x) on
-    dom F, I_C*(L'') of (N·d·L'')·x on C, and a T-block of the rest's image
-    (L's less the split operators') minus T's.  F*(L') and I_C*(L'') are
-    kept with the images; the T-block per T and image of L - L' - L'' is
-    computed once per call and dropped with the generator; equal images
-    give equal clouds, even for distinct rests.
+    image is computed once (:meth:`FacetTables.image`), as one column per
+    facet normal: per call, (N·d·L)·x on the rows, less d·N·F(x) at index
+    1; per config, tables and d, for each splitting operator M (N·d·M)·x
+    on every row and for each T (N·d·T)·G(x) on each index's rows, when a
+    loop first reaches it.  Each block is the frontier of a difference of
+    images, formed one facet column at a time from the columns' entries at
+    the block's rows: F*(L') of (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'')
+    of (N·d·L'')·x on C, and a T-block of the rest's image (L's less the
+    split operators', a tuple of columns) minus T's.  F*(L') and I_C*(L'')
+    are kept with the images; the T-blocks are kept per call, by the
+    rest's columns and the position of T, and dropped with the generator;
+    equal images give equal clouds, even for distinct rests.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -709,9 +721,10 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     xs, gs = tab.xs, [tab.gs[i] for i in rows]
     base = tab.image(L, d, [xs[i] for i in rows])
     if index == 1:
-        base = [
-            tuple(b - d * c for b, c in zip(q, tab.nf[i])) for q, i in zip(base, rows)
-        ]
+        base = tuple(
+            tuple([b - d * c for b, c in zip(col, f)])
+            for col, f in zip(base, zip(*[tab.nf[i] for i in rows]))
+        )
     # kept, by budget position: (N·d·M)·x, F*(L'), I_C*(L''), (N·d·T)·G(x) per index
     images, f_stars, ind_stars, *t_kept = cfg._images.setdefault(
         (tab, d), tuple([] for _ in range(6))
@@ -719,7 +732,7 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     t_images, dnf = t_kept[index - 1], None
     t_blocks = {}  # the image of L - L' - L'' -> its T-blocks, by position of T
 
-    def split_image(k: int, M: LinOp) -> list:
+    def split_image(k: int, M: LinOp) -> tuple:
         if k == len(images):
             images.append(tab.image(M, d, xs))
         return images[k]
@@ -729,19 +742,25 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         if Lp is not None:
             XLp = split_image(j, Lp)
             if j == len(f_stars):
-                dnf = dnf or [tuple(d * c for c in tab.nf[i]) for i in tab.dom_f]
-                f_stars.append(tab.block([XLp[i] for i in tab.dom_f], dnf))
+                dnf = dnf or [
+                    [d * c for c in f] for f in zip(*[tab.nf[i] for i in tab.dom_f])
+                ]
+                f_stars.append(tab.block(_take(XLp, tab.dom_f), dnf))
             f_star = f_stars[j]
-            rest_p = [tuple(map(sub, b, XLp[i])) for b, i in zip(base, rows)]
+            rest_p = tuple(
+                tuple(map(sub, b, c)) for b, c in zip(base, _take(XLp, rows))
+            )
         for k, Lpp in enumerate(Lpps):
             front, rest = f_star, rest_p
             if Lpp is not None:
                 XLpp = split_image(k, Lpp)
                 if k == len(ind_stars):
-                    ind_stars.append(tab.block([XLpp[i] for i in tab.c]))
+                    ind_stars.append(tab.block(_take(XLpp, tab.c)))
                 front = tab.sum(f_star, ind_stars[k])
-                rest = [tuple(map(sub, b, XLpp[i])) for b, i in zip(rest_p, rows)]
-            blocks = t_blocks.setdefault(tuple(rest), [])
+                rest = tuple(
+                    tuple(map(sub, b, c)) for b, c in zip(rest_p, _take(XLpp, rows))
+                )
+            blocks = t_blocks.setdefault(rest, [])
             for t, T in enumerate(Ts):
                 if t == len(blocks):
                     if t == len(t_images):

@@ -45,7 +45,7 @@ from .order_sets import (
     set_preceq,
     winf_finite,
 )
-from .staircase2d import FRONTIER, UPPER, maxima, region_sum
+from .staircase2d import FRONTIER, UPPER, maximal, region_sum
 from .conjugate import (
     Certificate,
     FacetTables,
@@ -287,8 +287,7 @@ def dual_value(
             low = P.tables.sum(front, block)
         elif any(region_sum(front, block, u) == UPPER for u in low):
             W = P.tables.sum(front, block)
-            joined = [tuple(map(min, u, v)) for u in low for v in W]
-            low = [joined[i] for i in maxima(joined)]
+            low = maximal([tuple(map(min, u, v)) for u in low for v in W])
     if low is None:
         raise ValueError("empty certificate budget")
 

@@ -5,8 +5,10 @@ at the bottom is the only place other number types are read: it decodes
 every document number to a ``Fraction``.  Past it, :func:`require_exact`
 guards the places where a caller's numbers enter the engine.  The engine's
 integer paths clear denominators only through :func:`common_denominator`,
-:func:`scaled` and :func:`primitive`; cones, sampled maps, operators and
-point sets are cleared through them once, when built, and keep that form.
+:func:`scaled`, :func:`cleared_batch` and :func:`primitive`; cones, sampled
+maps, operators and point sets are cleared through them once, when built,
+and keep that form; a batch of query points is cleared once per call that
+labels it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,17 @@ def common_denominator(vecs: Iterable[Sequence[Number]]) -> int:
 def scaled(v: Sequence[Number], den: int) -> tuple:
     """The integer vector den·v (den a multiple of every denominator)."""
     return tuple([c.numerator * (den // c.denominator) for c in v])
+
+
+def cleared_batch(entries: Iterable[Number], den: int, sign: int) -> tuple:
+    """(d, [sign·d·c for each entry c]), d the lcm of ``den`` and every
+    entry's denominator, sign 1 or -1: a whole batch cleared reading each
+    entry once (``as_integer_ratio``), where :func:`common_denominator`
+    and :func:`scaled` read it twice."""
+    ratios = [c.as_integer_ratio() for c in entries]
+    d = math.lcm(den, *{q for _, q in ratios})
+    s = sign * d
+    return d, [p * (s // q) for p, q in ratios]
 
 
 def primitive(v: Sequence[Number]) -> tuple:

@@ -12,27 +12,29 @@ Preparata, J. ACM 22(4), 1975) and every region test is a dominance query
 against them.  With one or two facets the maxima come from one sort and a
 sweep, O(n log n), and each query is labelled by two bisections of that
 staircase; with more, each vector is tested against the maxima kept so far,
-O(n·h) for h maxima.  A point set arrives cleared.  A batch of query points
-is cleared once, as a whole, at the set's scale and theirs, and its facet
-coordinates are summed one normal row at a time over its coordinate
-columns: the comparisons run on plain integers, with no call per point.
-Infima are suprema of the negated data.  Only mapping new coordinates back
-to points needs N^{-1}, which exists exactly for simplicial K (``dim``
-linearly independent normals).  The module and function names date from
-the planar staircase this core replaced; perfbench's tracer binds them by
-name.
+O(n·h) for h maxima.  :func:`maximal` finds the maximal vectors
+themselves, sorting the tuples with no key function, and :func:`maxima`
+their indices; the certificate blocks, their ⊎-sums and the dual merge
+keep their frontiers as lists of such vectors.  A point set arrives
+cleared.  A batch of query points is cleared once, as a whole, at the
+set's scale and theirs, and its facet coordinates are summed one normal
+row at a time over its coordinate columns: the comparisons run on plain
+integers, with no call per point.  Infima are suprema of the negated data.
+Only mapping new coordinates back to points needs N^{-1}, which exists
+exactly for simplicial K (``dim`` linearly independent normals).  The
+module and function names date from the planar staircase this core
+replaced; perfbench's tracer binds them by name.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from operator import ge, gt, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from weakfront.numeric import Vec, common_denominator, dot, scaled
+from weakfront.numeric import Vec, cleared_batch, dot
 
 # Region codes (kept as plain ints so this module has no enum dependencies;
 # order_sets maps them onto RegionLabel).
@@ -89,34 +91,43 @@ class RayBasis:
         return tuple(dot(row, q) for row in self.inverse)
 
 
-def maxima(coords: Sequence[tuple]) -> list:
-    """Indices of the maximal vectors of ``coords`` under the componentwise
-    order, in descending lexicographic order of their vectors.
+def maximal(cloud: Iterable[tuple]) -> list:
+    """The maximal vectors of a cloud of integer tuples under the
+    componentwise order, each once, in descending lexicographic order.
 
-    Sorted in descending order, a vector can only be dominated by one before
-    it, and a dominated one is dominated by a kept one.  With one or two
-    coordinates the kept vectors ascend strictly in the last coordinate, so
-    a vector is kept exactly when its last coordinate exceeds the last kept
-    one's: one sort and a sweep, O(n log n) (Kung, Luccio & Preparata).
-    With more coordinates each vector is tested against the kept vectors,
-    O(n·h) for h maxima.  Of equal vectors the first is kept: the reverse
-    sort is stable.  Under a cone that is not pointed, distinct points share
-    coordinates along its lineality space, so a caller passing
-    lexicographically sorted points keeps the lex-smallest of each such
-    class."""
-    order = sorted(range(len(coords)), key=coords.__getitem__, reverse=True)
-    if coords and len(coords[0]) in (1, 2):
-        kept = order[:1]
-        for i in order[1:]:
-            if coords[i][-1] > coords[kept[-1]][-1]:
-                kept.append(i)
+    Sorted in descending order, with no key function, a vector can only be
+    dominated by one before it, and a dominated one is dominated by a kept
+    one.  With one or two coordinates the kept vectors ascend strictly in
+    the last coordinate, so a vector is kept exactly when its last
+    coordinate exceeds the last kept one's: one sort and a sweep,
+    O(n log n) (Kung, Luccio & Preparata).  With more coordinates each
+    vector is tested against the kept vectors, O(n·h) for h maxima.  Equal
+    vectors, which distinct points share along the lineality space of a
+    cone that is not pointed, are kept once."""
+    rows = sorted(cloud, reverse=True)
+    if rows and len(rows[0]) <= 2:
+        kept, last = rows[:1], rows[0][-1]
+        for r in rows:
+            if r[-1] > last:
+                kept.append(r)
+                last = r[-1]
         return kept
     kept = []
-    for i in order:
-        q = coords[i]
-        if not any(all(map(ge, coords[k], q)) for k in kept):
-            kept.append(i)
+    for q in rows:
+        if not any(all(map(ge, k, q)) for k in kept):
+            kept.append(q)
     return kept
+
+
+def maxima(coords: Sequence[tuple]) -> list:
+    """Indices of the maximal vectors of ``coords``, in the order of
+    :func:`maximal`, each vector at its first index: a caller passing
+    lexicographically sorted points keeps the lex-smallest of each class
+    of points that share coordinates."""
+    first = {}
+    for i, q in enumerate(coords):
+        first.setdefault(q, i)
+    return [first[q] for q in maximal(first)]
 
 
 def region_sup(front: list, q: tuple) -> int:
@@ -164,20 +175,18 @@ def classify_points_2d(
     -d for the infimum, and the generators' maxima rescaled by d/den.
 
     The batch is handled in whole columns, with no call per point: it is
-    cleared once, and each facet coordinate is summed, one normal row at a
-    time, over the batch's coordinate columns.  With one or two facets the
-    maxima form a staircase along which the first coordinate strictly falls
-    and the last strictly rises, so those with g0 > q0 (or g0 >= q0) are a
-    prefix whose last one has the largest last coordinate: two bisections
-    label q.  With more facets each query runs ``region_sup``."""
+    cleared once, each entry read once (:func:`cleared_batch`), and each
+    facet coordinate is summed, one normal row at a time, over the batch's
+    coordinate columns.  With one or two facets the maxima form a
+    staircase along which the first coordinate strictly falls and the last
+    strictly rises, so those with g0 > q0 (or g0 >= q0) are a prefix whose
+    last one has the largest last coordinate: two bisections label q.  With
+    more facets each query runs ``region_sup``."""
     den, vecs = gens
-    d = math.lcm(den, common_denominator(points))
+    d, flat = cleared_batch(chain.from_iterable(points), den, 1 if sup else -1)
     qg = [basis.to_quad(v) for v in vecs]
-    if not sup:
-        qg = [[-c for c in q] for q in qg]
-    kept = maxima(qg)
+    kept = maximal(qg if sup else [tuple([-c for c in q]) for q in qg])
     s = d // den
-    flat = scaled(chain.from_iterable(points), d if sup else -d)
     dim = len(basis.normals[0])
     rows = []  # row j: facet coordinate j of every query
     for normal in basis.normals:
@@ -187,12 +196,12 @@ def classify_points_2d(
                 row = [u + a * x for u, x in zip(row, flat[k::dim])]
         rows.append(row)
     if len(rows) > 2:
-        front = [tuple([s * c for c in qg[i]]) for i in kept]
+        front = [tuple([s * c for c in g]) for g in kept]
         codes = [region_sup(front, q) for q in zip(*rows)]
         return codes if sup else [UPPER - c for c in codes]
     lower, upper = (LOWER, UPPER) if sup else (UPPER, LOWER)
-    drop = [-s * qg[i][0] for i in kept]  # ascending, as is the last coordinate
-    rise = [s * qg[i][-1] for i in kept]
+    drop = [-s * g[0] for g in kept]  # ascending, as is the last coordinate
+    rise = [s * g[-1] for g in kept]
     codes = []
     for a, b in zip(rows[0], rows[-1]):
         i = bisect_left(drop, -a)  # the maxima with g0 > a

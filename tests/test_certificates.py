@@ -413,6 +413,69 @@ def test_region_sum_against_an_empty_frontier_is_upper():
         assert region_sum(front, block, (-9, -9)) == UPPER
 
 
+# --- the column path of the blocks --------------------------------------------
+
+TABLES = INSTANCES["E2"].tables  # block and sum read no field of their tables
+
+
+def _row_cloud(facets):
+    """Pairs of row-form clouds A, B of one length: 1-8 integer rows with
+    negative entries and at least one repeated row pair, so that the
+    difference A - B repeats rows as a cone with lineality makes it do."""
+    pair = st.tuples(*[st.integers(-3, 3)] * (2 * facets))
+    pairs = st.lists(pair, min_size=1, max_size=8).flatmap(
+        lambda ps: st.lists(st.sampled_from(ps), max_size=3).map(lambda e: ps + e)
+    )
+    return pairs.map(lambda ps: ([p[:facets] for p in ps], [p[facets:] for p in ps]))
+
+
+def _columns(rows, facets):
+    return tuple(tuple(c[j] for c in rows) for j in range(facets))
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), _row_cloud(k))))
+def test_a_block_from_columns_is_the_maxima_of_the_row_cloud(data):
+    """block(A, B) on the columns of two images is the maximal rows of
+    their rowwise difference, in the order of ``maxima``, each once, and
+    block(A) those of A, in 1-3 facets, on a single row, repeated rows and
+    negative entries."""
+    facets, (A, B) = data
+    diff = [tuple(a - b for a, b in zip(u, v)) for u, v in zip(A, B)]
+    got = TABLES.block(_columns(A, facets), _columns(B, facets))
+    assert got == [diff[i] for i in maxima(diff)]
+    assert TABLES.block(_columns(A, facets)) == [A[i] for i in maxima(A)]
+    assert got == sorted(set(got), reverse=True)
+
+
+def test_blocks_from_columns_on_the_edge_cases():
+    """A single row, equal rows (kept once) and an empty block."""
+    assert TABLES.block(((5,), (-2,)), ((1,), (1,))) == [(4, -3)]
+    ties = ((1, 1, 0), (2, 2, 3))  # rows (1, 2), (1, 2), (0, 3)
+    assert TABLES.block(ties) == [(1, 2), (0, 3)]
+    assert TABLES.block(((), ()), ((), ())) == []
+    three = ((0, 1, 0, 1), (0, 1, 0, 1), (3, 1, 2, 1))
+    assert TABLES.block(three) == [(1, 1, 1), (0, 0, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_INSTANCES))
+def test_image_columns_transpose_to_the_row_images(name):
+    """The columns of ``image`` are one tuple per facet normal, and read
+    row by row they are the row images N·(d·M)·v, on the rows of ``xs``
+    and of ``gs``."""
+    P = TABLE_INSTANCES[name]
+    tab = P.tables
+    rng = random.Random(name)
+    xs = tab.xs
+    gs = [tab.gs[i] for i in tab.dom_g]
+    for M, vs in ((rand_linop(rng, P.m, P.n), xs), (rand_linop(rng, P.m, P.S.dim), gs)):
+        for d in (1, 6):
+            cols = tab.image(M, d, vs)
+            assert len(cols) == len(tab.N)
+            assert all(type(col) is tuple and len(col) == len(vs) for col in cols)
+            rows = conjugate._int_images(conjugate.facet_matrix(tab.N, M, d), vs)
+            assert list(zip(*cols)) == rows
+
+
 def _fraction_beta(index, P, L, T, Lp, Lpp):
     """W written out in ``Fraction`` arithmetic: the weak suprema of the
     clouds L(x) - F(x) - T(G(x)) on C ∩ dom F (index 1), L'(x) - F(x) and
@@ -700,13 +763,13 @@ def _check_owners(d, index, P, L):
 
 def test_dual_value_equals_the_unpruned_fold(monkeypatch):
     merges = []
-    real_maxima = duality.maxima
+    real_maximal = duality.maximal
 
-    def counting_maxima(*args, **kwargs):
+    def counting_maximal(*args, **kwargs):
         merges.append(1)
-        return real_maxima(*args, **kwargs)
+        return real_maximal(*args, **kwargs)
 
-    monkeypatch.setattr(duality, "maxima", counting_maxima)
+    monkeypatch.setattr(duality, "maximal", counting_maximal)
     folded = 0
     for name, budget, index in CASES:
         P = INSTANCES[name]

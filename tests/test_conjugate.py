@@ -86,7 +86,8 @@ def test_epi_membership_refuses_an_inexact_query_point():
 
 
 def test_indicator_and_linear_constructors():
-    ind = SampledMap.indicator([(0,), (1,)], 1)
+    ind = SampledMap.indicator([(0,), (Fraction(1, 2),)], 2, [(0,), (1,)], 1)
+    assert ind.samples == (((0,), (0,)), ((Fraction(1, 2),), (0,)))
     assert ind.value((0,)) == (0,) and ind.value((2,)) is None
     op = LinOp(((2,),))
     lin = SampledMap((x, mat_vec(op.entries, x)) for x in [(0,), (3,)])

@@ -23,9 +23,9 @@ from weakfront.farkas import (
     verify_certificate,
 )
 from weakfront.instances import ProblemInstance, shipped_instance
-from weakfront.conjugate import SampledMap
+from weakfront.conjugate import SampledMap, compose, conjugate
 from weakfront.numeric import mat_vec, vec_neg, vec_sub
-from weakfront.order_sets import FiniteVecSet, winf_finite
+from weakfront.order_sets import FiniteVecSet, winf_finite, ws_sum
 from weakfront.randgen import rand_instance, rand_linop
 
 E1 = shipped_instance("E1")
@@ -240,6 +240,47 @@ def test_alpha_and_vp_do_not_rebuild_the_feasible_sample(monkeypatch):
     monkeypatch.setattr(farkas, "feasible_points", refuse)
     monkeypatch.setattr(duality, "feasible_points", refuse)
     assert [(alpha_holds(P, L, y), winf_vp(P, L)) for P, L, y in queries] == expected
+
+
+def test_verifying_an_index_3_certificate_runs_no_checking_map_constructor(
+    monkeypatch,
+):
+    """C's indicator is built from C's cleared points in the instance
+    tables, so verifying an index-3 certificate calls ``SampledMap.__new__``,
+    the checking constructor, zero times."""
+    L = LinOp(((Fraction(1),), (Fraction(-1),)))
+    y = tuple(-c for c in E2.K.interior_witness)
+    c3 = script_A_membership(3, E2, L, y, E2.search_config())
+    calls = []
+    real = SampledMap.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SampledMap, "__new__", counting)
+    assert verify_certificate(E2, FarkasQuery(L, y, 3), c3)
+    assert calls == []
+    SampledMap([((0,), (0,))])
+    assert calls == [1]  # the count sees a checked construction
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_index_3_value_set_matches_a_checked_indicator(seed):
+    """On random instances, whose C has fractional points, index 3's W
+    with C's indicator read from the tables equals W with the indicator
+    built by the checking constructor."""
+    rng = random.Random(seed)
+    P = rand_instance(rng)
+    K = P.K
+    T = PosOp(LinOp.zero(K.dim, P.S.dim), P.S, K)
+    L, Lp, Lpp = (rand_linop(rng, P.m, P.n) for _ in range(3))
+    ind = SampledMap([(x, (0,) * K.dim) for x in P.C])
+    want = ws_sum(
+        ws_sum(conjugate(P.F, Lp, K), conjugate(ind, Lpp, K)),
+        conjugate(compose(T.op, P.G), L - Lp - Lpp, K),
+    )
+    assert beta_value_set(3, P, L, T, Lp=Lp, Lpp=Lpp) == want
 
 
 def test_hard_failure_carries_a_reproducer():

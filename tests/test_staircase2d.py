@@ -20,7 +20,7 @@ from weakfront.order_sets import (
     wsup_finite,
 )
 from weakfront.randgen import rand_cone, rand_cone_2d, rand_finite_set, rand_halfplane
-from weakfront.staircase2d import RayBasis, canonical_indices_2d, maxima
+from weakfront.staircase2d import RayBasis, canonical_indices_2d, maxima, maximal
 
 
 def skew_cone():
@@ -138,6 +138,26 @@ def test_maxima_matches_the_pairwise_loop():
         pts += rng.choices(pts, k=rng.randint(0, 5))
         rng.shuffle(pts)
         assert maxima(pts) == _pairwise_maxima(pts), pts
+
+
+def test_maximal_lists_the_vectors_of_the_pairwise_loop():
+    """``maximal`` returns the vectors at the indices the pairwise loop
+    keeps, in that order, each repeated vector once, on the same seeded
+    clouds of 1-4 coordinates, and accepts a lazy cloud."""
+    assert maximal([]) == []
+    rng = random.Random(17)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        hi = rng.choice((1, 3, 10))
+        pts = [
+            tuple(rng.randint(-hi, hi) for _ in range(d))
+            for _ in range(rng.randint(1, 30))
+        ]
+        pts += rng.choices(pts, k=rng.randint(0, 5))
+        rng.shuffle(pts)
+        want = [pts[i] for i in _pairwise_maxima(pts)]
+        assert maximal(pts) == want == maximal(iter(pts)), pts
+        assert len(set(want)) == len(want)
 
 
 # --- the core against the oracle ---------------------------------------------
@@ -440,8 +460,9 @@ def test_the_first_bad_point_decides_the_error():
 def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
     """On a 41 x 41 grid, ``dot`` runs only on the set's points (at most
     |M|·|normals| times, and at least once, which the benchmark's traced
-    run requires) and ``scaled`` at most once per coordinate column.  Both
-    are wrapped wherever ``staircase2d`` binds them."""
+    run requires), ``scaled`` at most once per coordinate column and
+    ``cleared_batch`` once, for the whole batch.  Each is wrapped wherever
+    ``staircase2d`` binds it."""
     calls = Counter()
 
     def counting(fn):
@@ -451,7 +472,7 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
 
         return wrapper
 
-    for fn in (numeric.dot, numeric.scaled):
+    for fn in (numeric.dot, numeric.scaled, numeric.cleared_batch):
         for attr, val in list(vars(staircase2d).items()):
             if val is fn:
                 monkeypatch.setattr(staircase2d, attr, counting(fn))
@@ -464,4 +485,5 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
         labels = classify_many(M, K, grid, sup=sup)
         assert 1 <= calls["dot"] <= len(M) * len(K.normals)
         assert calls["scaled"] <= K.dim
+        assert calls["cleared_batch"] == 1
         assert labels == _oracle_labels(M.points, K, grid, sup)
