@@ -8,17 +8,19 @@ agreement between the two is meaningful evidence.
 
 The bulk labeller, the Farkas cloud test (on clouds it builds itself from the
 raw samples and operator matrices) and the scalar duals clear their inputs to
-integers once per call (with the oracle's own helpers) and evaluate the same
-sign tests and max/min formulas as numpy array expressions: the labeller in
-int64 when the cleared integers cannot overflow it, and on exact Python ints
-otherwise; the cloud test and the duals always on exact Python ints.
+integers once per call, reading each entry once (with the oracle's own
+helper), and evaluate their defining formulas as numpy array expressions: the
+labeller as a max over the cloud of a min over the normals, in int64 when the
+cleared integers cannot overflow it and on exact Python ints otherwise; the
+cloud test and the duals always on exact Python ints.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import reduce
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,25 +67,14 @@ def brute_region(M: FiniteVecSet, K, grid: FiniteVecSet) -> Dict[tuple, RegionLa
 # --- exact integer arrays --------------------------------------------------------
 
 
-def _lcm_of_denominators(vectors: Iterable[Sequence]) -> int:
-    return math.lcm(*{c.denominator for v in vectors for c in v})
-
-
-def _int_matrix(vectors: Sequence[Sequence], scale: int, dim: int) -> "np.ndarray":
-    """The integers scale·c, one row of ``dim`` per vector (shape (0, dim)
-    for no vectors), as Python ints in an object array (exact at any size);
-    ``scale`` is a multiple of every denominator."""
-    return np.array(
-        [c.numerator * (scale // c.denominator) for v in vectors for c in v],
-        dtype=object,
-    ).reshape(len(vectors), dim)
-
-
-def _cleared(vectors: Sequence[Sequence]) -> Tuple["np.ndarray", int]:
-    """(V, d) with V = d·vectors in integers, d the lcm of the denominators;
-    ``vectors`` is not empty."""
-    den = _lcm_of_denominators(vectors)
-    return _int_matrix(vectors, den, len(vectors[0])), den
+def _cleared(vectors: Sequence[Sequence], dim: int = -1) -> Tuple["np.ndarray", int]:
+    """(V, d): V = d·vectors as exact Python ints, one row of ``dim`` per
+    vector (inferred when ``vectors`` is not empty), d the lcm of the
+    denominators; each entry is read once, by ``as_integer_ratio``."""
+    ratios = [c.as_integer_ratio() for v in vectors for c in v]
+    d = math.lcm(*{q for _, q in ratios})
+    ints = [p * (d // q) for p, q in ratios]
+    return np.array(ints, dtype=object).reshape(len(vectors), dim), d
 
 
 def _product(a, b) -> Tuple["np.ndarray", int]:
@@ -114,25 +105,30 @@ def brute_region_bulk(
 ) -> List[RegionLabel]:
     """Vectorized version of :func:`brute_region` over a raw point list.
 
-    Same sign tests, evaluated as integer tensor comparisons: in int64 when
-    the cleared integers keep every normal product below 2**62, on Python
-    ints otherwise.  An empty cloud labels every grid point UPPER, as
+    y is LOWER iff max over m of min over the normals a of a·m - a·y is
+    positive, and FRONTIER iff it is 0: :func:`region_of_point`'s "some m
+    with every a·(m - y) > 0 (>= 0)" read as one max-min, each normal's
+    (grid, m) column folded into the minimum.  The points and the grid are
+    cleared to one scale; as |a·m - a·y| <= ||a||_1·(max|M| + max|G|), the
+    test runs in int64 when that bound is below 2**62, on Python ints
+    otherwise.  An empty cloud (max -1) labels every point UPPER, as
     :func:`region_of_point` does.
     """
-    scale = math.lcm(_lcm_of_denominators(points), _lcm_of_denominators(grid))
     A, _ = _cleared(normals)
-    M = _int_matrix(points, scale, A.shape[1])
-    G = _int_matrix(grid, scale, A.shape[1])
+    MG, _ = _cleared([*points, *grid], A.shape[1])
+    M, G = MG[: len(points)], MG[len(points) :]
     bound = np.abs(A).sum(axis=1).max() * (
         np.abs(M).max(initial=0) + np.abs(G).max(initial=0)
     )
     if bound < 2**62:
         M, G, A = (X.astype(np.int64) for X in (M, G, A))
-    prods = (M[None, :, :] - G[:, None, :]) @ A.T  # (grid, m, normals)
-    lower = (prods > 0).all(axis=2).any(axis=1)
-    closed = (prods >= 0).all(axis=2).any(axis=1)
-    codes = np.where(lower, 0, np.where(closed, 1, 2))
-    return [_CODES[c] for c in codes]
+    MA, GA = M @ A.T, G @ A.T
+    worst = reduce(
+        np.minimum, (MA[None, :, j] - GA[:, None, j] for j in range(len(A)))
+    )  # (grid, m)
+    best = worst.max(axis=1, initial=-1)
+    codes = 1 - np.sign(best)  # 0 LOWER (> 0), 1 FRONTIER (= 0), 2 UPPER
+    return [_CODES[c] for c in codes.tolist()]
 
 
 # --- direct-definition set operations -------------------------------------------

@@ -5,6 +5,7 @@ plain loops over the defining formulas, kept here as the reference."""
 
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from pathlib import Path
@@ -99,6 +100,85 @@ def test_brute_region_bulk_overflow_falls_back(monkeypatch):
         RegionLabel.FRONTIER,
         RegionLabel.LOWER,
     ]
+
+
+# --- the bulk labeller against the definition ------------------------------------
+
+# multiples of 1/6 in [-2, 2], as ints or Fractions (whole ones too)
+sixth = st.one_of(
+    st.integers(-2, 2), st.integers(-12, 12).map(lambda k: Fraction(k, 6))
+)
+BULK_CONES = [
+    ((1,),),  # the orthant of R^1
+    ((Fraction(-1, 3), Fraction(1, 6)),),  # a half-plane
+    ((1, 0), (0, 1)),
+    ((1, 0), (0, 1), (1, 1)),  # redundant
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),  # the pyramid
+]
+
+
+@st.composite
+def bulk_cases(draw):
+    """A cloud of 0-12 points, a cone and a grid: drawn points, the cloud
+    itself, and each cloud point with one coordinate redrawn, where the
+    frontier and the lower region lie."""
+    normals = draw(st.sampled_from(BULK_CONES))
+    dim = len(normals[0])
+    vec = st.tuples(*[sixth] * dim)
+    cloud = draw(st.lists(vec, max_size=12))
+    grid = draw(st.lists(vec, max_size=12)) + cloud
+    for m in cloud:
+        i = draw(st.integers(0, dim - 1))
+        grid.append((*m[:i], draw(sixth), *m[i + 1 :]))
+    return cloud, normals, grid
+
+
+@given(bulk_cases())
+def test_brute_region_bulk_is_the_definition(case):
+    """The labels are region_of_point's, point by point, and stay so when
+    the cloud and grid are scaled by 2**62 (which moves no label) and the
+    test runs on Python ints."""
+    cloud, normals, grid = case
+    want = [region_of_point(cloud, normals, y) for y in grid]
+    assert brute_region_bulk(cloud, normals, grid) == want
+
+    def big(vs):
+        return [tuple(c * 2**62 for c in v) for v in vs]
+
+    assert brute_region_bulk(big(cloud), normals, big(grid)) == want
+
+
+def test_a_bulk_call_reads_each_fraction_once(monkeypatch):
+    """On a 41 x 41 grid, the call reads no ``Fraction`` property and runs
+    ``as_integer_ratio`` once per ``Fraction`` entry of the points, the
+    normals and the grid."""
+    calls = Counter()
+
+    def counting(name, read):
+        def wrapper(self):
+            calls[name] += 1
+            return read(self)
+
+        return wrapper
+
+    for name in ("numerator", "denominator"):
+        prop = property(counting(name, getattr(Fraction, name).fget))
+        monkeypatch.setattr(Fraction, name, prop)
+    monkeypatch.setattr(
+        Fraction,
+        "as_integer_ratio",
+        counting("as_integer_ratio", Fraction.as_integer_ratio),
+    )
+    rng = random.Random(41)
+    ticks = [Fraction(k, 2) for k in range(-20, 21)]
+    grid = [(a, b) for a in ticks for b in ticks]
+    cloud = [(_rand_entry(rng, 20), rng.randint(-10, 10)) for _ in range(20)]
+    normals = [(1, Fraction(1, 2)), (Fraction(-1, 3), 2)]
+    labels = brute_region_bulk(cloud, normals, grid)
+    entries = [c for v in (*cloud, *normals, *grid) for c in v]
+    assert calls == {"as_integer_ratio": sum(type(c) is Fraction for c in entries)}
+    assert set(labels) == set(RegionLabel)
 
 
 def test_brute_region_table():
