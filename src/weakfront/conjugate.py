@@ -31,9 +31,14 @@ with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
 tables' images or frontiers, wherever that set is read: in verification
 and in output.  Those, the tables and :func:`epi_membership` run on each
 map's and operator's one stored form, cleared when it is built
-(:meth:`SampledMap.cleared`, :meth:`LinOp.cleared`), C's indicator on C's
-cleared points in the tables, and each conjugate's cloud is a cleared
-point set.
+(:meth:`SampledMap.cleared`, :meth:`LinOp.cleared`), and each conjugate's
+cloud is a cleared point set; an operator's images of a map's points are
+formed one matrix row at a time over the points' coordinate columns
+(:func:`weakfront.staircase2d.row_products`).  The restrictions to C that
+a value set reads (F and G on C ∩ dom F, G on C, C's indicator) are kept
+in the tables, built once per instance, and maps on one tuple of points
+are added row by row, so verifying a certificate hashes, compares and
+orders no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from .order_sets import (
     ws_sum,
     wsup_finite,
 )
-from .staircase2d import LOWER, maximal, region_sum
+from .staircase2d import LOWER, maximal, region_sum, row_products
 
 
 class SampledMap:
@@ -80,7 +85,8 @@ class SampledMap:
     :meth:`restrict` and :meth:`add` build maps from integers alone, and
     :attr:`samples` and :meth:`value` read exact values back on demand.
     Equality and hashing follow the exact samples, not the cleared form: a
-    restriction keeps its parent's D.
+    restriction keeps its parent's D.  :meth:`restrict` hashes the points,
+    so verification reads restrictions kept per instance (:class:`FacetTables`).
     """
 
     __slots__ = ("in_dim", "out_dim", "xs", "_cleared")
@@ -157,22 +163,32 @@ class SampledMap:
         )
 
     def add(self, other: "SampledMap") -> "SampledMap":
-        """Pointwise sum on the intersection of the two domains."""
+        """Pointwise sum on the intersection of the two domains.
+
+        Equal domains are summed row by row.  Maps on one ``xs`` tuple, as
+        a map and its compositions are, find that out with one identity
+        test per row and compare no ``Fraction``.  Other domains are
+        intersected by a merge that bisects the points."""
         if self.out_dim != other.out_dim:
             raise DimensionError("sum of maps with different value dimensions")
-        rows, j = [], 0
-        for i, x in enumerate(self.xs):
-            j = bisect_left(other.xs, x, j)
-            if j < len(other.xs) and other.xs[j] == x:
-                rows.append((i, j))
-        if not rows:
-            raise ValueError("maps have disjoint domains")
         (D1, X, V1), (D2, _, V2) = self._cleared, other._cleared
+        xs = self.xs
+        if xs != other.xs:
+            rows, j = [], 0
+            for i, x in enumerate(xs):
+                j = bisect_left(other.xs, x, j)
+                if j < len(other.xs) and other.xs[j] == x:
+                    rows.append((i, j))
+            if not rows:
+                raise ValueError("maps have disjoint domains")
+            xs = [xs[i] for i, _ in rows]
+            X, V1 = [X[i] for i, _ in rows], [V1[i] for i, _ in rows]
+            V2 = [V2[j] for _, j in rows]
         D = math.lcm(D1, D2)
         a, b = D // D1, D // D2
         return SampledMap._from_ints(
-            [self.xs[i] for i, _ in rows], D, [vec_scale(a, X[i]) for i, _ in rows],
-            [tuple([a * p + b * q for p, q in zip(V1[i], V2[j])]) for i, j in rows],
+            xs, D, [vec_scale(a, x) for x in X],
+            [tuple([a * p + b * q for p, q in zip(u, v)]) for u, v in zip(V1, V2)],
         )
 
     def __eq__(self, other) -> bool:
@@ -187,9 +203,10 @@ class SampledMap:
         return f"SampledMap({len(self.xs)} samples, {self.in_dim}->{self.out_dim})"
 
 
-def _int_images(rows: Sequence[tuple], vs: Iterable[tuple]) -> list:
-    """The products rows·v of integer vectors v, as integer vectors."""
-    return [tuple([sum(map(mul, a, v)) for a in rows]) for v in vs]
+def _int_images(rows: Sequence[tuple], vs: Sequence[tuple]) -> list:
+    """The products rows·v of integer vectors v, as integer vectors, formed
+    by columns (:func:`weakfront.staircase2d.row_products`)."""
+    return list(zip(*row_products(rows, list(zip(*vs)), len(vs))))
 
 
 def compose(M: LinOp, G: SampledMap) -> SampledMap:
@@ -217,9 +234,9 @@ def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
         raise DimensionError("conjugate: map/operator/cone dimensions disagree")
     D, X, V = F.cleared()
     d, dL = L.cleared()
-    LX = _int_images(dL, X)
-    cloud = [tuple([p - d * c for p, c in zip(lx, v)]) for lx, v in zip(LX, V)]
-    return wsup_finite(FiniteVecSet.from_ints(d * D, cloud), K)
+    LX = row_products(dL, list(zip(*X)), len(X))  # one list per row of L
+    cols = [[p - d * c for p, c in zip(lx, v)] for lx, v in zip(LX, zip(*V))]
+    return wsup_finite(FiniteVecSet.from_ints(d * D, zip(*cols)), K)
 
 
 def epi_membership(
@@ -543,27 +560,24 @@ def beta_value_set(
     * index 1:  (F + I_C + T∘G restricted to C)*(L)
     * index 2:  F*(L') ⊎ (I_C + T∘G on C)*(L - L')
     * index 3:  F*(L') ⊎ I_C*(L'') ⊎ (T∘G on dom G)*(L - L' - L'')
+
+    The restrictions to C are the instance's, kept in its tables
+    (:class:`FacetTables`): T∘(G|C) = (T∘G)|C, so T is composed with a
+    kept restriction of G, and F|(C ∩ dom F) and G on the same points share
+    one ``xs`` tuple, so :meth:`SampledMap.add` sums them row by row.  No
+    ``Fraction`` is hashed or compared here.
     """
+    if index not in (1, 2, 3):
+        raise ValueError("index must be 1, 2 or 3")
     K = P.K
-    TG = compose(T.op, P.G)
+    tab = P.tables
     if index == 1:
-        core = P.F.restrict(P.C).add(TG.restrict(P.C))
-        return conjugate(core, L, K)
+        return conjugate(tab.F_cf.add(compose(T.op, tab.G_cf)), L, K)
+    front = conjugate(P.F, Lp, K)
     if index == 2:
-        block = TG.restrict(P.C)
-        return ws_sum(
-            conjugate(P.F, Lp, K),
-            conjugate(block, L - Lp, K),
-        )
-    if index == 3:
-        tab = P.tables  # C's cleared points: its rows of xs, in P.C's order
-        ind_c = SampledMap.indicator(P.C, tab.den, [tab.xs[i] for i in tab.c], K.dim)
-        first = ws_sum(
-            conjugate(P.F, Lp, K),
-            conjugate(ind_c, Lpp, K),
-        )
-        return ws_sum(first, conjugate(TG, L - Lp - Lpp, K))
-    raise ValueError("index must be 1, 2 or 3")
+        return ws_sum(front, conjugate(compose(T.op, tab.G_c), L - Lp, K))
+    front = ws_sum(front, conjugate(tab.I_c, Lpp, K))
+    return ws_sum(front, conjugate(compose(T.op, P.G), L - Lp - Lpp, K))
 
 
 class FacetTables:
@@ -582,9 +596,18 @@ class FacetTables:
     once (:meth:`image`), in column form: one tuple per facet normal, its
     entries by row.  Every block's frontier is built from those columns,
     one subtraction per facet column (:meth:`block`).
+
+    The tables also keep the restrictions that :func:`beta_value_set`
+    reads, built from the same integers at the scale D: ``F_cf`` and
+    ``G_cf``, F and G on C ∩ dom F, which share one ``xs`` tuple; ``G_c``,
+    G on C; and ``I_c``, C's indicator, which shares ``G_c``'s.  So
+    verifying a certificate restricts no map and hashes no ``Fraction``.
     """
 
-    __slots__ = ("N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f")
+    __slots__ = (
+        "N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f",
+        "F_cf", "G_cf", "G_c", "I_c",
+    )
 
     def __init__(self, P):
         N = self.N = P.K.normals
@@ -597,14 +620,21 @@ class FacetTables:
                 table[x] = (vec_scale(s, u), vec_scale(s, v))
         x = sorted(fs.keys() | gs.keys())
         self.xs = [(fs[v] if v in fs else gs[v])[0] for v in x]
-        self.nf = [mat_vec(N, fs[v][1]) if v in fs else None for v in x]
+        fv = [fs[v][1] if v in fs else None for v in x]
+        self.nf = [None if f is None else mat_vec(N, f) for f in fv]
         self.gs = [gs[v][1] if v in gs else None for v in x]
         in_c = set(P.C)
         rows = range(len(x))
-        self.dom_f = [i for i in rows if self.nf[i] is not None]
+        self.dom_f = [i for i in rows if fv[i] is not None]
         self.dom_g = [i for i in rows if self.gs[i] is not None]
         self.c = [i for i in rows if x[i] in in_c]
-        self.c_f = [i for i in self.c if self.nf[i] is not None]
+        self.c_f = [i for i in self.c if fv[i] is not None]
+        xcf = tuple([x[i] for i in self.c_f])
+        Xcf, Xc = [self.xs[i] for i in self.c_f], [self.xs[i] for i in self.c]
+        self.F_cf = SampledMap._from_ints(xcf, den, Xcf, [fv[i] for i in self.c_f])
+        self.G_cf = SampledMap._from_ints(xcf, den, Xcf, [self.gs[i] for i in self.c_f])
+        self.G_c = SampledMap._from_ints(P.C, den, Xc, [self.gs[i] for i in self.c])
+        self.I_c = SampledMap.indicator(P.C, den, Xc, P.K.dim)
 
     def image(self, M: LinOp, d: int, vs: list) -> tuple:
         """The integer images (N·(d·M))·v of the vectors ``vs``, rows of

@@ -18,7 +18,8 @@ their indices; the certificate blocks, their ⊎-sums and the dual merge
 keep their frontiers as lists of such vectors.  A point set arrives
 cleared.  A batch of query points is cleared once, as a whole, at the
 set's scale and theirs, and its facet coordinates are summed one normal
-row at a time over its coordinate columns: the comparisons run on plain
+row at a time over its coordinate columns (:func:`row_products`), as are
+those of a set whose maxima are asked for: the comparisons run on plain
 integers, with no call per point.  Infima are suprema of the negated data.
 Only mapping new coordinates back to points needs N^{-1}, which exists
 exactly for simplicial K (``dim`` linearly independent normals).  The
@@ -188,13 +189,8 @@ def classify_points_2d(
     kept = maximal(qg if sup else [tuple([-c for c in q]) for q in qg])
     s = d // den
     dim = len(basis.normals[0])
-    rows = []  # row j: facet coordinate j of every query
-    for normal in basis.normals:
-        row = [0] * len(points)
-        for k, a in enumerate(normal):
-            if a:  # flat[k::dim]: coordinate k of every query
-                row = [u + a * x for u, x in zip(row, flat[k::dim])]
-        rows.append(row)
+    # row j: facet coordinate j of every query; flat[k::dim]: coordinate k
+    rows = row_products(basis.normals, [flat[k::dim] for k in range(dim)], len(points))
     if len(rows) > 2:
         front = [tuple([s * c for c in g]) for g in kept]
         codes = [region_sup(front, q) for q in zip(*rows)]
@@ -213,7 +209,28 @@ def classify_points_2d(
     return codes
 
 
+def row_products(A: Sequence[Sequence], cols: Sequence[Sequence], n: int) -> list:
+    """The products a·v of each row a of the integer matrix A with ``n``
+    vectors v given by their coordinate columns (``cols[k]``: coordinate k
+    of every v), one list per row of A, in the order of the vectors.  Each
+    is summed one entry of a at a time over a whole column, zero entries
+    skipped, with no call per vector."""
+    out = []
+    for a in A:
+        row = [0] * n
+        for c, col in zip(a, cols):
+            if c:
+                row = [u + c * x for u, x in zip(row, col)]
+        out.append(row)
+    return out
+
+
 def canonical_indices_2d(basis: RayBasis, vecs: Sequence[tuple]) -> list:
     """Indices of the maximal vectors of ``vecs``, integer vectors at one
-    scale (the generators of their weak supremum)."""
-    return maxima([basis.to_quad(v) for v in vecs])
+    scale (the generators of their weak supremum), from their facet
+    coordinates formed by columns (:func:`row_products`).  A single vector
+    is its own maximum, and needs no coordinates."""
+    if len(vecs) == 1:
+        return [0]
+    rows = row_products(basis.normals, list(zip(*vecs)), len(vecs))
+    return maxima(list(zip(*rows)))

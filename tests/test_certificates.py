@@ -17,6 +17,7 @@ from weakfront.conjugate import (
     SearchConfig,
     beta_value_set,
     certificates,
+    compose,
     frontier_scale,
     script_A_membership,
 )
@@ -315,7 +316,8 @@ def test_the_dual_merge_sums_only_the_items_that_change_it(monkeypatch):
 def _reference_tables(P):
     """The fields of ``FacetTables(P)`` as they were built from the maps'
     ``Fraction`` values: looked up point by point and cleared over one
-    common denominator of every point and value."""
+    common denominator of every point and value, and the kept maps as
+    restrictions of F and G and a checked indicator."""
     N = P.K.normals
     x = sorted(set(P.F.domain()) | set(P.G.domain()))
     fv = [P.F.value(v) for v in x]
@@ -334,6 +336,10 @@ def _reference_tables(P):
         "dom_g": [i for i in rows if gv[i] is not None],
         "c": c,
         "c_f": [i for i in c if fv[i] is not None],
+        "F_cf": P.F.restrict(P.C),
+        "G_cf": P.G.restrict(x[i] for i in c if fv[i] is not None),
+        "G_c": P.G.restrict(P.C),
+        "I_c": SampledMap([(v, (0,) * P.K.dim) for v in P.C]),
     }
 
 
@@ -354,6 +360,7 @@ def test_tables_are_the_maps_cleared_integers(name):
     assert list(want) == list(conjugate.FacetTables.__slots__)
     for field, value in want.items():
         assert getattr(tab, field) == value, field
+    assert tab.F_cf.xs is tab.G_cf.xs and tab.I_c.xs is tab.G_c.xs
 
 
 def test_halfplane_ties_keep_the_lex_smallest_point():
@@ -544,6 +551,77 @@ def test_beta_value_set_matches_the_fraction_formulas(name, seed):
         for index, Lp, Lpp in items:
             got = beta_value_set(index, P, L, T, Lp=Lp, Lpp=Lpp)
             assert got == _fraction_beta(index, P, L, T, Lp, Lpp)
+
+
+def _restricted_beta(index, P, L, T, Lp, Lpp):
+    """W built as it was before the tables kept the restrictions: F and
+    T∘G restricted to C on the call, summed on the intersection of their
+    domains, and C's indicator from the checking constructor."""
+    K = P.K
+    TG = compose(T.op, P.G)
+    if index == 1:
+        return conjugate.conjugate(P.F.restrict(P.C).add(TG.restrict(P.C)), L, K)
+    f_star = conjugate.conjugate(P.F, Lp, K)
+    if index == 2:
+        return ws_sum(f_star, conjugate.conjugate(TG.restrict(P.C), L - Lp, K))
+    ind = SampledMap([(x, (0,) * K.dim) for x in P.C])
+    first = ws_sum(f_star, conjugate.conjugate(ind, Lpp, K))
+    return ws_sum(first, conjugate.conjugate(TG, L - Lp - Lpp, K))
+
+
+def _cut_instance(rng):
+    """A random instance with its domains cut apart: F loses a point of C
+    and gains one off dom G, and C loses a point of dom G, so C ∩ dom F,
+    C, dom F and dom G all differ.  None when the draw has too few points
+    to cut."""
+    P = rand_instance(rng, domain_points=8)
+    keep = P.feasible_F.xs[0]  # stays in C and dom F, so the cut is feasible
+    rest = [x for x in P.C if x != keep]
+    if len(rest) < 2:
+        return None
+    x0, x1 = rng.sample(rest, 2)  # x0 leaves dom F, x1 leaves C
+    off = (Fraction(5),) * P.n  # outside the half-integer box of dom G
+    F = SampledMap(
+        [(x, v) for x, v in P.F.samples if x != x0]
+        + [(off, tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(P.m)))]
+    )
+    return ProblemInstance(F, P.G, [x for x in P.C if x != x1], P.K, P.S)
+
+
+@given(st.sampled_from(["shipped", "rand", "cut", "fraction"]), st.integers(0, 2**16))
+def test_beta_value_set_equals_the_restricted_maps(source, seed):
+    """At every index, the value set on the restrictions kept in the tables
+    equals the one built by restricting and adding maps on the call, on
+    shipped and random instances, some with C ∩ dom F ≠ C and dom F ≠ dom G,
+    for operators in halves and a perturbation with denominators up to 6."""
+    rng = random.Random(seed)
+    if source == "shipped":
+        P = INSTANCES[rng.choice(sorted(INSTANCES))]
+    elif source == "rand":
+        P = rand_instance(rng)
+    elif source == "cut":
+        P = _cut_instance(rng) or rand_instance(rng)
+    else:
+        P = _fraction_instance(rng, rng.choice([Cone.orthant(2), rand_cone_2d(rng), HALFPLANE]))
+    cfg = SearchConfig(t_step=Fraction(1, 2))
+    T = rng.choice(list(itertools.islice(cfg.posop_budget(P.S, P.K), 40)))
+    L, Lp, Lpp = (
+        _rand_fraction_linop(rng, P.m, P.n, rng.randint(1, 6)) for _ in range(3)
+    )
+    for index in (1, 2, 3):
+        Lp_i, Lpp_i = (Lp if index > 1 else None), (Lpp if index == 3 else None)
+        got = beta_value_set(index, P, L, T, Lp=Lp_i, Lpp=Lpp_i)
+        assert got == _restricted_beta(index, P, L, T, Lp_i, Lpp_i)
+
+
+def test_the_cut_instances_cut_the_domains():
+    """The cut draws of the property above do have C ∩ dom F ≠ C,
+    dom F ≠ dom G and C ≠ dom G."""
+    cuts = [P for P in map(_cut_instance, map(random.Random, range(20))) if P]
+    assert len(cuts) >= 15
+    for P in cuts:
+        tab = P.tables
+        assert tab.c_f != tab.c and tab.dom_f != tab.dom_g and tab.c != tab.dom_g
 
 
 def test_beta_value_set_applies_no_operator_to_a_sample(monkeypatch):

@@ -104,6 +104,50 @@ def test_restrict_and_add_intersect_domains():
     assert r.domain() == ((0,), (1,))
 
 
+def _pointwise_sum(f, g):
+    """f + g on the intersection of their domains, from the exact samples,
+    through the checking constructor."""
+    gv = dict(g.samples)
+    return SampledMap((x, vec_add(v, gv[x])) for x, v in f.samples if x in gv)
+
+
+def _add_cases(rng):
+    """(case, f, g): maps on one ``xs`` object, on equal but distinct
+    tuples, on partly overlapping domains and on disjoint ones."""
+    pts = sorted({(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),) for _ in range(6)})
+    f = rand_sampled_map(rng, 1, 2, domain=pts)
+    same = compose(LinOp(((Fraction(1, 3), 2), (-1, Fraction(5, 2)))), f)
+    # fresh Fraction objects: equal points that share no object with f's
+    copies = [(Fraction(x.numerator, x.denominator),) for (x,) in f.xs]
+    equal = rand_sampled_map(rng, 1, 2, domain=copies)
+    part = rand_sampled_map(rng, 1, 2, domain=copies[::2] + [(Fraction(99),)])
+    apart = rand_sampled_map(rng, 1, 2, domain=[(Fraction(-99),)])
+    return [("same", f, same), ("equal", f, equal), ("part", f, part), ("apart", f, apart)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_add_sums_equal_domains_row_by_row(seed):
+    """``add`` equals the pointwise sum of the exact samples on maps that
+    share one ``xs`` tuple, on equal but distinct point tuples and on a
+    partial overlap, with the same equality and hash; disjoint domains
+    still raise."""
+    cases = _add_cases(random.Random(seed))
+    kinds = [(f.xs is g.xs, f.xs == g.xs) for _, f, g in cases]
+    assert kinds == [(True, True), (False, True), (False, False), (False, False)]
+    assert all(a is not b for a, b in zip(cases[1][1].xs, cases[1][2].xs))
+    for case, f, g in cases:
+        if case == "apart":
+            with pytest.raises(ValueError, match="disjoint"):
+                f.add(g)
+            continue
+        for a, b in ((f, g), (g, f)):
+            got, want = a.add(b), _pointwise_sum(a, b)
+            assert got.samples == want.samples, case
+            assert got == want and hash(got) == hash(want), case
+        if case != "part":
+            assert f.add(g).xs is f.xs  # the shared domain is kept, not rebuilt
+
+
 def test_compose_applies_the_operator_pointwise():
     g = scalar_map([1, 0, -1])  # g(x) = 1 - x
     tg = compose(LinOp(((Fraction(2),),)), g)

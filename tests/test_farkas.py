@@ -1,5 +1,6 @@
 """Certificate layer: exhaustive (alpha), searched/verified (beta)."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,35 @@ def test_verifying_an_index_3_certificate_runs_no_checking_map_constructor(
     assert calls == []
     SampledMap([((0,), (0,))])
     assert calls == [1]  # the count sees a checked construction
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5"])
+def test_verifying_a_certificate_does_no_fraction_work(monkeypatch, name):
+    """The restrictions to C are kept in the instance tables, and maps on
+    one ``xs`` tuple are added row by row, so verifying a found certificate
+    at any index hashes, compares and orders no ``Fraction`` and restricts
+    no map."""
+    P = shipped_instance(name)
+    L = LinOp.zero(P.m, P.n)
+    y = tuple(-c for c in P.K.interior_witness)
+    found = [script_A_membership(i, P, L, y, P.search_config()) for i in (1, 2, 3)]
+    assert None not in found
+    calls = Counter()
+    for owner, attr in (
+        (Fraction, "__hash__"), (Fraction, "__eq__"), (Fraction, "__lt__"),
+        (SampledMap, "restrict"),
+    ):
+        def counting(*args, _real=getattr(owner, attr), _attr=attr):
+            calls[_attr] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+    for i, c in enumerate(found, 1):
+        assert verify_certificate(P, FarkasQuery(L, y, i), c)
+    assert calls == Counter()
+    hash(Fraction(1, 3)), Fraction(1, 3) == Fraction(1, 2), Fraction(1, 3) < 1
+    P.F.restrict(P.C)
+    assert set(calls) == {"__hash__", "__eq__", "__lt__", "restrict"}  # seen
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -4,10 +4,12 @@ shares no geometry with it, on simplicial and non-simplicial cones."""
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
-from weakfront import numeric, staircase2d
+from weakfront import conjugate, numeric, staircase2d
 from weakfront.cones import Cone, DimensionError, PointClass, classify_point
 from weakfront.oracle import brute_region_bulk, region_of_point
 from weakfront.order_sets import (
@@ -487,3 +489,32 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
         assert calls["scaled"] <= K.dim
         assert calls["cleared_batch"] == 1
         assert labels == _oracle_labels(M.points, K, grid, sup)
+
+
+def _matrix_and_vectors(dim):
+    """A matrix of 1-4 rows of length ``dim``, some of them zero, and 1-60
+    integer vectors of that dimension, repeats allowed."""
+    entry = st.integers(-5, 5)
+    row = st.one_of(st.just((0,) * dim), st.tuples(*[entry] * dim))
+    vec = st.tuples(*[st.integers(-40, 40)] * dim)
+    return st.tuples(
+        st.lists(row, min_size=1, max_size=4),
+        st.lists(vec, min_size=1, max_size=60),
+    )
+
+
+@given(st.integers(1, 3).flatmap(_matrix_and_vectors))
+def test_images_by_columns_are_the_per_vector_products(data):
+    """``row_products`` over the vectors' coordinate columns, and the
+    images and canonical indices formed from it, equal the per-vector
+    products ``sum(map(mul, a, v))``, ``to_quad`` and their maxima: 1-4
+    rows, zero rows among them, dimensions 1-3, 1-60 vectors."""
+    A, vs = data
+    want = [tuple(sum(map(mul, a, v)) for a in A) for v in vs]
+    rows = staircase2d.row_products(A, list(zip(*vs)), len(vs))
+    assert [len(r) for r in rows] == [len(vs)] * len(A)
+    assert list(zip(*rows)) == want
+    assert conjugate._int_images(A, vs) == want
+    basis = RayBasis(tuple(A), None)
+    assert [basis.to_quad(v) for v in vs] == want
+    assert canonical_indices_2d(basis, vs) == maxima(want)
