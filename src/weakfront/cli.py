@@ -171,11 +171,8 @@ def _cmd_dual(args) -> int:
         "L": encode_mat(L.entries),
         "frontier": _encode_genset(d.frontier),
         "attained": [
-            {
-                "point": encode_vec(p),
-                "certificate": _encode_certificate(P, L, d.certificate_for(p)),
-            }
-            for p in d.attained.points
+            {"point": encode_vec(p), "certificate": _encode_certificate(P, L, c)}
+            for p, c in d.certificates
         ],
     }
     sys.stdout.write(dump_json(doc))

@@ -19,14 +19,7 @@ from operator import mul
 from typing import Container, Iterator, Sequence
 
 from weakfront.numeric import (
-    Mat,
-    Number,
-    Vec,
-    common_denominator,
-    dot,
-    primitive,
-    require_exact,
-    scaled,
+    Mat, Number, Vec, chunked, cleared, dot, primitive, require_exact,
 )
 from weakfront.staircase2d import RayBasis
 
@@ -167,9 +160,9 @@ class LinOp:
             raise ValueError("ragged matrix")
         for r in rows:
             require_exact(r, "matrix entry")
-        d = common_denominator(rows)
         self.rows, self.cols = len(rows), len(rows[0])
-        self._cleared = (d, tuple(scaled(r, d) for r in rows))
+        d, flat = cleared(itertools.chain.from_iterable(rows))
+        self._cleared = (d, tuple(chunked(flat, self.cols, self.rows)))
 
     @classmethod
     def _from_ints(cls, d: int, M: list) -> "LinOp":
@@ -315,7 +308,6 @@ def sample_positive_operators(
 def sample_linops(rows: int, cols: int, box: Number, step: Number) -> Iterator[LinOp]:
     """All grid matrices of the given shape, ascending; includes zero.  The
     grid is cleared once, and each matrix is built from its integers."""
-    vals = grid_values(box, step)
-    d = common_denominator([vals])
-    for flat in itertools.product(scaled(vals, d), repeat=rows * cols):
+    d, vals = cleared(grid_values(box, step))
+    for flat in itertools.product(vals, repeat=rows * cols):
         yield LinOp._from_ints(d, [flat[i * cols : (i + 1) * cols] for i in range(rows)])

@@ -17,7 +17,10 @@ operator's integer image in facet coordinates is derived once, as one
 column of integers per facet normal; each block's cloud is built from
 those columns by one integer subtraction per facet, and the maxima of its
 rows, found by one sort of the row tuples, are its frontier; the search
-builds no ``Fraction`` point.
+builds no ``Fraction`` point.  Its query point is cleared once
+(:func:`weakfront.numeric.cleared`), and its facet coordinates are scaled
+and floored on integers, so from query to certificate the search does no
+``Fraction`` arithmetic.
 A call brings its operators' cleared forms to the one scale of
 :func:`frontier_scale`, so its frontiers are plain lists of integer
 coordinates at that scale.  The :class:`SearchConfig` keeps its operator
@@ -31,7 +34,8 @@ with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
 tables' images or frontiers, wherever that set is read: in verification
 and in output.  Those, the tables and :func:`epi_membership` run on each
 map's and operator's one stored form, cleared when it is built
-(:meth:`SampledMap.cleared`, :meth:`LinOp.cleared`), and each conjugate's
+(:meth:`SampledMap.cleared`, :meth:`LinOp.cleared`, both through
+:func:`weakfront.numeric.cleared`), and each conjugate's
 cloud is a cleared point set; an operator's images of a map's points are
 formed one matrix row at a time over the points' coordinate columns
 (:func:`weakfront.staircase2d.row_products`).  The restrictions to C that
@@ -62,8 +66,7 @@ from .cones import (
     sample_positive_operators,
 )
 from .numeric import (
-    Number, Vec, common_denominator, dot, mat_vec, require_exact, scaled,
-    vec_scale, vec_sub,
+    Number, Vec, chunked, cleared, dot, mat_vec, require_exact, vec_scale, vec_sub,
 )
 from .order_sets import (
     FiniteVecSet,
@@ -107,8 +110,9 @@ class SampledMap:
                 raise ValueError(f"duplicate sample point {x!r}")
             table[x] = v
         xs, vs = zip(*sorted(table.items()))
-        D = common_denominator(chain(xs, vs))
-        X, V = [scaled(x, D) for x in xs], [scaled(v, D) for v in vs]
+        D, flat = cleared(chain(chain.from_iterable(xs), chain.from_iterable(vs)))
+        k = len(xs) * in_dim
+        X, V = chunked(flat, in_dim, len(xs)), chunked(flat[k:], out_dim, len(xs))
         return cls._from_ints(xs, D, X, V)
 
     @classmethod
@@ -252,8 +256,8 @@ def epi_membership(
     require_exact(y, "query point")
     D, X, V = F.cleared()
     e, eL = L.cleared()
-    d = math.lcm(e, common_denominator([y]))
-    s, dDy = d // e, vec_scale(D, scaled(y, d))
+    d, dy = cleared(y, e)
+    s, dDy = d // e, vec_scale(D, dy)
     for lx, v in zip(_int_images(eL, X), V):
         w = tuple([s * p - d * c - q for p, c, q in zip(lx, v, dDy)])
         if classify_point(K, w) is PointClass.INTERIOR:
@@ -440,9 +444,8 @@ class SearchConfig:
         object.__setattr__(self, "l_step", l_step)
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
-        steps = common_denominator([(t_step, l_step)])
-        den = math.lcm(steps, *(h.cleared()[0] for h in (*self.hints_T, *self.hints_L)))
-        object.__setattr__(self, "den", den)
+        hints = math.lcm(*(h.cleared()[0] for h in (*self.hints_T, *self.hints_L)))
+        object.__setattr__(self, "den", cleared((t_step, l_step), hints)[0])
         object.__setattr__(self, "_budgets", {})
         object.__setattr__(self, "_images", {})
 
@@ -815,14 +818,16 @@ def script_A_membership(
     test asks :func:`weakfront.staircase2d.region_sum` for the region of
     q = ⌊s·N·y⌋ against the item's two frontiers, s the frontier scale (an
     integer g exceeds s·N·y exactly where it exceeds q), so no W is built.
+    y is cleared once, as (e, Y = e·y), and q is s·(N·Y) // e, on integers.
     """
     y = tuple(y)
     K = P.K
     if L.rows != K.dim or L.cols != P.F.in_dim or len(y) != K.dim:
         raise DimensionError("script_A_membership: dimensions disagree")
     require_exact(y, "query point")
+    e, Y = cleared(y)
     s = frontier_scale(P, L, cfg)
-    q = tuple(math.floor(s * c) for c in K.basis.to_quad(y))
+    q = tuple([s * c // e for c in K.basis.to_quad(Y)])
     for ops, front, block in certificates(i, P, L, cfg):
         if region_sum(front, block, q) != LOWER:
             return Certificate(i, *ops)

@@ -25,8 +25,8 @@ frontiers without building their ⊎-sum), and it builds a frontier only for
 the few certificates that change the merge.  The merge and the search for
 each generator's certificate run on the enumerator's integer frontiers,
 which share one scale, with no per-piece negation; only the generators are
-negated and mapped back, once, through that scale, and a certificate is
-stored as its operators.
+negated and mapped back, once, as integer vectors through the cleared
+inverse of the normal matrix, and a certificate is stored as its operators.
 """
 
 from __future__ import annotations
@@ -227,13 +227,6 @@ class DualValue:
     def __setattr__(self, name, value):
         raise AttributeError("DualValue is immutable")
 
-    def certificate_for(self, point: Sequence[Number]) -> Certificate:
-        key = tuple(point)
-        for p, c in self.certificates:
-            if p == key:
-                return c
-        raise KeyError(f"{key!r} is not an attained dual value")
-
     def __repr__(self) -> str:
         return (
             f"DualValue({self.which}, attained={list(self.attained.points)!r})"
@@ -255,18 +248,22 @@ def dual_value(
     facet coordinates of W's frontiers that the enumerator computed, all at
     the search's one scale, and keeps the running generators negated, in
     W's orientation: the componentwise minima of pairs of current and piece
-    generators, then their maxima; the result is negated and mapped back
-    once.  A certificate is skipped when every current generator is LOWER
-    or FRONTIER against its frontier (``region_sum``, on the enumerator's
-    two frontiers), since its region then contains them all and the merge
-    would return them unchanged; W's frontier is built
+    generators, then their maxima.  Each result u is mapped back once, on
+    integers, to the vector -(δ·N^{-1})·u at the scale δ·s, with N^{-1}
+    cleared as (δ, δ·N^{-1}) (:class:`RayBasis`) and s the frontier scale;
+    those vectors are sorted and form the attained set as they are, with
+    no division.  A certificate is skipped when every current generator is
+    LOWER or FRONTIER against its frontier (``region_sum``, on the
+    enumerator's two frontiers), since its region then contains them all
+    and the merge would return them unchanged; W's frontier is built
     (:meth:`FacetTables.sum`) only for the first certificate and for those
     not skipped.  Each generator of the result lies on some certificate's
     frontier and is stored with the first such certificate in budget order,
     skipped ones included; the owner is found with ``region_sum`` too and
-    stored as its operators.  K must be simplicial (exactly ``dim``
-    linearly independent normals, so that its basis has an inverse), of any
-    dimension.
+    stored as its operators, paired with its point in the attained set's
+    order (``DualValue.certificates``).  K must be simplicial (exactly
+    ``dim`` linearly independent normals, so that its basis has an
+    inverse), of any dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
@@ -291,13 +288,12 @@ def dual_value(
     if low is None:
         raise ValueError("empty certificate budget")
 
-    scale = frontier_scale(P, L, cfg)
-    stored = []
-    points = (
-        tuple(c / scale for c in basis.from_quad(vec_neg(u))) for u in low
-    )
-    for h, u in sorted(zip(points, low)):
-        # h is on the frontier of -W exactly when u = -h is on that of W
+    delta, inverse = basis.inverse
+    owners = []
+    # each point -N^{-1}·u/s as the integer vector -(δ·N^{-1})·u at the scale δ·s
+    points = sorted((vec_neg(mat_vec(inverse, u)), u) for u in low)
+    for h, u in points:
+        # h is on the frontier of -W exactly when u is on that of W
         k = next(
             (
                 k
@@ -308,10 +304,11 @@ def dual_value(
         )
         if k is None:  # cannot happen: h is on the region boundary
             raise RuntimeError(f"no certificate owns attained point {h!r}")
-        stored.append((h, Certificate(index, *pieces[k][0])))
-    attained = FiniteVecSet(h for h, _ in stored)
+        owners.append(Certificate(index, *pieces[k][0]))
+    scale = delta * frontier_scale(P, L, cfg)
+    attained = FiniteVecSet.from_ints(scale, [h for h, _ in points])
     frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
-    return DualValue(which, L, attained, frontier, tuple(stored))
+    return DualValue(which, L, attained, frontier, tuple(zip(attained.points, owners)))
 
 
 def weak_duality_check(
@@ -381,10 +378,8 @@ def strong_duality_check(
     dv = dual_value(P, which, L, cfg)
     if dv.frontier == vp:
         return StrongDualityResult("HOLDS", which, vp, dv)
-    witness = next(
-        (g for g in vp.generators.points if g not in dv.attained.points),
-        vp.generators.points[0],
-    )
+    primal, attained = vp.generators.points, dv.attained.points
+    witness = next((g for g in primal if g not in attained), primal[0])
     y_w = vec_neg(witness)
     record = {
         "witness": encode_vec(witness),

@@ -92,12 +92,12 @@ def cone_from_literal(raw, what: str = "cone") -> Cone:
 def _check_extreme_rays(K: Cone, what: str) -> None:
     """Positive operators are certified on the listed generators only, so
     the generators of a simplicial cone must include each extreme ray (the
-    columns of N^{-1}).  Other generator lists are trusted as given."""
-    basis = K.basis
-    if not K.generators or basis.inverse is None:
+    columns of N^{-1}, read from its cleared form δ·N^{-1}).  Other
+    generator lists are trusted as given."""
+    if not K.generators or K.basis.inverse is None:
         return
-    for i in range(K.dim):
-        ray = primitive(basis.from_quad([int(i == j) for j in range(K.dim)]))
+    for column in zip(*K.basis.inverse[1]):
+        ray = primitive(column)
         if ray not in K.generators:
             raise InstanceFormatError(
                 f"{what!r} generators miss the extreme ray "

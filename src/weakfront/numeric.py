@@ -3,12 +3,14 @@
 All engine data lives in immutable tuples of exact numbers.  The JSON codec
 at the bottom is the only place other number types are read: it decodes
 every document number to a ``Fraction``.  Past it, :func:`require_exact`
-guards the places where a caller's numbers enter the engine.  The engine's
-integer paths clear denominators only through :func:`common_denominator`,
-:func:`scaled`, :func:`cleared_batch` and :func:`primitive`; cones, sampled
-maps, operators and point sets are cleared through them once, when built,
-and keep that form; a batch of query points is cleared once per call that
-labels it.
+guards the places where a caller's numbers enter the engine.  The engine
+turns exact numbers into integers in one way only, :func:`cleared`, which
+reads each entry once and returns the scale and the integers at it (and,
+through it, :func:`primitive`).  Cones, sampled maps, operators, point sets
+and the inverses of normal matrices are cleared by it once, when built, and
+keep that form; a batch of query points, or one query point, is cleared
+once per call that reads it.  Past that boundary the certificate search and
+the dual merge run on integers up to their output.
 """
 
 from __future__ import annotations
@@ -57,33 +59,26 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 # --- clearing denominators --------------------------------------------------
 
-def common_denominator(vecs: Iterable[Sequence[Number]]) -> int:
-    """The lcm of the denominators of every entry of ``vecs``."""
-    return math.lcm(*{c.denominator for v in vecs for c in v})
-
-
-def scaled(v: Sequence[Number], den: int) -> tuple:
-    """The integer vector den·v (den a multiple of every denominator)."""
-    return tuple([c.numerator * (den // c.denominator) for c in v])
-
-
-def cleared_batch(entries: Iterable[Number], den: int, sign: int) -> tuple:
-    """(d, [sign·d·c for each entry c]), d the lcm of ``den`` and every
-    entry's denominator, sign 1 or -1: a whole batch cleared reading each
-    entry once (``as_integer_ratio``), where :func:`common_denominator`
-    and :func:`scaled` read it twice."""
+def cleared(entries: Iterable[Number], den: int = 1) -> tuple:
+    """(d, [d·c for each entry c]): d the lcm of ``den`` and the reduced
+    denominators of the entries, each entry read once (``as_integer_ratio``)."""
     ratios = [c.as_integer_ratio() for c in entries]
     d = math.lcm(den, *{q for _, q in ratios})
-    s = sign * d
-    return d, [p * (s // q) for p, q in ratios]
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def chunked(flat: Sequence, n: int, count: int) -> list:
+    """The first ``count`` consecutive n-tuples of ``flat`` (n may be 0):
+    vectors of one length cleared as one flat batch, read back."""
+    return [tuple(flat[i * n : i * n + n]) for i in range(count)]
 
 
 def primitive(v: Sequence[Number]) -> tuple:
     """The primitive integer multiple of a nonzero exact vector: its
     positive multiple with integer entries of gcd 1."""
-    ints = scaled(v, common_denominator([v]))
+    ints = cleared(v)[1]
     g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
+    return tuple([c // g for c in ints])
 
 
 # --- JSON number codec ------------------------------------------------------

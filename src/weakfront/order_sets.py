@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cones import Cone, DimensionError
-from .numeric import Number, common_denominator, require_exact, scaled, vec_neg
+from .numeric import Number, chunked, cleared, require_exact, vec_neg
 from . import staircase2d
 
 
@@ -76,8 +76,8 @@ class FiniteVecSet:
             if len(v) != len(vs[0]):
                 raise DimensionError(f"mixed point dimensions: {len(v)} vs {len(vs[0])}")
             require_exact(v, "point")
-        den = common_denominator(vs)
-        return cls.from_ints(den, [scaled(v, den) for v in vs])
+        den, flat = cleared(chain.from_iterable(vs))
+        return cls.from_ints(den, chunked(flat, len(vs[0]) if vs else 0, len(vs)))
 
     @classmethod
     def from_ints(cls, den: int, vecs: Iterable[Sequence[int]]) -> "FiniteVecSet":

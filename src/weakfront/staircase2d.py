@@ -17,14 +17,16 @@ themselves, sorting the tuples with no key function, and :func:`maxima`
 their indices; the certificate blocks, their ⊎-sums and the dual merge
 keep their frontiers as lists of such vectors.  A point set arrives
 cleared.  A batch of query points is cleared once, as a whole, at the
-set's scale and theirs, and its facet coordinates are summed one normal
-row at a time over its coordinate columns (:func:`row_products`), as are
-those of a set whose maxima are asked for: the comparisons run on plain
-integers, with no call per point.  Infima are suprema of the negated data.
-Only mapping new coordinates back to points needs N^{-1}, which exists
-exactly for simplicial K (``dim`` linearly independent normals).  The
-module and function names date from the planar staircase this core
-replaced; perfbench's tracer binds them by name.
+set's scale and theirs (:func:`weakfront.numeric.cleared`), and its facet
+coordinates are summed one normal row at a time over its coordinate
+columns (:func:`row_products`), as are those of a set whose maxima are
+asked for: the comparisons run on plain integers, with no call per point.
+Infima are suprema of the negated data, labelled on the negated normals.
+Only mapping facet coordinates back to points needs N^{-1}, which exists
+exactly for simplicial K (``dim`` linearly independent normals); the
+basis keeps it cleared once, as (δ, δ·N^{-1}), so that mapping runs on
+integers too.  The module and function names date from the planar
+staircase this core replaced; perfbench's tracer binds them by name.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import chain
 from operator import ge, gt, sub
 from typing import Iterable, Sequence
 
-from weakfront.numeric import Vec, cleared_batch, dot
+from weakfront.numeric import Vec, chunked, cleared, dot
 
 # Region codes (kept as plain ints so this module has no enum dependencies;
 # order_sets maps them onto RegionLabel).
@@ -43,8 +45,8 @@ LOWER, FRONTIER, UPPER = 0, 1, 2
 
 
 def _inverse(rows: Sequence[Sequence]) -> tuple | None:
-    """Exact inverse of a square matrix by Gauss-Jordan elimination, or None
-    when the matrix is singular."""
+    """Exact inverse of a square matrix A by Gauss-Jordan elimination,
+    cleared as (δ, δ·A^{-1}), or None when the matrix is singular."""
     n = len(rows)
     work = [
         [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -61,13 +63,15 @@ def _inverse(rows: Sequence[Sequence]) -> tuple | None:
             f = work[r][col]
             if r != col and f != 0:
                 work[r] = [a - f * b for a, b in zip(work[r], prow)]
-    return tuple(tuple(row[n:]) for row in work)
+    d, flat = cleared(chain.from_iterable(row[n:] for row in work))
+    return d, tuple(chunked(flat, n, n))
 
 
 class RayBasis:
     """Facet coordinates of a polyhedral cone: ``normals`` is the integer
     matrix N (the cone's own primitive normals), ``inverse`` its exact
-    inverse when N is square and invertible (K simplicial), None otherwise."""
+    inverse cleared as (δ, δ·N^{-1}) when N is square and invertible (K
+    simplicial), None otherwise."""
 
     __slots__ = ("normals", "inverse")
 
@@ -85,11 +89,6 @@ class RayBasis:
     def to_quad(self, y: Sequence) -> tuple:
         """Facet coordinates N·y."""
         return tuple([dot(row, y) for row in self.normals])
-
-    def from_quad(self, q: Sequence) -> Vec:
-        """Original coordinates N^{-1}·q of facet coordinates q (simplicial
-        K only)."""
-        return tuple(dot(row, q) for row in self.inverse)
 
 
 def maximal(cloud: Iterable[tuple]) -> list:
@@ -171,26 +170,27 @@ def classify_points_2d(
 ) -> list:
     """Region codes of ``points`` against wsup(gens), or against winf(gens)
     when sup=False: the infimum is minus the supremum of the negated data,
-    with LOWER and UPPER swapped.  ``gens`` is a cleared point set (den,
-    vecs); the points are cleared at d = lcm(den, their denominators), at
-    -d for the infimum, and the generators' maxima rescaled by d/den.
+    so it is labelled on the negated normals, with LOWER and UPPER swapped.
+    ``gens`` is a cleared point set (den, vecs); the points are cleared at
+    d = lcm(den, their denominators), and the generators' maxima rescaled
+    by d/den.
 
     The batch is handled in whole columns, with no call per point: it is
-    cleared once, each entry read once (:func:`cleared_batch`), and each
-    facet coordinate is summed, one normal row at a time, over the batch's
+    cleared once (:func:`weakfront.numeric.cleared`), and each facet
+    coordinate is summed, one normal row at a time, over the batch's
     coordinate columns.  With one or two facets the maxima form a
     staircase along which the first coordinate strictly falls and the last
     strictly rises, so those with g0 > q0 (or g0 >= q0) are a prefix whose
     last one has the largest last coordinate: two bisections label q.  With
     more facets each query runs ``region_sup``."""
     den, vecs = gens
-    d, flat = cleared_batch(chain.from_iterable(points), den, 1 if sup else -1)
-    qg = [basis.to_quad(v) for v in vecs]
-    kept = maximal(qg if sup else [tuple([-c for c in q]) for q in qg])
+    N = basis.normals if sup else [tuple([-c for c in a]) for a in basis.normals]
+    d, flat = cleared(chain.from_iterable(points), den)
+    kept = maximal([tuple([dot(a, v) for a in N]) for v in vecs])
     s = d // den
-    dim = len(basis.normals[0])
+    dim = len(N[0])
     # row j: facet coordinate j of every query; flat[k::dim]: coordinate k
-    rows = row_products(basis.normals, [flat[k::dim] for k in range(dim)], len(points))
+    rows = row_products(N, [flat[k::dim] for k in range(dim)], len(points))
     if len(rows) > 2:
         front = [tuple([s * c for c in g]) for g in kept]
         codes = [region_sup(front, q) for q in zip(*rows)]

@@ -3,6 +3,7 @@ checked against a written-out reference: the budget's three nested loops,
 the from-scratch ``beta_value_set``, and a join fold that prunes nothing."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -23,7 +24,7 @@ from weakfront.conjugate import (
 )
 from weakfront.duality import ProblemInstance, dual_value, weak_duality_check
 from weakfront.instances import shipped_instance
-from weakfront.numeric import common_denominator, mat_vec, scaled, vec_sub
+from weakfront.numeric import dot, mat_vec, vec_sub
 from weakfront.order_sets import (
     FiniteVecSet, RegionLabel, winf_finite, ws_sum, wsup_finite,
 )
@@ -136,11 +137,13 @@ def _unpruned_dual(P, L, reference):
     """The dual merge with every piece joined in, and the first owner of
     each attained point in budget order.  The join of u and v is the least
     point K-above both: the componentwise max of their orthant coordinates,
-    mapped back."""
+    mapped back through the cleared inverse (δ, δ·N^{-1})."""
     basis = RayBasis.for_cone(P.K)
+    delta, inverse = basis.inverse
 
     def join(u, v):
-        return basis.from_quad(tuple(map(max, basis.to_quad(u), basis.to_quad(v))))
+        q = tuple(map(max, basis.to_quad(u), basis.to_quad(v)))
+        return tuple(Fraction(dot(row, q), delta) for row in inverse)
 
     pieces = [W.negate() for _, W in reference]
     current = pieces[0].generators.points
@@ -322,15 +325,20 @@ def _reference_tables(P):
     x = sorted(set(P.F.domain()) | set(P.G.domain()))
     fv = [P.F.value(v) for v in x]
     gv = [P.G.value(v) for v in x]
-    den = common_denominator(v for col in (x, fv, gv) for v in col if v is not None)
+    entries = (c for col in (x, fv, gv) for v in col if v is not None for c in v)
+    den = math.lcm(*(Fraction(c).denominator for c in entries))
+
+    def scaled(v):
+        return tuple(int(c * den) for c in v)
+
     rows = range(len(x))
     in_c = set(P.C)
     c = [i for i in rows if x[i] in in_c]
     return {
         "N": N,
-        "xs": [scaled(v, den) for v in x],
-        "nf": [None if v is None else mat_vec(N, scaled(v, den)) for v in fv],
-        "gs": [None if v is None else scaled(v, den) for v in gv],
+        "xs": [scaled(v) for v in x],
+        "nf": [None if v is None else mat_vec(N, scaled(v)) for v in fv],
+        "gs": [None if v is None else scaled(v) for v in gv],
         "den": den,
         "dom_f": [i for i in rows if fv[i] is not None],
         "dom_g": [i for i in rows if gv[i] is not None],

@@ -9,7 +9,9 @@ of any of them must reproduce them exactly.  The ``wsup`` cases read their
 set and query documents from ``tests/golden/inputs/``: a skewed planar cone
 (a simplicial cone), a four-facet cone in R^3 (a non-simplicial cone), and a
 half-plane, whose set in thirds has lineality ties and whose queries in
-halves include points on the frontier.
+halves include points on the frontier.  Two ``dual`` cases read an instance
+from there too: E4's data under a skewed cone, whose normal matrix has a
+nontrivial inverse.
 Regenerate them (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -57,6 +59,17 @@ _CONJUGATE = (
     ("gap_toy", "[[2]]"),
 )
 _WSUP = ("skew2d", "pyramid3d", "halfplane")
+# (golden file stem, flags) run on E4's data under the skewed cone with
+# normals [[2,-1],[-1,2]] (tests/golden/inputs/dual_skew_instance.json):
+# its N^-1 is not the identity, so these pin the mapping of the merged
+# generators back to points, each with three attained points.
+_DUAL_SKEW = (
+    ("dual_skew_VD3", ("--which", "VD3", "--L", '[["1/2"],[2]]')),
+    (
+        "dual_skew_VD2_lbox1",
+        ("--which", "VD2", "--L", '[[2],["-1/2"]]', "--l-box", "1"),
+    ),
+)
 # (golden file stem, command, instance, flags) run with a fractional --L on
 # half-step grids for T and the split operators: they pin L - L' - L''
 # across mixed denominators, the frontier scale and the printing of
@@ -115,6 +128,9 @@ def cases() -> list:
                 [command, path, *flags, "--L", _FRACTIONAL_L, *_HALF_STEP],
             )
         )
+    skew = str(GOLDEN / "inputs" / "dual_skew_instance.json")
+    for stem, flags in _DUAL_SKEW:
+        out.append((f"{stem}.json", ["dual", skew, *flags]))
     for name in _WSUP:
         out.append(
             (
