@@ -38,11 +38,12 @@ map's and operator's one stored form, cleared when it is built
 :func:`weakfront.numeric.cleared`), and each conjugate's
 cloud is a cleared point set; an operator's images of a map's points are
 formed one matrix row at a time over the points' coordinate columns
-(:func:`weakfront.staircase2d.row_products`).  The restrictions to C that
-a value set reads (F and G on C ∩ dom F, G on C, C's indicator) are kept
-in the tables, built once per instance, and maps on one tuple of points
-are added row by row, so verifying a certificate hashes, compares and
-orders no ``Fraction``.
+(:func:`weakfront.staircase2d.row_products`).  The tables are the one
+place that decides which sample rows a restriction keeps: they are built
+when the instance is, and keep the restrictions that (alpha), (VP_L) and
+the value sets read (F on the feasible sample, F and G on C ∩ dom F, G on
+C, C's indicator); maps on one tuple of points are added row by row, so
+verifying a certificate hashes, compares and orders no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from .cones import (
     sample_positive_operators,
 )
 from .numeric import (
-    Number, Vec, chunked, cleared, dot, mat_vec, require_exact, vec_scale, vec_sub,
+    Number, Vec, chunked, cleared, dot, mat_vec, require_exact, vec_neg, vec_scale,
+    vec_sub,
 )
 from .order_sets import (
     FiniteVecSet,
@@ -85,11 +87,11 @@ class SampledMap:
 
     Samples are exact, with no repeated x.  A map stores its sorted points
     ``xs`` and its cleared form (:meth:`cleared`) only; :func:`compose`,
-    :meth:`restrict` and :meth:`add` build maps from integers alone, and
+    :meth:`add` and the restrictions an instance keeps
+    (:class:`FacetTables`) are built from integers alone, and
     :attr:`samples` and :meth:`value` read exact values back on demand.
     Equality and hashing follow the exact samples, not the cleared form: a
-    restriction keeps its parent's D.  :meth:`restrict` hashes the points,
-    so verification reads restrictions kept per instance (:class:`FacetTables`).
+    kept restriction is at its tables' D, not its parent's.
     """
 
     __slots__ = ("in_dim", "out_dim", "xs", "_cleared")
@@ -155,16 +157,6 @@ class SampledMap:
             return None
         D, _, V = self._cleared
         return tuple([Fraction(c, D) for c in V[i]])
-
-    def restrict(self, points: Iterable[Sequence[Number]]) -> "SampledMap":
-        keep = {tuple(p) for p in points}
-        rows = [i for i, x in enumerate(self.xs) if x in keep]
-        if not rows:
-            raise ValueError("restriction has empty domain")
-        D, X, V = self._cleared
-        return SampledMap._from_ints(
-            [self.xs[i] for i in rows], D, [X[i] for i in rows], [V[i] for i in rows]
-        )
 
     def add(self, other: "SampledMap") -> "SampledMap":
         """Pointwise sum on the intersection of the two domains.
@@ -313,8 +305,11 @@ def witness_translate(U: GenSet, y: Sequence[Number]) -> Fraction:
     if U.tag is not Tag.FINITE or U.orient is not Orient.SUP:
         raise ValueError("witness_translate needs a finite SUP GenSet")
     K = U.cone
-    k0 = K.interior_witness
     y = tuple(y)
+    if len(y) != K.dim:
+        raise DimensionError("witness_translate: point/cone dimensions disagree")
+    require_exact(y, "query point")
+    k0 = K.interior_witness
     best = None
     for g in U.generators.points:
         d = vec_sub(y, g)
@@ -583,33 +578,41 @@ def beta_value_set(
     return ws_sum(front, conjugate(compose(T.op, P.G), L - Lp - Lpp, K))
 
 
+class EmptyFeasibleSet(ValueError):
+    """No sample point is feasible (or none of them is in dom F)."""
+
+
 class FacetTables:
     """An instance's data in the integer facet coordinates of K, for
-    :func:`certificates`.
+    :func:`certificates`, built once, when the instance is.
 
     Rows are the samples X = dom F ∪ dom G in ascending order.  With ``N``
     the primitive integer normals of K and D = ``den`` the lcm of the
     denominators of F's and G's cleared forms, ``xs`` holds D·x, ``nf``
     N·(D·F(x)) and ``gs`` D·G(x) (None off dom F, dom G), rescaled from those
     integers; ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
-    dom F, dom G, C and C ∩ dom F.  A frontier is the list of the maximal
-    facet coordinates of a cloud, in descending lexicographic order, all at
-    the one integer scale of their search (:func:`frontier_scale`).  A
-    search clears each of its operators into an integer image of the rows
-    once (:meth:`image`), in column form: one tuple per facet normal, its
-    entries by row.  Every block's frontier is built from those columns,
-    one subtraction per facet column (:meth:`block`).
+    dom F, dom G, C and C ∩ dom F.  The tables refuse a C point outside
+    dom G (the first of the sorted C), and an instance whose feasible rows,
+    those of C ∩ dom F with -D·G(x) in S, are none (:class:`EmptyFeasibleSet`).
+    A frontier is the list of the maximal facet coordinates of a cloud, in
+    descending lexicographic order, all at the one integer scale of their
+    search (:func:`frontier_scale`).  A search clears each of its
+    operators into an integer image of the rows once (:meth:`image`), in
+    column form: one tuple per facet normal, its entries by row.  Every
+    block's frontier is built from those columns, one subtraction per facet
+    column (:meth:`block`).
 
-    The tables also keep the restrictions that :func:`beta_value_set`
-    reads, built from the same integers at the scale D: ``F_cf`` and
-    ``G_cf``, F and G on C ∩ dom F, which share one ``xs`` tuple; ``G_c``,
-    G on C; and ``I_c``, C's indicator, which shares ``G_c``'s.  So
-    verifying a certificate restricts no map and hashes no ``Fraction``.
+    The tables also keep the restrictions that the instance and
+    :func:`beta_value_set` read, built from the same integers at the scale
+    D: ``F_cf`` and ``G_cf``, F and G on C ∩ dom F, which share one ``xs``
+    tuple; ``G_c``, G on C; ``I_c``, C's indicator, which shares ``G_c``'s;
+    and ``feasible_F``, F on the feasible rows.  So no other code restricts
+    a map, and verifying a certificate hashes no ``Fraction``.
     """
 
     __slots__ = (
         "N", "xs", "nf", "gs", "den", "dom_f", "dom_g", "c", "c_f",
-        "F_cf", "G_cf", "G_c", "I_c",
+        "F_cf", "G_cf", "G_c", "I_c", "feasible_F",
     )
 
     def __init__(self, P):
@@ -626,18 +629,34 @@ class FacetTables:
         fv = [fs[v][1] if v in fs else None for v in x]
         self.nf = [None if f is None else mat_vec(N, f) for f in fv]
         self.gs = [gs[v][1] if v in gs else None for v in x]
+        for v in P.C:
+            if v not in gs:
+                raise ValueError(f"C point {v!r} is outside dom G")
         in_c = set(P.C)
         rows = range(len(x))
         self.dom_f = [i for i in rows if fv[i] is not None]
         self.dom_g = [i for i in rows if self.gs[i] is not None]
         self.c = [i for i in rows if x[i] in in_c]
         self.c_f = [i for i in self.c if fv[i] is not None]
+        feasible = [
+            i for i in self.c_f
+            if classify_point(P.S, vec_neg(self.gs[i])) is not PointClass.OUTSIDE
+        ]
+        if not feasible:
+            raise EmptyFeasibleSet(
+                "instance violates the standing assumption: no feasible "
+                "sample point lies in dom F"
+            )
         xcf = tuple([x[i] for i in self.c_f])
         Xcf, Xc = [self.xs[i] for i in self.c_f], [self.xs[i] for i in self.c]
         self.F_cf = SampledMap._from_ints(xcf, den, Xcf, [fv[i] for i in self.c_f])
         self.G_cf = SampledMap._from_ints(xcf, den, Xcf, [self.gs[i] for i in self.c_f])
         self.G_c = SampledMap._from_ints(P.C, den, Xc, [self.gs[i] for i in self.c])
         self.I_c = SampledMap.indicator(P.C, den, Xc, P.K.dim)
+        self.feasible_F = SampledMap._from_ints(
+            [x[i] for i in feasible], den, [self.xs[i] for i in feasible],
+            [fv[i] for i in feasible],
+        )
 
     def image(self, M: LinOp, d: int, vs: list) -> tuple:
         """The integer images (N·(d·M))·v of the vectors ``vs``, rows of

@@ -35,7 +35,8 @@ from typing import Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
 from .numeric import (
-    Number, Vec, encode_mat, encode_vec, mat_vec, vec_neg, vec_scale, vec_sub,
+    Number, Vec, encode_mat, encode_vec, mat_vec, require_exact, vec_neg, vec_scale,
+    vec_sub,
 )
 from .order_sets import (
     FiniteVecSet,
@@ -54,12 +55,7 @@ from .conjugate import (
     certificates,
     frontier_scale,
 )
-from .farkas import (
-    EmptyFeasibleSet,
-    HardFailure,
-    alpha_holds,
-    feasible_points,
-)
+from .farkas import HardFailure, alpha_holds
 
 _DUAL_NAMES = ("VD1", "VD2", "VD3")
 
@@ -71,13 +67,14 @@ class ProblemInstance:
     ``flags`` records structural facts that finite samples cannot express
     (linearity of the underlying data, convexity of the underlying C, an
     interior-feasible Slater point); they gate how dual gaps are reported.
-    ``feasible_F`` is F on A ∩ dom F, A = C ∩ G⁻¹(-S) the feasible sample:
-    the set (alpha) and (VP_L) range over, derived once and never empty.
+    ``tables`` is the data in integer facet coordinates (:class:`FacetTables`),
+    built once, at construction; they refuse a C point outside dom G and an
+    empty feasible sample, and keep every restriction the instance reads.
+    ``feasible_F`` is theirs: F on A ∩ dom F, A = C ∩ G⁻¹(-S) the feasible
+    sample, the set (alpha) and (VP_L) range over.
     """
 
-    __slots__ = (
-        "F", "G", "C", "K", "S", "hints_T", "hints_L", "flags", "feasible_F", "_tables",
-    )
+    __slots__ = ("F", "G", "C", "K", "S", "hints_T", "hints_L", "flags", "tables")
 
     def __init__(
         self,
@@ -96,14 +93,14 @@ class ProblemInstance:
             raise DimensionError("F values and K live in different dimensions")
         if G.out_dim != S.dim:
             raise DimensionError("G values and S live in different dimensions")
-        C_pts = tuple(sorted({tuple(x) for x in C}))
+        C_pts = [tuple(x) for x in C]
         if not C_pts:
             raise ValueError("empty constraint index set C")
         for x in C_pts:
             if len(x) != F.in_dim:
                 raise DimensionError("C point dimension disagrees with domain")
-            if G.value(x) is None:
-                raise ValueError(f"C point {x!r} is outside dom G")
+            require_exact(x, "C point")
+        C_pts = tuple(sorted(set(C_pts)))
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "C", C_pts)
@@ -112,26 +109,14 @@ class ProblemInstance:
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
         object.__setattr__(self, "flags", dict(flags or {}))
-        active = [x for x in feasible_points(self) if F.value(x) is not None]
-        if not active:
-            raise EmptyFeasibleSet(
-                "instance violates the standing assumption: no feasible "
-                "sample point lies in dom F"
-            )
-        object.__setattr__(self, "feasible_F", F.restrict(active))
+        object.__setattr__(self, "tables", FacetTables(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProblemInstance is immutable")
 
     @property
-    def tables(self) -> FacetTables:
-        """The data in integer facet coordinates, derived on first use and
-        kept."""
-        try:
-            return self._tables
-        except AttributeError:
-            object.__setattr__(self, "_tables", FacetTables(self))
-            return self._tables
+    def feasible_F(self) -> SampledMap:
+        return self.tables.feasible_F
 
     @property
     def n(self) -> int:

@@ -13,16 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cones import (
-    DimensionError,
-    LinOp,
-    PointClass,
-    PosOp,
-    classify_point,
-)
-from .numeric import Number, encode_mat, vec_neg
+from .cones import DimensionError, LinOp, PosOp
+from .numeric import Number, encode_mat
 from .order_sets import RegionLabel, Tag
-from .conjugate import Certificate, beta_value_set, epi_membership
+from .conjugate import Certificate, EmptyFeasibleSet, beta_value_set, epi_membership
 
 __all__ = [
     "Certificate",
@@ -32,13 +26,8 @@ __all__ = [
     "alpha_holds",
     "convert_certificate",
     "encode_certificate",
-    "feasible_points",
     "verify_certificate",
 ]
-
-
-class EmptyFeasibleSet(ValueError):
-    """No sample point is feasible (or none of them is in dom F)."""
 
 
 class HardFailure(RuntimeError):
@@ -69,22 +58,12 @@ class FarkasQuery:
         return f"FarkasQuery(index={self.index}, y={self.y!r})"
 
 
-def feasible_points(P) -> tuple:
-    """The feasible sample A = {x in C : G(x) in -S}, as a sorted tuple.
-    The instance has checked that C lies in dom G."""
-    S, G = P.S, P.G
-    return tuple(
-        x
-        for x in P.C
-        if classify_point(S, vec_neg(G.value(x))) is not PointClass.OUTSIDE
-    )
-
-
 def alpha_holds(P, L: LinOp, y: Sequence[Number]) -> bool:
     """Exhaustively decide (alpha), i.e. (L, y) in epi (F + I_A)*: no x in
     A ∩ dom F has F(x) - L(x) + y strictly inside -K.  Off-sample points of
     F are +inf and never violate, so this is the epigraph test on
-    ``P.feasible_F``.
+    ``P.feasible_F``, F on the feasible rows that the instance tables kept
+    at construction.
     """
     y = tuple(y)
     K = P.K

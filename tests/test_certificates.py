@@ -31,6 +31,8 @@ from weakfront.order_sets import (
 from weakfront.randgen import rand_cone_2d, rand_halfplane, rand_instance, rand_linop
 from weakfront.staircase2d import UPPER, RayBasis, maxima, region_sum, region_sup
 
+from helpers import partial_instances, reference_feasible_points, restricted
+
 
 def _orthant3_instance():
     """A problem whose values are ordered by the orthant of R^3: four
@@ -320,7 +322,8 @@ def _reference_tables(P):
     """The fields of ``FacetTables(P)`` as they were built from the maps'
     ``Fraction`` values: looked up point by point and cleared over one
     common denominator of every point and value, and the kept maps as
-    restrictions of F and G and a checked indicator."""
+    restrictions of F and G, F on the feasible sample among them, and a
+    checked indicator."""
     N = P.K.normals
     x = sorted(set(P.F.domain()) | set(P.G.domain()))
     fv = [P.F.value(v) for v in x]
@@ -344,16 +347,19 @@ def _reference_tables(P):
         "dom_g": [i for i in rows if gv[i] is not None],
         "c": c,
         "c_f": [i for i in c if fv[i] is not None],
-        "F_cf": P.F.restrict(P.C),
-        "G_cf": P.G.restrict(x[i] for i in c if fv[i] is not None),
-        "G_c": P.G.restrict(P.C),
+        "F_cf": restricted(P.F, P.C),
+        "G_cf": restricted(P.G, (x[i] for i in c if fv[i] is not None)),
+        "G_c": restricted(P.G, P.C),
         "I_c": SampledMap([(v, (0,) * P.K.dim) for v in P.C]),
+        "feasible_F": restricted(P.F, reference_feasible_points(P)),
     }
 
 
 TABLE_INSTANCES = {
     **INSTANCES,
     **{f"rand{k}": rand_instance(random.Random(k)) for k in range(8)},
+    # C holds infeasible points and points outside dom F
+    **{f"partial{k}": P for k, P in enumerate(partial_instances(8, seed=18))},
 }
 
 
@@ -361,14 +367,19 @@ TABLE_INSTANCES = {
 def test_tables_are_the_maps_cleared_integers(name):
     """The tables rescale the maps' cleared integers to the lcm of their two
     denominators, which is the one common denominator of all the data, and
-    match the construction from ``Fraction`` values field by field."""
+    match the construction from ``Fraction`` values field by field; a kept
+    map equals and hashes as the one built from its samples, whatever
+    denominator either is cleared with."""
     P = TABLE_INSTANCES[name]
-    tab = conjugate.FacetTables(P)
+    tab = P.tables
     want = _reference_tables(P)
     assert list(want) == list(conjugate.FacetTables.__slots__)
     for field, value in want.items():
         assert getattr(tab, field) == value, field
+        if isinstance(value, SampledMap):
+            assert hash(getattr(tab, field)) == hash(value), field
     assert tab.F_cf.xs is tab.G_cf.xs and tab.I_c.xs is tab.G_c.xs
+    assert P.feasible_F is tab.feasible_F
 
 
 def test_halfplane_ties_keep_the_lex_smallest_point():
@@ -568,10 +579,11 @@ def _restricted_beta(index, P, L, T, Lp, Lpp):
     K = P.K
     TG = compose(T.op, P.G)
     if index == 1:
-        return conjugate.conjugate(P.F.restrict(P.C).add(TG.restrict(P.C)), L, K)
+        FC = restricted(P.F, P.C)
+        return conjugate.conjugate(FC.add(restricted(TG, P.C)), L, K)
     f_star = conjugate.conjugate(P.F, Lp, K)
     if index == 2:
-        return ws_sum(f_star, conjugate.conjugate(TG.restrict(P.C), L - Lp, K))
+        return ws_sum(f_star, conjugate.conjugate(restricted(TG, P.C), L - Lp, K))
     ind = SampledMap([(x, (0,) * K.dim) for x in P.C])
     first = ws_sum(f_star, conjugate.conjugate(ind, Lpp, K))
     return ws_sum(first, conjugate.conjugate(TG, L - Lp - Lpp, K))

@@ -36,6 +36,8 @@ from weakfront.order_sets import (
 from weakfront.numeric import mat_vec, vec_scale, vec_sub
 from weakfront.randgen import rand_cone, rand_cone_2d, rand_halfplane, rand_sampled_map
 
+from helpers import restricted
+
 O1 = Cone.orthant(1)
 O2 = Cone.orthant(2)
 
@@ -100,7 +102,7 @@ def test_restrict_and_add_intersect_domains():
     h = f.add(g)
     assert h.domain() == ((1,),)
     assert h.value((1,)) == (11,)
-    r = f.restrict([(0,), (1,)])
+    r = restricted(f, [(0,), (1,)])
     assert r.domain() == ((0,), (1,))
 
 
@@ -207,10 +209,10 @@ def _tied_map(rng, L, count):
 @pytest.mark.parametrize("cone", sorted(CLEARED_CONES))
 @pytest.mark.parametrize("seed", range(6))
 def test_cleared_maps_match_the_fraction_formulas(cone, seed):
-    """compose, restrict, add and conjugate on cleared integers equal the
-    ``Fraction`` formulas x -> T(G(x)), the filtered and summed samples and
-    wsup{L(x) - F(x)}, on data with denominators 1 to 12, and equality
-    ignores the denominator a map is cleared with.  Half of each
+    """compose, add and conjugate on cleared integers equal the
+    ``Fraction`` formulas x -> T(G(x)), the summed samples and
+    wsup{L(x) - F(x)}, on data with denominators 1 to 12, also on a
+    restriction of F.  Half of each
     cloud is tied to the other half (:func:`_tied_map`), so under the
     half-plane the lex-smallest point of each lineality class must win."""
     rng = random.Random(seed)
@@ -227,19 +229,11 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
 
     TG = compose(T, G)
     assert TG == SampledMap((x, mat_vec(T.entries, v)) for x, v in G.samples)
-    keep = xs[1::2]
-    FC = F.restrict(keep)
-    assert FC == SampledMap((x, v) for x, v in F.samples if x in keep)
+    FC = restricted(F, xs[1::2])
     FG = F.add(TG)
     assert FG == SampledMap(
         (x, vec_add(v, TG.value(x))) for x, v in F.samples if TG.value(x) is not None
     )
-    # a restriction keeps its parent's denominator, so it can equal (and
-    # hash as) a map built from the same samples at another one
-    GC = TG.restrict(TG.domain()[:1])
-    fresh = SampledMap(GC.samples)
-    assert GC.cleared()[0] == TG.cleared()[0] != fresh.cleared()[0]
-    assert (GC, hash(GC)) == (fresh, hash(fresh))
     for M in (F, FC, FG):
         for op in (L, LinOp.zero(2, n), _rand_op(rng, 2, n)):
             assert conjugate(M, op, K) == wsup(M, op)
@@ -249,7 +243,7 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     for g in conjugate(F, L, K).generators:
         assert g == min(q for q in cloud if quad(q) == quad(g))
     # the cleared form is the samples over one denominator
-    for M in (F, TG, FC, FG, GC):
+    for M in (F, TG, FC, FG):
         D, X, V = M.cleared()
         assert all(type(c) is int for u in (*X, *V) for c in u)
         assert [(vec_scale(Fraction(1, D), x), vec_scale(Fraction(1, D), v))
@@ -279,7 +273,7 @@ def test_conjugate_vector_valued_constant_difference():
 def test_conjugate_needs_samples():
     f = scalar_map([0, 1])
     with pytest.raises(ValueError):
-        conjugate(f.restrict([(9,)]), LinOp.zero(1, 1), O1)
+        conjugate(restricted(f, [(9,)]), LinOp.zero(1, 1), O1)
 
 
 def test_epi_membership_is_the_conjugate_region_test():
@@ -344,7 +338,7 @@ def test_epi_membership_matches_the_fraction_loop_on_random_maps(cone, seed):
     n = rng.randint(1, 2)
     F = SampledMap({_rand_vec(rng, n): _rand_vec(rng, 2) for _ in range(8)}.items())
     _check_epi_membership(F, K, rng)
-    _check_epi_membership(F.restrict(F.domain()[1::2]), K, rng)
+    _check_epi_membership(restricted(F, F.domain()[1::2]), K, rng)
 
 
 def _maps_under_test():
@@ -359,25 +353,25 @@ def _maps_under_test():
 
 
 def test_derived_maps_and_conjugates_build_no_fraction(monkeypatch):
-    """compose, restrict, add and conjugate run on the maps' integers: none
-    of them builds a ``Fraction`` in this module (the generators of a weak
-    supremum are built in ``order_sets``)."""
+    """compose, add and conjugate run on the maps' integers: none of them
+    builds a ``Fraction`` in this module (the generators of a weak
+    supremum are built in ``order_sets``), also on restrictions built
+    beforehand from the samples."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return Fraction(*args)
 
-    maps = list(_maps_under_test())
+    maps = [(G, restricted(G, G.domain()[::2])) for G in _maps_under_test()]
     monkeypatch.setattr(conjugate_module, "Fraction", counted)
     rng = random.Random(2)
-    for G in maps:
+    for G, half in maps:
         n, p = G.in_dim, G.out_dim
         K = Cone.orthant(p)
         TG = compose(_rand_op(rng, p, p), G)
         eye = LinOp(tuple(tuple(int(i == j) for j in range(p)) for i in range(p)))
         PT = compose(eye, G)
-        half = G.restrict(G.domain()[::2])
         summed = TG.add(half).add(PT)
         for M in (G, TG, PT, half, summed):
             conjugate(M, _rand_op(rng, p, n), K)
@@ -453,6 +447,24 @@ def test_witness_translate_measures_the_slide():
     assert witness_translate(U, (Fraction(3),)) == 3
     with pytest.raises(ValueError):
         witness_translate(GenSet.plus_inf(O1), (Fraction(0),))
+
+
+def test_witness_translate_guards_its_query_point():
+    """A float y is refused by name and a y of the wrong length as a
+    dimension error, in witness_translate and through it in split_witness."""
+    U = wsup_finite(FiniteVecSet([(Fraction(0),)]), O1)
+    with pytest.raises(ValueError, match=r"query point \(0\.5,\) has the entry 0\.5"):
+        witness_translate(U, (0.5,))
+    with pytest.raises(DimensionError):
+        witness_translate(U, (0, 0))
+    pair = shipped_pair(1)
+    cfg = SearchConfig(l_box=0, hints_L=pair.hints_L)
+    L = pair.hints_L[0]
+    y = conjugate(pair.summed(), L, pair.K).generators.points[0]
+    with pytest.raises(ValueError, match="query point"):
+        split_witness(pair.F1, pair.F2, L, tuple(map(float, y)), pair.K, cfg)
+    with pytest.raises(DimensionError):
+        split_witness(pair.F1, pair.F2, L, y + (0,), pair.K, cfg)
 
 
 def test_psi_contains_equals_epi_membership():

@@ -12,12 +12,7 @@ from weakfront.duality import (
     weak_duality_check,
     winf_vp,
 )
-from weakfront.farkas import (
-    FarkasQuery,
-    HardFailure,
-    feasible_points,
-    verify_certificate,
-)
+from weakfront.farkas import FarkasQuery, HardFailure, verify_certificate
 from weakfront.instances import shipped_instance
 from weakfront.numeric import mat_vec, vec_neg
 
@@ -37,12 +32,29 @@ def test_instance_validation():
     ProblemInstance(F=F, G=G, C=dom, K=O1, S=O1)  # fine
     with pytest.raises(ValueError):
         ProblemInstance(F=F, G=G, C=[], K=O1, S=O1)
-    with pytest.raises(ValueError):
-        ProblemInstance(F=F, G=G, C=[(Fraction(9),)], K=O1, S=O1)
+    outside = [(Fraction(9),), (Fraction(7),)]  # the first sorted one is named
+    with pytest.raises(ValueError, match=r"C point \(Fraction\(7, 1\),\) is outside"):
+        ProblemInstance(F=F, G=G, C=outside + dom, K=O1, S=O1)
     with pytest.raises(DimensionError):
         ProblemInstance(F=F, G=G, C=dom, K=Cone.orthant(2), S=O1)
     with pytest.raises(DimensionError):
         ProblemInstance(F=F, G=G, C=dom, K=O1, S=Cone.orthant(2))
+
+
+def test_instance_refuses_an_inexact_c_point():
+    """A float C point is refused by name, rather than reaching C and the
+    tables' maps on C, and so is an entry that does not sort with numbers."""
+    O1 = Cone.orthant(1)
+    dom = [(Fraction(0),), (Fraction(1, 2),)]
+    F = SampledMap((x, x) for x in dom)
+    G = SampledMap([(x, (Fraction(-1),)) for x in dom])
+    with pytest.raises(ValueError, match=r"C point \(0\.5,\) has the entry 0\.5"):
+        ProblemInstance(F=F, G=G, C=[(0.5,), (0,)], K=O1, S=O1)
+    with pytest.raises(ValueError, match=r"C point \('a',\) has the entry 'a'"):
+        ProblemInstance(F=F, G=G, C=[(0,), ("a",)], K=O1, S=O1)
+    assert ProblemInstance(F=F, G=G, C=[(Fraction(1, 2),), (0,)], K=O1, S=O1).C == (
+        (0,), (Fraction(1, 2),),
+    )
 
 
 def test_search_config_carries_instance_hints():
@@ -58,7 +70,7 @@ def test_declared_structure_of_the_shipped_instances():
 
 
 def test_feasible_set_and_primal_frontier():
-    assert feasible_points(E1) == (
+    assert E1.feasible_F.domain() == (
         (Fraction(1),),
         (Fraction(3, 2),),
         (Fraction(2),),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakfront import duality, farkas
+from weakfront import conjugate as conjugate_module
 from weakfront.cones import Cone, LinOp, PointClass, PosOp, classify_point
 from weakfront.conjugate import (
     Certificate,
@@ -13,21 +13,22 @@ from weakfront.conjugate import (
     beta_value_set,
     script_A_membership,
 )
-from weakfront.duality import winf_vp
+from weakfront.duality import dual_value, winf_vp
 from weakfront.farkas import (
     EmptyFeasibleSet,
     FarkasQuery,
     HardFailure,
     alpha_holds,
     convert_certificate,
-    feasible_points,
     verify_certificate,
 )
 from weakfront.instances import ProblemInstance, shipped_instance
 from weakfront.conjugate import SampledMap, compose, conjugate
-from weakfront.numeric import mat_vec, vec_neg, vec_sub
+from weakfront.numeric import mat_vec, vec_sub
 from weakfront.order_sets import FiniteVecSet, winf_finite, ws_sum
 from weakfront.randgen import rand_instance, rand_linop
+
+from helpers import partial_instances, reference_feasible_points, restricted
 
 E1 = shipped_instance("E1")
 E2 = shipped_instance("E2")
@@ -36,7 +37,7 @@ L1 = LinOp(((Fraction(1),),))  # identity on the line
 
 
 def test_feasible_points_of_e1():
-    assert feasible_points(E1) == (
+    assert E1.feasible_F.domain() == (
         (Fraction(1),),
         (Fraction(3, 2),),
         (Fraction(2),),
@@ -142,26 +143,15 @@ def test_feasible_sample_outside_dom_f_is_rejected_at_construction():
 
 
 def test_feasible_f_is_f_on_the_feasible_sample():
-    assert E1.feasible_F == E1.F.restrict(feasible_points(E1))
-    assert E1.feasible_F.domain() == feasible_points(E1)
+    assert E1.feasible_F == restricted(E1.F, reference_feasible_points(E1))
+    assert E1.feasible_F.domain() == reference_feasible_points(E1)
 
 
 # --- (alpha) and (VP_L) against the per-query feasible sample they replaced ---
 
 
-def _reference_feasible_points(P):
-    out = []
-    for x in P.C:
-        gx = P.G.value(x)
-        if gx is None:
-            continue
-        if classify_point(P.S, vec_neg(gx)) is not PointClass.OUTSIDE:
-            out.append(tuple(x))
-    return tuple(sorted(out))
-
-
 def _reference_active(P):
-    return [x for x in _reference_feasible_points(P) if P.F.value(x) is not None]
+    return [x for x in reference_feasible_points(P) if P.F.value(x) is not None]
 
 
 def _reference_alpha_holds(P, L, y):
@@ -177,36 +167,18 @@ def _reference_winf_vp(P, L):
     return winf_finite(FiniteVecSet(image), P.K)
 
 
-def _partial_instances(count, seed):
-    """Random instances whose C holds infeasible points and points outside
-    dom F: F loses one point of C, a feasible one when there are two."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        P = rand_instance(rng, domain_points=8)
-        feasible = _reference_feasible_points(P)
-        if len(feasible) == len(P.C):
-            continue
-        drop = feasible[-1] if len(feasible) > 1 else next(
-            x for x in P.C if x not in feasible
-        )
-        dom_f = [x for x in P.F.domain() if x != drop]
-        out.append(ProblemInstance(P.F.restrict(dom_f), P.G, P.C, P.K, P.S))
-    return out
-
-
 _INSTANCES = {
     name: shipped_instance(name) for name in ("E1", "E2", "E3", "E4", "E5", "gap_toy")
 }
 _INSTANCES.update(
-    (f"partial{k}", P) for k, P in enumerate(_partial_instances(8, seed=18))
+    (f"partial{k}", P) for k, P in enumerate(partial_instances(8, seed=18))
 )
 
 
 def test_partial_instances_filter_on_feasibility_and_dom_f():
     for k in range(8):
         P = _INSTANCES[f"partial{k}"]
-        assert len(_reference_feasible_points(P)) < len(P.C)
+        assert len(reference_feasible_points(P)) < len(P.C)
         assert any(P.F.value(x) is None for x in P.C)
 
 
@@ -228,19 +200,31 @@ def test_alpha_and_vp_match_the_per_query_feasible_sample(name):
 
 
 def test_alpha_and_vp_do_not_rebuild_the_feasible_sample(monkeypatch):
-    instances = [E1, rand_instance(random.Random(3))]
-    queries = [(P, LinOp.zero(P.m, P.n), (0,) * P.m) for P in instances]
-    expected = [
-        (_reference_alpha_holds(P, L, y), _reference_winf_vp(P, L))
-        for P, L, y in queries
+    """Each instance builds its tables once, at construction, and (alpha),
+    (VP_L), the certificate search and the dual value read them without
+    building them again."""
+    calls = []
+    real = conjugate_module.FacetTables.__init__
+
+    def counting(self, P):
+        calls.append(P)
+        real(self, P)
+
+    monkeypatch.setattr(conjugate_module.FacetTables, "__init__", counting)
+    instances = [
+        ProblemInstance(E1.F, E1.G, E1.C, E1.K, E1.S),
+        rand_instance(random.Random(3)),
     ]
-
-    def refuse(P):
-        raise AssertionError("the feasible sample is derived at construction")
-
-    monkeypatch.setattr(farkas, "feasible_points", refuse)
-    monkeypatch.setattr(duality, "feasible_points", refuse)
-    assert [(alpha_holds(P, L, y), winf_vp(P, L)) for P, L, y in queries] == expected
+    assert calls == instances
+    for P in instances:
+        L, y = LinOp.zero(P.m, P.n), (0,) * P.m
+        assert alpha_holds(P, L, y) is _reference_alpha_holds(P, L, y)
+        assert winf_vp(P, L) == _reference_winf_vp(P, L)
+        cfg = P.search_config()
+        for i in (1, 2, 3):
+            script_A_membership(i, P, L, y, cfg)
+            dual_value(P, f"VD{i}", L, cfg)
+    assert calls == instances
 
 
 def test_verifying_an_index_3_certificate_runs_no_checking_map_constructor(
@@ -270,8 +254,7 @@ def test_verifying_an_index_3_certificate_runs_no_checking_map_constructor(
 def test_verifying_a_certificate_does_no_fraction_work(monkeypatch, name):
     """The restrictions to C are kept in the instance tables, and maps on
     one ``xs`` tuple are added row by row, so verifying a found certificate
-    at any index hashes, compares and orders no ``Fraction`` and restricts
-    no map."""
+    at any index hashes, compares and orders no ``Fraction``."""
     P = shipped_instance(name)
     L = LinOp.zero(P.m, P.n)
     y = tuple(-c for c in P.K.interior_witness)
@@ -280,7 +263,6 @@ def test_verifying_a_certificate_does_no_fraction_work(monkeypatch, name):
     calls = Counter()
     for owner, attr in (
         (Fraction, "__hash__"), (Fraction, "__eq__"), (Fraction, "__lt__"),
-        (SampledMap, "restrict"),
     ):
         def counting(*args, _real=getattr(owner, attr), _attr=attr):
             calls[_attr] += 1
@@ -291,8 +273,7 @@ def test_verifying_a_certificate_does_no_fraction_work(monkeypatch, name):
         assert verify_certificate(P, FarkasQuery(L, y, i), c)
     assert calls == Counter()
     hash(Fraction(1, 3)), Fraction(1, 3) == Fraction(1, 2), Fraction(1, 3) < 1
-    P.F.restrict(P.C)
-    assert set(calls) == {"__hash__", "__eq__", "__lt__", "restrict"}  # seen
+    assert set(calls) == {"__hash__", "__eq__", "__lt__"}  # seen
 
 
 @pytest.mark.parametrize("seed", range(6))

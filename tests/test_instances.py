@@ -24,6 +24,8 @@ from weakfront.instances import (
 from weakfront.numeric import encode_mat, mat_vec
 from weakfront.order_sets import FiniteVecSet
 
+from helpers import restricted
+
 LOADERS = {"instance": load_instance, "pair": load_pair}
 
 
@@ -175,6 +177,6 @@ def test_shipped_pairs_follow_the_spec():
 
 def test_pair_requires_shared_domain():
     pair = shipped_pair(1)
-    short = pair.F1.restrict(pair.F1.domain()[:2])
+    short = restricted(pair.F1, pair.F1.domain()[:2])
     with pytest.raises(ValueError, match="share"):
         MapPair(short, pair.F2, pair.K)

@@ -192,7 +192,6 @@ def test_a_certify_op_makes_no_fraction_arithmetic(monkeypatch):
     L = LinOp([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     y = (Fraction(-1, 2), Fraction(-3, 2))
     cfg = E3.search_config()
-    E3.tables  # built once per instance, before counting
     found = []
 
     def run():
@@ -223,7 +222,6 @@ def test_a_dual_op_makes_no_fraction_arithmetic(monkeypatch, rows, attained):
     back sorts them too."""
     L = LinOp(rows)
     cfg = E3.search_config(l_box=1)
-    E3.tables
     out = []
 
     def run():
