@@ -8,42 +8,33 @@ ordinary epigraphs, and the searches that produce certificates for the
 three layered inequality conditions (index 1: a positive operator T; index
 2: split (L', T); index 3: split (L', L'', T)).
 
+A map stores its points as one :class:`FiniteVecSet` and its values apart,
+each cleared once, when the map is built (:func:`weakfront.numeric.cleared`).
+So :func:`compose` and :meth:`SampledMap.add` on one point set change only
+the values and keep that set, while :func:`conjugate`,
+:func:`epi_membership` and the instance tables bring the two scales
+together in their integer clouds, at one factor per term.
+
 One generator, :func:`certificates`, enumerates a budget for all three
 indices in one loop nest; the certificate search takes its first
 qualifying item and the dual values fold over all of them.  It runs every
-block on the instance's integer tables (:class:`FacetTables`, derived once
-per instance): a block's cloud is linear in its operators, so each
-operator's integer image in facet coordinates is derived once, as one
-column of integers per facet normal; each block's cloud is built from
-those columns by one integer subtraction per facet, and the maxima of its
-rows, found by one sort of the row tuples, are its frontier; the search
-builds no ``Fraction`` point.  Its query point is cleared once
-(:func:`weakfront.numeric.cleared`), and its facet coordinates are scaled
-and floored on integers, so from query to certificate the search does no
-``Fraction`` arithmetic.
-A call brings its operators' cleared forms to the one scale of
-:func:`frontier_scale`, so its frontiers are plain lists of integer
-coordinates at that scale.  The :class:`SearchConfig` keeps its operator
-budgets and, per instance tables and scale, the budget operators' images
-and the split blocks F*(L') and I_C*(L''); L's image and the T-blocks are
-kept for the length of one call.  An item's value set is the ⊎-sum of two
-frontiers, which the search asks for one point's region without building
-it (:func:`weakfront.staircase2d.region_sum`).  A :class:`Certificate`
-is its operators alone; :func:`beta_value_set` rebuilds its value set
-with :func:`compose`, :func:`conjugate` and ``ws_sum``, without the
-tables' images or frontiers, wherever that set is read: in verification
-and in output.  Those, the tables and :func:`epi_membership` run on each
-map's and operator's one stored form, cleared when it is built
-(:meth:`SampledMap.cleared`, :meth:`LinOp.cleared`, both through
-:func:`weakfront.numeric.cleared`), and each conjugate's
-cloud is a cleared point set; an operator's images of a map's points are
-formed one matrix row at a time over the points' coordinate columns
-(:func:`weakfront.staircase2d.row_products`).  The tables are the one
-place that decides which sample rows a restriction keeps: they are built
-when the instance is, and keep the restrictions that (alpha), (VP_L) and
-the value sets read (F on the feasible sample, F and G on C ∩ dom F, G on
-C, C's indicator); maps on one tuple of points are added row by row, so
-verifying a certificate hashes, compares and orders no ``Fraction``.
+block on the instance's integer tables (:class:`FacetTables`, built with
+the instance): each operator's image in facet coordinates is derived once,
+as one column of integers per facet normal, at the one scale of
+:func:`frontier_scale`; a block's cloud is one integer subtraction per
+facet, and the maxima of its rows, found by one sort, are its frontier.
+The :class:`SearchConfig` keeps its budgets and, per tables and scale, the
+budget operators' images and the split blocks F*(L') and I_C*(L''); L's
+image and the T-blocks are kept for one call.  An item's value set is the
+⊎-sum of two frontiers, which the search asks for one point's region
+without building it (:func:`weakfront.staircase2d.region_sum`).  The query
+point is cleared once, so from query to certificate the search does no
+``Fraction`` arithmetic.  A :class:`Certificate` is its operators alone;
+:func:`beta_value_set` rebuilds its value set with :func:`compose`,
+:func:`conjugate` and ``ws_sum`` from the restrictions the tables keep (F
+on the feasible sample, F and G on C ∩ dom F, G on C, C's indicator), so
+building an instance or verifying a certificate hashes, compares and
+orders no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -85,118 +76,121 @@ from .staircase2d import LOWER, maximal, region_sum, row_products
 class SampledMap:
     """Finite-sample vector map; +inf off the sample (so always proper).
 
-    Samples are exact, with no repeated x.  A map stores its sorted points
-    ``xs`` and its cleared form (:meth:`cleared`) only; :func:`compose`,
-    :meth:`add` and the restrictions an instance keeps
-    (:class:`FacetTables`) are built from integers alone, and
-    :attr:`samples` and :meth:`value` read exact values back on demand.
-    Equality and hashing follow the exact samples, not the cleared form: a
-    kept restriction is at its tables' D, not its parent's.
+    Samples are exact, with no repeated x.  A map stores its points as one
+    :class:`FiniteVecSet`, ``pointset`` (the cleared form (Dx, X) of the
+    sorted points), and its values apart, as (Dv, V): the integer rows
+    Dv·F(x) in the points' order, reduced by one gcd with Dv.  Both forms
+    are unique, so equality and hashing follow them.  :func:`compose` and
+    :meth:`add` on one point set change only the values and keep that
+    object; :attr:`samples`, :meth:`domain` and :meth:`value` read exact
+    values back on demand.
     """
 
-    __slots__ = ("in_dim", "out_dim", "xs", "_cleared")
+    __slots__ = ("in_dim", "out_dim", "pointset", "_values")
 
     def __new__(cls, samples: Iterable[Tuple[Sequence[Number], Sequence[Number]]]):
         pairs = [(tuple(x), tuple(v)) for x, v in samples]
         if not pairs:
             raise ValueError("empty sample list")
-        in_dim = len(pairs[0][0])
-        out_dim = len(pairs[0][1])
-        table = {}
+        in_dim, out_dim = len(pairs[0][0]), len(pairs[0][1])
         for x, v in pairs:
             if len(x) != in_dim or len(v) != out_dim:
                 raise DimensionError("inconsistent sample dimensions")
             require_exact(x, "sample point")
             require_exact(v, "sample value")
-            if x in table:
-                raise ValueError(f"duplicate sample point {x!r}")
-            table[x] = v
-        xs, vs = zip(*sorted(table.items()))
-        D, flat = cleared(chain(chain.from_iterable(xs), chain.from_iterable(vs)))
-        k = len(xs) * in_dim
-        X, V = chunked(flat, in_dim, len(xs)), chunked(flat[k:], out_dim, len(xs))
-        return cls._from_ints(xs, D, X, V)
+        xs, vs = zip(*pairs)
+        Dx, X = cleared(chain.from_iterable(xs))
+        Dv, V = cleared(chain.from_iterable(vs))
+        rows = sorted(zip(chunked(X, in_dim, len(xs)), range(len(xs))))
+        for (u, _), (w, i) in zip(rows, rows[1:]):
+            if u == w:
+                raise ValueError(f"duplicate sample point {xs[i]!r}")
+        V = chunked(V, out_dim, len(vs))
+        points = FiniteVecSet.from_ints(Dx, [u for u, _ in rows])
+        return cls._on(points, Dv, [V[i] for _, i in rows])
 
     @classmethod
-    def _from_ints(cls, xs: Sequence[Vec], D: int, X: list, V: list) -> "SampledMap":
-        """The map on the sorted points ``xs`` cleared as (D, X, V)."""
+    def _on(cls, points: FiniteVecSet, D: int, V: Sequence[tuple]) -> "SampledMap":
+        """The map with the values v/D on ``points``, V integer rows in the
+        points' order, reduced by one gcd to its stored form."""
+        g = math.gcd(D, *chain.from_iterable(V))
+        if g > 1:
+            V = [tuple([c // g for c in v]) for v in V]
         F = object.__new__(cls)
-        object.__setattr__(F, "in_dim", len(xs[0]))
+        object.__setattr__(F, "in_dim", points.dim)
         object.__setattr__(F, "out_dim", len(V[0]))
-        object.__setattr__(F, "xs", tuple(xs))
-        object.__setattr__(F, "_cleared", (D, X, V))
+        object.__setattr__(F, "pointset", points)
+        object.__setattr__(F, "_values", (D // g, tuple(V)))
         return F
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledMap is immutable")
 
-    @classmethod
-    def indicator(cls, xs: Sequence[Vec], D: int, X: list, out_dim: int) -> "SampledMap":
-        """The indicator map of the sorted distinct points ``xs``, cleared
-        as (D, X = [D·x]): 0 on them, +inf elsewhere."""
-        return cls._from_ints(xs, D, X, [(0,) * out_dim] * len(X))
-
     def cleared(self) -> tuple:
-        """(D, [D·x], [D·F(x)]) in sample order, D a common denominator of
-        every sample."""
-        return self._cleared
+        """(Dx, X, Dv, V): the points' cleared form, X the sorted integer
+        rows Dx·x, and the values', V the rows Dv·F(x) in the same order."""
+        return (*self.pointset.cleared(), *self._values)
 
     @property
     def samples(self) -> tuple:
         """The exact samples (x, F(x)), sorted by x."""
-        D, _, V = self._cleared
-        return tuple(zip(self.xs, (tuple([Fraction(c, D) for c in v]) for v in V)))
+        D, V = self._values
+        values = (tuple([Fraction(c, D) for c in v]) for v in V)
+        return tuple(zip(self.pointset.points, values))
 
     def domain(self) -> tuple:
-        return self.xs
+        return self.pointset.points
 
     def value(self, x: Sequence[Number]) -> Optional[Vec]:
+        """F(x), or None off the sample (also for a point of another
+        length); x is cleared once and looked up among the integer rows."""
         x = tuple(x)
-        i = bisect_left(self.xs, x)
-        if i == len(self.xs) or self.xs[i] != x:
+        require_exact(x, "query point")
+        Dx, X = self.pointset.cleared()
+        e, Y = cleared(x)
+        key = tuple([c * (Dx // e) for c in Y])
+        i = bisect_left(X, key)
+        if Dx % e or i == len(X) or X[i] != key:
             return None
-        D, _, V = self._cleared
+        D, V = self._values
         return tuple([Fraction(c, D) for c in V[i]])
 
     def add(self, other: "SampledMap") -> "SampledMap":
         """Pointwise sum on the intersection of the two domains.
 
-        Equal domains are summed row by row.  Maps on one ``xs`` tuple, as
-        a map and its compositions are, find that out with one identity
-        test per row and compare no ``Fraction``.  Other domains are
-        intersected by a merge that bisects the points."""
+        Maps on equal point sets, as a map and its compositions are, are
+        summed row by row and keep this map's point set.  Other domains are
+        intersected on their integer rows, brought to the lcm of the two
+        point scales."""
         if self.out_dim != other.out_dim:
             raise DimensionError("sum of maps with different value dimensions")
-        (D1, X, V1), (D2, _, V2) = self._cleared, other._cleared
-        xs = self.xs
-        if xs != other.xs:
-            rows, j = [], 0
-            for i, x in enumerate(xs):
-                j = bisect_left(other.xs, x, j)
-                if j < len(other.xs) and other.xs[j] == x:
-                    rows.append((i, j))
+        points, (D1, V1), (D2, V2) = self.pointset, self._values, other._values
+        if points != other.pointset:
+            (d1, A), (d2, B) = points.cleared(), other.pointset.cleared()
+            d = math.lcm(d1, d2)
+            at = {vec_scale(d // d2, v): j for j, v in enumerate(B)}
+            rows = [(i, at.get(vec_scale(d // d1, u))) for i, u in enumerate(A)]
+            rows = [(i, j) for i, j in rows if j is not None]
             if not rows:
                 raise ValueError("maps have disjoint domains")
-            xs = [xs[i] for i, _ in rows]
-            X, V1 = [X[i] for i, _ in rows], [V1[i] for i, _ in rows]
-            V2 = [V2[j] for _, j in rows]
+            points = FiniteVecSet.from_ints(d1, [A[i] for i, _ in rows])
+            V1, V2 = [V1[i] for i, _ in rows], [V2[j] for _, j in rows]
         D = math.lcm(D1, D2)
         a, b = D // D1, D // D2
-        return SampledMap._from_ints(
-            xs, D, [vec_scale(a, x) for x in X],
-            [tuple([a * p + b * q for p, q in zip(u, v)]) for u, v in zip(V1, V2)],
-        )
+        V = [tuple([a * p + b * q for p, q in zip(u, v)]) for u, v in zip(V1, V2)]
+        return SampledMap._on(points, D, V)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledMap):
             return NotImplemented
-        return self.samples == other.samples
+        return self.pointset == other.pointset and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self.samples)
+        return hash((self.pointset, self._values))
 
     def __repr__(self) -> str:
-        return f"SampledMap({len(self.xs)} samples, {self.in_dim}->{self.out_dim})"
+        n = len(self.pointset)
+        return f"SampledMap({n} samples, {self.in_dim}->{self.out_dim})"
 
 
 def _int_images(rows: Sequence[tuple], vs: Sequence[tuple]) -> list:
@@ -206,15 +200,13 @@ def _int_images(rows: Sequence[tuple], vs: Sequence[tuple]) -> list:
 
 
 def compose(M: LinOp, G: SampledMap) -> SampledMap:
-    """The map x -> M(G(x)) on G's domain: with M cleared as (d, d·M), the
-    values (d·M)·(D·G(x)) at the scale d·D."""
+    """The map x -> M(G(x)) on G's own point set: with M cleared as
+    (d, d·M), only the values change, to (d·M)·(Dv·G(x)) at the scale d·Dv."""
     if M.cols != G.out_dim:
         raise DimensionError(f"compose: a {M.rows}x{M.cols} operator after {G!r}")
-    D, X, V = G.cleared()
+    _, _, D, V = G.cleared()
     d, dM = M.cleared()
-    return SampledMap._from_ints(
-        G.xs, d * D, [vec_scale(d, x) for x in X], _int_images(dM, V)
-    )
+    return SampledMap._on(G.pointset, d * D, _int_images(dM, V))
 
 
 # --- conjugate and epigraphs ------------------------------------------------------
@@ -223,16 +215,19 @@ def compose(M: LinOp, G: SampledMap) -> SampledMap:
 def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
     """The conjugate value F*(L) = wsup{L(x) - F(x) : x in dom F}.
 
-    Always a FINITE SUP GenSet for sampled maps.  Its cloud is the integer
-    vectors (d·L)·(D·x) - d·(D·F(x)) at the scale d·D, L cleared as (d, d·L).
+    Always a FINITE SUP GenSet for sampled maps.  With L cleared as
+    (d, d·L), its cloud is the integer vectors a·(d·L)·(Dx·x) - b·(Dv·F(x))
+    at the scale s = lcm(d·Dx, Dv), a = s/(d·Dx) and b = s/Dv.
     """
     if L.cols != F.in_dim or L.rows != F.out_dim or K.dim != F.out_dim:
         raise DimensionError("conjugate: map/operator/cone dimensions disagree")
-    D, X, V = F.cleared()
+    Dx, X, Dv, V = F.cleared()
     d, dL = L.cleared()
+    s = math.lcm(d * Dx, Dv)
+    a, b = s // (d * Dx), s // Dv
     LX = row_products(dL, list(zip(*X)), len(X))  # one list per row of L
-    cols = [[p - d * c for p, c in zip(lx, v)] for lx, v in zip(LX, zip(*V))]
-    return wsup_finite(FiniteVecSet.from_ints(d * D, zip(*cols)), K)
+    cols = [[a * p - b * c for p, c in zip(lx, v)] for lx, v in zip(LX, zip(*V))]
+    return wsup_finite(FiniteVecSet.from_ints(s, zip(*cols)), K)
 
 
 def epi_membership(
@@ -240,18 +235,19 @@ def epi_membership(
 ) -> bool:
     """(L, y) lies in the epigraph of F*: no sample has L(x) - F(x) - y
     strictly inside K (the conjugate never exceeds y anywhere), tested at
-    the scale d·D as (d·L)·(D·x) - d·(D·F(x)) - d·D·y, d the lcm of L's
-    cleared denominator e and y's, with (d·L) = (d/e)·(e·L)."""
+    the scale s = lcm(e·Dx, Dv, dy) as a·(e·L)·(Dx·x) - b·(Dv·F(x)) - s·y,
+    L cleared as (e, e·L), y as (dy, dy·y), a = s/(e·Dx) and b = s/Dv."""
     y = tuple(y)
     if L.cols != F.in_dim or L.rows != F.out_dim or len(y) != K.dim:
         raise DimensionError("epi_membership: dimensions disagree")
     require_exact(y, "query point")
-    D, X, V = F.cleared()
+    Dx, X, Dv, V = F.cleared()
     e, eL = L.cleared()
-    d, dy = cleared(y, e)
-    s, dDy = d // e, vec_scale(D, dy)
+    dy, Y = cleared(y)
+    s = math.lcm(e * Dx, Dv, dy)
+    a, b, sy = s // (e * Dx), s // Dv, vec_scale(s // dy, Y)
     for lx, v in zip(_int_images(eL, X), V):
-        w = tuple([s * p - d * c - q for p, c, q in zip(lx, v, dDy)])
+        w = tuple([a * p - b * c - q for p, c, q in zip(lx, v, sy)])
         if classify_point(K, w) is PointClass.INTERIOR:
             return False
     return True
@@ -562,7 +558,7 @@ def beta_value_set(
     The restrictions to C are the instance's, kept in its tables
     (:class:`FacetTables`): T∘(G|C) = (T∘G)|C, so T is composed with a
     kept restriction of G, and F|(C ∩ dom F) and G on the same points share
-    one ``xs`` tuple, so :meth:`SampledMap.add` sums them row by row.  No
+    one point set, so :meth:`SampledMap.add` sums them row by row.  No
     ``Fraction`` is hashed or compared here.
     """
     if index not in (1, 2, 3):
@@ -584,30 +580,29 @@ class EmptyFeasibleSet(ValueError):
 
 class FacetTables:
     """An instance's data in the integer facet coordinates of K, for
-    :func:`certificates`, built once, when the instance is.
+    :func:`certificates`, built once, with the instance, from the maps'
+    cleared rows and C's cleared point set, merged on integers.
 
     Rows are the samples X = dom F ∪ dom G in ascending order.  With ``N``
     the primitive integer normals of K and D = ``den`` the lcm of the
-    denominators of F's and G's cleared forms, ``xs`` holds D·x, ``nf``
-    N·(D·F(x)) and ``gs`` D·G(x) (None off dom F, dom G), rescaled from those
-    integers; ``dom_f``, ``dom_g``, ``c`` and ``c_f`` list the rows of
-    dom F, dom G, C and C ∩ dom F.  The tables refuse a C point outside
-    dom G (the first of the sorted C), and an instance whose feasible rows,
-    those of C ∩ dom F with -D·G(x) in S, are none (:class:`EmptyFeasibleSet`).
-    A frontier is the list of the maximal facet coordinates of a cloud, in
-    descending lexicographic order, all at the one integer scale of their
-    search (:func:`frontier_scale`).  A search clears each of its
-    operators into an integer image of the rows once (:meth:`image`), in
-    column form: one tuple per facet normal, its entries by row.  Every
-    block's frontier is built from those columns, one subtraction per facet
-    column (:meth:`block`).
+    scales of F's and G's points and values and of C, ``xs`` holds D·x,
+    ``nf`` N·(D·F(x)) and ``gs`` D·G(x) (None off dom F, dom G); ``dom_f``,
+    ``dom_g``, ``c`` and ``c_f`` list the rows of dom F, dom G, C and
+    C ∩ dom F.  The tables refuse a C point outside dom G (the first of the
+    sorted C), and an instance whose feasible rows, those of C ∩ dom F with
+    -D·G(x) in S, are none (:class:`EmptyFeasibleSet`).  A frontier is the
+    list of the maximal facet coordinates of a cloud, in descending
+    lexicographic order, at the one integer scale of its search
+    (:func:`frontier_scale`).  A search clears each of its operators into
+    an integer image of the rows once (:meth:`image`), one tuple per facet
+    normal; every block's frontier is built from those columns, one
+    subtraction per facet column (:meth:`block`).
 
     The tables also keep the restrictions that the instance and
-    :func:`beta_value_set` read, built from the same integers at the scale
-    D: ``F_cf`` and ``G_cf``, F and G on C ∩ dom F, which share one ``xs``
-    tuple; ``G_c``, G on C; ``I_c``, C's indicator, which shares ``G_c``'s;
-    and ``feasible_F``, F on the feasible rows.  So no other code restricts
-    a map, and verifying a certificate hashes no ``Fraction``.
+    :func:`beta_value_set` read: ``F_cf`` and ``G_cf``, F and G on
+    C ∩ dom F, which share one point set; ``G_c``, G on C, and ``I_c``, C's
+    indicator, which share C's; and ``feasible_F``, F on the feasible rows.
+    So no other code restricts a map.
     """
 
     __slots__ = (
@@ -615,28 +610,28 @@ class FacetTables:
         "F_cf", "G_cf", "G_c", "I_c", "feasible_F",
     )
 
-    def __init__(self, P):
+    def __init__(self, P, C: FiniteVecSet):
         N = self.N = P.K.normals
-        den = self.den = math.lcm(P.F.cleared()[0], P.G.cleared()[0])
-        fs, gs = {}, {}  # x -> (den·x, den·F(x)), and the same for G
-        for M, table in ((P.F, fs), (P.G, gs)):
-            D, X, V = M.cleared()
-            s = den // D
-            for x, u, v in zip(M.xs, X, V):
-                table[x] = (vec_scale(s, u), vec_scale(s, v))
-        x = sorted(fs.keys() | gs.keys())
-        self.xs = [(fs[v] if v in fs else gs[v])[0] for v in x]
-        fv = [fs[v][1] if v in fs else None for v in x]
+        (Fx, XF, Fv, VF), (Gx, XG, Gv, VG) = P.F.cleared(), P.G.cleared()
+        dc, XC = C.cleared()
+        den = self.den = math.lcm(Fx, Fv, Gx, Gv, dc)
+        fs, gs = (
+            {vec_scale(den // dx, x): vec_scale(den // dv, v) for x, v in zip(X, V)}
+            for dx, X, dv, V in ((Fx, XF, Fv, VF), (Gx, XG, Gv, VG))
+        )
+        xs = self.xs = sorted(fs.keys() | gs.keys())
+        fv = [fs.get(x) for x in xs]
         self.nf = [None if f is None else mat_vec(N, f) for f in fv]
-        self.gs = [gs[v][1] if v in gs else None for v in x]
-        for v in P.C:
-            if v not in gs:
-                raise ValueError(f"C point {v!r} is outside dom G")
-        in_c = set(P.C)
-        rows = range(len(x))
+        self.gs = [gs.get(x) for x in xs]
+        cs = [vec_scale(den // dc, x) for x in XC]
+        for k, x in enumerate(cs):
+            if x not in gs:
+                raise ValueError(f"C point {P.C[k]!r} is outside dom G")
+        rows = range(len(xs))
+        at = dict(zip(xs, rows))
         self.dom_f = [i for i in rows if fv[i] is not None]
         self.dom_g = [i for i in rows if self.gs[i] is not None]
-        self.c = [i for i in rows if x[i] in in_c]
+        self.c = [at[x] for x in cs]
         self.c_f = [i for i in self.c if fv[i] is not None]
         feasible = [
             i for i in self.c_f
@@ -647,14 +642,13 @@ class FacetTables:
                 "instance violates the standing assumption: no feasible "
                 "sample point lies in dom F"
             )
-        xcf = tuple([x[i] for i in self.c_f])
-        Xcf, Xc = [self.xs[i] for i in self.c_f], [self.xs[i] for i in self.c]
-        self.F_cf = SampledMap._from_ints(xcf, den, Xcf, [fv[i] for i in self.c_f])
-        self.G_cf = SampledMap._from_ints(xcf, den, Xcf, [self.gs[i] for i in self.c_f])
-        self.G_c = SampledMap._from_ints(P.C, den, Xc, [self.gs[i] for i in self.c])
-        self.I_c = SampledMap.indicator(P.C, den, Xc, P.K.dim)
-        self.feasible_F = SampledMap._from_ints(
-            [x[i] for i in feasible], den, [self.xs[i] for i in feasible],
+        cf = FiniteVecSet.from_ints(den, [xs[i] for i in self.c_f])
+        self.F_cf = SampledMap._on(cf, den, [fv[i] for i in self.c_f])
+        self.G_cf = SampledMap._on(cf, den, [self.gs[i] for i in self.c_f])
+        self.G_c = SampledMap._on(C, den, [self.gs[i] for i in self.c])
+        self.I_c = SampledMap._on(C, 1, [(0,) * P.K.dim] * len(cs))
+        self.feasible_F = SampledMap._on(
+            FiniteVecSet.from_ints(den, [xs[i] for i in feasible]), den,
             [fv[i] for i in feasible],
         )
 

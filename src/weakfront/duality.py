@@ -31,6 +31,7 @@ inverse of the normal matrix, and a certificate is stored as its operators.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
@@ -67,9 +68,11 @@ class ProblemInstance:
     ``flags`` records structural facts that finite samples cannot express
     (linearity of the underlying data, convexity of the underlying C, an
     interior-feasible Slater point); they gate how dual gaps are reported.
+    C is sorted and deduplicated on integers, as a :class:`FiniteVecSet`.
     ``tables`` is the data in integer facet coordinates (:class:`FacetTables`),
-    built once, at construction; they refuse a C point outside dom G and an
-    empty feasible sample, and keep every restriction the instance reads.
+    built once, at construction, from that set and the maps; they refuse a
+    C point outside dom G and an empty feasible sample, and keep every
+    restriction the instance reads.
     ``feasible_F`` is theirs: F on A ∩ dom F, A = C ∩ G⁻¹(-S) the feasible
     sample, the set (alpha) and (VP_L) range over.
     """
@@ -100,16 +103,16 @@ class ProblemInstance:
             if len(x) != F.in_dim:
                 raise DimensionError("C point dimension disagrees with domain")
             require_exact(x, "C point")
-        C_pts = tuple(sorted(set(C_pts)))
+        C_set = FiniteVecSet(C_pts)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "C", C_pts)
+        object.__setattr__(self, "C", C_set.points)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "hints_T", tuple(hints_T))
         object.__setattr__(self, "hints_L", tuple(hints_L))
         object.__setattr__(self, "flags", dict(flags or {}))
-        object.__setattr__(self, "tables", FacetTables(self))
+        object.__setattr__(self, "tables", FacetTables(self, C_set))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProblemInstance is immutable")
@@ -178,14 +181,17 @@ class ProblemInstance:
 
 def winf_vp(P: ProblemInstance, L: LinOp) -> GenSet:
     """The primal value frontier of (VP_L): winf{F(x) - L(x) : x in A ∩ dom F},
-    of the integer cloud d·(D·F(x)) - (d·L)·(D·x) at the scale d·D, read from
-    ``P.feasible_F`` cleared as (D, D·x, D·F(x)) and L as (d, d·L)."""
+    of the integer cloud a·(Dv·F(x)) - (b·d·L)·(Dx·x) at the scale
+    s = lcm(Dv, d·Dx), a = s/Dv and b = s/(d·Dx), read from ``P.feasible_F``
+    cleared as (Dx, Dx·x, Dv, Dv·F(x)) and L as (d, d·L)."""
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("winf_vp: perturbation shape disagrees")
-    D, X, V = P.feasible_F.cleared()
+    Dx, X, Dv, V = P.feasible_F.cleared()
     d, dL = L.cleared()
-    cloud = (vec_sub(vec_scale(d, v), mat_vec(dL, x)) for x, v in zip(X, V))
-    return winf_finite(FiniteVecSet.from_ints(d * D, cloud), P.K)
+    s = math.lcm(Dv, d * Dx)
+    a, bL = s // Dv, [vec_scale(s // (d * Dx), r) for r in dL]
+    cloud = [vec_sub(vec_scale(a, v), mat_vec(bL, x)) for x, v in zip(X, V)]
+    return winf_finite(FiniteVecSet.from_ints(s, cloud), P.K)
 
 
 class DualValue:

@@ -263,7 +263,7 @@ class MapPair:
 
     def __init__(self, F1: SampledMap, F2: SampledMap, K: Cone,
                  hints_L: Sequence[LinOp] = (), name: str = ""):
-        if F1.domain() != F2.domain():
+        if F1.pointset != F2.pointset:
             raise ValueError("pair maps must share their domain")
         if F1.out_dim != F2.out_dim or F1.out_dim != K.dim:
             raise ValueError("pair maps/cone dimensions disagree")

@@ -6,10 +6,11 @@ every document number to a ``Fraction``.  Past it, :func:`require_exact`
 guards the places where a caller's numbers enter the engine.  The engine
 turns exact numbers into integers in one way only, :func:`cleared`, which
 reads each entry once and returns the scale and the integers at it (and,
-through it, :func:`primitive`).  Cones, sampled maps, operators, point sets
-and the inverses of normal matrices are cleared by it once, when built, and
-keep that form; a batch of query points, or one query point, is cleared
-once per call that reads it.  Past that boundary the certificate search and
+through it, :func:`primitive`).  Cones, operators, point sets and the
+inverses of normal matrices are cleared by it once, when built, and keep
+that form; a sampled map is cleared once too, its points as one point set
+and its values apart, each at its own scale.  A batch of query points, or
+one query point, is cleared once per call that reads it.  Past that boundary the certificate search and
 the dual merge run on integers up to their output.
 """
 

@@ -157,14 +157,9 @@ def rand_instance(
             }
         )
         F = rand_sampled_map(rng, n, m, domain=domain)
-        G = rand_sampled_map(rng, n, p, domain=domain)
-        anchor = domain[rng.randrange(len(domain))]
-        w = S.interior_witness
-        gsamples = [
-            (x, tuple(-c for c in w) if x == anchor else v)
-            for x, v in G.samples
-        ]
+        gvals = [tuple(_half(rng, -5, 5) for _ in range(p)) for _ in domain]
+        gvals[rng.randrange(len(domain))] = tuple(-c for c in S.interior_witness)
         try:
-            return ProblemInstance(F, SampledMap(gsamples), domain, K, S)
+            return ProblemInstance(F, SampledMap(zip(domain, gvals)), domain, K, S)
         except EmptyFeasibleSet:  # pragma: no cover - anchor prevents this
             continue

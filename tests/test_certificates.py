@@ -378,7 +378,8 @@ def test_tables_are_the_maps_cleared_integers(name):
         assert getattr(tab, field) == value, field
         if isinstance(value, SampledMap):
             assert hash(getattr(tab, field)) == hash(value), field
-    assert tab.F_cf.xs is tab.G_cf.xs and tab.I_c.xs is tab.G_c.xs
+    assert tab.F_cf.pointset is tab.G_cf.pointset
+    assert tab.I_c.pointset is tab.G_c.pointset
     assert P.feasible_F is tab.feasible_F
 
 
@@ -595,7 +596,7 @@ def _cut_instance(rng):
     C, dom F and dom G all differ.  None when the draw has too few points
     to cut."""
     P = rand_instance(rng, domain_points=8)
-    keep = P.feasible_F.xs[0]  # stays in C and dom F, so the cut is feasible
+    keep = P.feasible_F.domain()[0]  # stays in C and dom F, so the cut is feasible
     rest = [x for x in P.C if x != keep]
     if len(rest) < 2:
         return None

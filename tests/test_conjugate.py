@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weakfront import cones, conjugate as conjugate_module
 from weakfront.cones import (
@@ -22,6 +24,7 @@ from weakfront.conjugate import (
     split_witness,
     witness_translate,
 )
+from weakfront.duality import ProblemInstance
 from weakfront.instances import shipped_instance, shipped_pair
 from weakfront.order_sets import (
     GenSet,
@@ -88,9 +91,15 @@ def test_epi_membership_refuses_an_inexact_query_point():
 
 
 def test_indicator_and_linear_constructors():
-    ind = SampledMap.indicator([(0,), (Fraction(1, 2),)], 2, [(0,), (1,)], 1)
+    """C's indicator, as an instance's tables keep it, is 0 on C and +inf
+    elsewhere, on C's own point set."""
+    dom = [(0,), (Fraction(1, 2),)]
+    G = SampledMap((x, (-1,)) for x in dom)
+    P = ProblemInstance(G, G, dom, O1, O1)
+    ind = P.tables.I_c
     assert ind.samples == (((0,), (0,)), ((Fraction(1, 2),), (0,)))
     assert ind.value((0,)) == (0,) and ind.value((2,)) is None
+    assert ind.pointset is P.tables.G_c.pointset
     op = LinOp(((2,),))
     lin = SampledMap((x, mat_vec(op.entries, x)) for x in [(0,), (3,)])
     assert lin.value((3,)) == (6,)
@@ -114,13 +123,13 @@ def _pointwise_sum(f, g):
 
 
 def _add_cases(rng):
-    """(case, f, g): maps on one ``xs`` object, on equal but distinct
-    tuples, on partly overlapping domains and on disjoint ones."""
+    """(case, f, g): maps on one point set object, on equal but distinct
+    point sets, on partly overlapping domains and on disjoint ones."""
     pts = sorted({(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),) for _ in range(6)})
     f = rand_sampled_map(rng, 1, 2, domain=pts)
     same = compose(LinOp(((Fraction(1, 3), 2), (-1, Fraction(5, 2)))), f)
     # fresh Fraction objects: equal points that share no object with f's
-    copies = [(Fraction(x.numerator, x.denominator),) for (x,) in f.xs]
+    copies = [(Fraction(x.numerator, x.denominator),) for (x,) in f.domain()]
     equal = rand_sampled_map(rng, 1, 2, domain=copies)
     part = rand_sampled_map(rng, 1, 2, domain=copies[::2] + [(Fraction(99),)])
     apart = rand_sampled_map(rng, 1, 2, domain=[(Fraction(-99),)])
@@ -130,13 +139,13 @@ def _add_cases(rng):
 @pytest.mark.parametrize("seed", range(8))
 def test_add_sums_equal_domains_row_by_row(seed):
     """``add`` equals the pointwise sum of the exact samples on maps that
-    share one ``xs`` tuple, on equal but distinct point tuples and on a
-    partial overlap, with the same equality and hash; disjoint domains
-    still raise."""
+    share one point set, on equal but distinct point sets and on a partial
+    overlap, with the same equality and hash; disjoint domains still raise.
+    ``compose`` keeps its operand's point set object, and so does ``add``
+    on equal domains."""
     cases = _add_cases(random.Random(seed))
-    kinds = [(f.xs is g.xs, f.xs == g.xs) for _, f, g in cases]
+    kinds = [(f.pointset is g.pointset, f.pointset == g.pointset) for _, f, g in cases]
     assert kinds == [(True, True), (False, True), (False, False), (False, False)]
-    assert all(a is not b for a, b in zip(cases[1][1].xs, cases[1][2].xs))
     for case, f, g in cases:
         if case == "apart":
             with pytest.raises(ValueError, match="disjoint"):
@@ -146,8 +155,34 @@ def test_add_sums_equal_domains_row_by_row(seed):
             got, want = a.add(b), _pointwise_sum(a, b)
             assert got.samples == want.samples, case
             assert got == want and hash(got) == hash(want), case
-        if case != "part":
-            assert f.add(g).xs is f.xs  # the shared domain is kept, not rebuilt
+        if case != "part":  # the shared domain is kept, not rebuilt
+            assert f.add(g).pointset is f.pointset
+            assert g.add(f).pointset is g.pointset
+
+
+def _grid_map(draw, step, lo, hi):
+    """A map of one variable to R^2 on a drawn subset of the grid
+    step·{lo, ..., hi}, its values in sixths."""
+    ks = draw(st.sets(st.integers(lo, hi), min_size=1, max_size=6))
+    values = st.tuples(*[st.integers(-12, 12).map(lambda c: Fraction(c, 6))] * 2)
+    return SampledMap(((k * step,), draw(values)) for k in sorted(ks))
+
+
+@given(st.data())
+def test_add_is_the_pointwise_sum_on_grids_of_other_steps(data):
+    """``add`` of a map on a 1/2 grid and one on a 1/3 grid, whose domains
+    overlap in part (the multiples of 1 they share), is the pointwise sum
+    of their exact samples, in both orders; disjoint domains raise."""
+    f = _grid_map(data.draw, Fraction(1, 2), -6, 6)
+    g = _grid_map(data.draw, Fraction(1, 3), -9, 9)
+    if not set(f.domain()) & set(g.domain()):
+        with pytest.raises(ValueError, match="disjoint"):
+            f.add(g)
+        return
+    for a, b in ((f, g), (g, f)):
+        got, want = a.add(b), _pointwise_sum(a, b)
+        assert got.samples == want.samples
+        assert got == want and hash(got) == hash(want)
 
 
 def test_compose_applies_the_operator_pointwise():
@@ -242,12 +277,15 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     quad = K.basis.to_quad
     for g in conjugate(F, L, K).generators:
         assert g == min(q for q in cloud if quad(q) == quad(g))
-    # the cleared form is the samples over one denominator
+    # the cleared form is the points over one denominator and the values
+    # over another, each reduced
     for M in (F, TG, FC, FG):
-        D, X, V = M.cleared()
+        Dx, X, Dv, V = M.cleared()
         assert all(type(c) is int for u in (*X, *V) for c in u)
-        assert [(vec_scale(Fraction(1, D), x), vec_scale(Fraction(1, D), v))
+        assert [(vec_scale(Fraction(1, Dx), x), vec_scale(Fraction(1, Dv), v))
                 for x, v in zip(X, V)] == list(M.samples)
+        assert math.gcd(Dx, *(c for x in X for c in x)) == 1
+        assert math.gcd(Dv, *(c for v in V for c in v)) == 1
 
 
 def test_conjugate_of_the_identity_map():
@@ -403,6 +441,16 @@ def test_value_reads_the_samples():
             assert F.value(tuple(map(Fraction, x))) == table[x]
     assert ints.value((Fraction(3), Fraction(-1))) == (4,)
     assert ints.value((2, 0)) is None
+
+
+def test_value_refuses_an_inexact_query_point():
+    """A float query point is refused by name, not read as the fraction it
+    is close to, also when it has another length."""
+    f = scalar_map([0, 1, 4])
+    for x in ((0.5,), (1.0,), (Fraction(1), 0.5)):
+        with pytest.raises(ValueError, match=r"query point \(.*\) has the entry"):
+            f.value(x)
+    assert f.value((Fraction(1, 2),)) is None and f.value((1,)) == (1,)
 
 
 def test_ext_epi_elements_need_finite_bounds():

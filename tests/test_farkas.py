@@ -206,9 +206,9 @@ def test_alpha_and_vp_do_not_rebuild_the_feasible_sample(monkeypatch):
     calls = []
     real = conjugate_module.FacetTables.__init__
 
-    def counting(self, P):
+    def counting(self, P, *args):
         calls.append(P)
-        real(self, P)
+        real(self, P, *args)
 
     monkeypatch.setattr(conjugate_module.FacetTables, "__init__", counting)
     instances = [

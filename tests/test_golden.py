@@ -11,7 +11,8 @@ set and query documents from ``tests/golden/inputs/``: a skewed planar cone
 half-plane, whose set in thirds has lineality ties and whose queries in
 halves include points on the frontier.  Two ``dual`` cases read an instance
 from there too: E4's data under a skewed cone, whose normal matrix has a
-nontrivial inverse.
+nontrivial inverse, and two more under a sheared cone, whose normal matrix
+is not symmetric.
 Regenerate them (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -70,6 +71,9 @@ _DUAL_SKEW = (
         ("--which", "VD2", "--L", '[[2],["-1/2"]]', "--l-box", "1"),
     ),
 )
+# The same flags also run, as dual_shear_*, on E4's data under the sheared
+# cone with normals [[1,0],[-1,2]] (tests/golden/inputs/dual_shear_instance.json),
+# whose N is not symmetric: a transpose of N^-1 in the mapping back changes them.
 # (golden file stem, command, instance, flags) run with a fractional --L on
 # half-step grids for T and the split operators: they pin L - L' - L''
 # across mixed denominators, the frontier scale and the printing of
@@ -128,9 +132,10 @@ def cases() -> list:
                 [command, path, *flags, "--L", _FRACTIONAL_L, *_HALF_STEP],
             )
         )
-    skew = str(GOLDEN / "inputs" / "dual_skew_instance.json")
-    for stem, flags in _DUAL_SKEW:
-        out.append((f"{stem}.json", ["dual", skew, *flags]))
+    for cone in ("skew", "shear"):
+        path = str(GOLDEN / "inputs" / f"dual_{cone}_instance.json")
+        for stem, flags in _DUAL_SKEW:
+            out.append((f"{stem.replace('skew', cone)}.json", ["dual", path, *flags]))
     for name in _WSUP:
         out.append(
             (

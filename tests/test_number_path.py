@@ -19,9 +19,11 @@ or a map again instead of reading its ``cleared()``.
 Past the clear, the certificate search and the dual merge run on integers:
 one certify op and one dual op on E3, with fractional L and y, make no
 ``Fraction`` arithmetic, comparison or hashing call once their inputs and
-the instance's tables are built."""
+the instance's tables are built.  Nor does building the maps and the
+instance, tables included, from decoded samples, C and the cones."""
 
 import ast
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +33,7 @@ import pytest
 from weakfront import conjugate, duality, farkas, order_sets
 from weakfront.cones import LinOp
 from weakfront.instances import shipped_instance
+from weakfront.randgen import rand_instance
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakfront"
 CLEARING = ("numeric.py", "oracle.py")
@@ -232,3 +235,24 @@ def test_a_dual_op_makes_no_fraction_arithmetic(monkeypatch, rows, attained):
     [(d, below)] = out
     assert below and len(d.attained) == attained
     assert [h for h, _ in d.certificates] == list(d.attained.points)
+
+
+def test_building_maps_and_an_instance_makes_no_fraction_arithmetic(monkeypatch):
+    """E1-E5, gap_toy and three random draws, rebuilt from their decoded
+    samples, C, K and S: the maps sort and deduplicate their points and the
+    instance its C on integers, and the tables merge the maps' rows on
+    integers, so no ``Fraction`` is hashed, compared or combined."""
+    sources = [shipped_instance(n) for n in ("E1", "E2", "E3", "E4", "E5", "gap_toy")]
+    sources += [rand_instance(random.Random(k)) for k in range(3)]
+    data = [(P.F.samples, P.G.samples, P.C, P.K, P.S) for P in sources]
+    built = []
+
+    def run():
+        for f, g, C, K, S in data:
+            F, G = conjugate.SampledMap(f), conjugate.SampledMap(g)
+            built.append(duality.ProblemInstance(F, G, C, K, S))
+
+    assert _fraction_calls(monkeypatch, run) == Counter()
+    for P, Q in zip(sources, built):
+        assert (Q.F, Q.G, Q.C, Q.feasible_F) == (P.F, P.G, P.C, P.feasible_F)
+        assert Q.tables.xs == P.tables.xs and Q.tables.c == P.tables.c
