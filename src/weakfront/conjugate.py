@@ -24,12 +24,14 @@ as one column of integers per facet normal, at the one scale of
 :func:`frontier_scale`; a block's cloud is one integer subtraction per
 facet, and the maxima of its rows, found by one sort, are its frontier.
 The :class:`SearchConfig` keeps its budgets and, per tables and scale, the
-budget operators' images and the split blocks F*(L') and I_C*(L''); L's
-image and the T-blocks are kept for one call.  An item's value set is the
-⊎-sum of two frontiers, which the search asks for one point's region
-without building it (:func:`weakfront.staircase2d.region_sum`).  The query
-point is cleared once, so from query to certificate the search does no
-``Fraction`` arithmetic.  A :class:`Certificate` is its operators alone;
+budget operators' images and the split blocks F*(L') and I_C*(L''), and in
+a memo of bounded size the T-blocks, each frontier interned by content;
+L's image is kept for one call.  An item's value set is the ⊎-sum of two
+frontiers, which the search asks for one point's region without building
+it (:func:`weakfront.staircase2d.region_sum`), once per distinct pair of
+frontier objects (:func:`distinct_items`).  The query point is cleared
+once, so from query to certificate the search does no ``Fraction``
+arithmetic.  A :class:`Certificate` is its operators alone;
 :func:`beta_value_set` rebuilds its value set with :func:`compose`,
 :func:`conjugate` and ``ws_sum`` from the restrictions the tables keep (F
 on the feasible sample, F and G on C ∩ dom F, G on C, C's indicator), so
@@ -381,6 +383,7 @@ def split_witness(
 
 
 MAX_GRID_VALUES = 10_001  # the most values a budget grid may offer each entry
+MEMO_CAP = 2_048  # the most objects a config's T-block memo keeps into a new search
 
 
 class SearchConfig:
@@ -398,12 +401,19 @@ class SearchConfig:
     positive-operator budget and each shape one splitting-operator budget,
     both built by one rule and kept as long as the config; so are the
     operator images and split blocks that :func:`certificates` derives from
-    them alone, per instance tables and scale, in budget order.
+    them alone, per instance tables and scale, in budget order.  The
+    T-blocks, which depend on the query's L but not on its y, are kept
+    across searches in one memo (:meth:`_memo_for_call`): per tables,
+    scale, index and image of the rest operator, the blocks in budget
+    order, and every frontier and frontier row that a search builds,
+    interned by content, so equal ones are one object.  A search that
+    starts while the memo holds more than ``MEMO_CAP`` objects starts a new
+    one; no search evicts while it runs.
     """
 
     __slots__ = (
         "t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "den", "_budgets",
-        "_images",
+        "_images", "_memo",
     )
 
     def __init__(
@@ -439,9 +449,19 @@ class SearchConfig:
         object.__setattr__(self, "den", cleared((t_step, l_step), hints)[0])
         object.__setattr__(self, "_budgets", {})
         object.__setattr__(self, "_images", {})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SearchConfig is immutable")
+
+    def _memo_for_call(self) -> dict:
+        """The memo one :func:`certificates` call reads and extends: the
+        kept one, or a new empty one, kept from then on, when the kept one
+        holds more than ``MEMO_CAP`` objects.  A search still running keeps
+        the memo it started with, so every frontier it yields stays alive."""
+        if len(self._memo) > MEMO_CAP:
+            object.__setattr__(self, "_memo", {})
+        return self._memo
 
     def posop_budget(self, S: Cone, K: Cone) -> Iterable[PosOp]:
         """The kept budget of L+(S, K): the ``hints_T``, zero and the
@@ -596,7 +616,8 @@ class FacetTables:
     (:func:`frontier_scale`).  A search clears each of its operators into
     an integer image of the rows once (:meth:`image`), one tuple per facet
     normal; every block's frontier is built from those columns, one
-    subtraction per facet column (:meth:`block`).
+    subtraction per facet column (:meth:`block`), and kept with the search
+    config, in its memo of T-blocks or with its images.
 
     The tables also keep the restrictions that the instance and
     :func:`beta_value_set` read: ``F_cf`` and ``G_cf``, F and G on
@@ -748,9 +769,17 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     the block's rows: F*(L') of (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'')
     of (N·d·L'')·x on C, and a T-block of the rest's image (L's less the
     split operators', a tuple of columns) minus T's.  F*(L') and I_C*(L'')
-    are kept with the images; the T-blocks are kept per call, by the
-    rest's columns and the position of T, and dropped with the generator;
-    equal images give equal clouds, even for distinct rests.
+    are kept with the images; the T-blocks are kept in the config's memo
+    (:meth:`SearchConfig._memo_for_call`), per tables, scale, index and the
+    rest's columns, by the position of T, across calls; equal images give
+    equal clouds, even for distinct rests.  The index is in the key because
+    each index draws its T-images apart: an index-1 rest can equal an
+    index-2 one, and neither may extend the other's blocks.  Every T-block,
+    F*(L') and ⊎-sum of split blocks is interned in that memo when it is
+    built, rows included, so an item repeats an earlier one's value set
+    exactly when both frontiers are the same objects, and each object
+    yielded stays alive while the generator runs.  One call builds each
+    T-block at most once.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -776,7 +805,13 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         (tab, d), tuple([] for _ in range(6))
     )
     t_images, dnf = t_kept[index - 1], None
-    t_blocks = {}  # the image of L - L' - L'' -> its T-blocks, by position of T
+    # (tab, d, index, image of L - L' - L'') -> its T-blocks, by position of
+    # T; and each frontier and row -> its one object
+    memo = cfg._memo_for_call()
+
+    def intern(frontier: list) -> list:
+        rows = [memo.setdefault(r, r) for r in frontier]
+        return memo.setdefault(tuple(rows), rows)
 
     def split_image(k: int, M: LinOp) -> tuple:
         if k == len(images):
@@ -791,7 +826,7 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
                 dnf = dnf or [
                     [d * c for c in f] for f in zip(*[tab.nf[i] for i in tab.dom_f])
                 ]
-                f_stars.append(tab.block(_take(XLp, tab.dom_f), dnf))
+                f_stars.append(intern(tab.block(_take(XLp, tab.dom_f), dnf)))
             f_star = f_stars[j]
             rest_p = tuple(
                 tuple(map(sub, b, c)) for b, c in zip(base, _take(XLp, rows))
@@ -802,17 +837,32 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
                 XLpp = split_image(k, Lpp)
                 if k == len(ind_stars):
                     ind_stars.append(tab.block(_take(XLpp, tab.c)))
-                front = tab.sum(f_star, ind_stars[k])
+                front = intern(tab.sum(f_star, ind_stars[k]))
                 rest = tuple(
                     tuple(map(sub, b, c)) for b, c in zip(rest_p, _take(XLpp, rows))
                 )
-            blocks = t_blocks.setdefault(rest, [])
+            blocks = memo.setdefault((tab, d, index, rest), [])
             for t, T in enumerate(Ts):
                 if t == len(blocks):
                     if t == len(t_images):
                         t_images.append(tab.image(T.op, d, gs))
-                    blocks.append(tab.block(rest, t_images[t]))
+                    blocks.append(intern(tab.block(rest, t_images[t])))
                 yield (T, Lp, Lpp), front, blocks[t]
+
+
+def distinct_items(items: Iterable[tuple]) -> Iterator[tuple]:
+    """The items of :func:`certificates` whose pair (front, block) of
+    objects no earlier item has: the first of each distinct value set, in
+    budget order.  Frontiers are interned, so a skipped item has the value
+    set of an earlier one, and it can neither qualify first, change a
+    merge, nor own a point first.  The pairs are compared by ``id``, which
+    is safe because the generator keeps every frontier it yields."""
+    seen = set()
+    for item in items:
+        key = (id(item[1]), id(item[2]))
+        if key not in seen:
+            seen.add(key)
+            yield item
 
 
 def script_A_membership(
@@ -832,6 +882,8 @@ def script_A_membership(
     q = ⌊s·N·y⌋ against the item's two frontiers, s the frontier scale (an
     integer g exceeds s·N·y exactly where it exceeds q), so no W is built.
     y is cleared once, as (e, Y = e·y), and q is s·(N·Y) // e, on integers.
+    An item that repeats an earlier one's value set is skipped
+    (:func:`distinct_items`).
     """
     y = tuple(y)
     K = P.K
@@ -841,7 +893,7 @@ def script_A_membership(
     e, Y = cleared(y)
     s = frontier_scale(P, L, cfg)
     q = tuple([s * c // e for c in K.basis.to_quad(Y)])
-    for ops, front, block in certificates(i, P, L, cfg):
+    for ops, front, block in distinct_items(certificates(i, P, L, cfg)):
         if region_sum(front, block, q) != LOWER:
             return Certificate(i, *ops)
     return None

@@ -54,6 +54,7 @@ from .conjugate import (
     SampledMap,
     SearchConfig,
     certificates,
+    distinct_items,
     frontier_scale,
 )
 from .farkas import HardFailure, alpha_holds
@@ -250,10 +251,16 @@ def dual_value(
     (:meth:`FacetTables.sum`) only for the first certificate and for those
     not skipped.  Each generator of the result lies on some certificate's
     frontier and is stored with the first such certificate in budget order,
-    skipped ones included; the owner is found with ``region_sum`` too and
-    stored as its operators, paired with its point in the attained set's
-    order (``DualValue.certificates``).  K must be simplicial (exactly
-    ``dim`` linearly independent normals, so that its basis has an
+    skipped ones included; the owners are found with ``region_sum`` too, in
+    a second pass of the enumerator that stops once every generator has
+    one, and stored as their operators, paired with their points in the
+    attained set's order (``DualValue.certificates``).  Both passes skip an
+    item that repeats an earlier one's value set (:func:`distinct_items`),
+    which can neither change the merge nor own a point first.  The second
+    pass reads the T-blocks the first one kept in the config's memo, unless
+    the first left more than ``MEMO_CAP`` objects there; then it builds
+    them again, but only up to the last owner.  K must be simplicial
+    (exactly ``dim`` linearly independent normals, so that its basis has an
     inverse), of any dimension.
     """
     if which not in _DUAL_NAMES:
@@ -267,10 +274,8 @@ def dual_value(
             "independent normals)"
         )
     index = int(which[-1])
-    pieces = []  # (operators, front, block), W = front ⊎ block, in budget order
     low = None  # the merged generators, negated: in W's orientation
-    for ops, front, block in certificates(index, P, L, cfg):
-        pieces.append((ops, front, block))
+    for _, front, block in distinct_items(certificates(index, P, L, cfg)):
         if low is None:
             low = P.tables.sum(front, block)
         elif any(region_sum(front, block, u) == UPPER for u in low):
@@ -279,27 +284,24 @@ def dual_value(
     if low is None:
         raise ValueError("empty certificate budget")
 
+    # u is on the frontier of W exactly when its point is on that of -W
+    owner = {}
+    for ops, front, block in distinct_items(certificates(index, P, L, cfg)):
+        for u in low:
+            if u not in owner and region_sum(front, block, u) == FRONTIER:
+                owner[u] = Certificate(index, *ops)
+        if len(owner) == len(low):
+            break
+    else:  # cannot happen: each point is on the region boundary
+        raise RuntimeError("an attained point has no certificate on its frontier")
     delta, inverse = basis.inverse
-    owners = []
     # each point -N^{-1}·u/s as the integer vector -(δ·N^{-1})·u at the scale δ·s
     points = sorted((vec_neg(mat_vec(inverse, u)), u) for u in low)
-    for h, u in points:
-        # h is on the frontier of -W exactly when u is on that of W
-        k = next(
-            (
-                k
-                for k, (_, front, block) in enumerate(pieces)
-                if region_sum(front, block, u) == FRONTIER
-            ),
-            None,
-        )
-        if k is None:  # cannot happen: h is on the region boundary
-            raise RuntimeError(f"no certificate owns attained point {h!r}")
-        owners.append(Certificate(index, *pieces[k][0]))
     scale = delta * frontier_scale(P, L, cfg)
     attained = FiniteVecSet.from_ints(scale, [h for h, _ in points])
     frontier = GenSet(Tag.FINITE, Orient.INF, attained, P.K)
-    return DualValue(which, L, attained, frontier, tuple(zip(attained.points, owners)))
+    owners = tuple(zip(attained.points, [owner[u] for _, u in points]))
+    return DualValue(which, L, attained, frontier, owners)
 
 
 def weak_duality_check(

@@ -494,6 +494,7 @@ def _u_farkas_rand(seed: int, idx: int) -> dict:
     # engine qualification == brute product-sum test, on explicit combos
     T_list = list(cfg.posop_budget(P.S, P.K))
     Lp_list = list(cfg.linop_budget(P.m, P.n))
+    F_samples, G_samples = P.F.samples, P.G.samples  # each read builds Fractions
     for T in T_list[:2]:
         for Lp in Lp_list[:2]:
             Lpp = Lp_list[0]
@@ -502,7 +503,7 @@ def _u_farkas_rand(seed: int, idx: int) -> dict:
             )
             engine = W.classify(y) is not RegionLabel.LOWER
             oracle = brute_beta(
-                i, P.F.samples, P.G.samples, P.C, L.entries, T.op.entries,
+                i, F_samples, G_samples, P.C, L.entries, T.op.entries,
                 Lp.entries, Lpp.entries, P.K.normals, y,
             )
             col.ok(
