@@ -23,10 +23,10 @@ the instance): each operator's image in facet coordinates is derived once,
 as one column of integers per facet normal, at the one scale of
 :func:`frontier_scale`; a block's cloud is one integer subtraction per
 facet, and the maxima of its rows, found by one sort, are its frontier.
-The :class:`SearchConfig` keeps its budgets and, per tables and scale, the
-budget operators' images and the split blocks F*(L') and I_C*(L''), and in
-a memo of bounded size the T-blocks, each frontier interned by content;
-L's image is kept for one call.  An item's value set is the ⊎-sum of two
+The :class:`SearchConfig` keeps its budgets, the splitting operators' images
+and the split blocks F*(L') and I_C*(L''), and, by the rows they run on, T's
+images and, in a memo of bounded size, the T-blocks, each frontier interned
+by content; L's image is kept for one call.  An item's value set is the ⊎-sum of two
 frontiers, which the search asks for one point's region without building
 it (:func:`weakfront.staircase2d.region_sum`), once per distinct pair of
 frontier objects (:func:`distinct_items`).  The query point is cleared
@@ -45,7 +45,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cones import (
@@ -214,21 +214,26 @@ def compose(M: LinOp, G: SampledMap) -> SampledMap:
 # --- conjugate and epigraphs ------------------------------------------------------
 
 
-def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
-    """The conjugate value F*(L) = wsup{L(x) - F(x) : x in dom F}.
-
-    Always a FINITE SUP GenSet for sampled maps.  With L cleared as
-    (d, d·L), its cloud is the integer vectors a·(d·L)·(Dx·x) - b·(Dv·F(x))
-    at the scale s = lcm(d·Dx, Dv), a = s/(d·Dx) and b = s/Dv.
-    """
-    if L.cols != F.in_dim or L.rows != F.out_dim or K.dim != F.out_dim:
-        raise DimensionError("conjugate: map/operator/cone dimensions disagree")
+def value_cloud(F: SampledMap, L: LinOp) -> Tuple[int, list]:
+    """(s, cols): the cloud {L(x) - F(x) : x in dom F} as the integer
+    vectors a·(d·L)·(Dx·x) - b·(Dv·F(x)) at the scale s = lcm(d·Dx, Dv),
+    with L cleared as (d, d·L), a = s/(d·Dx) and b = s/Dv; one list per
+    coordinate, in the order of F's points."""
     Dx, X, Dv, V = F.cleared()
     d, dL = L.cleared()
     s = math.lcm(d * Dx, Dv)
     a, b = s // (d * Dx), s // Dv
     LX = row_products(dL, list(zip(*X)), len(X))  # one list per row of L
-    cols = [[a * p - b * c for p, c in zip(lx, v)] for lx, v in zip(LX, zip(*V))]
+    return s, [[a * p - b * c for p, c in zip(lx, v)] for lx, v in zip(LX, zip(*V))]
+
+
+def conjugate(F: SampledMap, L: LinOp, K: Cone) -> GenSet:
+    """The conjugate value F*(L) = wsup{L(x) - F(x) : x in dom F}, the weak
+    supremum of :func:`value_cloud`.  Always a FINITE SUP GenSet for
+    sampled maps."""
+    if L.cols != F.in_dim or L.rows != F.out_dim or K.dim != F.out_dim:
+        raise DimensionError("conjugate: map/operator/cone dimensions disagree")
+    s, cols = value_cloud(F, L)
     return wsup_finite(FiniteVecSet.from_ints(s, zip(*cols)), K)
 
 
@@ -399,16 +404,17 @@ class SearchConfig:
     entries are multiples of 1/``den``, the lcm of the steps' denominators
     and of the hints' cleared denominators.  Each (S, K) gets one
     positive-operator budget and each shape one splitting-operator budget,
-    both built by one rule and kept as long as the config; so are the
-    operator images and split blocks that :func:`certificates` derives from
-    them alone, per instance tables and scale, in budget order.  The
-    T-blocks, which depend on the query's L but not on its y, are kept
+    both built by one rule and kept as long as the config; so is what
+    :func:`certificates` derives from them alone, in budget order: per
+    instance tables and scale, the splitting operators' images and split
+    blocks, and per tables, scale and rows, each T's image of those rows.
+    The T-blocks, which depend on the query's L but not on its y, are kept
     across searches in one memo (:meth:`_memo_for_call`): per tables,
-    scale, index and image of the rest operator, the blocks in budget
-    order, and every frontier and frontier row that a search builds,
-    interned by content, so equal ones are one object.  A search that
-    starts while the memo holds more than ``MEMO_CAP`` objects starts a new
-    one; no search evicts while it runs.
+    scale, rows and image of the rest operator, the blocks in budget order,
+    and every frontier and frontier row that a search builds, interned by
+    content, so equal ones are one object.  A search that starts while the
+    memo holds more than ``MEMO_CAP`` objects starts a new one; no search
+    evicts while it runs.
     """
 
     __slots__ = (
@@ -617,7 +623,8 @@ class FacetTables:
     an integer image of the rows once (:meth:`image`), one tuple per facet
     normal; every block's frontier is built from those columns, one
     subtraction per facet column (:meth:`block`), and kept with the search
-    config, in its memo of T-blocks or with its images.
+    config, the T-images and T-blocks by the rows they run on, ``c_f``,
+    ``c`` or ``dom_g``, so indices on equal rows share them.
 
     The tables also keep the restrictions that the instance and
     :func:`beta_value_set` read: ``F_cf`` and ``G_cf``, F and G on
@@ -678,11 +685,9 @@ class FacetTables:
         ``xs`` or ``gs``, in column form: one tuple per facet normal a, of
         the products a·(d·M)·v in the order of ``vs``.  One operator's term
         of a block's cloud, at the scale D·d, d a multiple of M's
-        denominators."""
-        return tuple(
-            tuple([sum(map(mul, a, v)) for v in vs])
-            for a in facet_matrix(self.N, M, d)
-        )
+        denominators, formed by :func:`weakfront.staircase2d.row_products`."""
+        A = facet_matrix(self.N, M, d)
+        return tuple([tuple(r) for r in row_products(A, tuple(zip(*vs)), len(vs))])
 
     def block(self, A: Sequence, B: Optional[Sequence] = None) -> list:
         """The frontier of one conjugate block, whose cloud is the difference
@@ -763,23 +768,23 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     image is computed once (:meth:`FacetTables.image`), as one column per
     facet normal: per call, (N·d·L)·x on the rows, less d·N·F(x) at index
     1; per config, tables and d, for each splitting operator M (N·d·M)·x
-    on every row and for each T (N·d·T)·G(x) on each index's rows, when a
-    loop first reaches it.  Each block is the frontier of a difference of
-    images, formed one facet column at a time from the columns' entries at
-    the block's rows: F*(L') of (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'')
-    of (N·d·L'')·x on C, and a T-block of the rest's image (L's less the
-    split operators', a tuple of columns) minus T's.  F*(L') and I_C*(L'')
-    are kept with the images; the T-blocks are kept in the config's memo
-    (:meth:`SearchConfig._memo_for_call`), per tables, scale, index and the
-    rest's columns, by the position of T, across calls; equal images give
-    equal clouds, even for distinct rests.  The index is in the key because
-    each index draws its T-images apart: an index-1 rest can equal an
-    index-2 one, and neither may extend the other's blocks.  Every T-block,
-    F*(L') and ⊎-sum of split blocks is interned in that memo when it is
-    built, rows included, so an item repeats an earlier one's value set
-    exactly when both frontiers are the same objects, and each object
-    yielded stays alive while the generator runs.  One call builds each
-    T-block at most once.
+    on every row, and per config, tables, d and rows, for each T
+    (N·d·T)·G(x) on those rows, when a loop first reaches it.  Each block
+    is the frontier of a difference of images, formed one facet column at
+    a time from the columns' entries at the block's rows: F*(L') of
+    (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'') of (N·d·L'')·x on C, and a
+    T-block of the rest's image (L's less the split operators', a tuple of
+    columns) minus T's.  F*(L') and I_C*(L'') are kept with the images;
+    the T-blocks are kept in the config's memo
+    (:meth:`SearchConfig._memo_for_call`), per tables, scale, rows and the
+    rest's columns, by the position of T, across calls; equal images on
+    equal rows give equal clouds, whichever index or rest they came from,
+    so indices whose rows coincide share their T-images and T-blocks.
+    Every T-block, F*(L') and ⊎-sum of split blocks is interned in that
+    memo when it is built, each of its points too, so an item repeats an
+    earlier one's value set exactly when both frontiers are the same
+    objects, and each object yielded stays alive while the generator runs.
+    One call builds each T-block at most once.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -793,25 +798,23 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
         2: (Ls, (None,), tab.c),
         3: (Ls, Ls, tab.dom_g),
     }[index]
-    xs, gs = tab.xs, [tab.gs[i] for i in rows]
+    rows, xs = tuple(rows), tab.xs
     base = tab.image(L, d, [xs[i] for i in rows])
     if index == 1:
         base = tuple(
             tuple([b - d * c for b, c in zip(col, f)])
             for col, f in zip(base, zip(*[tab.nf[i] for i in rows]))
         )
-    # kept, by budget position: (N·d·M)·x, F*(L'), I_C*(L''), (N·d·T)·G(x) per index
-    images, f_stars, ind_stars, *t_kept = cfg._images.setdefault(
-        (tab, d), tuple([] for _ in range(6))
-    )
-    t_images, dnf = t_kept[index - 1], None
-    # (tab, d, index, image of L - L' - L'') -> its T-blocks, by position of
+    # kept, by budget position: (N·d·M)·x, F*(L'), I_C*(L''); and (N·d·T)·G(x)
+    images, f_stars, ind_stars = cfg._images.setdefault((tab, d), ([], [], []))
+    t_images, dnf = cfg._images.setdefault((tab, d, rows), []), None
+    # (tab, d, rows, image of L - L' - L'') -> its T-blocks, by position of
     # T; and each frontier and row -> its one object
     memo = cfg._memo_for_call()
 
     def intern(frontier: list) -> list:
-        rows = [memo.setdefault(r, r) for r in frontier]
-        return memo.setdefault(tuple(rows), rows)
+        kept = [memo.setdefault(r, r) for r in frontier]
+        return memo.setdefault(tuple(kept), kept)
 
     def split_image(k: int, M: LinOp) -> tuple:
         if k == len(images):
@@ -841,11 +844,11 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
                 rest = tuple(
                     tuple(map(sub, b, c)) for b, c in zip(rest_p, _take(XLpp, rows))
                 )
-            blocks = memo.setdefault((tab, d, index, rest), [])
+            blocks = memo.setdefault((tab, d, rows, rest), [])
             for t, T in enumerate(Ts):
                 if t == len(blocks):
                     if t == len(t_images):
-                        t_images.append(tab.image(T.op, d, gs))
+                        t_images.append(tab.image(T.op, d, [tab.gs[i] for i in rows]))
                     blocks.append(intern(tab.block(rest, t_images[t])))
                 yield (T, Lp, Lpp), front, blocks[t]
 

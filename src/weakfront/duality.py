@@ -31,13 +31,11 @@ inverse of the normal matrix, and a certificate is stored as its operators.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 from .cones import Cone, DimensionError, LinOp, PointClass, classify_point
 from .numeric import (
-    Number, Vec, encode_mat, encode_vec, mat_vec, require_exact, vec_neg, vec_scale,
-    vec_sub,
+    Number, Vec, encode_mat, encode_vec, mat_vec, require_exact, vec_neg,
 )
 from .order_sets import (
     FiniteVecSet,
@@ -56,6 +54,7 @@ from .conjugate import (
     certificates,
     distinct_items,
     frontier_scale,
+    value_cloud,
 )
 from .farkas import HardFailure, alpha_holds
 
@@ -182,17 +181,12 @@ class ProblemInstance:
 
 def winf_vp(P: ProblemInstance, L: LinOp) -> GenSet:
     """The primal value frontier of (VP_L): winf{F(x) - L(x) : x in A ∩ dom F},
-    of the integer cloud a·(Dv·F(x)) - (b·d·L)·(Dx·x) at the scale
-    s = lcm(Dv, d·Dx), a = s/Dv and b = s/(d·Dx), read from ``P.feasible_F``
-    cleared as (Dx, Dx·x, Dv, Dv·F(x)) and L as (d, d·L)."""
+    of the negated integer cloud of F*(L) on ``P.feasible_F``
+    (:func:`weakfront.conjugate.value_cloud`), at its scale."""
     if L.rows != P.m or L.cols != P.n:
         raise DimensionError("winf_vp: perturbation shape disagrees")
-    Dx, X, Dv, V = P.feasible_F.cleared()
-    d, dL = L.cleared()
-    s = math.lcm(Dv, d * Dx)
-    a, bL = s // Dv, [vec_scale(s // (d * Dx), r) for r in dL]
-    cloud = [vec_sub(vec_scale(a, v), mat_vec(bL, x)) for x, v in zip(X, V)]
-    return winf_finite(FiniteVecSet.from_ints(s, cloud), P.K)
+    s, cols = value_cloud(P.feasible_F, L)
+    return winf_finite(FiniteVecSet.from_ints(s, map(vec_neg, zip(*cols))), P.K)
 
 
 class DualValue:

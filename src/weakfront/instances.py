@@ -54,6 +54,41 @@ def _check_format(doc) -> dict:
     return doc
 
 
+# The keys each object of a document may have; any other is refused, since a
+# misspelled key would be read as absent and its data silently dropped.
+_KEYS = {
+    "instance": ("C", "F", "G", "K", "S", "dims", "domain", "flags", "format",
+                 "hints", "kind"),
+    "pair": ("F1", "F2", "K", "dims", "domain", "format", "hints", "kind", "name"),
+    "set": ("K", "format", "kind", "points"),
+    "cone": ("generators", "interior_witness", "normals"),
+}
+
+
+def _check_keys(raw: dict, keys: Sequence[str], what: str) -> None:
+    for key in raw:
+        if key not in keys:
+            raise InstanceFormatError(
+                f"unknown key {key!r} in {what} (expected one of {', '.join(keys)})"
+            )
+
+
+def _decode_dims(raw, keys: str) -> dict:
+    """The document's dimensions, positive integers under exactly ``keys``."""
+    if isinstance(raw, dict):
+        _check_keys(raw, keys, "'dims'")
+        for k in keys:
+            if isinstance(raw.get(k), bool):
+                raise InstanceFormatError(
+                    f"dims.{k} is the boolean {json.dumps(raw[k])}, not an integer"
+                )
+    if not isinstance(raw, dict) or not all(
+        isinstance(raw.get(k), int) and raw[k] > 0 for k in keys
+    ):
+        raise InstanceFormatError(f"'dims' must give positive integers {', '.join(keys)}")
+    return raw
+
+
 def _decode_points(raw, what: str) -> Tuple[tuple, ...]:
     if not isinstance(raw, list) or not raw:
         raise InstanceFormatError(f"{what!r} must be a nonempty array of points")
@@ -66,6 +101,7 @@ def _decode_points(raw, what: str) -> Tuple[tuple, ...]:
 def cone_from_literal(raw, what: str = "cone") -> Cone:
     if not isinstance(raw, dict):
         raise InstanceFormatError(f"{what!r} must be an object")
+    _check_keys(raw, _KEYS["cone"], repr(what))
     if "normals" not in raw:
         raise InstanceFormatError(f"{what!r} has no 'normals'")
     if "interior_witness" not in raw:
@@ -178,18 +214,8 @@ def instance_from_json(doc) -> ProblemInstance:
         raise InstanceFormatError(
             f"expected an 'instance' document, got kind {doc.get('kind')!r}"
         )
-    dims = _require(doc, "dims")
-    if isinstance(dims, dict):
-        for k in "nmp":
-            if isinstance(dims.get(k), bool):
-                raise InstanceFormatError(
-                    f"dims.{k} is the boolean {json.dumps(dims[k])}, not an integer"
-                )
-    if (
-        not isinstance(dims, dict)
-        or not all(isinstance(dims.get(k), int) and dims[k] > 0 for k in "nmp")
-    ):
-        raise InstanceFormatError("'dims' must give positive integers n, m, p")
+    _check_keys(doc, _KEYS["instance"], "an instance document")
+    dims = _decode_dims(_require(doc, "dims"), "nmp")
     K = cone_from_literal(_require(doc, "K"), "K")
     S = cone_from_literal(_require(doc, "S"), "S")
     domain = _decode_points(_require(doc, "domain"), "domain")
@@ -212,13 +238,15 @@ def instance_from_json(doc) -> ProblemInstance:
     if not isinstance(raw_C, list) or not raw_C:
         raise InstanceFormatError("'C' must be a nonempty array of domain indices")
     C = []
-    for i in raw_C:
+    for k, i in enumerate(raw_C):
         if isinstance(i, bool):
             raise InstanceFormatError(
                 f"C index {json.dumps(i)} is a boolean, not a domain index"
             )
         if not isinstance(i, int) or not 0 <= i < len(domain):
             raise InstanceFormatError(f"C index {i!r} out of range")
+        if i in raw_C[:k]:
+            raise InstanceFormatError(f"C index {i} is repeated")
         C.append(domain[i])
     hints_T, hints_L = _decode_hints(doc.get("hints"))
     flags = _decode_flags(doc.get("flags"))
@@ -286,6 +314,8 @@ def pair_from_json(doc) -> MapPair:
         raise InstanceFormatError(
             f"expected a 'pair' document, got kind {doc.get('kind')!r}"
         )
+    _check_keys(doc, _KEYS["pair"], "a pair document")
+    dims = _decode_dims(_require(doc, "dims"), "nm")
     K = cone_from_literal(_require(doc, "K"), "K")
     domain = _decode_points(_require(doc, "domain"), "domain")
     raw1, raw2 = _require(doc, "F1"), _require(doc, "F2")
@@ -294,6 +324,8 @@ def pair_from_json(doc) -> MapPair:
             raise InstanceFormatError(f"{name!r} must parallel 'domain'")
     F1 = SampledMap((x, decode_vec(v)) for x, v in zip(domain, raw1))
     F2 = SampledMap((x, decode_vec(v)) for x, v in zip(domain, raw2))
+    if (dims["n"], dims["m"]) != (F1.in_dim, F1.out_dim):
+        raise InstanceFormatError("dims.n/dims.m disagree with F1's points and values")
     _, hints_L = _decode_hints(doc.get("hints"))
     if "T" in (doc.get("hints") or {}):
         raise InstanceFormatError("pair documents take no hints['T']")
@@ -310,6 +342,7 @@ def points_from_json(doc) -> Tuple[FiniteVecSet, Optional[Cone]]:
         raise InstanceFormatError(
             f"expected a 'set' document, got kind {doc.get('kind')!r}"
         )
+    _check_keys(doc, _KEYS["set"], "a set document")
     pts = _decode_points(_require(doc, "points"), "points")
     K = cone_from_literal(doc["K"], "K") if "K" in doc else None
     return FiniteVecSet(pts), K

@@ -2,6 +2,7 @@
 definitions through the checking constructors."""
 
 import random
+from fractions import Fraction
 
 from weakfront.cones import PointClass, classify_point
 from weakfront.conjugate import SampledMap
@@ -46,3 +47,22 @@ def partial_instances(count, seed):
         dom_f = [x for x in P.F.domain() if x != drop]
         out.append(ProblemInstance(restricted(P.F, dom_f), P.G, P.C, P.K, P.S))
     return out
+
+
+def cut_instance(rng):
+    """A random instance with its domains cut apart: F loses a point of C
+    and gains one off dom G, and C loses a point of dom G, so C ∩ dom F,
+    C, dom F and dom G all differ.  None when the draw has too few points
+    to cut."""
+    P = rand_instance(rng, domain_points=8)
+    keep = P.feasible_F.domain()[0]  # stays in C and dom F, so the cut is feasible
+    rest = [x for x in P.C if x != keep]
+    if len(rest) < 2:
+        return None
+    x0, x1 = rng.sample(rest, 2)  # x0 leaves dom F, x1 leaves C
+    off = (Fraction(5),) * P.n  # outside the half-integer box of dom G
+    F = SampledMap(
+        [(x, v) for x, v in P.F.samples if x != x0]
+        + [(off, tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(P.m)))]
+    )
+    return ProblemInstance(F, P.G, [x for x in P.C if x != x1], P.K, P.S)

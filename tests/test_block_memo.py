@@ -2,9 +2,10 @@
 of items that repeat an earlier item's value set.
 
 The memo is checked against fresh configs (the same answers, also across
-a forced reset), for its bound (every search starts with at most
-``MEMO_CAP`` objects kept) and for its use (a second search at the same L
-builds no T-block).  The skipping is checked by counting ``region_sum``
+a forced reset and on instances whose indices run on different rows), for
+its bound (every search starts with at most ``MEMO_CAP`` objects kept) and
+for its use (a second search at the same L builds no T-block, and an index
+whose rows another index has run on reuses its T-images and T-blocks).  The skipping is checked by counting ``region_sum``
 calls per distinct value set, and against consumers that skip nothing,
 written out here."""
 
@@ -31,6 +32,8 @@ from weakfront.numeric import cleared, mat_vec, vec_neg
 from weakfront.order_sets import FiniteVecSet
 from weakfront.randgen import rand_instance
 from weakfront.staircase2d import FRONTIER, LOWER, UPPER, maximal, region_sum
+
+from helpers import cut_instance
 
 E1, E3 = shipped_instance("E1"), shipped_instance("E3")
 
@@ -270,3 +273,59 @@ def test_skipping_repeats_changes_no_answer_on_random_instances(seed):
         for y in ys:
             want = _search_all(index, P, L, y, P.search_config(**budget))
             assert script_A_membership(index, P, L, y, cfg) == want
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "gap_toy"])
+def test_indices_on_equal_rows_share_their_t_images_and_blocks(name, monkeypatch):
+    """On the shipped instances C ∩ dom F = C = dom G, so after a whole
+    index-3 pass at L = 0 on a fresh config, index 2 and then index 1 at
+    the same L clear one facet matrix each, L's, and index 2 builds no
+    block: its rest at L' is index 3's at (L', 0)."""
+    P = shipped_instance(name)
+    tab = P.tables
+    assert tab.c_f == tab.c == tab.dom_g
+    cfg, L = P.search_config(), LinOp.zero(P.m, P.n)
+    matrices, blocks = [], _block_calls(monkeypatch)
+    real = conjugate.facet_matrix
+
+    def counting(*args):
+        matrices.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conjugate, "facet_matrix", counting)
+    for index in (3, 2, 1):
+        matrices.clear()
+        blocks.clear()
+        for _ in certificates(index, P, L, cfg):
+            pass
+        if index == 3:
+            assert len(matrices) > 1 and blocks
+        else:
+            assert len(matrices) == 1
+        if index == 2:
+            assert blocks == []
+    assert len(cfg._memo) <= conjugate.MEMO_CAP
+
+
+CUTS = [P for P in map(cut_instance, map(random.Random, range(12))) if P][:8]
+
+
+@pytest.mark.parametrize("k", range(len(CUTS)))
+def test_a_shared_config_on_cut_domains_gives_the_answers_of_fresh_configs(k):
+    """On instances where C ∩ dom F, C and dom G all differ, each index
+    runs on its own rows; one config that interleaves indices 1-3 at two
+    L's of different scales gives the certificates and dual values fresh
+    configs give."""
+    P = CUTS[k]
+    tab = P.tables
+    assert len({tuple(tab.c_f), tuple(tab.c), tuple(tab.dom_g)}) == 3
+    budget = {"l_box": 1} if P.m * P.n < 4 else {}
+    ys = sorted(itertools.product((-6, -1, 0, Fraction(1, 2), 3), repeat=P.m))
+    shared, found = P.search_config(**budget), []
+    for L in _perturbations(P)[::2] * 2:
+        for index in (1, 3, 2, 1, 2, 3):
+            got = _answers(index, P, L, shared, ys)
+            assert got == _answers(index, P, L, P.search_config(**budget), ys)
+            found += [c is not None for c in got[0]]
+    assert any(found)
+

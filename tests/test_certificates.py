@@ -31,7 +31,9 @@ from weakfront.order_sets import (
 from weakfront.randgen import rand_cone_2d, rand_halfplane, rand_instance, rand_linop
 from weakfront.staircase2d import UPPER, RayBasis, maxima, region_sum, region_sup
 
-from helpers import partial_instances, reference_feasible_points, restricted
+from helpers import (
+    cut_instance, partial_instances, reference_feasible_points, restricted,
+)
 
 
 def _orthant3_instance():
@@ -590,25 +592,6 @@ def _restricted_beta(index, P, L, T, Lp, Lpp):
     return ws_sum(first, conjugate.conjugate(TG, L - Lp - Lpp, K))
 
 
-def _cut_instance(rng):
-    """A random instance with its domains cut apart: F loses a point of C
-    and gains one off dom G, and C loses a point of dom G, so C ∩ dom F,
-    C, dom F and dom G all differ.  None when the draw has too few points
-    to cut."""
-    P = rand_instance(rng, domain_points=8)
-    keep = P.feasible_F.domain()[0]  # stays in C and dom F, so the cut is feasible
-    rest = [x for x in P.C if x != keep]
-    if len(rest) < 2:
-        return None
-    x0, x1 = rng.sample(rest, 2)  # x0 leaves dom F, x1 leaves C
-    off = (Fraction(5),) * P.n  # outside the half-integer box of dom G
-    F = SampledMap(
-        [(x, v) for x, v in P.F.samples if x != x0]
-        + [(off, tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(P.m)))]
-    )
-    return ProblemInstance(F, P.G, [x for x in P.C if x != x1], P.K, P.S)
-
-
 @given(st.sampled_from(["shipped", "rand", "cut", "fraction"]), st.integers(0, 2**16))
 def test_beta_value_set_equals_the_restricted_maps(source, seed):
     """At every index, the value set on the restrictions kept in the tables
@@ -621,7 +604,7 @@ def test_beta_value_set_equals_the_restricted_maps(source, seed):
     elif source == "rand":
         P = rand_instance(rng)
     elif source == "cut":
-        P = _cut_instance(rng) or rand_instance(rng)
+        P = cut_instance(rng) or rand_instance(rng)
     else:
         P = _fraction_instance(rng, rng.choice([Cone.orthant(2), rand_cone_2d(rng), HALFPLANE]))
     cfg = SearchConfig(t_step=Fraction(1, 2))
@@ -638,7 +621,7 @@ def test_beta_value_set_equals_the_restricted_maps(source, seed):
 def test_the_cut_instances_cut_the_domains():
     """The cut draws of the property above do have C ∩ dom F ≠ C,
     dom F ≠ dom G and C ≠ dom G."""
-    cuts = [P for P in map(_cut_instance, map(random.Random, range(20))) if P]
+    cuts = [P for P in map(cut_instance, map(random.Random, range(20))) if P]
     assert len(cuts) >= 15
     for P in cuts:
         tab = P.tables
@@ -819,10 +802,29 @@ def test_a_reused_config_changes_no_answer(name):
     assert any(found) and not all(found)
 
 
+def _kept_images(cfg):
+    """The config's kept images split by key: per (tables, scale) the split
+    lists, and per (tables, scale, rows) the T-images."""
+    split = {k: v for k, v in cfg._images.items() if len(k) == 2}
+    t_images = {k: v for k, v in cfg._images.items() if len(k) == 3}
+    assert len(split) + len(t_images) == len(cfg._images)
+    return split, t_images
+
+
+def _row_keys(cfg):
+    """One T-image key per (tables, scale) kept and distinct row tuple."""
+    return {
+        (tab, d, tuple(rows))
+        for tab, d in _kept_images(cfg)[0]
+        for rows in (tab.c_f, tab.c, tab.dom_g)
+    }
+
+
 def test_the_kept_images_are_bounded_by_the_drawn_budget():
     """After fifty calls at one scale, searches that stop early and whole
     passes, no list a config keeps is longer than the part of its budget
-    drawn so far; each new scale adds one set of lists per instance."""
+    drawn so far; each new scale adds one set of split lists per instance,
+    and one list of T-images per instance and distinct row tuple."""
     P, Q = INSTANCES["E1"], _twin(INSTANCES["E1"])
     cfg = P.search_config(l_box=1)
     zero, one = _perturbations(P)
@@ -838,18 +840,22 @@ def test_the_kept_images_are_bounded_by_the_drawn_budget():
             for _ in certificates(index, R, zero, cfg):
                 break
             calls += 1
-    assert calls >= 50 and len(cfg._images) == 2
+    split, t_images = _kept_images(cfg)
+    assert calls >= 50 and len(split) == 2
+    assert set(t_images) == _row_keys(cfg)
     n_L = len(cfg._budgets[P.m, P.n]._drawn)
     n_T = len(cfg._budgets[P.S, P.K]._drawn)
-    for images, f_stars, ind_stars, *t_kept in cfg._images.values():
+    for images, f_stars, ind_stars in split.values():
         assert max(map(len, (images, f_stars, ind_stars))) <= n_L
-        assert max(map(len, t_kept)) <= n_T
+    assert max(map(len, t_images.values())) <= n_T
     third = LinOp(((Fraction(1, 3),),))
     assert frontier_scale(P, third, cfg) != frontier_scale(P, zero, cfg)
     for R in (P, Q):
         for index in (1, 2, 3):
             script_A_membership(index, R, third, (0,), cfg)
-    assert len(cfg._images) == 4
+    split, t_images = _kept_images(cfg)
+    assert len(split) == 4
+    assert set(t_images) == _row_keys(cfg)
 
 
 def _check_owners(d, index, P, L):

@@ -342,6 +342,50 @@ def test_malformed_e2_is_refused_with_its_own_message(capsys, tmp_path, e2, path
         assert (rc, out) == (2, "")
         assert err == f"input error: {message}\n"
 
+
+def _renamed(doc, path, new):
+    """A copy of ``doc`` with the key at ``path`` renamed to ``new``, or
+    with ``new`` added under ``path[:-1]`` when ``path[-1]`` is None."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[new] = node.pop(path[-1]) if path[-1] is not None else 1
+    return doc
+
+
+_DOC = ("an instance document", "C, F, G, K, S, dims, domain, flags, format, hints, kind")
+# A lost key would drop its data unnoticed: without hints the budget is
+# bare, which changes the strong-duality verdict.
+_E2_MISSPELLINGS = [
+    (("hints",), "hint", *_DOC),
+    (("flags",), "flag", *_DOC),
+    (("K", "generators"), "generator", "'K'", "generators, interior_witness, normals"),
+    ((None,), "note", *_DOC),
+    (("dims", None), "q", "'dims'", "n, m, p"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,new,where,keys", _E2_MISSPELLINGS, ids=[m[1] for m in _E2_MISSPELLINGS]
+)
+def test_unknown_document_keys_are_refused_naming_the_key(
+    capsys, tmp_path, e2, path, new, where, keys
+):
+    bad = tmp_path / "E2_bad.json"
+    bad.write_text(json.dumps(_renamed(json.loads(open(e2).read()), path, new)))
+    rc, out, err = run(capsys, ["dual", str(bad), "--which", "VD2"])
+    assert (rc, out) == (2, "")
+    assert err == f"input error: unknown key {new!r} in {where} (expected one of {keys})\n"
+
+
+def test_a_repeated_c_index_is_refused(capsys, tmp_path, e2):
+    bad = tmp_path / "E2_bad.json"
+    bad.write_text(json.dumps(_with(json.loads(open(e2).read()), ("C",), [0, 0, 1, 2])))
+    rc, out, err = run(capsys, ["dual", str(bad), "--which", "VD2"])
+    assert (rc, out) == (2, "")
+    assert err == "input error: C index 0 is repeated\n"
+
 _QUADRANT = {"normals": [[1, 0], [0, 1]], "interior_witness": [1, 1]}
 _SKEWED = {"normals": [[1, 0], [-1, 2]], "interior_witness": [1, 1]}
 

@@ -116,6 +116,31 @@ def test_pair_documents_with_unknown_hints_keys_are_refused():
         pair_from_json(doc)
 
 
+def test_pair_and_set_documents_refuse_unknown_keys_and_wrong_dims():
+    """A pair's dims are checked against F1, and a pair, a set and a cone
+    literal refuse any key outside their schemas."""
+    doc = json.loads((data_dir() / "pairs" / "pair06.json").read_text())
+    assert pair_from_json(doc).F1.in_dim == doc["dims"]["n"] == 2
+    for dims, message in (
+        ({"n": 1, "m": 2}, r"dims.n/dims.m disagree with F1's points and values"),
+        ({"n": 2, "m": 1}, r"dims.n/dims.m disagree with F1's points and values"),
+        ({"n": 2, "m": 2, "p": 1}, r"unknown key 'p' in 'dims' \(expected one of n, m\)"),
+        ({"n": 2}, r"'dims' must give positive integers n, m"),
+    ):
+        with pytest.raises(InstanceFormatError, match=message):
+            pair_from_json(dict(doc, dims=dims))
+    with pytest.raises(InstanceFormatError, match="missing required field 'dims'"):
+        pair_from_json({k: v for k, v in doc.items() if k != "dims"})
+    with pytest.raises(InstanceFormatError, match="unknown key 'hint' in a pair document"):
+        pair_from_json(dict(doc, hint=doc["hints"]))
+    points = {"format": 1, "kind": "set", "points": [[0, 0]]}
+    with pytest.raises(InstanceFormatError, match="unknown key 'cone' in a set document"):
+        points_from_json(dict(points, cone=doc["K"]))
+    K = dict(doc["K"], witness=[1, 1])
+    with pytest.raises(InstanceFormatError, match="unknown key 'witness' in 'K'"):
+        points_from_json(dict(points, K=K))
+
+
 def test_file_errors(tmp_path):
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance(tmp_path / "nope.json")
