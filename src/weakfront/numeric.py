@@ -9,9 +9,12 @@ reads each entry once and returns the scale and the integers at it (and,
 through it, :func:`primitive`).  Cones, operators, point sets and the
 inverses of normal matrices are cleared by it once, when built, and keep
 that form; a sampled map is cleared once too, its points as one point set
-and its values apart, each at its own scale.  A batch of query points, or
-one query point, is cleared once per call that reads it.  Past that boundary the certificate search and
-the dual merge run on integers up to their output.
+and its values apart, each at its own scale.  One query point is cleared
+once per call that reads it; a batch of query points is cleared once for
+as long as calls pass the very same entry objects
+(:func:`weakfront.staircase2d.classify_points_2d` keeps the last batch's
+cleared form).  Past that boundary the certificate search and the dual
+merge run on integers up to their output.
 """
 
 from __future__ import annotations

@@ -9,10 +9,13 @@ agreement between the two is meaningful evidence.
 The bulk labeller, the Farkas cloud test (on clouds it builds itself from the
 raw samples and operator matrices) and the scalar duals clear their inputs to
 integers once per call, reading each entry once (with the oracle's own
-helper), and evaluate their defining formulas as numpy array expressions: the
-labeller as a max over the cloud of a min over the normals, in int64 when the
-cleared integers cannot overflow it and on exact Python ints otherwise; the
-cloud test and the duals always on exact Python ints.
+helper), except that the bulk labeller keeps the last grid's cleared form,
+its own and shared with nothing in the engine, and reuses it while calls pass
+the very same grid entries.  They evaluate their defining formulas as numpy
+array expressions: the labeller as a max over the cloud of a min over the
+normals, in int64 when the cleared integers cannot overflow it and on exact
+Python ints otherwise; the cloud test and the duals always on exact Python
+ints.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import is_
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -97,6 +101,28 @@ def _nonempty(*seqs) -> None:
 
 _CODES = (RegionLabel.LOWER, RegionLabel.FRONTIER, RegionLabel.UPPER)
 
+# The last grid labelled: its point count, its dimension, a copy of its flat
+# entries (which keeps them alive) and its cleared form; None before any.
+_last_grid = None
+
+
+def _cleared_grid(grid: Sequence[Sequence], dim: int) -> Tuple["np.ndarray", int]:
+    """``_cleared(grid, dim)``, reused when the grid has the point count,
+    the dimension and the very entry objects, in order, of the last one:
+    ints and Fractions are immutable, so the same objects are the same
+    values.  Any other grid replaces the memo."""
+    global _last_grid
+    entries = [c for v in grid for c in v]
+    last = _last_grid
+    if (
+        last is None
+        or last[:2] != (len(grid), dim)
+        or len(last[2]) != len(entries)
+        or not all(map(is_, last[2], entries))
+    ):
+        last = _last_grid = (len(grid), dim, entries, _cleared(grid, dim))
+    return last[3]
+
 
 def brute_region_bulk(
     points: Sequence[Sequence],
@@ -108,15 +134,17 @@ def brute_region_bulk(
     y is LOWER iff max over m of min over the normals a of a·m - a·y is
     positive, and FRONTIER iff it is 0: :func:`region_of_point`'s "some m
     with every a·(m - y) > 0 (>= 0)" read as one max-min, each normal's
-    (grid, m) column folded into the minimum.  The points and the grid are
-    cleared to one scale; as |a·m - a·y| <= ||a||_1·(max|M| + max|G|), the
+    (grid, m) column folded into the minimum.  The points and the grid
+    are cleared apart, each at its own scale (the grid once while its
+    entries stay the same objects, :func:`_cleared_grid`), and brought to
+    their lcm; as |a·m - a·y| <= ||a||_1·(max|M| + max|G|), the
     test runs in int64 when that bound is below 2**62, on Python ints
     otherwise.  An empty cloud (max -1) labels every point UPPER, as
     :func:`region_of_point` does.
     """
     A, _ = _cleared(normals)
-    MG, _ = _cleared([*points, *grid], A.shape[1])
-    M, G = MG[: len(points)], MG[len(points) :]
+    dim = A.shape[1]
+    (M, G), _ = _one_scale(_cleared(points, dim), _cleared_grid(grid, dim))
     bound = np.abs(A).sum(axis=1).max() * (
         np.abs(M).max(initial=0) + np.abs(G).max(initial=0)
     )

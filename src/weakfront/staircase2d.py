@@ -16,8 +16,9 @@ O(n·h) for h maxima.  :func:`maximal` finds the maximal vectors
 themselves, sorting the tuples with no key function, and :func:`maxima`
 their indices; the certificate blocks, their ⊎-sums and the dual merge
 keep their frontiers as lists of such vectors.  A point set arrives
-cleared.  A batch of query points is cleared once, as a whole, at the
-set's scale and theirs (:func:`weakfront.numeric.cleared`), and its facet
+cleared.  A batch of query points is cleared as a whole
+(:func:`weakfront.numeric.cleared`), once for as long as calls pass its
+very entry objects, and brought to the set's scale and its own; its facet
 coordinates are summed one normal row at a time over its coordinate
 columns (:func:`row_products`), as are those of a set whose maxima are
 asked for: the comparisons run on plain integers, with no call per point.
@@ -34,7 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
-from operator import ge, gt, sub
+from math import lcm
+from operator import ge, gt, is_, sub
 from typing import Iterable, Sequence
 
 from weakfront.numeric import Vec, chunked, cleared, dot
@@ -165,6 +167,34 @@ def region_sum(front: list, block: list, q: tuple) -> int:
     return code
 
 
+# The last query batch cleared: a copy of its flat entries, which keeps them
+# alive, and its cleared form (d_q, ints) at its own scale; None before any.
+_last_batch = None
+
+
+def _cleared_batch(points: Sequence[Vec], den: int) -> tuple:
+    """``cleared`` of the batch's flat entries at ``den``, reusing the last
+    batch's cleared form when its entries are the very same objects, in the
+    same order: ints and Fractions are immutable, so the same objects are
+    the same values.  Its integers are then rescaled to lcm(den, d_q), and
+    only when that differs from d_q.  Any other batch replaces the memo."""
+    global _last_batch
+    flat = list(chain.from_iterable(points))
+    last = _last_batch
+    if (
+        last is None
+        or len(last[0]) != len(flat)
+        or not all(map(is_, last[0], flat))
+    ):
+        last = _last_batch = (flat, *cleared(flat))
+    _, dq, ints = last
+    d = lcm(den, dq)
+    if d != dq:
+        s = d // dq
+        ints = [s * c for c in ints]
+    return d, ints
+
+
 def classify_points_2d(
     basis: RayBasis, gens: tuple, points: Sequence[Vec], sup: bool = True
 ) -> list:
@@ -176,16 +206,18 @@ def classify_points_2d(
     by d/den.
 
     The batch is handled in whole columns, with no call per point: it is
-    cleared once (:func:`weakfront.numeric.cleared`), and each facet
-    coordinate is summed, one normal row at a time, over the batch's
-    coordinate columns.  With one or two facets the maxima form a
-    staircase along which the first coordinate strictly falls and the last
-    strictly rises, so those with g0 > q0 (or g0 >= q0) are a prefix whose
-    last one has the largest last coordinate: two bisections label q.  With
-    more facets each query runs ``region_sup``."""
+    cleared once (:func:`weakfront.numeric.cleared`), or not at all when
+    its entries are the very objects of the last batch's, whose cleared
+    form is kept (:func:`_cleared_batch`), and each facet coordinate is
+    summed, one normal row at a time, over the batch's coordinate columns.
+    With one or two facets the maxima form a staircase along which the
+    first coordinate strictly falls and the last strictly rises, so those
+    with g0 > q0 (or g0 >= q0) are a prefix whose last one has the largest
+    last coordinate: two bisections label q.  With more facets each query
+    runs ``region_sup``."""
     den, vecs = gens
     N = basis.normals if sup else [tuple([-c for c in a]) for a in basis.normals]
-    d, flat = cleared(chain.from_iterable(points), den)
+    d, flat = _cleared_batch(points, den)
     kept = maximal([tuple([dot(a, v) for a in N]) for v in vecs])
     s = d // den
     dim = len(N[0])

@@ -11,7 +11,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from weakfront import oracle
@@ -135,6 +135,8 @@ def bulk_cases(draw):
 
 
 @given(bulk_cases())
+@example(([], ((1, 0), (0, 1)), []))
+@example(([], ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)), []))  # after a 2-d one
 def test_brute_region_bulk_is_the_definition(case):
     """The labels are region_of_point's, point by point, and stay so when
     the cloud and grid are scaled by 2**62 (which moves no label) and the
@@ -179,6 +181,85 @@ def test_a_bulk_call_reads_each_fraction_once(monkeypatch):
     entries = [c for v in (*cloud, *normals, *grid) for c in v]
     assert calls == {"as_integer_ratio": sum(type(c) is Fraction for c in entries)}
     assert set(labels) == set(RegionLabel)
+
+
+def test_a_repeated_grid_is_read_once(monkeypatch):
+    """A second call on the same 41 x 41 grid with a new cloud reads no
+    ``Fraction`` property and runs ``as_integer_ratio`` only on the
+    ``Fraction`` entries of the cloud and the normals."""
+    calls = Counter()
+    read = Fraction.as_integer_ratio
+
+    def counting(self):
+        calls["as_integer_ratio"] += 1
+        return read(self)
+
+    rng = random.Random(43)
+    ticks = [Fraction(k, 2) for k in range(-20, 21)]
+    grid = [(a, b) for a in ticks for b in ticks]
+    normals = [(1, Fraction(1, 2)), (Fraction(-1, 3), 2)]
+    cloud = [(_rand_entry(rng, 20), rng.randint(-10, 10)) for _ in range(20)]
+    brute_region_bulk([(1, Fraction(1, 3))], normals, grid)
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(_refused(name)))
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counting)
+    labels = brute_region_bulk(cloud, normals, grid)
+    entries = [c for v in (*cloud, *normals) for c in v]
+    assert calls == {"as_integer_ratio": sum(type(c) is Fraction for c in entries)}
+    monkeypatch.undo()
+    assert labels == [region_of_point(cloud, normals, y) for y in grid]
+
+
+def _refused(name):
+    def read(self):
+        raise AssertionError(f"Fraction.{name} read")
+
+    return read
+
+
+def test_a_grid_changed_in_place_or_reshaped_is_cleared_again():
+    """The memo keeps its own copy of the grid's entries, and its key holds
+    the point count and the dimension: a grid with one point replaced in
+    place, the same entries in another count of points, an empty grid in
+    another dimension, and equal values in new objects are each labelled
+    by the definition, and entries that do not fit the dimension are
+    refused."""
+    pts = [(0, Fraction(1, 3)), (Fraction(5, 4), -1)]
+    grid = [
+        (Fraction(a, 2), Fraction(b, 3))
+        for a in range(-4, 5)
+        for b in range(-4, 5)
+    ]
+    pyramid = BULK_CONES[-1]
+    cases = [
+        (pts, O2.normals, grid),
+        (pts, O2.normals, grid),
+        (pts, O2.normals, [*grid[:-1]]),
+        ([], O2.normals, []),
+        ([], pyramid, []),
+        ([(1, 0, Fraction(1, 2))], pyramid, []),
+        ([], O2.normals, []),
+        (pts, O2.normals, [(Fraction(a, 2), Fraction(b, 3)) for a, b in grid]),
+    ]
+    for case in cases:
+        _labels_by_the_definition(*case)
+    for i in (0, 40, len(grid) - 1):
+        grid[i] = (Fraction(5, 4), Fraction(-1, 2))
+        _labels_by_the_definition(pts, O2.normals, grid)
+    # the same twelve entries as six 2-d points, as three 4-d ones under
+    # 2-d normals (refused, as on a first call), and as four 3-d ones
+    flat = [Fraction(k, 5) for k in range(-6, 6)]
+    by2, by4, by3 = ([tuple(flat[i : i + n]) for i in range(0, 12, n)] for n in (2, 4, 3))
+    _labels_by_the_definition([by2[1]], O2.normals, by2)
+    with pytest.raises(ValueError):
+        brute_region_bulk([], O2.normals, by4)
+    _labels_by_the_definition([by3[1]], BULK_CONES[4], by3)
+
+
+def _labels_by_the_definition(cloud, normals, grid):
+    assert brute_region_bulk(cloud, normals, grid) == [
+        region_of_point(cloud, normals, y) for y in grid
+    ]
 
 
 def test_brute_region_table():

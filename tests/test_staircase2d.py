@@ -2,10 +2,14 @@
 shares no geometry with it, on simplicial and non-simplicial cones."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -474,10 +478,11 @@ def test_the_first_bad_point_decides_the_error():
 @pytest.mark.parametrize("sup", [True, False], ids=["sup", "inf"])
 def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
     """On a 41 x 41 grid, ``dot`` runs only on the set's points (at most
-    |M|·|normals| times, and at least once, which the benchmark's traced
-    run requires), and ``cleared`` once, for the whole batch, with the
-    cone's basis built before counting.  Each is wrapped wherever
-    ``staircase2d`` binds it."""
+    |M|·|normals| times per call, and at least once, which the benchmark's
+    traced run requires), with the cones' bases built before counting.
+    ``cleared`` runs once for the grid over all four cones, and once more
+    for a rebuilt grid of equal but new ``Fraction`` objects.  Each is
+    wrapped wherever ``staircase2d`` binds it."""
     calls = Counter()
 
     def counting(fn):
@@ -492,16 +497,205 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
             if val is fn:
                 monkeypatch.setattr(staircase2d, attr, counting(fn))
     rng = random.Random(41)
-    ticks = [Fraction(k, 2) for k in range(-20, 21)]
-    grid = [(a, b) for a in ticks for b in ticks]
-    for K in [rand_cone_2d(rng) for _ in range(3)] + [CORE_CONES["redundant2"]]:
-        M = rand_finite_set(rng, 2, 20)
+
+    def half_grid():
+        ticks = [Fraction(k, 2) for k in range(-20, 21)]
+        return [(a, b) for a in ticks for b in ticks]
+
+    grid = half_grid()
+    cones = [rand_cone_2d(rng) for _ in range(3)] + [CORE_CONES["redundant2"]]
+    for K in cones:
         K.basis
-        calls.clear()
+    calls.clear()
+    for K in cones:
+        M = rand_finite_set(rng, 2, 20)
+        dots = calls["dot"]
         labels = classify_many(M, K, grid, sup=sup)
-        assert 1 <= calls["dot"] <= len(M) * len(K.normals)
-        assert calls["cleared"] == 1
+        assert 1 <= calls["dot"] - dots <= len(M) * len(K.normals)
         assert labels == _oracle_labels(M.points, K, grid, sup)
+    assert calls["cleared"] == 1
+    rebuilt = half_grid()
+    assert rebuilt == grid
+    assert classify_many(M, K, rebuilt, sup=sup) == labels
+    assert calls["cleared"] == 2
+
+
+# --- the last query batch's cleared form is reused ---------------------------------
+
+
+def _labels_match_the_oracle(M, K, batch, sup=True):
+    labels = classify_many(M, K, batch, sup=sup)
+    assert labels == _oracle_labels(M.points, K, batch, sup)
+    return labels
+
+
+def _third_grid(lo=-6, hi=6):
+    ticks = [Fraction(k, 3) for k in range(3 * lo, 3 * hi + 1)]
+    return [(a, b) for a in ticks for b in ticks]
+
+
+def test_a_batch_of_equal_values_in_new_objects_is_labelled_afresh():
+    rng = random.Random(5)
+    K = rand_cone_2d(rng)
+    for M in [rand_finite_set(rng, 2, 12) for _ in range(3)]:
+        first = _labels_match_the_oracle(M, K, _third_grid())
+        assert _labels_match_the_oracle(M, K, _third_grid()) == first
+
+
+def test_a_batch_changed_in_place_is_cleared_again():
+    """The memo keeps its own copy of the entries: the caller's list, with
+    one point replaced between calls, is labelled by its new point."""
+    rng = random.Random(6)
+    K, M = CORE_CONES["skew2"], rand_finite_set(rng, 2, 12)
+    grid = _third_grid(-3, 3)
+    codes = staircase2d.classify_points_2d(K.basis, M.cleared(), grid)
+    for i in (0, 17, len(grid) - 1):
+        grid[i] = (Fraction(7, 5), Fraction(-11, 7))
+        again = staircase2d.classify_points_2d(K.basis, M.cleared(), grid)
+        want = _oracle_labels(M.points, K, grid, True)
+        assert [_CODE_LABELS[c] for c in again] == want
+        assert again[:i] == codes[:i]
+        codes = again
+
+
+_CODE_LABELS = {
+    staircase2d.LOWER: RegionLabel.LOWER,
+    staircase2d.FRONTIER: RegionLabel.FRONTIER,
+    staircase2d.UPPER: RegionLabel.UPPER,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_CONES))
+def test_empty_batches_around_nonempty_ones(name):
+    """An empty batch between and after non-empty ones has no labels, and
+    moves no label of the others."""
+    K = CORE_CONES[name]
+    M, N = _random_sets(K.dim, 2, seed=8)
+    grid = [tuple(c * k for c in p) for p in M.points for k in (-1, 1, 2)]
+    for _ in range(2):
+        assert classify_many(M, K, []) == []
+        _labels_match_the_oracle(M, K, grid)
+        assert classify_many(N, K, [], sup=False) == []
+        _labels_match_the_oracle(N, K, grid, sup=False)
+    assert classify_many(M, K, []) == []
+
+
+_FIRST_QUERIES = """
+from fractions import Fraction
+from weakfront.cones import Cone
+from weakfront.oracle import brute_region_bulk
+from weakfront.order_sets import FiniteVecSet, classify_many
+K, M = Cone.orthant(2), FiniteVecSet([(Fraction(1, 3), 0)])
+grid = [(0, -1), (Fraction(1, 3), 0), (1, 1)]
+print(classify_many(M, K, []), brute_region_bulk(M.points, K.normals, []))
+print(*(lab.name for lab in classify_many(M, K, grid)))
+print(*(lab.name for lab in brute_region_bulk(M.points, K.normals, grid)))
+"""
+
+
+def test_an_empty_batch_is_a_fresh_process_first_query():
+    """In a new interpreter, where neither side has cleared a batch yet,
+    an empty batch first has no labels and moves none of the next one's."""
+    src = str(Path(staircase2d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_QUERIES], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[] []", *["LOWER FRONTIER UPPER"] * 2]
+
+
+def test_two_grids_alternating():
+    rng = random.Random(9)
+    grids = [_third_grid(-4, 4), _grid_of_ints_and_fractions()]
+    for k in range(8):
+        K = rand_cone_2d(rng) if k % 3 else CORE_CONES["redundant2"]
+        M = rand_finite_set(rng, 2, 10)
+        _labels_match_the_oracle(M, K, grids[k % 2], sup=k % 4 < 2)
+
+
+def test_sup_and_inf_on_one_grid():
+    rng = random.Random(10)
+    grid = _third_grid(-5, 5)
+    for K in (rand_cone_2d(rng), CORE_CONES["halfplane"], CORE_CONES["redundant2"]):
+        M = rand_finite_set(rng, 2, 12)
+        for sup in (True, False, True, False):
+            _labels_match_the_oracle(M, K, grid, sup)
+
+
+def _grid_of_ints_and_fractions():
+    """ints and Fractions mixed within points and within coordinates, some
+    Fractions whole."""
+    ticks = [k if k % 3 else Fraction(k, 3) for k in range(-6, 7)]
+    ticks += [Fraction(k, 4) for k in range(-7, 8, 2)]
+    return [(a, b) for a in ticks for b in ticks]
+
+
+def test_a_batch_of_ints_and_fractions():
+    """The batch's own scale differs from the sets' scales (whole, halves,
+    sevenths), so its integers are rescaled on each reuse."""
+    rng = random.Random(11)
+    grid = _grid_of_ints_and_fractions()
+    whole = FiniteVecSet([(1, -2), (-3, 0), (2, 2)])
+    for K in (rand_cone_2d(rng), CORE_CONES["skew2"]):
+        for M in (whole, rand_finite_set(rng, 2, 12), _sevenths(rng)):
+            _labels_match_the_oracle(M, K, grid)
+            _labels_match_the_oracle(M, K, grid, sup=False)
+
+
+def _sevenths(rng):
+    return FiniteVecSet(
+        (Fraction(rng.randint(-30, 30), 7), Fraction(rng.randint(-30, 30), 7))
+        for _ in range(8)
+    )
+
+
+@pytest.mark.parametrize("sup", [True, False], ids=["sup", "inf"])
+def test_a_bad_batch_is_refused_after_a_hit(sup):
+    """The dimension and type checks run on every call, before the memo:
+    after a reused batch, a batch with one point of the wrong dimension,
+    the same entry objects regrouped into 3-d points, and a batch with a
+    float entry are each refused."""
+    K = Cone.orthant(2)
+    M = FiniteVecSet([(0, 0), (1, -1)])
+    grid = _third_grid(-1, 1)  # 49 points, 98 entries
+    for _ in range(2):
+        _labels_match_the_oracle(M, K, grid, sup)
+    flat = [c for p in grid[:48] for c in p]
+    for batch in (
+        [*grid, (1, 2, 3)],
+        [tuple(flat[i : i + 3]) for i in range(0, 96, 3)],
+        [*grid[:-1], (grid[-1][0], 1.5)],
+    ):
+        with pytest.raises((DimensionError, ValueError)) as err:
+            classify_many(M, K, batch, sup=sup)
+        want = ValueError if isinstance(batch[-1][-1], float) else DimensionError
+        assert type(err.value) is want
+    _labels_match_the_oracle(M, K, grid, sup)
+
+
+_SHARED = [_third_grid(-2, 2), _grid_of_ints_and_fractions(), []]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_SHARED)),  # a shared grid, or a rebuilt one
+            st.sampled_from(["skew2", "halfplane", "redundant2"]),
+            st.integers(0, 2**16),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_a_run_of_batches_matches_the_oracle(runs):
+    """Any run of calls on shared grids, rebuilt equal grids and empty
+    batches, under sup and inf, labels as the oracle does."""
+    for which, name, seed, sup in runs:
+        grid = _SHARED[which] if which < len(_SHARED) else _third_grid(-2, 2)
+        M = rand_finite_set(random.Random(seed), 2, 8)
+        _labels_match_the_oracle(M, CORE_CONES[name], grid, sup)
 
 
 def _matrix_and_vectors(dim):

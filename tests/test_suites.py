@@ -58,3 +58,17 @@ def test_no_more_workers_start_than_there_are_units(monkeypatch):
     assert few == suites.run_suite("wsum", trials=3, jobs=1)
     assert many == suites.run_suite("wsum", trials=5, jobs=1)
     assert few["units"] == 3 and few["passed"]
+
+
+def test_decomposition_reports_are_byte_identical_across_worker_counts():
+    """Each worker process keeps its own last cleared grid on each side of
+    the check, so each sees a different run of hits and misses; the report
+    is the same."""
+    texts = {
+        jobs: suites.report_text(
+            suites.run_suite("decomposition", trials=20, jobs=jobs)
+        )
+        for jobs in (1, 2, 3)
+    }
+    assert texts[1] == texts[2] == texts[3]
+    assert texts[1].startswith("suite decomposition: PASS seed=0 units=20 ")
