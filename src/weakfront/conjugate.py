@@ -23,15 +23,13 @@ the instance): each operator's image in facet coordinates is derived once,
 as one column of integers per facet normal, at the one scale of
 :func:`frontier_scale`; a block's cloud is one integer subtraction per
 facet, and the maxima of its rows, found by one sort, are its frontier.
-The :class:`SearchConfig` keeps its budgets, the splitting operators' images
-and the split blocks F*(L') and I_C*(L''), and, by the rows they run on, T's
-images and, in a memo of bounded size, the T-blocks, each frontier interned
-by content; L's image is kept for one call.  An item's value set is the ⊎-sum of two
-frontiers, which the search asks for one point's region without building
-it (:func:`weakfront.staircase2d.region_sum`), once per distinct pair of
-frontier objects (:func:`distinct_items`).  The query point is cleared
-once, so from query to certificate the search does no ``Fraction``
-arithmetic.  A :class:`Certificate` is its operators alone;
+What a search derives from its config's budgets is kept in the config's
+one bounded memo (:class:`SearchConfig`).  An item's value set is the
+⊎-sum of two frontiers, which the search asks for one point's region
+without building it (:func:`weakfront.staircase2d.region_sum`), once per
+distinct pair of frontier objects (:func:`distinct_items`).  The query
+point is cleared once, so from query to certificate the search does no
+``Fraction`` arithmetic.  A :class:`Certificate` is its operators alone;
 :func:`beta_value_set` rebuilds its value set with :func:`compose`,
 :func:`conjugate` and ``ws_sum`` from the restrictions the tables keep (F
 on the feasible sample, F and G on C ∩ dom F, G on C, C's indicator), so
@@ -364,8 +362,10 @@ def split_witness(
     y lies on the frontier of U1 ⊎ U2.
 
     U1 is taken as F1*(L1); U2 as F2*(L2) slid up along the interior
-    witness just enough to put y on the summed frontier.  Returns the first
-    hit in deterministic budget order, or None.
+    witness k0 by t = :func:`witness_translate` of U1 ⊎ U2 and y, which
+    puts y on the frontier of (U1 ⊎ U2) + t·k0 = U1 ⊎ (U2 + t·k0).
+    Returns the first L1, in deterministic budget order, with t >= 0, or
+    None.
     """
     y = tuple(y)
     k0 = K.interior_witness
@@ -373,14 +373,9 @@ def split_witness(
         L2 = L - L1
         U1 = conjugate(F1, L1, K)
         U2 = conjugate(F2, L2, K)
-        W = ws_sum(U1, U2)
-        t = witness_translate(W, y)
-        if t < 0:
-            continue
-        shifted = U2.translate(vec_scale(t, k0))
-        summed = ws_sum(U1, shifted)
-        if summed.contains(y):
-            return L1, L2, U1, shifted
+        t = witness_translate(ws_sum(U1, U2), y)
+        if t >= 0:
+            return L1, L2, U1, U2.translate(vec_scale(t, k0))
     return None
 
 
@@ -388,7 +383,7 @@ def split_witness(
 
 
 MAX_GRID_VALUES = 10_001  # the most values a budget grid may offer each entry
-MEMO_CAP = 2_048  # the most objects a config's T-block memo keeps into a new search
+MEMO_CAP = 2_048  # the most objects a config's memo keeps into a new search
 
 
 class SearchConfig:
@@ -400,26 +395,34 @@ class SearchConfig:
     int or a Fraction, a negative box, a step that is not positive and a
     grid of more than ``MAX_GRID_VALUES`` values per entry (2·⌊box/step⌋ + 1,
     counted without building it) are refused here, before any hint is
-    tried.  Every budget operator's
-    entries are multiples of 1/``den``, the lcm of the steps' denominators
-    and of the hints' cleared denominators.  Each (S, K) gets one
-    positive-operator budget and each shape one splitting-operator budget,
-    both built by one rule and kept as long as the config; so is what
-    :func:`certificates` derives from them alone, in budget order: per
-    instance tables and scale, the splitting operators' images and split
-    blocks, and per tables, scale and rows, each T's image of those rows.
-    The T-blocks, which depend on the query's L but not on its y, are kept
-    across searches in one memo (:meth:`_memo_for_call`): per tables,
-    scale, rows and image of the rest operator, the blocks in budget order,
-    and every frontier and frontier row that a search builds, interned by
-    content, so equal ones are one object.  A search that starts while the
-    memo holds more than ``MEMO_CAP`` objects starts a new one; no search
-    evicts while it runs.
+    tried.  Every budget operator's entries are multiples of 1/``den``, the
+    lcm of the steps' denominators and of the hints' cleared denominators.
+    Each (S, K) gets one positive-operator budget and each shape one
+    splitting-operator budget, both built by one rule, drawn lazily and
+    kept as long as the config.
+
+    Everything else the config keeps is what :func:`certificates` derives
+    from those budgets, in one memo (:meth:`_memo_for_call`), each list in
+    budget order:
+
+    * per instance tables and scale, the splitting operators' images of
+      the rows and the split blocks F*(L') and I_C*(L'');
+    * per tables, scale and rows (``c_f``, ``c`` or ``dom_g``), each T's
+      image of those rows, so indices on equal rows share them;
+    * per tables, scale, rows and image of the rest operator, the T-blocks,
+      which depend on the query's L but not on its y;
+    * every frontier and frontier row that a search builds, interned by
+      content, so equal ones are one object.
+
+    L's own image is built per search and not kept.  A search that starts
+    while the memo holds more than ``MEMO_CAP`` objects starts a new one,
+    and no search evicts while it runs; so every search starts with at
+    most ``MEMO_CAP`` objects derived.
     """
 
     __slots__ = (
         "t_box", "t_step", "l_box", "l_step", "hints_T", "hints_L", "den", "_budgets",
-        "_images", "_memo",
+        "_memo",
     )
 
     def __init__(
@@ -454,7 +457,6 @@ class SearchConfig:
         hints = math.lcm(*(h.cleared()[0] for h in (*self.hints_T, *self.hints_L)))
         object.__setattr__(self, "den", cleared((t_step, l_step), hints)[0])
         object.__setattr__(self, "_budgets", {})
-        object.__setattr__(self, "_images", {})
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -622,9 +624,7 @@ class FacetTables:
     (:func:`frontier_scale`).  A search clears each of its operators into
     an integer image of the rows once (:meth:`image`), one tuple per facet
     normal; every block's frontier is built from those columns, one
-    subtraction per facet column (:meth:`block`), and kept with the search
-    config, the T-images and T-blocks by the rows they run on, ``c_f``,
-    ``c`` or ``dom_g``, so indices on equal rows share them.
+    subtraction per facet column (:meth:`block`).
 
     The tables also keep the restrictions that the instance and
     :func:`beta_value_set` read: ``F_cf`` and ``G_cf``, F and G on
@@ -766,25 +766,20 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
 
     A block's cloud is linear in its operators, so each operator's integer
     image is computed once (:meth:`FacetTables.image`), as one column per
-    facet normal: per call, (N·d·L)·x on the rows, less d·N·F(x) at index
-    1; per config, tables and d, for each splitting operator M (N·d·M)·x
-    on every row, and per config, tables, d and rows, for each T
-    (N·d·T)·G(x) on those rows, when a loop first reaches it.  Each block
-    is the frontier of a difference of images, formed one facet column at
-    a time from the columns' entries at the block's rows: F*(L') of
+    facet normal, when a loop first reaches it: (N·d·L)·x on the rows, less
+    d·N·F(x) at index 1; (N·d·M)·x on every row for each splitting
+    operator M; and (N·d·T)·G(x) on the rows for each T.  Each block is the
+    frontier of a difference of images, formed one facet column at a time
+    from the columns' entries at the block's rows: F*(L') of
     (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'') of (N·d·L'')·x on C, and a
     T-block of the rest's image (L's less the split operators', a tuple of
-    columns) minus T's.  F*(L') and I_C*(L'') are kept with the images;
-    the T-blocks are kept in the config's memo
-    (:meth:`SearchConfig._memo_for_call`), per tables, scale, rows and the
-    rest's columns, by the position of T, across calls; equal images on
-    equal rows give equal clouds, whichever index or rest they came from,
-    so indices whose rows coincide share their T-images and T-blocks.
-    Every T-block, F*(L') and ⊎-sum of split blocks is interned in that
-    memo when it is built, each of its points too, so an item repeats an
-    earlier one's value set exactly when both frontiers are the same
-    objects, and each object yielded stays alive while the generator runs.
-    One call builds each T-block at most once.
+    columns) minus T's.  All but L's image are kept in the config's memo
+    (:class:`SearchConfig`); equal images on equal rows give equal clouds,
+    whichever index or rest they came from.  Every T-block, F*(L') and
+    ⊎-sum of split blocks is interned there when it is built, so an item
+    repeats an earlier one's value set exactly when both frontiers are the
+    same objects, and each object yielded stays alive while the generator
+    runs.  One call builds each T-block at most once.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -805,12 +800,12 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
             tuple([b - d * c for b, c in zip(col, f)])
             for col, f in zip(base, zip(*[tab.nf[i] for i in rows]))
         )
-    # kept, by budget position: (N·d·M)·x, F*(L'), I_C*(L''); and (N·d·T)·G(x)
-    images, f_stars, ind_stars = cfg._images.setdefault((tab, d), ([], [], []))
-    t_images, dnf = cfg._images.setdefault((tab, d, rows), []), None
-    # (tab, d, rows, image of L - L' - L'') -> its T-blocks, by position of
-    # T; and each frontier and row -> its one object
+    # by budget position: per (tab, d) (N·d·M)·x, F*(L'), I_C*(L''); per
+    # (tab, d, rows) (N·d·T)·G(x); per (tab, d, rows, image of L - L' - L'')
+    # the T-blocks; and each frontier and row -> its one object
     memo = cfg._memo_for_call()
+    images, f_stars, ind_stars = memo.setdefault((tab, d), ([], [], []))
+    t_images, dnf = memo.setdefault((tab, d, rows), []), None
 
     def intern(frontier: list) -> list:
         kept = [memo.setdefault(r, r) for r in frontier]
@@ -895,7 +890,7 @@ def script_A_membership(
     require_exact(y, "query point")
     e, Y = cleared(y)
     s = frontier_scale(P, L, cfg)
-    q = tuple([s * c // e for c in K.basis.to_quad(Y)])
+    q = tuple([s * c // e for c in mat_vec(K.normals, Y)])
     for ops, front, block in distinct_items(certificates(i, P, L, cfg)):
         if region_sum(front, block, q) != LOWER:
             return Certificate(i, *ops)

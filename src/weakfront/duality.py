@@ -133,22 +133,11 @@ class ProblemInstance:
     def p(self) -> int:
         return self.G.out_dim
 
-    def search_config(
-        self,
-        t_box: Number = 1,
-        t_step: Number = 1,
-        l_box: Number = 0,
-        l_step: Number = 1,
-    ) -> SearchConfig:
-        """A SearchConfig with this instance's hints merged in."""
-        return SearchConfig(
-            t_box=t_box,
-            t_step=t_step,
-            l_box=l_box,
-            l_step=l_step,
-            hints_T=self.hints_T,
-            hints_L=self.hints_L,
-        )
+    def search_config(self, **budget) -> SearchConfig:
+        """A SearchConfig of the budget keywords (``t_box``, ``t_step``,
+        ``l_box``, ``l_step``; its defaults for the others) with this
+        instance's hints merged in."""
+        return SearchConfig(hints_T=self.hints_T, hints_L=self.hints_L, **budget)
 
     def slater_holds(self) -> Optional[bool]:
         """Exact check of the interior-feasibility flag: the declared point
@@ -251,9 +240,8 @@ def dual_value(
     attained set's order (``DualValue.certificates``).  Both passes skip an
     item that repeats an earlier one's value set (:func:`distinct_items`),
     which can neither change the merge nor own a point first.  The second
-    pass reads the T-blocks the first one kept in the config's memo, unless
-    the first left more than ``MEMO_CAP`` objects there; then it builds
-    them again, but only up to the last owner.  K must be simplicial
+    pass reads what the first kept in the config's memo
+    (:class:`~weakfront.conjugate.SearchConfig`).  K must be simplicial
     (exactly ``dim`` linearly independent normals, so that its basis has an
     inverse), of any dimension.
     """
@@ -320,9 +308,10 @@ def weak_duality_check(
 
 
 class StrongDualityResult:
-    """Outcome of a strong-duality check: HOLDS, GAP (with a primal frontier
-    generator no budget certificate attains), or INCONCLUSIVE (convex-flagged
-    instance, bare budget)."""
+    """Outcome of a strong-duality check: HOLDS, GAP (with a witness where
+    the frontiers differ: a primal frontier generator no budget certificate
+    attains, or, when there is none, an attained point that is not a primal
+    generator), or INCONCLUSIVE (convex-flagged instance, bare budget)."""
 
     __slots__ = ("status", "which", "primal", "dual", "witness", "record")
 
@@ -356,22 +345,27 @@ def strong_duality_check(
 
     HOLDS when the two canonical frontiers coincide — then every primal
     frontier generator is an attained, certificate-carrying dual value.
-    Otherwise some primal generator is unattained: GAP reports the first
-    such witness together with its (alpha)/certificate record, downgraded
-    to INCONCLUSIVE when the instance is convex-flagged but the budget
-    carried no hints (the search, not the theorem, ran out).
+    Otherwise GAP reports a witness with its (alpha)/certificate record:
+    the first primal generator that is not attained, with ``beta_status``
+    NOT_FOUND, or, when every primal generator is attained, the first
+    attained point that is not a primal generator, with ``beta_status``
+    FOUND.  GAP is downgraded to INCONCLUSIVE when the instance is
+    convex-flagged but the budget carried no hints (the search, not the
+    theorem, ran out).
     """
     vp = winf_vp(P, L)
     dv = dual_value(P, which, L, cfg)
     if dv.frontier == vp:
         return StrongDualityResult("HOLDS", which, vp, dv)
     primal, attained = vp.generators.points, dv.attained.points
-    witness = next((g for g in primal if g not in attained), primal[0])
-    y_w = vec_neg(witness)
+    witness = next((g for g in primal if g not in attained), None)
+    found = witness is None
+    if found:
+        witness = next(h for h in attained if h not in primal)
     record = {
         "witness": encode_vec(witness),
-        "alpha": alpha_holds(P, L, y_w),
-        "beta_status": "NOT_FOUND",
+        "alpha": alpha_holds(P, L, vec_neg(witness)),
+        "beta_status": "FOUND" if found else "NOT_FOUND",
     }
     convex = bool(
         P.flags.get("is_convex_C")

@@ -88,10 +88,6 @@ class RayBasis:
         N = K.normals
         return cls(N, _inverse(N) if len(N) == K.dim else None)
 
-    def to_quad(self, y: Sequence) -> tuple:
-        """Facet coordinates N·y."""
-        return tuple([dot(row, y) for row in self.normals])
-
 
 def maximal(cloud: Iterable[tuple]) -> list:
     """The maximal vectors of a cloud of integer tuples under the

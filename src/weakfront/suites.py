@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import traceback
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import List, Optional
 
@@ -107,9 +108,7 @@ class _Collector:
     def ok(self, cond: bool, detail: str) -> bool:
         self.checks += 1
         if not cond:
-            self.failures.append(
-                {"unit": self.unit, "index": self.index, "detail": detail}
-            )
+            self.fail(detail)
         return bool(cond)
 
     def fail(self, detail: str) -> None:
@@ -131,24 +130,17 @@ def _grid_square(lo: int, hi: int, denom: int = 1) -> list:
     return [(a, b) for a in vals for b in vals]
 
 
-_GRID_CACHE: dict = {}
-
-
+@cache
 def _decomp_grid() -> list:
-    if "decomp" not in _GRID_CACHE:
-        _GRID_CACHE["decomp"] = _grid_square(-10, 10, 2)  # 41 x 41
-    return _GRID_CACHE["decomp"]
+    return _grid_square(-10, 10, 2)  # 41 x 41
 
 
+@cache
 def _wsum_grid(dim: int) -> list:
-    key = ("wsum", dim)
-    if key not in _GRID_CACHE:
-        if dim == 1:
-            _GRID_CACHE[key] = [(Fraction(k),) for k in range(-12, 13)]
-        else:
-            vals = [Fraction(k) for k in range(-12, 13, 2)]
-            _GRID_CACHE[key] = [(a, b) for a in vals for b in vals]
-    return _GRID_CACHE[key]
+    if dim == 1:
+        return [(Fraction(k),) for k in range(-12, 13)]
+    vals = [Fraction(k) for k in range(-12, 13, 2)]
+    return [(a, b) for a in vals for b in vals]
 
 
 # --- decomposition: engine region labels == first-principles oracle ------------------
@@ -342,13 +334,9 @@ def _u_basic_pair(seed: int, idx: int) -> dict:
 
 # --- representation: certificate membership == epigraph membership ------------------
 
-_REP_CACHE: dict = {}
-
-
+@cache
 def _rep_instance(name: str):
-    if name not in _REP_CACHE:
-        _REP_CACHE[name] = shipped_instance(name)
-    return _REP_CACHE[name]
+    return shipped_instance(name)
 
 
 def _rep_queries(name: str):
@@ -745,19 +733,12 @@ _CRASH_FRAMES = 3  # innermost traceback frames a crash row names
 
 def _run_unit(args) -> dict:
     kind, seed, idx = args
+    col = _Collector(kind, idx)  # one failed check for a unit that stopped
     try:
         return _UNIT_FUNCS[kind](seed, idx)
     except HardFailure as e:
-        detail = (
-            f"hard failure: {e}; reproducer="
-            f"{json.dumps(e.reproducer, sort_keys=True)}"
-        )
-        return {
-            "unit": kind,
-            "index": idx,
-            "checks": 1,
-            "failures": [{"unit": kind, "index": idx, "detail": detail}],
-        }
+        reproducer = json.dumps(e.reproducer, sort_keys=True)
+        col.ok(False, f"hard failure: {e}; reproducer={reproducer}")
     except Exception as e:
         # file names without their directories, so reports are the same on
         # every machine and for every worker count
@@ -765,18 +746,8 @@ def _run_unit(args) -> dict:
             f"{Path(f.filename).stem}:{f.lineno} {f.name}"
             for f in traceback.extract_tb(e.__traceback__)[-_CRASH_FRAMES:]
         )
-        return {
-            "unit": kind,
-            "index": idx,
-            "checks": 1,
-            "failures": [
-                {
-                    "unit": kind,
-                    "index": idx,
-                    "detail": f"unit crashed: {type(e).__name__}: {e} at {where}",
-                }
-            ],
-        }
+        col.ok(False, f"unit crashed: {type(e).__name__}: {e} at {where}")
+    return col.result()
 
 
 def run_suite(

@@ -222,7 +222,7 @@ def _search_all(index, P, L, y, cfg):
     """The first item of the whole budget that qualifies y, or None."""
     e, Y = cleared(tuple(y))
     s = frontier_scale(P, L, cfg)
-    q = tuple([s * c // e for c in P.K.basis.to_quad(Y)])
+    q = tuple([s * c // e for c in mat_vec(P.K.basis.normals, Y)])
     for ops, front, block in certificates(index, P, L, cfg):
         if region_sum(front, block, q) != LOWER:
             return Certificate(index, *ops)

@@ -146,7 +146,7 @@ def _unpruned_dual(P, L, reference):
     delta, inverse = basis.inverse
 
     def join(u, v):
-        q = tuple(map(max, basis.to_quad(u), basis.to_quad(v)))
+        q = tuple(map(max, mat_vec(basis.normals, u), mat_vec(basis.normals, v)))
         return tuple(Fraction(dot(row, q), delta) for row in inverse)
 
     pieces = [W.negate() for _, W in reference]
@@ -181,7 +181,7 @@ def _check_enumerator(index, P, L, cfg):
         coords = P.tables.sum(front, block)
         assert all(type(c) is int for q in coords for c in q)
         want = {
-            tuple(scale * c for c in P.K.basis.to_quad(g))
+            tuple(scale * c for c in mat_vec(P.K.basis.normals, g))
             for g in W.generators.points
         }
         assert coords == sorted(want, reverse=True)
@@ -388,7 +388,7 @@ def test_tables_are_the_maps_cleared_integers(name):
 def test_halfplane_ties_keep_the_lex_smallest_point():
     P = INSTANCES["halfplane"]
     cloud = [tuple(-c for c in v) for _, v in P.F.samples]  # F*(0)'s cloud
-    quads = [P.K.basis.to_quad(v) for v in cloud]
+    quads = [mat_vec(P.K.basis.normals, v) for v in cloud]
     assert quads[0] == quads[1] and cloud[1] < cloud[0]
     zero = LinOp.zero(P.m, P.n)
     cert = script_A_membership(2, P, zero, cloud[0], P.search_config())
@@ -803,11 +803,14 @@ def test_a_reused_config_changes_no_answer(name):
 
 
 def _kept_images(cfg):
-    """The config's kept images split by key: per (tables, scale) the split
-    lists, and per (tables, scale, rows) the T-images."""
-    split = {k: v for k, v in cfg._images.items() if len(k) == 2}
-    t_images = {k: v for k, v in cfg._images.items() if len(k) == 3}
-    assert len(split) + len(t_images) == len(cfg._images)
+    """The images the config's memo keeps, split by key: per (tables,
+    scale) the split lists, and per (tables, scale, rows) the T-images."""
+    kept = {
+        k: v for k, v in cfg._memo.items()
+        if isinstance(k[0], conjugate.FacetTables) and len(k) < 4
+    }
+    split = {k: v for k, v in kept.items() if len(k) == 2}
+    t_images = {k: v for k, v in kept.items() if len(k) == 3}
     return split, t_images
 
 
@@ -856,6 +859,39 @@ def test_the_kept_images_are_bounded_by_the_drawn_budget():
     split, t_images = _kept_images(cfg)
     assert len(split) == 4
     assert set(t_images) == _row_keys(cfg)
+
+
+@pytest.mark.parametrize("cap", [conjugate.MEMO_CAP, 40])
+def test_a_config_keeps_one_capped_memo_across_scales(cap, monkeypatch):
+    """Dual values at indices 1-3 and 24 perturbations of 24 frontier
+    scales on one config: apart from its two budgets, the config keeps
+    only the one memo, which holds at most the cap at every search start,
+    also at a cap the sweep overruns many times, and the dual values are a
+    fresh config's."""
+    P = INSTANCES["E1"]
+    monkeypatch.setattr(conjugate, "MEMO_CAP", cap)
+    cfg, starts = P.search_config(l_box=1), []
+    real = SearchConfig._memo_for_call
+
+    def recording(config):
+        memo = real(config)
+        if config is cfg:
+            starts.append(len(memo))
+        return memo
+
+    monkeypatch.setattr(SearchConfig, "_memo_for_call", recording)
+    Ls = [LinOp(((Fraction(1, q),),)) for q in range(1, 48, 2)]
+    assert len({frontier_scale(P, L, cfg) for L in Ls}) == 24
+    for L, index in itertools.product(Ls, (1, 2, 3)):
+        d = dual_value(P, f"VD{index}", L, cfg)
+        if cap == 40:
+            want = dual_value(P, f"VD{index}", L, P.search_config(l_box=1))
+            assert d.certificates == want.certificates
+        state = [getattr(cfg, k) for k in SearchConfig.__slots__ if k[0] == "_"]
+        assert state == [cfg._budgets, cfg._memo]
+        assert set(cfg._budgets) == {(P.m, P.n), (P.S, P.K)}
+    assert len(starts) == 2 * 3 * 24 and max(starts) <= cap
+    assert (starts.count(0) > 20) == (cap == 40)
 
 
 def _check_owners(d, index, P, L):

@@ -274,9 +274,9 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
             assert conjugate(M, op, K) == wsup(M, op)
     # each generator is the lex-smallest cloud point of its facet coordinates
     cloud = [vec_sub(mat_vec(L.entries, x), v) for x, v in F.samples]
-    quad = K.basis.to_quad
+    N = K.basis.normals
     for g in conjugate(F, L, K).generators:
-        assert g == min(q for q in cloud if quad(q) == quad(g))
+        assert g == min(q for q in cloud if mat_vec(N, q) == mat_vec(N, g))
     # the cleared form is the points over one denominator and the values
     # over another, each reduced
     for M in (F, TG, FC, FG):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from weakfront.duality import (
 from weakfront.farkas import FarkasQuery, HardFailure, verify_certificate
 from weakfront.instances import shipped_instance
 from weakfront.numeric import mat_vec, vec_neg
+from weakfront.order_sets import RegionLabel
+from weakfront.randgen import rand_instance, rand_linop, trial_rng
 
 E1 = shipped_instance("E1")
 E2 = shipped_instance("E2")
@@ -147,6 +150,49 @@ def test_gap_instance_reports_the_unattained_generator():
         "alpha": True,
         "beta_status": "NOT_FOUND",
     }
+
+
+def _drawn_case(unit):
+    """A random instance of seed 7, a config with one drawn hint L', and
+    L = 0 and a drawn L."""
+    rng = trial_rng(7, unit)
+    P = rand_instance(rng)
+    cfg = SearchConfig(hints_L=(rand_linop(rng, P.m, P.n, 1),))
+    return P, cfg, (LinOp.zero(P.m, P.n), rand_linop(rng, P.m, P.n, 1))
+
+
+def test_a_gap_witness_is_attained_exactly_when_its_record_says_found():
+    """When every primal generator is attained, the witness is the first
+    attained point that is not a primal generator, recorded as FOUND; it is
+    an unattained primal generator, NOT_FOUND, otherwise.  On instance 2 of
+    seed 7 at L = 0 the dual value attains both primal generators and one
+    more point, (-3, 19/2), strictly below the primal frontier."""
+    P, cfg, (L, _) = _drawn_case(2)
+    res = strong_duality_check(P, L, cfg)
+    primal = res.primal.generators.points
+    assert res.status == "GAP" and res.witness == (Fraction(-3), Fraction(19, 2))
+    assert set(primal) < set(res.dual.attained.points)
+    assert res.primal.classify(res.witness) is RegionLabel.LOWER
+    assert res.record == {
+        "witness": [-3, "19/2"],
+        "alpha": True,
+        "beta_status": "FOUND",
+    }
+    seen = set()
+    for unit in range(60):
+        P, cfg, Ls = _drawn_case(unit)
+        for L, which in itertools.product(Ls, ("VD1", "VD2", "VD3")):
+            res = strong_duality_check(P, L, cfg, which)
+            if res.status == "HOLDS":
+                continue
+            primal, attained = res.primal.generators.points, res.dual.attained.points
+            status = res.record["beta_status"]
+            seen.add(status)
+            assert (res.witness in attained) == (status == "FOUND")
+            missing = [g for g in primal if g not in attained]
+            extra = [h for h in attained if h not in primal]
+            assert res.witness == (missing or extra)[0]
+    assert seen == {"FOUND", "NOT_FOUND"}
 
 
 def test_convex_instance_with_bare_budget_is_inconclusive():

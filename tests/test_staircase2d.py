@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from weakfront import conjugate, numeric, staircase2d
 from weakfront.cones import Cone, DimensionError, PointClass, classify_point
+from weakfront.numeric import mat_vec
 from weakfront.oracle import brute_region_bulk, region_of_point
 from weakfront.order_sets import (
     FiniteVecSet,
@@ -102,8 +103,9 @@ def test_quadrant_coordinates_roundtrip():
         assert product == [[delta * (i == j) for j in range(K.dim)] for i in range(K.dim)]
         assert math.gcd(delta, *(c for row in inverse for c in row)) == 1
         for y in ys:
-            q = basis.to_quad(y)
-            assert all(isinstance(c, int) for c in basis.to_quad(tuple(map(int, y))))
+            q = mat_vec(basis.normals, y)
+            ints = mat_vec(basis.normals, tuple(map(int, y)))
+            assert all(isinstance(c, int) for c in ints)
             assert from_quad(basis, q) == tuple(map(Fraction, y))
 
 
@@ -111,7 +113,7 @@ def test_orthant_coordinates_are_the_cone_order():
     K = sheared_cone_3d()
     basis = RayBasis.for_cone(K)
     for y in [(1, 1, 1), (1, 0, 0), (0, 0, 1), (-1, 1, 1), (2, 1, -1)]:
-        q = basis.to_quad(y)
+        q = mat_vec(basis.normals, y)
         inside = classify_point(K, y) is not PointClass.OUTSIDE
         assert inside == all(c >= 0 for c in q)
 
@@ -410,7 +412,7 @@ def _staircase_queries(M, K, rng):
     for G in (wsup_finite(M, K).generators, winf_finite(M, K).generators):
         step = Fraction(1, G.cleared()[0])
         for g in G.points:
-            q = basis.to_quad(g) if basis.inverse is not None else g
+            q = mat_vec(basis.normals, g) if basis.inverse is not None else g
             for e in offsets:
                 shifted = tuple(c + t * step for c, t in zip(q, e))
                 for j, c in enumerate(shifted):
@@ -714,7 +716,7 @@ def _matrix_and_vectors(dim):
 def test_images_by_columns_are_the_per_vector_products(data):
     """``row_products`` over the vectors' coordinate columns, and the
     images and canonical indices formed from it, equal the per-vector
-    products ``sum(map(mul, a, v))``, ``to_quad`` and their maxima: 1-4
+    products ``sum(map(mul, a, v))``, ``mat_vec`` and their maxima: 1-4
     rows, zero rows among them, dimensions 1-3, 1-60 vectors."""
     A, vs = data
     want = [tuple(sum(map(mul, a, v)) for a in A) for v in vs]
@@ -723,5 +725,5 @@ def test_images_by_columns_are_the_per_vector_products(data):
     assert list(zip(*rows)) == want
     assert conjugate._int_images(A, vs) == want
     basis = RayBasis(tuple(A), None)
-    assert [basis.to_quad(v) for v in vs] == want
+    assert [mat_vec(basis.normals, v) for v in vs] == want
     assert canonical_indices_2d(basis, vs) == maxima(want)
