@@ -258,7 +258,7 @@ def is_positive_operator(T: LinOp, S: Cone, K: Cone) -> bool:
             f"operator {T.rows}x{T.cols} does not map dim {S.dim} to dim {K.dim}"
         )
     if not S.generators:
-        raise PositivityError("domain cone has no generators to certify on")
+        raise PositivityError("domain cone 'S' has no generators to certify on")
     NT = facet_matrix(K.normals, T, T.cleared()[0])
     return all(sum(map(mul, row, r)) >= 0 for r in S.generators for row in NT)
 
@@ -294,7 +294,7 @@ def sample_positive_operators(
     A cone S without generators raises at once, rather than failing every
     matrix's test."""
     if not S.generators:
-        raise PositivityError("domain cone has no generators to certify on")
+        raise PositivityError("domain cone 'S' has no generators to certify on")
     for op in sample_linops(K.dim, S.dim, box, step):
         if op in skip:
             continue

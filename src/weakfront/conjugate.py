@@ -81,9 +81,9 @@ class SampledMap:
     sorted points), and its values apart, as (Dv, V): the integer rows
     Dv·F(x) in the points' order, reduced by one gcd with Dv.  Both forms
     are unique, so equality and hashing follow them.  :func:`compose` and
-    :meth:`add` on one point set change only the values and keep that
-    object; :attr:`samples`, :meth:`domain` and :meth:`value` read exact
-    values back on demand.
+    :meth:`add` change only the values and keep that object;
+    :attr:`samples`, :meth:`domain` and :meth:`value` read exact values
+    back on demand.
     """
 
     __slots__ = ("in_dim", "out_dim", "pointset", "_values")
@@ -156,29 +156,17 @@ class SampledMap:
         return tuple([Fraction(c, D) for c in V[i]])
 
     def add(self, other: "SampledMap") -> "SampledMap":
-        """Pointwise sum on the intersection of the two domains.
-
-        Maps on equal point sets, as a map and its compositions are, are
-        summed row by row and keep this map's point set.  Other domains are
-        intersected on their integer rows, brought to the lcm of the two
-        point scales."""
+        """Pointwise sum of two maps on one point set, as a map and its
+        compositions are, row by row; other point sets are refused."""
         if self.out_dim != other.out_dim:
             raise DimensionError("sum of maps with different value dimensions")
-        points, (D1, V1), (D2, V2) = self.pointset, self._values, other._values
-        if points != other.pointset:
-            (d1, A), (d2, B) = points.cleared(), other.pointset.cleared()
-            d = math.lcm(d1, d2)
-            at = {vec_scale(d // d2, v): j for j, v in enumerate(B)}
-            rows = [(i, at.get(vec_scale(d // d1, u))) for i, u in enumerate(A)]
-            rows = [(i, j) for i, j in rows if j is not None]
-            if not rows:
-                raise ValueError("maps have disjoint domains")
-            points = FiniteVecSet.from_ints(d1, [A[i] for i, _ in rows])
-            V1, V2 = [V1[i] for i, _ in rows], [V2[j] for _, j in rows]
+        if self.pointset != other.pointset:
+            raise ValueError("pair maps must share their domain")
+        (D1, V1), (D2, V2) = self._values, other._values
         D = math.lcm(D1, D2)
         a, b = D // D1, D // D2
         V = [tuple([a * p + b * q for p, q in zip(u, v)]) for u, v in zip(V1, V2)]
-        return SampledMap._on(points, D, V)
+        return SampledMap._on(self.pointset, D, V)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledMap):
@@ -414,10 +402,10 @@ class SearchConfig:
     * every frontier and frontier row that a search builds, interned by
       content, so equal ones are one object.
 
-    L's own image is built per search and not kept.  A search that starts
-    while the memo holds more than ``MEMO_CAP`` objects starts a new one,
-    and no search evicts while it runs; so every search starts with at
-    most ``MEMO_CAP`` objects derived.
+    L's own image is built per search and not kept.  A search, or a dual
+    value with both its passes, that starts while the memo holds more than
+    ``MEMO_CAP`` objects starts a new one, and none evicts while it runs;
+    so every such call starts with at most ``MEMO_CAP`` objects derived.
     """
 
     __slots__ = (
@@ -463,10 +451,11 @@ class SearchConfig:
         raise AttributeError("SearchConfig is immutable")
 
     def _memo_for_call(self) -> dict:
-        """The memo one :func:`certificates` call reads and extends: the
-        kept one, or a new empty one, kept from then on, when the kept one
-        holds more than ``MEMO_CAP`` objects.  A search still running keeps
-        the memo it started with, so every frontier it yields stays alive."""
+        """The memo one consumer call reads and extends over all its
+        :func:`certificates` passes: the kept one, or a new empty one, kept
+        from then on, when the kept one holds more than ``MEMO_CAP`` objects.
+        A call still running keeps the memo it started with, so every
+        frontier it yields stays alive and its later passes reuse them."""
         if len(self._memo) > MEMO_CAP:
             object.__setattr__(self, "_memo", {})
         return self._memo
@@ -668,7 +657,8 @@ class FacetTables:
         if not feasible:
             raise EmptyFeasibleSet(
                 "instance violates the standing assumption: no feasible "
-                "sample point lies in dom F"
+                "sample point lies in dom F (no point x of 'C' with -'G'(x) "
+                "in 'S' is a sample point of 'F')"
             )
         cf = FiniteVecSet.from_ints(den, [xs[i] for i in self.c_f])
         self.F_cf = SampledMap._on(cf, den, [fv[i] for i in self.c_f])
@@ -742,7 +732,9 @@ class _Replay:
             k += 1
 
 
-def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
+def certificates(
+    index: int, P, L: LinOp, cfg: SearchConfig, memo: Optional[dict] = None
+) -> Iterator[tuple]:
     """Every budget item of condition ``index`` at the perturbation L, as
     ((T, L', L''), front, block): the operators (None where the index has
     no split) and two :class:`FacetTables` frontiers, lists of integer
@@ -773,9 +765,10 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     from the columns' entries at the block's rows: F*(L') of
     (N·d·L')·x - d·N·F(x) on dom F, I_C*(L'') of (N·d·L'')·x on C, and a
     T-block of the rest's image (L's less the split operators', a tuple of
-    columns) minus T's.  All but L's image are kept in the config's memo
-    (:class:`SearchConfig`); equal images on equal rows give equal clouds,
-    whichever index or rest they came from.  Every T-block, F*(L') and
+    columns) minus T's.  All but L's image are kept in ``memo``, the one
+    a consumer took for all its passes, or else the config's
+    (:meth:`SearchConfig._memo_for_call`); equal images on equal rows give
+    equal clouds, whichever index or rest they came from.  Every T-block, F*(L') and
     ⊎-sum of split blocks is interned there when it is built, so an item
     repeats an earlier one's value set exactly when both frontiers are the
     same objects, and each object yielded stays alive while the generator
@@ -803,7 +796,7 @@ def certificates(index: int, P, L: LinOp, cfg: SearchConfig) -> Iterator[tuple]:
     # by budget position: per (tab, d) (N·d·M)·x, F*(L'), I_C*(L''); per
     # (tab, d, rows) (N·d·T)·G(x); per (tab, d, rows, image of L - L' - L'')
     # the T-blocks; and each frontier and row -> its one object
-    memo = cfg._memo_for_call()
+    memo = cfg._memo_for_call() if memo is None else memo
     images, f_stars, ind_stars = memo.setdefault((tab, d), ([], [], []))
     t_images, dnf = memo.setdefault((tab, d, rows), []), None
 

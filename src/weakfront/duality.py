@@ -241,9 +241,10 @@ def dual_value(
     item that repeats an earlier one's value set (:func:`distinct_items`),
     which can neither change the merge nor own a point first.  The second
     pass reads what the first kept in the config's memo
-    (:class:`~weakfront.conjugate.SearchConfig`).  K must be simplicial
-    (exactly ``dim`` linearly independent normals, so that its basis has an
-    inverse), of any dimension.
+    (:class:`~weakfront.conjugate.SearchConfig`), whose cap is checked once
+    per call, so the owner pass never starts on an emptied one.  K must be
+    simplicial (exactly ``dim`` linearly independent normals, so that its
+    basis has an inverse), of any dimension.
     """
     if which not in _DUAL_NAMES:
         raise ValueError(f"unknown dual problem {which!r}")
@@ -256,8 +257,9 @@ def dual_value(
             "independent normals)"
         )
     index = int(which[-1])
+    memo = cfg._memo_for_call()  # one for both passes
     low = None  # the merged generators, negated: in W's orientation
-    for _, front, block in distinct_items(certificates(index, P, L, cfg)):
+    for _, front, block in distinct_items(certificates(index, P, L, cfg, memo)):
         if low is None:
             low = P.tables.sum(front, block)
         elif any(region_sum(front, block, u) == UPPER for u in low):
@@ -268,7 +270,7 @@ def dual_value(
 
     # u is on the frontier of W exactly when its point is on that of -W
     owner = {}
-    for ops, front, block in distinct_items(certificates(index, P, L, cfg)):
+    for ops, front, block in distinct_items(certificates(index, P, L, cfg, memo)):
         for u in low:
             if u not in owner and region_sum(front, block, u) == FRONTIER:
                 owner[u] = Certificate(index, *ops)

@@ -10,11 +10,12 @@ through it, :func:`primitive`).  Cones, operators, point sets and the
 inverses of normal matrices are cleared by it once, when built, and keep
 that form; a sampled map is cleared once too, its points as one point set
 and its values apart, each at its own scale.  One query point is cleared
-once per call that reads it; a batch of query points is cleared once for
-as long as calls pass the very same entry objects
-(:func:`weakfront.staircase2d.classify_points_2d` keeps the last batch's
-cleared form).  Past that boundary the certificate search and the dual
-merge run on integers up to their output.
+once per call that reads it; a batch of query points is checked and
+cleared once for as long as calls pass the very same point tuples
+(:func:`weakfront.order_sets.classify_many` checks it, and
+:func:`weakfront.staircase2d.keep_batch` keeps its cleared columns).  Past
+that boundary the certificate search and the dual merge run on integers up
+to their output.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ The bulk labeller, the Farkas cloud test (on clouds it builds itself from the
 raw samples and operator matrices) and the scalar duals clear their inputs to
 integers once per call, reading each entry once (with the oracle's own
 helper), except that the bulk labeller keeps the last grid's cleared form,
-its own and shared with nothing in the engine, and reuses it while calls pass
-the very same grid entries.  They evaluate their defining formulas as numpy
-array expressions: the labeller as a max over the cloud of a min over the
-normals, in int64 when the cleared integers cannot overflow it and on exact
-Python ints otherwise; the cloud test and the duals always on exact Python
-ints.
+its largest |entry| and its int64 form, its own and shared with nothing in
+the engine, and reuses them while calls pass the very same grid point
+tuples.  They evaluate their defining formulas as numpy array expressions:
+the labeller as a max over the cloud of a min over the normals, in int64
+when the cleared integers cannot overflow it and on exact Python ints
+otherwise; the cloud test and the duals always on exact Python ints.
 """
 
 from __future__ import annotations
@@ -101,27 +101,23 @@ def _nonempty(*seqs) -> None:
 
 _CODES = (RegionLabel.LOWER, RegionLabel.FRONTIER, RegionLabel.UPPER)
 
-# The last grid labelled: its point count, its dimension, a copy of its flat
-# entries (which keeps them alive) and its cleared form; None before any.
-_last_grid = None
+# The last grid labelled: a copy of its point tuples (which keeps them
+# alive), its dimension, and (G, d, max |G|, G in int64 or None).
+_last_grid = ((), None, None)
 
 
-def _cleared_grid(grid: Sequence[Sequence], dim: int) -> Tuple["np.ndarray", int]:
-    """``_cleared(grid, dim)``, reused when the grid has the point count,
-    the dimension and the very entry objects, in order, of the last one:
-    ints and Fractions are immutable, so the same objects are the same
-    values.  Any other grid replaces the memo."""
+def _cleared_grid(grid: list, dim: int) -> tuple:
+    """``_cleared(grid, dim)`` with its largest |entry| and, when that fits
+    int64, its int64 form; kept while calls pass the very same point
+    tuples, in order, at ``dim``: tuples, ints and Fractions are immutable."""
     global _last_grid
-    entries = [c for v in grid for c in v]
-    last = _last_grid
-    if (
-        last is None
-        or last[:2] != (len(grid), dim)
-        or len(last[2]) != len(entries)
-        or not all(map(is_, last[2], entries))
-    ):
-        last = _last_grid = (len(grid), dim, entries, _cleared(grid, dim))
-    return last[3]
+    kept, kept_dim, form = _last_grid
+    if kept_dim != dim or len(kept) != len(grid) or not all(map(is_, kept, grid)):
+        G, d = _cleared(grid, dim)
+        top = int(np.abs(G).max(initial=0))
+        form = (G, d, top, G.astype(np.int64) if top < 2**63 else None)
+        _last_grid = (list(grid), dim, form)
+    return form
 
 
 def brute_region_bulk(
@@ -135,28 +131,31 @@ def brute_region_bulk(
     positive, and FRONTIER iff it is 0: :func:`region_of_point`'s "some m
     with every a·(m - y) > 0 (>= 0)" read as one max-min, each normal's
     (grid, m) column folded into the minimum.  The points and the grid
-    are cleared apart, each at its own scale (the grid once while its
-    entries stay the same objects, :func:`_cleared_grid`), and brought to
-    their lcm; as |a·m - a·y| <= ||a||_1·(max|M| + max|G|), the
-    test runs in int64 when that bound is below 2**62, on Python ints
-    otherwise.  An empty cloud (max -1) labels every point UPPER, as
-    :func:`region_of_point` does.
+    are cleared apart, each at its own scale (the grid once while it is
+    the same point tuples, :func:`_cleared_grid`), and brought to their
+    lcm, the grid only when that differs from its own scale; as
+    |a·m - a·y| <= ||a||_1·(max|M| + max|G|), the test runs in int64 when
+    that bound is below 2**62, on Python ints otherwise.  An empty cloud
+    (max -1) labels every point UPPER, as :func:`region_of_point` does.
     """
     A, _ = _cleared(normals)
     dim = A.shape[1]
-    (M, G), _ = _one_scale(_cleared(points, dim), _cleared_grid(grid, dim))
-    bound = np.abs(A).sum(axis=1).max() * (
-        np.abs(M).max(initial=0) + np.abs(G).max(initial=0)
-    )
-    if bound < 2**62:
-        M, G, A = (X.astype(np.int64) for X in (M, G, A))
+    M, dm = _cleared(points, dim)
+    G, dg, top, G64 = _cleared_grid(list(map(tuple, grid)), dim)
+    s = math.lcm(dm, dg)
+    M, k = M * (s // dm), s // dg
+    bound = int(np.abs(A).sum(axis=1).max()) * (int(np.abs(M).max(initial=0)) + k * top)
+    if bound < 2**62 and G64 is not None:
+        M, A, G = M.astype(np.int64), A.astype(np.int64), G64
+    if k != 1:
+        G = G * k
     MA, GA = M @ A.T, G @ A.T
     worst = reduce(
         np.minimum, (MA[None, :, j] - GA[:, None, j] for j in range(len(A)))
     )  # (grid, m)
     best = worst.max(axis=1, initial=-1)
     codes = 1 - np.sign(best)  # 0 LOWER (> 0), 1 FRONTIER (= 0), 2 UPPER
-    return [_CODES[c] for c in codes.tolist()]
+    return list(map(_CODES.__getitem__, codes.tolist()))
 
 
 # --- direct-definition set operations -------------------------------------------

@@ -37,11 +37,7 @@ class RegionLabel(enum.Enum):
     UPPER = "UPPER"
 
 
-_CODE_TO_LABEL = {
-    staircase2d.LOWER: RegionLabel.LOWER,
-    staircase2d.FRONTIER: RegionLabel.FRONTIER,
-    staircase2d.UPPER: RegionLabel.UPPER,
-}
+_LABELS = (RegionLabel.LOWER, RegionLabel.FRONTIER, RegionLabel.UPPER)  # by code
 
 
 class Orient(enum.Enum):
@@ -153,21 +149,27 @@ def classify_many(
     """Region of each point relative to the weak supremum of finite ``M``:
     LOWER in ``M - int K``, FRONTIER on the weak supremum itself, UPPER
     elsewhere.  ``sup=False`` classifies against the weak infimum instead.  The
-    queries run as dominance tests on integer facet coordinates.
+    queries run as dominance tests on integer facet coordinates.  A batch
+    is checked and cleared once, while calls pass its very point tuples.
     """
     pts = list(map(tuple, points))
-    if not (
-        {K.dim}.issuperset(map(len, pts))
-        and _EXACT_TYPES.issuperset(map(type, chain.from_iterable(pts)))
-    ):
-        # a bad point, or an entry of a subclass: check point by point, so
-        # the first bad point decides the error, its dimension first
-        for p in pts:
-            if len(p) != K.dim:
-                raise DimensionError("point/cone dimensions disagree")
-            require_exact(p, "query point")
+    if not staircase2d.kept_batch(pts, K.dim):
+        _check_batch(pts, K.dim)
+        staircase2d.keep_batch(pts, K.dim)
     codes = staircase2d.classify_points_2d(K.basis, M.cleared(), pts, sup=sup)
-    return [_CODE_TO_LABEL[c] for c in codes]
+    return list(map(_LABELS.__getitem__, codes))
+
+
+def _check_batch(pts: list, dim: int) -> None:
+    """Refuse a point whose length is not ``dim`` or an entry that is not an
+    int or a Fraction: the first bad point decides, its length first."""
+    types = map(type, chain.from_iterable(pts))
+    if {dim}.issuperset(map(len, pts)) and _EXACT_TYPES.issuperset(types):
+        return  # else a bad point, or an entry of a subclass
+    for p in pts:
+        if len(p) != dim:
+            raise DimensionError("point/cone dimensions disagree")
+        require_exact(p, "query point")
 
 
 # --- canonical generators / wsup / winf --------------------------------------

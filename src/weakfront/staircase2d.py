@@ -16,12 +16,12 @@ O(n·h) for h maxima.  :func:`maximal` finds the maximal vectors
 themselves, sorting the tuples with no key function, and :func:`maxima`
 their indices; the certificate blocks, their ⊎-sums and the dual merge
 keep their frontiers as lists of such vectors.  A point set arrives
-cleared.  A batch of query points is cleared as a whole
-(:func:`weakfront.numeric.cleared`), once for as long as calls pass its
-very entry objects, and brought to the set's scale and its own; its facet
-coordinates are summed one normal row at a time over its coordinate
-columns (:func:`row_products`), as are those of a set whose maxima are
-asked for: the comparisons run on plain integers, with no call per point.
+cleared.  A batch of query points is cleared as a whole into coordinate
+columns, and one its caller has checked is kept (:func:`keep_batch`) for
+as long as calls pass its very point tuples; its facet coordinates are
+formed over those columns (:func:`row_products`), as are those of a set
+whose maxima are asked for: the comparisons run on plain integers, with
+no call per point.
 Infima are suprema of the negated data, labelled on the negated normals.
 Only mapping facet coordinates back to points needs N^{-1}, which exists
 exactly for simplicial K (``dim`` linearly independent normals); the
@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
+from functools import partial, reduce
+from itertools import chain, repeat
 from math import lcm
-from operator import ge, gt, is_, sub
+from operator import add, ge, gt, is_, mul, sub
 from typing import Iterable, Sequence
 
 from weakfront.numeric import Vec, chunked, cleared, dot
@@ -163,32 +164,24 @@ def region_sum(front: list, block: list, q: tuple) -> int:
     return code
 
 
-# The last query batch cleared: a copy of its flat entries, which keeps them
-# alive, and its cleared form (d_q, ints) at its own scale; None before any.
-_last_batch = None
+# The last batch kept: a copy of its point tuples (which keeps them alive),
+# the dimension it was checked at, its own scale d_q and its columns.
+_last_batch = ((), None, 1, [])
 
 
-def _cleared_batch(points: Sequence[Vec], den: int) -> tuple:
-    """``cleared`` of the batch's flat entries at ``den``, reusing the last
-    batch's cleared form when its entries are the very same objects, in the
-    same order: ints and Fractions are immutable, so the same objects are
-    the same values.  Its integers are then rescaled to lcm(den, d_q), and
-    only when that differs from d_q.  Any other batch replaces the memo."""
+def kept_batch(points: list, dim: int) -> bool:
+    """Whether ``points`` are the kept batch's very point tuples, in order,
+    checked at ``dim``: tuples, ints and Fractions are immutable."""
+    kept, kept_dim = _last_batch[:2]
+    return kept_dim == dim and len(kept) == len(points) and all(map(is_, kept, points))
+
+
+def keep_batch(points: list, dim: int) -> None:
+    """Clear a batch that its caller has checked (every point a tuple of
+    ``dim`` ints or Fractions) once, and keep it in place of the last."""
     global _last_batch
-    flat = list(chain.from_iterable(points))
-    last = _last_batch
-    if (
-        last is None
-        or len(last[0]) != len(flat)
-        or not all(map(is_, last[0], flat))
-    ):
-        last = _last_batch = (flat, *cleared(flat))
-    _, dq, ints = last
-    d = lcm(den, dq)
-    if d != dq:
-        s = d // dq
-        ints = [s * c for c in ints]
-    return d, ints
+    dq, flat = cleared(chain.from_iterable(points))
+    _last_batch = (list(points), dim, dq, [flat[k::dim] for k in range(dim)])
 
 
 def classify_points_2d(
@@ -198,41 +191,46 @@ def classify_points_2d(
     when sup=False: the infimum is minus the supremum of the negated data,
     so it is labelled on the negated normals, with LOWER and UPPER swapped.
     ``gens`` is a cleared point set (den, vecs); the points are cleared at
-    d = lcm(den, their denominators), and the generators' maxima rescaled
-    by d/den.
+    their own scale d_q, and both are brought to d = lcm(den, d_q), the
+    generators' maxima by d/den and the points by d/d_q folded into N.
 
-    The batch is handled in whole columns, with no call per point: it is
-    cleared once (:func:`weakfront.numeric.cleared`), or not at all when
-    its entries are the very objects of the last batch's, whose cleared
-    form is kept (:func:`_cleared_batch`), and each facet coordinate is
-    summed, one normal row at a time, over the batch's coordinate columns.
-    With one or two facets the maxima form a staircase along which the
-    first coordinate strictly falls and the last strictly rises, so those
-    with g0 > q0 (or g0 >= q0) are a prefix whose last one has the largest
-    last coordinate: two bisections label q.  With more facets each query
-    runs ``region_sup``."""
+    The batch is handled in whole columns, with no call per point: the
+    kept batch's columns when it is that batch (:func:`kept_batch`), else
+    cleared here once and not kept, since only a caller that has checked a
+    batch keeps it (:func:`keep_batch`).  Each facet coordinate is one row
+    of :func:`row_products` over the columns.  With one or two facets the
+    maxima form a staircase along which the first coordinate strictly
+    falls and the last strictly rises, so those with g0 > q0 (or g0 >= q0)
+    are a prefix whose last one has the largest last coordinate: two
+    bisections label q.  With more facets each query runs ``region_sup``."""
     den, vecs = gens
     N = basis.normals if sup else [tuple([-c for c in a]) for a in basis.normals]
-    d, flat = _cleared_batch(points, den)
-    kept = maximal([tuple([dot(a, v) for a in N]) for v in vecs])
-    s = d // den
     dim = len(N[0])
-    # row j: facet coordinate j of every query; flat[k::dim]: coordinate k
-    rows = row_products(N, [flat[k::dim] for k in range(dim)], len(points))
-    if len(rows) > 2:
+    if kept_batch(points, dim):
+        dq, cols = _last_batch[2:]
+    else:  # not checked here, so not kept
+        dq, flat = cleared(chain.from_iterable(points))
+        cols = [flat[k::dim] for k in range(dim)]
+    kept = maximal([tuple([dot(a, v) for a in N]) for v in vecs])
+    d = lcm(den, dq)
+    s, t, n = d // den, d // dq, len(points)
+    T = [[t * c for c in a] for a in N]  # at the scale d
+    if len(N) > 2:
         front = [tuple([s * c for c in g]) for g in kept]
-        codes = [region_sup(front, q) for q in zip(*rows)]
+        codes = [region_sup(front, q) for q in zip(*row_products(T, cols, n))]
         return codes if sup else [UPPER - c for c in codes]
     lower, upper = (LOWER, UPPER) if sup else (UPPER, LOWER)
-    drop = [-s * g[0] for g in kept]  # ascending, as is the last coordinate
+    # -q0 and q1 of every query; -g0 and g1 ascend along the staircase
+    neg_first, last = row_products([[-c for c in T[0]], T[-1]], cols, n)
+    drop = [-s * g[0] for g in kept]
     rise = [s * g[-1] for g in kept]
     codes = []
-    for a, b in zip(rows[0], rows[-1]):
-        i = bisect_left(drop, -a)  # the maxima with g0 > a
+    for a, b in zip(neg_first, last):
+        i = bisect_left(drop, a)  # the maxima with g0 > q0
         if i and rise[i - 1] > b:
             codes.append(lower)
         else:
-            j = bisect_right(drop, -a, i)  # the maxima with g0 >= a
+            j = bisect_right(drop, a, i)  # the maxima with g0 >= q0
             codes.append(FRONTIER if j and rise[j - 1] >= b else upper)
     return codes
 
@@ -241,15 +239,13 @@ def row_products(A: Sequence[Sequence], cols: Sequence[Sequence], n: int) -> lis
     """The products a·v of each row a of the integer matrix A with ``n``
     vectors v given by their coordinate columns (``cols[k]``: coordinate k
     of every v), one list per row of A, in the order of the vectors.  Each
-    is summed one entry of a at a time over a whole column, zero entries
-    skipped, with no call per vector."""
+    row is one chain of maps over whole columns, with no call per vector:
+    each column times its entry of a (as it is for 1, none for 0), the
+    terms added pairwise, materialised once."""
     out = []
     for a in A:
-        row = [0] * n
-        for c, col in zip(a, cols):
-            if c:
-                row = [u + c * x for u, x in zip(row, col)]
-        out.append(row)
+        terms = [x if c == 1 else map(mul, x, repeat(c)) for c, x in zip(a, cols) if c]
+        out.append(list(reduce(partial(map, add), terms)) if terms else [0] * n)
     return out
 
 

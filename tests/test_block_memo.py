@@ -62,7 +62,7 @@ def _answers(index, P, L, cfg, ys):
 
 
 def _memo_entries(monkeypatch) -> list:
-    """The memo each later ``certificates`` call starts with, and its size
+    """The memo each later search or dual value starts with, and its size
     then, as (memo, size) in call order."""
     entries = []
     real = SearchConfig._memo_for_call
@@ -112,9 +112,10 @@ def test_a_shared_memo_gives_the_answers_of_fresh_configs(cap, monkeypatch):
 
 def test_every_search_starts_within_the_cap(monkeypatch):
     """At the module's cap and at a small one, over searches and dual
-    values on two instances and two scales, each ``certificates`` call
-    starts with at most the cap of objects kept; the real cap is never
-    reached here, the small one is, and a reset gives an empty memo."""
+    values on two instances and two scales, each search and each dual
+    value takes the memo once and starts with at most the cap of objects
+    kept; the real cap is never reached here, the small one is, and a
+    reset gives an empty memo."""
     assert conjugate.MEMO_CAP == 2_048
     for cap in (conjugate.MEMO_CAP, 24):
         monkeypatch.setattr(conjugate, "MEMO_CAP", cap)
@@ -126,7 +127,7 @@ def test_every_search_starts_within_the_cap(monkeypatch):
                     script_A_membership(index, P, L, y, cfg)
                 dual_value(P, f"VD{index}", L, cfg)
         sizes = [size for _, size in entries]
-        assert len(sizes) == 2 * 3 * 3 * (3 + 2)
+        assert len(sizes) == 2 * 3 * 3 * (3 + 1)
         assert max(sizes) <= cap
         resets = sum(a is not b for (a, _), (b, _) in zip(entries, entries[1:]))
         assert resets == sizes.count(0) - 1
@@ -145,6 +146,30 @@ def _block_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(conjugate.FacetTables, "block", counting)
     return calls
+
+
+@pytest.mark.parametrize("name", ["E1", "E2"])
+@pytest.mark.parametrize("which", ["VD2", "VD3"])
+def test_the_owner_pass_keeps_the_memo_its_first_pass_built(name, which, monkeypatch):
+    """With a cap that the merge pass alone overruns, a dual value's owner
+    pass still reads the memo the merge pass built, and builds no T-block;
+    the dual value is the one the real cap gives."""
+    P = shipped_instance(name)
+    L = LinOp.zero(P.m, P.n)
+    want = dual_value(P, which, L, P.search_config(l_box=1)).certificates
+    monkeypatch.setattr(conjugate, "MEMO_CAP", 24)
+    calls, starts = _block_calls(monkeypatch), []
+    real = duality.certificates
+
+    def recording(*args):
+        starts.append(len(calls))
+        return real(*args)
+
+    monkeypatch.setattr(duality, "certificates", recording)
+    cfg = P.search_config(l_box=1)
+    assert dual_value(P, which, L, cfg).certificates == want
+    assert len(starts) == 2 and 0 < starts[1] == len(calls)
+    assert len(cfg._memo) > 24
 
 
 NOT_FOUND_Y = {"E1": (-40,), "E2": (-40, -40), "E3": (-40, -40), "E4": (-40, -40)}

@@ -386,6 +386,27 @@ def test_a_repeated_c_index_is_refused(capsys, tmp_path, e2):
     assert (rc, out) == (2, "")
     assert err == "input error: C index 0 is repeated\n"
 
+def test_an_s_without_generators_and_an_empty_feasible_set_name_their_keys(
+    capsys, tmp_path, e1
+):
+    """An S that lists no generators is refused naming S, and an instance
+    whose G is positive everywhere names the keys of the feasible set."""
+    doc = json.loads(open(e1).read())
+    nogen = _with(doc, ("S",), {"normals": [[1]], "interior_witness": [1]})
+    infeasible = _with(doc, ("G",), [[1]] * len(doc["G"]))
+    for bad_doc, want in (
+        (nogen, "input error: domain cone 'S' has no generators to certify on\n"),
+        (infeasible, "infeasible instance: instance violates the standing "
+         "assumption: no feasible sample point lies in dom F (no point x of "
+         "'C' with -'G'(x) in 'S' is a sample point of 'F')\n"),
+    ):
+        bad = tmp_path / "E1_bad.json"
+        bad.write_text(json.dumps(bad_doc))
+        for argv in (["dual", str(bad)], ["farkas", str(bad), "--y", "[0]"]):
+            rc, out, err = run(capsys, argv)
+            assert (rc, out, err) == (2, "", want)
+
+
 _QUADRANT = {"normals": [[1, 0], [0, 1]], "interior_witness": [1, 1]}
 _SKEWED = {"normals": [[1, 0], [-1, 2]], "interior_witness": [1, 1]}
 

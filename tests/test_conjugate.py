@@ -105,10 +105,16 @@ def test_indicator_and_linear_constructors():
     assert lin.value((3,)) == (6,)
 
 
-def test_restrict_and_add_intersect_domains():
+def test_add_refuses_unequal_domains_and_restrict_meets_them():
+    """``add`` refuses maps on unequal point sets, as a map pair does; the
+    sum on the intersection of the domains is the sum of the two maps
+    restricted to it."""
     f = scalar_map([0, 1, 4])
     g = SampledMap([((Fraction(1),), (Fraction(10),)), ((Fraction(5),), (Fraction(0),))])
-    h = f.add(g)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="must share their domain"):
+            a.add(b)
+    h = restricted(f, g.domain()).add(restricted(g, f.domain()))
     assert h.domain() == ((1,),)
     assert h.value((1,)) == (11,)
     r = restricted(f, [(0,), (1,)])
@@ -139,25 +145,25 @@ def _add_cases(rng):
 @pytest.mark.parametrize("seed", range(8))
 def test_add_sums_equal_domains_row_by_row(seed):
     """``add`` equals the pointwise sum of the exact samples on maps that
-    share one point set, on equal but distinct point sets and on a partial
-    overlap, with the same equality and hash; disjoint domains still raise.
-    ``compose`` keeps its operand's point set object, and so does ``add``
-    on equal domains."""
+    share one point set and on equal but distinct point sets, with the same
+    equality and hash; a partial overlap and disjoint domains are refused.
+    ``compose`` keeps its operand's point set object, and so does ``add``."""
     cases = _add_cases(random.Random(seed))
     kinds = [(f.pointset is g.pointset, f.pointset == g.pointset) for _, f, g in cases]
     assert kinds == [(True, True), (False, True), (False, False), (False, False)]
     for case, f, g in cases:
-        if case == "apart":
-            with pytest.raises(ValueError, match="disjoint"):
-                f.add(g)
+        if case in ("part", "apart"):
+            for a, b in ((f, g), (g, f)):
+                with pytest.raises(ValueError, match="must share their domain"):
+                    a.add(b)
             continue
         for a, b in ((f, g), (g, f)):
             got, want = a.add(b), _pointwise_sum(a, b)
             assert got.samples == want.samples, case
             assert got == want and hash(got) == hash(want), case
-        if case != "part":  # the shared domain is kept, not rebuilt
-            assert f.add(g).pointset is f.pointset
-            assert g.add(f).pointset is g.pointset
+        # the shared domain is kept, not rebuilt
+        assert f.add(g).pointset is f.pointset
+        assert g.add(f).pointset is g.pointset
 
 
 def _grid_map(draw, step, lo, hi):
@@ -169,20 +175,23 @@ def _grid_map(draw, step, lo, hi):
 
 
 @given(st.data())
-def test_add_is_the_pointwise_sum_on_grids_of_other_steps(data):
-    """``add`` of a map on a 1/2 grid and one on a 1/3 grid, whose domains
-    overlap in part (the multiples of 1 they share), is the pointwise sum
-    of their exact samples, in both orders; disjoint domains raise."""
+def test_add_refuses_maps_on_grids_of_other_steps(data):
+    """``add`` of a map on a 1/2 grid and one on a 1/3 grid is refused, in
+    both orders, unless both lie on the same multiples of 1; the sum of
+    their restrictions to the points they share is the pointwise sum of
+    their exact samples."""
     f = _grid_map(data.draw, Fraction(1, 2), -6, 6)
     g = _grid_map(data.draw, Fraction(1, 3), -9, 9)
-    if not set(f.domain()) & set(g.domain()):
-        with pytest.raises(ValueError, match="disjoint"):
-            f.add(g)
-        return
+    shared = set(f.domain()) & set(g.domain())
     for a, b in ((f, g), (g, f)):
-        got, want = a.add(b), _pointwise_sum(a, b)
-        assert got.samples == want.samples
-        assert got == want and hash(got) == hash(want)
+        if a.domain() != b.domain():
+            with pytest.raises(ValueError, match="must share their domain"):
+                a.add(b)
+        if shared:
+            got = restricted(a, shared).add(restricted(b, shared))
+            want = _pointwise_sum(a, b)
+            assert got.samples == want.samples
+            assert got == want and hash(got) == hash(want)
 
 
 def test_compose_applies_the_operator_pointwise():
@@ -265,7 +274,7 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     TG = compose(T, G)
     assert TG == SampledMap((x, mat_vec(T.entries, v)) for x, v in G.samples)
     FC = restricted(F, xs[1::2])
-    FG = F.add(TG)
+    FG = restricted(F, G.domain()).add(restricted(TG, xs))
     assert FG == SampledMap(
         (x, vec_add(v, TG.value(x))) for x, v in F.samples if TG.value(x) is not None
     )
@@ -410,8 +419,8 @@ def test_derived_maps_and_conjugates_build_no_fraction(monkeypatch):
         TG = compose(_rand_op(rng, p, p), G)
         eye = LinOp(tuple(tuple(int(i == j) for j in range(p)) for i in range(p)))
         PT = compose(eye, G)
-        summed = TG.add(half).add(PT)
-        for M in (G, TG, PT, half, summed):
+        summed = TG.add(G).add(PT)
+        for M in (G, TG, PT, half, summed, half.add(compose(eye, half))):
             conjugate(M, _rand_op(rng, p, n), K)
     assert calls == []
     samples = summed.samples  # reading the exact values back builds them

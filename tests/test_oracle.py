@@ -218,12 +218,11 @@ def _refused(name):
 
 
 def test_a_grid_changed_in_place_or_reshaped_is_cleared_again():
-    """The memo keeps its own copy of the grid's entries, and its key holds
-    the point count and the dimension: a grid with one point replaced in
-    place, the same entries in another count of points, an empty grid in
-    another dimension, and equal values in new objects are each labelled
-    by the definition, and entries that do not fit the dimension are
-    refused."""
+    """The memo keeps its own copy of the grid's point tuples, and its key
+    holds the dimension: a grid with one point replaced in place, the same
+    entries in another count of points, an empty grid in another
+    dimension, and equal values in new objects are each labelled by the
+    definition, and entries that do not fit the dimension are refused."""
     pts = [(0, Fraction(1, 3)), (Fraction(5, 4), -1)]
     grid = [
         (Fraction(a, 2), Fraction(b, 3))
@@ -254,6 +253,54 @@ def test_a_grid_changed_in_place_or_reshaped_is_cleared_again():
     with pytest.raises(ValueError):
         brute_region_bulk([], O2.normals, by4)
     _labels_by_the_definition([by3[1]], BULK_CONES[4], by3)
+
+
+def test_a_kept_grid_is_cleared_once_and_only_while_its_tuples_stay(monkeypatch):
+    """A grid rebuilt with equal values in new tuples is cleared afresh,
+    and so is a grid with one point replaced in place; the kept grid is
+    not.  Each is labelled by the definition."""
+    clears = []
+    real = oracle._cleared
+
+    def counting(vectors, dim=-1):
+        clears.append(len(vectors))
+        return real(vectors, dim)
+
+    monkeypatch.setattr(oracle, "_cleared", counting)
+    pts = [(0, Fraction(1, 3)), (Fraction(5, 4), -1)]
+
+    def build():
+        ticks = range(-4, 5)
+        return [(Fraction(a, 2), Fraction(b, 3)) for a in ticks for b in ticks]
+
+    grid = build()
+    for cloud in (pts, pts[:1], pts):
+        _labels_by_the_definition(cloud, O2.normals, grid)
+    assert clears.count(len(grid)) == 1
+    _labels_by_the_definition(pts, O2.normals, build())
+    assert clears.count(len(grid)) == 2
+    grid[40] = (Fraction(5, 4), Fraction(-1, 2))
+    for cloud in (pts, pts[1:]):
+        _labels_by_the_definition(cloud, O2.normals, grid)
+    assert clears.count(len(grid)) == 3
+
+
+def test_a_hit_whose_scale_overflows_int64_runs_on_python_ints():
+    """A kept grid of entries up to 2**41 at scale 1 is first labelled in
+    int64; labelled again against a cloud of small entries with a
+    denominator of 2**25 it is brought to a scale at which its entries
+    pass 2**64, so the test must run on Python ints (wrapped int64
+    entries mislabel it), although the cloud's own entries stay small."""
+    big = 2**40
+    grid = [(a * big, b * big) for a in range(-2, 3) for b in range(-2, 3)]
+    tiny = Fraction(1, 2**25)
+    _labels_by_the_definition([(big, 0), (0, big)], O2.normals, grid)
+    kept = oracle._last_grid
+    assert kept[0] == grid and kept[2][3] is not None  # an int64 form is kept
+    cloud = [(tiny, 0), (0, tiny)]
+    _labels_by_the_definition(cloud, O2.normals, grid)
+    assert oracle._last_grid is kept
+    assert len(set(brute_region_bulk(cloud, O2.normals, grid))) == 3
 
 
 def _labels_by_the_definition(cloud, normals, grid):

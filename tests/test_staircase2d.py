@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from weakfront import conjugate, numeric, staircase2d
+from weakfront import conjugate, numeric, oracle, order_sets, staircase2d
 from weakfront.cones import Cone, DimensionError, PointClass, classify_point
 from weakfront.numeric import mat_vec
 from weakfront.oracle import brute_region_bulk, region_of_point
@@ -482,9 +482,11 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
     """On a 41 x 41 grid, ``dot`` runs only on the set's points (at most
     |M|·|normals| times per call, and at least once, which the benchmark's
     traced run requires), with the cones' bases built before counting.
-    ``cleared`` runs once for the grid over all four cones, and once more
-    for a rebuilt grid of equal but new ``Fraction`` objects.  Each is
-    wrapped wherever ``staircase2d`` binds it."""
+    Over all four cones the grid is checked (``_check_batch``) and cleared
+    (``cleared``) once, and the oracle clears it once and keeps one int64
+    form of it; a rebuilt grid of equal but new ``Fraction`` objects is
+    checked and cleared once more on each side.  ``dot`` and ``cleared``
+    are wrapped wherever ``staircase2d`` binds them."""
     calls = Counter()
 
     def counting(fn):
@@ -498,6 +500,14 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
         for attr, val in list(vars(staircase2d).items()):
             if val is fn:
                 monkeypatch.setattr(staircase2d, attr, counting(fn))
+    monkeypatch.setattr(order_sets, "_check_batch", counting(order_sets._check_batch))
+    real_cleared = oracle._cleared
+
+    def oracle_cleared(vectors, dim=-1):
+        calls["oracle grid"] += len(vectors) == len(grid)
+        return real_cleared(vectors, dim)
+
+    monkeypatch.setattr(oracle, "_cleared", oracle_cleared)
     rng = random.Random(41)
 
     def half_grid():
@@ -506,20 +516,26 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
 
     grid = half_grid()
     cones = [rand_cone_2d(rng) for _ in range(3)] + [CORE_CONES["redundant2"]]
+    sets = [rand_finite_set(rng, 2, 20) for _ in cones]
+    wants = [_oracle_labels(M.points, K, grid, sup) for M, K in zip(sets, cones)]
     for K in cones:
         K.basis
+    brute_region_bulk([], cones[0].normals, [])  # another grid for the oracle's memo
     calls.clear()
-    for K in cones:
-        M = rand_finite_set(rng, 2, 20)
+    int64_forms = []
+    for M, K, want in zip(sets, cones, wants):
         dots = calls["dot"]
-        labels = classify_many(M, K, grid, sup=sup)
+        assert classify_many(M, K, grid, sup=sup) == want
         assert 1 <= calls["dot"] - dots <= len(M) * len(K.normals)
-        assert labels == _oracle_labels(M.points, K, grid, sup)
-    assert calls["cleared"] == 1
+        brute_region_bulk(M.points, K.normals, grid)
+        int64_forms.append(oracle._last_grid[2][3])
+    assert (calls["cleared"], calls["_check_batch"], calls["oracle grid"]) == (1, 1, 1)
+    assert all(G64 is int64_forms[0] for G64 in int64_forms)
     rebuilt = half_grid()
     assert rebuilt == grid
-    assert classify_many(M, K, rebuilt, sup=sup) == labels
-    assert calls["cleared"] == 2
+    assert classify_many(M, K, rebuilt, sup=sup) == want
+    brute_region_bulk(M.points, K.normals, rebuilt)
+    assert (calls["cleared"], calls["_check_batch"], calls["oracle grid"]) == (2, 2, 2)
 
 
 # --- the last query batch's cleared form is reused ---------------------------------
@@ -654,10 +670,10 @@ def _sevenths(rng):
 
 @pytest.mark.parametrize("sup", [True, False], ids=["sup", "inf"])
 def test_a_bad_batch_is_refused_after_a_hit(sup):
-    """The dimension and type checks run on every call, before the memo:
-    after a reused batch, a batch with one point of the wrong dimension,
-    the same entry objects regrouped into 3-d points, and a batch with a
-    float entry are each refused."""
+    """The dimension and type checks run on every batch that is not the
+    kept one: after a reused batch, a batch with one point of the wrong
+    dimension, the same entry objects regrouped into 3-d points, and a
+    batch with a float entry are each refused."""
     K = Cone.orthant(2)
     M = FiniteVecSet([(0, 0), (1, -1)])
     grid = _third_grid(-1, 1)  # 49 points, 98 entries
@@ -674,6 +690,24 @@ def test_a_bad_batch_is_refused_after_a_hit(sup):
         want = ValueError if isinstance(batch[-1][-1], float) else DimensionError
         assert type(err.value) is want
     _labels_match_the_oracle(M, K, grid, sup)
+
+
+def test_only_a_checked_batch_is_kept():
+    """A direct ``classify_points_2d`` call keeps no batch, so the same
+    point tuples are still checked, and refused, by ``classify_many``; a
+    batch kept at one dimension is checked again against a cone of
+    another."""
+    K, M = Cone.orthant(2), FiniteVecSet([(0, 0), (1, -1)])
+    batch = [*_third_grid(-1, 1), (Fraction(1, 3), 1.5)]
+    staircase2d.classify_points_2d(K.basis, M.cleared(), batch)
+    with pytest.raises(ValueError, match="has the entry 1.5"):
+        classify_many(M, K, batch)
+    grid = _third_grid(-1, 1)
+    _labels_match_the_oracle(M, K, grid)
+    K3 = Cone.orthant(3)
+    with pytest.raises(DimensionError):
+        classify_many(FiniteVecSet([(0, 0, 0)]), K3, grid)
+    _labels_match_the_oracle(M, K, grid)
 
 
 _SHARED = [_third_grid(-2, 2), _grid_of_ints_and_fractions(), []]
