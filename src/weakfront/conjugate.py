@@ -15,8 +15,8 @@ the values and keep that set, while :func:`conjugate`,
 :func:`epi_membership` and the instance tables bring the two scales
 together in their integer clouds, at one factor per term.
 
-One generator, :func:`certificates`, enumerates a budget for all three
-indices in one loop nest; the certificate search takes its first
+One generator, :func:`certificates`, enumerates a budget's distinct value
+sets for all three indices in one loop nest; the search takes its first
 qualifying item and the dual values fold over all of them.  It runs every
 block on the instance's integer tables (:class:`FacetTables`, built with
 the instance): each operator's image in facet coordinates is derived once,
@@ -25,9 +25,9 @@ as one column of integers per facet normal, at the one scale of
 facet, and the maxima of its rows, found by one sort, are its frontier.
 What a search derives from its config's budgets is kept in the config's
 one bounded memo (:class:`SearchConfig`).  An item's value set is the
-⊎-sum of two frontiers, which the search asks for one point's region
-without building it (:func:`weakfront.staircase2d.region_sum`), once per
-distinct pair of frontier objects (:func:`distinct_items`).  The query
+⊎-sum of two interned frontiers, yielded once per distinct pair, which
+the search asks for one point's region without building it
+(:func:`weakfront.staircase2d.region_sum`).  The query
 point is cleared once, so from query to certificate the search does no
 ``Fraction`` arithmetic.  A :class:`Certificate` is its operators alone;
 :func:`beta_value_set` rebuilds its value set with :func:`compose`,
@@ -712,7 +712,8 @@ _END = object()
 class _Replay:
     """One pass over a budget iterator, drawn lazily; later passes replay the
     items already drawn before drawing more, so nested loops over the same
-    budget enumerate it once."""
+    budget enumerate it once.  Once the source is drained, by this pass or
+    another, a pass reads the drawn list itself."""
 
     __slots__ = ("_source", "_drawn")
 
@@ -721,11 +722,15 @@ class _Replay:
         self._drawn: list = []
 
     def __iter__(self):
+        return self._draw() if self._source is not None else iter(self._drawn)
+
+    def _draw(self):
         k = 0
         while True:
             if k == len(self._drawn):
-                item = next(self._source, _END)
+                item = _END if self._source is None else next(self._source, _END)
                 if item is _END:
+                    self._source = None
                     return
                 self._drawn.append(item)
             yield self._drawn[k]
@@ -735,15 +740,16 @@ class _Replay:
 def certificates(
     index: int, P, L: LinOp, cfg: SearchConfig, memo: Optional[dict] = None
 ) -> Iterator[tuple]:
-    """Every budget item of condition ``index`` at the perturbation L, as
+    """The distinct value sets of the budget of condition ``index`` at the
+    perturbation L, each as the first item in budget order that has it,
     ((T, L', L''), front, block): the operators (None where the index has
     no split) and two :class:`FacetTables` frontiers, lists of integer
     coordinates at ``frontier_scale(P, L, cfg)``, whose ⊎-sum is the item's
     value set W.  ``front`` is the split blocks' sum, the single zero
     vector (the identity of ⊎) at index 1, and ``block`` the T-block.
-    Consumers ask for one point's region against W with
-    :func:`weakfront.staircase2d.region_sum`, and build W with
-    :meth:`FacetTables.sum` only where they need its generators.
+    Consumers ask for the regions of points against W with
+    :func:`weakfront.staircase2d.region_sum` or ``region_sums``, and build W
+    with :meth:`FacetTables.sum` only where they need its generators.
 
     One loop nest serves all three indices: L' outer, L'' middle, T inner,
     each over its budget as the config keeps it (hints, zero, ascending
@@ -772,7 +778,9 @@ def certificates(
     ⊎-sum of split blocks is interned there when it is built, so an item
     repeats an earlier one's value set exactly when both frontiers are the
     same objects, and each object yielded stays alive while the generator
-    runs.  One call builds each T-block at most once.
+    runs.  So repeats are skipped by ``id``: a block that came with the
+    same front before, and a whole T loop whose (front, T-block list) has
+    run.  One call builds each T-block at most once.
     """
     if index not in (1, 2, 3):
         raise ValueError("condition index must be 1, 2 or 3")
@@ -799,6 +807,7 @@ def certificates(
     memo = cfg._memo_for_call() if memo is None else memo
     images, f_stars, ind_stars = memo.setdefault((tab, d), ([], [], []))
     t_images, dnf = memo.setdefault((tab, d, rows), []), None
+    yielded = {}  # id(front) -> ids of its blocks yielded and T-block lists run
 
     def intern(frontier: list) -> list:
         kept = [memo.setdefault(r, r) for r in frontier]
@@ -833,27 +842,18 @@ def certificates(
                     tuple(map(sub, b, c)) for b, c in zip(rest_p, _take(XLpp, rows))
                 )
             blocks = memo.setdefault((tab, d, rows, rest), [])
+            seen = yielded.setdefault(id(front), set())
+            if id(blocks) in seen:
+                continue  # this T loop has run with this front
+            seen.add(id(blocks))
             for t, T in enumerate(Ts):
                 if t == len(blocks):
                     if t == len(t_images):
                         t_images.append(tab.image(T.op, d, [tab.gs[i] for i in rows]))
                     blocks.append(intern(tab.block(rest, t_images[t])))
-                yield (T, Lp, Lpp), front, blocks[t]
-
-
-def distinct_items(items: Iterable[tuple]) -> Iterator[tuple]:
-    """The items of :func:`certificates` whose pair (front, block) of
-    objects no earlier item has: the first of each distinct value set, in
-    budget order.  Frontiers are interned, so a skipped item has the value
-    set of an earlier one, and it can neither qualify first, change a
-    merge, nor own a point first.  The pairs are compared by ``id``, which
-    is safe because the generator keeps every frontier it yields."""
-    seen = set()
-    for item in items:
-        key = (id(item[1]), id(item[2]))
-        if key not in seen:
-            seen.add(key)
-            yield item
+                if id(blocks[t]) not in seen:
+                    seen.add(id(blocks[t]))
+                    yield (T, Lp, Lpp), front, blocks[t]
 
 
 def script_A_membership(
@@ -873,8 +873,6 @@ def script_A_membership(
     q = ⌊s·N·y⌋ against the item's two frontiers, s the frontier scale (an
     integer g exceeds s·N·y exactly where it exceeds q), so no W is built.
     y is cleared once, as (e, Y = e·y), and q is s·(N·Y) // e, on integers.
-    An item that repeats an earlier one's value set is skipped
-    (:func:`distinct_items`).
     """
     y = tuple(y)
     K = P.K
@@ -884,7 +882,7 @@ def script_A_membership(
     e, Y = cleared(y)
     s = frontier_scale(P, L, cfg)
     q = tuple([s * c // e for c in mat_vec(K.normals, Y)])
-    for ops, front, block in distinct_items(certificates(i, P, L, cfg)):
+    for ops, front, block in certificates(i, P, L, cfg):
         if region_sum(front, block, q) != LOWER:
             return Certificate(i, *ops)
     return None

@@ -20,9 +20,10 @@ of any dimension.  Every generator of the result therefore carries a
 concrete certificate that re-verifies.  A certificate whose region already
 contains every current generator cannot change the intersection, so the
 merge skips it: no current generator is UPPER against its frontier
-(:func:`weakfront.staircase2d.region_sum`, asked of the enumerator's two
+(:func:`weakfront.staircase2d.region_sums`, asked of the enumerator's two
 frontiers without building their ⊎-sum), and it builds a frontier only for
-the few certificates that change the merge.  The merge and the search for
+the few certificates that change the merge, joined in by
+:func:`weakfront.staircase2d.meet`.  The merge and the search for
 each generator's certificate run on the enumerator's integer frontiers,
 which share one scale, with no per-piece negation; only the generators are
 negated and mapped back, once, as integer vectors through the cleared
@@ -45,14 +46,13 @@ from .order_sets import (
     set_preceq,
     winf_finite,
 )
-from .staircase2d import FRONTIER, UPPER, maximal, region_sum
+from .staircase2d import FRONTIER, UPPER, meet, region_sums
 from .conjugate import (
     Certificate,
     FacetTables,
     SampledMap,
     SearchConfig,
     certificates,
-    distinct_items,
     frontier_scale,
     value_cloud,
 )
@@ -228,19 +228,18 @@ def dual_value(
     cleared as (δ, δ·N^{-1}) (:class:`RayBasis`) and s the frontier scale;
     those vectors are sorted and form the attained set as they are, with
     no division.  A certificate is skipped when every current generator is
-    LOWER or FRONTIER against its frontier (``region_sum``, on the
-    enumerator's two frontiers), since its region then contains them all
-    and the merge would return them unchanged; W's frontier is built
-    (:meth:`FacetTables.sum`) only for the first certificate and for those
-    not skipped.  Each generator of the result lies on some certificate's
-    frontier and is stored with the first such certificate in budget order,
-    skipped ones included; the owners are found with ``region_sum`` too, in
-    a second pass of the enumerator that stops once every generator has
-    one, and stored as their operators, paired with their points in the
-    attained set's order (``DualValue.certificates``).  Both passes skip an
-    item that repeats an earlier one's value set (:func:`distinct_items`),
-    which can neither change the merge nor own a point first.  The second
-    pass reads what the first kept in the config's memo
+    LOWER or FRONTIER against its frontier, since its region then contains
+    them all and the merge would return them unchanged; W's frontier is
+    built (:meth:`FacetTables.sum`) only for the first certificate and for
+    those not skipped, and joined in by ``meet``.  Each generator of the
+    result lies on some certificate's frontier and is stored with the first
+    such certificate in budget order, skipped ones included; the owners are
+    found in a second pass of the enumerator that stops once every
+    generator has one, and stored as their operators, paired with their
+    points in the attained set's order (``DualValue.certificates``).  Both
+    passes see each distinct value set once, as the enumerator yields them,
+    and label all current generators against it at once (``region_sums``).
+    The second pass reads what the first kept in the config's memo
     (:class:`~weakfront.conjugate.SearchConfig`), whose cap is checked once
     per call, so the owner pass never starts on an emptied one.  K must be
     simplicial (exactly ``dim`` linearly independent normals, so that its
@@ -259,20 +258,19 @@ def dual_value(
     index = int(which[-1])
     memo = cfg._memo_for_call()  # one for both passes
     low = None  # the merged generators, negated: in W's orientation
-    for _, front, block in distinct_items(certificates(index, P, L, cfg, memo)):
+    for _, front, block in certificates(index, P, L, cfg, memo):
         if low is None:
             low = P.tables.sum(front, block)
-        elif any(region_sum(front, block, u) == UPPER for u in low):
-            W = P.tables.sum(front, block)
-            low = maximal([tuple(map(min, u, v)) for u in low for v in W])
+        elif UPPER in region_sums(front, block, low):
+            low = meet(low, P.tables.sum(front, block))
     if low is None:
         raise ValueError("empty certificate budget")
 
     # u is on the frontier of W exactly when its point is on that of -W
     owner = {}
-    for ops, front, block in distinct_items(certificates(index, P, L, cfg, memo)):
-        for u in low:
-            if u not in owner and region_sum(front, block, u) == FRONTIER:
+    for ops, front, block in certificates(index, P, L, cfg, memo):
+        for u, code in zip(low, region_sums(front, block, low)):
+            if code == FRONTIER and u not in owner:
                 owner[u] = Certificate(index, *ops)
         if len(owner) == len(low):
             break

@@ -15,7 +15,9 @@ staircase; with more, each vector is tested against the maxima kept so far,
 O(n·h) for h maxima.  :func:`maximal` finds the maximal vectors
 themselves, sorting the tuples with no key function, and :func:`maxima`
 their indices; the certificate blocks, their ⊎-sums and the dual merge
-keep their frontiers as lists of such vectors.  A point set arrives
+keep their frontiers as lists of such vectors, and with one or two facets
+the merge's two questions of them are monotone sweeps along both lists
+(:func:`region_sums`, :func:`meet`).  A point set arrives
 cleared.  A batch of query points is cleared as a whole into coordinate
 columns, and one its caller has checked is kept (:func:`keep_batch`) for
 as long as calls pass its very point tuples; its facet coordinates are
@@ -33,10 +35,9 @@ staircase this core replaced; perfbench's tracer binds them by name.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, ge, gt, is_, mul, sub
 from typing import Iterable, Sequence
 
@@ -47,27 +48,27 @@ from weakfront.numeric import Vec, chunked, cleared, dot
 LOWER, FRONTIER, UPPER = 0, 1, 2
 
 
-def _inverse(rows: Sequence[Sequence]) -> tuple | None:
-    """Exact inverse of a square matrix A by Gauss-Jordan elimination,
-    cleared as (δ, δ·A^{-1}), or None when the matrix is singular."""
+def _inverse(rows: Sequence[Sequence[int]]) -> tuple | None:
+    """Exact inverse of a square integer matrix A, cleared as (δ, δ·A^{-1}),
+    or None when A is singular, by fraction-free Gauss-Jordan elimination
+    (Bareiss): each division is exact, and [A | I] ends as [p·I | p·A^{-1}]."""
     n = len(rows)
-    work = [
-        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    work = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             return None
         work[col], work[pivot] = work[pivot], work[col]
-        prow = [c / work[col][col] for c in work[col]]
-        work[col] = prow
+        p, prow = work[col][col], work[col]
         for r in range(n):
             f = work[r][col]
-            if r != col and f != 0:
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-    d, flat = cleared(chain.from_iterable(row[n:] for row in work))
-    return d, tuple(chunked(flat, n, n))
+            if r != col:
+                work[r] = [(p * a - f * b) // prev for a, b in zip(work[r], prow)]
+        prev = p
+    flat = [c for row in work for c in row[n:]]
+    g = gcd(prev, *flat) if prev > 0 else -gcd(prev, *flat)
+    return prev // g, tuple(chunked([c // g for c in flat], n, n))
 
 
 class RayBasis:
@@ -162,6 +163,47 @@ def region_sum(front: list, block: list, q: tuple) -> int:
             return LOWER
         code = min(code, c)
     return code
+
+
+def region_sums(front: list, block: list, qs: list) -> list:
+    """``region_sum`` of each q of ``qs``, a descending list of maximal
+    vectors, against front ⊎ block.  With one or two coordinates, for each
+    f the prefixes of ``block`` that label q - f (g0 > q0 - f0, and
+    g0 >= q0 - f0) only grow along ``qs``: one merge-walk per f."""
+    if len(qs) < 2 or len(qs[0]) > 2:
+        return [region_sum(front, block, q) for q in qs]
+    codes, n = [UPPER] * len(qs), len(block)
+    for f in front:
+        i = j = 0
+        for k, q in enumerate(qs):
+            a, b = q[0] - f[0], q[-1] - f[-1]
+            while i < n and block[i][0] > a:
+                i += 1
+            while j < n and block[j][0] >= a:
+                j += 1
+            if i and block[i - 1][-1] > b:
+                codes[k] = LOWER
+            elif j and block[j - 1][-1] >= b and codes[k]:
+                codes[k] = FRONTIER
+    return codes
+
+
+def meet(A: list, B: list) -> list:
+    """``maximal`` of the componentwise minima of the pairs from two
+    descending lists of maximal vectors.  With one or two coordinates a
+    pair (a, b) with b0 >= a0 is weakly below a's pair with the last such
+    b, which has the largest b1, and symmetrically: |A| + |B| candidates."""
+    if A and len(A[0]) > 2:
+        return maximal([tuple(map(min, u, v)) for u in A for v in B])
+    pairs = []
+    for X, Y in ((A, B), (B, A)):
+        j = 0
+        for x in X:
+            while j < len(Y) and Y[j][0] >= x[0]:
+                j += 1
+            if j:
+                pairs.append(tuple(map(min, x, Y[j - 1])))
+    return maximal(pairs)
 
 
 # The last batch kept: a copy of its point tuples (which keeps them alive),

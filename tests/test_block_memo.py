@@ -5,9 +5,10 @@ The memo is checked against fresh configs (the same answers, also across
 a forced reset and on instances whose indices run on different rows), for
 its bound (every search starts with at most ``MEMO_CAP`` objects kept) and
 for its use (a second search at the same L builds no T-block, and an index
-whose rows another index has run on reuses its T-images and T-blocks).  The skipping is checked by counting ``region_sum``
-calls per distinct value set, and against consumers that skip nothing,
-written out here."""
+whose rows another index has run on reuses its T-images and T-blocks).  The
+skipping is checked by counting ``region_sum`` and ``region_sums`` calls per
+distinct value set, and against consumers that skip nothing, written out
+here."""
 
 import itertools
 import random
@@ -218,29 +219,34 @@ def test_searches_at_interleaved_indices_keep_their_blocks_apart(name):
 
 
 def test_a_search_asks_once_per_distinct_value_set(monkeypatch):
-    """E3's index-2 search at l_box=1 and L = 0 for a y below every value
-    set calls ``region_sum`` once per distinct (front, block), by content:
-    2,327 of 4,941 items.  The dual value VD2 visits each distinct pair at
-    most once in its merge and once in its owner pass."""
+    """E3's index-2 budget at l_box=1 and L = 0 has 4,941 items, and the
+    enumerator yields the 2,327 of them with distinct (front, block), by
+    content.  A search for a y below every value set calls ``region_sum``
+    once per yielded item; the dual value VD2 calls ``region_sums`` once per
+    yielded item after the first in its merge, and once per item of a
+    prefix of them in its owner pass."""
     P, L = E3, LinOp.zero(E3.m, E3.n)
-    items = list(certificates(2, P, L, P.search_config(l_box=1)))
-    pairs = {(tuple(f), tuple(b)) for _, f, b in items}
-    assert (len(items), len(pairs)) == (4_941, 2_327)
+    cfg = P.search_config(l_box=1)
+    items = list(certificates(2, P, L, cfg))
+    order = [(tuple(f), tuple(b)) for _, f, b in items]
+    budget = len(list(cfg.linop_budget(P.m, P.n))) * len(list(cfg.posop_budget(P.S, P.K)))
+    assert (budget, len(order), len(set(order))) == (4_941, 2_327, 2_327)
     calls = []
-    real = conjugate.region_sum
 
-    def recording(front, block, q):
-        calls.append((tuple(front), tuple(block)))
-        return real(front, block, q)
+    def recording(real):
+        def call(front, block, q):
+            calls.append((tuple(front), tuple(block)))
+            return real(front, block, q)
+        return call
 
-    monkeypatch.setattr(conjugate, "region_sum", recording)
+    monkeypatch.setattr(conjugate, "region_sum", recording(conjugate.region_sum))
     assert script_A_membership(2, P, L, (-40, -40), P.search_config(l_box=1)) is None
-    assert len(calls) == len(pairs) and set(calls) == pairs
+    assert calls == order
     calls.clear()
-    monkeypatch.setattr(duality, "region_sum", recording)
+    monkeypatch.setattr(duality, "region_sums", recording(duality.region_sums))
     dual_value(P, "VD2", L, P.search_config(l_box=1))
-    visits = Counter(pair for pair, _ in itertools.groupby(calls))
-    assert set(visits) <= pairs and max(visits.values()) <= 2
+    merge, owners = calls[: len(order) - 1], calls[len(order) - 1 :]
+    assert merge == order[1:] and 0 < len(owners) and owners == order[: len(owners)]
 
 
 def _search_all(index, P, L, y, cfg):

@@ -593,6 +593,22 @@ def test_a_config_draws_its_posop_budget_once(monkeypatch):
     assert calls == []
 
 
+def test_passes_nested_in_one_another_each_read_the_whole_budget():
+    """An inner pass that drains a budget's source while an outer pass is
+    part-way through it leaves the outer pass to finish from the drawn
+    items: each pass yields the whole budget, in order, as do the passes
+    after the source is drained, and nested loops at three levels."""
+    budget = conjugate_module._Replay(iter(range(5)))
+    outer = iter(budget)
+    head = [next(outer), next(outer)]
+    inner = list(budget)
+    assert head + list(outer) == inner == list(range(5)) == list(budget)
+    budget = conjugate_module._Replay(iter("abc"))
+    assert [a + b + c for a in budget for b in budget for c in budget] == [
+        a + b + c for a in "abc" for b in "abc" for c in "abc"
+    ]
+
+
 def test_each_cone_pair_has_its_own_posop_budget():
     cfg = SearchConfig(t_box=1)
     skew = Cone(((1, 0), (-1, 2)), ((0, 1), (2, 1)), (1, 1))

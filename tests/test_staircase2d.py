@@ -76,6 +76,48 @@ def test_for_cone_inverts_simplicial_cones_of_any_dimension():
     assert len(pyramid.normals) == 4 and pyramid.inverse is None
 
 
+def _fraction_inverse(A):
+    """A^{-1} by Gauss-Jordan elimination on ``Fraction``s, or None."""
+    n = len(A)
+    work = [[Fraction(c) for c in row] + [Fraction(i == j) for j in range(n)]
+            for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [c / work[col][col] for c in work[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def test_the_integer_inverse_is_the_cleared_fraction_inverse():
+    """``_inverse`` of random integer matrices up to 4 x 4, many singular,
+    is the ``Fraction`` inverse cleared as (δ, δ·A^{-1}), δ the least
+    common denominator, or None exactly when that inverse does not
+    exist."""
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(3_000):
+        n = rng.randint(1, 4)
+        A = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if rng.random() < 0.1:  # a row repeated or scaled
+            A[-1] = tuple(rng.randint(-2, 2) * c for c in A[0])
+        want = _fraction_inverse(A)
+        got = staircase2d._inverse(A)
+        if want is None:
+            singular += 1
+            assert got is None, A
+            continue
+        d, flat = numeric.cleared(c for row in want for c in row)
+        assert got == (d, tuple(numeric.chunked(flat, n, n))), A
+        assert all(type(c) is int for row in got[1] for c in row)
+    assert 300 < singular < 2_700
+
+
 def test_cone_derives_its_basis_once():
     K = skew_cone()
     assert K.basis is K.basis
