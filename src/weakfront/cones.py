@@ -19,13 +19,9 @@ from operator import mul
 from typing import Container, Iterator, Sequence
 
 from weakfront.numeric import (
-    Mat, Number, Vec, chunked, cleared, dot, primitive, require_exact,
+    DimensionError, Mat, Number, Vec, chunked, cleared, dot, primitive, require_exact,
 )
 from weakfront.staircase2d import RayBasis
-
-
-class DimensionError(ValueError):
-    """Operands whose dimensions do not agree."""
 
 
 class PositivityError(ValueError):

@@ -138,9 +138,6 @@ class SampledMap:
         values = (tuple([Fraction(c, D) for c in v]) for v in V)
         return tuple(zip(self.pointset.points, values))
 
-    def domain(self) -> tuple:
-        return self.pointset.points
-
     def value(self, x: Sequence[Number]) -> Optional[Vec]:
         """F(x), or None off the sample (also for a point of another
         length); x is cleared once and looked up among the integer rows."""

@@ -10,12 +10,9 @@ through it, :func:`primitive`).  Cones, operators, point sets and the
 inverses of normal matrices are cleared by it once, when built, and keep
 that form; a sampled map is cleared once too, its points as one point set
 and its values apart, each at its own scale.  One query point is cleared
-once per call that reads it; a batch of query points is checked and
-cleared once for as long as calls pass the very same point tuples
-(:func:`weakfront.order_sets.classify_many` checks it, and
-:func:`weakfront.staircase2d.keep_batch` keeps its cleared columns).  Past
-that boundary the certificate search and the dual merge run on integers up
-to their output.
+once per call that reads it; a batch of query points is cleared as
+:mod:`weakfront.staircase2d` describes.  Past that boundary the
+certificate search and the dual merge run on integers up to their output.
 """
 
 from __future__ import annotations
@@ -28,6 +25,10 @@ from typing import Iterable, Sequence, Union
 Number = Union[int, Fraction]
 Vec = tuple
 Mat = tuple  # tuple of row tuples
+
+
+class DimensionError(ValueError):
+    """Operands whose dimensions do not agree."""
 
 
 def require_exact(v: Sequence, what: str) -> None:

@@ -136,9 +136,6 @@ class FiniteVecSet:
 
 # --- region classification ---------------------------------------------------
 
-_EXACT_TYPES = {int, Fraction}
-
-
 def classify_many(
     M: FiniteVecSet,
     K: Cone,
@@ -150,26 +147,11 @@ def classify_many(
     LOWER in ``M - int K``, FRONTIER on the weak supremum itself, UPPER
     elsewhere.  ``sup=False`` classifies against the weak infimum instead.  The
     queries run as dominance tests on integer facet coordinates.  A batch
-    is checked and cleared once, while calls pass its very point tuples.
+    is checked and cleared once, while calls pass its very point tuples
+    (:func:`weakfront.staircase2d.classify_points_2d`).
     """
-    pts = list(map(tuple, points))
-    if not staircase2d.kept_batch(pts, K.dim):
-        _check_batch(pts, K.dim)
-        staircase2d.keep_batch(pts, K.dim)
-    codes = staircase2d.classify_points_2d(K.basis, M.cleared(), pts, sup=sup)
+    codes = staircase2d.classify_points_2d(K.basis, M.cleared(), points, sup=sup)
     return list(map(_LABELS.__getitem__, codes))
-
-
-def _check_batch(pts: list, dim: int) -> None:
-    """Refuse a point whose length is not ``dim`` or an entry that is not an
-    int or a Fraction: the first bad point decides, its length first."""
-    types = map(type, chain.from_iterable(pts))
-    if {dim}.issuperset(map(len, pts)) and _EXACT_TYPES.issuperset(types):
-        return  # else a bad point, or an entry of a subclass
-    for p in pts:
-        if len(p) != dim:
-            raise DimensionError("point/cone dimensions disagree")
-        require_exact(p, "query point")
 
 
 # --- canonical generators / wsup / winf --------------------------------------

@@ -18,12 +18,12 @@ their indices; the certificate blocks, their ⊎-sums and the dual merge
 keep their frontiers as lists of such vectors, and with one or two facets
 the merge's two questions of them are monotone sweeps along both lists
 (:func:`region_sums`, :func:`meet`).  A point set arrives
-cleared.  A batch of query points is cleared as a whole into coordinate
-columns, and one its caller has checked is kept (:func:`keep_batch`) for
-as long as calls pass its very point tuples; its facet coordinates are
-formed over those columns (:func:`row_products`), as are those of a set
-whose maxima are asked for: the comparisons run on plain integers, with
-no call per point.
+cleared.  A batch of query points is checked and cleared as a whole into
+coordinate columns, and kept for as long as calls pass its very point
+tuples (:func:`_batch_columns`, the one place that decides this); its
+facet coordinates are formed over those columns (:func:`row_products`),
+as are those of a set whose maxima are asked for: the comparisons run on
+plain integers, with no call per point.
 Infima are suprema of the negated data, labelled on the negated normals.
 Only mapping facet coordinates back to points needs N^{-1}, which exists
 exactly for simplicial K (``dim`` linearly independent normals); the
@@ -35,13 +35,14 @@ staircase this core replaced; perfbench's tracer binds them by name.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, ge, gt, is_, mul, sub
 from typing import Iterable, Sequence
 
-from weakfront.numeric import Vec, chunked, cleared, dot
+from weakfront.numeric import DimensionError, Vec, chunked, cleared, dot, require_exact
 
 # Region codes (kept as plain ints so this module has no enum dependencies;
 # order_sets maps them onto RegionLabel).
@@ -210,20 +211,31 @@ def meet(A: list, B: list) -> list:
 # the dimension it was checked at, its own scale d_q and its columns.
 _last_batch = ((), None, 1, [])
 
-
-def kept_batch(points: list, dim: int) -> bool:
-    """Whether ``points`` are the kept batch's very point tuples, in order,
-    checked at ``dim``: tuples, ints and Fractions are immutable."""
-    kept, kept_dim = _last_batch[:2]
-    return kept_dim == dim and len(kept) == len(points) and all(map(is_, kept, points))
+_EXACT_TYPES = {int, Fraction}
 
 
-def keep_batch(points: list, dim: int) -> None:
-    """Clear a batch that its caller has checked (every point a tuple of
-    ``dim`` ints or Fractions) once, and keep it in place of the last."""
+def _batch_columns(points: Sequence[Vec], dim: int) -> tuple:
+    """(d_q, columns) of a batch of query points: the kept batch's when
+    ``points`` are its very point tuples, in order, checked at ``dim``
+    (tuples, ints and Fractions are immutable; a point of another type
+    becomes a new tuple); else the batch is checked, cleared once and kept
+    in place of the last.  The check refuses a point whose length is not
+    ``dim`` or an entry that is not an int or a Fraction: the first bad
+    point decides, its length first."""
     global _last_batch
+    points = list(map(tuple, points))
+    kept, kept_dim = _last_batch[:2]
+    if kept_dim == dim and len(kept) == len(points) and all(map(is_, kept, points)):
+        return _last_batch[2:]
+    types = map(type, chain.from_iterable(points))
+    if not ({dim}.issuperset(map(len, points)) and _EXACT_TYPES.issuperset(types)):
+        for p in points:  # a bad point, or an entry of a subclass
+            if len(p) != dim:
+                raise DimensionError("point/cone dimensions disagree")
+            require_exact(p, "query point")
     dq, flat = cleared(chain.from_iterable(points))
-    _last_batch = (list(points), dim, dq, [flat[k::dim] for k in range(dim)])
+    _last_batch = (points, dim, dq, [flat[k::dim] for k in range(dim)])
+    return _last_batch[2:]
 
 
 def classify_points_2d(
@@ -236,10 +248,8 @@ def classify_points_2d(
     their own scale d_q, and both are brought to d = lcm(den, d_q), the
     generators' maxima by d/den and the points by d/d_q folded into N.
 
-    The batch is handled in whole columns, with no call per point: the
-    kept batch's columns when it is that batch (:func:`kept_batch`), else
-    cleared here once and not kept, since only a caller that has checked a
-    batch keeps it (:func:`keep_batch`).  Each facet coordinate is one row
+    The batch is handled in whole columns, with no call per point
+    (:func:`_batch_columns`).  Each facet coordinate is one row
     of :func:`row_products` over the columns.  With one or two facets the
     maxima form a staircase along which the first coordinate strictly
     falls and the last strictly rises, so those with g0 > q0 (or g0 >= q0)
@@ -247,12 +257,7 @@ def classify_points_2d(
     bisections label q.  With more facets each query runs ``region_sup``."""
     den, vecs = gens
     N = basis.normals if sup else [tuple([-c for c in a]) for a in basis.normals]
-    dim = len(N[0])
-    if kept_batch(points, dim):
-        dq, cols = _last_batch[2:]
-    else:  # not checked here, so not kept
-        dq, flat = cleared(chain.from_iterable(points))
-        cols = [flat[k::dim] for k in range(dim)]
+    dq, cols = _batch_columns(points, len(N[0]))
     kept = maximal([tuple([dot(a, v) for a in N]) for v in vecs])
     d = lcm(den, dq)
     s, t, n = d // den, d // dq, len(points)

@@ -1,10 +1,10 @@
 """Verification suites: bulk property and oracle checks behind the CLI.
 
-Each suite is a list of independent work units; a unit is addressed purely
-by (kind, seed, index) so it can be shipped to a worker process as plain
-primitives and rebuilt there from the seed.  Results merge in unit order,
-which makes reports byte-identical for a given (suite, seed, trials) no
-matter how many workers ran them.
+Each suite is a list of independent work units, declared in one table
+(``_SUITES``); a unit is addressed purely by (kind, seed, index) so it can
+be shipped to a worker process as plain primitives and rebuilt there from
+the seed.  Results merge in unit order, which makes reports byte-identical
+for a given (suite, seed, trials) no matter how many workers ran them.
 
 A failed check never raises out of a unit: it becomes a failure row with
 enough detail to reproduce (suite, seed, unit index, offending data), and
@@ -19,9 +19,9 @@ import traceback
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from random import Random
 from typing import List, Optional
 
-from .cli import SUITE_NAMES
 from .cones import LinOp
 from .conjugate import (
     ExtEpiElement,
@@ -80,19 +80,6 @@ from .randgen import (
     trial_rng,
 )
 
-# Random-unit counts; suites made of fixed shipped units ignore --trials.
-DEFAULT_TRIALS = {
-    "decomposition": 200,
-    "wsum": 200,
-    "psi": 100,
-    "basic-lemmas": 100,
-    "representation": 0,
-    "farkas": 1000,
-    "weak-duality": 50,
-    "strong-duality": 0,
-    "scalar-regression": 20,
-}
-
 
 class _Collector:
     """Per-unit check counter and failure accumulator."""
@@ -125,14 +112,13 @@ class _Collector:
         }
 
 
-def _grid_square(lo: int, hi: int, denom: int = 1) -> list:
-    vals = [Fraction(k, denom) for k in range(lo * denom, hi * denom + 1)]
-    return [(a, b) for a in vals for b in vals]
+_instance = cache(shipped_instance)  # one load per shipped instance and process
 
 
 @cache
 def _decomp_grid() -> list:
-    return _grid_square(-10, 10, 2)  # 41 x 41
+    vals = [Fraction(k, 2) for k in range(-20, 21)]  # 41 x 41 over [-10, 10]
+    return [(a, b) for a in vals for b in vals]
 
 
 @cache
@@ -146,9 +132,7 @@ def _wsum_grid(dim: int) -> list:
 # --- decomposition: engine region labels == first-principles oracle ------------------
 
 
-def _u_decomposition(seed: int, idx: int) -> dict:
-    col = _Collector("decomposition", idx)
-    rng = trial_rng(seed, idx)
+def _u_decomposition(col: _Collector, rng: Random, idx: int) -> None:
     M = rand_finite_set(rng, 2, 20)
     points = M.points
     grid = _decomp_grid()
@@ -168,15 +152,12 @@ def _u_decomposition(seed: int, idx: int) -> dict:
             )
         if len(bad) > 3:
             col.fail(f"...and {len(bad) - 3} more mismatches in this unit")
-    return col.result()
 
 
 # --- wsum: algebra of the WS-sum plus oracle labels ----------------------------------
 
 
-def _u_wsum(seed: int, idx: int) -> dict:
-    col = _Collector("wsum", idx)
-    rng = trial_rng(seed, idx)
+def _u_wsum(col: _Collector, rng: Random, idx: int) -> None:
     dim = 1 if rng.random() < 0.25 else 2
     K = rand_cone(rng, dim)
     raw = [rand_finite_set(rng, dim, 6, -5, 5) for _ in range(3)]
@@ -225,15 +206,12 @@ def _u_wsum(seed: int, idx: int) -> dict:
         col.ok(False, "(+inf) + (-inf) did not raise")
     except IllegalInfinitySum:
         col.ok(True, "")
-    return col.result()
 
 
 # --- psi: collapsed extended epigraph == ordinary epigraph ---------------------------
 
 
-def _u_psi(seed: int, idx: int) -> dict:
-    col = _Collector("psi", idx)
-    rng = trial_rng(seed, idx)
+def _u_psi(col: _Collector, rng: Random, idx: int) -> None:
     n = rng.randint(1, 2)
     F = rand_sampled_map(rng, n, 2, 15)
     K = rand_cone(rng, 2)
@@ -255,15 +233,12 @@ def _u_psi(seed: int, idx: int) -> dict:
             f"psi/epi mismatch: L={encode_mat(L.entries)} y={encode_vec(y)} "
             f"psi={got} epi={want} (unit {idx})",
         )
-    return col.result()
 
 
 # --- basic-lemmas: boxplus inclusion (random) and exact splits (shipped pairs) -------
 
 
-def _u_basic_rand(seed: int, idx: int) -> dict:
-    col = _Collector("basic-lemmas", idx)
-    rng = trial_rng(seed, idx)
+def _u_basic_rand(col: _Collector, rng: Random, idx: int) -> None:
     n = rng.randint(1, 2)
     dom = sorted(
         {
@@ -287,11 +262,9 @@ def _u_basic_rand(seed: int, idx: int) -> dict:
             f"boxplus of conjugate bounds left the summed extended epigraph: "
             f"L1={encode_mat(L1.entries)} L2={encode_mat(L2.entries)} (unit {idx})",
         )
-    return col.result()
 
 
-def _u_basic_pair(seed: int, idx: int) -> dict:
-    col = _Collector("basic-lemmas-pair", idx)
+def _u_basic_pair(col: _Collector, rng: Random, idx: int) -> None:
     pair = shipped_pair(idx)
     K = pair.K
     Fsum = pair.summed()
@@ -329,84 +302,48 @@ def _u_basic_pair(seed: int, idx: int) -> dict:
                 f"{pair.name}: split found strictly below the frontier at "
                 f"{encode_vec(below)}",
             )
-    return col.result()
 
 
 # --- representation: certificate membership == epigraph membership ------------------
 
-@cache
-def _rep_instance(name: str):
-    return shipped_instance(name)
+def _frac_pairs(us, vs) -> list:
+    return [(Fraction(u), Fraction(v)) for u in us for v in vs]
 
 
-def _rep_queries(name: str):
-    """The 9 perturbations and 9 query points used for one shipped instance."""
-    half = [Fraction(k, 2) for k in range(-4, 5)]
-    if name == "E1":
-        return (
-            [LinOp(((v,),)) for v in half],
-            [(Fraction(k, 2),) for k in range(-6, 3)],
-        )
-    if name == "E2":
-        return (
-            [
-                LinOp(((Fraction(a),), (Fraction(b),)))
-                for a in (-1, 0, 1)
-                for b in (-1, 0, 1)
-            ],
-            [
-                (Fraction(u), Fraction(v))
-                for u in (-1, 0, 1)
-                for v in (-3, -2, -1)
-            ],
-        )
-    if name == "E3":
-        return (
-            [
-                LinOp(((Fraction(a), Fraction(0)), (Fraction(0), Fraction(b))))
-                for a in (-1, 0, 1)
-                for b in (-1, 0, 1)
-            ],
-            [
-                (Fraction(u), Fraction(v))
-                for u in (-2, -1, 0)
-                for v in (-2, -1, 0)
-            ],
-        )
-    if name == "E4":
-        return (
-            [
-                LinOp(((Fraction(a),), (Fraction(b),)))
-                for a in (0, 1, 2)
-                for b in (0, 1, 2)
-            ],
-            [
-                (Fraction(u), Fraction(v))
-                for u in (-2, 0, 1)
-                for v in (-2, 0, 1)
-            ],
-        )
-    if name == "E5":
-        return (
-            [LinOp(((v,),)) for v in half],
-            [(Fraction(k),) for k in range(-4, 5)],
-        )
-    raise ValueError(f"no query grid for {name!r}")
+_HALVES = [Fraction(k, 2) for k in range(-4, 5)]
+_TRITS = _frac_pairs((-1, 0, 1), (-1, 0, 1))
+
+# Per shipped convex instance: its 9 perturbations (as matrices) and its 9
+# query points; unit idx reads instance idx // 9 at perturbation idx % 9.
+_REP_QUERIES = {
+    "E1": ([((v,),) for v in _HALVES], [(Fraction(k, 2),) for k in range(-6, 3)]),
+    "E2": ([((a,), (b,)) for a, b in _TRITS], _frac_pairs((-1, 0, 1), (-3, -2, -1))),
+    "E3": ([((a, 0), (0, b)) for a, b in _TRITS], _frac_pairs((-2, -1, 0), (-2, -1, 0))),
+    "E4": (
+        [((a,), (b,)) for a, b in _frac_pairs((0, 1, 2), (0, 1, 2))],
+        _frac_pairs((-2, 0, 1), (-2, 0, 1)),
+    ),
+    "E5": ([((v,),) for v in _HALVES], [(Fraction(k),) for k in range(-4, 5)]),
+}
+_REP_UNITS = range(9 * len(CONVEX_SHIPPED))
 
 
-def _u_representation(seed: int, idx: int) -> dict:
-    col = _Collector("representation", idx)
+def _rep_case(idx: int) -> tuple:
+    """(name, instance, perturbation, query points, hinted budget) of unit
+    ``idx`` of the representation and farkas-hinted kinds."""
     name = CONVEX_SHIPPED[idx // 9]
-    l_idx = idx % 9
-    P = _rep_instance(name)
-    if l_idx == 0:
+    P = _instance(name)
+    Ls, ys = _REP_QUERIES[name]
+    return name, P, LinOp(Ls[idx % 9]), ys, P.search_config(t_box=0)
+
+
+def _u_representation(col: _Collector, rng: Random, idx: int) -> None:
+    name, P, L, ys, cfg = _rep_case(idx)
+    if idx % 9 == 0:
         col.ok(
             P.slater_holds() is True,
             f"{name}: declared interior-feasible point fails the exact check",
         )
-    Ls, ys = _rep_queries(name)
-    L = Ls[l_idx]
-    cfg = P.search_config(t_box=0)
     for y in ys:
         a = alpha_holds(P, L, y)
         c1 = script_A_membership(1, P, L, y, cfg)
@@ -423,43 +360,27 @@ def _u_representation(seed: int, idx: int) -> dict:
             )
         if not a:
             continue
-        c2 = script_A_membership(2, P, L, y, cfg)
-        c3 = script_A_membership(3, P, L, y, cfg)
-        if c2 is not None:
+        certs = [(i, script_A_membership(i, P, L, y, cfg)) for i in (2, 3)]
+        where = f" at L={encode_mat(L.entries)} y={encode_vec(y)}"
+        for i, cert in certs:
+            if cert is None:
+                continue
             col.ok(
-                verify_certificate(P, FarkasQuery(L, y, 2), c2),
-                f"{name}: condition-2 certificate fails re-verification",
+                verify_certificate(P, FarkasQuery(L, y, i), cert),
+                f"{name}: condition-{i} certificate fails re-verification",
             )
-            down = convert_certificate(P, L, c2, 1)
-            col.ok(
-                verify_certificate(P, FarkasQuery(L, y, 1), down),
-                f"{name}: 2->1 conversion fails at L={encode_mat(L.entries)} "
-                f"y={encode_vec(y)}",
-            )
-        if c3 is not None:
-            col.ok(
-                verify_certificate(P, FarkasQuery(L, y, 3), c3),
-                f"{name}: condition-3 certificate fails re-verification",
-            )
-            mid = convert_certificate(P, L, c3, 2)
-            col.ok(
-                verify_certificate(P, FarkasQuery(L, y, 2), mid),
-                f"{name}: 3->2 conversion fails",
-            )
-            bottom = convert_certificate(P, L, c3, 1)
-            col.ok(
-                verify_certificate(P, FarkasQuery(L, y, 1), bottom),
-                f"{name}: 3->1 conversion fails",
-            )
-    return col.result()
+            for j in range(i - 1, 0, -1):  # only a 2->1 failure names its query
+                down = convert_certificate(P, L, cert, j)
+                col.ok(
+                    verify_certificate(P, FarkasQuery(L, y, j), down),
+                    f"{name}: {i}->{j} conversion fails{where if i == 2 else ''}",
+                )
 
 
 # --- farkas: soundness on random data, completeness on hinted instances -------------
 
 
-def _u_farkas_rand(seed: int, idx: int) -> dict:
-    col = _Collector("farkas", idx)
-    rng = trial_rng(seed, idx)
+def _u_farkas_rand(col: _Collector, rng: Random, idx: int) -> None:
     P = rand_instance(rng)
     i = rng.randint(1, 3)
     L = rand_linop(rng, P.m, P.n, 1)
@@ -499,17 +420,10 @@ def _u_farkas_rand(seed: int, idx: int) -> dict:
                 f"value-set qualification differs from brute sum test "
                 f"(i={i}, T={encode_mat(T.op.entries)}, unit {idx})",
             )
-    return col.result()
 
 
-def _u_farkas_hinted(seed: int, idx: int) -> dict:
-    col = _Collector("farkas-hinted", idx)
-    name = CONVEX_SHIPPED[idx // 9]
-    l_idx = idx % 9
-    P = _rep_instance(name)
-    Ls, ys = _rep_queries(name)
-    L = Ls[l_idx]
-    cfg = P.search_config(t_box=0)
+def _u_farkas_hinted(col: _Collector, rng: Random, idx: int) -> None:
+    name, P, L, ys, cfg = _rep_case(idx)
     for y in ys:
         if not alpha_holds(P, L, y):
             continue
@@ -523,15 +437,20 @@ def _u_farkas_hinted(seed: int, idx: int) -> dict:
                 verify_certificate(P, FarkasQuery(L, y, 1), cert),
                 f"{name}: hinted certificate fails re-verification",
             )
-    return col.result()
 
 
 # --- weak-duality: the three dual frontiers are ordered, any budget ------------------
 
 
-def _u_weak_duality(seed: int, idx: int) -> dict:
-    col = _Collector("weak-duality", idx)
-    rng = trial_rng(seed, idx)
+# what a broken link of weak_duality_check's chain means, link by link
+_CHAIN_LINKS = (
+    "third dual exceeds second",
+    "second dual exceeds first",
+    "first dual exceeds the primal frontier",
+)
+
+
+def _u_weak_duality(col: _Collector, rng: Random, idx: int) -> None:
     P = rand_instance(rng, p=1)
     cfg = SearchConfig(
         t_box=1, t_step=1, l_box=0, hints_L=(rand_linop(rng, P.m, P.n, 1),)
@@ -540,43 +459,22 @@ def _u_weak_duality(seed: int, idx: int) -> dict:
         rand_linop(rng, P.m, P.n, 1) for _ in range(4)
     ]
     for L in perturbations:
-        r32, r21, r1p = weak_duality_check(P, L, cfg)
-        col.ok(
-            r32,
-            f"third dual exceeds second at L={encode_mat(L.entries)} (unit {idx})",
-        )
-        col.ok(
-            r21,
-            f"second dual exceeds first at L={encode_mat(L.entries)} (unit {idx})",
-        )
-        col.ok(
-            r1p,
-            f"first dual exceeds the primal frontier at "
-            f"L={encode_mat(L.entries)} (unit {idx})",
-        )
-    return col.result()
+        for holds, what in zip(weak_duality_check(P, L, cfg), _CHAIN_LINKS):
+            col.ok(holds, f"{what} at L={encode_mat(L.entries)} (unit {idx})")
 
 
 # --- strong-duality: shipped instances hit their exact dual values -------------------
 
-_SD_UNITS = (
-    "E1-values",
-    "E1-sweep",
-    "E2-perturbations",
-    "E3",
-    "E4",
-    "E5",
-    "gap-toy",
-)
+_SD_KINDS = ("E1-values", "E1-sweep", "E2-perturbations", "E3", "E4", "E5", "gap-toy")
+_SD_UNITS = range(len(_SD_KINDS))
 
 
-def _u_strong_duality(seed: int, idx: int) -> dict:
-    kind = _SD_UNITS[idx]
-    col = _Collector("strong-duality", idx)
+def _u_strong_duality(col: _Collector, rng: Random, idx: int) -> None:
+    kind = _SD_KINDS[idx]
+    P = _instance("gap_toy" if kind == "gap-toy" else kind[:2])
+    cfg = P.search_config(t_box=0)
+    L0 = LinOp.zero(P.m, P.n)
     if kind == "E1-values":
-        P = _rep_instance("E1")
-        cfg = P.search_config(t_box=0)
-        L0 = LinOp.zero(1, 1)
         for which in ("VD1", "VD2", "VD3"):
             d = dual_value(P, which, L0, cfg)
             col.ok(
@@ -585,42 +483,19 @@ def _u_strong_duality(seed: int, idx: int) -> dict:
                 f"{[encode_vec(p) for p in d.attained.points]}, expected [[1]]",
             )
     elif kind == "E1-sweep":
-        P = _rep_instance("E1")
-        cfg = P.search_config(t_box=0)
-        sweep = stable_strong_duality_sweep(
-            P, [LinOp(((Fraction(v),),)) for v in (-1, 0, 1)], cfg
-        )
+        sweep = stable_strong_duality_sweep(P, [LinOp(((v,),)) for v in (-1, 0, 1)], cfg)
         col.ok(
             sweep["summary"] == {"HOLDS": 3, "GAP": 0, "INCONCLUSIVE": 0},
             f"E1 sweep summary {sweep['summary']}",
         )
     elif kind == "E2-perturbations":
-        P = _rep_instance("E2")
-        cfg = P.search_config(t_box=0)
-        perturbations = (
-            LinOp.zero(2, 1),
-            LinOp(((Fraction(1),), (Fraction(0),))),
-            LinOp(((Fraction(0),), (Fraction(-1),))),
-            LinOp(((Fraction(2),), (Fraction(0),))),
-        )
-        for L in perturbations:
+        for L in (L0, LinOp(((1,), (0,))), LinOp(((0,), (-1,))), LinOp(((2,), (0,)))):
             res = strong_duality_check(P, L, cfg, "VD1")
             col.ok(
                 res.status == "HOLDS",
                 f"E2 at L={encode_mat(L.entries)}: {res.status}",
             )
-    elif kind in ("E3", "E4", "E5"):
-        P = _rep_instance(kind)
-        cfg = P.search_config(t_box=0)
-        L0 = LinOp.zero(P.m, P.n)
-        res = strong_duality_check(P, L0, cfg)
-        col.ok(res.status == "HOLDS", f"{kind} at L=0: {res.status}")
-        r32, r21, r1p = weak_duality_check(P, L0, cfg)
-        col.ok(r32 and r21 and r1p, f"{kind}: weak-duality chain broken at L=0")
     elif kind == "gap-toy":
-        P = shipped_instance("gap_toy")
-        cfg = P.search_config(t_box=0)
-        L0 = LinOp.zero(1, 1)
         res = strong_duality_check(P, L0, cfg)
         col.ok(
             res.status == "GAP" and res.witness == (Fraction(2),),
@@ -636,15 +511,19 @@ def _u_strong_duality(seed: int, idx: int) -> dict:
             vp.generators.points == ((Fraction(2),),),
             "gap instance primal frontier moved",
         )
-    return col.result()
+    else:  # E3, E4, E5
+        res = strong_duality_check(P, L0, cfg)
+        col.ok(res.status == "HOLDS", f"{kind} at L=0: {res.status}")
+        col.ok(
+            all(weak_duality_check(P, L0, cfg)),
+            f"{kind}: weak-duality chain broken at L=0",
+        )
 
 
 # --- scalar-regression: engine duals == classical scalar evaluators ------------------
 
 
-def _u_scalar(seed: int, idx: int) -> dict:
-    col = _Collector("scalar-regression", idx)
-    rng = trial_rng(seed, idx)
+def _u_scalar(col: _Collector, rng: Random, idx: int) -> None:
     P = rand_instance(rng, m=1)
     cfg = SearchConfig(
         t_box=1, t_step=1, l_box=0, hints_L=(rand_linop(rng, 1, P.n, 1),)
@@ -665,80 +544,54 @@ def _u_scalar(seed: int, idx: int) -> dict:
             (x, P.F.value(x)[0] - sum(a * b for a, b in zip(row, x)))
             for x in active
         ]
-        want1 = scalar_lagrange_dual(shifted, gvals_on_c, lams)
-        got1 = dual_value(P, "VD1", L, cfg).attained.points[0][0]
-        col.ok(
-            got1 == want1,
-            f"first dual differs from classical value: engine "
-            f"{encode_number(got1)}, scalar {encode_number(want1)} (unit {idx})",
+        wants = (
+            scalar_lagrange_dual(shifted, gvals_on_c, lams),
+            scalar_fenchel_lagrange_dual2(fsamples, active, gvals_on_c, row, us, lams),
+            scalar_fenchel_lagrange_dual3(fsamples, active, gsamples, row, us, us, lams),
         )
-        want2 = scalar_fenchel_lagrange_dual2(
-            fsamples, active, gvals_on_c, row, us, lams
-        )
-        got2 = dual_value(P, "VD2", L, cfg).attained.points[0][0]
-        col.ok(
-            got2 == want2,
-            f"second dual differs from classical value: engine "
-            f"{encode_number(got2)}, scalar {encode_number(want2)} (unit {idx})",
-        )
-        want3 = scalar_fenchel_lagrange_dual3(
-            fsamples, active, gsamples, row, us, us, lams
-        )
-        got3 = dual_value(P, "VD3", L, cfg).attained.points[0][0]
-        col.ok(
-            got3 == want3,
-            f"third dual differs from classical value: engine "
-            f"{encode_number(got3)}, scalar {encode_number(want3)} (unit {idx})",
-        )
-    return col.result()
+        for i, (what, want) in enumerate(zip(("first", "second", "third"), wants), 1):
+            got = dual_value(P, f"VD{i}", L, cfg).attained.points[0][0]
+            col.ok(
+                got == want,
+                f"{what} dual differs from classical value: engine "
+                f"{encode_number(got)}, scalar {encode_number(want)} (unit {idx})",
+            )
 
 
 # --- orchestration -------------------------------------------------------------------
 
-_UNIT_FUNCS = {
-    "decomposition": _u_decomposition,
-    "wsum": _u_wsum,
-    "psi": _u_psi,
-    "basic-lemmas": _u_basic_rand,
-    "basic-lemmas-pair": _u_basic_pair,
-    "representation": _u_representation,
-    "farkas": _u_farkas_rand,
-    "farkas-hinted": _u_farkas_hinted,
-    "weak-duality": _u_weak_duality,
-    "strong-duality": _u_strong_duality,
-    "scalar-regression": _u_scalar,
+# Each suite's default trial count, the unit it runs once per trial (of the
+# suite's own kind; None for none), and its fixed units as (kind, unit,
+# indices).  Suites made of fixed units alone ignore --trials.
+_SUITES = {
+    "decomposition": (200, _u_decomposition, ()),
+    "wsum": (200, _u_wsum, ()),
+    "psi": (100, _u_psi, ()),
+    "basic-lemmas": (
+        100, _u_basic_rand, (("basic-lemmas-pair", _u_basic_pair, range(1, 11)),)
+    ),
+    "representation": (0, None, (("representation", _u_representation, _REP_UNITS),)),
+    "farkas": (1000, _u_farkas_rand, (("farkas-hinted", _u_farkas_hinted, _REP_UNITS),)),
+    "weak-duality": (50, _u_weak_duality, ()),
+    "strong-duality": (0, None, (("strong-duality", _u_strong_duality, _SD_UNITS),)),
+    "scalar-regression": (20, _u_scalar, ()),
 }
-
-
-def _unit_list(suite: str, seed: int, trials: int) -> list:
-    if suite in ("decomposition", "wsum", "psi", "weak-duality", "scalar-regression"):
-        return [(suite, seed, i) for i in range(trials)]
-    if suite == "basic-lemmas":
-        return [("basic-lemmas", seed, i) for i in range(trials)] + [
-            ("basic-lemmas-pair", seed, i) for i in range(1, 11)
-        ]
-    if suite == "representation":
-        return [("representation", seed, i) for i in range(9 * len(CONVEX_SHIPPED))]
-    if suite == "farkas":
-        return [("farkas", seed, i) for i in range(trials)] + [
-            ("farkas-hinted", seed, i) for i in range(9 * len(CONVEX_SHIPPED))
-        ]
-    if suite == "strong-duality":
-        return [("strong-duality", seed, i) for i in range(len(_SD_UNITS))]
-    raise ValueError(f"unknown suite {suite!r}")
-
+_UNIT_FUNCS = {name: unit for name, (_, unit, _) in _SUITES.items() if unit} | {
+    kind: unit for _, _, fixed in _SUITES.values() for kind, unit, _ in fixed
+}
 
 _CRASH_FRAMES = 3  # innermost traceback frames a crash row names
 
 
 def _run_unit(args) -> dict:
     kind, seed, idx = args
-    col = _Collector(kind, idx)  # one failed check for a unit that stopped
+    col = _Collector(kind, idx)
     try:
-        return _UNIT_FUNCS[kind](seed, idx)
+        _UNIT_FUNCS[kind](col, trial_rng(seed, idx), idx)
+        return col.result()
     except HardFailure as e:
         reproducer = json.dumps(e.reproducer, sort_keys=True)
-        col.ok(False, f"hard failure: {e}; reproducer={reproducer}")
+        detail = f"hard failure: {e}; reproducer={reproducer}"
     except Exception as e:
         # file names without their directories, so reports are the same on
         # every machine and for every worker count
@@ -746,7 +599,9 @@ def _run_unit(args) -> dict:
             f"{Path(f.filename).stem}:{f.lineno} {f.name}"
             for f in traceback.extract_tb(e.__traceback__)[-_CRASH_FRAMES:]
         )
-        col.ok(False, f"unit crashed: {type(e).__name__}: {e} at {where}")
+        detail = f"unit crashed: {type(e).__name__}: {e} at {where}"
+    col = _Collector(kind, idx)  # the unit stopped: one failed check
+    col.ok(False, detail)
     return col.result()
 
 
@@ -761,15 +616,17 @@ def run_suite(
     Reports depend only on (name, seed, trials): worker count changes
     nothing but wall time.  No more workers start than there are units.
     """
-    if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r} (choose from {SUITE_NAMES})")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r} (choose from {tuple(_SUITES)})")
     if trials is not None and trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    default, unit, fixed = _SUITES[name]
     if trials is None:
-        trials = DEFAULT_TRIALS[name]
-    units = _unit_list(name, seed, trials)
+        trials = default
+    units = [(name, seed, i) for i in range(trials if unit else 0)]
+    units += [(kind, seed, i) for kind, _, indices in fixed for i in indices]
     if jobs > 1 and len(units) > 1:
         with multiprocessing.Pool(processes=min(jobs, len(units))) as pool:
             results = pool.map(_run_unit, units, chunksize=1)

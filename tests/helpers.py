@@ -44,7 +44,7 @@ def partial_instances(count, seed):
         drop = feasible[-1] if len(feasible) > 1 else next(
             x for x in P.C if x not in feasible
         )
-        dom_f = [x for x in P.F.domain() if x != drop]
+        dom_f = [x for x in P.F.pointset.points if x != drop]
         out.append(ProblemInstance(restricted(P.F, dom_f), P.G, P.C, P.K, P.S))
     return out
 
@@ -55,7 +55,8 @@ def cut_instance(rng):
     C, dom F and dom G all differ.  None when the draw has too few points
     to cut."""
     P = rand_instance(rng, domain_points=8)
-    keep = P.feasible_F.domain()[0]  # stays in C and dom F, so the cut is feasible
+    # stays in C and dom F, so the cut is feasible
+    keep = P.feasible_F.pointset.points[0]
     rest = [x for x in P.C if x != keep]
     if len(rest) < 2:
         return None

@@ -2,16 +2,31 @@
 
 Each test runs one suite (or a small bundle) at its default trial count in
 exact rational mode, prints a single pass/fail line, and asserts the suite
-reported no failures.  The lines print with capture disabled so they stay
-visible in normal pytest runs.
+reported no failures, with the units and checks pinned below: a change that
+drops or adds a check fails here.  The lines print with capture disabled so
+they stay visible in normal pytest runs.
 """
 import time
 
 import pytest
 
-from weakfront.suites import DEFAULT_TRIALS, report_text, run_suite
+from weakfront import suites
+from weakfront.suites import report_text, run_suite
 
 JOBS = 4
+
+# (units, checks) of each suite's passing report at seed 0, default trials
+EXPECTED = {
+    "decomposition": (200, 1_008_600),
+    "wsum": (200, 28_002),
+    "psi": (100, 2_500),
+    "basic-lemmas": (110, 1_080),
+    "representation": (45, 2_138),
+    "farkas": (1_045, 4_927),
+    "weak-duality": (50, 750),
+    "strong-duality": (7, 17),
+    "scalar-regression": (20, 120),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -43,54 +58,50 @@ def _run(name: str, tag: str = "", jobs: int = JOBS, **kw):
     return report, elapsed
 
 
+def _passed(report) -> None:
+    assert report["passed"], report["failures"][:3]
+    assert (report["units"], report["checks"]) == EXPECTED[report["suite"]]
+
+
+def test_0_every_suite_is_pinned():
+    """In the table's order, which ``test_cli.py`` holds to the CLI's."""
+    assert tuple(EXPECTED) == tuple(suites._SUITES)
+
+
 def test_1_decomposition_suite_engine_equals_oracle():
     # 200 random sets x 3 random planar cones, 41x41 grid, exact arithmetic
     report, elapsed = _run("decomposition")
-    assert report["passed"], report["failures"][:3]
-    assert report["units"] == DEFAULT_TRIALS["decomposition"]
+    _passed(report)
     assert elapsed < 30.0, f"decomposition took {elapsed:.1f}s"
 
 
 def test_2_wsum_suite_monoid_laws_and_oracle_equality():
-    report, _ = _run("wsum")
-    assert report["passed"], report["failures"][:3]
-    assert report["units"] == DEFAULT_TRIALS["wsum"]
+    _passed(_run("wsum")[0])
 
 
 def test_3_psi_suite_collapse_matches_epigraph_membership():
-    report, _ = _run("psi")
-    assert report["passed"], report["failures"][:3]
-    assert report["units"] == DEFAULT_TRIALS["psi"]
+    _passed(_run("psi")[0])
 
 
 def test_4_basic_lemmas_suite_sum_bounds_and_split_certificates():
-    report, _ = _run("basic-lemmas")
-    assert report["passed"], report["failures"][:3]
+    _passed(_run("basic-lemmas")[0])
 
 
 def test_5_representation_suite_membership_and_conversions():
-    report, _ = _run("representation")
-    assert report["passed"], report["failures"][:3]
-    assert report["units"] == 45  # 5 shipped convex instances x 9 queries
+    _passed(_run("representation")[0])  # 5 shipped convex instances x 9 queries
 
 
 def test_6_farkas_suite_soundness_and_hinted_completeness():
-    report, _ = _run("farkas")
-    assert report["passed"], report["failures"][:3]
-    assert report["units"] == DEFAULT_TRIALS["farkas"] + 45
+    _passed(_run("farkas")[0])
 
 
 def test_7_weak_duality_suite_chain_holds_on_random_instances():
-    report, _ = _run("weak-duality")
-    assert report["passed"], report["failures"][:3]
-    assert report["units"] == DEFAULT_TRIALS["weak-duality"]
+    _passed(_run("weak-duality")[0])
 
 
 def test_8_strong_duality_and_scalar_regression():
-    sd, _ = _run("strong-duality")
-    assert sd["passed"], sd["failures"][:3]
-    sc, _ = _run("scalar-regression", tag="scalar-regression suite")
-    assert sc["passed"], sc["failures"][:3]
+    _passed(_run("strong-duality")[0])
+    _passed(_run("scalar-regression", tag="scalar-regression suite")[0])
 
 
 def test_9_reports_are_byte_identical_across_worker_counts():

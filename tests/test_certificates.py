@@ -383,7 +383,7 @@ def _reference_tables(P):
     restrictions of F and G, F on the feasible sample among them, and a
     checked indicator."""
     N = P.K.normals
-    x = sorted(set(P.F.domain()) | set(P.G.domain()))
+    x = sorted(set(P.F.pointset.points) | set(P.G.pointset.points))
     fv = [P.F.value(v) for v in x]
     gv = [P.G.value(v) for v in x]
     entries = (c for col in (x, fv, gv) for v in col if v is not None for c in v)
@@ -676,7 +676,7 @@ def _restricted_beta(index, P, L, T, Lp, Lpp):
     TG = compose(T.op, P.G)
     if index == 1:
         FC = restricted(P.F, P.C)
-        return conjugate.conjugate(FC.add(restricted(TG, FC.domain())), L, K)
+        return conjugate.conjugate(FC.add(restricted(TG, FC.pointset.points)), L, K)
     f_star = conjugate.conjugate(P.F, Lp, K)
     if index == 2:
         return ws_sum(f_star, conjugate.conjugate(restricted(TG, P.C), L - Lp, K))

@@ -61,7 +61,7 @@ def test_sampled_map_basics():
     assert f.in_dim == 1 and f.out_dim == 1
     assert f.value((Fraction(1),)) == (1,)
     assert f.value((Fraction(7),)) is None
-    assert f.domain() == ((0,), (1,), (2,))
+    assert f.pointset.points == ((0,), (1,), (2,))
 
 
 def test_sampled_map_rejects_conflicting_samples():
@@ -114,11 +114,11 @@ def test_add_refuses_unequal_domains_and_restrict_meets_them():
     for a, b in ((f, g), (g, f)):
         with pytest.raises(ValueError, match="must share their domain"):
             a.add(b)
-    h = restricted(f, g.domain()).add(restricted(g, f.domain()))
-    assert h.domain() == ((1,),)
+    h = restricted(f, g.pointset.points).add(restricted(g, f.pointset.points))
+    assert h.pointset.points == ((1,),)
     assert h.value((1,)) == (11,)
     r = restricted(f, [(0,), (1,)])
-    assert r.domain() == ((0,), (1,))
+    assert r.pointset.points == ((0,), (1,))
 
 
 def _pointwise_sum(f, g):
@@ -135,7 +135,7 @@ def _add_cases(rng):
     f = rand_sampled_map(rng, 1, 2, domain=pts)
     same = compose(LinOp(((Fraction(1, 3), 2), (-1, Fraction(5, 2)))), f)
     # fresh Fraction objects: equal points that share no object with f's
-    copies = [(Fraction(x.numerator, x.denominator),) for (x,) in f.domain()]
+    copies = [(Fraction(x.numerator, x.denominator),) for (x,) in f.pointset.points]
     equal = rand_sampled_map(rng, 1, 2, domain=copies)
     part = rand_sampled_map(rng, 1, 2, domain=copies[::2] + [(Fraction(99),)])
     apart = rand_sampled_map(rng, 1, 2, domain=[(Fraction(-99),)])
@@ -182,9 +182,9 @@ def test_add_refuses_maps_on_grids_of_other_steps(data):
     their exact samples."""
     f = _grid_map(data.draw, Fraction(1, 2), -6, 6)
     g = _grid_map(data.draw, Fraction(1, 3), -9, 9)
-    shared = set(f.domain()) & set(g.domain())
+    shared = set(f.pointset.points) & set(g.pointset.points)
     for a, b in ((f, g), (g, f)):
-        if a.domain() != b.domain():
+        if a.pointset.points != b.pointset.points:
             with pytest.raises(ValueError, match="must share their domain"):
                 a.add(b)
         if shared:
@@ -264,7 +264,7 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     n, p = rng.randint(1, 2), rng.randint(1, 2)
     L, T = _rand_op(rng, 2, n), _rand_op(rng, 2, p)
     F = _tied_map(rng, L, 6)
-    xs = F.domain()
+    xs = F.pointset.points
     G = SampledMap((x, _rand_vec(rng, p)) for x in xs[::2] + (_rand_vec(rng, n),))
 
     def wsup(F, L):
@@ -274,7 +274,7 @@ def test_cleared_maps_match_the_fraction_formulas(cone, seed):
     TG = compose(T, G)
     assert TG == SampledMap((x, mat_vec(T.entries, v)) for x, v in G.samples)
     FC = restricted(F, xs[1::2])
-    FG = restricted(F, G.domain()).add(restricted(TG, xs))
+    FG = restricted(F, G.pointset.points).add(restricted(TG, xs))
     assert FG == SampledMap(
         (x, vec_add(v, TG.value(x))) for x, v in F.samples if TG.value(x) is not None
     )
@@ -385,7 +385,7 @@ def test_epi_membership_matches_the_fraction_loop_on_random_maps(cone, seed):
     n = rng.randint(1, 2)
     F = SampledMap({_rand_vec(rng, n): _rand_vec(rng, 2) for _ in range(8)}.items())
     _check_epi_membership(F, K, rng)
-    _check_epi_membership(restricted(F, F.domain()[1::2]), K, rng)
+    _check_epi_membership(restricted(F, F.pointset.points[1::2]), K, rng)
 
 
 def _maps_under_test():
@@ -410,7 +410,7 @@ def test_derived_maps_and_conjugates_build_no_fraction(monkeypatch):
         calls.append(args)
         return Fraction(*args)
 
-    maps = [(G, restricted(G, G.domain()[::2])) for G in _maps_under_test()]
+    maps = [(G, restricted(G, G.pointset.points[::2])) for G in _maps_under_test()]
     monkeypatch.setattr(conjugate_module, "Fraction", counted)
     rng = random.Random(2)
     for G, half in maps:
@@ -438,7 +438,7 @@ def test_value_reads_the_samples():
     maps += [rand_sampled_map(rng, n, 2) for n in (1, 2) for _ in range(6)]
     for F in maps:
         table = dict(F.samples)
-        xs = F.domain()
+        xs = F.pointset.points
         one = (1,) * F.in_dim
         probes = [*xs, vec_sub(xs[0], one), vec_add(xs[-1], one), xs[0] + (0,)]
         probes += [vec_scale(Fraction(1, 2), vec_add(u, w)) for u, w in zip(xs, xs[1:])]

@@ -73,7 +73,7 @@ def test_declared_structure_of_the_shipped_instances():
 
 
 def test_feasible_set_and_primal_frontier():
-    assert E1.feasible_F.domain() == (
+    assert E1.feasible_F.pointset.points == (
         (Fraction(1),),
         (Fraction(3, 2),),
         (Fraction(2),),

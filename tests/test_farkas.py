@@ -37,7 +37,7 @@ L1 = LinOp(((Fraction(1),),))  # identity on the line
 
 
 def test_feasible_points_of_e1():
-    assert E1.feasible_F.domain() == (
+    assert E1.feasible_F.pointset.points == (
         (Fraction(1),),
         (Fraction(3, 2),),
         (Fraction(2),),
@@ -144,7 +144,7 @@ def test_feasible_sample_outside_dom_f_is_rejected_at_construction():
 
 def test_feasible_f_is_f_on_the_feasible_sample():
     assert E1.feasible_F == restricted(E1.F, reference_feasible_points(E1))
-    assert E1.feasible_F.domain() == reference_feasible_points(E1)
+    assert E1.feasible_F.pointset.points == reference_feasible_points(E1)
 
 
 # --- (alpha) and (VP_L) against the per-query feasible sample they replaced ---

@@ -50,7 +50,7 @@ def test_fractions_survive_the_text_form():
     text = dump_json(_e1_doc())
     assert '"1/2"' in text  # the sample grid has half-integer points
     Q = instance_from_json(json.loads(text))
-    assert (Fraction(1, 2),) in Q.F.domain()
+    assert (Fraction(1, 2),) in Q.F.pointset.points
 
 
 def test_points_from_literal_documents_with_and_without_cone():
@@ -202,6 +202,6 @@ def test_shipped_pairs_follow_the_spec():
 
 def test_pair_requires_shared_domain():
     pair = shipped_pair(1)
-    short = restricted(pair.F1, pair.F1.domain()[:2])
+    short = restricted(pair.F1, pair.F1.pointset.points[:2])
     with pytest.raises(ValueError, match="share"):
         MapPair(short, pair.F2, pair.K)

@@ -9,8 +9,10 @@ binding.  Dunders and ``main`` (the console entry point, named in
 outside the oracle and the generators, which are reference and generator
 code for the tests, every definition is also referenced by the program
 (``src/`` without ``__init__.py``, which only re-exports) or by
-``perfbench/``.  No leftover imports either: every name a module-level
-import binds is used in its module or listed in its ``__all__``."""
+``perfbench/``, and a method there only through an attribute read
+(``.name``): a local variable of the same name does not keep it alive.  No
+leftover imports either: every name a module-level import binds is used in
+its module or listed in its ``__all__``."""
 
 import ast
 from collections import Counter
@@ -22,14 +24,15 @@ SEARCHED = ("src", "tests", "perfbench")
 
 
 def _definitions(tree):
-    """Names of module-level functions and classes, and of their methods."""
+    """(name, whether a method) of module-level functions and classes, and
+    of their methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item.name
+                    yield item.name, True
 
 
 PROGRAM = ("src", "perfbench")
@@ -38,8 +41,9 @@ TEST_SUPPORT = ("oracle.py", "randgen.py")
 
 def _reference_counts(tops, skip=()):
     """How often each name is read in the files under ``tops``: as a
-    ``Name``, as an attribute, or as a part of an imported name."""
-    counts = Counter()
+    ``Name``, as an attribute, or as a part of an imported name; and, apart,
+    how often as an attribute."""
+    counts, attrs = Counter(), Counter()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             if path in skip:
@@ -49,34 +53,36 @@ def _reference_counts(tops, skip=()):
                     counts[node.id] += 1
                 elif isinstance(node, ast.Attribute):
                     counts[node.attr] += 1
+                    attrs[node.attr] += 1
                 elif isinstance(node, ast.alias):
                     counts.update(node.name.split("."))
-    return counts
+    return counts, attrs
 
 
-def _unreferenced(counts, modules):
-    """Definitions in ``modules`` that ``counts`` never references."""
+def _unreferenced(counts, modules, method_counts):
+    """Definitions in ``modules`` that ``counts`` never references; a method
+    is looked up in ``method_counts`` instead."""
     return sorted(
         f"{path.stem}.{name}"
         for path in modules
-        for name in _definitions(ast.parse(path.read_text()))
+        for name, method in _definitions(ast.parse(path.read_text()))
         if not (name.startswith("__") and name.endswith("__"))
         and name != "main"
-        and counts[name] == 0
+        and (method_counts if method else counts)[name] == 0
     )
 
 
 def test_every_definition_is_named_elsewhere():
-    counts = _reference_counts(SEARCHED)
-    assert _unreferenced(counts, sorted(PACKAGE.glob("*.py"))) == []
+    counts, _ = _reference_counts(SEARCHED)
+    assert _unreferenced(counts, sorted(PACKAGE.glob("*.py")), counts) == []
 
 
 def test_every_definition_is_named_by_the_program():
-    counts = _reference_counts(PROGRAM, skip={PACKAGE / "__init__.py"})
+    counts, attrs = _reference_counts(PROGRAM, skip={PACKAGE / "__init__.py"})
     modules = [
         path for path in sorted(PACKAGE.glob("*.py")) if path.name not in TEST_SUPPORT
     ]
-    assert _unreferenced(counts, modules) == []
+    assert _unreferenced(counts, modules, attrs) == []
 
 
 def _unused_imports(tree):

@@ -91,7 +91,7 @@ def test_zero_length_points_survive_the_flat_clear():
     S = FiniteVecSet([(), ()])
     assert (S.dim, len(S), S.points, S.cleared()) == (0, 1, ((),), (1, ((),)))
     F = SampledMap([((), (Fraction(1, 2),))])
-    assert (F.in_dim, F.out_dim, F.domain()) == (0, 1, ((),))
+    assert (F.in_dim, F.out_dim, F.pointset.points) == (0, 1, ((),))
     assert F.cleared() == (1, ((),), 2, ((1,),))
     G = SampledMap([((Fraction(1, 3),), ()), ((1,), ())])
     assert (G.in_dim, G.out_dim) == (1, 0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from weakfront import conjugate, numeric, oracle, order_sets, staircase2d
+from weakfront import conjugate, numeric, oracle, staircase2d
 from weakfront.cones import Cone, DimensionError, PointClass, classify_point
 from weakfront.numeric import mat_vec
 from weakfront.oracle import brute_region_bulk, region_of_point
@@ -524,11 +524,12 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
     """On a 41 x 41 grid, ``dot`` runs only on the set's points (at most
     |M|·|normals| times per call, and at least once, which the benchmark's
     traced run requires), with the cones' bases built before counting.
-    Over all four cones the grid is checked (``_check_batch``) and cleared
-    (``cleared``) once, and the oracle clears it once and keeps one int64
-    form of it; a rebuilt grid of equal but new ``Fraction`` objects is
-    checked and cleared once more on each side.  ``dot`` and ``cleared``
-    are wrapped wherever ``staircase2d`` binds them."""
+    Over all four cones the grid is checked and kept (a new
+    ``_last_batch``) and cleared (``cleared``) once, and the oracle clears
+    it once and keeps one int64 form of it; a rebuilt grid of equal but new
+    ``Fraction`` objects is checked and cleared once more on each side.
+    ``dot`` and ``cleared`` are wrapped wherever ``staircase2d`` binds
+    them."""
     calls = Counter()
 
     def counting(fn):
@@ -542,7 +543,15 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
         for attr, val in list(vars(staircase2d).items()):
             if val is fn:
                 monkeypatch.setattr(staircase2d, attr, counting(fn))
-    monkeypatch.setattr(order_sets, "_check_batch", counting(order_sets._check_batch))
+    real_batch_columns = staircase2d._batch_columns
+
+    def batch_columns(points, dim):
+        before = staircase2d._last_batch
+        out = real_batch_columns(points, dim)
+        calls["checked"] += staircase2d._last_batch is not before
+        return out
+
+    monkeypatch.setattr(staircase2d, "_batch_columns", batch_columns)
     real_cleared = oracle._cleared
 
     def oracle_cleared(vectors, dim=-1):
@@ -571,13 +580,13 @@ def test_a_batch_costs_no_call_per_point(monkeypatch, sup):
         assert 1 <= calls["dot"] - dots <= len(M) * len(K.normals)
         brute_region_bulk(M.points, K.normals, grid)
         int64_forms.append(oracle._last_grid[2][3])
-    assert (calls["cleared"], calls["_check_batch"], calls["oracle grid"]) == (1, 1, 1)
+    assert (calls["cleared"], calls["checked"], calls["oracle grid"]) == (1, 1, 1)
     assert all(G64 is int64_forms[0] for G64 in int64_forms)
     rebuilt = half_grid()
     assert rebuilt == grid
     assert classify_many(M, K, rebuilt, sup=sup) == want
     brute_region_bulk(M.points, K.normals, rebuilt)
-    assert (calls["cleared"], calls["_check_batch"], calls["oracle grid"]) == (2, 2, 2)
+    assert (calls["cleared"], calls["checked"], calls["oracle grid"]) == (2, 2, 2)
 
 
 # --- the last query batch's cleared form is reused ---------------------------------
@@ -616,6 +625,20 @@ def test_a_batch_changed_in_place_is_cleared_again():
         assert [_CODE_LABELS[c] for c in again] == want
         assert again[:i] == codes[:i]
         codes = again
+
+
+def test_a_batch_of_lists_changed_in_place_is_cleared_again():
+    """A direct call keeps its batch too, as new tuples: a point given as
+    a list and changed in place between calls is labelled by its new
+    entries."""
+    K, M = CORE_CONES["skew2"], rand_finite_set(random.Random(7), 2, 12)
+    grid = [list(p) for p in _third_grid(-3, 3)]
+    staircase2d.classify_points_2d(K.basis, M.cleared(), grid)
+    for i in (0, 17, len(grid) - 1):
+        grid[i][0] = Fraction(7, 5)
+        again = staircase2d.classify_points_2d(K.basis, M.cleared(), grid)
+        want = _oracle_labels(M.points, K, [tuple(p) for p in grid], True)
+        assert [_CODE_LABELS[c] for c in again] == want
 
 
 _CODE_LABELS = {
@@ -735,13 +758,15 @@ def test_a_bad_batch_is_refused_after_a_hit(sup):
 
 
 def test_only_a_checked_batch_is_kept():
-    """A direct ``classify_points_2d`` call keeps no batch, so the same
-    point tuples are still checked, and refused, by ``classify_many``; a
-    batch kept at one dimension is checked again against a cone of
-    another."""
+    """A direct ``classify_points_2d`` call checks its batch as
+    ``classify_many`` does: a refused batch is not kept, so the same point
+    tuples are refused again by either; a batch kept at one dimension is
+    checked again against a cone of another."""
     K, M = Cone.orthant(2), FiniteVecSet([(0, 0), (1, -1)])
     batch = [*_third_grid(-1, 1), (Fraction(1, 3), 1.5)]
-    staircase2d.classify_points_2d(K.basis, M.cleared(), batch)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has the entry 1.5"):
+            staircase2d.classify_points_2d(K.basis, M.cleared(), batch)
     with pytest.raises(ValueError, match="has the entry 1.5"):
         classify_many(M, K, batch)
     grid = _third_grid(-1, 1)

@@ -1,19 +1,23 @@
 """A unit that raises becomes a failure row that says where it crashed, and
-the row is the same for every worker count."""
+the row, like every suite's report, is the same for every worker count."""
+
+import pytest
 
 from weakfront import suites
 from weakfront.cones import Cone
 from weakfront.order_sets import FiniteVecSet, wsup_finite
 
 
-def _crashing_unit(seed, idx):
-    return wsup_finite(FiniteVecSet([(idx,)]), Cone.orthant(2))
+def _crashing_unit(col, rng, idx):
+    col.ok(True, "a check before the crash is not reported")
+    wsup_finite(FiniteVecSet([(idx,)]), Cone.orthant(2))
 
 
 def test_a_crashed_unit_reports_its_last_frames(monkeypatch):
     monkeypatch.setitem(suites._UNIT_FUNCS, "wsum", _crashing_unit)
     reports = {jobs: suites.run_suite("wsum", trials=2, jobs=jobs) for jobs in (1, 2)}
     assert reports[1] == reports[2]
+    assert reports[1]["checks"] == 2  # one failed check per unit
     failures = reports[1]["failures"]
     assert [f["index"] for f in failures] == [0, 1]
     detail = failures[1]["detail"]
@@ -72,3 +76,25 @@ def test_decomposition_reports_are_byte_identical_across_worker_counts():
     }
     assert texts[1] == texts[2] == texts[3]
     assert texts[1].startswith("suite decomposition: PASS seed=0 units=20 ")
+
+
+@pytest.mark.parametrize(
+    "name, trials",
+    [
+        ("psi", 4),
+        ("basic-lemmas", 4),
+        ("representation", None),
+        ("weak-duality", 4),
+        ("strong-duality", None),
+        ("scalar-regression", 4),
+    ],
+)
+def test_every_suite_reports_the_same_for_one_and_two_workers(name, trials):
+    """The suites that ``test_acceptance.py::test_9`` and the test above
+    leave out, at a few random units; the fixed units run in full."""
+    texts = {
+        jobs: suites.report_text(suites.run_suite(name, trials=trials, jobs=jobs))
+        for jobs in (1, 2)
+    }
+    assert texts[1] == texts[2]
+    assert texts[1].startswith(f"suite {name}: PASS seed=0 ")
