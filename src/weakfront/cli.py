@@ -23,9 +23,9 @@ import sys
 from typing import Optional, Sequence
 
 from .cones import DimensionError, LinOp
-from .conjugate import beta_value_set, conjugate, script_A_membership
+from .conjugate import conjugate, script_A_membership
 from .duality import dual_value
-from .farkas import EmptyFeasibleSet, HardFailure, encode_certificate
+from .farkas import EmptyFeasibleSet, HardFailure, encode_certificate, kept_value_set
 from .instances import (
     InstanceFormatError,
     dump_json,
@@ -94,8 +94,8 @@ def _encode_genset(W) -> dict:
 
 def _encode_certificate(P, L, c) -> dict:
     """A certificate's operators and its value set W, rebuilt from P and the
-    perturbation L."""
-    W = beta_value_set(c.index, P, L, c.T, c.Lp, c.Lpp)
+    perturbation L once per certificate (:func:`kept_value_set`)."""
+    W = kept_value_set(P, L, c)
     return {**encode_certificate(c), "value_set": _encode_genset(W)}
 
 

@@ -30,11 +30,13 @@ the search asks for one point's region without building it
 (:func:`weakfront.staircase2d.region_sum`).  The query
 point is cleared once, so from query to certificate the search does no
 ``Fraction`` arithmetic.  A :class:`Certificate` is its operators alone;
-:func:`beta_value_set` rebuilds its value set with :func:`compose`,
-:func:`conjugate` and ``ws_sum`` from the restrictions the tables keep (F
-on the feasible sample, F and G on C ∩ dom F, G on C, C's indicator), so
-building an instance or verifying a certificate hashes, compares and
-orders no ``Fraction``.
+:func:`beta_value_set` rebuilds its value set from scratch, keeping
+nothing, with :func:`compose`, :func:`conjugate` and ``ws_sum`` from the
+restrictions the tables keep (F on the feasible sample, F and G on
+C ∩ dom F, G on C, C's indicator), so building an instance or verifying a
+certificate hashes, compares and orders no ``Fraction``.  Verification
+keeps what it rebuilds: :func:`weakfront.farkas.kept_value_set` calls it
+once per (instance, L, operators) and keeps the set.
 """
 
 from __future__ import annotations
@@ -391,7 +393,8 @@ class SearchConfig:
     budget order:
 
     * per instance tables and scale, the splitting operators' images of
-      the rows and the split blocks F*(L') and I_C*(L'');
+      the rows, the split blocks F*(L') and I_C*(L'') and, per pair of
+      budget positions, their ⊎-sums;
     * per tables, scale and rows (``c_f``, ``c`` or ``dom_g``), each T's
       image of those rows, so indices on equal rows share them;
     * per tables, scale, rows and image of the rest operator, the T-blocks,
@@ -755,9 +758,9 @@ def certificates(
     rows of the T-block, the conjugate at L - L' - L'' of T∘G on C ∩ dom F
     plus F (index 1), on C (index 2) or on dom G (index 3); and the split
     blocks ⊎-summed in front of it, F*(L') from index 2 on and I_C*(L'')
-    at index 3, summed once per (L', L'') pair.  Every block runs on the
-    instance's integer tables at that one scale, and no ``Fraction`` point
-    is built.
+    at index 3, summed once per (L', L'') pair and kept.  Every block runs
+    on the instance's integer tables at that one scale, and no ``Fraction``
+    point is built.
 
     A block's cloud is linear in its operators, so each operator's integer
     image is computed once (:meth:`FacetTables.image`), as one column per
@@ -798,11 +801,12 @@ def certificates(
             tuple([b - d * c for b, c in zip(col, f)])
             for col, f in zip(base, zip(*[tab.nf[i] for i in rows]))
         )
-    # by budget position: per (tab, d) (N·d·M)·x, F*(L'), I_C*(L''); per
-    # (tab, d, rows) (N·d·T)·G(x); per (tab, d, rows, image of L - L' - L'')
-    # the T-blocks; and each frontier and row -> its one object
+    # by budget position: per (tab, d) (N·d·M)·x, F*(L'), I_C*(L'') and, at
+    # [j][k], F*(L') ⊎ I_C*(L''); per (tab, d, rows) (N·d·T)·G(x); per
+    # (tab, d, rows, image of L - L' - L'') the T-blocks; and each frontier
+    # and row -> its one object
     memo = cfg._memo_for_call() if memo is None else memo
-    images, f_stars, ind_stars = memo.setdefault((tab, d), ([], [], []))
+    images, f_stars, ind_stars, fronts = memo.setdefault((tab, d), ([], [], [], []))
     t_images, dnf = memo.setdefault((tab, d, rows), []), None
     yielded = {}  # id(front) -> ids of its blocks yielded and T-block lists run
 
@@ -834,7 +838,11 @@ def certificates(
                 XLpp = split_image(k, Lpp)
                 if k == len(ind_stars):
                     ind_stars.append(tab.block(_take(XLpp, tab.c)))
-                front = intern(tab.sum(f_star, ind_stars[k]))
+                if j == len(fronts):
+                    fronts.append([])
+                if k == len(fronts[j]):
+                    fronts[j].append(intern(tab.sum(f_star, ind_stars[k])))
+                front = fronts[j][k]
                 rest = tuple(
                     tuple(map(sub, b, c)) for b, c in zip(rest_p, _take(XLpp, rows))
                 )

@@ -11,11 +11,12 @@ aborts with a reproducer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .cones import DimensionError, LinOp, PosOp
 from .numeric import Number, encode_mat
-from .order_sets import RegionLabel, Tag
+from .order_sets import GenSet, RegionLabel, Tag
 from .conjugate import Certificate, EmptyFeasibleSet, beta_value_set, epi_membership
 
 __all__ = [
@@ -26,8 +27,11 @@ __all__ = [
     "alpha_holds",
     "convert_certificate",
     "encode_certificate",
+    "kept_value_set",
     "verify_certificate",
 ]
+
+KEPT_VALUE_SETS = 1_024  # the most certificate value sets kept_value_set keeps
 
 
 class HardFailure(RuntimeError):
@@ -72,19 +76,39 @@ def alpha_holds(P, L: LinOp, y: Sequence[Number]) -> bool:
     return epi_membership(P.feasible_F, L, y, K)
 
 
-def verify_certificate(P, q: FarkasQuery, c: Certificate) -> bool:
-    """Recompute the certificate's value set from the instance data and check
-    both clauses: the set is FINITE and y is not strictly below it.
+@lru_cache(maxsize=KEPT_VALUE_SETS)
+def kept_value_set(P, L: LinOp, c: Certificate) -> GenSet:
+    """The certificate's value set W at the perturbation L, rebuilt from the
+    instance data by :func:`beta_value_set` once per distinct key and kept
+    in one LRU cache of ``KEPT_VALUE_SETS`` entries.
 
-    The positivity of T is re-established against the instance's cones, so a
-    forged operator raises at reconstruction.
+    W depends on the instance, L and the operators (index, T, L', L'') alone,
+    which is the key: P by identity (an instance is immutable, and the
+    cache's own reference keeps its identity from being reused), L and c by
+    value (certificates are equal when their operators are).  So a
+    certificate checked against many points y is rebuilt once.  It does not
+    check T's positivity; :func:`verify_certificate` does, on every call.
+    ``beta_value_set`` itself keeps nothing.
+    """
+    return beta_value_set(c.index, P, L, c.T, Lp=c.Lp, Lpp=c.Lpp)
+
+
+def verify_certificate(P, q: FarkasQuery, c: Certificate) -> bool:
+    """Check both clauses of the certificate against the instance data: its
+    value set is FINITE and y is not strictly below it.
+
+    The positivity of T is re-established against the instance's cones on
+    every call, so a forged operator raises at reconstruction, before the
+    value set is looked up.  The value set is rebuilt from the instance data
+    once per (P, L, operators) and kept (:func:`kept_value_set`); y is
+    classified against it on every call.
     """
     if c.index != q.index:
         raise ValueError(
             f"certificate index {c.index} does not match query index {q.index}"
         )
-    T = PosOp(c.T.op, P.S, P.K)  # re-validates positivity
-    W = beta_value_set(c.index, P, q.L, T, Lp=c.Lp, Lpp=c.Lpp)
+    PosOp(c.T.op, P.S, P.K)  # re-validates positivity
+    W = kept_value_set(P, q.L, c)
     if W.tag is not Tag.FINITE:
         return False
     return W.classify(q.y) is not RegionLabel.LOWER

@@ -333,24 +333,29 @@ def test_a_pass_runs_the_t_loop_once_per_front_and_rest(name, monkeypatch):
 def test_searches_form_a_sum_only_per_split_pair(name, monkeypatch):
     """A search tests each item's ⊎-sum at one point without building it:
     at index 2 it forms no sum, and at index 3 at most one, F*(L') ⊎
-    I_C*(L''), per (L', L'') pair it reaches."""
+    I_C*(L''), per (L', L'') pair it reaches, and none for a pair that an
+    earlier search at the same scale summed.  The perturbations share one
+    scale, so the searches form at most one sum per pair in all."""
     P = INSTANCES[name]
     cfg = P.search_config(l_box=1)
     Ls = list(cfg.linop_budget(P.m, P.n))
     calls = _counter(monkeypatch, conjugate.FacetTables, "sum")
-    exhausted = []
+    exhausted, reached = [], 0
+    assert len({frontier_scale(P, L, cfg) for L in _perturbations(P)}) == 1
     for L in _perturbations(P):
         for y in itertools.product((-5, -1, 0, Fraction(1, 3)), repeat=P.m):
-            calls.clear()
+            before = len(calls)
             script_A_membership(2, P, L, y, cfg)
-            assert calls == []
+            assert len(calls) == before
             cert = script_A_membership(3, P, L, y, cfg)
             pairs = len(Ls) ** 2
             if cert is not None:
                 pairs = Ls.index(cert.Lp) * len(Ls) + Ls.index(cert.Lpp) + 1
-            assert 0 < len(calls) <= pairs
+            assert len(calls) - before == max(0, pairs - reached)
+            reached = max(reached, pairs)
             exhausted.append(cert is None)
     assert any(exhausted) and not all(exhausted)
+    assert len(calls) == len(Ls) ** 2
 
 
 def test_the_dual_merge_sums_only_the_items_that_change_it(monkeypatch):
@@ -374,6 +379,36 @@ def test_the_dual_merge_sums_only_the_items_that_change_it(monkeypatch):
     calls = _counter(monkeypatch, conjugate.FacetTables, "sum")
     dual_value(P, "VD2", L, P.search_config(l_box=1))
     assert 0 < len(calls) <= 1 + changes < len(items) / 100
+
+
+def test_dual_values_sum_each_split_pair_once_per_scale(monkeypatch):
+    """E2's VD3 at l_box=1 on one config: the first dual value forms
+    F*(L') ⊎ I_C*(L'') once per (L', L'') pair over both its passes, and a
+    second one, at the same L or at another L of the same scale, forms
+    none.  The other sums are the merge's, one per item that changes it."""
+    P = INSTANCES["E2"]
+    cfg = P.search_config(l_box=1)
+    Ls = list(cfg.linop_budget(P.m, P.n))
+    zero, one = _perturbations(P)
+    assert frontier_scale(P, zero, cfg) == frontier_scale(P, one, cfg)
+    real, seconds = conjugate.FacetTables.sum, []
+
+    def counting(tab, A, B):
+        seconds.append(B)
+        return real(tab, A, B)
+
+    monkeypatch.setattr(conjugate.FacetTables, "sum", counting)
+    split, merged = [], []
+    for L in (zero, zero, one):
+        seconds.clear()
+        dual_value(P, "VD3", L, cfg)
+        ((_, _, ind_stars, fronts),) = _kept_images(cfg)[0].values()
+        ids = {id(b) for b in ind_stars}
+        split.append(sum(id(B) in ids for B in seconds))
+        merged.append(len(seconds) - split[-1])
+    assert split == [len(Ls) ** 2, 0, 0]
+    assert [len(row) for row in fronts] == [len(Ls)] * len(Ls)
+    assert merged[0] == merged[1] > 0 and merged[2] > 0
 
 
 def _reference_tables(P):
@@ -941,8 +976,10 @@ def test_the_kept_images_are_bounded_by_the_drawn_budget():
     assert set(t_images) == _row_keys(cfg)
     n_L = len(cfg._budgets[P.m, P.n]._drawn)
     n_T = len(cfg._budgets[P.S, P.K]._drawn)
-    for images, f_stars, ind_stars in split.values():
+    for images, f_stars, ind_stars, fronts in split.values():
         assert max(map(len, (images, f_stars, ind_stars))) <= n_L
+        assert len(fronts) <= len(f_stars)
+        assert all(len(row) <= len(ind_stars) for row in fronts)
     assert max(map(len, t_images.values())) <= n_T
     third = LinOp(((Fraction(1, 3),),))
     assert frontier_scale(P, third, cfg) != frontier_scale(P, zero, cfg)
