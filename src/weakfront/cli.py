@@ -79,10 +79,45 @@ def _parse_point(text: str, dim: int, what: str) -> tuple:
     return y
 
 
-def _search_config(P, args):
-    return P.search_config(
+# The most certificate items a farkas or dual search may offer, as counted
+# by _search_config; the heaviest pinned call (dual E3.json --which VD3
+# --l-box 1) counts 126 * 81^2 = 826,686, of which its search draws 400,221.
+MAX_CERTIFICATES = 2_000_000
+
+
+def _search_config(P, args, index: int):
+    """The search config of the budget flags, after refusing a budget of
+    more than ``MAX_CERTIFICATES`` items at condition ``index``: at most
+    |T budget| · |L budget|^(index - 1), counted without drawing either."""
+    cfg = P.search_config(
         t_box=args.box, t_step=args.step, l_box=args.l_box, l_step=args.l_step
     )
+    t = _budget_size(P.hints_T, LinOp.zero(P.m, P.p), args.box, args.step)
+    ell = _budget_size(P.hints_L, LinOp.zero(P.m, P.n), args.l_box, args.l_step)
+    items = t * ell ** (index - 1)
+    if items > MAX_CERTIFICATES:
+        raise ValueError(
+            f"the certificate budget offers up to {items:,} items "
+            f"(|T| * |L|^{index - 1} <= {t:,} * {ell:,}^{index - 1}), "
+            f"more than {MAX_CERTIFICATES:,}; lower --box or --l-box"
+        )
+    return cfg
+
+
+def _budget_size(hints, zero: LinOp, box, step) -> int:
+    """How many operators a budget of ``zero``'s shape offers at most: its
+    distinct hints and zero, then, when box > 0, the (2·⌊box/step⌋ + 1)^k
+    matrices of the grid (k entries each) less those of the hints and zero
+    that lie on it.  Exact for a split-operator budget; the
+    positive-operator budget keeps only the grid's positive matrices."""
+    head = {*hints, zero}
+    if not box:
+        return len(head)
+    on_grid = sum(
+        all(abs(e) <= box and e / step % 1 == 0 for row in h.entries for e in row)
+        for h in head
+    )
+    return (2 * (box // step) + 1) ** (zero.rows * zero.cols) + len(head) - on_grid
 
 
 def _encode_genset(W) -> dict:
@@ -141,7 +176,7 @@ def _cmd_farkas(args) -> int:
     P = load_instance(args.instance)
     L = _parse_operator(args.L, P.m, P.n, "--L")
     y = _parse_point(args.y, P.m, "--y")
-    cfg = _search_config(P, args)
+    cfg = _search_config(P, args, args.index)
     cert = script_A_membership(args.index, P, L, y, cfg)
     doc = {
         "format": 1,
@@ -162,7 +197,7 @@ def _cmd_farkas(args) -> int:
 def _cmd_dual(args) -> int:
     P = load_instance(args.instance)
     L = _parse_operator(args.L, P.m, P.n, "--L")
-    cfg = _search_config(P, args)
+    cfg = _search_config(P, args, int(args.which[-1]))
     d = dual_value(P, args.which, L, cfg)
     doc = {
         "format": 1,

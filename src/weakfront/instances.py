@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 from .cones import Cone, LinOp, is_positive_operator
 from .conjugate import SampledMap
 from .duality import ProblemInstance
-from .numeric import decode_mat, decode_vec, encode_mat, encode_vec, primitive
+from .numeric import decode_mat, decode_vec, dot, encode_mat, encode_vec, primitive
 from .order_sets import FiniteVecSet
 
 
@@ -127,13 +127,25 @@ def cone_from_literal(raw, what: str = "cone") -> Cone:
 
 def _check_extreme_rays(K: Cone, what: str) -> None:
     """Positive operators are certified on the listed generators only, so
-    the generators of a simplicial cone must include each extreme ray (the
-    columns of N^{-1}, read from its cleared form δ·N^{-1}).  Other
-    generator lists are trusted as given."""
-    if not K.generators or K.basis.inverse is None:
+    the generators must include each extreme ray of a pointed planar cone
+    (a primitive perpendicular r of one of its normals with N·r >= 0, so
+    redundant normals add none) and of a simplicial cone (a column of
+    N^{-1}, read from its cleared form δ·N^{-1}).  Other generator lists,
+    a half-plane's among them, are trusted as given."""
+    if not K.generators:
         return
-    for column in zip(*K.basis.inverse[1]):
-        ray = primitive(column)
+    if K.dim == 2 and len(K.normals) > 1:
+        rays = [
+            r
+            for a, b in K.normals
+            for r in ((-b, a), (b, -a))
+            if all(dot(n, r) >= 0 for n in K.normals)
+        ]
+    elif K.basis.inverse is not None:
+        rays = [primitive(column) for column in zip(*K.basis.inverse[1])]
+    else:
+        return
+    for ray in rays:
         if ray not in K.generators:
             raise InstanceFormatError(
                 f"{what!r} generators miss the extreme ray "

@@ -99,24 +99,31 @@ def _nonempty(*seqs) -> None:
         raise ValueError("empty sample set or budget")
 
 
-_CODES = (RegionLabel.LOWER, RegionLabel.FRONTIER, RegionLabel.UPPER)
+# The labels by code (0 LOWER, 1 FRONTIER, 2 UPPER), as an object array, so
+# that one take maps a whole array of codes to them.
+_CODE_ARRAY = np.array(
+    [RegionLabel.LOWER, RegionLabel.FRONTIER, RegionLabel.UPPER], dtype=object
+)
 
 # The last grid labelled: a copy of its point tuples (which keeps them
 # alive), its dimension, and (G, d, max |G|, G in int64 or None).
 _last_grid = ((), None, None)
 
 
-def _cleared_grid(grid: list, dim: int) -> tuple:
+def _cleared_grid(grid: Sequence[Sequence], dim: int) -> tuple:
     """``_cleared(grid, dim)`` with its largest |entry| and, when that fits
     int64, its int64 form; kept while calls pass the very same point
-    tuples, in order, at ``dim``: tuples, ints and Fractions are immutable."""
+    tuples, in order, at ``dim``: tuples, ints and Fractions are immutable.
+    The caller's points are compared with the kept tuples as they are; a
+    grid is copied into tuples only when it is not the kept one."""
     global _last_grid
     kept, kept_dim, form = _last_grid
     if kept_dim != dim or len(kept) != len(grid) or not all(map(is_, kept, grid)):
+        grid = list(map(tuple, grid))
         G, d = _cleared(grid, dim)
         top = int(np.abs(G).max(initial=0))
         form = (G, d, top, G.astype(np.int64) if top < 2**63 else None)
-        _last_grid = (list(grid), dim, form)
+        _last_grid = (grid, dim, form)
     return form
 
 
@@ -129,8 +136,11 @@ def brute_region_bulk(
 
     y is LOWER iff max over m of min over the normals a of a·m - a·y is
     positive, and FRONTIER iff it is 0: :func:`region_of_point`'s "some m
-    with every a·(m - y) > 0 (>= 0)" read as one max-min, each normal's
-    (grid, m) column folded into the minimum.  The points and the grid
+    with every a·(m - y) > 0 (>= 0)" read as one max-min.  The array is
+    laid out (m, grid): each normal's outer difference of its row of
+    M·Aᵀ and its row of A·Gᵀ is folded into the minimum, the max runs
+    down the m axis, and one take from an object array maps the codes
+    1 - sign(max) to the labels.  The points and the grid
     are cleared apart, each at its own scale (the grid once while it is
     the same point tuples, :func:`_cleared_grid`), and brought to their
     lcm, the grid only when that differs from its own scale; as
@@ -141,7 +151,7 @@ def brute_region_bulk(
     A, _ = _cleared(normals)
     dim = A.shape[1]
     M, dm = _cleared(points, dim)
-    G, dg, top, G64 = _cleared_grid(list(map(tuple, grid)), dim)
+    G, dg, top, G64 = _cleared_grid(grid, dim)
     s = math.lcm(dm, dg)
     M, k = M * (s // dm), s // dg
     bound = int(np.abs(A).sum(axis=1).max()) * (int(np.abs(M).max(initial=0)) + k * top)
@@ -149,13 +159,13 @@ def brute_region_bulk(
         M, A, G = M.astype(np.int64), A.astype(np.int64), G64
     if k != 1:
         G = G * k
-    MA, GA = M @ A.T, G @ A.T
+    MA, GA = M @ A.T, A @ G.T
     worst = reduce(
-        np.minimum, (MA[None, :, j] - GA[:, None, j] for j in range(len(A)))
-    )  # (grid, m)
-    best = worst.max(axis=1, initial=-1)
-    codes = 1 - np.sign(best)  # 0 LOWER (> 0), 1 FRONTIER (= 0), 2 UPPER
-    return list(map(_CODES.__getitem__, codes.tolist()))
+        np.minimum, (np.subtract.outer(MA[:, j], GA[j]) for j in range(len(A)))
+    )  # (m, grid)
+    best = worst.max(axis=0, initial=-1)
+    # 0 LOWER (> 0), 1 FRONTIER (= 0), 2 UPPER
+    return _CODE_ARRAY[(1 - np.sign(best)).astype(np.intp)].tolist()
 
 
 # --- direct-definition set operations -------------------------------------------

@@ -147,11 +147,11 @@ def classify_many(
     LOWER in ``M - int K``, FRONTIER on the weak supremum itself, UPPER
     elsewhere.  ``sup=False`` classifies against the weak infimum instead.  The
     queries run as dominance tests on integer facet coordinates.  A batch
-    is checked and cleared once, while calls pass its very point tuples
+    is checked and cleared once, while calls pass its very point tuples,
+    and the labels are the list the engine appends them to
     (:func:`weakfront.staircase2d.classify_points_2d`).
     """
-    codes = staircase2d.classify_points_2d(K.basis, M.cleared(), points, sup=sup)
-    return list(map(_LABELS.__getitem__, codes))
+    return staircase2d.classify_points_2d(K.basis, M.cleared(), points, sup, _LABELS)
 
 
 # --- canonical generators / wsup / winf --------------------------------------

@@ -23,7 +23,9 @@ coordinate columns, and kept for as long as calls pass its very point
 tuples (:func:`_batch_columns`, the one place that decides this); its
 facet coordinates are formed over those columns (:func:`row_products`),
 as are those of a set whose maxima are asked for: the comparisons run on
-plain integers, with no call per point.
+plain integers, with no call per point.  A query's label is appended as
+the caller's own object for its region, in one pass (order_sets passes
+its ``RegionLabel`` members; the default is the int codes below).
 Infima are suprema of the negated data, labelled on the negated normals.
 Only mapping facet coordinates back to points needs N^{-1}, which exists
 exactly for simplicial K (``dim`` linearly independent normals); the
@@ -45,7 +47,7 @@ from typing import Iterable, Sequence
 from weakfront.numeric import DimensionError, Vec, chunked, cleared, dot, require_exact
 
 # Region codes (kept as plain ints so this module has no enum dependencies;
-# order_sets maps them onto RegionLabel).
+# order_sets passes its RegionLabel members in their place, by code).
 LOWER, FRONTIER, UPPER = 0, 1, 2
 
 
@@ -223,10 +225,10 @@ def _batch_columns(points: Sequence[Vec], dim: int) -> tuple:
     ``dim`` or an entry that is not an int or a Fraction: the first bad
     point decides, its length first."""
     global _last_batch
-    points = list(map(tuple, points))
     kept, kept_dim = _last_batch[:2]
     if kept_dim == dim and len(kept) == len(points) and all(map(is_, kept, points)):
         return _last_batch[2:]
+    points = list(map(tuple, points))
     types = map(type, chain.from_iterable(points))
     if not ({dim}.issuperset(map(len, points)) and _EXACT_TYPES.issuperset(types)):
         for p in points:  # a bad point, or an entry of a subclass
@@ -239,14 +241,21 @@ def _batch_columns(points: Sequence[Vec], dim: int) -> tuple:
 
 
 def classify_points_2d(
-    basis: RayBasis, gens: tuple, points: Sequence[Vec], sup: bool = True
+    basis: RayBasis,
+    gens: tuple,
+    points: Sequence[Vec],
+    sup: bool = True,
+    labels: Sequence = (LOWER, FRONTIER, UPPER),
 ) -> list:
-    """Region codes of ``points`` against wsup(gens), or against winf(gens)
-    when sup=False: the infimum is minus the supremum of the negated data,
-    so it is labelled on the negated normals, with LOWER and UPPER swapped.
-    ``gens`` is a cleared point set (den, vecs); the points are cleared at
-    their own scale d_q, and both are brought to d = lcm(den, d_q), the
-    generators' maxima by d/den and the points by d/d_q folded into N.
+    """Regions of ``points`` against wsup(gens), or against winf(gens) when
+    sup=False, each given as its entry of ``labels`` (the objects that
+    stand for LOWER, FRONTIER and UPPER, by default the codes themselves),
+    in one list built once: the infimum is minus the supremum of the
+    negated data, so it is labelled on the negated normals, with
+    ``labels`` reversed.  ``gens`` is a cleared point set (den, vecs); the
+    points are cleared at their own scale d_q, and both are brought to
+    d = lcm(den, d_q), the generators' maxima by d/den and the points by
+    d/d_q folded into N.
 
     The batch is handled in whole columns, with no call per point
     (:func:`_batch_columns`).  Each facet coordinate is one row
@@ -254,7 +263,8 @@ def classify_points_2d(
     maxima form a staircase along which the first coordinate strictly
     falls and the last strictly rises, so those with g0 > q0 (or g0 >= q0)
     are a prefix whose last one has the largest last coordinate: two
-    bisections label q.  With more facets each query runs ``region_sup``."""
+    bisections label q, appending its label itself.  With more facets each
+    query runs ``region_sup``, whose codes index ``labels``."""
     den, vecs = gens
     N = basis.normals if sup else [tuple([-c for c in a]) for a in basis.normals]
     dq, cols = _batch_columns(points, len(N[0]))
@@ -262,24 +272,25 @@ def classify_points_2d(
     d = lcm(den, dq)
     s, t, n = d // den, d // dq, len(points)
     T = [[t * c for c in a] for a in N]  # at the scale d
+    by_code = labels if sup else labels[::-1]
     if len(N) > 2:
         front = [tuple([s * c for c in g]) for g in kept]
-        codes = [region_sup(front, q) for q in zip(*row_products(T, cols, n))]
-        return codes if sup else [UPPER - c for c in codes]
-    lower, upper = (LOWER, UPPER) if sup else (UPPER, LOWER)
+        qs = zip(*row_products(T, cols, n))
+        return [by_code[region_sup(front, q)] for q in qs]
+    lower, frontier, upper = by_code
     # -q0 and q1 of every query; -g0 and g1 ascend along the staircase
     neg_first, last = row_products([[-c for c in T[0]], T[-1]], cols, n)
     drop = [-s * g[0] for g in kept]
     rise = [s * g[-1] for g in kept]
-    codes = []
+    out = []
     for a, b in zip(neg_first, last):
         i = bisect_left(drop, a)  # the maxima with g0 > q0
         if i and rise[i - 1] > b:
-            codes.append(lower)
+            out.append(lower)
         else:
             j = bisect_right(drop, a, i)  # the maxima with g0 >= q0
-            codes.append(FRONTIER if j and rise[j - 1] >= b else upper)
-    return codes
+            out.append(frontier if j and rise[j - 1] >= b else upper)
+    return out
 
 
 def row_products(A: Sequence[Sequence], cols: Sequence[Sequence], n: int) -> list:

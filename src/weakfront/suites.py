@@ -47,6 +47,7 @@ from .farkas import (
     HardFailure,
     alpha_holds,
     convert_certificate,
+    kept_value_set,
     verify_certificate,
 )
 from .instances import CONVEX_SHIPPED, shipped_instance, shipped_pair
@@ -584,6 +585,9 @@ _CRASH_FRAMES = 3  # innermost traceback frames a crash row names
 
 
 def _run_unit(args) -> dict:
+    """Run one unit, and drop the value sets its verifications kept when it
+    ends: a random unit's instances serve no later unit, and the kept
+    entries would hold them alive."""
     kind, seed, idx = args
     col = _Collector(kind, idx)
     try:
@@ -600,6 +604,8 @@ def _run_unit(args) -> dict:
             for f in traceback.extract_tb(e.__traceback__)[-_CRASH_FRAMES:]
         )
         detail = f"unit crashed: {type(e).__name__}: {e} at {where}"
+    finally:
+        kept_value_set.cache_clear()
     col = _Collector(kind, idx)  # the unit stopped: one failed check
     col.ok(False, detail)
     return col.result()

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import weakfront
+import weakfront.cli as cli
 from weakfront.cli import main
-from weakfront.instances import data_dir, dump_json, load_instance
+from weakfront.cones import LinOp
+from weakfront.instances import cone_from_literal, data_dir, dump_json, load_instance
 
 # A child interpreter imports the package under test, installed or not.
 _SRC = str(Path(weakfront.__file__).resolve().parents[1])
@@ -229,6 +231,79 @@ def test_a_runaway_budget_grid_is_refused_before_it_is_built(capsys, e1, flags, 
     )
 
 
+_RUNAWAY = [
+    (["dual", "--which", "VD3", "--l-box", "2"], "49,218,750", 2, "126 * 625^2"),
+    (["farkas", "--index", "3", "--y", "[0,0]", "--l-box", "2"], "49,218,750", 2, "126 * 625^2"),
+    (["dual", "--which", "VD2", "--l-box", "6"], "3,598,686", 1, "126 * 28,561^1"),
+    (["farkas", "--y", "[0,0]", "--box", "30"], "13,845,874", 0, "13,845,874 * 2^0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, items, power, product", _RUNAWAY, ids=["VD3", "farkas-3", "VD2", "farkas-1"]
+)
+def test_a_runaway_certificate_budget_is_refused_before_any_search(
+    capsys, monkeypatch, argv, items, power, product
+):
+    """A budget of more than ``MAX_CERTIFICATES`` items at the condition's
+    index is refused with its size, and no search starts.  E3's T budget
+    counts the grid's 3^4 matrices and the 45 hints off it (at --box 30,
+    61^4 and the 33 hints with a half entry); its L budget counts
+    (2·l_box + 1)^4 matrices, its hint and zero among them, or at l_box 0
+    its hint and zero."""
+    monkeypatch.setattr(cli, "dual_value", _no_search)
+    monkeypatch.setattr(cli, "script_A_membership", _no_search)
+    rc, out, err = run(capsys, [argv[0], str(data_dir() / "E3.json"), *argv[1:]])
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"input error: the certificate budget offers up to {items} items "
+        f"(|T| * |L|^{power} <= {product}), more than 2,000,000; "
+        "lower --box or --l-box\n"
+    )
+
+
+def _no_search(*args):
+    raise AssertionError("a search started")
+
+
+class _Searched(Exception):
+    pass
+
+
+def _searched(*args):
+    raise _Searched
+
+
+@pytest.mark.parametrize("cap, searched", [(826_686, True), (826_685, False)])
+def test_the_heaviest_pinned_call_sits_at_its_count(capsys, monkeypatch, cap, searched):
+    """``dual E3.json --which VD3 --l-box 1`` counts 126 * 81^2 = 826,686
+    items: a cap of that many lets its search start, one fewer refuses it."""
+    monkeypatch.setattr(cli, "MAX_CERTIFICATES", cap)
+    monkeypatch.setattr(cli, "dual_value", _searched)
+    argv = ["dual", str(data_dir() / "E3.json"), "--which", "VD3", "--l-box", "1"]
+    if searched:
+        with pytest.raises(_Searched):
+            main(argv)
+    else:
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "") and "826,686 items" in err
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "gap_toy"])
+def test_budget_sizes_count_without_drawing(name):
+    """``_budget_size`` is the length of a split-operator budget and at
+    least that of a positive-operator budget, on every shipped instance,
+    at boxes 0 and 1 with steps 1 and 1/2, and at box 2/3 with step 1/3,
+    whose grid leaves off every hint with an entry 1/2 or 1."""
+    P = load_instance(data_dir() / f"{name}.json")
+    for box, step in ((0, 1), (1, 1), (1, Fraction(1, 2)), (Fraction(2, 3), Fraction(1, 3))):
+        cfg = P.search_config(t_box=box, t_step=step, l_box=box, l_step=step)
+        n_L = len(list(cfg.linop_budget(P.m, P.n)))
+        n_T = len(list(cfg.posop_budget(P.S, P.K)))
+        assert cli._budget_size(P.hints_L, LinOp.zero(P.m, P.n), box, step) == n_L
+        assert cli._budget_size(P.hints_T, LinOp.zero(P.m, P.p), box, step) >= n_T
+
+
 def test_the_command_line_reads_a_negative_fraction_as_a_value(e1):
     argv = ["farkas", e1, "--y", "[1]", "--step", "-1/2"]
     proc = subprocess.run(
@@ -428,6 +503,56 @@ def test_simplicial_cone_missing_an_extreme_ray_is_refused(capsys, tmp_path, S, 
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
         assert err == f"input error: 'S' generators miss the extreme ray {ray}\n"
+
+
+# The quadrant given with the redundant normal (1, 1), so its normals are
+# not a square matrix.
+_REDUNDANT = {"normals": [[0, 1], [1, 0], [1, 1]], "interior_witness": [1, 1]}
+
+
+@pytest.mark.parametrize("key", ["S", "K"])
+@pytest.mark.parametrize(
+    "gens, ray", [([[1, 0]], "[0, 1]"), ([[0, 1], [1, 1]], "[1, 0]")], ids=["x", "y"]
+)
+def test_a_planar_cone_with_a_redundant_normal_missing_a_ray_is_refused(
+    capsys, tmp_path, key, gens, ray
+):
+    """E3 with S (or K) given as the quadrant plus a redundant normal: with
+    a generator list that misses a ray, every command that loads it exits 2
+    naming that ray (at S, listing only (1, 0) had let T = [[0, -1], [0, 1]]
+    pass as positive, though it maps (0, 1) out of K); with both rays, and
+    a generator that is not extreme beside them, the instance answers as E3
+    does (the dual merge, which needs a simplicial K, only at S)."""
+    doc = json.loads((data_dir() / "E3.json").read_text())
+    bad = tmp_path / "E3_bad.json"
+    bad.write_text(json.dumps(_with(doc, (key,), dict(_REDUNDANT, generators=gens))))
+    for argv in (
+        ["dual", str(bad), "--which", "VD1"],
+        ["farkas", str(bad), "--y", "[0, 0]"],
+        ["conjugate", str(bad)],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"input error: {key!r} generators miss the extreme ray {ray}\n"
+    good = tmp_path / "E3_redundant.json"
+    full = dict(_REDUNDANT, generators=[[1, 1], [0, 1], [1, 0]])
+    good.write_text(json.dumps(_with(doc, (key,), full)))
+    queries = [["farkas", "--index", "2", "--y", "[0, 0]"], ["conjugate"]]
+    if key == "S":
+        queries += [["dual", "--which", "VD1"], ["dual", "--which", "VD2"]]
+    for cmd, *flags in queries:
+        want = run(capsys, [cmd, str(data_dir() / "E3.json"), *flags])
+        assert run(capsys, [cmd, str(good), *flags]) == want
+        assert want[0] == 0
+
+
+def test_a_half_plane_keeps_its_generator_list():
+    """A half-plane is not pointed: it has no extreme ray to check, so its
+    generator list is taken as given."""
+    K = cone_from_literal(
+        {"normals": [[1, 1]], "generators": [[1, -1]], "interior_witness": [1, 0]}
+    )
+    assert K.generators == ((1, -1),)
 
 
 # Values that compare equal to the expected ones in Python but are the

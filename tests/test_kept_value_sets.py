@@ -148,3 +148,25 @@ def test_instances_with_equal_operators_keep_their_own_value_sets(rebuilds):
             got = verify_certificate(R, FarkasQuery(L, y, 2), c)
             assert got == _fresh_answer(R, L, c, y)
     assert len(rebuilds) == 3
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["passes", "crashes"])
+def test_a_suite_unit_drops_the_value_sets_it_kept(monkeypatch, crash):
+    """A suite unit keeps the value sets it verifies while it runs, and
+    none outlives it, whether it ends or crashes."""
+    from weakfront import suites
+
+    real = suites._UNIT_FUNCS["farkas-hinted"]
+    inside = []
+
+    def unit(col, rng, idx):
+        real(col, rng, idx)
+        inside.append(kept_value_set.cache_info().currsize)
+        if crash:
+            raise RuntimeError("stopped")
+
+    monkeypatch.setitem(suites._UNIT_FUNCS, "farkas-hinted", unit)
+    kept_value_set.cache_clear()
+    result = suites._run_unit(("farkas-hinted", 0, 0))
+    assert inside[0] > 0 and kept_value_set.cache_info().currsize == 0
+    assert bool(result["failures"]) is crash

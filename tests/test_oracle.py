@@ -10,6 +10,7 @@ from fractions import Fraction
 from operator import add
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,39 @@ def test_brute_region_bulk_is_the_definition(case):
         return [tuple(c * 2**62 for c in v) for v in vs]
 
     assert brute_region_bulk(big(cloud), normals, big(grid)) == want
+
+
+@pytest.mark.parametrize("scale", [1, 2**62], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("normals", [BULK_CONES[1], BULK_CONES[-1]], ids=["one", "four"])
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_the_bulk_labeller_runs_m_by_grid(monkeypatch, scale, normals, m):
+    """The min over the normals is an (m, grid) array, in int64 when the
+    entries are small and on Python ints when they are scaled by 2**62
+    (which moves no label), and the labels down its m axis are
+    :func:`region_of_point`'s: for an empty cloud, one point and five,
+    against one normal and four, on a grid of 13 points or more (so the
+    two axes differ in length)."""
+    shapes = []
+    real = oracle.reduce
+
+    def spy(fn, terms):
+        out = real(fn, terms)
+        shapes.append((out.shape, out.dtype))
+        return out
+
+    monkeypatch.setattr(oracle, "reduce", spy)
+    rng = random.Random(m)
+    dim = len(normals[0])
+    ticks = [Fraction(k, 3) for k in range(-6, 7)]
+    cloud = [tuple(rng.choice(ticks) for _ in range(dim)) for _ in range(m)]
+    grid = [tuple(rng.choice(ticks) for _ in range(dim)) for _ in range(13)]
+    grid += cloud + [(*p[:-1], p[-1] - Fraction(1, 3)) for p in cloud]
+    big = [[tuple(c * scale for c in v) for v in vs] for vs in (cloud, grid)]
+    labels = brute_region_bulk(big[0], normals, big[1])
+    assert labels == [region_of_point(cloud, normals, y) for y in grid]
+    assert all(type(lab) is RegionLabel for lab in labels)
+    kind = np.dtype(np.int64) if scale == 1 else np.dtype(object)
+    assert shapes == [((m, len(grid)), kind)]
 
 
 def test_a_bulk_call_reads_each_fraction_once(monkeypatch):

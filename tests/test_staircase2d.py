@@ -293,6 +293,65 @@ def test_classify_many_on_every_cone_matches_the_oracle(name, sup):
         )
 
 
+# one facet (a half-plane), two, and four (the pyramid; and the quadrant
+# with two redundant normals, four in the plane)
+_FACET_CONES = {
+    "halfplane": CORE_CONES["halfplane"],
+    "skew2": CORE_CONES["skew2"],
+    "pyramid3": CORE_CONES["pyramid3"],
+    "redundant4": Cone(
+        normals=((1, 0), (0, 1), (1, 1), (1, 2)),
+        generators=((1, 0), (0, 1)),
+        interior_witness=(1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FACET_CONES))
+@pytest.mark.parametrize("sup", [True, False], ids=["sup", "inf"])
+def test_classify_many_hands_back_the_engines_list_of_labels(monkeypatch, name, sup):
+    """``classify_many`` returns the very list ``classify_points_2d`` built,
+    and its entries are the oracle's ``RegionLabel`` members, all three of
+    them over the sets below, under sup and inf."""
+    K = _FACET_CONES[name]
+    built = []
+    real = staircase2d.classify_points_2d
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(staircase2d, "classify_points_2d", spy)
+    seen = set()
+    for M in _random_sets(K.dim, 4, seed=name):
+        grid = _grid(K.dim, M)
+        labels = classify_many(M, K, grid, sup=sup)
+        assert labels is built[-1]
+        want = _oracle_labels(M.points, K, grid, sup)
+        assert len(labels) == len(want)
+        assert all(a is b for a, b in zip(labels, want))
+        seen.update(labels)
+    assert seen == set(RegionLabel)
+
+
+@pytest.mark.parametrize("name", sorted(_FACET_CONES))
+def test_a_direct_call_labels_with_the_objects_it_is_given(name):
+    """``classify_points_2d`` gives each region as its entry of ``labels``
+    (LOWER, FRONTIER, UPPER), reversed for an infimum, and its int codes
+    by default."""
+    K = _FACET_CONES[name]
+    M = _random_sets(K.dim, 1, seed=name)[0]
+    grid = _grid(K.dim, M)
+    for sup in (True, False):
+        want = [lab.name for lab in _oracle_labels(M.points, K, grid, sup)]
+        named = staircase2d.classify_points_2d(
+            K.basis, M.cleared(), grid, sup, ("LOWER", "FRONTIER", "UPPER")
+        )
+        codes = staircase2d.classify_points_2d(K.basis, M.cleared(), grid, sup)
+        assert named == want
+        assert [_CODE_LABELS[c].name for c in codes] == want
+
+
 def _weakly_above(q, p, K):
     """q - p in K, by the oracle."""
     return region_of_point([q], K.normals, p) is not RegionLabel.UPPER
